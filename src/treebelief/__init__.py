@@ -45,18 +45,11 @@ from .oracle import (
     point_tables,
 )
 from .propagation import (
-    ChildMessage,
     MessageState,
     NodeReport,
-    ParentMessage,
-    combine_children,
-    child_to_parent,
-    init_state,
-    parent_to_child,
     posterior_report,
     propagate,
     query_node,
-    unit_child_message,
 )
 
 __all__ = [
@@ -92,16 +85,9 @@ __all__ = [
     "exact_inference",
     "mc_uncertainty",
     "point_tables",
-    "ChildMessage",
     "MessageState",
     "NodeReport",
-    "ParentMessage",
-    "combine_children",
-    "child_to_parent",
-    "init_state",
-    "parent_to_child",
     "posterior_report",
     "propagate",
     "query_node",
-    "unit_child_message",
 ]

@@ -114,14 +114,38 @@ class PointMass:
 UncertainDistribution = Union[Dirichlet, DiscreteSupport, PointMass]
 
 
+def _check_moments(mean: np.ndarray, second: np.ndarray, what: str) -> None:
+    """Raise :class:`BadDistribution` unless every row holds valid moments.
+
+    ``mean`` is ``(..., k)`` and ``second`` is ``(..., k, k)``; every leading
+    row is checked at once.  Because each underlying random vector sums to 1,
+    every row of a second-moment matrix must sum back to its mean, and the
+    diagonal is squeezed between ``mean**2`` and ``mean``.  Non-finite values
+    are rejected first, since every comparison with NaN is false.
+    """
+    if mean.ndim < 1 or second.shape != mean.shape + mean.shape[-1:]:
+        raise BadDistribution(f"{what}: mean (k,) and second (k, k) required")
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(second))):
+        raise BadDistribution(f"{what}: moments must be finite")
+    if np.any(mean < -PROB_TOL) or np.max(np.abs(mean.sum(axis=-1) - 1.0)) > PROB_TOL:
+        raise BadDistribution(f"{what}: mean is not a probability vector")
+    if np.any(second < -PROB_TOL):
+        raise BadDistribution(f"{what}: second moments must be >= 0")
+    if np.max(np.abs(second - np.swapaxes(second, -1, -2))) > PROB_TOL:
+        raise BadDistribution(f"{what}: second-moment matrix must be symmetric")
+    if np.max(np.abs(second.sum(axis=-1) - mean)) > PROB_TOL:
+        raise BadDistribution(f"{what}: row sums of second moments must equal the mean")
+    diag = np.diagonal(second, axis1=-2, axis2=-1)
+    if np.any(diag > mean + PROB_TOL) or np.any(diag < mean**2 - PROB_TOL):
+        raise BadDistribution(f"{what}: diagonal must lie between mean**2 and mean")
+
+
 @dataclass(frozen=True, eq=False)
 class MomentSet:
     """First and second moments of one uncertain probability vector.
 
-    ``mean[i] = E(p_i)`` and ``second[i, j] = E(p_i p_j)``.  Because the
-    underlying random vector always sums to 1, every row of ``second`` must
-    sum back to the corresponding mean, and the diagonal is squeezed between
-    ``mean**2`` and ``mean``.
+    ``mean[i] = E(p_i)`` and ``second[i, j] = E(p_i p_j)``, subject to the
+    invariants of :func:`_check_moments`.
     """
 
     mean: np.ndarray
@@ -130,24 +154,21 @@ class MomentSet:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=float)
         second = np.asarray(self.second, dtype=float)
-        k = mean.size
-        if mean.ndim != 1 or second.shape != (k, k):
+        if mean.ndim != 1:
             raise BadDistribution("moment set: mean (k,) and second (k, k) required")
-        if np.any(mean < -PROB_TOL) or abs(float(mean.sum()) - 1.0) > PROB_TOL:
-            raise BadDistribution("moment set: mean is not a probability vector")
-        if np.any(second < -PROB_TOL):
-            raise BadDistribution("moment set: second moments must be >= 0")
-        if np.max(np.abs(second - second.T)) > PROB_TOL:
-            raise BadDistribution("moment set: second-moment matrix must be symmetric")
-        if np.max(np.abs(second.sum(axis=1) - mean)) > PROB_TOL:
-            raise BadDistribution("moment set: row sums of second moments must equal the mean")
-        diag = np.diag(second)
-        if np.any(diag > mean + PROB_TOL) or np.any(diag < mean**2 - PROB_TOL):
-            raise BadDistribution("moment set: diagonal must lie between mean**2 and mean")
+        _check_moments(mean, second, "moment set")
         mean.flags.writeable = False
         second.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "second", second)
+
+    @classmethod
+    def _checked(cls, mean: np.ndarray, second: np.ndarray) -> "MomentSet":
+        """Wrap read-only arrays that already passed :func:`_check_moments`."""
+        view = object.__new__(cls)
+        object.__setattr__(view, "mean", mean)
+        object.__setattr__(view, "second", second)
+        return view
 
     @property
     def dim(self) -> int:
@@ -155,6 +176,23 @@ class MomentSet:
 
     def variance(self) -> np.ndarray:
         return np.diag(self.second) - self.mean**2
+
+
+def _moments(dist: UncertainDistribution):
+    """``(mean, second)`` of a distribution, unchecked; see :func:`moments_of`."""
+    if isinstance(dist, Dirichlet):
+        a = dist.alpha
+        a0 = float(a.sum())
+        mean = a / a0
+        second = np.outer(a, a) / (a0 * (a0 + 1.0))
+        np.fill_diagonal(second, a * (a + 1.0) / (a0 * (a0 + 1.0)))
+        return mean, second
+    if isinstance(dist, DiscreteSupport):
+        pts, w = dist.points, dist.weights
+        return w @ pts, pts.T @ (w[:, None] * pts)
+    if isinstance(dist, PointMass):
+        return dist.p, np.outer(dist.p, dist.p)
+    raise BadDistribution(f"unsupported distribution type {type(dist).__name__}")
 
 
 def moments_of(dist: UncertainDistribution) -> MomentSet:
@@ -167,23 +205,11 @@ def moments_of(dist: UncertainDistribution) -> MomentSet:
         E(p_i p_j) = alpha_i alpha_j / (a0 (a0 + 1))        (i != j)
 
     Discrete supports take weighted sums over their points; a point mass has
-    ``second = outer(p, p)`` and zero variance.
+    ``second = outer(p, p)`` and zero variance.  Moments that overflow to a
+    non-finite value raise :class:`BadDistribution`.
     """
-    if isinstance(dist, Dirichlet):
-        a = dist.alpha
-        a0 = float(a.sum())
-        mean = a / a0
-        second = np.outer(a, a) / (a0 * (a0 + 1.0))
-        np.fill_diagonal(second, a * (a + 1.0) / (a0 * (a0 + 1.0)))
-        return MomentSet(mean, second)
-    if isinstance(dist, DiscreteSupport):
-        pts, w = dist.points, dist.weights
-        mean = w @ pts
-        second = pts.T @ (w[:, None] * pts)
-        return MomentSet(mean, second)
-    if isinstance(dist, PointMass):
-        return MomentSet(dist.p, np.outer(dist.p, dist.p))
-    raise BadDistribution(f"unsupported distribution type {type(dist).__name__}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return MomentSet(*_moments(dist))
 
 
 @dataclass(frozen=True)
@@ -207,25 +233,33 @@ class NetworkSpec:
 
 
 class ValidatedNode:
-    """One node with resolved adjacency and precomputed row moments."""
+    """One node with resolved adjacency and precomputed row moments.
 
-    __slots__ = ("id", "alternatives", "parent", "children", "rows", "row_moments")
+    ``mean_rows`` (rows, k) and ``second_rows`` (rows, k, k) are the only
+    stored copy of the row moments; both are read-only.
+    """
 
-    def __init__(self, spec: NodeSpec, children, row_moments):
+    __slots__ = ("id", "alternatives", "parent", "children", "rows", "mean_rows", "second_rows")
+
+    def __init__(self, spec: NodeSpec, children, mean_rows: np.ndarray, second_rows: np.ndarray):
         self.id = spec.id
         self.alternatives = spec.alternatives
         self.parent = spec.parent
         self.children = tuple(children)
         self.rows = spec.rows
-        self.row_moments = tuple(row_moments)
+        mean_rows.flags.writeable = False
+        second_rows.flags.writeable = False
+        self.mean_rows = mean_rows
+        self.second_rows = second_rows
 
     @property
     def dim(self) -> int:
         return len(self.alternatives)
 
-    def mean_rows(self) -> np.ndarray:
-        """Stacked row means, shape (n_rows, dim)."""
-        return np.stack([m.mean for m in self.row_moments])
+    @property
+    def row_moments(self) -> tuple:
+        """One :class:`MomentSet` view per row of the stored moments."""
+        return tuple(map(MomentSet._checked, self.mean_rows, self.second_rows))
 
 
 class ValidatedNetwork:
@@ -321,7 +355,6 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
             raise DimensionMismatch(
                 f"node {ns.id!r}: {len(ns.rows)} rows, expected {expected_rows}"
             )
-        row_moments = []
         for j, dist in enumerate(ns.rows):
             if not isinstance(dist, (Dirichlet, DiscreteSupport, PointMass)):
                 raise BadDistribution(
@@ -333,8 +366,11 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
                     f"node {ns.id!r}, row {j}: distribution dimension {dist.dim} "
                     f"!= {k} alternatives"
                 )
-            row_moments.append(moments_of(dist))
-        validated[ns.id] = ValidatedNode(ns, children[ns.id], row_moments)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the check below
+            means, seconds = zip(*map(_moments, ns.rows))
+        mean_rows, second_rows = np.stack(means), np.stack(seconds)
+        _check_moments(mean_rows, second_rows, f"node {ns.id!r}")
+        validated[ns.id] = ValidatedNode(ns, children[ns.id], mean_rows, second_rows)
 
     order = []
     stack = [root]
@@ -346,10 +382,14 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
 
 
 def check_evidence(net: ValidatedNetwork, evidence: Mapping[str, int]) -> None:
-    """Raise unless every evidence entry names a known node and alternative."""
+    """Raise unless every evidence entry names a known node and alternative.
+
+    Indices are integers; ``bool`` is rejected although it subclasses ``int``,
+    because numpy would read it as a mask.
+    """
     for node_id, idx in evidence.items():
         node = net.node(node_id)
-        if not isinstance(idx, (int, np.integer)) or not 0 <= idx < node.dim:
+        if isinstance(idx, bool) or not isinstance(idx, (int, np.integer)) or not 0 <= idx < node.dim:
             raise UnknownAlternative(
                 f"node {node_id!r}: alternative index {idx!r} out of range"
             )

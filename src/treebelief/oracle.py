@@ -287,7 +287,7 @@ def _grid_chunks(
         for node_id in net.order:
             node = net.nodes[node_id]
             tabs[node_id] = np.broadcast_to(
-                node.mean_rows(), (hi - lo, len(node.rows), node.dim)
+                node.mean_rows, (hi - lo, len(node.rows), node.dim)
             ).copy()
         for j, (node_id, row) in enumerate(row_ids):
             pts, w = supports[j]

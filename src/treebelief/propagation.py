@@ -1,13 +1,17 @@
 """Message passing that carries second moments alongside probabilities.
 
-Inference runs as a two-phase sweep over the tree.  The upward (collect)
-phase sends each node's parent a :class:`ChildMessage`: the expected
-likelihood of the evidence in that subtree per receiving alternative,
-together with the full matrix of second moments of those likelihoods.  The
-downward (distribute) phase sends each node a :class:`ParentMessage`: the
-node's distribution conditioned on all evidence *not* below it, again with
-second moments.  A query combines both at a node and normalizes by the mean
-evidence probability.
+Inference is one collect-then-distribute sweep over ``net.order`` and costs
+time linear in the number of nodes.  The upward (collect) phase sends each
+node's parent a child message: the expected likelihood of the evidence in
+that subtree per receiving alternative, together with the full matrix of
+second moments of those likelihoods.  The downward (distribute) phase sends
+each node a parent message: the node's distribution conditioned on all
+evidence *not* below it, again with second moments.  A query combines both
+at a node and normalizes by the mean evidence probability.
+
+Messages are internal: a :class:`Message` is a plain ``(mean, second)`` pair
+of arrays.  The row moments they are built from were checked once by
+:func:`~treebelief.model.validate_network`, so no message is checked again.
 
 Two structural facts make the recurrences exact products and sums:
 
@@ -28,81 +32,26 @@ a hair below zero, which :func:`query_node` clamps and flags.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, InconsistentEvidence, NegativeVariance
-from .model import MomentSet, ValidatedNetwork, check_evidence
+from .errors import InconsistentEvidence, NegativeVariance
+from .model import ValidatedNetwork, ValidatedNode, check_evidence
 
 #: Reported variances below this are a hard error instead of a clamp.
 VARIANCE_FLOOR = -1e-9
 
 
-def _check_likelihood(mean: np.ndarray, second: np.ndarray) -> None:
-    k = mean.size
-    if mean.ndim != 1 or second.shape != (k, k):
-        raise DimensionMismatch("message: mean (k,) and second (k, k) required")
-    tol = 1e-9
-    if np.any(mean < -tol) or np.any(mean > 1.0 + tol):
-        raise ValueError("child message: means must lie in [0, 1]")
-    if np.any(second < -tol) or np.any(second > 1.0 + tol):
-        raise ValueError("child message: second moments must lie in [0, 1]")
+class Message(NamedTuple):
+    """Means ``(k,)`` and second moments ``(k, k)`` of one message.
 
-
-@dataclass(frozen=True, eq=False)
-class ChildMessage:
-    """Expected subtree-evidence likelihoods and their second moments.
-
-    ``mean[i]`` is the probability of the evidence in one child's subtree
-    given alternative ``i`` of the receiving node; ``second[i, j]`` is the
-    expectation of the product of those (random) likelihoods.  There is no
-    sum-to-one constraint.
+    A child message holds subtree-evidence likelihoods, with no sum-to-one
+    constraint; a parent message holds a distribution whose means sum to 1.
     """
 
     mean: np.ndarray
     second: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        second = np.asarray(self.second, dtype=float)
-        _check_likelihood(mean, second)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "second", second)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-
-@dataclass(frozen=True, eq=False)
-class ParentMessage:
-    """A node's distribution given all evidence not below it, with moments.
-
-    Means form a probability vector.  With evidence elsewhere in the tree the
-    second moments are approximate quantities and may leave [0, 1]; only in
-    the no-evidence case do they satisfy every :class:`MomentSet` invariant.
-    """
-
-    mean: np.ndarray
-    second: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        second = np.asarray(self.second, dtype=float)
-        k = mean.size
-        if mean.ndim != 1 or second.shape != (k, k):
-            raise DimensionMismatch("message: mean (k,) and second (k, k) required")
-        if np.any(mean < -1e-9) or abs(float(mean.sum()) - 1.0) > 1e-9:
-            raise ValueError("parent message: means must form a probability vector")
-        if np.any(second < -1e-9):
-            raise ValueError("parent message: second moments must be >= 0")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "second", second)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
 
 
 @dataclass(frozen=True)
@@ -120,76 +69,76 @@ class NodeReport:
 class MessageState:
     """All messages of one propagation run over an immutable network.
 
+    ``combined`` holds each uninstantiated node's product of child messages,
+    ``upward`` each non-root node's message to its parent, and ``parent``
+    the message each uninstantiated node (and the root) receives from above.
     A state is confined to one query thread; distinct queries on the same
     network may run concurrently with separate states.
     """
 
     net: ValidatedNetwork
     evidence: Dict[str, int]
-    combined: Dict[str, ChildMessage] = field(default_factory=dict)
-    upward: Dict[str, ChildMessage] = field(default_factory=dict)
-    parent: Dict[str, ParentMessage] = field(default_factory=dict)
+    combined: Dict[str, Message] = field(default_factory=dict)
+    upward: Dict[str, Message] = field(default_factory=dict)
+    parent: Dict[str, Message] = field(default_factory=dict)
 
 
-def unit_child_message(dim: int) -> ChildMessage:
-    """The identity for child-message combination (vacuous evidence)."""
-    return ChildMessage(np.ones(dim), np.ones((dim, dim)))
+def _unit(dim: int) -> Message:
+    """The identity for combining child messages (vacuous evidence)."""
+    return Message(np.ones(dim), np.ones((dim, dim)))
 
 
-def init_state(net: ValidatedNetwork, evidence: Optional[Mapping[str, int]] = None) -> MessageState:
-    """Fresh state: unit child slots everywhere, root conditioned on nothing.
-
-    The root's parent message is exactly the moment set of its single stored
-    row, so a query on an evidence-free state reproduces prior moments.
-    """
-    state = MessageState(net, dict(evidence or {}))
-    for node_id in net.order:
-        state.combined[node_id] = unit_child_message(net.nodes[node_id].dim)
-    root_moments = net.nodes[net.root].row_moments[0]
-    state.parent[net.root] = ParentMessage(root_moments.mean, root_moments.second)
-    return state
+def _times(a: Message, b: Message) -> Message:
+    return Message(a.mean * b.mean, a.second * b.second)
 
 
-def combine_children(messages: Sequence[ChildMessage], dim: Optional[int] = None) -> ChildMessage:
-    """Combine messages from any number of children into one.
+def _product(messages: Sequence[Message], dim: int) -> Message:
+    """Combine sibling messages, left to right.
 
     Sibling subtrees carry independent uncertainty, so means multiply
     elementwise and second-moment matrices multiply entry by entry (Hadamard
-    product).  The empty combination is the unit message, for which ``dim``
-    must be supplied.
+    product).  The empty combination is the unit message.
     """
-    if not messages:
-        if dim is None:
-            raise DimensionMismatch("empty combination needs an explicit dimension")
-        return unit_child_message(dim)
-    k = messages[0].dim
-    if dim is not None and dim != k:
-        raise DimensionMismatch(f"expected dimension {dim}, got {k}")
-    mean = messages[0].mean.copy()
-    second = messages[0].second.copy()
-    for msg in messages[1:]:
-        if msg.dim != k:
-            raise DimensionMismatch("cannot combine messages of different dimensions")
-        mean *= msg.mean
-        second *= msg.second
-    return ChildMessage(mean, second)
+    out = _unit(dim)
+    for msg in messages:
+        out = _times(out, msg)
+    return out
 
 
-def _stack_rows(cpt_moments: Sequence[MomentSet]):
-    mean_rows = np.stack([m.mean for m in cpt_moments])      # (n_rows, k)
-    second_rows = np.stack([m.second for m in cpt_moments])  # (n_rows, k, k)
-    return mean_rows, second_rows
+def _leave_one_out(messages: Sequence[Message], dim: int) -> List[Message]:
+    """For each message, the product of all the others.
+
+    Prefix products times suffix products: linear in the number of siblings
+    and free of division, which a zero message would break.
+    """
+    prefix = [_unit(dim)]
+    for msg in messages[:-1]:
+        prefix.append(_times(prefix[-1], msg))
+    out: List[Message] = [None] * len(messages)
+    suffix = prefix[0]
+    for i in range(len(messages) - 1, -1, -1):
+        out[i] = _times(prefix[i], suffix)
+        suffix = _times(messages[i], suffix)
+    return out
 
 
-def child_to_parent(
-    child: str,
-    child_combined: ChildMessage,
-    evidence: Mapping[str, int],
-    cpt_moments: Sequence[MomentSet],
-) -> ChildMessage:
-    """Turn a child's combined evidence into the message its parent needs.
+def _observed_up(node: ValidatedNode, alt: int) -> Message:
+    """The message an instantiated child sends up: its observed column.
 
-    Uninstantiated child with combined message ``(lam, Lam)`` and row moments
+    Means and squared moments come from the rows, cross terms are products
+    of means (distinct rows are independent).  Subtree evidence below an
+    instantiated child never enters its upward message.
+    """
+    mean = node.mean_rows[:, alt]
+    second = np.outer(mean, mean)
+    np.fill_diagonal(second, node.second_rows[:, alt, alt])
+    return Message(mean, second)
+
+
+def _child_to_parent(node: ValidatedNode, combined: Message) -> Message:
+    """Turn an uninstantiated child's combined evidence into its upward message.
+
+    With combined message ``(lam, Lam)`` and row means
     ``C[i, k] = E(p(g_k | f_i))``::
 
         mean[i]      = sum_k lam[k] C[i, k]
@@ -197,52 +146,30 @@ def child_to_parent(
 
     where ``Phi`` is the row-``i`` second moment ``E(p(g_k|f_i) p(g_r|f_i))``
     on the diagonal ``i == j`` and the product ``C[i, k] C[j, r]`` otherwise
-    (distinct rows are independent).  An instantiated child contributes its
-    observed column directly: means and squared moments from the rows, cross
-    terms as products of means.  Subtree evidence below an instantiated child
-    never enters its upward message.
+    (distinct rows are independent).
     """
-    mean_rows, second_rows = _stack_rows(cpt_moments)
-    if child in evidence:
-        c = evidence[child]
-        mean = mean_rows[:, c]
-        second = np.outer(mean, mean)
-        np.fill_diagonal(second, second_rows[:, c, c])
-        return ChildMessage(mean, second)
-    lam, lam2 = child_combined.mean, child_combined.second
-    if lam.size != mean_rows.shape[1]:
-        raise DimensionMismatch(
-            f"message for child {child!r} has dimension {lam.size}, "
-            f"rows expect {mean_rows.shape[1]}"
-        )
+    mean_rows = node.mean_rows
+    lam, lam2 = combined
     mean = mean_rows @ lam
     second = mean_rows @ lam2 @ mean_rows.T
-    np.fill_diagonal(second, np.einsum("kr,ikr->i", lam2, second_rows))
-    return ChildMessage(mean, second)
+    np.fill_diagonal(second, np.einsum("kr,ikr->i", lam2, node.second_rows))
+    return Message(mean, second)
 
 
-def parent_to_child(
-    parent: str,
-    target_child: str,
-    parent_msg: Optional[ParentMessage],
-    other_children_combined: Optional[ChildMessage],
-    evidence: Mapping[str, int],
-    child_cpt_moments: Sequence[MomentSet],
-) -> ParentMessage:
-    """Compute the message a child receives from its parent.
+def _parent_to_child(
+    parent: str, child: ValidatedNode, parent_msg: Message, others: Message
+) -> Message:
+    """The message an uninstantiated parent sends to one child.
 
-    If the parent is instantiated the child simply receives the moment set of
-    its observed conditional row and the remaining arguments are ignored.
-
-    Otherwise the parent's own message ``(q, T)`` is first conditioned on the
-    evidence reaching the parent through its *other* children ``(mx, Sx)``::
+    The parent's own message ``(q, T)`` is first conditioned on the evidence
+    reaching the parent through its *other* children ``(mx, Sx)``::
 
         D          = sum_m mx[m] q[m]
         q'[j]      = mx[j] q[j] / D
         T'[j, k]   = Sx[j, k] T[j, k] / D**2
 
     and then pushed through the child's conditional rows with the same
-    row-independence structure as :func:`child_to_parent`::
+    row-independence structure as :func:`_child_to_parent`::
 
         mean[i]      = sum_j C[j, i] q'[j]
         second[i, l] = sum_{j != k} T'[j, k] C[j, i] C[k, l]
@@ -251,37 +178,25 @@ def parent_to_child(
     where ``M_j`` is row ``j``'s second-moment matrix.  The denominator uses
     means only; ``D == 0`` means the evidence is impossible on average.
     """
-    mean_rows, second_rows = _stack_rows(child_cpt_moments)
-    if parent in evidence:
-        c = evidence[parent]
-        return ParentMessage(mean_rows[c], second_rows[c])
-    if parent_msg is None or other_children_combined is None:
-        raise ValueError(
-            f"uninstantiated parent {parent!r} needs its own message and the "
-            "combined message of its other children"
-        )
-    q, t = parent_msg.mean, parent_msg.second
-    mx, sx = other_children_combined.mean, other_children_combined.second
-    if not (q.size == mx.size == mean_rows.shape[0]):
-        raise DimensionMismatch(
-            f"messages into {target_child!r} disagree with the row count of its table"
-        )
+    q, t = parent_msg
+    mx, sx = others
     denom = float(mx @ q)
     if denom == 0.0:
         raise InconsistentEvidence(
-            f"evidence reaching {target_child!r} through {parent!r} has zero "
+            f"evidence reaching {child.id!r} through {parent!r} has zero "
             "mean probability"
         )
     q2 = mx * q / denom
     t2 = sx * t / (denom * denom)
+    mean_rows = child.mean_rows
     out_mean = q2 @ mean_rows
     diag = np.diag(t2)
     out_second = (
         mean_rows.T @ t2 @ mean_rows
-        + np.einsum("j,jab->ab", diag, second_rows)
+        + np.einsum("j,jab->ab", diag, child.second_rows)
         - mean_rows.T @ (diag[:, None] * mean_rows)
     )
-    return ParentMessage(out_mean, out_second)
+    return Message(out_mean, out_second)
 
 
 def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageState:
@@ -290,50 +205,42 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
     Upward pass in reverse topological order: every node combines its
     children's messages and sends its parent a child message (instantiated
     nodes send their observed-column message and ignore their subtrees).
-    Downward pass in topological order: every uninstantiated non-root node
-    receives a parent message; children of instantiated nodes receive the
-    observed row's moments.  Each call recomputes from scratch, so repeated
-    calls with the same arguments are identical.
+    Downward pass in topological order: the root receives its own row
+    moments, every uninstantiated non-root node receives a parent message,
+    and children of instantiated nodes receive the observed row's moments.
+    Each call recomputes from scratch, so repeated calls with the same
+    arguments are identical.
     """
     check_evidence(net, evidence)
-    state = init_state(net, evidence)
+    state = MessageState(net, dict(evidence))
+    nodes, upward, down = net.nodes, state.upward, state.parent
 
     for node_id in reversed(net.order):
-        node = net.nodes[node_id]
+        node = nodes[node_id]
         if node_id in evidence:
             if node.parent is not None:
-                state.upward[node_id] = child_to_parent(
-                    node_id, state.combined[node_id], evidence, node.row_moments
-                )
+                upward[node_id] = _observed_up(node, evidence[node_id])
             continue
-        combined = combine_children(
-            [state.upward[c] for c in node.children], dim=node.dim
-        )
+        combined = _product([upward[c] for c in node.children], node.dim)
         state.combined[node_id] = combined
         if node.parent is not None:
-            state.upward[node_id] = child_to_parent(
-                node_id, combined, evidence, node.row_moments
-            )
+            upward[node_id] = _child_to_parent(node, combined)
 
+    root = nodes[net.root]
+    down[net.root] = Message(root.mean_rows[0], root.second_rows[0])
     for node_id in net.order:
-        node = net.nodes[node_id]
-        if node.parent is None or node_id in evidence:
-            continue
-        parent = net.nodes[node.parent]
-        if node.parent in evidence:
-            state.parent[node_id] = parent_to_child(
-                parent.id, node_id, None, None, evidence, node.row_moments
-            )
-        else:
-            siblings = [state.upward[c] for c in parent.children if c != node_id]
-            state.parent[node_id] = parent_to_child(
-                parent.id,
-                node_id,
-                state.parent[parent.id],
-                combine_children(siblings, dim=parent.dim),
-                evidence,
-                node.row_moments,
-            )
+        node = nodes[node_id]
+        if node_id in evidence:
+            alt = evidence[node_id]
+            for c in node.children:
+                if c not in evidence:
+                    child = nodes[c]
+                    down[c] = Message(child.mean_rows[alt], child.second_rows[alt])
+        elif node.children:
+            others = _leave_one_out([upward[c] for c in node.children], node.dim)
+            for c, rest in zip(node.children, others):
+                if c not in evidence:
+                    down[c] = _parent_to_child(node_id, nodes[c], down[node_id], rest)
     return state
 
 

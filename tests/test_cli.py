@@ -117,6 +117,17 @@ class TestQueryCommand:
         code, _, err = run_cli(capsys, "query", two_node_file, "--evidence", "B=zap")
         assert code == 2 and "UnknownAlternative" in err
 
+    def test_overflowing_alpha(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        doc = network_to_json(uniform_chain_spec())
+        doc["nodes"][1]["cpt"][0]["dist"]["alpha"] = [1e200, 1e200]
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "query", str(path))
+        assert code == 2
+        assert out == ""
+        assert "BadDistribution" in err and "finite" in err
+        assert "Traceback" not in err
+
     def test_inconsistent_evidence_exit_code(self, capsys, tmp_path):
         path = tmp_path / "impossible.json"
         save_network(impossible_evidence_spec(), str(path))

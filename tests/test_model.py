@@ -131,6 +131,24 @@ class TestMomentSetInvariants:
         with pytest.raises(BadDistribution):
             MomentSet(np.array([0.5, 0.5]), np.array([[0.6, 0.1], [0.1, 0.3]]))
 
+    def test_non_finite_moments_rejected(self):
+        # a0 * (a0 + 1) overflows, so every second moment is inf / inf = nan
+        with pytest.raises(BadDistribution, match="finite"):
+            moments_of(Dirichlet(np.array([1e200, 1e200])))
+        spec = _chain(rows_b=(Dirichlet(np.array([1e200, 1e200])), PointMass(np.array([0.2, 0.8]))))
+        with pytest.raises(BadDistribution, match="'B'.*finite"):
+            validate_network(spec)
+
+    def test_stored_rows_are_the_row_moments(self):
+        node = validate_network(_chain()).nodes["B"]
+        assert node.mean_rows.shape == (2, 2) and node.second_rows.shape == (2, 2, 2)
+        assert not node.mean_rows.flags.writeable and not node.second_rows.flags.writeable
+        for j, (dist, m) in enumerate(zip(node.rows, node.row_moments)):
+            expected = moments_of(dist)
+            np.testing.assert_array_equal(m.mean, expected.mean)
+            np.testing.assert_array_equal(m.second, expected.second)
+            assert np.shares_memory(m.mean, node.mean_rows)
+
 
 class TestDistributionValidation:
     def test_zero_alpha(self):
@@ -258,6 +276,12 @@ class TestEvidenceChecks:
         net = validate_network(_chain())
         with pytest.raises(UnknownAlternative):
             check_evidence(net, {"B": 2})
+
+    def test_bool_index_rejected(self):
+        net = validate_network(_chain())
+        for flag in (True, False, np.bool_(True)):
+            with pytest.raises(UnknownAlternative):
+                check_evidence(net, {"B": flag})
 
     def test_label_lookup(self):
         net = validate_network(_chain())

@@ -1,87 +1,105 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import impossible_evidence_spec
 from treebelief import (
     Dirichlet,
+    DiscreteSupport,
     NetworkSpec,
     NodeSpec,
-    child_to_parent,
-    combine_children,
+    PointMass,
     enumerate_uncertainty,
     exact_inference,
-    init_state,
-    moments_of,
-    parent_to_child,
     posterior_report,
     propagate,
     query_node,
-    unit_child_message,
     validate_network,
 )
-from treebelief.errors import DimensionMismatch, InconsistentEvidence
+from treebelief.errors import InconsistentEvidence
 from treebelief.generate import random_evidence, random_tree_spec
 from treebelief.oracle import point_tables
-from treebelief.propagation import ChildMessage
+from treebelief.propagation import Message, _leave_one_out, _product
 
 
 class TestInitState:
     def test_root_message_is_root_moments(self, two_node_mixed):
-        state = init_state(two_node_mixed)
+        state = propagate(two_node_mixed, {})
         root = two_node_mixed.nodes["A"].row_moments[0]
         np.testing.assert_array_equal(state.parent["A"].mean, root.mean)
         np.testing.assert_array_equal(state.parent["A"].second, root.second)
 
     def test_child_slots_are_unit(self, two_node_mixed):
-        state = init_state(two_node_mixed)
+        state = propagate(two_node_mixed, {})
         for node_id in two_node_mixed.order:
-            assert np.all(state.combined[node_id].mean == 1.0)
-            assert np.all(state.combined[node_id].second == 1.0)
+            if not two_node_mixed.nodes[node_id].children:
+                assert np.all(state.combined[node_id].mean == 1.0)
+                assert np.all(state.combined[node_id].second == 1.0)
 
     def test_single_node_flat_root(self):
         spec = NetworkSpec(
             (NodeSpec("R", ("x", "y"), None, (Dirichlet(np.array([1.0, 1.0])),)),)
         )
-        rep = query_node("R", init_state(validate_network(spec)))
+        rep = query_node("R", propagate(validate_network(spec), {}))
         assert rep.mean == pytest.approx([0.5, 0.5])
         assert rep.second == pytest.approx([1 / 3, 1 / 3])
         assert rep.variance == pytest.approx([1 / 12, 1 / 12])
 
 
+def _two_leaf_spec() -> NetworkSpec:
+    """Root A with point-mass children B and C."""
+    point = lambda *p: PointMass(np.array(p))
+    return NetworkSpec(
+        (
+            NodeSpec("A", ("a1", "a2"), None, (point(0.3, 0.7),)),
+            NodeSpec("B", ("b1", "b2"), "A", (point(0.9, 0.1), point(0.2, 0.8))),
+            NodeSpec("C", ("c1", "c2"), "A", (point(0.5, 0.5), point(0.5, 0.5))),
+        )
+    )
+
+
 class TestCombineChildren:
     def test_empty_is_unit(self):
-        msg = combine_children([], dim=3)
+        msg = _product([], 3)
         assert np.all(msg.mean == 1.0) and np.all(msg.second == 1.0)
 
-    def test_empty_needs_dim(self):
-        with pytest.raises(DimensionMismatch):
-            combine_children([])
-
-    def test_single_is_identity(self):
-        msg = ChildMessage(np.array([0.4, 0.9]), np.array([[0.2, 0.3], [0.3, 0.85]]))
-        out = combine_children([msg])
-        np.testing.assert_array_equal(out.mean, msg.mean)
-        np.testing.assert_array_equal(out.second, msg.second)
+    def test_single_is_identity(self, two_node_mixed):
+        state = propagate(two_node_mixed, {"B": 0})
+        np.testing.assert_array_equal(state.combined["A"].mean, state.upward["B"].mean)
+        np.testing.assert_array_equal(state.combined["A"].second, state.upward["B"].second)
 
     def test_elementwise_product(self):
-        a = ChildMessage(np.array([0.9, 0.2]), np.array([[0.85, 0.2], [0.2, 0.1]]))
-        b = ChildMessage(np.array([0.5, 0.5]), np.array([[0.3, 0.25], [0.25, 0.3]]))
-        out = combine_children([a, b])
+        a = Message(np.array([0.9, 0.2]), np.array([[0.85, 0.2], [0.2, 0.1]]))
+        b = Message(np.array([0.5, 0.5]), np.array([[0.3, 0.25], [0.25, 0.3]]))
+        out = _product([a, b], 2)
         assert out.mean == pytest.approx([0.45, 0.10])
         assert out.second == pytest.approx(a.second * b.second)
+        state = propagate(validate_network(_two_leaf_spec()), {"B": 0, "C": 1})
+        b, c = state.upward["B"], state.upward["C"]
+        np.testing.assert_array_equal(state.combined["A"].mean, b.mean * c.mean)
+        np.testing.assert_array_equal(state.combined["A"].second, b.second * c.second)
 
-    def test_dimension_clash(self):
-        a = unit_child_message(2)
-        b = unit_child_message(3)
-        with pytest.raises(DimensionMismatch):
-            combine_children([a, b])
+    @given(
+        st.lists(
+            st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 0.3, 0.7]), min_size=6, max_size=6),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_leave_one_out_matches_direct_products(self, raw):
+        # zero entries included: the sibling products must not divide
+        msgs = [Message(np.array(r[:2]), np.array(r[2:]).reshape(2, 2)) for r in raw]
+        for i, rest in enumerate(_leave_one_out(msgs, 2)):
+            direct = _product(msgs[:i] + msgs[i + 1 :], 2)
+            np.testing.assert_allclose(rest.mean, direct.mean, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(rest.second, direct.second, rtol=1e-14, atol=0)
 
 
 class TestChildToParent:
     def test_instantiated_point_columns(self, two_node_mixed):
-        msg = child_to_parent(
-            "B", unit_child_message(2), {"B": 0}, two_node_mixed.nodes["B"].row_moments
-        )
+        msg = propagate(two_node_mixed, {"B": 0}).upward["B"]
         assert msg.mean == pytest.approx([0.9, 0.2])
         assert msg.second == pytest.approx(np.array([[0.81, 0.18], [0.18, 0.04]]))
 
@@ -90,11 +108,21 @@ class TestChildToParent:
         rng = np.random.default_rng(3)
         for _ in range(50):
             k_child, k_parent = int(rng.integers(2, 4)), int(rng.integers(2, 4))
-            rows = [
-                moments_of(Dirichlet(rng.uniform(0.2, 8.0, size=k_child)))
-                for _ in range(k_parent)
-            ]
-            msg = child_to_parent("g", unit_child_message(k_child), {}, rows)
+            spec = NetworkSpec(
+                (
+                    NodeSpec("f", tuple(range(k_parent)), None, (Dirichlet(np.ones(k_parent)),)),
+                    NodeSpec(
+                        "g",
+                        tuple(range(k_child)),
+                        "f",
+                        tuple(
+                            Dirichlet(rng.uniform(0.2, 8.0, size=k_child))
+                            for _ in range(k_parent)
+                        ),
+                    ),
+                )
+            )
+            msg = propagate(validate_network(spec), {}).upward["g"]
             assert msg.mean == pytest.approx(np.ones(k_parent), abs=1e-12)
             assert msg.second == pytest.approx(np.ones((k_parent, k_parent)), abs=1e-12)
 
@@ -102,16 +130,12 @@ class TestChildToParent:
 class TestParentToChild:
     def test_instantiated_parent_sends_row_moments(self, two_node_mixed):
         rows = two_node_mixed.nodes["B"].row_moments
-        msg = parent_to_child("A", "B", None, None, {"A": 1}, rows)
+        msg = propagate(two_node_mixed, {"A": 1}).parent["B"]
         np.testing.assert_array_equal(msg.mean, rows[1].mean)
         np.testing.assert_array_equal(msg.second, rows[1].second)
 
     def test_no_evidence_gives_child_prior(self, two_node_mixed):
-        rows = two_node_mixed.nodes["B"].row_moments
-        state = init_state(two_node_mixed)
-        msg = parent_to_child(
-            "A", "B", state.parent["A"], unit_child_message(2), {}, rows
-        )
+        msg = propagate(two_node_mixed, {}).parent["B"]
         assert msg.mean == pytest.approx([0.48, 0.52])
         assert np.diag(msg.second) == pytest.approx([0.25, 0.29])
 
@@ -230,3 +254,64 @@ class TestOracleSpotChecks:
                 np.testing.assert_allclose(rep.mean, entry.mean, atol=1e-10)
                 np.testing.assert_allclose(rep.second, entry.second, atol=1e-10)
                 np.testing.assert_allclose(rep.variance, entry.variance, atol=1e-10)
+
+
+@st.composite
+def _stars(draw):
+    """A hub with 3-8 children, k in {2, 3}, point rows plus up to three
+    two-point supports (so enumeration stays small), and evidence on nothing,
+    on the hub, or on one or two leaves."""
+    n_children = draw(st.integers(3, 8))
+    k = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    row_ids = [("hub", 0)] + [(f"c{i}", r) for i in range(n_children) for r in range(k)]
+    uncertain = set(draw(st.lists(st.sampled_from(row_ids), max_size=3, unique=True)))
+    labels = tuple(f"s{j}" for j in range(k))
+
+    def row(row_id):
+        if row_id in uncertain:
+            return DiscreteSupport(rng.dirichlet(np.full(k, 2.0), size=2), rng.dirichlet([2.0, 2.0]))
+        return PointMass(rng.dirichlet(np.full(k, 2.0)))
+
+    hub = NodeSpec("hub", labels, None, (row(("hub", 0)),))
+    children = [
+        NodeSpec(f"c{i}", labels, "hub", tuple(row((f"c{i}", r)) for r in range(k)))
+        for i in range(n_children)
+    ]
+    where = draw(st.sampled_from(["none", "hub", "leaves"]))
+    if where == "none":
+        evidence = {}
+    elif where == "hub":
+        evidence = {"hub": draw(st.integers(0, k - 1))}
+    else:
+        leaves = draw(st.lists(st.integers(0, n_children - 1), min_size=1, max_size=2, unique=True))
+        evidence = {f"c{i}": draw(st.integers(0, k - 1)) for i in leaves}
+    order = draw(st.permutations(range(n_children)))
+    return hub, children, evidence, order
+
+
+class TestStarSiblings:
+    @given(_stars())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_enumeration(self, star):
+        hub, children, evidence, _ = star
+        net = validate_network(NetworkSpec((hub, *children)))
+        reports = posterior_report(propagate(net, evidence))
+        oracle = enumerate_uncertainty(net, evidence, "approx-posterior")
+        for node_id, rep in reports.items():
+            entry = oracle.entries[node_id]
+            np.testing.assert_allclose(rep.mean, entry.mean, atol=1e-10)
+            np.testing.assert_allclose(rep.second, entry.second, atol=1e-10)
+            np.testing.assert_allclose(rep.variance, entry.variance, atol=1e-10)
+
+    @given(_stars())
+    @settings(max_examples=60, deadline=None)
+    def test_child_order_is_irrelevant(self, star):
+        hub, children, evidence, order = star
+        base = posterior_report(propagate(validate_network(NetworkSpec((hub, *children))), evidence))
+        permuted = NetworkSpec((hub, *(children[i] for i in order)))
+        moved = posterior_report(propagate(validate_network(permuted), evidence))
+        for node_id, rep in base.items():
+            np.testing.assert_allclose(moved[node_id].mean, rep.mean, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(moved[node_id].second, rep.second, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(moved[node_id].variance, rep.variance, rtol=0, atol=1e-12)
