@@ -20,7 +20,6 @@ from .bounds import (
     chain_child_variance,
     check_moment_condition,
     check_variance_bound,
-    search_bound_extensions,
 )
 from .model import (
     Dirichlet,
@@ -63,7 +62,6 @@ __all__ = [
     "chain_child_variance",
     "check_moment_condition",
     "check_variance_bound",
-    "search_bound_extensions",
     "Dirichlet",
     "DiscreteSupport",
     "MomentSet",

@@ -3,21 +3,21 @@
 The candidate bound checked here: a node's prior variance should not exceed
 the largest variance among its own stored conditional entries.  This module
 exposes the closed forms and inequalities around that bound as callable
-checks, a whole-network checker that compares propagated prior variances
-against it, and an exploratory probe of where the bound holds and breaks.
+checks, and a whole-network checker that compares propagated prior
+variances against it.
 
 The bound does not always hold.  A parent's variance reaches its child scaled
 by the squared separation of the child's row means (see
 :func:`chain_child_variance`), so a high-variance parent feeding a child
 whose rows are confident but far apart produces child variances well above
-every row variance.  :func:`search_bound_extensions` finds such cases
+every row variance.  ``scripts/probe_bounds.py`` finds such cases
 routinely; :func:`check_variance_bound` reports honestly either way.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -165,81 +165,3 @@ def check_variance_bound(net: ValidatedNetwork) -> BoundReport:
         slack = bound - variance
         entries.append(BoundEntry(node_id, variance, bound, slack, slack >= -BOUND_TOL))
     return BoundReport(tuple(entries), all(e.passed for e in entries))
-
-
-def search_bound_extensions(
-    seed: int = 0,
-    trials: int = 200,
-    rng: Optional[np.random.Generator] = None,
-) -> Dict[str, list]:
-    """Randomized probe of where the row-variance bound holds and breaks.
-
-    Searches (a) three-alternative Dirichlet chains, checking the bound
-    analog per alternative, (b) binary beta trees with an instantiated leaf,
-    checking ancestor posterior variances against the same per-node bound,
-    and (c) the bound's own domain, binary beta trees with no evidence.
-    Findings are returned for logging; nothing here is asserted.
-    """
-    from .generate import random_beta_tree  # local import to avoid a cycle
-    from .model import NetworkSpec, NodeSpec, validate_network
-
-    rng = rng if rng is not None else np.random.default_rng(seed)
-    findings: Dict[str, list] = {
-        "multi_alternative": [],
-        "upward_from_evidence": [],
-        "binary_prior": [],
-    }
-
-    def rnd_dirichlet(k: int) -> Dirichlet:
-        return Dirichlet(np.exp(rng.uniform(np.log(0.5), np.log(50.0), size=k)))
-
-    for trial in range(trials):
-        # (a) chain of 3-alternative nodes with random Dirichlet rows
-        labels = ("x1", "x2", "x3")
-        spec = NetworkSpec(
-            (
-                NodeSpec("r", labels, None, (rnd_dirichlet(3),)),
-                NodeSpec("c", labels, "r", tuple(rnd_dirichlet(3) for _ in range(3))),
-            )
-        )
-        net = validate_network(spec)
-        rep = posterior_report(propagate(net, {}))["c"]
-        node = net.nodes["c"]
-        for alt in range(3):
-            bound = max(
-                float(m.second[alt, alt] - m.mean[alt] ** 2) for m in node.row_moments
-            )
-            excess = float(rep.variance[alt]) - bound
-            if excess > BOUND_TOL:
-                findings["multi_alternative"].append(
-                    {"trial": trial, "alternative": alt, "excess": excess}
-                )
-
-        # (b) posterior variances above an instantiated leaf in a beta tree
-        tree = validate_network(random_beta_tree(rng, max_depth=3))
-        leaves = [n for n in tree.order if not tree.nodes[n].children]
-        leaf = leaves[int(rng.integers(len(leaves)))]
-        if leaf == tree.root:
-            continue
-        reports = posterior_report(propagate(tree, {leaf: int(rng.integers(2))}))
-        for node_id in tree.order:
-            node = tree.nodes[node_id]
-            if node.parent is None or node_id == leaf:
-                continue
-            bound = max(
-                float(m.second[0, 0] - m.mean[0] ** 2) for m in node.row_moments
-            )
-            excess = float(reports[node_id].variance[0]) - bound
-            if excess > BOUND_TOL:
-                findings["upward_from_evidence"].append(
-                    {"trial": trial, "node": node_id, "excess": excess}
-                )
-
-        # (c) the bound's own domain: binary beta tree, empty evidence
-        report = check_variance_bound(tree)
-        for entry in report.entries:
-            if not entry.passed:
-                findings["binary_prior"].append(
-                    {"trial": trial, "node": entry.node, "excess": -entry.slack}
-                )
-    return findings

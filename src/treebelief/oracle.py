@@ -1,10 +1,18 @@
-"""Brute-force reference computations for validating the propagation engine.
+"""Reference computations for validating the propagation engine.
 
 Two oracles are provided.  :func:`enumerate_uncertainty` iterates the exact
 Cartesian product of finitely supported uncertainty (discrete supports and
 point masses) and is exact up to floating-point rounding.
 :func:`mc_uncertainty` replaces the product with seeded Monte Carlo draws and
 also handles Dirichlet rows.
+
+Only the uncertainty supports are enumerated (or sampled).  Under each
+concrete realization of the tables, the node configurations are summed by
+exact scalar sum-product (Pearl's lambda/pi message passing), batched over
+realizations and linear in the node count.  That is a different algorithm
+from the engine's moment recurrences, and this module imports nothing from
+:mod:`treebelief.propagation`.  Products are not rescaled, so an evidence
+probability can underflow to zero on very large evidence sets.
 
 Three modes fix what is being averaged over:
 
@@ -32,7 +40,6 @@ bit-reproducible for identical arguments.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
@@ -52,7 +59,7 @@ MODES = ("prior", "approx-posterior", "exact-posterior")
 #: Default ceiling on exhaustively enumerated uncertainty combinations.
 DEFAULT_CAP = 10_000_000
 
-_CHUNK_CELLS = 2_000_000  # working-set bound in (realization, config) cells
+_CHUNK_CELLS = 2_000_000  # working-set bound in (realization, table cell) pairs
 
 
 @dataclass
@@ -92,39 +99,29 @@ def exact_inference(
     net: ValidatedNetwork,
     tables: Mapping[str, np.ndarray],
     evidence: Mapping[str, int],
-    cap: int = 1 << 22,
 ) -> Tuple[Dict[str, np.ndarray], float]:
     """Posterior marginals under one concrete realization of every table.
 
-    ``tables[node]`` has shape (n_rows, dim).  The full joint is enumerated
-    configuration by configuration, so this is exponential in the node count
-    and guarded by ``cap``.  Returns per-node marginals and the evidence
-    probability; raises :class:`InconsistentEvidence` when the latter is 0.
+    ``tables[node]`` has shape (n_rows, dim).  The configurations are summed
+    by sum-product, in time linear in the node count, as a batch of one
+    realization.  Returns per-node marginals (indicators on instantiated
+    nodes) and the evidence probability; raises :class:`InconsistentEvidence`
+    when the latter is 0.  Products are not rescaled, so the evidence
+    probability can underflow to 0 on very large evidence sets.
     """
     check_evidence(net, evidence)
-    order = list(net.order)
-    dims = [net.nodes[n].dim for n in order]
-    n_cfg = int(np.prod(dims))
-    if n_cfg > cap:
-        raise CapExceeded(f"{n_cfg} joint configurations exceed the cap {cap}")
-    idx = {n: i for i, n in enumerate(order)}
-    acc = {n: np.zeros(net.nodes[n].dim) for n in order}
-    total = 0.0
-    for cfg in itertools.product(*(range(d) for d in dims)):
-        consistent = all(cfg[idx[n]] == v for n, v in evidence.items())
-        if not consistent:
-            continue
-        p = 1.0
-        for i, node_id in enumerate(order):
-            parent = net.nodes[node_id].parent
-            row = 0 if parent is None else cfg[idx[parent]]
-            p *= tables[node_id][row, cfg[i]]
-        total += p
-        for i, node_id in enumerate(order):
-            acc[node_id][cfg[i]] += p
+    tabs = {n: np.asarray(tables[n], dtype=float)[None] for n in net.order}
+    conditionals, p_evidence = _posterior_sums(net, tabs, evidence)
+    total = float(p_evidence[0])
     if total == 0.0:
         raise InconsistentEvidence("the evidence has probability zero under these tables")
-    return {n: acc[n] / total for n in order}, total
+    marginals = {}
+    for node_id in net.order:
+        if node_id in evidence:
+            marginals[node_id] = np.eye(net.nodes[node_id].dim)[evidence[node_id]]
+        else:
+            marginals[node_id] = conditionals[node_id][0]
+    return marginals, total
 
 
 def point_tables(net: ValidatedNetwork) -> Dict[str, np.ndarray]:
@@ -139,7 +136,7 @@ def point_tables(net: ValidatedNetwork) -> Dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Evidence islands
+# Evidence islands and sum-product
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -171,6 +168,23 @@ def _islands(net: ValidatedNetwork, evidence: Mapping[str, int]) -> List[_Island
     return list(islands.values())
 
 
+def _leave_one_out(factors: Sequence[np.ndarray], base: np.ndarray) -> List[np.ndarray]:
+    """For each factor, ``base`` times the product of all the others.
+
+    Prefix products times suffix products: linear in the number of factors
+    and free of division, which a zero factor would break.
+    """
+    prefix = [base]
+    for f in factors[:-1]:
+        prefix.append(prefix[-1] * f)
+    out: List[np.ndarray] = [None] * len(factors)
+    suffix = np.ones_like(base)
+    for i in range(len(factors) - 1, -1, -1):
+        out[i] = prefix[i] * suffix
+        suffix = suffix * factors[i]
+    return out
+
+
 def _island_sums(
     net: ValidatedNetwork,
     island: _Island,
@@ -181,74 +195,70 @@ def _island_sums(
     ``tabs[node]`` has shape (R, n_rows, dim): R realizations of that node's
     table.  Returns ``values[node]`` of shape (R, dim) -- the probability of
     the island's rim evidence *and* node == value -- plus the (R,) total.
+
+    Scalar sum-product over ``island.members``: the upward pass gives each
+    member ``lam``, the probability of the rim evidence below it per value;
+    the downward pass gives it ``pi``, the probability of its value jointly
+    with the rim evidence elsewhere.  A child's siblings enter through
+    leave-one-out products, so a star costs time linear in its size.
     """
-    members = island.members
-    pos = {m: i for i, m in enumerate(members)}
-    dims = [net.nodes[m].dim for m in members]
-    cfgs = np.array(list(itertools.product(*(range(d) for d in dims))), dtype=np.intp)
-    joint = None
-    for i, member in enumerate(members):
-        node = net.nodes[member]
-        states = cfgs[:, i]
-        if member == island.top:
-            factor = tabs[member][:, island.top_row, :][:, states]
-        else:
-            factor = tabs[member][:, cfgs[:, pos[node.parent]], states]
-        joint = factor if joint is None else joint * factor
+    rim: Dict[str, np.ndarray] = {}  # member -> product of its rim children's rows
     for child_id, observed in island.boundary:
-        parent_states = cfgs[:, pos[net.nodes[child_id].parent]]
-        joint = joint * tabs[child_id][:, parent_states, observed]
-    values = {}
-    for i, member in enumerate(members):
-        cols = np.empty((joint.shape[0], dims[i]))
-        for v in range(dims[i]):
-            cols[:, v] = joint[:, cfgs[:, i] == v].sum(axis=1)
-        values[member] = cols
-    return values, joint.sum(axis=1)
+        parent = net.nodes[child_id].parent
+        factor = tabs[child_id][:, :, observed]
+        rim[parent] = rim[parent] * factor if parent in rim else factor
+    on_rim = {z for z, _ in island.boundary}
+    kids = {m: [c for c in net.nodes[m].children if c not in on_rim] for m in island.members}
+    n_real = tabs[island.top].shape[0]
+
+    lam: Dict[str, np.ndarray] = {}
+    up: Dict[str, np.ndarray] = {}  # member -> its message to its parent
+    for m in reversed(island.members):
+        out = rim.get(m, np.ones((n_real, net.nodes[m].dim)))
+        for c in kids[m]:
+            out = out * up[c]
+        lam[m] = out
+        if m != island.top:
+            up[m] = np.einsum("rxy,ry->rx", tabs[m], out)
+
+    pi = {island.top: tabs[island.top][:, island.top_row, :]}
+    values: Dict[str, np.ndarray] = {}
+    for m in island.members:
+        values[m] = pi[m] * lam[m]
+        if kids[m]:
+            others = _leave_one_out([up[c] for c in kids[m]], pi[m] * rim.get(m, 1.0))
+            for c, above in zip(kids[m], others):
+                pi[c] = np.einsum("rx,rxy->ry", above, tabs[c])
+    return values, values[island.top].sum(axis=1)
 
 
-def _full_sums(
+def _posterior_sums(
     net: ValidatedNetwork,
     tabs: Mapping[str, np.ndarray],
     evidence: Mapping[str, int],
 ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
-    """Whole-network evidence joints per realization, summed per node value."""
-    free = [n for n in net.order if n not in evidence]
-    pos = {m: i for i, m in enumerate(free)}
-    dims = [net.nodes[m].dim for m in free]
-    if free:
-        cfgs = np.array(list(itertools.product(*(range(d) for d in dims))), dtype=np.intp)
-        n_cfg = cfgs.shape[0]
-    else:
-        cfgs = np.zeros((1, 0), dtype=np.intp)
-        n_cfg = 1
+    """Per-realization conditionals of every uninstantiated node, and P(evidence).
 
-    def states_of(node_id: str) -> np.ndarray:
-        if node_id in evidence:
-            return np.full(n_cfg, evidence[node_id], dtype=np.intp)
-        return cfgs[:, pos[node_id]]
-
-    joint = None
-    for node_id in net.order:
-        node = net.nodes[node_id]
-        rows = np.zeros(n_cfg, dtype=np.intp) if node.parent is None else states_of(node.parent)
-        factor = tabs[node_id][:, rows, states_of(node_id)]
-        joint = factor if joint is None else joint * factor
-    values = {}
-    for member in free:
-        dim = net.nodes[member].dim
-        cols = np.empty((joint.shape[0], dim))
-        for v in range(dim):
-            cols[:, v] = joint[:, cfgs[:, pos[member]] == v].sum(axis=1)
-        values[member] = cols
-    return values, joint.sum(axis=1)
-
-
-def _config_count(net: ValidatedNetwork, members: Sequence[str]) -> int:
-    count = 1
-    for m in members:
-        count *= net.nodes[m].dim
-    return count
+    Under a fixed realization the instantiated nodes separate the tree, so a
+    node's conditional is its island's joint over the island's total, and
+    P(evidence) is the product of the island totals and of the table entries
+    of instantiated nodes whose parent is instantiated or absent.
+    Conditionals are 0 where their island's total is 0.
+    """
+    p_evidence = np.ones(tabs[net.root].shape[0])
+    for node_id, observed in evidence.items():
+        parent = net.nodes[node_id].parent
+        if parent is None or parent in evidence:
+            row = 0 if parent is None else evidence[parent]
+            p_evidence = p_evidence * tabs[node_id][:, row, observed]
+    conditionals = {}
+    for island in _islands(net, evidence):
+        values, total = _island_sums(net, island, tabs)
+        p_evidence = p_evidence * total
+        safe = np.where(total > 0.0, total, 1.0)
+        for m in island.members:
+            conditionals[m] = values[m] / safe[:, None]
+    return conditionals, p_evidence
 
 
 # ---------------------------------------------------------------------------
@@ -267,28 +277,32 @@ def _support_of(dist) -> Tuple[np.ndarray, np.ndarray]:
 
 def _grid_chunks(
     net: ValidatedNetwork,
+    node_ids: Sequence[str],
     row_ids: Sequence[Tuple[str, int]],
-    chunk: int,
 ) -> Iterator[Tuple[Dict[str, np.ndarray], np.ndarray]]:
     """Yield (tables, weights) chunks covering the support product of row_ids.
 
-    Rows not listed are frozen at their mean vector; such rows must be ones
-    the downstream sum never reads, or genuinely certain.
+    Only the tables of ``node_ids`` are built, at most ``_CHUNK_CELLS`` table
+    cells per chunk.  Rows not listed are frozen at their mean vector; such
+    rows must be ones the downstream sum never reads, or genuinely certain.
+    Tables with no listed row are read-only views shared by the chunk.
     """
     supports = [_support_of(net.nodes[n].rows[r]) for n, r in row_ids]
     sizes = [len(w) for _, w in supports]
     count = int(np.prod(sizes)) if sizes else 1
+    cells = sum(net.nodes[n].mean_rows.size for n in node_ids)
+    chunk = max(1, _CHUNK_CELLS // cells)
     for lo in range(0, count, chunk):
         hi = min(count, lo + chunk)
         flat = np.arange(lo, hi)
         choices = np.unravel_index(flat, sizes) if sizes else ()
         weights = np.ones(hi - lo)
         tabs: Dict[str, np.ndarray] = {}
-        for node_id in net.order:
-            node = net.nodes[node_id]
-            tabs[node_id] = np.broadcast_to(
-                node.mean_rows, (hi - lo, len(node.rows), node.dim)
-            ).copy()
+        for node_id in node_ids:
+            rows = net.nodes[node_id].mean_rows
+            tabs[node_id] = np.broadcast_to(rows, (hi - lo,) + rows.shape)
+        for node_id in {n for n, _ in row_ids}:
+            tabs[node_id] = tabs[node_id].copy()
         for j, (node_id, row) in enumerate(row_ids):
             pts, w = supports[j]
             tabs[node_id][:, row, :] = pts[choices[j]]
@@ -319,8 +333,12 @@ def enumerate_uncertainty(
 ) -> OracleReport:
     """Exact moments by iterating every combination of uncertainty supports.
 
-    Requires every row to be a discrete support or point mass.  See the
-    module docstring for what each mode averages.  Raises
+    Requires every row to be a discrete support or point mass.  Only the
+    supports of uncertain rows are enumerated; under each combination the
+    node configurations are summed by sum-product, in time linear in the
+    node count.  Products are not rescaled, so the evidence probability can
+    underflow to 0 on very large evidence sets.  See the module docstring
+    for what each mode averages.  Raises
     :class:`CapExceeded` when a support product exceeds ``cap`` and
     :class:`InconsistentEvidence` when every combination assigns the evidence
     probability zero.
@@ -351,21 +369,18 @@ def enumerate_uncertainty(
         if count > cap:
             raise CapExceeded(f"{count} uncertainty combinations exceed the cap {cap}")
         free = [n for n in net.order if n not in evidence]
-        chunk = max(1, _CHUNK_CELLS // max(1, _config_count(net, free)))
         norm = 0.0
         sq_norm = 0.0
         acc1 = {n: np.zeros(net.nodes[n].dim) for n in free}
         acc2 = {n: np.zeros(net.nodes[n].dim) for n in free}
-        for tabs, weights in _grid_chunks(net, row_ids, chunk):
-            values, p_evidence = _full_sums(net, tabs, evidence)
+        for tabs, weights in _grid_chunks(net, net.order, row_ids):
+            conditionals, p_evidence = _posterior_sums(net, tabs, evidence)
             posterior_w = weights * p_evidence
             norm += float(posterior_w.sum())
             sq_norm += float((posterior_w**2).sum())
-            safe = np.where(p_evidence > 0.0, p_evidence, 1.0)
             for node_id in free:
-                cond = values[node_id] / safe[:, None]
-                acc1[node_id] += posterior_w @ cond
-                acc2[node_id] += posterior_w @ cond**2
+                acc1[node_id] += posterior_w @ conditionals[node_id]
+                acc2[node_id] += posterior_w @ conditionals[node_id] ** 2
         if norm == 0.0:
             raise InconsistentEvidence("every combination gives the evidence probability 0")
         for node_id in free:
@@ -392,11 +407,11 @@ def enumerate_uncertainty(
         if count > cap:
             raise CapExceeded(f"{count} uncertainty combinations exceed the cap {cap}")
         total_count += count
-        chunk = max(1, _CHUNK_CELLS // _config_count(net, island.members))
+        read = island.members + [z for z, _ in island.boundary]
         z_bar = 0.0
         acc1 = {m: np.zeros(net.nodes[m].dim) for m in island.members}
         acc2 = {m: np.zeros(net.nodes[m].dim) for m in island.members}
-        for tabs, weights in _grid_chunks(net, row_ids, chunk):
+        for tabs, weights in _grid_chunks(net, read, row_ids):
             values, island_total = _island_sums(net, island, tabs)
             z_bar += float(weights @ island_total)
             for m in island.members:
@@ -443,22 +458,6 @@ def _sample_tables(net: ValidatedNetwork, n: int, seed: int) -> Dict[str, np.nda
                 tab[:, row, :] = dist.p
         tabs[node_id] = tab
     return tabs
-
-
-def _chunked_sums(net, tabs, n, members, compute):
-    """Run a per-realization sum in chunks bounded by the working-set limit."""
-    n_cfg = _config_count(net, members)
-    chunk = max(1, _CHUNK_CELLS // max(1, n_cfg))
-    values = {m: np.empty((n, net.nodes[m].dim)) for m in members}
-    total = np.empty(n)
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        sub = {k: v[lo:hi] for k, v in tabs.items()}
-        vals, tot = compute(sub)
-        for m in members:
-            values[m][lo:hi] = vals[m]
-        total[lo:hi] = tot
-    return values, total
 
 
 def _se_of(columns: Sequence[np.ndarray], grad: np.ndarray, n: int) -> float:
@@ -553,23 +552,18 @@ def mc_uncertainty(
         entries[node_id] = _indicator_entry(net.nodes[node_id].dim, observed, True)
 
     if mode == "exact-posterior":
-        free = [m for m in net.order if m not in evidence]
-        values, p_evidence = _chunked_sums(
-            net, tabs, n, free, lambda sub: _full_sums(net, sub, evidence)
-        )
+        conditionals, p_evidence = _posterior_sums(net, tabs, evidence)
         norm = float(p_evidence.sum())
         if norm == 0.0:
             raise InconsistentEvidence("every sample gives the evidence probability 0")
         ess = norm * norm / float((p_evidence**2).sum())
-        safe = np.where(p_evidence > 0.0, p_evidence, 1.0)
-        for node_id in free:
-            entries[node_id] = _weighted_entry(values[node_id] / safe[:, None], p_evidence)
+        for node_id in net.order:
+            if node_id not in evidence:
+                entries[node_id] = _weighted_entry(conditionals[node_id], p_evidence)
         return OracleReport(mode, entries, n, ess, ess < 10.0)
 
     for island in _islands(net, evidence):
-        values, island_total = _chunked_sums(
-            net, tabs, n, island.members, lambda sub: _island_sums(net, island, sub)
-        )
+        values, island_total = _island_sums(net, island, tabs)
         if float(island_total.sum()) == 0.0:
             raise InconsistentEvidence("every sample gives the evidence probability 0")
         for m in island.members:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,37 @@ from treebelief import (
     PointMass,
     validate_network,
 )
+from treebelief.errors import InconsistentEvidence
+
+
+def brute_force_joint(net, tables, evidence):
+    """Posterior marginals and P(evidence) by summing the full joint.
+
+    The reference for the oracles' sum-product.  ``tables[node]`` has shape
+    (n_rows, dim); every joint configuration is visited, so the cost is the
+    product of all node dimensions: use it on trees of at most 8 nodes.
+    Raises :class:`InconsistentEvidence` when the evidence has probability 0.
+    """
+    order = list(net.order)
+    dims = [net.nodes[n].dim for n in order]
+    idx = {n: i for i, n in enumerate(order)}
+    acc = {n: np.zeros(net.nodes[n].dim) for n in order}
+    total = 0.0
+    for cfg in itertools.product(*(range(d) for d in dims)):
+        consistent = all(cfg[idx[n]] == v for n, v in evidence.items())
+        if not consistent:
+            continue
+        p = 1.0
+        for i, node_id in enumerate(order):
+            parent = net.nodes[node_id].parent
+            row = 0 if parent is None else cfg[idx[parent]]
+            p *= tables[node_id][row, cfg[i]]
+        total += p
+        for i, node_id in enumerate(order):
+            acc[node_id][cfg[i]] += p
+    if total == 0.0:
+        raise InconsistentEvidence("the evidence has probability zero under these tables")
+    return {n: acc[n] / total for n in order}, total
 
 
 def two_node_mixed_spec() -> NetworkSpec:

@@ -17,7 +17,6 @@ from treebelief import (
     moments_of,
     posterior_report,
     propagate,
-    search_bound_extensions,
     validate_network,
 )
 from treebelief.errors import DomainError, PreconditionViolated
@@ -257,14 +256,3 @@ class TestInequalitySuites:
             e, s = float(rep.mean[0]), float(rep.second[0])
             assert s <= (e + e * e) / 2 + 1e-12
 
-
-class TestExploratorySearch:
-    def test_probe_runs_and_logs(self, capsys):
-        findings = search_bound_extensions(seed=0, trials=10)
-        assert set(findings) == {"multi_alternative", "upward_from_evidence", "binary_prior"}
-        for key, cases in findings.items():
-            print(f"{key}: {len(cases)} violation(s) found")
-            if cases:
-                worst = max(cases, key=lambda c: c["excess"])
-                print(f"  worst excess {worst['excess']:.3g} at {worst}")
-        # exploratory only: nothing asserted about the contents

@@ -11,7 +11,6 @@ PUBLIC = {
     "chain_child_variance",
     "check_moment_condition",
     "check_variance_bound",
-    "search_bound_extensions",
     "Dirichlet",
     "DiscreteSupport",
     "MomentSet",
