@@ -7,6 +7,10 @@ distribution over probability vectors.  The propagation engine never looks at
 those distributions directly; it consumes only their first moments ``E(p_i)``
 and second moments ``E(p_i p_j)``, packaged here as :class:`MomentSet`.
 
+:func:`validate_network` computes those moments once, for all rows with the
+same alternative count together, and checks them in blocks of rows; each
+:class:`ValidatedNode` holds read-only views of its own rows.
+
 All types are immutable after construction and all operations are pure
 functions, so they are safe to share between threads.
 """
@@ -35,7 +39,7 @@ def _prob_vector(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise BadDistribution(f"{what}: expected a non-empty 1-d probability vector")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
+    if not (np.isfinite(arr).all() and (arr >= 0.0).all()):
         raise BadDistribution(f"{what}: entries must be finite and >= 0")
     if abs(float(arr.sum()) - 1.0) > PROB_TOL:
         raise BadDistribution(f"{what}: entries sum to {arr.sum()!r}, not 1")
@@ -53,7 +57,7 @@ class Dirichlet:
         arr = np.asarray(self.alpha, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise BadDistribution("dirichlet: alpha must be a non-empty vector")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        if not (np.isfinite(arr).all() and (arr > 0.0).all()):
             raise BadDistribution("dirichlet: every alpha entry must be > 0")
         arr.flags.writeable = False
         object.__setattr__(self, "alpha", arr)
@@ -83,7 +87,7 @@ class DiscreteSupport:
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (pts.shape[0],):
             raise BadDistribution("discrete support: one weight per point required")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        if not (np.isfinite(w).all() and (w > 0.0).all()):
             raise BadDistribution("discrete support: weights must be finite and > 0")
         if abs(float(w.sum()) - 1.0) > PROB_TOL:
             raise BadDistribution(f"discrete support: weights sum to {w.sum()!r}, not 1")
@@ -178,21 +182,43 @@ class MomentSet:
         return np.diag(self.second) - self.mean**2
 
 
-def _moments(dist: UncertainDistribution):
-    """``(mean, second)`` of a distribution, unchecked; see :func:`moments_of`."""
-    if isinstance(dist, Dirichlet):
-        a = dist.alpha
-        a0 = float(a.sum())
-        mean = a / a0
-        second = np.outer(a, a) / (a0 * (a0 + 1.0))
-        np.fill_diagonal(second, a * (a + 1.0) / (a0 * (a0 + 1.0)))
-        return mean, second
-    if isinstance(dist, DiscreteSupport):
-        pts, w = dist.points, dist.weights
-        return w @ pts, pts.T @ (w[:, None] * pts)
-    if isinstance(dist, PointMass):
-        return dist.p, np.outer(dist.p, dist.p)
-    raise BadDistribution(f"unsupported distribution type {type(dist).__name__}")
+_KINDS = (Dirichlet, DiscreteSupport, PointMass)
+
+
+def _row_moments(rows, k: int):
+    """``(mean, second)`` of shapes (R, k) and (R, k, k) for ``R`` rows of
+    dimension ``k``, each one of :data:`_KINDS`; unchecked.  This is the only
+    moment formula: :func:`moments_of` documents it.
+
+    Dirichlet alphas and point-mass vectors are stacked and share one outer
+    product.  A point-mass row divides by 1 in place of ``a0`` and
+    ``a0 (a0 + 1)``, which is exact.  Discrete supports are filled in row by
+    row.
+    """
+    n = len(rows)
+    vectors = np.zeros((n, k))
+    dirichlet = np.zeros(n, dtype=bool)
+    discrete = []
+    for i, dist in enumerate(rows):
+        if isinstance(dist, Dirichlet):
+            vectors[i] = dist.alpha
+            dirichlet[i] = True
+        elif isinstance(dist, PointMass):
+            vectors[i] = dist.p
+        else:
+            discrete.append(i)
+    a0 = np.where(dirichlet, vectors.sum(axis=1), 1.0)
+    denom = np.where(dirichlet, a0 * (a0 + 1.0), 1.0)
+    mean = vectors / a0[:, None]
+    second = np.multiply(vectors[:, :, None], vectors[:, None, :], out=np.empty((n, k, k)))
+    second /= denom[:, None, None]
+    diag = vectors * np.where(dirichlet[:, None], vectors + 1.0, vectors) / denom[:, None]
+    second.reshape(n, k * k)[:, :: k + 1] = diag
+    for i in discrete:
+        pts, w = rows[i].points, rows[i].weights
+        mean[i] = w @ pts
+        second[i] = pts.T @ (w[:, None] * pts)
+    return mean, second
 
 
 def moments_of(dist: UncertainDistribution) -> MomentSet:
@@ -208,8 +234,11 @@ def moments_of(dist: UncertainDistribution) -> MomentSet:
     ``second = outer(p, p)`` and zero variance.  Moments that overflow to a
     non-finite value raise :class:`BadDistribution`.
     """
+    if not isinstance(dist, _KINDS):
+        raise BadDistribution(f"unsupported distribution type {type(dist).__name__}")
     with np.errstate(over="ignore", invalid="ignore"):
-        return MomentSet(*_moments(dist))
+        mean, second = _row_moments((dist,), dist.dim)
+    return MomentSet(mean[0], second[0])
 
 
 @dataclass(frozen=True)
@@ -235,8 +264,9 @@ class NetworkSpec:
 class ValidatedNode:
     """One node with resolved adjacency and precomputed row moments.
 
-    ``mean_rows`` (rows, k) and ``second_rows`` (rows, k, k) are the only
-    stored copy of the row moments; both are read-only.
+    ``mean_rows`` (rows, k) and ``second_rows`` (rows, k, k) are read-only
+    views into the moment arrays that :func:`validate_network` builds for all
+    nodes with ``k`` alternatives; they are the only stored copy.
     """
 
     __slots__ = ("id", "alternatives", "parent", "children", "rows", "mean_rows", "second_rows")
@@ -297,12 +327,42 @@ class ValidatedNetwork:
         return len(self.nodes)
 
 
+#: Rows per :func:`_check_moments` call in :func:`validate_network`; bounds
+#: the check's temporaries to a few copies of one block of second moments.
+_CHECK_ROWS = 1024
+
+
+def _first_bad_node(members, offsets, lo: int, hi: int, row_views):
+    """``(file position, error)`` of the first node with a row in ``[lo, hi)``
+    that fails :func:`_check_moments` on its own rows.
+
+    Every invariant holds or fails row by row, so a failing block always
+    holds such a node, and checking that node alone reports the first
+    invariant it breaks.
+    """
+    first = int(np.searchsorted(offsets, lo, side="right")) - 1
+    for (pos, ns), start in zip(members[first:], offsets[first:]):
+        if start >= hi:
+            break
+        try:
+            _check_moments(*row_views[ns.id], f"node {ns.id!r}")
+        except BadDistribution as exc:
+            return pos, exc
+
+
 def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     """Check every structural invariant of ``spec`` and resolve adjacency.
 
+    Structure and dimensions are checked first.  Then the row moments are
+    computed per alternative count ``k``, in one vectorized pass over all
+    rows of that ``k`` (:func:`_row_moments`), and checked against the
+    :func:`_check_moments` invariants in blocks of :data:`_CHECK_ROWS`
+    rows.  Each node keeps read-only views of its rows in those arrays.
+
     Raises :class:`CycleDetected`, :class:`MultipleRoots`,
     :class:`DimensionMismatch` or :class:`BadDistribution`, always naming the
-    offending node.
+    offending node.  A structural fault is reported before any bad moments;
+    among nodes with bad moments, the first in file order is named.
     """
     if not spec.nodes:
         raise InvalidNetwork("network has no nodes")
@@ -343,8 +403,8 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
             cur = by_id[cur].parent
         settled.update(chain)
 
-    validated = {}
-    for ns in spec.nodes:
+    groups = {}  # alternative count -> [(file position, node spec)]
+    for pos, ns in enumerate(spec.nodes):
         k = len(ns.alternatives)
         if k < 2:
             raise InvalidNetwork(f"node {ns.id!r}: at least two alternatives required")
@@ -356,7 +416,7 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
                 f"node {ns.id!r}: {len(ns.rows)} rows, expected {expected_rows}"
             )
         for j, dist in enumerate(ns.rows):
-            if not isinstance(dist, (Dirichlet, DiscreteSupport, PointMass)):
+            if not isinstance(dist, _KINDS):
                 raise BadDistribution(
                     f"node {ns.id!r}, row {j}: unsupported distribution "
                     f"{type(dist).__name__}"
@@ -366,11 +426,31 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
                     f"node {ns.id!r}, row {j}: distribution dimension {dist.dim} "
                     f"!= {k} alternatives"
                 )
+        groups.setdefault(k, []).append((pos, ns))
+
+    row_views = {}
+    failures = []  # (file position, error) of the first bad node in each group
+    for k, members in groups.items():
         with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the check below
-            means, seconds = zip(*map(_moments, ns.rows))
-        mean_rows, second_rows = np.stack(means), np.stack(seconds)
-        _check_moments(mean_rows, second_rows, f"node {ns.id!r}")
-        validated[ns.id] = ValidatedNode(ns, children[ns.id], mean_rows, second_rows)
+            mean, second = _row_moments([d for _, ns in members for d in ns.rows], k)
+        mean.flags.writeable = False
+        second.flags.writeable = False
+        offsets = np.cumsum([0] + [len(ns.rows) for _, ns in members])
+        for (_, ns), lo, hi in zip(members, offsets[:-1], offsets[1:]):
+            row_views[ns.id] = mean[lo:hi], second[lo:hi]
+        for lo in range(0, len(mean), _CHECK_ROWS):
+            hi = lo + _CHECK_ROWS
+            try:
+                _check_moments(mean[lo:hi], second[lo:hi], f"rows {lo}-{hi} of k={k}")
+            except BadDistribution:
+                failures.append(_first_bad_node(members, offsets, lo, hi, row_views))
+                break
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+
+    validated = {
+        ns.id: ValidatedNode(ns, children[ns.id], *row_views[ns.id]) for ns in spec.nodes
+    }
 
     order = []
     stack = [root]

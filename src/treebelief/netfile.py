@@ -47,13 +47,21 @@ def _expect(condition: bool, message: str) -> None:
         raise ParseError(message)
 
 
+_NUMBER_TYPES = {int, float}  # what json decodes numbers to; bool is not one
+
+
+def _is_number_list(value: Any) -> bool:
+    return isinstance(value, list) and set(map(type, value)) <= _NUMBER_TYPES
+
+
 def parse_distribution(obj: Any, where: str) -> UncertainDistribution:
     _expect(isinstance(obj, dict), f"{where}: distribution must be an object")
     kind = obj.get("type")
     try:
         if kind == "dirichlet":
-            _expect(isinstance(obj.get("alpha"), list), f"{where}: dirichlet needs an alpha list")
-            return Dirichlet(np.asarray(obj["alpha"], dtype=float))
+            alpha = obj.get("alpha")
+            _expect(_is_number_list(alpha), f"{where}: dirichlet needs an alpha list of numbers")
+            return Dirichlet(np.asarray(alpha, dtype=float))
         if kind == "discrete":
             points = obj.get("points")
             _expect(isinstance(points, list) and points, f"{where}: discrete needs points")
@@ -65,11 +73,16 @@ def parse_distribution(obj: Any, where: str) -> UncertainDistribution:
                 )
                 vectors.append(entry["p"])
                 weights.append(entry["w"])
+            _expect(
+                all(map(_is_number_list, vectors)) and _is_number_list(weights),
+                f"{where}: discrete point 'p' must be a list of numbers and 'w' a number",
+            )
             return DiscreteSupport(np.asarray(vectors, dtype=float), np.asarray(weights, dtype=float))
         if kind == "point":
-            _expect(isinstance(obj.get("p"), list), f"{where}: point needs a p list")
-            return PointMass(np.asarray(obj["p"], dtype=float))
-    except (TypeError, ValueError) as exc:
+            p = obj.get("p")
+            _expect(_is_number_list(p), f"{where}: point needs a p list of numbers")
+            return PointMass(np.asarray(p, dtype=float))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: malformed numbers ({exc})") from exc
     except BadDistribution as exc:
         raise BadDistribution(f"{where}: {exc}") from exc
@@ -130,6 +143,8 @@ def load_network(path: str) -> NetworkSpec:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path} nests too deeply to parse") from exc
     return parse_network(doc)
 
 

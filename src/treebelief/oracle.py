@@ -76,6 +76,17 @@ class OracleEntry:
 
 @dataclass
 class OracleReport:
+    """An oracle's per-node moments.
+
+    ``size`` counts the oracle's work units, and its meaning depends on the
+    oracle and the mode.  Monte Carlo: the sample count ``n``.  Enumeration
+    in ``prior`` and ``approx-posterior`` modes: the sum over evidence
+    islands of each island's count of uncertainty-support combinations, so
+    an island with no uncertain row adds 1.  Enumeration in
+    ``exact-posterior`` mode: the count of combinations over every row of
+    the tree.
+    """
+
     mode: str
     entries: Dict[str, OracleEntry]
     size: int
@@ -460,11 +471,12 @@ def _sample_tables(net: ValidatedNetwork, n: int, seed: int) -> Dict[str, np.nda
     return tabs
 
 
-def _se_of(columns: Sequence[np.ndarray], grad: np.ndarray, n: int) -> float:
-    """Delta-method standard error for a smooth function of sample means."""
+def _se_of(columns: Sequence[np.ndarray], grads: Sequence[np.ndarray], n: int) -> List[float]:
+    """Delta-method standard errors of smooth functions of the columns'
+    sample means, one per gradient, all from one sample covariance."""
     stacked = np.stack(columns, axis=1)
     cov = np.atleast_2d(np.cov(stacked, rowvar=False, ddof=1))
-    return float(np.sqrt(max(0.0, grad @ cov @ grad / n)))
+    return [float(np.sqrt(max(0.0, grad @ cov @ grad / n))) for grad in grads]
 
 
 def _ratio_entry(r: np.ndarray, z: np.ndarray) -> OracleEntry:
@@ -480,16 +492,12 @@ def _ratio_entry(r: np.ndarray, z: np.ndarray) -> OracleEntry:
     se_second = np.empty(dim)
     se_variance = np.empty(dim)
     for v in range(dim):
-        cols = [r[:, v], r[:, v] ** 2, z]
-        se_mean[v] = _se_of(cols, np.array([1 / s3, 0.0, -s1[v] / s3**2]), n)
-        se_second[v] = _se_of(cols, np.array([0.0, 1 / s3**2, -2 * s2[v] / s3**3]), n)
-        se_variance[v] = _se_of(
-            cols,
-            np.array(
-                [-2 * s1[v] / s3**2, 1 / s3**2, -2 * (s2[v] - s1[v] ** 2) / s3**3]
-            ),
-            n,
+        grads = (
+            np.array([1 / s3, 0.0, -s1[v] / s3**2]),
+            np.array([0.0, 1 / s3**2, -2 * s2[v] / s3**3]),
+            np.array([-2 * s1[v] / s3**2, 1 / s3**2, -2 * (s2[v] - s1[v] ** 2) / s3**3]),
         )
+        se_mean[v], se_second[v], se_variance[v] = _se_of([r[:, v], r[:, v] ** 2, z], grads, n)
     return OracleEntry(mean, second, variance, se_mean, se_second, se_variance)
 
 
@@ -509,14 +517,12 @@ def _weighted_entry(values: np.ndarray, weights: np.ndarray) -> OracleEntry:
         w2 = float(wv2.mean())
         mean[v] = w1 / w0
         second[v] = w2 / w0
-        cols = [wv, wv2, weights]
-        se_mean[v] = _se_of(cols, np.array([1 / w0, 0.0, -w1 / w0**2]), n)
-        se_second[v] = _se_of(cols, np.array([0.0, 1 / w0, -w2 / w0**2]), n)
-        se_variance[v] = _se_of(
-            cols,
+        grads = (
+            np.array([1 / w0, 0.0, -w1 / w0**2]),
+            np.array([0.0, 1 / w0, -w2 / w0**2]),
             np.array([-2 * w1 / w0**2, 1 / w0, -w2 / w0**2 + 2 * w1**2 / w0**3]),
-            n,
         )
+        se_mean[v], se_second[v], se_variance[v] = _se_of([wv, wv2, weights], grads, n)
     variance = np.maximum(second - mean**2, 0.0)
     return OracleEntry(mean, second, variance, se_mean, se_second, se_variance)
 

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from treebelief import (
     Dirichlet,
@@ -96,6 +97,40 @@ def impossible_evidence_spec() -> NetworkSpec:
             ),
         )
     )
+
+
+ROW_KINDS = ("dirichlet", "discrete", "point")
+
+
+def random_row(rng: np.random.Generator, kind: str, k: int):
+    """One uncertain row of dimension ``k`` of the given kind."""
+    if kind == "dirichlet":
+        return Dirichlet(np.exp(rng.uniform(np.log(0.05), np.log(80.0), size=k)))
+    if kind == "discrete":
+        m = int(rng.integers(1, 4))
+        return DiscreteSupport(rng.dirichlet(np.ones(k), size=m), rng.dirichlet(np.ones(m)))
+    return PointMass(rng.dirichlet(np.ones(k)))
+
+
+@st.composite
+def mixed_trees(draw, max_nodes: int = 10) -> NetworkSpec:
+    """Random trees with k in {2, 3, 8} and Dirichlet, discrete and point rows.
+
+    Nodes are listed in a random file order, so parents may follow their
+    children and nodes of different k interleave.
+    """
+    n = draw(st.integers(1, max_nodes))
+    parents = [None] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    ks = draw(st.lists(st.sampled_from((2, 3, 8)), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    nodes = []
+    for i, p in enumerate(parents):
+        n_rows = 1 if p is None else ks[p]
+        kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=n_rows, max_size=n_rows))
+        rows = tuple(random_row(rng, kind, ks[i]) for kind in kinds)
+        labels = tuple(f"s{j}" for j in range(ks[i]))
+        nodes.append(NodeSpec(f"n{i}", labels, None if p is None else f"n{p}", rows))
+    return NetworkSpec(tuple(draw(st.permutations(nodes))))
 
 
 @pytest.fixture

@@ -1,10 +1,29 @@
+import contextlib
+import copy
+import io
 import json
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import impossible_evidence_spec, two_node_mixed_spec, uniform_chain_spec
-from treebelief import NetworkSpec, NodeSpec, Dirichlet, save_network, load_network, parse_network, network_to_json
+from conftest import impossible_evidence_spec, mixed_trees, two_node_mixed_spec, uniform_chain_spec
+from treebelief import (
+    Dirichlet,
+    DiscreteSupport,
+    NetworkSpec,
+    NodeSpec,
+    PointMass,
+    load_network,
+    network_to_json,
+    parse_network,
+    save_network,
+    validate_network,
+)
 from treebelief.cli import main
 from treebelief.errors import ParseError
 
@@ -48,6 +67,144 @@ class TestNetworkFiles:
     def test_unknown_distribution(self):
         doc = network_to_json(two_node_mixed_spec())
         doc["nodes"][0]["cpt"][0]["dist"] = {"type": "gaussian"}
+        with pytest.raises(ParseError):
+            parse_network(doc)
+
+    @given(mixed_trees())
+    @settings(max_examples=60, deadline=None)
+    def test_saved_network_reproduces_moments(self, spec):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "net.json")
+            save_network(spec, path)
+            loaded = validate_network(load_network(path))
+        net = validate_network(spec)
+        for node_id in net.order:
+            for attr in ("mean_rows", "second_rows"):
+                got = getattr(loaded.nodes[node_id], attr)
+                assert got.tobytes() == getattr(net.nodes[node_id], attr).tobytes()
+
+
+def _fuzz_base_doc():
+    """A valid document with every distribution type and a three-level chain."""
+    spec = NetworkSpec(
+        (
+            NodeSpec("A", ("a1", "a2"), None, (Dirichlet(np.array([2.0, 3.0])),)),
+            NodeSpec(
+                "B",
+                ("b1", "b2", "b3"),
+                "A",
+                (
+                    DiscreteSupport(
+                        np.array([[0.2, 0.3, 0.5], [0.6, 0.2, 0.2]]), np.array([0.4, 0.6])
+                    ),
+                    PointMass(np.array([0.1, 0.2, 0.7])),
+                ),
+            ),
+            NodeSpec(
+                "C",
+                ("c1", "c2"),
+                "B",
+                (
+                    PointMass(np.array([0.5, 0.5])),
+                    Dirichlet(np.array([1.0, 4.0])),
+                    Dirichlet(np.array([2.5, 0.5])),
+                ),
+            ),
+        )
+    )
+    return network_to_json(spec)
+
+
+def _paths(obj, path=()):
+    """Every path into a JSON value, the value itself first."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _paths(value, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _json_type(value):
+    if value is None or isinstance(value, (bool, str, list, dict)):
+        return type(value)
+    return float  # int and float are both JSON numbers
+
+
+_ODD_VALUES = (None, True, False, 0, -2, 0.5, "", "1.0", "a1", [], [1, 2], ["a1"], {}, {"type": "point"})
+_BAD_NUMBERS = (float("nan"), float("inf"), float("-inf"), -1.0, 0.0, 1e200)
+
+
+@st.composite
+def malformed_queries(draw):
+    """``(document, evidence arguments)`` with exactly one fault."""
+    doc = _fuzz_base_doc()
+    paths = list(_paths(doc))
+    fault = draw(st.sampled_from(("wrong type", "bad number", "missing key", "bad given", "bad evidence")))
+    evidence = []
+    if fault == "wrong type":
+        path = draw(st.sampled_from(paths))
+        old = _at(doc, path)
+        value = draw(st.sampled_from([v for v in _ODD_VALUES if _json_type(v) != _json_type(old)]))
+        if not path:
+            return value, evidence
+        _at(doc, path[:-1])[path[-1]] = copy.deepcopy(value)
+    elif fault == "bad number":
+        path = draw(st.sampled_from([p for p in paths if p and _json_type(_at(doc, p)) is float]))
+        _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(_BAD_NUMBERS))
+    elif fault == "missing key":
+        keys = [p for p in paths if p and isinstance(p[-1], str) and _at(doc, p) is not None]
+        path = draw(st.sampled_from(keys))
+        del _at(doc, path[:-1])[path[-1]]
+    elif fault == "bad given":
+        node = draw(st.sampled_from((1, 2)))
+        row = _at(doc, ("nodes", node, "cpt", draw(st.integers(0, node))))
+        row["given"] = draw(st.sampled_from([g for g in ("a1", "a2", "b1", "b2", "b3", "zz") if g != row["given"]]))
+    else:
+        evidence = ["--evidence", draw(st.sampled_from(("B=zz", "Z=b1", "B", "=b1", "C=c1=c2", "B=")))]
+    return doc, evidence
+
+
+class TestMalformedDocuments:
+    @given(malformed_queries())
+    @settings(max_examples=300, deadline=None)
+    def test_query_exits_2_with_one_line(self, case):
+        doc, evidence = case
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "net.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["query", path] + evidence)
+        assert code == 2, err.getvalue()
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        assert "Traceback" not in err.getvalue()
+
+    def test_deeply_nested_document(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text('{"nodes": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run_cli(capsys, "query", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "ParseError" in err
+
+    def test_numbers_must_be_json_numbers(self):
+        doc = _fuzz_base_doc()
+        for value in ("2.0", True):
+            doc["nodes"][0]["cpt"][0]["dist"]["alpha"][0] = value
+            with pytest.raises(ParseError, match="numbers"):
+                parse_network(doc)
+
+    def test_oversized_integer(self):
+        doc = _fuzz_base_doc()
+        doc["nodes"][0]["cpt"][0]["dist"]["alpha"][0] = 10**400
         with pytest.raises(ParseError):
             parse_network(doc)
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mixed_trees, random_row
 from treebelief import (
     Dirichlet,
     DiscreteSupport,
@@ -23,6 +24,7 @@ from treebelief.errors import (
     UnknownAlternative,
     UnknownNode,
 )
+from treebelief.model import _CHECK_ROWS
 
 
 class TestMomentsOf:
@@ -264,6 +266,114 @@ class TestValidateNetwork:
         spec = NetworkSpec((NodeSpec("A", ("only",), None, (PointMass(np.array([1.0])),)),))
         with pytest.raises(InvalidNetwork):
             validate_network(spec)
+
+    def test_structural_fault_reported_before_bad_moments(self):
+        # B's overflowing row comes first in the file, C's row count is wrong
+        chain = _chain(rows_b=(_overflowing(2), PointMass(np.array([0.2, 0.8]))))
+        spec = NetworkSpec(
+            chain.nodes + (NodeSpec("C", ("c1", "c2"), "B", (PointMass(np.array([0.5, 0.5])),)),)
+        )
+        with pytest.raises(DimensionMismatch, match="'C'"):
+            validate_network(spec)
+
+
+def _overflowing(k):
+    """A valid Dirichlet whose second moments overflow to NaN."""
+    return Dirichlet(np.full(k, 1e200))
+
+
+def _reference_moments(dist):
+    """The closed-form moments of one distribution, computed on its own."""
+    if isinstance(dist, Dirichlet):
+        a = dist.alpha
+        a0 = float(a.sum())
+        second = np.outer(a, a) / (a0 * (a0 + 1.0))
+        np.fill_diagonal(second, a * (a + 1.0) / (a0 * (a0 + 1.0)))
+        return a / a0, second
+    if isinstance(dist, DiscreteSupport):
+        pts, w = dist.points, dist.weights
+        return w @ pts, pts.T @ (w[:, None] * pts)
+    return dist.p, np.outer(dist.p, dist.p)
+
+
+def _star(root_k, child_ks, bad=()):
+    """A star whose child ``i`` has ``child_ks[i]`` alternatives; each
+    ``(i, j)`` in ``bad`` makes row ``j`` of child ``i`` overflow."""
+    rng = np.random.default_rng(3)
+    hub_labels = tuple(f"h{j}" for j in range(root_k))
+    root = NodeSpec("hub", hub_labels, None, (random_row(rng, "dirichlet", root_k),))
+    children = []
+    for i, k in enumerate(child_ks):
+        rows = [random_row(rng, kind, k) for kind in np.resize(("dirichlet", "point", "discrete"), root_k)]
+        for bad_child, j in bad:
+            if bad_child == i:
+                rows[j] = _overflowing(k)
+        children.append(NodeSpec(f"c{i}", tuple(f"s{j}" for j in range(k)), "hub", tuple(rows)))
+    return NetworkSpec((root,) + tuple(children))
+
+
+def _assert_rows_are_reference_moments(spec):
+    net = validate_network(spec)
+    for ns in spec.nodes:
+        node = net.nodes[ns.id]
+        for j, dist in enumerate(ns.rows):
+            mean, second = _reference_moments(dist)
+            single = moments_of(dist)
+            for got in (node.mean_rows[j], single.mean):
+                assert got.tobytes() == mean.tobytes()
+            for got in (node.second_rows[j], single.second):
+                assert got.tobytes() == second.tobytes()
+
+
+class TestBatchedRowMoments:
+    """``validate_network`` computes every row's moments per alternative
+    count in one batch; each must equal the single-row formula bit for bit."""
+
+    @given(mixed_trees())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_moments_of(self, spec):
+        _assert_rows_are_reference_moments(spec)
+
+    def test_groups_larger_than_one_check_block(self):
+        spec = _star(8, [8] * 200 + [2] * 130)
+        assert 200 * 8 > _CHECK_ROWS and 130 * 8 > _CHECK_ROWS
+        _assert_rows_are_reference_moments(spec)
+
+    def test_bad_row_in_a_later_block_of_a_second_group(self):
+        # the k=8 group (hub and c0..c199) comes first; c329's rows are the
+        # last 8 of the k=2 group, in its second block
+        spec = _star(8, [8] * 200 + [2] * 130, bad=[(329, 5)])
+        with pytest.raises(BadDistribution, match="node 'c329': moments must be finite"):
+            validate_network(spec)
+
+    def test_bad_node_spanning_two_blocks(self):
+        # 3 rows per child: c341 holds rows 1023-1025, its bad row is in block 2
+        spec = _star(3, [2] * 400, bad=[(341, 2)])
+        with pytest.raises(BadDistribution, match="node 'c341': moments must be finite"):
+            validate_network(spec)
+
+    def test_first_bad_node_in_file_order_is_named(self):
+        # c5 (k=8, first group) and c330 (k=2, second group, second block) fail;
+        # then c0 (k=2, first block) fails too and comes first in the file
+        spec = _star(8, [2] + [8] * 200 + [2] * 130, bad=[(201 + 129, 0), (5, 0)])
+        with pytest.raises(BadDistribution, match="node 'c5'"):
+            validate_network(spec)
+        spec = _star(8, [2] + [8] * 200 + [2] * 130, bad=[(201 + 129, 0), (0, 7), (5, 0)])
+        with pytest.raises(BadDistribution, match="node 'c0'"):
+            validate_network(spec)
+
+    @given(mixed_trees(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_bad_nodes_name_the_first(self, spec, data):
+        nodes = list(spec.nodes)
+        bad = data.draw(st.sets(st.integers(0, len(nodes) - 1), min_size=1))
+        for i in bad:
+            rows = list(nodes[i].rows)
+            rows[data.draw(st.integers(0, len(rows) - 1))] = _overflowing(len(nodes[i].alternatives))
+            nodes[i] = NodeSpec(nodes[i].id, nodes[i].alternatives, nodes[i].parent, tuple(rows))
+        first = nodes[min(bad)].id
+        with pytest.raises(BadDistribution, match=f"node '{first}': moments must be finite"):
+            validate_network(NetworkSpec(tuple(nodes)))
 
 
 class TestEvidenceChecks:
