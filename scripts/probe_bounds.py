@@ -63,9 +63,7 @@ def search_bound_extensions(seed: int = 0, trials: int = 200) -> Dict[str, list]
         rep = posterior_report(propagate(net, {}))["c"]
         node = net.nodes["c"]
         for alt in range(3):
-            bound = max(
-                float(m.second[alt, alt] - m.mean[alt] ** 2) for m in node.row_moments
-            )
+            bound = float(np.max(node.second_rows[:, alt, alt] - node.mean_rows[:, alt] ** 2))
             excess = float(rep.variance[alt]) - bound
             if excess > BOUND_TOL:
                 findings["multi_alternative"].append(
@@ -83,9 +81,7 @@ def search_bound_extensions(seed: int = 0, trials: int = 200) -> Dict[str, list]
             node = tree.nodes[node_id]
             if node.parent is None or node_id == leaf:
                 continue
-            bound = max(
-                float(m.second[0, 0] - m.mean[0] ** 2) for m in node.row_moments
-            )
+            bound = float(np.max(node.second_rows[:, 0, 0] - node.mean_rows[:, 0] ** 2))
             excess = float(reports[node_id].variance[0]) - bound
             if excess > BOUND_TOL:
                 findings["upward_from_evidence"].append(

@@ -134,7 +134,7 @@ def _require_binary_beta(net: ValidatedNetwork) -> None:
         if node.dim != 2:
             raise PreconditionViolated(f"node {node_id!r} is not binary")
         for dist in node.rows:
-            if not isinstance(dist, Dirichlet) or dist.dim != 2:
+            if not isinstance(dist, Dirichlet):
                 raise PreconditionViolated(
                     f"node {node_id!r} stores a non-beta distribution"
                 )
@@ -159,9 +159,7 @@ def check_variance_bound(net: ValidatedNetwork) -> BoundReport:
         if node.parent is None:
             continue
         variance = float(reports[node_id].variance[0])
-        bound = max(
-            float(m.second[0, 0] - m.mean[0] ** 2) for m in node.row_moments
-        )
+        bound = float(np.max(node.second_rows[:, 0, 0] - node.mean_rows[:, 0] ** 2))
         slack = bound - variance
         entries.append(BoundEntry(node_id, variance, bound, slack, slack >= -BOUND_TOL))
     return BoundReport(tuple(entries), all(e.passed for e in entries))

@@ -2,7 +2,8 @@
 
 Reports go to standard output as JSON; diagnostics go to standard error.
 Exit codes: 0 success, 2 parse or validation failure, 3 inconsistent
-evidence, 4 tolerance or bound exceeded, 5 precondition or cap violated.
+evidence, 4 tolerance or bound exceeded, 5 precondition or cap violated,
+6 a non-finite number in the report (nothing is written to standard output).
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ from .errors import (
     CapExceeded,
     InconsistentEvidence,
     NetworkValidationError,
+    NonFiniteResult,
     ParseError,
     PreconditionViolated,
     UnknownAlternative,
@@ -37,6 +39,7 @@ EXIT_VALIDATION = 2
 EXIT_INCONSISTENT = 3
 EXIT_TOLERANCE = 4
 EXIT_PRECONDITION = 5
+EXIT_NONFINITE = 6
 
 
 def _meta(command: str, args: argparse.Namespace, **extra) -> Dict:
@@ -76,7 +79,12 @@ def _resolve_nodes(net: ValidatedNetwork, spec: str) -> List[str]:
 
 
 def _emit(doc: Dict) -> None:
-    json.dump(doc, sys.stdout, indent=2)
+    """Write ``doc`` as strict JSON, or nothing if it holds a NaN or infinity."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResult(f"the report holds a non-finite number ({exc})") from None
+    sys.stdout.write(text)
     sys.stdout.write("\n")
 
 
@@ -252,6 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _EXIT_CODES = (
     (InconsistentEvidence, EXIT_INCONSISTENT),
+    (NonFiniteResult, EXIT_NONFINITE),
     ((CapExceeded, PreconditionViolated), EXIT_PRECONDITION),
     ((ParseError, NetworkValidationError, UnknownNode, UnknownAlternative), EXIT_VALIDATION),
 )

@@ -41,6 +41,10 @@ class InconsistentEvidence(BeliefNetworkError):
     """The evidence has probability zero under the mean conditional tables."""
 
 
+class NonFiniteResult(BeliefNetworkError):
+    """A report holds a NaN or an infinity, which strict JSON cannot carry."""
+
+
 class NegativeVariance(BeliefNetworkError):
     """A reported variance fell below the hard numerical floor."""
 

@@ -441,6 +441,27 @@ def enumerate_uncertainty(
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
+def _dirichlet_draws(rng: np.random.Generator, alpha: np.ndarray, n: int) -> np.ndarray:
+    """n Dirichlet draws as normalized gamma variates.
+
+    With tiny alphas every gamma of a draw can underflow to 0.  Only those
+    draws are redrawn, from the same stream after the main draw, in log
+    space: ``log Gamma(a) = log Gamma(a + 1) + log(U) / a`` (Marsaglia &
+    Tsang 2000), normalized by log-sum-exp.  The normalized draw does not
+    depend on the gamma sum, so the redraw keeps its distribution.
+    """
+    gammas = rng.gamma(shape=alpha, size=(n, len(alpha)))
+    sums = gammas.sum(axis=1, keepdims=True)
+    if not sums.all():
+        lost = sums[:, 0] == 0.0
+        size = (int(lost.sum()), len(alpha))
+        logs = np.log(rng.gamma(shape=alpha + 1.0, size=size))
+        logs += np.log(1.0 - rng.random(size)) / alpha
+        gammas[lost] = np.exp(logs - logs.max(axis=1, keepdims=True))
+        sums = gammas.sum(axis=1, keepdims=True)
+    return gammas / sums
+
+
 def _sample_tables(net: ValidatedNetwork, n: int, seed: int) -> Dict[str, np.ndarray]:
     """Draw n realizations of every table from per-row seeded streams.
 
@@ -448,8 +469,8 @@ def _sample_tables(net: ValidatedNetwork, n: int, seed: int) -> Dict[str, np.nda
     ``(seed, node index, row index)``, and all n draws for that row come from
     it in one vectorized pass, so results are bit-reproducible for a fixed
     ``(n, seed)`` and independent of traversal order.  Dirichlet rows are
-    normalized gamma variates; discrete supports sample their points by
-    weight.
+    normalized gamma variates (:func:`_dirichlet_draws`); discrete supports
+    sample their points by weight.
     """
     tabs = {}
     for node_index, node_id in enumerate(net.order):
@@ -460,8 +481,7 @@ def _sample_tables(net: ValidatedNetwork, n: int, seed: int) -> Dict[str, np.nda
                 np.random.SeedSequence(entropy=(seed, node_index, row))
             )
             if isinstance(dist, Dirichlet):
-                gammas = rng.gamma(shape=dist.alpha, size=(n, dist.dim))
-                tab[:, row, :] = gammas / gammas.sum(axis=1, keepdims=True)
+                tab[:, row, :] = _dirichlet_draws(rng, dist.alpha, n)
             elif isinstance(dist, DiscreteSupport):
                 choice = rng.choice(len(dist.weights), size=n, p=dist.weights)
                 tab[:, row, :] = dist.points[choice]

@@ -22,17 +22,22 @@ Two structural facts make the recurrences exact products and sums:
   children combine by elementwise products of means and of second-moment
   matrices.
 
-Instantiated nodes terminate both flows: their upward message is built from
-their own conditional row moments only, and their children receive the
-observed row's moments directly.  Normalizing denominators are always sums of
-*mean* values; as a consequence posterior second moments are approximations
+Four helpers carry the recurrences.  :func:`_siblings` forms each node's
+product of child messages and every leave-one-out product, once per sweep.
+:func:`_child_to_parent` pushes evidence up through a node's rows; an
+instantiated node sends the indicator of its observed alternative, so
+subtree evidence below it never enters.  :func:`_condition` conditions a
+distribution on evidence; :func:`_parent_to_child` and :func:`query_node`
+both use it.  Children of an instantiated node receive the observed row's
+moments directly.  Normalizing denominators are always sums of *mean*
+values; as a consequence posterior second moments are approximations
 (exact for means and for all prior queries) and a reported variance can fall
 a hair below zero, which :func:`query_node` clamps and flags.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,62 +88,30 @@ class MessageState:
     parent: Dict[str, Message] = field(default_factory=dict)
 
 
-def _unit(dim: int) -> Message:
-    """The identity for combining child messages (vacuous evidence)."""
-    return Message(np.ones(dim), np.ones((dim, dim)))
+def _siblings(messages: Sequence[Message], dim: int) -> Tuple[Message, List[Message]]:
+    """The product of sibling messages, and for each the product of the others.
 
-
-def _times(a: Message, b: Message) -> Message:
-    return Message(a.mean * b.mean, a.second * b.second)
-
-
-def _product(messages: Sequence[Message], dim: int) -> Message:
-    """Combine sibling messages, left to right.
-
-    Sibling subtrees carry independent uncertainty, so means multiply
-    elementwise and second-moment matrices multiply entry by entry (Hadamard
-    product).  The empty combination is the unit message.
+    Means multiply elementwise and second-moment matrices entry by entry; the
+    empty product is the unit message (vacuous evidence).  Prefix products
+    end in the full product, and prefix times suffix leaves one out: linear
+    in the number of siblings and free of division, which a zero would break.
     """
-    out = _unit(dim)
-    for msg in messages:
-        out = _times(out, msg)
-    return out
-
-
-def _leave_one_out(messages: Sequence[Message], dim: int) -> List[Message]:
-    """For each message, the product of all the others.
-
-    Prefix products times suffix products: linear in the number of siblings
-    and free of division, which a zero message would break.
-    """
-    prefix = [_unit(dim)]
-    for msg in messages[:-1]:
-        prefix.append(_times(prefix[-1], msg))
-    out: List[Message] = [None] * len(messages)
+    prefix = [Message(np.ones(dim), np.ones((dim, dim)))]
+    for mean, second in messages:
+        last = prefix[-1]
+        prefix.append(Message(last.mean * mean, last.second * second))
+    others: List[Message] = [None] * len(messages)
     suffix = prefix[0]
     for i in range(len(messages) - 1, -1, -1):
-        out[i] = _times(prefix[i], suffix)
-        suffix = _times(messages[i], suffix)
-    return out
-
-
-def _observed_up(node: ValidatedNode, alt: int) -> Message:
-    """The message an instantiated child sends up: its observed column.
-
-    Means and squared moments come from the rows, cross terms are products
-    of means (distinct rows are independent).  Subtree evidence below an
-    instantiated child never enters its upward message.
-    """
-    mean = node.mean_rows[:, alt]
-    second = np.outer(mean, mean)
-    np.fill_diagonal(second, node.second_rows[:, alt, alt])
-    return Message(mean, second)
+        others[i] = Message(prefix[i].mean * suffix.mean, prefix[i].second * suffix.second)
+        suffix = Message(messages[i].mean * suffix.mean, messages[i].second * suffix.second)
+    return prefix[-1], others
 
 
 def _child_to_parent(node: ValidatedNode, combined: Message) -> Message:
-    """Turn an uninstantiated child's combined evidence into its upward message.
+    """Turn a child's evidence message into its upward message.
 
-    With combined message ``(lam, Lam)`` and row means
+    With evidence message ``(lam, Lam)`` and row means
     ``C[i, k] = E(p(g_k | f_i))``::
 
         mean[i]      = sum_k lam[k] C[i, k]
@@ -146,7 +119,9 @@ def _child_to_parent(node: ValidatedNode, combined: Message) -> Message:
 
     where ``Phi`` is the row-``i`` second moment ``E(p(g_k|f_i) p(g_r|f_i))``
     on the diagonal ``i == j`` and the product ``C[i, k] C[j, r]`` otherwise
-    (distinct rows are independent).
+    (distinct rows are independent).  An uninstantiated child passes its
+    combined child messages; an instantiated one passes the indicator of its
+    observed alternative, which picks out the observed column exactly.
     """
     mean_rows = node.mean_rows
     lam, lam2 = combined
@@ -156,38 +131,41 @@ def _child_to_parent(node: ValidatedNode, combined: Message) -> Message:
     return Message(mean, second)
 
 
+def _condition(evidence: Message, prior: Message, where: str) -> Message:
+    """Condition a node's distribution ``(q, T)`` on evidence ``(m, S)``::
+
+        D          = sum_j m[j] q[j]
+        q'[j]      = m[j] q[j] / D
+        T'[j, k]   = S[j, k] T[j, k] / D**2
+
+    The denominator uses means only; ``D == 0`` means the evidence is
+    impossible on average and raises :class:`InconsistentEvidence`.
+    """
+    m, s = evidence
+    q, t = prior
+    denom = float(m @ q)
+    if denom == 0.0:
+        raise InconsistentEvidence(f"evidence {where} has zero mean probability")
+    return Message(m * q / denom, s * t / (denom * denom))
+
+
 def _parent_to_child(
     parent: str, child: ValidatedNode, parent_msg: Message, others: Message
 ) -> Message:
     """The message an uninstantiated parent sends to one child.
 
-    The parent's own message ``(q, T)`` is first conditioned on the evidence
-    reaching the parent through its *other* children ``(mx, Sx)``::
-
-        D          = sum_m mx[m] q[m]
-        q'[j]      = mx[j] q[j] / D
-        T'[j, k]   = Sx[j, k] T[j, k] / D**2
-
-    and then pushed through the child's conditional rows with the same
-    row-independence structure as :func:`_child_to_parent`::
+    The parent's own message is first conditioned (:func:`_condition`) on
+    the evidence reaching the parent through its *other* children, giving
+    ``(q', T')``, and then pushed through the child's conditional rows with
+    the same row-independence structure as :func:`_child_to_parent`::
 
         mean[i]      = sum_j C[j, i] q'[j]
         second[i, l] = sum_{j != k} T'[j, k] C[j, i] C[k, l]
                        + sum_j T'[j, j] M_j[i, l]
 
-    where ``M_j`` is row ``j``'s second-moment matrix.  The denominator uses
-    means only; ``D == 0`` means the evidence is impossible on average.
+    where ``M_j`` is row ``j``'s second-moment matrix.
     """
-    q, t = parent_msg
-    mx, sx = others
-    denom = float(mx @ q)
-    if denom == 0.0:
-        raise InconsistentEvidence(
-            f"evidence reaching {child.id!r} through {parent!r} has zero "
-            "mean probability"
-        )
-    q2 = mx * q / denom
-    t2 = sx * t / (denom * denom)
+    q2, t2 = _condition(others, parent_msg, f"reaching {child.id!r} through {parent!r}")
     mean_rows = child.mean_rows
     out_mean = q2 @ mean_rows
     diag = np.diag(t2)
@@ -202,26 +180,24 @@ def _parent_to_child(
 def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageState:
     """Run a full collect/distribute sweep and return the resulting state.
 
-    Upward pass in reverse topological order: every node combines its
-    children's messages and sends its parent a child message (instantiated
-    nodes send their observed-column message and ignore their subtrees).
-    Downward pass in topological order: the root receives its own row
-    moments, every uninstantiated non-root node receives a parent message,
-    and children of instantiated nodes receive the observed row's moments.
-    Each call recomputes from scratch, so repeated calls with the same
-    arguments are identical.
+    The upward pass runs in reverse topological order and keeps each node's
+    leave-one-out products for the downward pass, which runs in topological
+    order from the root's own row moments.  Each call recomputes from
+    scratch, so repeated calls with the same arguments are identical.
     """
     check_evidence(net, evidence)
     state = MessageState(net, dict(evidence))
     nodes, upward, down = net.nodes, state.upward, state.parent
+    others: Dict[str, List[Message]] = {}
 
     for node_id in reversed(net.order):
         node = nodes[node_id]
         if node_id in evidence:
             if node.parent is not None:
-                upward[node_id] = _observed_up(node, evidence[node_id])
+                seen = np.eye(node.dim)[evidence[node_id]]
+                upward[node_id] = _child_to_parent(node, Message(seen, np.outer(seen, seen)))
             continue
-        combined = _product([upward[c] for c in node.children], node.dim)
+        combined, others[node_id] = _siblings([upward[c] for c in node.children], node.dim)
         state.combined[node_id] = combined
         if node.parent is not None:
             upward[node_id] = _child_to_parent(node, combined)
@@ -236,9 +212,8 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
                 if c not in evidence:
                     child = nodes[c]
                     down[c] = Message(child.mean_rows[alt], child.second_rows[alt])
-        elif node.children:
-            others = _leave_one_out([upward[c] for c in node.children], node.dim)
-            for c, rest in zip(node.children, others):
+        else:
+            for c, rest in zip(node.children, others[node_id]):
                 if c not in evidence:
                     down[c] = _parent_to_child(node_id, nodes[c], down[node_id], rest)
     return state
@@ -247,19 +222,13 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
 def query_node(node_id: str, state: MessageState) -> NodeReport:
     """Read one node's inferred probabilities, second moments and variances.
 
-    With combined child message ``(m, S)`` and parent message ``(q, T)``::
-
-        D           = sum_j m[j] q[j]
-        mean[i]     = m[i] q[i] / D
-        second[i]   = S[i, i] T[i, i] / D**2
-        variance[i] = second[i] - mean[i]**2
-
-    Means are exact; second moments inherit the mean-denominator
-    approximation.  Variances are clamped at zero (and the report flagged)
-    when rounding pushes them slightly negative; anything below
-    ``VARIANCE_FLOOR`` raises :class:`NegativeVariance`.  An instantiated
-    node reports probability one at its observed alternative with zero
-    variance.
+    The report is the diagonal of the parent message conditioned on the
+    combined child message (:func:`_condition`).  Means are exact; second
+    moments inherit the mean-denominator approximation.  Variances are
+    clamped at zero (and the report flagged) when rounding pushes them
+    slightly negative; anything below ``VARIANCE_FLOOR`` raises
+    :class:`NegativeVariance`.  An instantiated node reports probability one
+    at its observed alternative with zero variance.
     """
     node = state.net.node(node_id)
     k = node.dim
@@ -267,16 +236,10 @@ def query_node(node_id: str, state: MessageState) -> NodeReport:
         mean = np.zeros(k)
         mean[state.evidence[node_id]] = 1.0
         return NodeReport(node_id, mean, mean.copy(), np.zeros(k))
-    m = state.combined[node_id].mean
-    s_diag = np.diag(state.combined[node_id].second)
-    pm = state.parent[node_id]
-    denom = float(m @ pm.mean)
-    if denom == 0.0:
-        raise InconsistentEvidence(
-            f"evidence has zero mean probability at node {node_id!r}"
-        )
-    mean = m * pm.mean / denom
-    second = s_diag * np.diag(pm.second) / (denom * denom)
+    mean, second = _condition(
+        state.combined[node_id], state.parent[node_id], f"at node {node_id!r}"
+    )
+    second = second.diagonal().copy()
     variance = second - mean**2
     low = float(variance.min())
     if low < VARIANCE_FLOOR:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -24,6 +25,7 @@ from treebelief import (
     save_network,
     validate_network,
 )
+from treebelief import cli
 from treebelief.cli import main
 from treebelief.errors import ParseError
 
@@ -337,6 +339,44 @@ class TestCompareCommand:
         doc = json.loads(out)
         # no randomness anywhere: only accumulation dust can remain
         assert max(doc["max_abs_diff"].values()) <= 1e-12
+
+    def test_tiny_alphas_give_strict_json(self, capsys, tmp_path):
+        spec = NetworkSpec(
+            (
+                NodeSpec("A", ("a1", "a2"), None, (Dirichlet(np.array([0.001, 0.001])),)),
+                two_node_mixed_spec().nodes[1],
+            )
+        )
+        path = tmp_path / "tiny.json"
+        save_network(spec, str(path))
+        code, out, err = run_cli(
+            capsys, "compare", str(path), "--mode", "mc", "--oracle-mode", "prior",
+            "--samples", "2000", "--seed", "1",
+        )
+        assert code == 0 and err == ""
+
+        def reject(token):
+            raise ValueError(token)
+
+        assert json.loads(out, parse_constant=reject)["pass"]
+
+    def test_non_finite_report_exits_6(self, capsys, monkeypatch, uniform_file):
+        real = cli.mc_uncertainty
+
+        def nan_oracle(*args, **kwargs):
+            report = real(*args, **kwargs)
+            entry = report.entries["B"]
+            report.entries["B"] = dataclasses.replace(entry, mean=entry.mean * np.nan)
+            return report
+
+        monkeypatch.setattr(cli, "mc_uncertainty", nan_oracle)
+        code, out, err = run_cli(
+            capsys, "compare", uniform_file, "--mode", "mc", "--oracle-mode", "prior",
+            "--samples", "200",
+        )
+        assert code == 6
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("NonFiniteResult")
 
     def test_enum_rejects_dirichlet(self, capsys, uniform_file):
         code, _, err = run_cli(capsys, "compare", uniform_file, "--mode", "enum")

@@ -21,7 +21,7 @@ from treebelief import (
 )
 from treebelief.errors import CapExceeded, InconsistentEvidence, PreconditionViolated
 from treebelief.generate import random_tree_spec
-from treebelief.oracle import point_tables
+from treebelief.oracle import _dirichlet_draws, point_tables
 
 
 class TestExactInference:
@@ -167,6 +167,45 @@ class TestMonteCarlo:
         a = mc_uncertainty(two_node_mixed, {}, "prior", n=2000, seed=8)
         b = mc_uncertainty(two_node_mixed, {}, "prior", n=2000, seed=9)
         assert not np.array_equal(a.entries["B"].mean, b.entries["B"].mean)
+
+    def test_tiny_alphas_stay_finite(self):
+        # every gamma of about a quarter of the draws underflows to 0
+        spec = NetworkSpec(
+            (
+                NodeSpec("A", ("a1", "a2"), None, (Dirichlet(np.array([0.001, 0.001])),)),
+                NodeSpec(
+                    "B",
+                    ("b1", "b2"),
+                    "A",
+                    (PointMass(np.array([0.9, 0.1])), PointMass(np.array([0.2, 0.8]))),
+                ),
+            )
+        )
+        net = validate_network(spec)
+        report = mc_uncertainty(net, {}, "prior", n=2000, seed=1)
+        engine = posterior_report(propagate(net, {}))
+        np.testing.assert_allclose(engine["A"].mean, 0.5)
+        np.testing.assert_allclose(engine["A"].variance, 0.25 / 1.002)
+        for node_id, rep in engine.items():
+            entry = report.entries[node_id]
+            for attr in ("mean", "second", "variance"):
+                got, se = getattr(entry, attr), getattr(entry, "se_" + attr)
+                assert np.all(np.isfinite(got)) and np.all(np.isfinite(se))
+                assert np.all(np.abs(got - getattr(rep, attr)) <= 4 * se)
+
+    def test_tiny_alpha_redraw_keeps_other_draws(self):
+        alpha = np.array([0.001, 0.003])
+        draws = _dirichlet_draws(np.random.default_rng(5), alpha, 20_000)
+        gammas = np.random.default_rng(5).gamma(alpha, size=(20_000, 2))
+        sums = gammas.sum(axis=1)
+        kept = sums > 0.0
+        np.testing.assert_array_equal(draws[kept], gammas[kept] / sums[kept, None])
+        redrawn = draws[~kept]
+        assert len(redrawn) > 500
+        assert np.all(np.isfinite(redrawn)) and np.allclose(redrawn.sum(axis=1), 1.0)
+        # normalized draws do not depend on the gamma sum: E[p_1] = 0.25 still
+        se = np.sqrt(0.25 * 0.75 / len(redrawn))
+        assert abs(redrawn[:, 0].mean() - 0.25) < 4 * se
 
     def test_preconditions(self, two_node_mixed):
         with pytest.raises(PreconditionViolated):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import impossible_evidence_spec
+from conftest import impossible_evidence_spec, mixed_trees
 from treebelief import (
     Dirichlet,
     DiscreteSupport,
@@ -20,7 +20,7 @@ from treebelief import (
 from treebelief.errors import InconsistentEvidence
 from treebelief.generate import random_evidence, random_tree_spec
 from treebelief.oracle import point_tables
-from treebelief.propagation import Message, _leave_one_out, _product
+from treebelief.propagation import Message, _siblings
 
 
 class TestInitState:
@@ -61,8 +61,9 @@ def _two_leaf_spec() -> NetworkSpec:
 
 class TestCombineChildren:
     def test_empty_is_unit(self):
-        msg = _product([], 3)
+        msg, others = _siblings([], 3)
         assert np.all(msg.mean == 1.0) and np.all(msg.second == 1.0)
+        assert msg.mean.shape == (3,) and msg.second.shape == (3, 3) and others == []
 
     def test_single_is_identity(self, two_node_mixed):
         state = propagate(two_node_mixed, {"B": 0})
@@ -72,9 +73,11 @@ class TestCombineChildren:
     def test_elementwise_product(self):
         a = Message(np.array([0.9, 0.2]), np.array([[0.85, 0.2], [0.2, 0.1]]))
         b = Message(np.array([0.5, 0.5]), np.array([[0.3, 0.25], [0.25, 0.3]]))
-        out = _product([a, b], 2)
+        out, (not_a, not_b) = _siblings([a, b], 2)
         assert out.mean == pytest.approx([0.45, 0.10])
         assert out.second == pytest.approx(a.second * b.second)
+        np.testing.assert_array_equal(not_a.mean, b.mean)
+        np.testing.assert_array_equal(not_b.second, a.second)
         state = propagate(validate_network(_two_leaf_spec()), {"B": 0, "C": 1})
         b, c = state.upward["B"], state.upward["C"]
         np.testing.assert_array_equal(state.combined["A"].mean, b.mean * c.mean)
@@ -91,8 +94,12 @@ class TestCombineChildren:
     def test_leave_one_out_matches_direct_products(self, raw):
         # zero entries included: the sibling products must not divide
         msgs = [Message(np.array(r[:2]), np.array(r[2:]).reshape(2, 2)) for r in raw]
-        for i, rest in enumerate(_leave_one_out(msgs, 2)):
-            direct = _product(msgs[:i] + msgs[i + 1 :], 2)
+        product, others = _siblings(msgs, 2)
+        assert len(others) == len(msgs)
+        direct = np.prod([m.mean for m in msgs], axis=0)
+        np.testing.assert_allclose(product.mean, direct, rtol=1e-14, atol=0)
+        for i, rest in enumerate(others):
+            direct, _ = _siblings(msgs[:i] + msgs[i + 1 :], 2)
             np.testing.assert_allclose(rest.mean, direct.mean, rtol=1e-14, atol=0)
             np.testing.assert_allclose(rest.second, direct.second, rtol=1e-14, atol=0)
 
@@ -315,3 +322,57 @@ class TestStarSiblings:
             np.testing.assert_allclose(moved[node_id].mean, rep.mean, rtol=0, atol=1e-12)
             np.testing.assert_allclose(moved[node_id].second, rep.second, rtol=0, atol=1e-12)
             np.testing.assert_allclose(moved[node_id].variance, rep.variance, rtol=0, atol=1e-12)
+
+
+def _assert_reports_close(base, moved, rename):
+    assert set(moved) == {rename[node_id] for node_id in base}
+    for node_id, rep in base.items():
+        other = moved[rename[node_id]]
+        for field in ("mean", "second", "variance"):
+            np.testing.assert_allclose(
+                getattr(other, field), getattr(rep, field), rtol=0, atol=1e-12
+            )
+
+
+class TestSiblingOrder:
+    """File order fixes every node's child order, so shuffling it reorders
+    the sibling products of every node; neither that nor renaming the nodes
+    may move a report beyond rounding."""
+
+    @pytest.mark.parametrize("max_observed", [0, 3])
+    @given(mixed_trees(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_shuffled_and_renamed_trees_agree(self, max_observed, spec, data):
+        observed = data.draw(
+            st.lists(
+                st.sampled_from(spec.nodes),
+                min_size=min(1, max_observed),
+                max_size=max_observed,
+                unique_by=lambda ns: ns.id,
+            )
+        )
+        evidence = {
+            ns.id: data.draw(st.integers(0, len(ns.alternatives) - 1)) for ns in observed
+        }
+        base = posterior_report(propagate(validate_network(spec), evidence))
+
+        shuffled = NetworkSpec(tuple(data.draw(st.permutations(spec.nodes))))
+        moved = posterior_report(propagate(validate_network(shuffled), evidence))
+        _assert_reports_close(base, moved, {node_id: node_id for node_id in base})
+
+        names = data.draw(st.permutations(range(len(spec.nodes))))
+        rename = {ns.id: f"r{names[i]}" for i, ns in enumerate(spec.nodes)}
+        renamed = NetworkSpec(
+            tuple(
+                NodeSpec(
+                    rename[ns.id],
+                    ns.alternatives,
+                    None if ns.parent is None else rename[ns.parent],
+                    ns.rows,
+                )
+                for ns in shuffled.nodes
+            )
+        )
+        evidence = {rename[node_id]: alt for node_id, alt in evidence.items()}
+        moved = posterior_report(propagate(validate_network(renamed), evidence))
+        _assert_reports_close(base, moved, rename)
