@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from typing import Dict, List, Optional
 
@@ -146,6 +147,9 @@ def _compare_doc(net, reports, oracle: OracleReport, tol, sigmas):
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    for name, value in (("tol", args.tol), ("sigmas", args.sigmas)):
+        if value is not None and not (math.isfinite(value) and value >= 0.0):
+            raise ParseError(f"--{name} must be a finite number >= 0, not {value!r}")
     net = validate_network(load_network(args.path))
     labels = _parse_evidence_args(args.evidence)
     evidence = _resolve_evidence(net, labels)
@@ -189,6 +193,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_boundcheck(args: argparse.Namespace) -> int:
+    if (args.gen is not None and args.gen < 0) or args.depth < 1:
+        raise ParseError(f"--gen must be >= 0 and --depth >= 1, not {args.gen} and {args.depth}")
     if args.gen is not None:
         spec = random_beta_tree(np.random.default_rng(args.gen), max_depth=args.depth)
     elif args.path is not None:

@@ -9,7 +9,8 @@ and second moments ``E(p_i p_j)``, packaged here as :class:`MomentSet`.
 
 :func:`validate_network` computes those moments once, for all rows with the
 same alternative count together, and checks them in blocks of rows; each
-:class:`ValidatedNode` holds read-only views of its own rows.
+:class:`ValidatedNode` holds read-only views of its own rows.  The rows lie
+in the level order of the :class:`LevelPlan` that it compiles for propagation.
 
 All types are immutable after construction and all operations are pure
 functions, so they are safe to share between threads.
@@ -17,7 +18,7 @@ functions, so they are safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -292,18 +293,112 @@ class ValidatedNode:
         return tuple(map(MomentSet._checked, self.mean_rows, self.second_rows))
 
 
+class LevelPlan(NamedTuple):
+    """The tree compiled once for a level-by-level sweep.
+
+    Nodes with ``k`` alternatives own *slots* ``0..n_k-1``, sorted by depth,
+    row count ``r`` (the parent's ``k``; 1 at the root) and the parent's
+    number of children; ``ids[k]`` lists them.  ``moments[k]`` holds their row
+    moments in slot order, a node's first at ``row_start[k][slot]``.  Non-root
+    nodes with ``r`` rows own *positions* ``0..sib_counts[r]-1`` in which each
+    parent's children are consecutive.  ``slot[id]`` is ``(depth, k, slot, r,
+    position)``.  ``levels[d]`` is ``(groups, runs)``: a group ``(r, k, slots,
+    rows, positions, parents)`` holds the nodes of depth ``d`` with equal
+    ``(r, k)`` and its parents' slots; a run ``(r, m, kids, parents)`` the
+    ``P * m`` positions of the children of ``P`` parents of depth ``d`` with
+    ``r`` alternatives and ``m`` children.  Indices are slices where they
+    count up by one, else read-only arrays; the root's are unused.
+    """
+
+    slot: Dict[str, tuple]
+    ids: Dict[int, List[str]]
+    sib_counts: Dict[int, int]
+    levels: List[tuple]
+    moments: Dict[int, tuple]
+    row_start: Dict[int, np.ndarray]
+
+
+def _index(values: List[int]):
+    """A slice if ``values`` count up by one, else a read-only index array."""
+    first, n = values[0], len(values)
+    if values[-1] - first == n - 1 and values == list(range(first, first + n)):
+        return slice(first, first + n)
+    arr = np.array(values, dtype=np.intp)
+    arr.flags.writeable = False
+    return arr
+
+
+def _runs(order: np.ndarray, *columns):
+    """``columns`` in ``order`` as lists, and each run of equal first three."""
+    columns = np.stack(columns)[:, order]
+    cut = np.flatnonzero(np.any(columns[:3, 1:] != columns[:3, :-1], axis=0)) + 1
+    bounds = [0, *cut.tolist(), len(order)] if len(order) else []
+    return columns.tolist(), zip(bounds, bounds[1:])
+
+
+def _compile(order, by_id, children):
+    """``(slot, ids, row_start, sib_counts, levels)`` of a :class:`LevelPlan`.
+
+    Two stable sorts give the slot and sibling orders; ties keep the
+    depth-first ``order``, which lists each parent's children together.
+    """
+    n = len(order)
+    index = {c: i for i, c in enumerate(order)}
+    above = [0] + [index[by_id[c].parent] for c in order[1:]]
+    depth = [0] * n
+    for i in range(1, n):
+        depth[i] = depth[above[i]] + 1
+    above, depth = np.array(above), np.array(depth)
+    k = np.array([len(by_id[c].alternatives) for c in order])
+    r, m = k[above], np.array([len(children[c]) for c in order])[above]
+    r[0] = 1
+    plan = np.lexsort((m, k, r, depth))
+    sib = np.lexsort((m, r, depth))[1:]  # the root sorts first and has no siblings
+    slot, pos, first_row = np.empty(n, np.intp), np.zeros(n, np.intp), np.empty(n, np.intp)
+    ids, row_start, sib_counts = {}, {}, {}
+    for kv in sorted(set(k.tolist())):
+        members = plan[k[plan] == kv]
+        slot[members] = np.arange(len(members))
+        ids[kv] = [order[i] for i in members.tolist()]
+        first_row[members] = row_start[kv] = np.cumsum(r[members]) - r[members]
+        row_start[kv].flags.writeable = False
+    for rv in sorted(set(r[sib].tolist())):
+        members = sib[r[sib] == rv]
+        pos[members] = np.arange(len(members))
+        sib_counts[rv] = len(members)
+
+    levels = [([], []) for _ in range(int(depth.max()) + 1)]
+    (d, rr, kk, s, ro, p, ps), runs = _runs(plan, depth, r, k, slot, first_row, pos, slot[above])
+    for a, b in runs:
+        g = b - a
+        if g == 1:
+            pos_ab, parents = slice(p[a], p[a] + 1), slice(ps[a], ps[a] + 1)
+        else:
+            pos_ab, parents = _index(p[a:b]), _index(ps[a:b])
+        span = slice(s[a], s[a] + g), slice(ro[a], ro[a] + rr[a] * g)
+        levels[d[a]][0].append((rr[a], kk[a], *span, pos_ab, parents))
+    (d, rr, mm, p, ps), runs = _runs(sib, depth, r, m, pos, slot[above])
+    for a, b in runs:
+        parents = slice(ps[a], ps[a] + 1) if b - a == mm[a] else _index(ps[a:b:mm[a]])
+        levels[d[a] - 1][1].append((rr[a], mm[a], slice(p[a], p[a] + b - a), parents))
+    slot = dict(zip(order, zip(depth.tolist(), k.tolist(), slot.tolist(), r.tolist(), pos.tolist())))
+    return slot, ids, row_start, sib_counts, levels
+
+
 class ValidatedNetwork:
     """A structurally checked network with parent/child adjacency resolved.
 
-    ``order`` lists node ids with every parent before its children.
+    ``order`` lists node ids with every parent before its children; ``plan``
+    is the :class:`LevelPlan` that propagation sweeps.
     """
 
-    __slots__ = ("nodes", "order", "root")
+    __slots__ = ("nodes", "order", "root", "plan")
 
-    def __init__(self, nodes: Mapping[str, ValidatedNode], order, root: str):
+    def __init__(self, nodes: Mapping[str, ValidatedNode], order, root: str, plan: LevelPlan):
         self.nodes = dict(nodes)
         self.order = tuple(order)
         self.root = root
+        self.plan = plan
 
     def node(self, node_id: str) -> ValidatedNode:
         try:
@@ -332,32 +427,14 @@ class ValidatedNetwork:
 _CHECK_ROWS = 1024
 
 
-def _first_bad_node(members, offsets, lo: int, hi: int, row_views):
-    """``(file position, error)`` of the first node with a row in ``[lo, hi)``
-    that fails :func:`_check_moments` on its own rows.
-
-    Every invariant holds or fails row by row, so a failing block always
-    holds such a node, and checking that node alone reports the first
-    invariant it breaks.
-    """
-    first = int(np.searchsorted(offsets, lo, side="right")) - 1
-    for (pos, ns), start in zip(members[first:], offsets[first:]):
-        if start >= hi:
-            break
-        try:
-            _check_moments(*row_views[ns.id], f"node {ns.id!r}")
-        except BadDistribution as exc:
-            return pos, exc
-
-
 def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     """Check every structural invariant of ``spec`` and resolve adjacency.
 
     Structure and dimensions are checked first.  Then the row moments are
     computed per alternative count ``k``, in one vectorized pass over all
-    rows of that ``k`` (:func:`_row_moments`), and checked against the
-    :func:`_check_moments` invariants in blocks of :data:`_CHECK_ROWS`
-    rows.  Each node keeps read-only views of its rows in those arrays.
+    rows of that ``k`` in :class:`LevelPlan` order (:func:`_row_moments`), and
+    checked against the :func:`_check_moments` invariants in blocks of
+    :data:`_CHECK_ROWS` rows.  Each node keeps read-only views of its rows.
 
     Raises :class:`CycleDetected`, :class:`MultipleRoots`,
     :class:`DimensionMismatch` or :class:`BadDistribution`, always naming the
@@ -403,8 +480,7 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
             cur = by_id[cur].parent
         settled.update(chain)
 
-    groups = {}  # alternative count -> [(file position, node spec)]
-    for pos, ns in enumerate(spec.nodes):
+    for ns in spec.nodes:
         k = len(ns.alternatives)
         if k < 2:
             raise InvalidNetwork(f"node {ns.id!r}: at least two alternatives required")
@@ -426,31 +502,6 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
                     f"node {ns.id!r}, row {j}: distribution dimension {dist.dim} "
                     f"!= {k} alternatives"
                 )
-        groups.setdefault(k, []).append((pos, ns))
-
-    row_views = {}
-    failures = []  # (file position, error) of the first bad node in each group
-    for k, members in groups.items():
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the check below
-            mean, second = _row_moments([d for _, ns in members for d in ns.rows], k)
-        mean.flags.writeable = False
-        second.flags.writeable = False
-        offsets = np.cumsum([0] + [len(ns.rows) for _, ns in members])
-        for (_, ns), lo, hi in zip(members, offsets[:-1], offsets[1:]):
-            row_views[ns.id] = mean[lo:hi], second[lo:hi]
-        for lo in range(0, len(mean), _CHECK_ROWS):
-            hi = lo + _CHECK_ROWS
-            try:
-                _check_moments(mean[lo:hi], second[lo:hi], f"rows {lo}-{hi} of k={k}")
-            except BadDistribution:
-                failures.append(_first_bad_node(members, offsets, lo, hi, row_views))
-                break
-    if failures:
-        raise min(failures, key=lambda f: f[0])[1]
-
-    validated = {
-        ns.id: ValidatedNode(ns, children[ns.id], *row_views[ns.id]) for ns in spec.nodes
-    }
 
     order = []
     stack = [root]
@@ -458,7 +509,33 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
         cur = stack.pop()
         order.append(cur)
         stack.extend(reversed(children[cur]))
-    return ValidatedNetwork(validated, order, root)
+    slot, ids, row_start, sib_counts, levels = _compile(order, by_id, children)
+
+    row_views, moments, failed = {}, {}, False
+    for k, members in ids.items():
+        members = [by_id[c] for c in members]
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the check below
+            mean, second = _row_moments([d for ns in members for d in ns.rows], k)
+        mean.flags.writeable = second.flags.writeable = False
+        moments[k] = mean, second
+        for ns, lo in zip(members, row_start[k].tolist()):
+            row_views[ns.id] = mean[lo : lo + len(ns.rows)], second[lo : lo + len(ns.rows)]
+        for lo in range(0, len(mean), _CHECK_ROWS):
+            try:
+                _check_moments(mean[lo : lo + _CHECK_ROWS], second[lo : lo + _CHECK_ROWS], "rows")
+            except BadDistribution:
+                failed = True
+                break
+    if failed:  # invariants hold row by row, so some node fails its own check
+        for ns in spec.nodes:
+            _check_moments(*row_views[ns.id], f"node {ns.id!r}")
+
+    validated = {
+        ns.id: ValidatedNode(ns, children[ns.id], *row_views[ns.id]) for ns in spec.nodes
+    }
+
+    plan = LevelPlan(slot, ids, sib_counts, levels, moments, row_start)
+    return ValidatedNetwork(validated, order, root, plan)
 
 
 def check_evidence(net: ValidatedNetwork, evidence: Mapping[str, int]) -> None:

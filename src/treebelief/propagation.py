@@ -1,17 +1,13 @@
 """Message passing that carries second moments alongside probabilities.
 
-Inference is one collect-then-distribute sweep over ``net.order`` and costs
-time linear in the number of nodes.  The upward (collect) phase sends each
-node's parent a child message: the expected likelihood of the evidence in
-that subtree per receiving alternative, together with the full matrix of
-second moments of those likelihoods.  The downward (distribute) phase sends
-each node a parent message: the node's distribution conditioned on all
-evidence *not* below it, again with second moments.  A query combines both
-at a node and normalizes by the mean evidence probability.
-
-Messages are internal: a :class:`Message` is a plain ``(mean, second)`` pair
-of arrays.  The row moments they are built from were checked once by
-:func:`~treebelief.model.validate_network`, so no message is checked again.
+Inference is one collect-then-distribute sweep and costs time linear in the
+number of nodes.  The upward (collect) phase sends each node's parent a child
+message: the expected likelihood of the evidence in that subtree per
+receiving alternative, together with the full matrix of second moments of
+those likelihoods.  The downward (distribute) phase sends each node a parent
+message: the node's distribution conditioned on all evidence *not* below it,
+again with second moments.  A query combines both at a node and normalizes by
+the mean evidence probability.
 
 Two structural facts make the recurrences exact products and sums:
 
@@ -22,41 +18,32 @@ Two structural facts make the recurrences exact products and sums:
   children combine by elementwise products of means and of second-moment
   matrices.
 
-Four helpers carry the recurrences.  :func:`_siblings` forms each node's
-product of child messages and every leave-one-out product, once per sweep.
-:func:`_child_to_parent` pushes evidence up through a node's rows; an
-instantiated node sends the indicator of its observed alternative, so
-subtree evidence below it never enters.  :func:`_condition` conditions a
-distribution on evidence; :func:`_parent_to_child` and :func:`query_node`
-both use it.  Children of an instantiated node receive the observed row's
-moments directly.  Normalizing denominators are always sums of *mean*
-values; as a consequence posterior second moments are approximations
-(exact for means and for all prior queries) and a reported variance can fall
-a hair below zero, which :func:`query_node` clamps and flags.
+Within one depth these products are independent, so the sweep runs level by
+level over the :class:`~treebelief.model.LevelPlan` compiled at validation,
+one batched ``matmul``/``einsum`` per level group.  Sibling products are
+segmented cumulative products (:func:`_segment_products`).  Evidence swaps
+rows in: an instantiated node's combined message is the indicator of its
+observed alternative, and its children receive the observed row's moments.
+Each product adds the same terms in the same order as a node-by-node sweep;
+only the order in which levels and nodes are visited changed.
+
+Normalizing denominators are always sums of *mean* values; as a consequence
+posterior second moments are approximations (exact for means and for all
+prior queries) and a reported variance can fall a hair below zero, which the
+report clamps and flags.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InconsistentEvidence, NegativeVariance
-from .model import ValidatedNetwork, ValidatedNode, check_evidence
+from .model import ValidatedNetwork, check_evidence
 
 #: Reported variances below this are a hard error instead of a clamp.
 VARIANCE_FLOOR = -1e-9
-
-
-class Message(NamedTuple):
-    """Means ``(k,)`` and second moments ``(k, k)`` of one message.
-
-    A child message holds subtree-evidence likelihoods, with no sum-to-one
-    constraint; a parent message holds a distribution whose means sum to 1.
-    """
-
-    mean: np.ndarray
-    second: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -70,187 +57,214 @@ class NodeReport:
     clamped: bool = False
 
 
-@dataclass
 class MessageState:
-    """All messages of one propagation run over an immutable network.
+    """All messages of one propagation run, ``(mean, second)`` arrays stacked
+    in :class:`~treebelief.model.LevelPlan` order; the methods read one node's.
 
-    ``combined`` holds each uninstantiated node's product of child messages,
-    ``upward`` each non-root node's message to its parent, and ``parent``
-    the message each uninstantiated node (and the root) receives from above.
     A state is confined to one query thread; distinct queries on the same
     network may run concurrently with separate states.
     """
 
-    net: ValidatedNetwork
-    evidence: Dict[str, int]
-    combined: Dict[str, Message] = field(default_factory=dict)
-    upward: Dict[str, Message] = field(default_factory=dict)
-    parent: Dict[str, Message] = field(default_factory=dict)
+    __slots__ = ("net", "evidence", "_combined", "_parent", "_upward", "_others")
+
+    def __init__(self, net: ValidatedNetwork, evidence: Mapping[str, int]):
+        self.net, self.evidence = net, dict(evidence)
+        stack = lambda counts, fill: {k: (fill((n, k)), fill((n, k, k))) for k, n in counts.items()}
+        counts, sib = {k: len(ids) for k, ids in net.plan.ids.items()}, net.plan.sib_counts
+        self._combined, self._parent = stack(counts, np.ones), stack(counts, np.empty)
+        self._upward, self._others = stack(sib, np.empty), stack(sib, np.empty)
+
+    def combined(self, node_id: str) -> Tuple[np.ndarray, np.ndarray]:
+        """The product of a node's child messages (if instantiated, its indicator)."""
+        _, k, i, _, _ = self.net.plan.slot[node_id]
+        return self._combined[k][0][i], self._combined[k][1][i]
+
+    def upward(self, node_id: str) -> Tuple[np.ndarray, np.ndarray]:
+        """A non-root node's message to its parent (``KeyError`` at the root)."""
+        _, _, _, r, pos = self.net.plan.slot[node_id]
+        return self._upward[r][0][pos], self._upward[r][1][pos]
+
+    def parent(self, node_id: str) -> Tuple[np.ndarray, np.ndarray]:
+        """The message an uninstantiated node (or the root) receives from above."""
+        _, k, i, _, _ = self.net.plan.slot[node_id]
+        return self._parent[k][0][i], self._parent[k][1][i]
 
 
-def _siblings(messages: Sequence[Message], dim: int) -> Tuple[Message, List[Message]]:
-    """The product of sibling messages, and for each the product of the others.
+def _segment_products(x: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Each segment's product of the ``m`` messages in ``x[p]``, ``x`` shaped
+    ``(P, m, ...)``; ``others[p, i]`` gets the product of the other ``m - 1``.
 
-    Means multiply elementwise and second-moment matrices entry by entry; the
-    empty product is the unit message (vacuous evidence).  Prefix products
-    end in the full product, and prefix times suffix leaves one out: linear
-    in the number of siblings and free of division, which a zero would break.
+    The empty product is the unit message.  Forward and reversed cumulative
+    products end in the full product, and prefix times suffix leaves one out,
+    free of division, which a zero would break.
     """
-    prefix = [Message(np.ones(dim), np.ones((dim, dim)))]
-    for mean, second in messages:
-        last = prefix[-1]
-        prefix.append(Message(last.mean * mean, last.second * second))
-    others: List[Message] = [None] * len(messages)
-    suffix = prefix[0]
-    for i in range(len(messages) - 1, -1, -1):
-        others[i] = Message(prefix[i].mean * suffix.mean, prefix[i].second * suffix.second)
-        suffix = Message(messages[i].mean * suffix.mean, messages[i].second * suffix.second)
-    return prefix[-1], others
+    m = x.shape[1]
+    if m < 2:
+        others[...] = 1.0
+        return x[:, 0] if m else np.ones(x.shape[:1] + x.shape[2:])
+    prefix = np.cumprod(x, axis=1)
+    suffix = np.cumprod(x[:, ::-1], axis=1)[:, ::-1]
+    others[:, 0] = suffix[:, 1]
+    others[:, -1] = prefix[:, -2]
+    np.multiply(prefix[:, :-2], suffix[:, 2:], out=others[:, 1:-1])
+    return prefix[:, -1]
 
 
-def _child_to_parent(node: ValidatedNode, combined: Message) -> Message:
-    """Turn a child's evidence message into its upward message.
-
-    With evidence message ``(lam, Lam)`` and row means
-    ``C[i, k] = E(p(g_k | f_i))``::
-
-        mean[i]      = sum_k lam[k] C[i, k]
-        second[i, j] = sum_{k, r} Lam[k, r] * Phi(k, i, r, j)
-
-    where ``Phi`` is the row-``i`` second moment ``E(p(g_k|f_i) p(g_r|f_i))``
-    on the diagonal ``i == j`` and the product ``C[i, k] C[j, r]`` otherwise
-    (distinct rows are independent).  An uninstantiated child passes its
-    combined child messages; an instantiated one passes the indicator of its
-    observed alternative, which picks out the observed column exactly.
-    """
-    mean_rows = node.mean_rows
-    lam, lam2 = combined
-    mean = mean_rows @ lam
-    second = mean_rows @ lam2 @ mean_rows.T
-    np.fill_diagonal(second, np.einsum("kr,ikr->i", lam2, node.second_rows))
-    return Message(mean, second)
-
-
-def _condition(evidence: Message, prior: Message, where: str) -> Message:
-    """Condition a node's distribution ``(q, T)`` on evidence ``(m, S)``::
-
-        D          = sum_j m[j] q[j]
-        q'[j]      = m[j] q[j] / D
-        T'[j, k]   = S[j, k] T[j, k] / D**2
-
-    The denominator uses means only; ``D == 0`` means the evidence is
-    impossible on average and raises :class:`InconsistentEvidence`.
-    """
-    m, s = evidence
-    q, t = prior
-    denom = float(m @ q)
-    if denom == 0.0:
-        raise InconsistentEvidence(f"evidence {where} has zero mean probability")
-    return Message(m * q / denom, s * t / (denom * denom))
-
-
-def _parent_to_child(
-    parent: str, child: ValidatedNode, parent_msg: Message, others: Message
-) -> Message:
-    """The message an uninstantiated parent sends to one child.
-
-    The parent's own message is first conditioned (:func:`_condition`) on
-    the evidence reaching the parent through its *other* children, giving
-    ``(q', T')``, and then pushed through the child's conditional rows with
-    the same row-independence structure as :func:`_child_to_parent`::
-
-        mean[i]      = sum_j C[j, i] q'[j]
-        second[i, l] = sum_{j != k} T'[j, k] C[j, i] C[k, l]
-                       + sum_j T'[j, j] M_j[i, l]
-
-    where ``M_j`` is row ``j``'s second-moment matrix.
-    """
-    q2, t2 = _condition(others, parent_msg, f"reaching {child.id!r} through {parent!r}")
-    mean_rows = child.mean_rows
-    out_mean = q2 @ mean_rows
-    diag = np.diag(t2)
-    out_second = (
-        mean_rows.T @ t2 @ mean_rows
-        + np.einsum("j,jab->ab", diag, child.second_rows)
-        - mean_rows.T @ (diag[:, None] * mean_rows)
-    )
-    return Message(out_mean, out_second)
+def _evidence_swaps(state: MessageState):
+    """Per depth and ``k``, ``(slot, alternative)`` of each instantiated node
+    and ``(slot, row)`` of each of their children, ``row`` in the moments."""
+    plan, seen, below = state.net.plan, {}, {}
+    for node_id, alt in state.evidence.items():
+        d, k, i, _, _ = plan.slot[node_id]
+        seen.setdefault(d, {}).setdefault(k, []).append((i, alt))
+        for c in state.net.nodes[node_id].children:
+            _, kc, ic, _, _ = plan.slot[c]
+            below.setdefault(d + 1, {}).setdefault(kc, []).append((ic, plan.row_start[kc][ic] + alt))
+    return seen, below
 
 
 def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageState:
     """Run a full collect/distribute sweep and return the resulting state.
 
-    The upward pass runs in reverse topological order and keeps each node's
-    leave-one-out products for the downward pass, which runs in topological
-    order from the root's own row moments.  Each call recomputes from
-    scratch, so repeated calls with the same arguments are identical.
+    Upward, from the deepest level to the root, a group with combined
+    messages ``(lam, Lam)`` and row means ``C[i, k] = E(p(g_k | f_i))`` sends::
+
+        mean[i]      = sum_k lam[k] C[i, k]
+        second[i, j] = sum_{k, r} Lam[k, r] C[i, k] C[j, r]   (i != j)
+        second[i, i] = sum_{k, r} Lam[k, r] E(p(g_k|f_i) p(g_r|f_i))
+
+    Downward, from the root's own row moments, each parent message ``(q, T)``
+    is conditioned on the product ``(m, S)`` of the other children's messages
+    and pushed through the child's rows, ``M_j`` row ``j``'s second moments::
+
+        D = sum_j m[j] q[j],   q' = m q / D,   T' = S T / D**2
+        mean[i]      = sum_j C[j, i] q'[j]
+        second[i, l] = sum_{j != k} T'[j, k] C[j, i] C[k, l] + sum_j T'[j, j] M_j[i, l]
+
+    ``D == 0`` means the evidence is impossible on average and raises
+    :class:`InconsistentEvidence`.
     """
     check_evidence(net, evidence)
-    state = MessageState(net, dict(evidence))
-    nodes, upward, down = net.nodes, state.upward, state.parent
-    others: Dict[str, List[Message]] = {}
+    state = MessageState(net, evidence)
+    plan = net.plan
+    combined, down, up, others = state._combined, state._parent, state._upward, state._others
+    seen, below_seen = _evidence_swaps(state)
 
-    for node_id in reversed(net.order):
-        node = nodes[node_id]
-        if node_id in evidence:
-            if node.parent is not None:
-                seen = np.eye(node.dim)[evidence[node_id]]
-                upward[node_id] = _child_to_parent(node, Message(seen, np.outer(seen, seen)))
-            continue
-        combined, others[node_id] = _siblings([upward[c] for c in node.children], node.dim)
-        state.combined[node_id] = combined
-        if node.parent is not None:
-            upward[node_id] = _child_to_parent(node, combined)
+    for depth in range(len(plan.levels) - 1, -1, -1):
+        groups, runs = plan.levels[depth]
+        for r, m, kids, parents in runs:
+            p = (kids.stop - kids.start) // m
+            for j, shape in ((0, (p, m, r)), (1, (p, m, r, r))):
+                combined[r][j][parents] = _segment_products(
+                    up[r][j][kids].reshape(shape), others[r][j][kids].reshape(shape)
+                )
+        for k, pairs in seen.get(depth, {}).items():
+            slots, alts = map(list, zip(*pairs))
+            indicators = np.eye(k)[alts]
+            combined[k][0][slots] = indicators
+            combined[k][1][slots] = indicators[:, :, None] * indicators[:, None, :]
+        for r, k, slots, rows, pos, _ in groups if depth else ():
+            g = slots.stop - slots.start
+            mean_rows = plan.moments[k][0][rows].reshape(g, r, k)
+            lam, lam2 = combined[k][0][slots], combined[k][1][slots]
+            second = mean_rows @ lam2 @ mean_rows.transpose(0, 2, 1)
+            second.reshape(g, r * r)[:, :: r + 1] = np.einsum(
+                "gkr,gikr->gi", lam2, plan.moments[k][1][rows].reshape(g, r, k, k)
+            )
+            up[r][0][pos] = (mean_rows @ lam[:, :, None])[:, :, 0]
+            up[r][1][pos] = second
 
-    root = nodes[net.root]
-    down[net.root] = Message(root.mean_rows[0], root.second_rows[0])
-    for node_id in net.order:
-        node = nodes[node_id]
-        if node_id in evidence:
-            alt = evidence[node_id]
-            for c in node.children:
-                if c not in evidence:
-                    child = nodes[c]
-                    down[c] = Message(child.mean_rows[alt], child.second_rows[alt])
-        else:
-            for c, rest in zip(node.children, others[node_id]):
-                if c not in evidence:
-                    down[c] = _parent_to_child(node_id, nodes[c], down[node_id], rest)
+    _, k, i, _, _ = plan.slot[net.root]
+    down[k][0][i], down[k][1][i] = plan.moments[k][0][0], plan.moments[k][1][0]
+    for depth in range(1, len(plan.levels)):
+        for r, k, slots, rows, pos, parents in plan.levels[depth][0]:
+            q, t = down[r][0][parents], down[r][1][parents]
+            m, s = others[r][0][pos], others[r][1][pos]
+            denom = (m[:, None, :] @ q[:, :, None])[:, 0, 0]
+            if not denom.all():
+                for j in np.flatnonzero(denom == 0.0):
+                    node_id = plan.ids[k][slots.start + j]
+                    parent = net.nodes[node_id].parent
+                    if node_id not in evidence and parent not in evidence:
+                        raise InconsistentEvidence(f"evidence reaching {node_id!r} through "
+                                                   f"{parent!r} has zero mean probability")
+                    denom[j] = 1.0  # evidence swaps this message out, or nothing reads it
+            q2 = m * q / denom[:, None]
+            t2 = s * t / (denom * denom)[:, None, None]
+            g = slots.stop - slots.start
+            mean_rows = plan.moments[k][0][rows].reshape(g, r, k)
+            to_child, diag = mean_rows.transpose(0, 2, 1), t2.diagonal(0, 1, 2)
+            down[k][0][slots] = (q2[:, None, :] @ mean_rows)[:, 0]
+            down[k][1][slots] = (
+                to_child @ t2 @ mean_rows
+                + np.einsum("gj,gjab->gab", diag, plan.moments[k][1][rows].reshape(g, r, k, k))
+                - to_child @ (diag[:, :, None] * mean_rows)
+            )
+        for k, pairs in below_seen.get(depth, {}).items():
+            slots, rows = map(list, zip(*pairs))
+            down[k][0][slots], down[k][1][slots] = plan.moments[k][0][rows], plan.moments[k][1][rows]
     return state
+
+
+def _reports(state: MessageState, ids: Sequence[str]) -> Dict[str, NodeReport]:
+    """Condition each node's parent message ``(q, T)`` on its combined child
+    message ``(m, S)``, per alternative count: ``D = sum_j m[j] q[j]``,
+    ``mean = m q / D`` and ``second = diag(S) diag(T) / D**2``.  Of the nodes
+    with a zero ``D`` or a variance below ``VARIANCE_FLOOR``, the first raises.
+    """
+    plan, evidence = state.net.plan, state.evidence
+    picks, kinds = {}, []  # k -> (slots, positions in ids)
+    for n, node_id in enumerate(ids):
+        if node_id not in plan.slot:
+            state.net.node(node_id)  # raises UnknownNode
+        _, k, i, _, _ = plan.slot[node_id]
+        slots, where = picks.setdefault(k, ([], []))
+        slots.append(i)
+        where.append(n)
+        kinds.append(k)
+
+    rows, failures = {}, []
+    for k, (slots, where) in picks.items():
+        (m, s), (q, t) = state._combined[k], state._parent[k]
+        m, q, s, t = m[slots], q[slots], s.diagonal(0, 1, 2)[slots], t.diagonal(0, 1, 2)[slots]
+        hit = [j for j, n in enumerate(where) if ids[n] in evidence]
+        denom = (m[:, None, :] @ q[:, :, None])[:, 0, 0]
+        zero = denom == 0.0
+        zero[hit] = False
+        denom[zero] = denom[hit] = 1.0
+        mean = m * q / denom[:, None]
+        second = s * t / (denom * denom)[:, None]
+        variance = second - mean**2
+        mean[hit] = second[hit] = np.eye(k)[[evidence[ids[where[j]]] for j in hit]]
+        variance[hit] = 0.0
+        low = variance.min(axis=1)
+        bad = np.flatnonzero(zero | (low < VARIANCE_FLOOR))
+        if bad.size:
+            failures.append((where[bad[0]], bool(zero[bad[0]]), float(low[bad[0]])))
+        rows[k] = iter(zip(mean, second, np.maximum(variance, 0.0), (low < 0.0).tolist()))
+    if failures:
+        n, zero, low = min(failures)
+        if zero:
+            raise InconsistentEvidence(f"evidence at node {ids[n]!r} has zero mean probability")
+        raise NegativeVariance(f"node {ids[n]!r}: variance {low} below {VARIANCE_FLOOR}")
+    return {node_id: NodeReport(node_id, *next(rows[k])) for node_id, k in zip(ids, kinds)}
 
 
 def query_node(node_id: str, state: MessageState) -> NodeReport:
     """Read one node's inferred probabilities, second moments and variances.
 
-    The report is the diagonal of the parent message conditioned on the
-    combined child message (:func:`_condition`).  Means are exact; second
-    moments inherit the mean-denominator approximation.  Variances are
-    clamped at zero (and the report flagged) when rounding pushes them
-    slightly negative; anything below ``VARIANCE_FLOOR`` raises
-    :class:`NegativeVariance`.  An instantiated node reports probability one
-    at its observed alternative with zero variance.
+    The parent message conditioned on the combined child message, by the
+    code of :func:`posterior_report`.  Means are exact; second moments inherit
+    the mean-denominator approximation.  Variances are clamped at zero (and
+    the report flagged) when rounding pushes them slightly negative; anything
+    below ``VARIANCE_FLOOR`` raises :class:`NegativeVariance`.  An
+    instantiated node reports its observed alternative with zero variance.
     """
-    node = state.net.node(node_id)
-    k = node.dim
-    if node_id in state.evidence:
-        mean = np.zeros(k)
-        mean[state.evidence[node_id]] = 1.0
-        return NodeReport(node_id, mean, mean.copy(), np.zeros(k))
-    mean, second = _condition(
-        state.combined[node_id], state.parent[node_id], f"at node {node_id!r}"
-    )
-    second = second.diagonal().copy()
-    variance = second - mean**2
-    low = float(variance.min())
-    if low < VARIANCE_FLOOR:
-        raise NegativeVariance(f"node {node_id!r}: variance {low} below {VARIANCE_FLOOR}")
-    clamped = low < 0.0
-    return NodeReport(node_id, mean, second, np.maximum(variance, 0.0), clamped)
+    return _reports(state, [node_id])[node_id]
 
 
 def posterior_report(
     state: MessageState, nodes: Optional[Sequence[str]] = None
 ) -> Dict[str, NodeReport]:
-    """Query several nodes (all of them by default) from one propagated state."""
-    ids = list(nodes) if nodes is not None else list(state.net.order)
-    return {node_id: query_node(node_id, state) for node_id in ids}
+    """Query several nodes (all by default), one pass per alternative count."""
+    return _reports(state, list(nodes) if nodes is not None else list(state.net.order))

@@ -431,3 +431,34 @@ class TestBoundcheckCommand:
     def test_needs_input(self, capsys):
         code, _, err = run_cli(capsys, "boundcheck")
         assert code == 2
+
+
+class TestArgumentRanges:
+    """Arguments that argparse's ``type=float``/``int`` accepts but the
+    commands cannot use exit 2 with empty stdout and one stderr line, as a
+    malformed ``--evidence`` does."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compare", "{net}", "--tol", "nan"],
+            ["compare", "{net}", "--tol", "inf"],
+            ["compare", "{net}", "--tol", "-1"],
+            ["compare", "{net}", "--mode", "mc", "--samples", "50", "--sigmas", "nan"],
+            ["compare", "{net}", "--mode", "mc", "--samples", "50", "--sigmas", "inf"],
+            ["compare", "{net}", "--mode", "mc", "--samples", "50", "--sigmas", "-1"],
+            ["boundcheck", "--gen", "-1"],
+            ["boundcheck", "--gen", "1", "--depth", "-3"],
+            ["boundcheck", "--gen", "1", "--depth", "0"],
+        ],
+    )
+    def test_out_of_range_arguments_exit_2(self, capsys, two_node_file, argv):
+        code, out, err = run_cli(capsys, *(a.format(net=two_node_file) for a in argv))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("ParseError: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["--tol", "0"], ["--mode", "mc", "--sigmas", "0"]])
+    def test_zero_is_in_range(self, capsys, two_node_file, argv):
+        code, out, _ = run_cli(capsys, "compare", two_node_file, "--samples", "50", *argv)
+        assert code in (0, 4) and json.loads(out)["nodes"]

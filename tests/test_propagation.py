@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import impossible_evidence_spec, mixed_trees
+from conftest import ROW_KINDS, impossible_evidence_spec, mixed_trees, random_row
 from treebelief import (
     Dirichlet,
     DiscreteSupport,
@@ -20,22 +20,23 @@ from treebelief import (
 from treebelief.errors import InconsistentEvidence
 from treebelief.generate import random_evidence, random_tree_spec
 from treebelief.oracle import point_tables
-from treebelief.propagation import Message, _siblings
+from treebelief.propagation import _segment_products
 
 
 class TestInitState:
     def test_root_message_is_root_moments(self, two_node_mixed):
         state = propagate(two_node_mixed, {})
         root = two_node_mixed.nodes["A"].row_moments[0]
-        np.testing.assert_array_equal(state.parent["A"].mean, root.mean)
-        np.testing.assert_array_equal(state.parent["A"].second, root.second)
+        mean, second = state.parent("A")
+        np.testing.assert_array_equal(mean, root.mean)
+        np.testing.assert_array_equal(second, root.second)
 
     def test_child_slots_are_unit(self, two_node_mixed):
         state = propagate(two_node_mixed, {})
         for node_id in two_node_mixed.order:
             if not two_node_mixed.nodes[node_id].children:
-                assert np.all(state.combined[node_id].mean == 1.0)
-                assert np.all(state.combined[node_id].second == 1.0)
+                mean, second = state.combined(node_id)
+                assert np.all(mean == 1.0) and np.all(second == 1.0)
 
     def test_single_node_flat_root(self):
         spec = NetworkSpec(
@@ -59,29 +60,45 @@ def _two_leaf_spec() -> NetworkSpec:
     )
 
 
+def _siblings(messages, dim):
+    """``_segment_products`` on one segment of ``(mean, second)`` messages:
+    the product and, for each message, the product of the others."""
+    out = []
+    for j, shape in ((0, (dim,)), (1, (dim, dim))):
+        x = np.array([msg[j] for msg in messages]).reshape((1, len(messages)) + shape)
+        others = np.empty_like(x)
+        out.append((_segment_products(x, others)[0], others[0]))
+    (mean, rest_mean), (second, rest_second) = out
+    return (mean, second), list(zip(rest_mean, rest_second))
+
+
 class TestCombineChildren:
     def test_empty_is_unit(self):
-        msg, others = _siblings([], 3)
-        assert np.all(msg.mean == 1.0) and np.all(msg.second == 1.0)
-        assert msg.mean.shape == (3,) and msg.second.shape == (3, 3) and others == []
+        (mean, second), others = _siblings([], 3)
+        assert np.all(mean == 1.0) and np.all(second == 1.0)
+        assert mean.shape == (3,) and second.shape == (3, 3) and others == []
 
     def test_single_is_identity(self, two_node_mixed):
         state = propagate(two_node_mixed, {"B": 0})
-        np.testing.assert_array_equal(state.combined["A"].mean, state.upward["B"].mean)
-        np.testing.assert_array_equal(state.combined["A"].second, state.upward["B"].second)
+        for got, sent in zip(state.combined("A"), state.upward("B")):
+            np.testing.assert_array_equal(got, sent)
+        (mean, second), [(rest_mean, rest_second)] = _siblings([state.upward("B")], 2)
+        np.testing.assert_array_equal(mean, state.upward("B")[0])
+        assert np.all(rest_mean == 1.0) and np.all(rest_second == 1.0)
 
     def test_elementwise_product(self):
-        a = Message(np.array([0.9, 0.2]), np.array([[0.85, 0.2], [0.2, 0.1]]))
-        b = Message(np.array([0.5, 0.5]), np.array([[0.3, 0.25], [0.25, 0.3]]))
-        out, (not_a, not_b) = _siblings([a, b], 2)
-        assert out.mean == pytest.approx([0.45, 0.10])
-        assert out.second == pytest.approx(a.second * b.second)
-        np.testing.assert_array_equal(not_a.mean, b.mean)
-        np.testing.assert_array_equal(not_b.second, a.second)
+        a = (np.array([0.9, 0.2]), np.array([[0.85, 0.2], [0.2, 0.1]]))
+        b = (np.array([0.5, 0.5]), np.array([[0.3, 0.25], [0.25, 0.3]]))
+        (mean, second), (not_a, not_b) = _siblings([a, b], 2)
+        assert mean == pytest.approx([0.45, 0.10])
+        assert second == pytest.approx(a[1] * b[1])
+        np.testing.assert_array_equal(not_a[0], b[0])
+        np.testing.assert_array_equal(not_b[1], a[1])
         state = propagate(validate_network(_two_leaf_spec()), {"B": 0, "C": 1})
-        b, c = state.upward["B"], state.upward["C"]
-        np.testing.assert_array_equal(state.combined["A"].mean, b.mean * c.mean)
-        np.testing.assert_array_equal(state.combined["A"].second, b.second * c.second)
+        (b_mean, b_second), (c_mean, c_second) = state.upward("B"), state.upward("C")
+        mean, second = state.combined("A")
+        np.testing.assert_array_equal(mean, b_mean * c_mean)
+        np.testing.assert_array_equal(second, b_second * c_second)
 
     @given(
         st.lists(
@@ -93,22 +110,34 @@ class TestCombineChildren:
     @settings(max_examples=100, deadline=None)
     def test_leave_one_out_matches_direct_products(self, raw):
         # zero entries included: the sibling products must not divide
-        msgs = [Message(np.array(r[:2]), np.array(r[2:]).reshape(2, 2)) for r in raw]
-        product, others = _siblings(msgs, 2)
+        msgs = [(np.array(r[:2]), np.array(r[2:]).reshape(2, 2)) for r in raw]
+        (product, _), others = _siblings(msgs, 2)
         assert len(others) == len(msgs)
-        direct = np.prod([m.mean for m in msgs], axis=0)
-        np.testing.assert_allclose(product.mean, direct, rtol=1e-14, atol=0)
+        direct = np.prod([m[0] for m in msgs], axis=0)
+        np.testing.assert_allclose(product, direct, rtol=1e-14, atol=0)
         for i, rest in enumerate(others):
             direct, _ = _siblings(msgs[:i] + msgs[i + 1 :], 2)
-            np.testing.assert_allclose(rest.mean, direct.mean, rtol=1e-14, atol=0)
-            np.testing.assert_allclose(rest.second, direct.second, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(rest[0], direct[0], rtol=1e-14, atol=0)
+            np.testing.assert_allclose(rest[1], direct[1], rtol=1e-14, atol=0)
+
+    def test_segments_are_independent(self):
+        # several parents with m children each, in one batch
+        rng = np.random.default_rng(4)
+        x = rng.choice([0.0, 0.5, 0.9, 1.0], size=(5, 4, 3))
+        others = np.empty_like(x)
+        product = _segment_products(x, others)
+        for p in range(5):
+            np.testing.assert_array_equal(product[p], x[p, 0] * x[p, 1] * x[p, 2] * x[p, 3])
+            for i in range(4):
+                rest = np.prod(np.delete(x[p], i, axis=0), axis=0)
+                np.testing.assert_allclose(others[p, i], rest, rtol=1e-15, atol=0)
 
 
 class TestChildToParent:
     def test_instantiated_point_columns(self, two_node_mixed):
-        msg = propagate(two_node_mixed, {"B": 0}).upward["B"]
-        assert msg.mean == pytest.approx([0.9, 0.2])
-        assert msg.second == pytest.approx(np.array([[0.81, 0.18], [0.18, 0.04]]))
+        mean, second = propagate(two_node_mixed, {"B": 0}).upward("B")
+        assert mean == pytest.approx([0.9, 0.2])
+        assert second == pytest.approx(np.array([[0.81, 0.18], [0.18, 0.04]]))
 
     def test_unit_message_through_any_rows(self):
         # a subtree with no evidence must emit the unit message
@@ -129,22 +158,22 @@ class TestChildToParent:
                     ),
                 )
             )
-            msg = propagate(validate_network(spec), {}).upward["g"]
-            assert msg.mean == pytest.approx(np.ones(k_parent), abs=1e-12)
-            assert msg.second == pytest.approx(np.ones((k_parent, k_parent)), abs=1e-12)
+            mean, second = propagate(validate_network(spec), {}).upward("g")
+            assert mean == pytest.approx(np.ones(k_parent), abs=1e-12)
+            assert second == pytest.approx(np.ones((k_parent, k_parent)), abs=1e-12)
 
 
 class TestParentToChild:
     def test_instantiated_parent_sends_row_moments(self, two_node_mixed):
         rows = two_node_mixed.nodes["B"].row_moments
-        msg = propagate(two_node_mixed, {"A": 1}).parent["B"]
-        np.testing.assert_array_equal(msg.mean, rows[1].mean)
-        np.testing.assert_array_equal(msg.second, rows[1].second)
+        mean, second = propagate(two_node_mixed, {"A": 1}).parent("B")
+        np.testing.assert_array_equal(mean, rows[1].mean)
+        np.testing.assert_array_equal(second, rows[1].second)
 
     def test_no_evidence_gives_child_prior(self, two_node_mixed):
-        msg = propagate(two_node_mixed, {}).parent["B"]
-        assert msg.mean == pytest.approx([0.48, 0.52])
-        assert np.diag(msg.second) == pytest.approx([0.25, 0.29])
+        mean, second = propagate(two_node_mixed, {}).parent("B")
+        assert mean == pytest.approx([0.48, 0.52])
+        assert np.diag(second) == pytest.approx([0.25, 0.29])
 
 
 class TestWorkedExample:
@@ -197,6 +226,13 @@ class TestDegenerateNetworks:
         with pytest.raises(InconsistentEvidence):
             query_node("A", propagate(net, {"B": 1}))
 
+    def test_impossible_evidence_stops_the_downward_pass(self):
+        # C's parent message conditions A on B=b2, which has probability 0
+        a, b = impossible_evidence_spec().nodes
+        net = validate_network(NetworkSpec((a, b, NodeSpec("C", ("c1", "c2"), "A", b.rows))))
+        with pytest.raises(InconsistentEvidence, match="reaching 'C' through 'A'"):
+            propagate(net, {"B": 1})
+
 
 class TestStructuralInvariants:
     def test_means_sum_to_one(self):
@@ -221,8 +257,9 @@ class TestStructuralInvariants:
             net = validate_network(random_tree_spec(rng))
             evidence = random_evidence(rng, net)
             state = propagate(net, evidence)
-            for msg in list(state.upward.values()) + list(state.combined.values()):
-                m, s = msg.mean, msg.second
+            upward = [state.upward(n) for n in net.order if net.nodes[n].parent is not None]
+            combined = [state.combined(n) for n in net.order if n not in evidence]
+            for m, s in upward + combined:
                 assert np.all(m >= -1e-9) and np.all(m <= 1 + 1e-9)
                 assert np.all(np.diag(s) <= m + 1e-9)
                 assert np.all(np.diag(s) >= m**2 - 1e-9)
@@ -235,8 +272,7 @@ class TestStructuralInvariants:
         for _ in range(40):
             net = validate_network(random_tree_spec(rng))
             state = propagate(net, {})
-            for msg in state.parent.values():
-                q, t = msg.mean, msg.second
+            for q, t in map(state.parent, net.order):
                 assert q.sum() == pytest.approx(1.0, abs=1e-9)
                 np.testing.assert_allclose(t.sum(axis=1), q, atol=1e-9)
                 assert np.all(np.diag(t) <= q + 1e-9)
@@ -354,25 +390,256 @@ class TestSiblingOrder:
         evidence = {
             ns.id: data.draw(st.integers(0, len(ns.alternatives) - 1)) for ns in observed
         }
-        base = posterior_report(propagate(validate_network(spec), evidence))
+        _check_shuffled_and_renamed(spec, evidence, data)
 
-        shuffled = NetworkSpec(tuple(data.draw(st.permutations(spec.nodes))))
-        moved = posterior_report(propagate(validate_network(shuffled), evidence))
-        _assert_reports_close(base, moved, {node_id: node_id for node_id in base})
 
-        names = data.draw(st.permutations(range(len(spec.nodes))))
-        rename = {ns.id: f"r{names[i]}" for i, ns in enumerate(spec.nodes)}
-        renamed = NetworkSpec(
-            tuple(
-                NodeSpec(
-                    rename[ns.id],
-                    ns.alternatives,
-                    None if ns.parent is None else rename[ns.parent],
-                    ns.rows,
-                )
-                for ns in shuffled.nodes
+def _check_shuffled_and_renamed(spec, evidence, data):
+    base = posterior_report(propagate(validate_network(spec), evidence))
+
+    shuffled = NetworkSpec(tuple(data.draw(st.permutations(spec.nodes))))
+    moved = posterior_report(propagate(validate_network(shuffled), evidence))
+    _assert_reports_close(base, moved, {node_id: node_id for node_id in base})
+
+    names = data.draw(st.permutations(range(len(spec.nodes))))
+    rename = {ns.id: f"r{names[i]}" for i, ns in enumerate(spec.nodes)}
+    renamed = NetworkSpec(
+        tuple(
+            NodeSpec(
+                rename[ns.id],
+                ns.alternatives,
+                None if ns.parent is None else rename[ns.parent],
+                ns.rows,
             )
+            for ns in shuffled.nodes
         )
-        evidence = {rename[node_id]: alt for node_id, alt in evidence.items()}
-        moved = posterior_report(propagate(validate_network(renamed), evidence))
-        _assert_reports_close(base, moved, rename)
+    )
+    evidence = {rename[node_id]: alt for node_id, alt in evidence.items()}
+    moved = posterior_report(propagate(validate_network(renamed), evidence))
+    _assert_reports_close(base, moved, rename)
+
+
+def _parents_of(shape, n, rng):
+    if shape == "star":
+        return [None] + [0] * (n - 1)
+    if shape == "chain":
+        return [None] + list(range(n - 1))
+    if shape == "binary":
+        return [None] + [(i - 1) // 2 for i in range(1, n)]
+    return [None] + [int(rng.integers(0, i)) for i in range(1, n)]
+
+
+def _tree_spec(parents, ks, row):
+    """Node ``n<i>`` with ``ks[i]`` alternatives and rows ``row(i, j, k)``."""
+    return NetworkSpec(
+        tuple(
+            NodeSpec(
+                f"n{i}",
+                tuple(f"s{j}" for j in range(ks[i])),
+                None if p is None else f"n{p}",
+                tuple(row(i, j, ks[i]) for j in range(1 if p is None else ks[p])),
+            )
+            for i, p in enumerate(parents)
+        )
+    )
+
+
+def _depths(parents):
+    depths = [0] * len(parents)
+    for i, p in enumerate(parents):
+        if p is not None:
+            depths[i] = depths[p] + 1
+    return depths
+
+
+@st.composite
+def _large_trees(draw):
+    """Stars, chains, binary trees and mixed-k random trees of 10^2-10^3
+    nodes: point rows plus up to three two-point rows, so enumeration stays
+    small; evidence on nothing, on one leaf, or on 3-6 nodes spread over
+    distinct depths."""
+    shape = draw(st.sampled_from(["star", "chain", "binary", "mixed"]))
+    n = draw(st.integers(100, 1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parents = _parents_of(shape, n, rng)
+    if shape == "mixed":
+        ks = rng.choice([2, 3, 8], size=n).tolist()
+    else:
+        ks = [draw(st.sampled_from([2, 3]))] * n
+    uncertain = set(rng.choice(n, size=draw(st.integers(0, 3)), replace=False).tolist())
+
+    def row(i, j, k):
+        if i in uncertain and j == 0:
+            return DiscreteSupport(rng.dirichlet(np.full(k, 2.0), size=2), rng.dirichlet([2.0, 2.0]))
+        return PointMass(rng.dirichlet(np.full(k, 2.0)))
+
+    depths = _depths(parents)
+    where = draw(st.sampled_from(["none", "leaf", "levels"]))
+    if where == "none":
+        observed = []
+    elif where == "leaf":
+        observed = [int(rng.choice(sorted(set(range(n)) - set(parents))))]
+    else:
+        levels = rng.permutation(max(depths) + 1)[: draw(st.integers(3, 6))]
+        observed = [int(rng.choice(np.flatnonzero(np.array(depths) == d))) for d in levels]
+    evidence = {f"n{i}": int(rng.integers(ks[i])) for i in observed}
+    return _tree_spec(parents, ks, row), evidence
+
+
+class TestLargeTrees:
+    """The oracle agreement and the order invariance above, at 10^2-10^3
+    nodes, where levels hold many groups and long sibling segments."""
+
+    @given(_large_trees())
+    @settings(max_examples=16, deadline=None)
+    def test_matches_enumeration(self, tree):
+        spec, evidence = tree
+        net = validate_network(spec)
+        reports = posterior_report(propagate(net, evidence))
+        oracle = enumerate_uncertainty(net, evidence, "approx-posterior")
+        for node_id, rep in reports.items():
+            entry = oracle.entries[node_id]
+            np.testing.assert_allclose(rep.mean, entry.mean, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(rep.second, entry.second, rtol=0, atol=1e-8)
+
+    @given(_large_trees(), st.data())
+    @settings(max_examples=8, deadline=None)
+    def test_shuffled_and_renamed_trees_agree(self, tree, data):
+        _check_shuffled_and_renamed(*tree, data)
+
+
+class TestQueryMatchesReport:
+    """``query_node`` runs the report's code on one node: equal bit for bit."""
+
+    @staticmethod
+    def _assert_query_is_report(net, evidence):
+        state = propagate(net, evidence)
+        for node_id, rep in posterior_report(state).items():
+            one = query_node(node_id, state)
+            for field in ("mean", "second", "variance"):
+                assert getattr(one, field).tobytes() == getattr(rep, field).tobytes()
+            assert one.clamped == rep.clamped
+
+    @pytest.mark.parametrize("where", ["none", "root", "leaves", "level", "parent of other k"])
+    def test_mixed_tree(self, where):
+        rng = np.random.default_rng(61)
+        parents = _parents_of("mixed", 80, rng)
+        ks = rng.choice([2, 3, 8], size=80).tolist()
+        net = validate_network(_tree_spec(parents, ks, lambda i, j, k: random_row(
+            rng, ROW_KINDS[(i + j) % 3], k)))
+        depths = _depths(parents)
+        chosen = {
+            "none": [],
+            "root": [0],
+            "leaves": sorted(set(range(80)) - set(parents)),
+            "level": [i for i in range(80) if depths[i] == 2],
+            "parent of other k": [next(p for i, p in enumerate(parents) if p and ks[p] != ks[i])],
+        }[where]
+        assert where == "none" or chosen
+        self._assert_query_is_report(net, {f"n{i}": int(rng.integers(ks[i])) for i in chosen})
+
+    def test_one_node_network(self):
+        net = validate_network(_tree_spec([None], [3], lambda i, j, k: Dirichlet(np.ones(k))))
+        self._assert_query_is_report(net, {})
+        self._assert_query_is_report(net, {"n0": 2})
+
+
+@pytest.mark.parametrize("shape, n", [("chain", 20_000), ("star", 10_001)])
+def test_large_chain_and_star_match_exact_inference(shape, n):
+    rng = np.random.default_rng(67)
+    parents = _parents_of(shape, n, rng)
+    net = validate_network(
+        _tree_spec(parents, [3] * n, lambda i, j, k: Dirichlet(rng.uniform(0.5, 50.0, size=k)))
+    )
+    evidence = {f"n{n - 1}": 1, f"n{n // 2}": 0, "n1": 2}
+    reports = posterior_report(propagate(net, evidence))
+    tables = {node_id: node.mean_rows for node_id, node in net.nodes.items()}
+    marginals, _ = exact_inference(net, tables, evidence)
+    for node_id, rep in reports.items():
+        np.testing.assert_allclose(rep.mean, marginals[node_id], rtol=0, atol=1e-8)
+
+
+def _node_by_node(net, evidence):
+    """The recurrences evaluated one node at a time, in ``net.order``: the
+    reference whose every sum and product the batched sweep must reproduce.
+    Returns ``{id: (mean, second, variance)}`` before clamping."""
+    nodes, up, down, combined, others = net.nodes, {}, {}, {}, {}
+    for node_id in reversed(net.order):
+        node = nodes[node_id]
+        if node_id in evidence:
+            e = np.eye(node.dim)[evidence[node_id]]
+            lam = (e, np.outer(e, e))
+        else:
+            msgs = [up[c] for c in node.children]
+            prefix = [(np.ones(node.dim), np.ones((node.dim, node.dim)))]
+            for m, s in msgs:
+                prefix.append((prefix[-1][0] * m, prefix[-1][1] * s))
+            suffix, others[node_id] = prefix[0], [None] * len(msgs)
+            for i in range(len(msgs) - 1, -1, -1):
+                others[node_id][i] = (prefix[i][0] * suffix[0], prefix[i][1] * suffix[1])
+                suffix = (msgs[i][0] * suffix[0], msgs[i][1] * suffix[1])
+            lam = combined[node_id] = prefix[-1]
+        if node.parent is not None:
+            rows, second_rows = node.mean_rows, node.second_rows
+            second = rows @ lam[1] @ rows.T
+            np.fill_diagonal(second, np.einsum("kr,ikr->i", lam[1], second_rows))
+            up[node_id] = (rows @ lam[0], second)
+    root = nodes[net.root]
+    down[net.root] = (root.mean_rows[0], root.second_rows[0])
+    for node_id in net.order:
+        for i, c in enumerate(nodes[node_id].children):
+            rows, second_rows = nodes[c].mean_rows, nodes[c].second_rows
+            if c in evidence:
+                continue
+            if node_id in evidence:
+                down[c] = (rows[evidence[node_id]], second_rows[evidence[node_id]])
+                continue
+            (m, s), (q, t) = others[node_id][i], down[node_id]
+            d = float(m @ q)
+            q2, t2 = m * q / d, s * t / (d * d)
+            diag = np.diag(t2)
+            down[c] = (
+                q2 @ rows,
+                rows.T @ t2 @ rows
+                + np.einsum("j,jab->ab", diag, second_rows)
+                - rows.T @ (diag[:, None] * rows),
+            )
+    reports = {}
+    for node_id in net.order:
+        if node_id in evidence:
+            mean = np.eye(nodes[node_id].dim)[evidence[node_id]]
+            reports[node_id] = (mean, mean, np.zeros_like(mean))
+            continue
+        (m, s), (q, t) = combined[node_id], down[node_id]
+        d = float(m @ q)
+        mean, second = m * q / d, (s * t / (d * d)).diagonal()
+        reports[node_id] = (mean, second, second - mean**2)
+    return reports
+
+
+class TestBatchedSweepIsNodeByNode:
+    """Batching changes the order in which nodes are visited, not the terms
+    or the order of any sum or product, so reports equal the node-by-node
+    reference bit for bit, ``clamped`` flags included."""
+
+    @staticmethod
+    def _assert_bitwise(spec, evidence):
+        net = validate_network(spec)
+        reports = posterior_report(propagate(net, evidence))
+        for node_id, (mean, second, variance) in _node_by_node(net, evidence).items():
+            rep = reports[node_id]
+            assert rep.mean.tobytes() == mean.tobytes()
+            assert rep.second.tobytes() == second.tobytes()
+            assert rep.variance.tobytes() == np.maximum(variance, 0.0).tobytes()
+            assert rep.clamped == bool(variance.min() < 0.0)
+
+    @given(mixed_trees(max_nodes=30), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_trees(self, spec, data):
+        observed = data.draw(st.lists(st.sampled_from(spec.nodes), max_size=4, unique_by=lambda ns: ns.id))
+        evidence = {ns.id: data.draw(st.integers(0, len(ns.alternatives) - 1)) for ns in observed}
+        self._assert_bitwise(spec, evidence)
+
+    @given(_large_trees())
+    @settings(max_examples=8, deadline=None)
+    def test_large_trees(self, tree):
+        self._assert_bitwise(*tree)
