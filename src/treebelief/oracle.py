@@ -1,15 +1,30 @@
 """Reference computations for validating the propagation engine.
 
-Two oracles are provided.  :func:`enumerate_uncertainty` iterates the exact
-Cartesian product of finitely supported uncertainty (discrete supports and
-point masses) and is exact up to floating-point rounding.
-:func:`mc_uncertainty` replaces the product with seeded Monte Carlo draws and
-also handles Dirichlet rows.
+Two oracles share one accumulation and differ only in where the
+realizations of the tables come from.  :func:`enumerate_uncertainty` lists
+every combination of the finitely supported rows (discrete supports; point
+masses are certain), weighted by its probability, and is exact up to
+floating-point rounding.  :func:`mc_uncertainty` draws n realizations of
+every row that is not a point mass, Dirichlet rows included, each weighted
+1/n, and adds delta-method standard errors.  Realizations arrive in chunks
+of at most ``_CHUNK_CELLS`` table cells, so Monte Carlo memory is bounded
+whatever n is, and only the rows a block reads are drawn.
 
-Only the uncertainty supports are enumerated (or sampled).  Under each
-concrete realization of the tables, the node configurations are summed by
-exact scalar sum-product (Pearl's lambda/pi message passing), batched over
-realizations and linear in the node count.  That is a different algorithm
+The accumulation runs once per *block*: each evidence island (below), or
+the whole tree in ``exact-posterior`` mode.  Per realization of weight
+``w``, each member value contributes ``a`` and ``b`` and the block a
+normalizer ``z``: in ``exact-posterior`` mode ``a = P(e) x``,
+``b = P(e) x^2`` and ``z = P(e)``, with ``x`` the exact conditional;
+otherwise ``a`` is the island joint, ``b = a^2`` and ``z`` the island
+total.  Then ``mean = sum w a / sum w z`` and ``second = sum w b /
+(sum w z)^p``, with ``p = 1`` in ``exact-posterior`` mode and 2 otherwise;
+the effective sample size is ``(sum w z)^2 / sum (w z)^2``.  Monte Carlo
+accumulates the covariance of ``(a, b, z)`` about the first chunk's means
+(Chan, Golub & LeVeque 1983), so its standard errors stream too.
+
+Under each realization of the tables, the node configurations are summed
+by exact scalar sum-product (Pearl's lambda/pi message passing), batched
+over realizations and linear in the node count.  That is a different algorithm
 from the engine's moment recurrences, and this module imports nothing from
 :mod:`treebelief.propagation`.  Products are not rescaled, so an evidence
 probability can underflow to zero on very large evidence sets.
@@ -40,19 +55,15 @@ bit-reproducible for identical arguments.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import CapExceeded, InconsistentEvidence, PreconditionViolated
-from .model import (
-    Dirichlet,
-    DiscreteSupport,
-    PointMass,
-    ValidatedNetwork,
-    check_evidence,
-)
+from .model import Dirichlet, DiscreteSupport, PointMass, ValidatedNetwork, check_evidence
 
 MODES = ("prior", "approx-posterior", "exact-posterior")
 
@@ -92,14 +103,6 @@ class OracleReport:
     size: int
     effective_sample_size: Optional[float] = None
     degenerate_weights: bool = False
-
-
-def _indicator_entry(dim: int, observed: int, with_se: bool) -> OracleEntry:
-    mean = np.zeros(dim)
-    mean[observed] = 1.0
-    zeros = np.zeros(dim)
-    se = zeros.copy() if with_se else None
-    return OracleEntry(mean, mean.copy(), zeros, se, se, se)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +276,12 @@ def _posterior_sums(
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive enumeration
+# Realization sources: source(node_ids, row_ids) -> (count, chunks)
 # ---------------------------------------------------------------------------
+
+_Rows = Sequence[Tuple[str, int]]
+_Chunks = Iterator[Tuple[Dict[str, np.ndarray], np.ndarray]]  # (tables, weights) per chunk
+
 
 def _support_of(dist) -> Tuple[np.ndarray, np.ndarray]:
     if isinstance(dist, PointMass):
@@ -286,54 +293,200 @@ def _support_of(dist) -> Tuple[np.ndarray, np.ndarray]:
     )
 
 
-def _grid_chunks(
-    net: ValidatedNetwork,
-    node_ids: Sequence[str],
-    row_ids: Sequence[Tuple[str, int]],
-) -> Iterator[Tuple[Dict[str, np.ndarray], np.ndarray]]:
-    """Yield (tables, weights) chunks covering the support product of row_ids.
+def _chunks(net: ValidatedNetwork, node_ids: Sequence[str], row_ids: _Rows, count: int,
+            rows_of: Callable[[int, int], Tuple[Iterable[np.ndarray], np.ndarray]]) -> _Chunks:
+    """Yield the tables of ``node_ids`` for realizations ``0..count-1``.
 
-    Only the tables of ``node_ids`` are built, at most ``_CHUNK_CELLS`` table
-    cells per chunk.  Rows not listed are frozen at their mean vector; such
-    rows must be ones the downstream sum never reads, or genuinely certain.
-    Tables with no listed row are read-only views shared by the chunk.
+    ``rows_of(lo, hi)`` gives the values of ``row_ids`` one at a time, each
+    of shape (hi - lo, dim), and the weights of realizations ``lo..hi-1``.
+    A chunk holds at most ``_CHUNK_CELLS`` table cells.  Rows not listed are
+    frozen at their mean vector; such rows must be ones the downstream sum
+    never reads, or genuinely certain.  Tables with no listed row are
+    read-only views shared by the chunk.
     """
-    supports = [_support_of(net.nodes[n].rows[r]) for n, r in row_ids]
-    sizes = [len(w) for _, w in supports]
-    count = int(np.prod(sizes)) if sizes else 1
-    cells = sum(net.nodes[n].mean_rows.size for n in node_ids)
-    chunk = max(1, _CHUNK_CELLS // cells)
-    for lo in range(0, count, chunk):
-        hi = min(count, lo + chunk)
-        flat = np.arange(lo, hi)
-        choices = np.unravel_index(flat, sizes) if sizes else ()
-        weights = np.ones(hi - lo)
+    step = max(1, _CHUNK_CELLS // sum(net.nodes[n].mean_rows.size for n in node_ids))
+    for lo in range(0, count, step):
+        hi = min(count, lo + step)
+        values, weights = rows_of(lo, hi)
         tabs: Dict[str, np.ndarray] = {}
         for node_id in node_ids:
             rows = net.nodes[node_id].mean_rows
             tabs[node_id] = np.broadcast_to(rows, (hi - lo,) + rows.shape)
         for node_id in {n for n, _ in row_ids}:
             tabs[node_id] = tabs[node_id].copy()
-        for j, (node_id, row) in enumerate(row_ids):
-            pts, w = supports[j]
-            tabs[node_id][:, row, :] = pts[choices[j]]
-            weights *= w[choices[j]]
+        for (node_id, row), value in zip(row_ids, values):
+            tabs[node_id][:, row, :] = value
         yield tabs, weights
 
 
-def _uncertain_rows(
-    net: ValidatedNetwork, row_ids: Sequence[Tuple[str, int]]
-) -> List[Tuple[str, int]]:
-    return [
-        (n, r) for n, r in row_ids if len(_support_of(net.nodes[n].rows[r])[1]) > 1
-    ]
+def _grid_chunks(net: ValidatedNetwork, cap: int, node_ids: Sequence[str], row_ids: _Rows):
+    """Enumeration source: every combination of the supports of ``row_ids``.
+
+    Each combination is weighted by the product of its support weights, and
+    rows with a one-point support stay at their mean, that point.  Raises
+    :class:`CapExceeded` before any work when the count exceeds ``cap``.
+    """
+    listed = [(n, r) for n, r in row_ids if len(_support_of(net.nodes[n].rows[r])[1]) > 1]
+    supports = [_support_of(net.nodes[n].rows[r]) for n, r in listed]
+    sizes = [len(w) for _, w in supports]
+    count = math.prod(sizes)
+    if count > cap:
+        raise CapExceeded(f"{count} uncertainty combinations exceed the cap {cap}")
+
+    def rows_of(lo: int, hi: int):
+        choices = np.unravel_index(np.arange(lo, hi), sizes) if sizes else ()
+        weights = np.ones(hi - lo)
+        for (_, w), choice in zip(supports, choices):
+            weights *= w[choice]
+        return (pts[choice] for (pts, _), choice in zip(supports, choices)), weights
+
+    return count, _chunks(net, node_ids, listed, count, rows_of)
 
 
-def _combination_count(net: ValidatedNetwork, row_ids: Sequence[Tuple[str, int]]) -> int:
-    count = 1
-    for n, r in row_ids:
-        count *= len(_support_of(net.nodes[n].rows[r])[1])
-    return count
+def _dirichlet_draws(rng: np.random.Generator, alpha: np.ndarray, n: int) -> np.ndarray:
+    """n Dirichlet draws as normalized gamma variates.
+
+    With tiny alphas every gamma of a draw can underflow to 0.  Only those
+    draws are redrawn, from the same stream after the main draw, in log
+    space: ``log Gamma(a) = log Gamma(a + 1) + log(U) / a`` (Marsaglia &
+    Tsang 2000), normalized by log-sum-exp.  The normalized draw does not
+    depend on the gamma sum, so the redraw keeps its distribution.  Monte
+    Carlo calls this once per chunk, so the redraws follow each chunk's main
+    draw: a row with a redraw is the one stream whose later draws depend on
+    the chunk size.
+    """
+    gammas = rng.gamma(shape=alpha, size=(n, len(alpha)))
+    sums = gammas.sum(axis=1, keepdims=True)
+    if not sums.all():
+        lost = sums[:, 0] == 0.0
+        size = (int(lost.sum()), len(alpha))
+        logs = np.log(rng.gamma(shape=alpha + 1.0, size=size))
+        logs += np.log(1.0 - rng.random(size)) / alpha
+        gammas[lost] = np.exp(logs - logs.max(axis=1, keepdims=True))
+        sums = gammas.sum(axis=1, keepdims=True)
+    return gammas / sums
+
+
+def _sample_chunks(net: ValidatedNetwork, n: int, seed: int, index: Mapping[str, int],
+                   node_ids: Sequence[str], row_ids: _Rows):
+    """Monte Carlo source: n draws of each non-point-mass row of ``row_ids``.
+
+    Each (node, row) pair gets its own generator keyed by
+    ``(seed, index[node], row)``, and each chunk draws on from it, so
+    results are bit-reproducible for a fixed ``(n, seed)`` and independent
+    of traversal order.  Dirichlet rows are normalized gamma variates
+    (:func:`_dirichlet_draws`); discrete supports sample their points by
+    weight.  Every realization has weight 1/n.
+    """
+    listed = [(z, r) for z, r in row_ids if not isinstance(net.nodes[z].rows[r], PointMass)]
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(seed, index[z], r)))
+            for z, r in listed]
+
+    def draw(dist, rng: np.random.Generator, size: int) -> np.ndarray:
+        if isinstance(dist, Dirichlet):
+            return _dirichlet_draws(rng, dist.alpha, size)
+        return dist.points[rng.choice(len(dist.weights), size, p=dist.weights)]
+
+    def rows_of(lo: int, hi: int):
+        draws = (draw(net.nodes[z].rows[r], rng, hi - lo) for (z, r), rng in zip(listed, rngs))
+        return draws, np.full(hi - lo, 1.0 / n)
+
+    return n, _chunks(net, node_ids, listed, n, rows_of)
+
+
+# ---------------------------------------------------------------------------
+# One accumulation under both oracles
+# ---------------------------------------------------------------------------
+
+def _moments(net: ValidatedNetwork, members: Sequence[str], terms: Callable, power: int,
+             chunks: _Chunks, n: Optional[int]) -> Tuple[Dict[str, OracleEntry], float, float]:
+    """One block's moments over weighted realizations, as the module docstring gives them.
+
+    ``terms(tables)`` gives each member's values ``x``, of shape (R, dim),
+    and the block's ``z``, of shape (R,): with ``power`` 1, ``x`` is a
+    conditional and ``a = z x``; with ``power`` 2, a joint and ``a = x``;
+    always ``b = a x``.  Given the sample count ``n``, the entries carry
+    standard errors.  Returns the entries, ``sum w z`` and ``sum (w z)^2``.
+    """
+    bounds = np.cumsum([0] + [net.nodes[m].dim for m in members])
+    sum_a = sum_b = sum_z = sum_z2 = 0.0
+    shift = None
+    for tabs, w in chunks:
+        values, z = terms(tabs)
+        x = np.empty((bounds[-1], len(z)))  # one row per member value
+        for m, lo, hi in zip(members, bounds, bounds[1:]):
+            x[lo:hi] = values[m].T
+        u = w * z if power == 1 else w  # sum w a = sum u x, sum w b = sum u x^2
+        sum_a = sum_a + x @ u
+        sum_b = sum_b + x**2 @ u
+        wz = w * z
+        sum_z += float(wz.sum())
+        sum_z2 += float((wz**2).sum())
+        if n is not None:  # co-moments of (a, b, z) per value, about the first chunk's means
+            a = x * z if power == 1 else x
+            d = np.stack([a, a * x, np.broadcast_to(z, a.shape)], axis=1)
+            if shift is None:
+                shift, co, d_sum = d.mean(axis=2, keepdims=True), 0.0, 0.0
+            d -= shift
+            co = co + d @ d.transpose(0, 2, 1)
+            d_sum = d_sum + d.sum(axis=2)
+    if sum_z == 0.0:
+        raise InconsistentEvidence("every realization gives the evidence probability 0")
+
+    a, b, z = sum_a, sum_b, sum_z  # the weighted sums: sample means under Monte Carlo
+    mean, second = a / z, b / z**power
+    columns = [mean, second, np.maximum(second - mean**2, 0.0)]
+    if n is not None:  # delta method, from the gradients in (a, b, z) of:
+        cov = (co - d_sum[:, :, None] * d_sum[:, None, :] / n) / (n - 1)
+        one = np.ones_like(a)
+        d_b, d_z = one / z**power, -power * b / z ** (power + 1)
+        grads = np.array([
+            [one / z, 0.0 * one, -a / z**2],  # mean = a / z
+            [0.0 * one, d_b, d_z],  # second = b / z^p
+            [-2.0 * a / z**2, d_b, d_z + 2.0 * a**2 / z**3],  # variance = second - mean^2
+        ]).transpose(0, 2, 1)
+        spread = np.einsum("qmi,mij,qmj->qm", grads, cov, grads) / n
+        columns += list(np.sqrt(np.maximum(spread, 0.0)))
+    spans = zip(members, bounds, bounds[1:])
+    return {m: OracleEntry(*(c[lo:hi] for c in columns)) for m, lo, hi in spans}, sum_z, sum_z2
+
+
+def _report(net: ValidatedNetwork, evidence: Mapping[str, int], mode: str, source: Callable,
+            n: Optional[int] = None) -> OracleReport:
+    """Run :func:`_moments` once per block, on the chunks ``source`` gives it.
+
+    A block is the whole tree in ``exact-posterior`` mode and each evidence
+    island otherwise.  The Monte Carlo sample count ``n`` adds standard
+    errors and is the report's size; without it the size sums the blocks'
+    realization counts.
+    """
+    entries = {}
+    for node_id, observed in evidence.items():
+        indicator = np.eye(net.nodes[node_id].dim)[observed]
+        zeros = np.zeros_like(indicator)
+        se = None if n is None else zeros.copy()
+        entries[node_id] = OracleEntry(indicator, indicator.copy(), zeros, se, se, se)
+    if mode == "exact-posterior":
+        free = [node_id for node_id in net.order if node_id not in evidence]
+        rows = [(z, r) for z in net.order for r in range(len(net.nodes[z].rows))]
+        blocks = [(free, net.order, rows, partial(_posterior_sums, net, evidence=evidence))]
+    else:
+        blocks = []
+        for island in _islands(net, evidence):
+            read = island.members + [z for z, _ in island.boundary]
+            rows = [(island.top, island.top_row)]
+            rows += [(z, r) for z in read[1:] for r in range(len(net.nodes[z].rows))]
+            blocks.append((island.members, read, rows, partial(_island_sums, net, island)))
+    power = 1 if mode == "exact-posterior" else 2
+    size, ess = 0, None
+    for members, node_ids, row_ids, terms in blocks:
+        count, chunks = source(node_ids, row_ids)
+        block, sum_z, sum_z2 = _moments(net, members, terms, power, chunks, n)
+        entries.update(block)
+        size += count
+        if power == 1:
+            ess = sum_z * sum_z / sum_z2
+    return OracleReport(mode, entries, n or size, ess, ess is not None and ess < 10.0)
 
 
 def enumerate_uncertainty(
@@ -362,189 +515,7 @@ def enumerate_uncertainty(
     for node_id in net.order:
         for dist in net.nodes[node_id].rows:
             _support_of(dist)
-
-    entries: Dict[str, OracleEntry] = {}
-    for node_id, observed in evidence.items():
-        entries[node_id] = _indicator_entry(net.nodes[node_id].dim, observed, False)
-
-    if mode == "exact-posterior":
-        row_ids = _uncertain_rows(
-            net,
-            [
-                (node_id, row)
-                for node_id in net.order
-                for row in range(len(net.nodes[node_id].rows))
-            ],
-        )
-        count = _combination_count(net, row_ids)
-        if count > cap:
-            raise CapExceeded(f"{count} uncertainty combinations exceed the cap {cap}")
-        free = [n for n in net.order if n not in evidence]
-        norm = 0.0
-        sq_norm = 0.0
-        acc1 = {n: np.zeros(net.nodes[n].dim) for n in free}
-        acc2 = {n: np.zeros(net.nodes[n].dim) for n in free}
-        for tabs, weights in _grid_chunks(net, net.order, row_ids):
-            conditionals, p_evidence = _posterior_sums(net, tabs, evidence)
-            posterior_w = weights * p_evidence
-            norm += float(posterior_w.sum())
-            sq_norm += float((posterior_w**2).sum())
-            for node_id in free:
-                acc1[node_id] += posterior_w @ conditionals[node_id]
-                acc2[node_id] += posterior_w @ conditionals[node_id] ** 2
-        if norm == 0.0:
-            raise InconsistentEvidence("every combination gives the evidence probability 0")
-        for node_id in free:
-            mean = acc1[node_id] / norm
-            second = acc2[node_id] / norm
-            entries[node_id] = OracleEntry(mean, second, np.maximum(second - mean**2, 0.0))
-        ess = norm * norm / sq_norm
-        return OracleReport(mode, entries, count, ess, ess < 10.0)
-
-    total_count = 0
-    for island in _islands(net, evidence):
-        row_ids = [(island.top, island.top_row)]
-        row_ids += [
-            (m, row)
-            for m in island.members
-            if m != island.top
-            for row in range(len(net.nodes[m].rows))
-        ]
-        row_ids += [
-            (z, row) for z, _ in island.boundary for row in range(len(net.nodes[z].rows))
-        ]
-        row_ids = _uncertain_rows(net, row_ids)
-        count = _combination_count(net, row_ids)
-        if count > cap:
-            raise CapExceeded(f"{count} uncertainty combinations exceed the cap {cap}")
-        total_count += count
-        read = island.members + [z for z, _ in island.boundary]
-        z_bar = 0.0
-        acc1 = {m: np.zeros(net.nodes[m].dim) for m in island.members}
-        acc2 = {m: np.zeros(net.nodes[m].dim) for m in island.members}
-        for tabs, weights in _grid_chunks(net, read, row_ids):
-            values, island_total = _island_sums(net, island, tabs)
-            z_bar += float(weights @ island_total)
-            for m in island.members:
-                acc1[m] += weights @ values[m]
-                acc2[m] += weights @ values[m] ** 2
-        if z_bar == 0.0:
-            raise InconsistentEvidence("every combination gives the evidence probability 0")
-        for m in island.members:
-            mean = acc1[m] / z_bar
-            second = acc2[m] / (z_bar * z_bar)
-            entries[m] = OracleEntry(mean, second, np.maximum(second - mean**2, 0.0))
-    return OracleReport(mode, entries, total_count)
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo
-# ---------------------------------------------------------------------------
-
-def _dirichlet_draws(rng: np.random.Generator, alpha: np.ndarray, n: int) -> np.ndarray:
-    """n Dirichlet draws as normalized gamma variates.
-
-    With tiny alphas every gamma of a draw can underflow to 0.  Only those
-    draws are redrawn, from the same stream after the main draw, in log
-    space: ``log Gamma(a) = log Gamma(a + 1) + log(U) / a`` (Marsaglia &
-    Tsang 2000), normalized by log-sum-exp.  The normalized draw does not
-    depend on the gamma sum, so the redraw keeps its distribution.
-    """
-    gammas = rng.gamma(shape=alpha, size=(n, len(alpha)))
-    sums = gammas.sum(axis=1, keepdims=True)
-    if not sums.all():
-        lost = sums[:, 0] == 0.0
-        size = (int(lost.sum()), len(alpha))
-        logs = np.log(rng.gamma(shape=alpha + 1.0, size=size))
-        logs += np.log(1.0 - rng.random(size)) / alpha
-        gammas[lost] = np.exp(logs - logs.max(axis=1, keepdims=True))
-        sums = gammas.sum(axis=1, keepdims=True)
-    return gammas / sums
-
-
-def _sample_tables(net: ValidatedNetwork, n: int, seed: int) -> Dict[str, np.ndarray]:
-    """Draw n realizations of every table from per-row seeded streams.
-
-    Each (node, row) pair gets its own generator keyed by
-    ``(seed, node index, row index)``, and all n draws for that row come from
-    it in one vectorized pass, so results are bit-reproducible for a fixed
-    ``(n, seed)`` and independent of traversal order.  Dirichlet rows are
-    normalized gamma variates (:func:`_dirichlet_draws`); discrete supports
-    sample their points by weight.
-    """
-    tabs = {}
-    for node_index, node_id in enumerate(net.order):
-        node = net.nodes[node_id]
-        tab = np.empty((n, len(node.rows), node.dim))
-        for row, dist in enumerate(node.rows):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=(seed, node_index, row))
-            )
-            if isinstance(dist, Dirichlet):
-                tab[:, row, :] = _dirichlet_draws(rng, dist.alpha, n)
-            elif isinstance(dist, DiscreteSupport):
-                choice = rng.choice(len(dist.weights), size=n, p=dist.weights)
-                tab[:, row, :] = dist.points[choice]
-            else:
-                tab[:, row, :] = dist.p
-        tabs[node_id] = tab
-    return tabs
-
-
-def _se_of(columns: Sequence[np.ndarray], grads: Sequence[np.ndarray], n: int) -> List[float]:
-    """Delta-method standard errors of smooth functions of the columns'
-    sample means, one per gradient, all from one sample covariance."""
-    stacked = np.stack(columns, axis=1)
-    cov = np.atleast_2d(np.cov(stacked, rowvar=False, ddof=1))
-    return [float(np.sqrt(max(0.0, grad @ cov @ grad / n))) for grad in grads]
-
-
-def _ratio_entry(r: np.ndarray, z: np.ndarray) -> OracleEntry:
-    """Moments of the form E[r]/E[z] and E[r^2]/E[z]^2 from paired samples."""
-    n, dim = r.shape
-    s1 = r.mean(axis=0)
-    s2 = (r**2).mean(axis=0)
-    s3 = float(z.mean())
-    mean = s1 / s3
-    second = s2 / (s3 * s3)
-    variance = np.maximum(second - mean**2, 0.0)
-    se_mean = np.empty(dim)
-    se_second = np.empty(dim)
-    se_variance = np.empty(dim)
-    for v in range(dim):
-        grads = (
-            np.array([1 / s3, 0.0, -s1[v] / s3**2]),
-            np.array([0.0, 1 / s3**2, -2 * s2[v] / s3**3]),
-            np.array([-2 * s1[v] / s3**2, 1 / s3**2, -2 * (s2[v] - s1[v] ** 2) / s3**3]),
-        )
-        se_mean[v], se_second[v], se_variance[v] = _se_of([r[:, v], r[:, v] ** 2, z], grads, n)
-    return OracleEntry(mean, second, variance, se_mean, se_second, se_variance)
-
-
-def _weighted_entry(values: np.ndarray, weights: np.ndarray) -> OracleEntry:
-    """Self-normalized weighted moments of per-sample values."""
-    n, dim = values.shape
-    w0 = float(weights.mean())
-    mean = np.empty(dim)
-    second = np.empty(dim)
-    se_mean = np.empty(dim)
-    se_second = np.empty(dim)
-    se_variance = np.empty(dim)
-    for v in range(dim):
-        wv = weights * values[:, v]
-        wv2 = weights * values[:, v] ** 2
-        w1 = float(wv.mean())
-        w2 = float(wv2.mean())
-        mean[v] = w1 / w0
-        second[v] = w2 / w0
-        grads = (
-            np.array([1 / w0, 0.0, -w1 / w0**2]),
-            np.array([0.0, 1 / w0, -w2 / w0**2]),
-            np.array([-2 * w1 / w0**2, 1 / w0, -w2 / w0**2 + 2 * w1**2 / w0**3]),
-        )
-        se_mean[v], se_second[v], se_variance[v] = _se_of([wv, wv2, weights], grads, n)
-    variance = np.maximum(second - mean**2, 0.0)
-    return OracleEntry(mean, second, variance, se_mean, se_second, se_variance)
+    return _report(net, evidence, mode, partial(_grid_chunks, net, cap))
 
 
 def mc_uncertainty(
@@ -571,27 +542,5 @@ def mc_uncertainty(
     check_evidence(net, evidence)
     if mode == "prior" and evidence:
         raise PreconditionViolated("prior mode requires empty evidence")
-
-    tabs = _sample_tables(net, n, seed)
-    entries: Dict[str, OracleEntry] = {}
-    for node_id, observed in evidence.items():
-        entries[node_id] = _indicator_entry(net.nodes[node_id].dim, observed, True)
-
-    if mode == "exact-posterior":
-        conditionals, p_evidence = _posterior_sums(net, tabs, evidence)
-        norm = float(p_evidence.sum())
-        if norm == 0.0:
-            raise InconsistentEvidence("every sample gives the evidence probability 0")
-        ess = norm * norm / float((p_evidence**2).sum())
-        for node_id in net.order:
-            if node_id not in evidence:
-                entries[node_id] = _weighted_entry(conditionals[node_id], p_evidence)
-        return OracleReport(mode, entries, n, ess, ess < 10.0)
-
-    for island in _islands(net, evidence):
-        values, island_total = _island_sums(net, island, tabs)
-        if float(island_total.sum()) == 0.0:
-            raise InconsistentEvidence("every sample gives the evidence probability 0")
-        for m in island.members:
-            entries[m] = _ratio_entry(values[m], island_total)
-    return OracleReport(mode, entries, n)
+    index = {node_id: i for i, node_id in enumerate(net.order)}
+    return _report(net, evidence, mode, partial(_sample_chunks, net, n, seed, index), n)

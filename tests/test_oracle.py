@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from typing import List, Sequence
 
 import numpy as np
 import pytest
@@ -19,9 +21,10 @@ from treebelief import (
     propagate,
     validate_network,
 )
+from treebelief import oracle
 from treebelief.errors import CapExceeded, InconsistentEvidence, PreconditionViolated
-from treebelief.generate import random_tree_spec
-from treebelief.oracle import _dirichlet_draws, point_tables
+from treebelief.generate import random_beta_tree, random_evidence, random_tree_spec
+from treebelief.oracle import OracleEntry, _dirichlet_draws, point_tables
 
 
 class TestExactInference:
@@ -494,3 +497,168 @@ class TestLargeTrees:
             assert np.all(np.abs(entry.mean - rep.mean) <= 4 * entry.se_mean)
             assert np.all(np.abs(entry.second - rep.second) <= 4 * entry.se_second)
             assert np.all(np.abs(entry.variance - rep.variance) <= 4 * entry.se_variance)
+
+
+# Per-alternative delta-method standard errors, one sample covariance each: the
+# reference for the batched, streamed standard errors of ``oracle._moments``.
+
+def _se_of(columns: Sequence[np.ndarray], grads: Sequence[np.ndarray], n: int) -> List[float]:
+    """Delta-method standard errors of smooth functions of the columns'
+    sample means, one per gradient, all from one sample covariance."""
+    stacked = np.stack(columns, axis=1)
+    cov = np.atleast_2d(np.cov(stacked, rowvar=False, ddof=1))
+    return [float(np.sqrt(max(0.0, grad @ cov @ grad / n))) for grad in grads]
+
+
+def _ratio_entry(r: np.ndarray, z: np.ndarray) -> OracleEntry:
+    """Moments of the form E[r]/E[z] and E[r^2]/E[z]^2 from paired samples."""
+    n, dim = r.shape
+    s1 = r.mean(axis=0)
+    s2 = (r**2).mean(axis=0)
+    s3 = float(z.mean())
+    mean = s1 / s3
+    second = s2 / (s3 * s3)
+    variance = np.maximum(second - mean**2, 0.0)
+    se_mean = np.empty(dim)
+    se_second = np.empty(dim)
+    se_variance = np.empty(dim)
+    for v in range(dim):
+        grads = (
+            np.array([1 / s3, 0.0, -s1[v] / s3**2]),
+            np.array([0.0, 1 / s3**2, -2 * s2[v] / s3**3]),
+            np.array([-2 * s1[v] / s3**2, 1 / s3**2, -2 * (s2[v] - s1[v] ** 2) / s3**3]),
+        )
+        se_mean[v], se_second[v], se_variance[v] = _se_of([r[:, v], r[:, v] ** 2, z], grads, n)
+    return OracleEntry(mean, second, variance, se_mean, se_second, se_variance)
+
+
+def _weighted_entry(values: np.ndarray, weights: np.ndarray) -> OracleEntry:
+    """Self-normalized weighted moments of per-sample values."""
+    n, dim = values.shape
+    w0 = float(weights.mean())
+    mean = np.empty(dim)
+    second = np.empty(dim)
+    se_mean = np.empty(dim)
+    se_second = np.empty(dim)
+    se_variance = np.empty(dim)
+    for v in range(dim):
+        wv = weights * values[:, v]
+        wv2 = weights * values[:, v] ** 2
+        w1 = float(wv.mean())
+        w2 = float(wv2.mean())
+        mean[v] = w1 / w0
+        second[v] = w2 / w0
+        grads = (
+            np.array([1 / w0, 0.0, -w1 / w0**2]),
+            np.array([0.0, 1 / w0, -w2 / w0**2]),
+            np.array([-2 * w1 / w0**2, 1 / w0, -w2 / w0**2 + 2 * w1**2 / w0**3]),
+        )
+        se_mean[v], se_second[v], se_variance[v] = _se_of([wv, wv2, weights], grads, n)
+    variance = np.maximum(second - mean**2, 0.0)
+    return OracleEntry(mean, second, variance, se_mean, se_second, se_variance)
+
+
+MOMENTS = ("mean", "second", "variance")
+STANDARD_ERRORS = ("se_mean", "se_second", "se_variance")
+
+
+def _cases(net, rng):
+    """(mode, evidence) pairs: every mode, the posterior ones with and without evidence."""
+    evidence = random_evidence(rng, net, 3) or {net.order[-1]: 0}
+    return [("prior", {})] + [
+        (mode, ev) for mode in ("approx-posterior", "exact-posterior") for ev in ({}, evidence)
+    ]
+
+
+def _assert_same_report(got, want):
+    assert (got.size, got.degenerate_weights) == (want.size, want.degenerate_weights)
+    if want.effective_sample_size is None:
+        assert got.effective_sample_size is None
+    else:
+        assert got.effective_sample_size == pytest.approx(want.effective_sample_size, rel=1e-12)
+    assert list(got.entries) == list(want.entries)
+    for node_id, entry in want.entries.items():
+        for attr in MOMENTS + STANDARD_ERRORS:
+            if getattr(entry, attr) is None:
+                assert getattr(got.entries[node_id], attr) is None
+            else:
+                np.testing.assert_allclose(
+                    getattr(got.entries[node_id], attr), getattr(entry, attr), rtol=0, atol=1e-12
+                )
+
+
+class TestChunkedRealizations:
+    """Both oracles stream realizations in chunks of at most ``_CHUNK_CELLS`` table cells."""
+
+    @pytest.mark.parametrize("mode, evidence", [("prior", {}), ("exact-posterior", {"B": 0})])
+    def test_monte_carlo_memory_does_not_grow_with_n(
+        self, uniform_chain, monkeypatch, mode, evidence
+    ):
+        monkeypatch.setattr(oracle, "_CHUNK_CELLS", 60_000)
+        peaks = {}
+        for n in (20_000, 200_000):
+            tracemalloc.start()
+            try:
+                mc_uncertainty(uniform_chain, evidence, mode, n=n, seed=3)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[200_000] < 2 * peaks[20_000]
+
+    def test_enumeration_is_chunk_invariant(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        for _ in range(12):
+            net = validate_network(random_tree_spec(rng))
+            for mode, evidence in _cases(net, rng):
+                want = enumerate_uncertainty(net, evidence, mode)
+                with monkeypatch.context() as m:
+                    m.setattr(oracle, "_CHUNK_CELLS", 100)
+                    got = enumerate_uncertainty(net, evidence, mode)
+                _assert_same_report(got, want)
+
+    def test_monte_carlo_is_chunk_invariant(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        for seed in range(6):
+            net = validate_network(random_beta_tree(rng, max_depth=3))
+            for mode, evidence in _cases(net, rng):
+                want = mc_uncertainty(net, evidence, mode, n=200, seed=seed)
+                with monkeypatch.context() as m:
+                    m.setattr(oracle, "_CHUNK_CELLS", 100)
+                    got = mc_uncertainty(net, evidence, mode, n=200, seed=seed)
+                _assert_same_report(got, want)
+
+    def test_standard_errors_match_the_per_alternative_reference(self):
+        rng = np.random.default_rng(63)
+        n = 2000
+        for seed in range(12):
+            net = validate_network(random_beta_tree(rng, max_depth=4))
+            rows = [(z, r) for z in net.order for r in range(len(net.nodes[z].rows))]
+            index = {z: i for i, z in enumerate(net.order)}
+            _, chunks = oracle._sample_chunks(net, n, seed, index, net.order, rows)
+            (tabs, _), = list(chunks)  # one chunk: the whole sample
+            for mode, evidence in _cases(net, rng):
+                report = mc_uncertainty(net, evidence, mode, n=n, seed=seed)
+                if mode == "exact-posterior":
+                    conditionals, p_evidence = oracle._posterior_sums(net, tabs, evidence)
+                    want = {m: _weighted_entry(c, p_evidence) for m, c in conditionals.items()}
+                else:
+                    want = {}
+                    for island in oracle._islands(net, evidence):
+                        values, total = oracle._island_sums(net, island, tabs)
+                        want.update({m: _ratio_entry(values[m], total) for m in island.members})
+                for node_id, entry in want.items():
+                    got = report.entries[node_id]
+                    for attr in MOMENTS:
+                        np.testing.assert_allclose(
+                            getattr(got, attr), getattr(entry, attr), rtol=0, atol=1e-12
+                        )
+                    for attr in STANDARD_ERRORS:
+                        ours, ref = getattr(got, attr), getattr(entry, attr)
+                        big = ref > 1e-6
+                        # In exact-posterior mode the variance's gradient nearly cancels
+                        # against the covariance of p x, p x^2 and p, so both sides keep
+                        # about eight digits: reversing the sample order moves the
+                        # reference by up to 1e-9 relative on these trees.
+                        rtol = 1e-8 if (mode, attr) == ("exact-posterior", "se_variance") else 1e-9
+                        np.testing.assert_allclose(ours[big], ref[big], rtol=rtol, atol=0)
+                        assert np.all(ours[~big] < 1e-8) and np.all(ref[~big] < 1e-8)
