@@ -307,7 +307,10 @@ class LevelPlan(NamedTuple):
     ``(r, k)`` and its parents' slots; a run ``(r, m, kids, parents)`` the
     ``P * m`` positions of the children of ``P`` parents of depth ``d`` with
     ``r`` alternatives and ``m`` children.  Indices are slices where they
-    count up by one, else read-only arrays; the root's are unused.
+    count up by one, else read-only arrays; the root's are unused.  On a level
+    of one node, the group's ``slots``, ``positions`` and ``parents`` and the
+    ``kids`` and ``parents`` of the run that feeds it are plain ints instead,
+    which marks the level for the sweep's 2-D step.
     """
 
     slot: Dict[str, tuple]
@@ -368,17 +371,24 @@ def _compile(order, by_id, children):
         sib_counts[rv] = len(members)
 
     levels = [([], []) for _ in range(int(depth.max()) + 1)]
+    alone = (np.bincount(depth) == 1).tolist()
     (d, rr, kk, s, ro, p, ps), runs = _runs(plan, depth, r, k, slot, first_row, pos, slot[above])
     for a, b in runs:
         g = b - a
+        rows = slice(ro[a], ro[a] + rr[a] * g)
+        if alone[d[a]]:
+            levels[d[a]][0].append((rr[a], kk[a], s[a], rows, p[a], ps[a]))
+            continue
         if g == 1:
             pos_ab, parents = slice(p[a], p[a] + 1), slice(ps[a], ps[a] + 1)
         else:
             pos_ab, parents = _index(p[a:b]), _index(ps[a:b])
-        span = slice(s[a], s[a] + g), slice(ro[a], ro[a] + rr[a] * g)
-        levels[d[a]][0].append((rr[a], kk[a], *span, pos_ab, parents))
+        levels[d[a]][0].append((rr[a], kk[a], slice(s[a], s[a] + g), rows, pos_ab, parents))
     (d, rr, mm, p, ps), runs = _runs(sib, depth, r, m, pos, slot[above])
     for a, b in runs:
+        if alone[d[a]]:
+            levels[d[a] - 1][1].append((rr[a], 1, p[a], ps[a]))
+            continue
         parents = slice(ps[a], ps[a] + 1) if b - a == mm[a] else _index(ps[a:b:mm[a]])
         levels[d[a] - 1][1].append((rr[a], mm[a], slice(p[a], p[a] + b - a), parents))
     slot = dict(zip(order, zip(depth.tolist(), k.tolist(), slot.tolist(), r.tolist(), pos.tolist())))

@@ -62,7 +62,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 
 import numpy as np
 
-from .errors import CapExceeded, InconsistentEvidence, PreconditionViolated
+from .errors import CapExceeded, InconsistentEvidence, NonFiniteResult, PreconditionViolated
 from .model import Dirichlet, DiscreteSupport, PointMass, ValidatedNetwork, check_evidence
 
 MODES = ("prior", "approx-posterior", "exact-posterior")
@@ -399,18 +399,22 @@ def _sample_chunks(net: ValidatedNetwork, n: int, seed: int, index: Mapping[str,
 # ---------------------------------------------------------------------------
 
 def _moments(net: ValidatedNetwork, members: Sequence[str], terms: Callable, power: int,
-             chunks: _Chunks, n: Optional[int]) -> Tuple[Dict[str, OracleEntry], float, float]:
+             chunks: _Chunks, n: Optional[int]) -> Tuple[Dict[str, OracleEntry], float]:
     """One block's moments over weighted realizations, as the module docstring gives them.
 
     ``terms(tables)`` gives each member's values ``x``, of shape (R, dim),
     and the block's ``z``, of shape (R,): with ``power`` 1, ``x`` is a
     conditional and ``a = z x``; with ``power`` 2, a joint and ``a = x``;
     always ``b = a x``.  Given the sample count ``n``, the entries carry
-    standard errors.  Returns the entries, ``sum w z`` and ``sum (w z)^2``.
+    standard errors, and raises :class:`NonFiniteResult` where those
+    overflow, as they do once ``z**3`` underflows.  Returns the entries and
+    the effective sample size ``(sum w z)^2 / sum (w z)^2``, summed over
+    ``w z / c`` with ``c`` the largest ``w z`` so far: it is free of scale,
+    and ``(w z)^2`` underflows first on evidence of tiny probability.
     """
     bounds = np.cumsum([0] + [net.nodes[m].dim for m in members])
     sum_a = sum_b = sum_z = sum_z2 = 0.0
-    shift = None
+    shift, scale = None, 0.0
     for tabs, w in chunks:
         values, z = terms(tabs)
         x = np.empty((bounds[-1], len(z)))  # one row per member value
@@ -421,7 +425,12 @@ def _moments(net: ValidatedNetwork, members: Sequence[str], terms: Callable, pow
         sum_b = sum_b + x**2 @ u
         wz = w * z
         sum_z += float(wz.sum())
-        sum_z2 += float((wz**2).sum())
+        top = float(wz.max())
+        if top > scale:
+            sum_z2 *= (scale / top) ** 2
+            scale = top
+        if scale:
+            sum_z2 += float(((wz / scale) ** 2).sum())
         if n is not None:  # co-moments of (a, b, z) per value, about the first chunk's means
             a = x * z if power == 1 else x
             d = np.stack([a, a * x, np.broadcast_to(z, a.shape)], axis=1)
@@ -439,16 +448,20 @@ def _moments(net: ValidatedNetwork, members: Sequence[str], terms: Callable, pow
     if n is not None:  # delta method, from the gradients in (a, b, z) of:
         cov = (co - d_sum[:, :, None] * d_sum[:, None, :] / n) / (n - 1)
         one = np.ones_like(a)
-        d_b, d_z = one / z**power, -power * b / z ** (power + 1)
-        grads = np.array([
-            [one / z, 0.0 * one, -a / z**2],  # mean = a / z
-            [0.0 * one, d_b, d_z],  # second = b / z^p
-            [-2.0 * a / z**2, d_b, d_z + 2.0 * a**2 / z**3],  # variance = second - mean^2
-        ]).transpose(0, 2, 1)
-        spread = np.einsum("qmi,mij,qmj->qm", grads, cov, grads) / n
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            d_b, d_z = one / z**power, -power * b / z ** (power + 1)
+            grads = np.array([
+                [one / z, 0.0 * one, -a / z**2],  # mean = a / z
+                [0.0 * one, d_b, d_z],  # second = b / z^p
+                [-2.0 * a / z**2, d_b, d_z + 2.0 * a**2 / z**3],  # variance = second - mean^2
+            ]).transpose(0, 2, 1)
+            spread = np.einsum("qmi,mij,qmj->qm", grads, cov, grads) / n
+        if not np.isfinite(spread).all():
+            raise NonFiniteResult(f"standard errors overflow at evidence probability {z:.3g}")
         columns += list(np.sqrt(np.maximum(spread, 0.0)))
     spans = zip(members, bounds, bounds[1:])
-    return {m: OracleEntry(*(c[lo:hi] for c in columns)) for m, lo, hi in spans}, sum_z, sum_z2
+    ess = (z / scale) ** 2 / sum_z2
+    return {m: OracleEntry(*(c[lo:hi] for c in columns)) for m, lo, hi in spans}, ess
 
 
 def _report(net: ValidatedNetwork, evidence: Mapping[str, int], mode: str, source: Callable,
@@ -481,11 +494,11 @@ def _report(net: ValidatedNetwork, evidence: Mapping[str, int], mode: str, sourc
     size, ess = 0, None
     for members, node_ids, row_ids, terms in blocks:
         count, chunks = source(node_ids, row_ids)
-        block, sum_z, sum_z2 = _moments(net, members, terms, power, chunks, n)
+        block, block_ess = _moments(net, members, terms, power, chunks, n)
         entries.update(block)
         size += count
         if power == 1:
-            ess = sum_z * sum_z / sum_z2
+            ess = block_ess
     return OracleReport(mode, entries, n or size, ess, ess is not None and ess < 10.0)
 
 

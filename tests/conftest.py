@@ -84,6 +84,17 @@ def uniform_chain_spec() -> NetworkSpec:
     )
 
 
+def tiny_evidence_chain_spec(root_row, n: int) -> NetworkSpec:
+    """A binary root ``n0`` and a chain ``n1 .. n<n-1>`` in which every node
+    takes ``a`` with probability 1e-3; observed all at ``a``, the chain has
+    evidence probability 1e-3 ** (n - 1)."""
+    rare = PointMass(np.array([1e-3, 1.0 - 1e-3]))
+    return NetworkSpec(
+        (NodeSpec("n0", ("a", "b"), None, (root_row,)),)
+        + tuple(NodeSpec(f"n{i}", ("a", "b"), f"n{i - 1}", (rare, rare)) for i in range(1, n))
+    )
+
+
 def impossible_evidence_spec() -> NetworkSpec:
     """Deterministic tables under which B=b2 has probability zero."""
     return NetworkSpec(

@@ -12,7 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import impossible_evidence_spec, mixed_trees, two_node_mixed_spec, uniform_chain_spec
+from conftest import (
+    impossible_evidence_spec,
+    mixed_trees,
+    tiny_evidence_chain_spec,
+    two_node_mixed_spec,
+    uniform_chain_spec,
+)
 from treebelief import (
     Dirichlet,
     DiscreteSupport,
@@ -373,6 +379,20 @@ class TestCompareCommand:
         code, out, err = run_cli(
             capsys, "compare", uniform_file, "--mode", "mc", "--oracle-mode", "prior",
             "--samples", "200",
+        )
+        assert code == 6
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("NonFiniteResult")
+
+    def test_tiny_evidence_probability_exits_6(self, capsys, tmp_path):
+        # P(e) = 1e-177 underflows the squares behind the effective sample
+        # size and the z**3 of the standard errors, not P(e) itself
+        path = tmp_path / "tiny.json"
+        save_network(tiny_evidence_chain_spec(Dirichlet([2.0, 2.0]), 60), str(path))
+        evidence = [arg for i in range(1, 60) for arg in ("--evidence", f"n{i}=a")]
+        code, out, err = run_cli(
+            capsys, "compare", str(path), "--mode", "mc", "--oracle-mode", "exact-posterior",
+            "--samples", "2000", "--seed", "1", *evidence,
         )
         assert code == 6
         assert out == ""

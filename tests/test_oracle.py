@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_joint, impossible_evidence_spec
+from conftest import brute_force_joint, impossible_evidence_spec, tiny_evidence_chain_spec
 from treebelief import (
     Dirichlet,
     DiscreteSupport,
@@ -22,7 +22,12 @@ from treebelief import (
     validate_network,
 )
 from treebelief import oracle
-from treebelief.errors import CapExceeded, InconsistentEvidence, PreconditionViolated
+from treebelief.errors import (
+    CapExceeded,
+    InconsistentEvidence,
+    NonFiniteResult,
+    PreconditionViolated,
+)
 from treebelief.generate import random_beta_tree, random_evidence, random_tree_spec
 from treebelief.oracle import OracleEntry, _dirichlet_draws, point_tables
 
@@ -234,6 +239,15 @@ class TestMonteCarlo:
         report = mc_uncertainty(net, {"B": 0}, "exact-posterior", n=5, seed=2)
         assert report.degenerate_weights
         assert report.effective_sample_size < 10
+
+    def test_tiny_evidence_probability(self):
+        # P(e) = 1e-177: each (w z)^2 underflows to 0 while w z does not
+        evidence = {f"n{i}": 0 for i in range(1, 60)}
+        net = validate_network(tiny_evidence_chain_spec(PointMass([0.5, 0.5]), 60))
+        assert enumerate_uncertainty(net, evidence, "exact-posterior").effective_sample_size == 1.0
+        net = validate_network(tiny_evidence_chain_spec(Dirichlet([2.0, 2.0]), 60))
+        with pytest.raises(NonFiniteResult, match="standard errors"):  # z**3 underflows
+            mc_uncertainty(net, evidence, "exact-posterior", n=2000, seed=1)
 
     def test_convergence_toward_enumeration(self, two_node_mixed):
         exact = enumerate_uncertainty(two_node_mixed, {}, "prior")

@@ -226,6 +226,20 @@ class TestDegenerateNetworks:
         with pytest.raises(InconsistentEvidence):
             query_node("A", propagate(net, {"B": 1}))
 
+    def test_zero_message_above_a_chain_is_swapped_out(self):
+        # Y=y2 is impossible, so observed X gets a zero parent message; X's
+        # only child Z, alone on its level, must not divide by that zero
+        a, b = impossible_evidence_spec().nodes
+        x = NodeSpec("X", ("x1", "x2"), "A", (Dirichlet([2.0, 3.0]), Dirichlet([1.0, 1.0])))
+        z_rows = (Dirichlet([1.0, 2.0, 3.0]), PointMass([0.2, 0.3, 0.5]))
+        z = NodeSpec("Z", ("z1", "z2", "z3"), "X", z_rows)
+        net = validate_network(NetworkSpec((a, NodeSpec("Y", b.alternatives, "A", b.rows), x, z)))
+        state = propagate(net, {"X": 0, "Y": 1})
+        assert not state.parent("X")[0].any()
+        assert state.parent("Z")[0].tobytes() == net.nodes["Z"].mean_rows[0].tobytes()
+        with pytest.raises(InconsistentEvidence):
+            posterior_report(state)
+
     def test_impossible_evidence_stops_the_downward_pass(self):
         # C's parent message conditions A on B=b2, which has probability 0
         a, b = impossible_evidence_spec().nodes
@@ -485,6 +499,49 @@ def _large_trees(draw):
     return _tree_spec(parents, ks, row), evidence
 
 
+CATERPILLAR_EVIDENCE = ("none", "spine ends", "adjacent", "parent observed", "every 10th")
+
+
+def _caterpillar(rng, spine, where, branching=0.2):
+    """A spine ``n0 .. n<spine-1>`` with side branches of one to three nodes
+    on a ``branching`` share of its nodes, so one-node levels and batched
+    levels alternate.  ``k`` changes along the spine (2, 3 or 8), so a link
+    can join unequal ``k``; rows are Dirichlet or point masses.  ``where``
+    names the evidence: nothing, both spine ends, two adjacent spine nodes,
+    an inner spine node (whose children see an observed parent) or every
+    10th node."""
+    parents = [None] + list(range(spine - 1))
+    for i in rng.choice(spine, size=int(spine * branching), replace=False).tolist():
+        for j in range(int(rng.integers(1, 4))):
+            parents.append(i if j == 0 else len(parents) - 1)
+    ks = [2]
+    for _ in parents[1:]:
+        ks.append(ks[-1] if rng.random() < 0.7 else int(rng.choice([2, 3, 8])))
+
+    def row(i, j, k):
+        if rng.random() < 0.5:
+            return Dirichlet(rng.uniform(0.3, 30.0, size=k))
+        return PointMass(rng.dirichlet(np.ones(k)))
+
+    inner = int(rng.integers(1, spine - 2))
+    observed = {
+        "none": [],
+        "spine ends": [0, spine - 1],
+        "adjacent": [inner, inner + 1],
+        "parent observed": [inner],
+        "every 10th": list(range(0, len(parents), 10)),
+    }[where]
+    evidence = {f"n{i}": int(rng.integers(ks[i])) for i in observed}
+    return _tree_spec(parents, ks, row), evidence
+
+
+@st.composite
+def _caterpillars(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spine, where = draw(st.integers(50, 400)), draw(st.sampled_from(CATERPILLAR_EVIDENCE))
+    return _caterpillar(rng, spine, where)
+
+
 class TestLargeTrees:
     """The oracle agreement and the order invariance above, at 10^2-10^3
     nodes, where levels hold many groups and long sibling segments."""
@@ -536,6 +593,12 @@ class TestQueryMatchesReport:
         }[where]
         assert where == "none" or chosen
         self._assert_query_is_report(net, {f"n{i}": int(rng.integers(ks[i])) for i in chosen})
+
+    @pytest.mark.parametrize("branching", [0.0, 0.2])
+    @pytest.mark.parametrize("where", CATERPILLAR_EVIDENCE)
+    def test_chain(self, where, branching):
+        spec, evidence = _caterpillar(np.random.default_rng(71), 120, where, branching)
+        self._assert_query_is_report(validate_network(spec), evidence)
 
     def test_one_node_network(self):
         net = validate_network(_tree_spec([None], [3], lambda i, j, k: Dirichlet(np.ones(k))))
@@ -642,4 +705,11 @@ class TestBatchedSweepIsNodeByNode:
     @given(_large_trees())
     @settings(max_examples=8, deadline=None)
     def test_large_trees(self, tree):
+        self._assert_bitwise(*tree)
+
+    @given(_caterpillars())
+    @settings(max_examples=30, deadline=None)
+    def test_caterpillars(self, tree):
+        """Chains with side branches: one-node levels take the 2-D step and
+        the others the batched one, and the two hand messages to each other."""
         self._assert_bitwise(*tree)
