@@ -48,6 +48,26 @@ def _prob_vector(values, what: str) -> np.ndarray:
     return arr
 
 
+def _prob_rows_ok(arr: np.ndarray) -> bool:
+    """Whether every row of the 2-d ``arr`` passes :func:`_prob_vector`.
+
+    Callers run the per-row check when this is false, so it must never pass
+    a row that the per-row check fails; failing a good row only costs time.
+    On a C-contiguous ``arr`` each row sum is bit-identical to the 1-d sum
+    of that row.  An entry above ``1 + PROB_TOL`` makes its row's sum too
+    large as well (up to rounding at the edge); bounding the entries first
+    keeps NaN, infinities and overflow out of the sum.
+    """
+    if arr.shape[1] < 1 or not ((arr >= 0.0) & (arr <= 1.0 + PROB_TOL)).all():
+        return False
+    return not (np.abs(arr.sum(axis=1) - 1.0) > PROB_TOL).any()
+
+
+def _alpha_ok(arr: np.ndarray) -> bool:
+    """Whether every entry of ``arr`` is a valid Dirichlet parameter."""
+    return bool(np.isfinite(arr).all() and (arr > 0.0).all())
+
+
 @dataclass(frozen=True, eq=False)
 class Dirichlet:
     """Dirichlet-distributed probability vector, conventional ``alpha > 0``."""
@@ -58,10 +78,17 @@ class Dirichlet:
         arr = np.asarray(self.alpha, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise BadDistribution("dirichlet: alpha must be a non-empty vector")
-        if not (np.isfinite(arr).all() and (arr > 0.0).all()):
+        if not _alpha_ok(arr):
             raise BadDistribution("dirichlet: every alpha entry must be > 0")
         arr.flags.writeable = False
         object.__setattr__(self, "alpha", arr)
+
+    @classmethod
+    def _checked(cls, alpha: np.ndarray) -> "Dirichlet":
+        """Wrap a read-only vector that already passed the checks above."""
+        row = object.__new__(cls)
+        object.__setattr__(row, "alpha", alpha)
+        return row
 
     @property
     def dim(self) -> int:
@@ -83,8 +110,9 @@ class DiscreteSupport:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise BadDistribution("discrete support: points must be a (m, k) array")
-        for row in range(pts.shape[0]):
-            _prob_vector(pts[row], f"discrete support point {row}")
+        if not _prob_rows_ok(pts):  # the per-point check names the first bad point
+            for row in range(pts.shape[0]):
+                _prob_vector(pts[row], f"discrete support point {row}")
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (pts.shape[0],):
             raise BadDistribution("discrete support: one weight per point required")
@@ -110,6 +138,13 @@ class PointMass:
 
     def __post_init__(self):
         object.__setattr__(self, "p", _prob_vector(self.p, "point mass"))
+
+    @classmethod
+    def _checked(cls, p: np.ndarray) -> "PointMass":
+        """Wrap a read-only vector that already passed :func:`_prob_vector`."""
+        row = object.__new__(cls)
+        object.__setattr__(row, "p", p)
+        return row
 
     @property
     def dim(self) -> int:

@@ -23,11 +23,24 @@ Distribution objects are one of::
 Conditional rows must appear in the parent's alternative order; their
 ``given`` labels are checked against it.  Report serialization keeps the full
 float precision (shortest round-trip repr, at least 15 significant digits).
+
+:func:`parse_network` checks a document in two steps.  A structural pass
+runs, in file order, every check on the objects, ids, alternatives, parents
+and ``given`` labels, and gathers each Dirichlet ``alpha`` and point ``p``
+list into one group per (type, length); discrete rows, which are rare, go
+through :func:`parse_distribution` on the spot.  Then each group becomes one
+stacked float array with one type check of all its numbers (JSON numbers
+only, so no bool or string), and one reduction for the Dirichlet (finite,
+> 0) or point (finite, >= 0, summing to 1) invariants.  Its rows are
+read-only row views of that array.  If any check fails, the document is
+parsed again row by row, which raises the first fault in file order, with
+the error type and message of :func:`parse_distribution`.
 """
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional
+from itertools import chain, islice
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -39,6 +52,8 @@ from .model import (
     NodeSpec,
     PointMass,
     UncertainDistribution,
+    _alpha_ok,
+    _prob_rows_ok,
 )
 
 
@@ -89,7 +104,17 @@ def parse_distribution(obj: Any, where: str) -> UncertainDistribution:
     raise ParseError(f"{where}: unknown distribution type {kind!r}")
 
 
-def parse_network(doc: Any) -> NetworkSpec:
+def _parse_row(obj: Any, node_id: str, j: int) -> UncertainDistribution:
+    return parse_distribution(obj, f"node {node_id!r}, row {j}")
+
+
+def _walk(doc: Any, parse_row: Callable[[Any, str, int], None]) -> List[tuple]:
+    """Run the structural checks of a network document in file order.
+
+    ``parse_row(dist, node_id, j)`` is called on the distribution object of
+    each node's cpt row ``j``.  Returns ``(id, alternatives, parent, row
+    count)`` per node.
+    """
     _expect(isinstance(doc, dict), "top level must be an object")
     nodes_doc = doc.get("nodes")
     _expect(isinstance(nodes_doc, list) and nodes_doc, "top-level 'nodes' list required")
@@ -119,10 +144,9 @@ def parse_network(doc: Any) -> NetworkSpec:
         if parent is None:
             expected_given = [None]
         elif parent in alternatives_of:
-            expected_given = list(alternatives_of[parent])
+            expected_given = alternatives_of[parent]
         else:
             expected_given = [row.get("given") for row in cpt if isinstance(row, dict)]
-        rows = []
         for j, row in enumerate(cpt):
             _expect(isinstance(row, dict), f"node {node_id!r}: cpt row {j} must be an object")
             if j < len(expected_given) and row.get("given") != expected_given[j]:
@@ -130,9 +154,75 @@ def parse_network(doc: Any) -> NetworkSpec:
                     f"node {node_id!r}: cpt row {j} is for {row.get('given')!r}, "
                     f"expected {expected_given[j]!r}"
                 )
-            rows.append(parse_distribution(row.get("dist"), f"node {node_id!r}, row {j}"))
-        nodes.append(NodeSpec(node_id, tuple(alternatives_of[node_id]), parent, tuple(rows)))
-    return NetworkSpec(tuple(nodes))
+            parse_row(row.get("dist"), node_id, j)
+        nodes.append((node_id, tuple(alternatives_of[node_id]), parent, len(cpt)))
+    return nodes
+
+
+class _StackedRows:
+    """Rows gathered by the structural pass and checked one stack at a time.
+
+    Dirichlet and point rows are grouped by kind and length; every other row
+    goes through :func:`parse_distribution` at once.  :meth:`build` returns
+    every row in file order, or ``None`` when some group fails its check.
+    """
+
+    def __init__(self):
+        self.rows: List[Optional[UncertainDistribution]] = []
+        self.groups: Dict[tuple, tuple] = {}  # (kind, length) -> (vectors, positions)
+
+    def add(self, obj: Any, node_id: str, j: int) -> None:
+        kind = obj.get("type") if type(obj) is dict else None
+        if kind == "dirichlet" or kind == "point":
+            values = obj.get("alpha" if kind == "dirichlet" else "p")
+            if type(values) is list:
+                vectors, positions = self.groups.setdefault((kind, len(values)), ([], []))
+                vectors.append(values)
+                positions.append(len(self.rows))
+                self.rows.append(None)
+                return
+        self.rows.append(_parse_row(obj, node_id, j))
+
+    def build(self) -> Optional[List[UncertainDistribution]]:
+        rows = self.rows
+        for (kind, length), (vectors, positions) in self.groups.items():
+            if length < 1 or not set(map(type, chain.from_iterable(vectors))) <= _NUMBER_TYPES:
+                return None
+            try:
+                stack = np.array(vectors, dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                return None
+            if kind == "point":
+                ok, cls = _prob_rows_ok(stack), PointMass
+            else:
+                ok, cls = _alpha_ok(stack), Dirichlet
+            if not ok:
+                return None
+            stack.flags.writeable = False
+            for i, row in zip(positions, map(cls._checked, stack)):
+                rows[i] = row
+        return rows
+
+
+def parse_network(doc: Any) -> NetworkSpec:
+    """Parse a network document (see the module docstring) into a spec.
+
+    Raises :class:`ParseError` or :class:`BadDistribution` for the first
+    fault in file order.
+    """
+    stacked = _StackedRows()
+    try:
+        nodes = _walk(doc, stacked.add)
+        rows = stacked.build()
+    except (ParseError, BadDistribution):
+        rows = None
+    if rows is None:  # some row is bad: parsing row by row names the first fault
+        rows = []
+        nodes = _walk(doc, lambda obj, node_id, j: rows.append(_parse_row(obj, node_id, j)))
+    it = iter(rows)
+    return NetworkSpec(
+        tuple(NodeSpec(i, alts, parent, tuple(islice(it, n))) for i, alts, parent, n in nodes)
+    )
 
 
 def load_network(path: str) -> NetworkSpec:

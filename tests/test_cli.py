@@ -9,7 +9,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -33,7 +33,8 @@ from treebelief import (
 )
 from treebelief import cli
 from treebelief.cli import main
-from treebelief.errors import ParseError
+from treebelief.errors import BadDistribution, ParseError
+from treebelief.netfile import parse_distribution
 
 
 @pytest.fixture
@@ -215,6 +216,171 @@ class TestMalformedDocuments:
         doc["nodes"][0]["cpt"][0]["dist"]["alpha"][0] = 10**400
         with pytest.raises(ParseError):
             parse_network(doc)
+
+
+def _reference_parse(doc):
+    """``parse_network`` row by row: one :func:`parse_distribution` per row,
+    every check in file order.  The reference for the stacked parse."""
+    if not isinstance(doc, dict):
+        raise ParseError("top level must be an object")
+    nodes_doc = doc.get("nodes")
+    if not (isinstance(nodes_doc, list) and nodes_doc):
+        raise ParseError("top-level 'nodes' list required")
+    alternatives_of = {}
+    for entry in nodes_doc:
+        if not isinstance(entry, dict):
+            raise ParseError("each node must be an object")
+        if not isinstance(entry.get("id"), str):
+            raise ParseError("node 'id' must be a string")
+        alts = entry.get("alternatives")
+        if not (isinstance(alts, list) and all(isinstance(a, str) for a in alts)):
+            raise ParseError(f"node {entry.get('id')!r}: 'alternatives' must be a list of strings")
+        alternatives_of[entry["id"]] = alts
+    nodes = []
+    for entry in nodes_doc:
+        node_id, parent, cpt = entry["id"], entry.get("parent"), entry.get("cpt")
+        if not (parent is None or isinstance(parent, str)):
+            raise ParseError(f"node {node_id!r}: 'parent' must be a string or null")
+        if not (isinstance(cpt, list) and cpt):
+            raise ParseError(f"node {node_id!r}: 'cpt' rows required")
+        if parent is None:
+            expected_given = [None]
+        elif parent in alternatives_of:
+            expected_given = list(alternatives_of[parent])
+        else:
+            expected_given = [row.get("given") for row in cpt if isinstance(row, dict)]
+        rows = []
+        for j, row in enumerate(cpt):
+            if not isinstance(row, dict):
+                raise ParseError(f"node {node_id!r}: cpt row {j} must be an object")
+            if j < len(expected_given) and row.get("given") != expected_given[j]:
+                raise ParseError(
+                    f"node {node_id!r}: cpt row {j} is for {row.get('given')!r}, "
+                    f"expected {expected_given[j]!r}"
+                )
+            rows.append(parse_distribution(row.get("dist"), f"node {node_id!r}, row {j}"))
+        nodes.append(NodeSpec(node_id, tuple(alternatives_of[node_id]), parent, tuple(rows)))
+    return NetworkSpec(tuple(nodes))
+
+
+def _outcome(parse, doc):
+    """``("ok", spec)``, or ``(exception type, message)`` of a failed parse."""
+    try:
+        return "ok", parse(doc)
+    except (ParseError, BadDistribution) as exc:
+        return type(exc), str(exc)
+
+
+def _row_arrays(dist):
+    if isinstance(dist, DiscreteSupport):
+        return dist.points, dist.weights
+    return (dist.alpha,) if isinstance(dist, Dirichlet) else (dist.p,)
+
+
+def _assert_same_parse(doc):
+    got, want = _outcome(parse_network, doc), _outcome(_reference_parse, doc)
+    if want[0] != "ok":
+        assert got == want
+        return
+    assert got[0] == "ok", got
+    assert [(n.id, n.alternatives, n.parent) for n in got[1].nodes] == [
+        (n.id, n.alternatives, n.parent) for n in want[1].nodes
+    ]
+    for node, ref in zip(got[1].nodes, want[1].nodes):
+        assert len(node.rows) == len(ref.rows)
+        for row, ref_row in zip(node.rows, ref.rows):
+            assert type(row) is type(ref_row)
+            for arr, ref_arr in zip(_row_arrays(row), _row_arrays(ref_row)):
+                assert arr.dtype == ref_arr.dtype and arr.shape == ref_arr.shape
+                assert arr.tobytes() == ref_arr.tobytes()
+                assert not arr.flags.writeable
+
+
+_BIG_INTS = st.integers(2**53 + 1, 2**70) | st.integers(2**53 + 1, 10**300)
+
+
+@st.composite
+def _number_docs(draw):
+    """Documents of ``mixed_trees`` whose numbers are JSON ints or floats:
+    Dirichlet alphas rounded to ints or holding ints above 2**53, and point
+    and support vectors given as ints where they are one-hot."""
+    doc = network_to_json(draw(mixed_trees()))
+    for node in doc["nodes"]:
+        for row in node["cpt"]:
+            dist = row["dist"]
+            style = draw(st.sampled_from(("float", "int", "big", "one-hot")))
+            if dist["type"] == "dirichlet" and style == "int":
+                dist["alpha"] = [max(1, round(a)) for a in dist["alpha"]]
+            elif dist["type"] == "dirichlet" and style == "big":
+                dist["alpha"][draw(st.integers(0, len(dist["alpha"]) - 1))] = draw(_BIG_INTS)
+            elif style == "one-hot":
+                vectors = [dist] if dist["type"] == "point" else dist.get("points", [])
+                for vector in vectors:
+                    hot = draw(st.integers(0, len(vector["p"]) - 1))
+                    vector["p"] = [int(i == hot) for i in range(len(vector["p"]))]
+    return doc
+
+
+def _row_slots(doc):
+    """``(node index, row index)`` of every cpt row, in file order."""
+    return [(i, j) for i, node in enumerate(doc["nodes"]) for j in range(len(node["cpt"]))]
+
+
+def _put_bad_number(doc, slot, value):
+    dist = doc["nodes"][slot[0]]["cpt"][slot[1]]["dist"]
+    vector = dist.get("alpha") or dist.get("p") or dist["points"][0]["p"]
+    vector[-1] = value
+
+
+def _put_structural_fault(doc, slot, fault):
+    cpt = doc["nodes"][slot[0]]["cpt"]
+    if fault == "row":
+        cpt[slot[1]] = 7
+    elif fault == "given":
+        cpt[slot[1]]["given"] = "zz"
+    else:
+        cpt[slot[1]]["dist"] = {"type": "gaussian"}
+
+
+# Each is a fault in any vector: 0.0 is not, in a point vector.
+_BAD_ROW_NUMBERS = (float("nan"), float("inf"), -1.0, True, None, "1.0", 10**400, [1.0])
+# The faults put into a document, in file order; the first must be named.
+_FAULT_ORDERS = (
+    ("number",), ("number", "structure"), ("structure", "number"), ("number", "number")
+)
+
+
+class TestStackedParse:
+    """``parse_network`` checks Dirichlet and point rows as stacked arrays; it
+    must give the per-row reference's rows, bit for bit, and its errors."""
+
+    @given(_number_docs())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_the_per_row_parse(self, doc):
+        _assert_same_parse(doc)
+
+    @given(malformed_queries())
+    @settings(max_examples=300, deadline=None)
+    def test_malformed_documents_fail_alike(self, case):
+        _assert_same_parse(case[0])
+
+    @given(_number_docs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_first_fault_in_file_order_is_named(self, doc, data):
+        slots = _row_slots(doc)
+        assume(len(slots) >= 2)
+        pair = st.lists(st.sampled_from(slots), min_size=2, max_size=2, unique=True)
+        first, second = sorted(data.draw(pair))
+        kinds = data.draw(st.sampled_from(_FAULT_ORDERS))
+        for slot, kind in zip((first, second), kinds):
+            if kind == "number":
+                _put_bad_number(doc, slot, data.draw(st.sampled_from(_BAD_ROW_NUMBERS)))
+            else:
+                fault = data.draw(st.sampled_from(("row", "given", "type")))
+                _put_structural_fault(doc, slot, fault)
+        got = _outcome(parse_network, doc)
+        assert got == _outcome(_reference_parse, doc)
+        assert f"node {doc['nodes'][first[0]]['id']!r}" in got[1]
 
 
 class TestValidateCommand:

@@ -161,6 +161,21 @@ class TestDistributionValidation:
         with pytest.raises(BadDistribution):
             DiscreteSupport(np.array([[0.5, 0.4]]), np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ([[0.5, 0.5], [0.5, 0.4], [-1.0, 2.0]], f"1: entries sum to {np.float64(0.9)!r}, not 1"),
+            ([[0.5, 0.5], [-1.0, 2.0], [0.5, 0.4]], "1: entries must be finite and >= 0"),
+            ([[np.nan, 1.0], [0.5, 0.4]], "0: entries must be finite and >= 0"),
+            ([[]], "0: expected a non-empty 1-d probability vector"),
+        ],
+    )
+    def test_first_bad_support_point_is_named(self, points, message):
+        weights = np.full(len(points), 1.0 / len(points))
+        with pytest.raises(BadDistribution) as info:
+            DiscreteSupport(np.array(points), weights)
+        assert str(info.value) == "discrete support point " + message
+
     def test_weights_sum(self):
         with pytest.raises(BadDistribution):
             DiscreteSupport(
