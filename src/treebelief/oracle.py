@@ -73,6 +73,11 @@ MODES = ("prior", "approx-posterior", "exact-posterior")
 #: Default ceiling on exhaustively enumerated uncertainty combinations.
 DEFAULT_CAP = 10_000_000
 
+#: Ceiling on Monte Carlo samples.  Time is linear in the sample count (10**8
+#: samples of a two-node network take about a minute), so a larger ``n`` is
+#: refused up front instead of running for days without a message.
+MAX_SAMPLES = 10**9
+
 #: (realization, table cell) pairs per chunk; bounds the tables, not peak memory.
 _CHUNK_CELLS = 2_000_000
 
@@ -548,12 +553,16 @@ def mc_uncertainty(
     errors for every mean, second moment and variance.  In exact-posterior
     mode the realizations are importance-weighted by the evidence
     probability, with the prior as proposal; an effective sample size below
-    10 is flagged as degenerate, not fatal.
+    10 is flagged as degenerate, not fatal.  Raises
+    :class:`PreconditionViolated` before drawing anything when ``n`` is
+    below 2 or above :data:`MAX_SAMPLES`.
     """
     if mode not in MODES:
         raise PreconditionViolated(f"unknown oracle mode {mode!r}")
     if n < 2:
         raise PreconditionViolated("at least two samples required")
+    if n > MAX_SAMPLES:
+        raise PreconditionViolated(f"{n} samples requested, at most MAX_SAMPLES = {MAX_SAMPLES}")
     if seed < 0:
         raise PreconditionViolated("seed must be a non-negative integer")
     check_evidence(net, evidence)

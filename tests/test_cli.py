@@ -33,8 +33,10 @@ from treebelief import (
 )
 from treebelief import cli
 from treebelief.cli import main
-from treebelief.errors import BadDistribution, ParseError
+from treebelief.errors import BadDistribution, NonFiniteResult, ParseError
+from treebelief.generate import random_beta_tree
 from treebelief.netfile import parse_distribution
+from treebelief.oracle import MAX_SAMPLES
 
 
 @pytest.fixture
@@ -478,6 +480,137 @@ class TestQueryCommand:
         doc2["meta"].pop("generated_at")
         assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
 
+    @pytest.mark.parametrize("field, value", [("second", np.nan), ("variance", np.inf)])
+    def test_non_finite_report_exits_6(self, capsys, monkeypatch, uniform_file, field, value):
+        real = cli.posterior_report
+
+        def poisoned(*args, **kwargs):
+            reports = real(*args, **kwargs)
+            bad = getattr(reports["B"], field).copy()
+            bad[1] = value
+            reports["B"] = dataclasses.replace(reports["B"], **{field: bad})
+            return reports
+
+        monkeypatch.setattr(cli, "posterior_report", poisoned)
+        code, out, err = run_cli(capsys, "query", uniform_file)
+        assert code == 6
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("NonFiniteResult")
+
+
+_ODD_TEXT = ('"', '"],["', "a,b", "[x]", "{}", "\\", "\x00\x1f\n\t\x7f", "\u00e9", "\u65e5\u672c",
+             "\U0001f600", "\u2028")
+_TEXTS = st.text(max_size=6) | st.sampled_from(_ODD_TEXT)
+_FLOATS = st.sampled_from((-0.0, 5e-324, 1e-300, 1.0, 0.1)) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+
+
+@st.composite
+def query_docs(draw):
+    """Documents in the ``query`` layout: zero to four nodes, each with its
+    own k in 1..8, odd ids and labels, and any finite floats."""
+    ids = draw(st.lists(_TEXTS, max_size=4, unique=True))
+    nodes = {}
+    for node_id in ids:
+        k = draw(st.integers(1, 8))
+        floats = st.lists(_FLOATS, min_size=k, max_size=k)
+        nodes[node_id] = {
+            "alternatives": draw(st.lists(_TEXTS, min_size=k, max_size=k)),
+            "mean": draw(floats),
+            "second": draw(floats),
+            "variance": draw(floats),
+            "clamped": draw(st.booleans()),
+            "instantiated": draw(st.booleans()),
+        }
+    meta = {
+        "command": "query",
+        "network": draw(_TEXTS),
+        "evidence": draw(st.dictionaries(_TEXTS, _TEXTS, max_size=2)),
+        "nodes": ids,
+    }
+    return {"meta": meta, "nodes": nodes}
+
+
+def _written(doc):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli._emit_query(doc)
+    return out.getvalue()
+
+
+def _odd_ids_spec():
+    return NetworkSpec(
+        (
+            NodeSpec('r"],["', ("a,b", "\\"), None, (Dirichlet(np.array([1.0, 2.0])),)),
+            NodeSpec(
+                "\u65e5\n[x]",
+                ("\u00e9", '"', "\x01"),
+                'r"],["',
+                (Dirichlet(np.array([1.0, 2.0, 3.0])), PointMass(np.array([0.2, 0.3, 0.5]))),
+            ),
+        )
+    )
+
+
+class TestQueryWriter:
+    """``query`` writes with one C-encoder pass; the bytes must stay those of
+    ``json.dumps(doc, indent=2)`` plus a newline."""
+
+    @given(query_docs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_json_dumps(self, doc):
+        assert _written(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    def test_fixed_cases(self):
+        floats = [-0.0, 5e-324, 1e-300, 1.0, 0.1]
+        doc = {"meta": {"nodes": []}, "nodes": {}}
+        assert _written(doc) == json.dumps(doc, indent=2) + "\n"
+        assert '"nodes": {}' in _written(doc)
+        for n, (clamped, instantiated) in enumerate(
+            [(False, False), (False, True), (True, False), (True, True)]
+        ):
+            doc["nodes"][f"n{n}"] = {
+                "alternatives": ["x"] * (n + 1),
+                "mean": floats[: n + 1],
+                "second": floats[n:],
+                "variance": floats,
+                "clamped": clamped,
+                "instantiated": instantiated,
+            }
+            assert _written(doc) == json.dumps(doc, indent=2) + "\n"
+
+    @given(query_docs(), st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_non_finite_writes_nothing(self, doc, data):
+        assume(doc["nodes"])
+        entry = doc["nodes"][data.draw(st.sampled_from(sorted(doc["nodes"])))]
+        values = entry[data.draw(st.sampled_from(("mean", "second", "variance")))]
+        values[data.draw(st.integers(0, len(values) - 1))] = data.draw(
+            st.sampled_from((float("nan"), float("inf"), float("-inf")))
+        )
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            with pytest.raises(NonFiniteResult):
+                cli._emit_query(doc)
+        assert out.getvalue() == ""
+
+    @pytest.mark.parametrize(
+        "spec, argv",
+        [
+            (two_node_mixed_spec(), []),
+            (two_node_mixed_spec(), ["--evidence", "B=b1", "--nodes", "B"]),
+            (two_node_mixed_spec(), ["--nodes", ","]),
+            (uniform_chain_spec(), ["--evidence", "A=a2"]),
+            (_odd_ids_spec(), []),
+            (random_beta_tree(np.random.default_rng(12), max_depth=4), []),
+        ],
+    )
+    def test_query_output_is_indented_json_dumps(self, capsys, tmp_path, spec, argv):
+        path = tmp_path / "net.json"
+        save_network(spec, str(path))
+        code, out, _ = run_cli(capsys, "query", str(path), *argv)
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
 
 class TestCompareCommand:
     def test_enum_agrees(self, capsys, two_node_file):
@@ -563,6 +696,16 @@ class TestCompareCommand:
         assert code == 6
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("NonFiniteResult")
+
+    def test_samples_above_ceiling_exit_5(self, capsys, two_node_file):
+        assert MAX_SAMPLES + 1 == 1_000_000_001
+        code, out, err = run_cli(
+            capsys, "compare", two_node_file, "--mode", "mc", "--oracle-mode", "prior",
+            "--samples", "1000000001",
+        )
+        assert code == 5
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("PreconditionViolated")
 
     def test_enum_rejects_dirichlet(self, capsys, uniform_file):
         code, _, err = run_cli(capsys, "compare", uniform_file, "--mode", "enum")

@@ -218,6 +218,8 @@ class TestMonteCarlo:
     def test_preconditions(self, two_node_mixed):
         with pytest.raises(PreconditionViolated):
             mc_uncertainty(two_node_mixed, {}, "prior", n=1)
+        with pytest.raises(PreconditionViolated, match="MAX_SAMPLES"):
+            mc_uncertainty(two_node_mixed, {}, "prior", n=oracle.MAX_SAMPLES + 1)
         with pytest.raises(PreconditionViolated):
             mc_uncertainty(two_node_mixed, {}, "prior", n=100, seed=-1)
         with pytest.raises(PreconditionViolated):
