@@ -57,13 +57,19 @@ def _meta(command: str, args: argparse.Namespace, **extra) -> Dict:
     return meta
 
 
-def _parse_evidence_args(pairs: Optional[List[str]]) -> Dict[str, str]:
+def _parse_evidence_args(net: ValidatedNetwork, pairs: Optional[List[str]]) -> Dict[str, str]:
+    """Split each NODE=ALTERNATIVE pair at its first ``=`` whose left part is a node id.
+
+    So an id may hold ``=``.  Where no ``=`` qualifies, the split is at the
+    first one, and resolving the pair names the unknown node.
+    """
     evidence: Dict[str, str] = {}
     for pair in pairs or []:
-        if "=" not in pair:
+        cuts = [i for i, c in enumerate(pair) if c == "="]
+        if not cuts:
             raise ParseError(f"evidence {pair!r} is not of the form NODE=ALTERNATIVE")
-        node, label = pair.split("=", 1)
-        evidence[node] = label
+        cut = next((i for i in cuts if pair[:i] in net.nodes), cuts[0])
+        evidence[pair[:cut]] = pair[cut + 1:]
     return evidence
 
 
@@ -72,8 +78,11 @@ def _resolve_evidence(net: ValidatedNetwork, labels: Dict[str, str]) -> Dict[str
 
 
 def _resolve_nodes(net: ValidatedNetwork, spec: str) -> List[str]:
+    """``all``, else the one node whose id is ``spec``, else a comma-separated list."""
     if spec == "all":
         return list(net.order)
+    if spec in net.nodes:
+        return [spec]
     nodes = [n.strip() for n in spec.split(",") if n.strip()]
     for node in nodes:
         net.node(node)
@@ -150,7 +159,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     net = validate_network(load_network(args.path))
-    labels = _parse_evidence_args(args.evidence)
+    labels = _parse_evidence_args(net, args.evidence)
     evidence = _resolve_evidence(net, labels)
     nodes = _resolve_nodes(net, args.nodes)
     reports = posterior_report(propagate(net, evidence), nodes)
@@ -204,7 +213,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if value is not None and not (math.isfinite(value) and value >= 0.0):
             raise ParseError(f"--{name} must be a finite number >= 0, not {value!r}")
     net = validate_network(load_network(args.path))
-    labels = _parse_evidence_args(args.evidence)
+    labels = _parse_evidence_args(net, args.evidence)
     evidence = _resolve_evidence(net, labels)
     reports = posterior_report(propagate(net, evidence))
     if args.mode == "enum":
@@ -289,7 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument(
         "--evidence", action="append", metavar="NODE=ALT", help="instantiate a node"
     )
-    p_query.add_argument("--nodes", default="all", help="'all' or a comma-separated list")
+    p_query.add_argument(
+        "--nodes", default="all", help="'all', one node id, or a comma-separated list"
+    )
     p_query.set_defaults(func=cmd_query)
 
     p_compare = sub.add_parser("compare", help="compare propagation against an oracle")

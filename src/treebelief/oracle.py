@@ -30,7 +30,17 @@ by exact scalar sum-product (Pearl's lambda/pi message passing), batched
 over realizations and linear in the node count.  That is a different algorithm
 from the engine's moment recurrences, and this module imports nothing from
 :mod:`treebelief.propagation`.  Products are not rescaled, so an evidence
-probability can underflow to zero on very large evidence sets.
+probability can underflow to zero on very large evidence sets; a moment
+that is then not finite raises :class:`NonFiniteResult`.
+
+The realization axis comes last everywhere: a node's tables are
+``(rows, dim, R)`` and every message, value, rim factor and conditional is
+``(dim, R)``, with R up to ``_CHUNK_CELLS`` and ``dim`` often 2.  Each
+sum-product step, support gather and row write then runs over rows of R
+contiguous numbers instead of R rows of ``dim``: at R = 16384 and
+``dim`` = 2 a step's ``einsum`` runs five to six times faster than with R
+first (2-vCPU Xeon VM).  Only the realization totals (P(evidence), island totals,
+weights) are ``(R,)``.
 
 Three modes fix what is being averaged over:
 
@@ -78,7 +88,9 @@ DEFAULT_CAP = 10_000_000
 #: refused up front instead of running for days without a message.
 MAX_SAMPLES = 10**9
 
-#: (realization, table cell) pairs per chunk; bounds the tables, not peak memory.
+#: (realization, table cell) pairs per chunk; bounds the tables (16 MB), not peak
+#: memory: Monte Carlo ``prior`` mode on a two-node network at n = 2e6 peaks at
+#: 128 MB by tracemalloc.
 _CHUNK_CELLS = 2_000_000
 
 
@@ -133,7 +145,7 @@ def exact_inference(
     probability can underflow to 0 on very large evidence sets.
     """
     check_evidence(net, evidence)
-    tabs = {n: np.asarray(tables[n], dtype=float)[None] for n in net.order}
+    tabs = {n: np.asarray(tables[n], dtype=float)[..., None] for n in net.order}
     conditionals, p_evidence = _posterior_sums(net, tabs, evidence)
     total = float(p_evidence[0])
     if total == 0.0:
@@ -143,7 +155,7 @@ def exact_inference(
         if node_id in evidence:
             marginals[node_id] = np.eye(net.nodes[node_id].dim)[evidence[node_id]]
         else:
-            marginals[node_id] = conditionals[node_id][0]
+            marginals[node_id] = conditionals[node_id][:, 0]
     return marginals, total
 
 
@@ -215,8 +227,8 @@ def _island_sums(
 ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
     """Per-realization island joints, summed out per node value.
 
-    ``tabs[node]`` has shape (R, n_rows, dim): R realizations of that node's
-    table.  Returns ``values[node]`` of shape (R, dim) -- the probability of
+    ``tabs[node]`` has shape (n_rows, dim, R): R realizations of that node's
+    table.  Returns ``values[node]`` of shape (dim, R) -- the probability of
     the island's rim evidence *and* node == value -- plus the (R,) total.
 
     Scalar sum-product over ``island.members``: the upward pass gives each
@@ -228,31 +240,31 @@ def _island_sums(
     rim: Dict[str, np.ndarray] = {}  # member -> product of its rim children's rows
     for child_id, observed in island.boundary:
         parent = net.nodes[child_id].parent
-        factor = tabs[child_id][:, :, observed]
+        factor = tabs[child_id][:, observed]
         rim[parent] = rim[parent] * factor if parent in rim else factor
     on_rim = {z for z, _ in island.boundary}
     kids = {m: [c for c in net.nodes[m].children if c not in on_rim] for m in island.members}
-    n_real = tabs[island.top].shape[0]
+    n_real = tabs[island.top].shape[-1]
 
     lam: Dict[str, np.ndarray] = {}
     up: Dict[str, np.ndarray] = {}  # member -> its message to its parent
     for m in reversed(island.members):
-        out = rim.get(m, np.ones((n_real, net.nodes[m].dim)))
+        out = rim.get(m, np.ones((net.nodes[m].dim, n_real)))
         for c in kids[m]:
             out = out * up[c]
         lam[m] = out
         if m != island.top:
-            up[m] = np.einsum("rxy,ry->rx", tabs[m], out)
+            up[m] = np.einsum("xyr,yr->xr", tabs[m], out)
 
-    pi = {island.top: tabs[island.top][:, island.top_row, :]}
+    pi = {island.top: tabs[island.top][island.top_row]}
     values: Dict[str, np.ndarray] = {}
     for m in island.members:
         values[m] = pi[m] * lam[m]
         if kids[m]:
             others = _leave_one_out([up[c] for c in kids[m]], pi[m] * rim.get(m, 1.0))
             for c, above in zip(kids[m], others):
-                pi[c] = np.einsum("rx,rxy->ry", above, tabs[c])
-    return values, values[island.top].sum(axis=1)
+                pi[c] = np.einsum("xr,xyr->yr", above, tabs[c])
+    return values, values[island.top].sum(axis=0)
 
 
 def _posterior_sums(
@@ -268,19 +280,19 @@ def _posterior_sums(
     of instantiated nodes whose parent is instantiated or absent.
     Conditionals are 0 where their island's total is 0.
     """
-    p_evidence = np.ones(tabs[net.root].shape[0])
+    p_evidence = np.ones(tabs[net.root].shape[-1])
     for node_id, observed in evidence.items():
         parent = net.nodes[node_id].parent
         if parent is None or parent in evidence:
             row = 0 if parent is None else evidence[parent]
-            p_evidence = p_evidence * tabs[node_id][:, row, observed]
+            p_evidence = p_evidence * tabs[node_id][row, observed]
     conditionals = {}
     for island in _islands(net, evidence):
         values, total = _island_sums(net, island, tabs)
         p_evidence = p_evidence * total
         safe = np.where(total > 0.0, total, 1.0)
         for m in island.members:
-            conditionals[m] = values[m] / safe[:, None]
+            conditionals[m] = values[m] / safe
     return conditionals, p_evidence
 
 
@@ -307,11 +319,12 @@ def _chunks(net: ValidatedNetwork, node_ids: Sequence[str], row_ids: _Rows, coun
     """Yield the tables of ``node_ids`` for realizations ``0..count-1``.
 
     ``rows_of(lo, hi)`` gives the values of ``row_ids`` one at a time, each
-    of shape (hi - lo, dim), and the weights of realizations ``lo..hi-1``.
+    of shape (dim, hi - lo), and the weights of realizations ``lo..hi-1``.
     A chunk holds at most ``_CHUNK_CELLS`` table cells.  Rows not listed are
     frozen at their mean vector; such rows must be ones the downstream sum
     never reads, or genuinely certain.  Tables with no listed row are
-    read-only views shared by the chunk.
+    read-only views shared by the chunk.  Each listed row is one contiguous
+    write.
     """
     step = max(1, _CHUNK_CELLS // sum(net.nodes[n].mean_rows.size for n in node_ids))
     for lo in range(0, count, step):
@@ -320,19 +333,20 @@ def _chunks(net: ValidatedNetwork, node_ids: Sequence[str], row_ids: _Rows, coun
         tabs: Dict[str, np.ndarray] = {}
         for node_id in node_ids:
             rows = net.nodes[node_id].mean_rows
-            tabs[node_id] = np.broadcast_to(rows, (hi - lo,) + rows.shape)
+            tabs[node_id] = np.broadcast_to(rows[..., None], rows.shape + (hi - lo,))
         for node_id in {n for n, _ in row_ids}:
             tabs[node_id] = tabs[node_id].copy()
         for (node_id, row), value in zip(row_ids, values):
-            tabs[node_id][:, row, :] = value
+            tabs[node_id][row] = value
         yield tabs, weights
 
 
 def _grid_chunks(net: ValidatedNetwork, cap: int, node_ids: Sequence[str], row_ids: _Rows):
     """Enumeration source: every combination of the supports of ``row_ids``.
 
-    Each combination is weighted by the product of its support weights, and
-    rows with a one-point support stay at their mean, that point.  Raises
+    Combinations come in ``itertools.product`` order over the listed rows,
+    and each is weighted by the product of its support weights; rows with a
+    one-point support stay at their mean, that point.  Raises
     :class:`CapExceeded` before any work when the count exceeds ``cap``.
     """
     listed = [(n, r) for n, r in row_ids if len(_support_of(net.nodes[n].rows[r])[1]) > 1]
@@ -342,12 +356,15 @@ def _grid_chunks(net: ValidatedNetwork, cap: int, node_ids: Sequence[str], row_i
     if count > cap:
         raise CapExceeded(f"{count} uncertainty combinations exceed the cap {cap}")
 
+    strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]  # C order, last fastest
+
     def rows_of(lo: int, hi: int):
-        choices = np.unravel_index(np.arange(lo, hi), sizes) if sizes else ()
+        i = np.arange(lo, hi)
+        choices = [(i // stride) % size for stride, size in zip(strides, sizes)]
         weights = np.ones(hi - lo)
         for (_, w), choice in zip(supports, choices):
-            weights *= w[choice]
-        return (pts[choice] for (pts, _), choice in zip(supports, choices)), weights
+            weights *= np.take(w, choice)
+        return (np.take(pts.T, c, axis=1) for (pts, _), c in zip(supports, choices)), weights
 
     return count, _chunks(net, node_ids, listed, count, rows_of)
 
@@ -397,7 +414,7 @@ def _sample_chunks(net: ValidatedNetwork, n: int, seed: int, index: Mapping[str,
         return dist.points[rng.choice(len(dist.weights), size, p=dist.weights)]
 
     def rows_of(lo: int, hi: int):
-        draws = (draw(net.nodes[z].rows[r], rng, hi - lo) for (z, r), rng in zip(listed, rngs))
+        draws = (draw(net.nodes[z].rows[r], rng, hi - lo).T for (z, r), rng in zip(listed, rngs))
         return draws, np.full(hi - lo, 1.0 / n)
 
     return n, _chunks(net, node_ids, listed, n, rows_of)
@@ -411,12 +428,14 @@ def _moments(net: ValidatedNetwork, members: Sequence[str], terms: Callable, pow
              chunks: _Chunks, n: Optional[int]) -> Tuple[Dict[str, OracleEntry], float]:
     """One block's moments over weighted realizations, as the module docstring gives them.
 
-    ``terms(tables)`` gives each member's values ``x``, of shape (R, dim),
+    ``terms(tables)`` gives each member's values ``x``, of shape (dim, R),
     and the block's ``z``, of shape (R,): with ``power`` 1, ``x`` is a
     conditional and ``a = z x``; with ``power`` 2, a joint and ``a = x``;
-    always ``b = a x``.  Given the sample count ``n``, the entries carry
-    standard errors, and raises :class:`NonFiniteResult` where those
-    overflow, as they do once ``z**3`` underflows.  Returns the entries and
+    always ``b = a x``.  Raises :class:`NonFiniteResult` when a mean or
+    second moment is not finite, as a second moment is once ``z**2``
+    underflows.  Given the sample count ``n``, the entries carry standard
+    errors, and raises the same where those overflow, as they do once
+    ``z**3`` underflows.  Returns the entries and
     the effective sample size ``(sum w z)^2 / sum (w z)^2``, summed over
     ``w z / c`` with ``c`` the largest ``w z`` so far: it is free of scale,
     and ``(w z)^2`` underflows first on evidence of tiny probability.
@@ -428,7 +447,7 @@ def _moments(net: ValidatedNetwork, members: Sequence[str], terms: Callable, pow
         values, z = terms(tabs)
         x = np.empty((bounds[-1], len(z)))  # one row per member value
         for m, lo, hi in zip(members, bounds, bounds[1:]):
-            x[lo:hi] = values[m].T
+            x[lo:hi] = values[m]
         u = w * z if power == 1 else w  # sum w a = sum u x, sum w b = sum u x^2
         sum_a = sum_a + x @ u
         sum_b = sum_b + x**2 @ u
@@ -452,7 +471,10 @@ def _moments(net: ValidatedNetwork, members: Sequence[str], terms: Callable, pow
         raise InconsistentEvidence("every realization gives the evidence probability 0")
 
     a, b, z = sum_a, sum_b, sum_z  # the weighted sums: sample means under Monte Carlo
-    mean, second = a / z, b / z**power
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        mean, second = a / z, b / z**power
+    if not (np.isfinite(mean).all() and np.isfinite(second).all()):
+        raise NonFiniteResult(f"moments are not finite at evidence probability {z:.3g}")
     columns = [mean, second, np.maximum(second - mean**2, 0.0)]
     if n is not None:  # delta method, from the gradients in (a, b, z) of:
         cov = (co - d_sum[:, :, None] * d_sum[:, None, :] / n) / (n - 1)

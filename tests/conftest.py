@@ -95,6 +95,19 @@ def tiny_evidence_chain_spec(root_row, n: int) -> NetworkSpec:
     )
 
 
+def underflow_star_spec(n: int) -> NetworkSpec:
+    """A two-point root ``r`` with ``n`` children ``c0 .. c<n-1>`` that take
+    ``a`` with probability 1e-3 or 2e-3 by the root's value.  Observed all at
+    ``a``, the evidence probability is about 1e-3 ** n, so at 60 children its
+    square underflows to 0 while the probability itself does not."""
+    root = DiscreteSupport(np.array([[0.3, 0.7], [0.6, 0.4]]), np.array([0.5, 0.5]))
+    rows = (PointMass(np.array([1e-3, 1.0 - 1e-3])), PointMass(np.array([2e-3, 1.0 - 2e-3])))
+    return NetworkSpec(
+        (NodeSpec("r", ("a", "b"), None, (root,)),)
+        + tuple(NodeSpec(f"c{i}", ("a", "b"), "r", rows) for i in range(n))
+    )
+
+
 def impossible_evidence_spec() -> NetworkSpec:
     """Deterministic tables under which B=b2 has probability zero."""
     return NetworkSpec(

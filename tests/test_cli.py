@@ -17,6 +17,7 @@ from conftest import (
     mixed_trees,
     tiny_evidence_chain_spec,
     two_node_mixed_spec,
+    underflow_star_spec,
     uniform_chain_spec,
 )
 from treebelief import (
@@ -697,6 +698,25 @@ class TestCompareCommand:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("NonFiniteResult")
 
+    def test_underflowing_oracle_second_moment_exits_6(self, capsys, tmp_path):
+        # The enumeration's (sum w z)^2 underflows at P(e) = 6e-163, so its
+        # second moments would be NaN; the oracle raises before anything is
+        # written.  The engine's own D^2 underflows too (a RuntimeWarning,
+        # ignored here): the oracle's message shows which one stopped it.
+        path = tmp_path / "star60.json"
+        save_network(underflow_star_spec(60), str(path))
+        evidence = [arg for i in range(60) for arg in ("--evidence", f"c{i}=a")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli(
+                capsys, "compare", str(path), "--mode", "enum",
+                "--oracle-mode", "approx-posterior", *evidence,
+            )
+        assert code == 6
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("NonFiniteResult")
+        assert "moments are not finite at evidence probability" in err
+
     def test_samples_above_ceiling_exit_5(self, capsys, two_node_file):
         assert MAX_SAMPLES + 1 == 1_000_000_001
         code, out, err = run_cli(
@@ -728,6 +748,56 @@ class TestCompareCommand:
         )
         assert code == 4
         assert not json.loads(out)["pass"]
+
+
+class TestOddNodeIds:
+    """Ids holding ``,`` or ``=``, or starting with a space, can be named on the command line."""
+
+    @pytest.fixture
+    def odd_file(self, tmp_path):
+        two = DiscreteSupport(np.array([[0.2, 0.8], [0.7, 0.3]]), np.array([0.4, 0.6]))
+        spec = NetworkSpec((
+            NodeSpec("a,b", ("u", "v"), None, (two,)),
+            NodeSpec("c=d", ("u", "v"), "a,b", (PointMass([0.9, 0.1]), two)),
+            NodeSpec(" x", ("u", "v"), "a,b", (two, PointMass([0.3, 0.7]))),
+        ))
+        path = tmp_path / "odd.json"
+        save_network(spec, str(path))
+        return str(path)
+
+    @pytest.mark.parametrize("node", ["a,b", "c=d", " x"])
+    def test_nodes_names_one_odd_id(self, capsys, odd_file, node):
+        code, out, _ = run_cli(capsys, "query", odd_file, "--nodes", node)
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc["nodes"]) == [node] and doc["meta"]["nodes"] == [node]
+
+    def test_nodes_list_and_all_keep_their_meaning(self, capsys, odd_file):
+        code, out, _ = run_cli(capsys, "query", odd_file, "--nodes", "c=d, all")
+        assert code == 2 and out == ""
+        code, out, _ = run_cli(capsys, "query", odd_file, "--nodes", "all")
+        assert code == 0 and list(json.loads(out)["nodes"]) == ["a,b", "c=d", " x"]
+
+    def test_evidence_on_odd_ids(self, capsys, odd_file):
+        argv = ["--evidence", "c=d=u", "--evidence", " x=v"]
+        code, out, _ = run_cli(capsys, "query", odd_file, *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["meta"]["evidence"] == {"c=d": "u", " x": "v"}
+        assert doc["nodes"]["c=d"]["mean"] == [1.0, 0.0]
+        assert doc["nodes"][" x"]["mean"] == [0.0, 1.0]
+        code, out, _ = run_cli(capsys, "compare", odd_file, "--mode", "enum", *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["pass"] and doc["meta"]["evidence"] == {"c=d": "u", " x": "v"}
+
+    def test_evidence_errors_on_odd_ids(self, capsys, odd_file):
+        code, out, err = run_cli(capsys, "query", odd_file, "--evidence", "c=u")
+        assert code == 2 and out == "" and err.startswith("UnknownNode: node 'c'")
+        code, out, err = run_cli(capsys, "compare", odd_file, "--evidence", "a,b")
+        assert code == 2 and out == "" and err.startswith("ParseError")
+        code, out, err = run_cli(capsys, "query", odd_file, "--evidence", "c=d=w")
+        assert code == 2 and out == "" and err.startswith("UnknownAlternative")
 
 
 class TestBoundcheckCommand:

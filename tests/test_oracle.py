@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_joint, impossible_evidence_spec, tiny_evidence_chain_spec
+from conftest import (
+    brute_force_joint,
+    impossible_evidence_spec,
+    tiny_evidence_chain_spec,
+    underflow_star_spec,
+)
 from treebelief import (
     Dirichlet,
     DiscreteSupport,
@@ -138,6 +143,17 @@ class TestEnumerate:
         assert not np.allclose(
             approx.entries["A"].second, exact.entries["A"].second, atol=1e-6
         )
+
+    def test_underflowing_second_moment_raises(self):
+        # P(e) = 6e-163: sum w z is finite, (sum w z)^2 is 0, and the
+        # approx-posterior second moments would be NaN
+        net = validate_network(underflow_star_spec(60))
+        evidence = {f"c{i}": 0 for i in range(60)}
+        with pytest.raises(NonFiniteResult, match="evidence probability 6.3"):
+            enumerate_uncertainty(net, evidence, "approx-posterior")
+        exact = enumerate_uncertainty(net, evidence, "exact-posterior")
+        for entry in exact.entries.values():
+            assert all(np.isfinite(getattr(entry, attr)).all() for attr in MOMENTS)
 
 
 class TestMonteCarlo:
@@ -621,6 +637,27 @@ class TestChunkedRealizations:
                 tracemalloc.stop()
         assert peaks[200_000] < 2 * peaks[20_000]
 
+    def test_enumeration_memory_does_not_grow_with_the_count(self, monkeypatch):
+        # The same 17-node star each time; only how many rows have two points changes.
+        two = DiscreteSupport(np.array([[0.2, 0.8], [0.7, 0.3]]), np.array([0.4, 0.6]))
+        one = DiscreteSupport(np.array([[0.45, 0.55]]), np.array([1.0]))
+        monkeypatch.setattr(oracle, "_CHUNK_CELLS", 5_000)
+        peaks = {}
+        for uncertain in (10, 16):
+            net = validate_network(NetworkSpec(
+                (NodeSpec("r", ("x", "y"), None, (one,)),)
+                + tuple(NodeSpec(f"c{i}", ("x", "y"), "r", (two if i < uncertain else one, one))
+                        for i in range(16))
+            ))
+            tracemalloc.start()
+            try:
+                report = enumerate_uncertainty(net, {}, "exact-posterior")
+                peaks[uncertain] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.size == 2**uncertain
+        assert peaks[16] < 2 * peaks[10]
+
     def test_enumeration_is_chunk_invariant(self, monkeypatch):
         rng = np.random.default_rng(61)
         for _ in range(12):
@@ -643,6 +680,35 @@ class TestChunkedRealizations:
                     got = mc_uncertainty(net, evidence, mode, n=200, seed=seed)
                 _assert_same_report(got, want)
 
+    @pytest.mark.parametrize("cells", [None, 100])
+    def test_grid_lists_every_combination_once_in_product_order(self, monkeypatch, cells):
+        a = DiscreteSupport(np.array([[0.2, 0.8], [0.6, 0.4]]), np.array([0.3, 0.7]))
+        b = DiscreteSupport(np.random.default_rng(4).dirichlet(np.ones(8), 3),
+                            np.array([0.5, 0.25, 0.25]))
+        one = DiscreteSupport(np.full((1, 8), 0.125), np.array([1.0]))
+        net = validate_network(NetworkSpec((
+            NodeSpec("A", ("a1", "a2"), None, (a,)),
+            NodeSpec("B", tuple(f"b{i}" for i in range(8)), "A", (b, one)),
+            NodeSpec("C", tuple(f"c{i}" for i in range(8)), "A", (PointMass(one.points[0]),) * 2),
+        )))
+        if cells is not None:  # 34 table cells: chunks of 2, some splitting A's runs of 3
+            monkeypatch.setattr(oracle, "_CHUNK_CELLS", cells)
+        rows = [("A", 0), ("B", 0), ("B", 1)]
+        count, chunks = oracle._grid_chunks(net, 10, net.order, rows)
+        chunks = list(chunks)
+        assert count == 6 and len(chunks) == (1 if cells is None else 3)
+        got = [
+            (tabs["A"][0, :, r], tabs["B"][0, :, r], tabs["B"][1, :, r], w[r])
+            for tabs, w in chunks for r in range(len(w))
+        ]
+        combinations = list(itertools.product(range(2), range(3)))
+        assert len(got) == len(combinations)
+        for (i, j), (row_a, row_b, row_one, weight) in zip(combinations, got):
+            assert np.array_equal(row_a, a.points[i])
+            assert np.array_equal(row_b, b.points[j])
+            assert np.array_equal(row_one, one.points[0])
+            assert weight == a.weights[i] * b.weights[j]
+
     def test_standard_errors_match_the_per_alternative_reference(self):
         rng = np.random.default_rng(63)
         n = 2000
@@ -656,12 +722,12 @@ class TestChunkedRealizations:
                 report = mc_uncertainty(net, evidence, mode, n=n, seed=seed)
                 if mode == "exact-posterior":
                     conditionals, p_evidence = oracle._posterior_sums(net, tabs, evidence)
-                    want = {m: _weighted_entry(c, p_evidence) for m, c in conditionals.items()}
+                    want = {m: _weighted_entry(c.T, p_evidence) for m, c in conditionals.items()}
                 else:
                     want = {}
                     for island in oracle._islands(net, evidence):
                         values, total = oracle._island_sums(net, island, tabs)
-                        want.update({m: _ratio_entry(values[m], total) for m in island.members})
+                        want.update({m: _ratio_entry(values[m].T, total) for m in island.members})
                 for node_id, entry in want.items():
                     got = report.entries[node_id]
                     for attr in MOMENTS:
