@@ -5,6 +5,9 @@ paper's variance bound is false in general (see the README).  This script
 runs the tier-1 command with a JUnit report and exits 0 only when that test
 fails and every other test passes, so a CI job built on it is green on the
 intended state and turns red if c5 starts passing or anything else fails.
+Pytest runs under ``python -X dev -W error::ResourceWarning``: development
+mode adds the interpreter's debug checks, and a file or socket left for the
+garbage collector to close fails its test.
 
 Run from the repository root::
 
@@ -28,8 +31,8 @@ def main() -> int:
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as tmp:
         report = Path(tmp) / "junit.xml"
-        command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-                   f"--junitxml={report}"]
+        command = [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "pytest",
+                   "-q", "--continue-on-collection-errors", f"--junitxml={report}"]
         subprocess.run(command, cwd=ROOT, env=env, check=False)
         if not report.exists():
             print("tier1: pytest wrote no report", file=sys.stderr)

@@ -6,12 +6,20 @@ every combination of the finitely supported rows (discrete supports; point
 masses are certain), weighted by its probability, and is exact up to
 floating-point rounding.  :func:`mc_uncertainty` draws n realizations of
 every row that is not a point mass, Dirichlet rows included, each weighted
-1/n, and adds delta-method standard errors.  Realizations arrive in chunks
-of at most ``_CHUNK_CELLS`` table cells, so Monte Carlo memory does not grow
-with n, and only the rows a block reads are drawn.  The constant bounds the
-tables (16 MB), not peak memory: a chunk's temporaries (gamma draws,
-sum-product messages, value and co-moment matrices) take about eight times
-as much, a tracemalloc peak of 128 MB on a two-node network at n = 2e6.
+1/n, and adds delta-method standard errors.  Realizations arrive in chunks,
+so Monte Carlo memory does not grow with n, and only the rows a block reads
+are drawn.  A chunk holds at most ``_CHUNK_REALIZATIONS`` (4096)
+realizations and at most ``_CHUNK_CELLS`` (2e6) table cells.  The first
+limit binds on small trees.  It keeps each (2, R) message at 64 KB, so a
+chunk's working set stays near a core's L2 cache; one chunk of all 2^14
+combinations of an 8-node tree takes about twice as long.  Monte Carlo
+prior mode on a two-node network then peaks at 1.6 MB by tracemalloc, at
+n = 2e5 and 2e6 alike.  The second limit binds on trees of more than 488
+cells per realization and bounds their tables (16 MB), not peak memory: a
+chunk's temporaries (gamma draws, sum-product messages, value and co-moment
+matrices) take several times as much, a tracemalloc peak of 92 MB for Monte
+Carlo prior mode on a 1000-node binary tree at k = 2.  A smaller cell budget
+would cost time there, since each chunk pays Python overhead per node.
 
 The accumulation runs once per *block*: each evidence island (below), or
 the whole tree in ``exact-posterior`` mode.  Per realization of weight
@@ -35,7 +43,7 @@ that is then not finite raises :class:`NonFiniteResult`.
 
 The realization axis comes last everywhere: a node's tables are
 ``(rows, dim, R)`` and every message, value, rim factor and conditional is
-``(dim, R)``, with R up to ``_CHUNK_CELLS`` and ``dim`` often 2.  Each
+``(dim, R)``, with R up to ``_CHUNK_REALIZATIONS`` and ``dim`` often 2.  Each
 sum-product step, support gather and row write then runs over rows of R
 contiguous numbers instead of R rows of ``dim``: at R = 16384 and
 ``dim`` = 2 a step's ``einsum`` runs five to six times faster than with R
@@ -88,10 +96,14 @@ DEFAULT_CAP = 10_000_000
 #: refused up front instead of running for days without a message.
 MAX_SAMPLES = 10**9
 
-#: (realization, table cell) pairs per chunk; bounds the tables (16 MB), not peak
-#: memory: Monte Carlo ``prior`` mode on a two-node network at n = 2e6 peaks at
-#: 128 MB by tracemalloc.
+#: (realization, table cell) pairs per chunk: the memory bound, binding on trees
+#: of more than 488 cells per realization.  It bounds their tables (16 MB), not
+#: peak memory (see the module docstring).
 _CHUNK_CELLS = 2_000_000
+
+#: Realizations per chunk: the cache bound, binding on smaller trees.  Of the
+#: caps 1024-16384, 4096 ran the benchmark's oracle networks fastest.
+_CHUNK_REALIZATIONS = 4096
 
 
 @dataclass
@@ -249,7 +261,7 @@ def _island_sums(
     lam: Dict[str, np.ndarray] = {}
     up: Dict[str, np.ndarray] = {}  # member -> its message to its parent
     for m in reversed(island.members):
-        out = rim.get(m, np.ones((net.nodes[m].dim, n_real)))
+        out = rim[m] if m in rim else np.ones((net.nodes[m].dim, n_real))
         for c in kids[m]:
             out = out * up[c]
         lam[m] = out
@@ -320,13 +332,15 @@ def _chunks(net: ValidatedNetwork, node_ids: Sequence[str], row_ids: _Rows, coun
 
     ``rows_of(lo, hi)`` gives the values of ``row_ids`` one at a time, each
     of shape (dim, hi - lo), and the weights of realizations ``lo..hi-1``.
-    A chunk holds at most ``_CHUNK_CELLS`` table cells.  Rows not listed are
+    A chunk holds at most ``_CHUNK_REALIZATIONS`` realizations and
+    ``_CHUNK_CELLS`` table cells.  Rows not listed are
     frozen at their mean vector; such rows must be ones the downstream sum
     never reads, or genuinely certain.  Tables with no listed row are
     read-only views shared by the chunk.  Each listed row is one contiguous
     write.
     """
-    step = max(1, _CHUNK_CELLS // sum(net.nodes[n].mean_rows.size for n in node_ids))
+    cells = sum(net.nodes[n].mean_rows.size for n in node_ids)
+    step = min(_CHUNK_REALIZATIONS, max(1, _CHUNK_CELLS // cells))
     for lo in range(0, count, step):
         hi = min(count, lo + step)
         values, weights = rows_of(lo, hi)
@@ -381,12 +395,12 @@ def _dirichlet_draws(rng: np.random.Generator, alpha: np.ndarray, n: int) -> np.
     draw: a row with a redraw is the one stream whose later draws depend on
     the chunk size.
     """
-    gammas = rng.gamma(shape=alpha, size=(n, len(alpha)))
+    gammas = rng.standard_gamma(alpha, size=(n, len(alpha)))
     sums = gammas.sum(axis=1, keepdims=True)
     if not sums.all():
         lost = sums[:, 0] == 0.0
         size = (int(lost.sum()), len(alpha))
-        logs = np.log(rng.gamma(shape=alpha + 1.0, size=size))
+        logs = np.log(rng.standard_gamma(alpha + 1.0, size=size))
         logs += np.log(1.0 - rng.random(size)) / alpha
         gammas[lost] = np.exp(logs - logs.max(axis=1, keepdims=True))
         sums = gammas.sum(axis=1, keepdims=True)

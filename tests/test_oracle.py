@@ -217,6 +217,28 @@ class TestMonteCarlo:
                 assert np.all(np.isfinite(got)) and np.all(np.isfinite(se))
                 assert np.all(np.abs(got - getattr(rep, attr)) <= 4 * se)
 
+    @pytest.mark.parametrize("alpha", [[0.001, 0.003], [1e-4, 2e-4, 1e-3], [300.0, 1000.0]])
+    def test_draws_and_stream_match_numpy_gamma(self, alpha):
+        # _dirichlet_draws as written with rng.gamma(shape=...), the reference:
+        # standard_gamma must give the same draws and leave the stream where it was.
+        def reference(rng, alpha, n):
+            gammas = rng.gamma(shape=alpha, size=(n, len(alpha)))
+            sums = gammas.sum(axis=1, keepdims=True)
+            if not sums.all():
+                lost = sums[:, 0] == 0.0
+                size = (int(lost.sum()), len(alpha))
+                logs = np.log(rng.gamma(shape=alpha + 1.0, size=size))
+                logs += np.log(1.0 - rng.random(size)) / alpha
+                gammas[lost] = np.exp(logs - logs.max(axis=1, keepdims=True))
+                sums = gammas.sum(axis=1, keepdims=True)
+            return gammas / sums
+
+        alpha = np.array(alpha)
+        ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
+        for n in (1, 777, 5000):
+            np.testing.assert_array_equal(_dirichlet_draws(ours, alpha, n), reference(theirs, alpha, n))
+            assert ours.random() == theirs.random()
+
     def test_tiny_alpha_redraw_keeps_other_draws(self):
         alpha = np.array([0.001, 0.003])
         draws = _dirichlet_draws(np.random.default_rng(5), alpha, 20_000)
@@ -620,7 +642,47 @@ def _assert_same_report(got, want):
 
 
 class TestChunkedRealizations:
-    """Both oracles stream realizations in chunks of at most ``_CHUNK_CELLS`` table cells."""
+    """Both oracles stream realizations in chunks of at most ``_CHUNK_REALIZATIONS``
+    realizations and ``_CHUNK_CELLS`` table cells."""
+
+    def test_enumeration_chunks_hold_at_most_the_cap(self):
+        # A star of nine three-point rows: 3**9 combinations, 38 table cells each.
+        three = DiscreteSupport(np.array([[0.2, 0.8], [0.5, 0.5], [0.7, 0.3]]),
+                                np.array([0.2, 0.3, 0.5]))
+        one = DiscreteSupport(np.array([[0.45, 0.55]]), np.array([1.0]))
+        net = validate_network(NetworkSpec(
+            (NodeSpec("r", ("x", "y"), None, (one,)),)
+            + tuple(NodeSpec(f"c{i}", ("x", "y"), "r", (three, one)) for i in range(9))
+        ))
+        cap = oracle._CHUNK_REALIZATIONS
+        rows = [(z, r) for z in net.order for r in range(len(net.nodes[z].rows))]
+        count, chunks = oracle._grid_chunks(net, 3**9, net.order, rows)
+        lengths = [len(w) for _, w in chunks]
+        assert count == 3**9 > cap
+        assert len(lengths) == -(-count // cap) and max(lengths) == cap and sum(lengths) == count
+
+    def test_wide_trees_keep_the_cell_budget_step(self):
+        # 2 + 4 * 122 = 490 table cells per realization: the cell budget binds before the cap.
+        certain = PointMass(np.array([0.3, 0.7]))
+        net = validate_network(NetworkSpec(
+            (NodeSpec("r", ("x", "y"), None, (certain,)),)
+            + tuple(NodeSpec(f"c{i}", ("x", "y"), "r", (certain, certain)) for i in range(122))
+        ))
+        cells = sum(net.nodes[z].mean_rows.size for z in net.order)
+        assert cells > oracle._CHUNK_CELLS // oracle._CHUNK_REALIZATIONS
+        index = {z: i for i, z in enumerate(net.order)}
+        _, chunks = oracle._sample_chunks(net, 10_000, 0, index, net.order, [])
+        step = oracle._CHUNK_CELLS // cells
+        assert [len(w) for _, w in chunks] == [step, step, 10_000 - 2 * step]
+
+    def test_monte_carlo_peak_memory_is_small(self, uniform_chain):
+        tracemalloc.start()
+        try:
+            mc_uncertainty(uniform_chain, {}, "prior", n=200_000, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @pytest.mark.parametrize("mode, evidence", [("prior", {}), ("exact-posterior", {"B": 0})])
     def test_monte_carlo_memory_does_not_grow_with_n(
