@@ -57,11 +57,13 @@ def _meta(command: str, args: argparse.Namespace, **extra) -> Dict:
     return meta
 
 
-def _parse_evidence_args(net: ValidatedNetwork, pairs: Optional[List[str]]) -> Dict[str, str]:
-    """Split each NODE=ALTERNATIVE pair at its first ``=`` whose left part is a node id.
+def _parse_evidence_args(net: ValidatedNetwork, pairs: Optional[List[str]]):
+    """``(labels, indices)``: each NODE=ALTERNATIVE pair split at its first ``=``
+    whose left part is a node id, and resolved to the alternative's index.
 
     So an id may hold ``=``.  Where no ``=`` qualifies, the split is at the
-    first one, and resolving the pair names the unknown node.
+    first one, and resolving the pair names the unknown node.  A node may be
+    named again only with the same alternative.
     """
     evidence: Dict[str, str] = {}
     for pair in pairs or []:
@@ -69,21 +71,19 @@ def _parse_evidence_args(net: ValidatedNetwork, pairs: Optional[List[str]]) -> D
         if not cuts:
             raise ParseError(f"evidence {pair!r} is not of the form NODE=ALTERNATIVE")
         cut = next((i for i in cuts if pair[:i] in net.nodes), cuts[0])
-        evidence[pair[:cut]] = pair[cut + 1:]
-    return evidence
-
-
-def _resolve_evidence(net: ValidatedNetwork, labels: Dict[str, str]) -> Dict[str, int]:
-    return {node: net.alt_index(node, label) for node, label in labels.items()}
+        node, label = pair[:cut], pair[cut + 1:]
+        if evidence.setdefault(node, label) != label:
+            raise ParseError(f"evidence names node {node!r} as {evidence[node]!r} and {label!r}")
+    return evidence, {node: net.alt_index(node, label) for node, label in evidence.items()}
 
 
 def _resolve_nodes(net: ValidatedNetwork, spec: str) -> List[str]:
-    """``all``, else the one node whose id is ``spec``, else a comma-separated list."""
+    """``all``, else the node whose id is ``spec``, else a comma-separated list, each id once."""
     if spec == "all":
         return list(net.order)
     if spec in net.nodes:
         return [spec]
-    nodes = [n.strip() for n in spec.split(",") if n.strip()]
+    nodes = list(dict.fromkeys(n.strip() for n in spec.split(",") if n.strip()))
     for node in nodes:
         net.node(node)
     return nodes
@@ -159,8 +159,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     net = validate_network(load_network(args.path))
-    labels = _parse_evidence_args(net, args.evidence)
-    evidence = _resolve_evidence(net, labels)
+    labels, evidence = _parse_evidence_args(net, args.evidence)
     nodes = _resolve_nodes(net, args.nodes)
     reports = posterior_report(propagate(net, evidence), nodes)
     doc = {
@@ -213,8 +212,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if value is not None and not (math.isfinite(value) and value >= 0.0):
             raise ParseError(f"--{name} must be a finite number >= 0, not {value!r}")
     net = validate_network(load_network(args.path))
-    labels = _parse_evidence_args(net, args.evidence)
-    evidence = _resolve_evidence(net, labels)
+    labels, evidence = _parse_evidence_args(net, args.evidence)
     reports = posterior_report(propagate(net, evidence))
     if args.mode == "enum":
         oracle = enumerate_uncertainty(net, evidence, args.oracle_mode, cap=args.cap)
@@ -257,12 +255,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_boundcheck(args: argparse.Namespace) -> int:
     if (args.gen is not None and args.gen < 0) or args.depth < 1:
         raise ParseError(f"--gen must be >= 0 and --depth >= 1, not {args.gen} and {args.depth}")
-    if args.gen is not None:
-        spec = random_beta_tree(np.random.default_rng(args.gen), max_depth=args.depth)
-    elif args.path is not None:
+    if (args.gen is None) == (args.path is None):
+        raise ParseError("boundcheck needs either a network file or --gen SEED")
+    if args.gen is None:
         spec = load_network(args.path)
     else:
-        raise ParseError("boundcheck needs a network file or --gen SEED")
+        spec = random_beta_tree(np.random.default_rng(args.gen), max_depth=args.depth)
     net = validate_network(spec)
     report = check_variance_bound(net)
     doc = {

@@ -15,6 +15,11 @@ from .model import (
 )
 
 
+# Support points per random_tree_spec row; children per random_beta_tree node.
+_MAX_POINTS, _MAX_CHILDREN = 3, 2
+_ALPHA_RANGE, _MIN_ALPHA_SUM = (0.5, 50.0), 2.0
+
+
 def _labels(k: int) -> Tuple[str, ...]:
     return tuple(f"s{j + 1}" for j in range(k))
 
@@ -23,7 +28,6 @@ def random_tree_spec(
     rng: np.random.Generator,
     max_nodes: int = 6,
     max_alternatives: int = 3,
-    max_points: int = 3,
     max_combinations: int = 300,
 ) -> NetworkSpec:
     """Random tree with discrete-support / point-mass rows.
@@ -43,7 +47,7 @@ def random_tree_spec(
         n_rows = 1 if parents[i] is None else dims[parents[i]]
         rows = []
         for _ in range(n_rows):
-            n_points = int(rng.integers(1, max_points + 1))
+            n_points = int(rng.integers(1, _MAX_POINTS + 1))
             if n_points > 1 and budget // n_points >= 1:
                 budget //= n_points
                 points = rng.dirichlet(np.ones(k) * 2.0, size=n_points)
@@ -74,21 +78,17 @@ def random_evidence(
 def random_beta_tree(
     rng: np.random.Generator,
     max_depth: int = 5,
-    alpha_low: float = 0.5,
-    alpha_high: float = 50.0,
-    min_alpha_sum: float = 2.0,
-    max_children: int = 2,
 ) -> NetworkSpec:
     """Random binary tree whose rows are beta (two-dimensional Dirichlet).
 
-    Alphas are log-uniform in ``[alpha_low, alpha_high]``, resampled until the
-    row's alpha sum reaches ``min_alpha_sum``.
+    Alphas are log-uniform in ``_ALPHA_RANGE``, resampled until the row's
+    alpha sum reaches ``_MIN_ALPHA_SUM``.
     """
 
     def beta_row() -> Dirichlet:
         while True:
-            alpha = np.exp(rng.uniform(np.log(alpha_low), np.log(alpha_high), size=2))
-            if alpha.sum() >= min_alpha_sum:
+            alpha = np.exp(rng.uniform(*np.log(_ALPHA_RANGE), size=2))
+            if alpha.sum() >= _MIN_ALPHA_SUM:
                 return Dirichlet(alpha)
 
     labels = _labels(2)
@@ -99,7 +99,7 @@ def random_beta_tree(
         parent, depth = frontier.pop(0)
         if depth >= max_depth:
             continue
-        n_children = int(rng.integers(0, max_children + 1))
+        n_children = int(rng.integers(0, _MAX_CHILDREN + 1))
         if parent == "n0" and n_children == 0:
             n_children = 1  # at least one non-root node
         for _ in range(n_children):

@@ -374,18 +374,15 @@ def _runs(order: np.ndarray, *columns):
     return columns.tolist(), zip(bounds, bounds[1:])
 
 
-def _compile(order, by_id, children):
+def _compile(order, above, depth, by_id, children):
     """``(slot, ids, row_start, sib_counts, levels)`` of a :class:`LevelPlan`.
 
-    Two stable sorts give the slot and sibling orders; ties keep the
-    depth-first ``order``, which lists each parent's children together.
+    ``order`` is the depth-first walk of :func:`validate_network`, so each
+    parent's children are consecutive; ``above`` and ``depth`` give each
+    node's parent's place in it (0 at the root) and depth.  Two stable sorts
+    give the slot and sibling orders; ties keep ``order``.
     """
     n = len(order)
-    index = {c: i for i, c in enumerate(order)}
-    above = [0] + [index[by_id[c].parent] for c in order[1:]]
-    depth = [0] * n
-    for i in range(1, n):
-        depth[i] = depth[above[i]] + 1
     above, depth = np.array(above), np.array(depth)
     k = np.array([len(by_id[c].alternatives) for c in order])
     r, m = k[above], np.array([len(children[c]) for c in order])[above]
@@ -414,18 +411,15 @@ def _compile(order, by_id, children):
         if alone[d[a]]:
             levels[d[a]][0].append((rr[a], kk[a], s[a], rows, p[a], ps[a]))
             continue
-        if g == 1:
-            pos_ab, parents = slice(p[a], p[a] + 1), slice(ps[a], ps[a] + 1)
-        else:
-            pos_ab, parents = _index(p[a:b]), _index(ps[a:b])
+        pos_ab, parents = _index(p[a:b]), _index(ps[a:b])
         levels[d[a]][0].append((rr[a], kk[a], slice(s[a], s[a] + g), rows, pos_ab, parents))
     (d, rr, mm, p, ps), runs = _runs(sib, depth, r, m, pos, slot[above])
     for a, b in runs:
         if alone[d[a]]:
             levels[d[a] - 1][1].append((rr[a], 1, p[a], ps[a]))
             continue
-        parents = slice(ps[a], ps[a] + 1) if b - a == mm[a] else _index(ps[a:b:mm[a]])
-        levels[d[a] - 1][1].append((rr[a], mm[a], slice(p[a], p[a] + b - a), parents))
+        kids, parents = slice(p[a], p[a] + b - a), _index(ps[a:b:mm[a]])
+        levels[d[a] - 1][1].append((rr[a], mm[a], kids, parents))
     slot = dict(zip(order, zip(depth.tolist(), k.tolist(), slot.tolist(), r.tolist(), pos.tolist())))
     return slot, ids, row_start, sib_counts, levels
 
@@ -475,11 +469,14 @@ _CHECK_ROWS = 1024
 def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     """Check every structural invariant of ``spec`` and resolve adjacency.
 
-    Structure and dimensions are checked first.  Then the row moments are
-    computed per alternative count ``k``, in one vectorized pass over all
-    rows of that ``k`` in :class:`LevelPlan` order (:func:`_row_moments`), and
-    checked against the :func:`_check_moments` invariants in blocks of
-    :data:`_CHECK_ROWS` rows.  Each node keeps read-only views of its rows.
+    Structure and dimensions are checked first; one depth-first walk from the
+    root orders the tree, in time linear in the node count whatever the order
+    of ``spec.nodes``, and a node it misses lies below a parent cycle.  Then
+    the row moments are computed per alternative count ``k``, in one
+    vectorized pass over all rows of that ``k`` in :class:`LevelPlan` order
+    (:func:`_row_moments`), and checked against the :func:`_check_moments`
+    invariants in blocks of :data:`_CHECK_ROWS` rows.  Each node keeps
+    read-only views of its rows.
 
     Raises :class:`CycleDetected`, :class:`MultipleRoots`,
     :class:`DimensionMismatch` or :class:`BadDistribution`, always naming the
@@ -514,16 +511,24 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
             raise CycleDetected(f"node {ns.id!r} is its own parent")
         children[ns.parent].append(ns.id)
 
-    # Every parent chain must reach the root without revisiting a node.
-    settled = {root}
-    for ns in spec.nodes:
-        chain, cur = [], ns.id
-        while cur not in settled:
-            if cur in chain:
-                raise CycleDetected(f"node {cur!r} is part of a parent cycle")
-            chain.append(cur)
+    # Depth-first from the root, on parallel stacks: a tuple per node would
+    # trigger cyclic garbage collections over the whole heap.
+    order, above, depth, stack, ups = [], [], [], [root], [0]
+    while stack:
+        cur, up = stack.pop(), ups.pop()
+        stack += reversed(children[cur])
+        ups += [len(order)] * len(children[cur])
+        depth.append(depth[up] + 1 if order else 0)
+        order.append(cur)
+        above.append(up)
+    if len(order) < len(spec.nodes):
+        # a missed node's parent chain meets no reached node, so it ends in a cycle
+        seen = set(order)
+        cur = next(ns.id for ns in spec.nodes if ns.id not in seen)
+        while cur not in seen:
+            seen.add(cur)
             cur = by_id[cur].parent
-        settled.update(chain)
+        raise CycleDetected(f"node {cur!r} is part of a parent cycle")
 
     for ns in spec.nodes:
         k = len(ns.alternatives)
@@ -548,13 +553,7 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
                     f"!= {k} alternatives"
                 )
 
-    order = []
-    stack = [root]
-    while stack:
-        cur = stack.pop()
-        order.append(cur)
-        stack.extend(reversed(children[cur]))
-    slot, ids, row_start, sib_counts, levels = _compile(order, by_id, children)
+    slot, ids, row_start, sib_counts, levels = _compile(order, above, depth, by_id, children)
 
     row_views, moments, failed = {}, {}, False
     for k, members in ids.items():

@@ -451,6 +451,25 @@ class TestQueryCommand:
         code, _, err = run_cli(capsys, "query", two_node_file, "--evidence", "B=zap")
         assert code == 2 and "UnknownAlternative" in err
 
+    @pytest.mark.parametrize("command", ["query", "compare"])
+    def test_conflicting_evidence_exits_2(self, capsys, two_node_file, command):
+        argv = [command, two_node_file, "--evidence", "B=b1", "--evidence", "B=b2"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("ParseError: ") and "'B'" in err
+
+    def test_repeated_evidence_is_accepted(self, capsys, two_node_file):
+        argv = ["--evidence", "B=b1", "--evidence", "B=b1"]
+        code, out, _ = run_cli(capsys, "query", two_node_file, *argv)
+        assert code == 0
+        assert json.loads(out)["meta"]["evidence"] == {"B": "b1"}
+
+    def test_repeated_nodes_are_reported_once(self, capsys, two_node_file):
+        code, out, _ = run_cli(capsys, "query", two_node_file, "--nodes", "B,A,B")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["meta"]["nodes"] == ["B", "A"] and list(doc["nodes"]) == ["B", "A"]
+
     def test_overflowing_alpha(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
         doc = network_to_json(uniform_chain_spec())
@@ -830,6 +849,11 @@ class TestBoundcheckCommand:
     def test_needs_input(self, capsys):
         code, _, err = run_cli(capsys, "boundcheck")
         assert code == 2
+
+    def test_file_and_gen_together_exit_2(self, capsys, uniform_file):
+        code, out, err = run_cli(capsys, "boundcheck", uniform_file, "--gen", "1")
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("ParseError: ")
 
 
 class TestArgumentRanges:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,6 +258,58 @@ class TestValidateNetwork:
         )
         with pytest.raises(CycleDetected):
             validate_network(spec)
+
+    @pytest.mark.parametrize(
+        "listing, named",
+        [
+            ("A B X Y Z W", "X"),
+            ("W Z Y X B A", "Y"),
+            ("Z A W X Y B", "Z"),
+            ("B Y A X W Z", "Y"),
+            ("A W B Z Y X", "Y"),
+        ],
+    )
+    def test_detached_cycle_names_the_first_repeated_node(self, listing, named):
+        # A -> B is the rooted tree; X -> Y -> Z -> X is a parent cycle with W below Y.
+        # The first node in file order that the root does not reach is followed
+        # up its parents, and the first node met twice is named.
+        parents = {"A": None, "B": "A", "X": "Z", "Y": "X", "Z": "Y", "W": "Y"}
+        half = PointMass(np.array([0.5, 0.5]))
+        spec = NetworkSpec(
+            tuple(
+                NodeSpec(i, ("u", "v"), parents[i], (half,) if parents[i] is None else (half, half))
+                for i in listing.split()
+            )
+        )
+        with pytest.raises(CycleDetected, match=f"^node '{named}' is part of a parent cycle$"):
+            validate_network(spec)
+
+    def test_self_parent(self):
+        root = _chain().nodes[0]
+        rows = (PointMass(np.array([0.9, 0.1])), PointMass(np.array([0.2, 0.8])))
+        spec = NetworkSpec((root, NodeSpec("B", ("b1", "b2"), "B", rows)))
+        with pytest.raises(CycleDetected, match="^node 'B' is its own parent$"):
+            validate_network(spec)
+
+    def test_chain_listed_leaf_first_validates_in_linear_time(self):
+        # Ordering and the cycle check are one walk from the root, whatever
+        # the file order; a per-node parent-chain walk is quadratic here.
+        n, labels = 20_000, ("s0", "s1")
+        rows = (PointMass(np.array([0.9, 0.1])), PointMass(np.array([0.2, 0.8])))
+        nodes = [NodeSpec("n0", labels, None, rows[:1])]
+        nodes += [NodeSpec(f"n{i}", labels, f"n{i - 1}", rows) for i in range(1, n)]
+
+        def best_of_3(spec):
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                validate_network(spec)
+                times.append(time.perf_counter() - start)
+            return min(times)
+
+        parents_first = best_of_3(NetworkSpec(nodes))
+        leaf_first = best_of_3(NetworkSpec(nodes[::-1]))
+        assert leaf_first <= 3 * parents_first
 
     def test_dangling_parent(self):
         spec = NetworkSpec(
