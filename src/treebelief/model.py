@@ -7,13 +7,24 @@ distribution over probability vectors.  The propagation engine never looks at
 those distributions directly; it consumes only their first moments ``E(p_i)``
 and second moments ``E(p_i p_j)``, packaged here as :class:`MomentSet`.
 
-:func:`validate_network` computes those moments once, for all rows with the
-same alternative count together, and checks them in blocks of rows; each
-:class:`ValidatedNode` holds read-only views of its own rows.  The rows lie
-in the level order of the :class:`LevelPlan` that it compiles for propagation.
+:func:`validate_network` has one core, which checks a network held as
+columns (:class:`_Columns`): per node its id, alternatives, parent and row
+count, per row its kind and dimension, and the Dirichlet and point vectors as
+one read-only float stack per dimension.  A parsed spec arrives as columns;
+the rows of a spec built by hand are read into them one by one.  The core
+computes the moments once, for all rows with the same alternative count
+together, from one gather of the stacks in the level order of the
+:class:`LevelPlan` that it compiles for propagation, and checks them in
+blocks of rows; each :class:`ValidatedNode` holds read-only views of its own
+rows.  The distribution objects of a parsed network, and its
+:class:`NodeSpec` objects, are built only when ``rows`` or
+``NetworkSpec.nodes`` is first read; a query reads neither.
 
 All types are immutable after construction and all operations are pure
-functions, so they are safe to share between threads.
+functions, so they are safe to share between threads.  A first read of lazy
+rows may run in two threads at once: each builds from columns that never
+change, and each result is published with one ``dict.setdefault``, so both
+threads get the same objects.
 """
 from __future__ import annotations
 
@@ -221,28 +232,18 @@ class MomentSet:
 _KINDS = (Dirichlet, DiscreteSupport, PointMass)
 
 
-def _row_moments(rows, k: int):
-    """``(mean, second)`` of shapes (R, k) and (R, k, k) for ``R`` rows of
-    dimension ``k``, each one of :data:`_KINDS`; unchecked.  This is the only
-    moment formula: :func:`moments_of` documents it.
+def _stacked_moments(vectors: np.ndarray, dirichlet: np.ndarray, discrete=()):
+    """``(mean, second)`` of shapes (R, k) and (R, k, k) for the ``R`` rows of
+    ``vectors``; unchecked.  This is the only moment formula: :func:`moments_of`
+    documents it.
 
-    Dirichlet alphas and point-mass vectors are stacked and share one outer
-    product.  A point-mass row divides by 1 in place of ``a0`` and
-    ``a0 (a0 + 1)``, which is exact.  Discrete supports are filled in row by
-    row.
+    Row ``i`` is ``Dirichlet(vectors[i])`` where ``dirichlet[i]``, else
+    ``PointMass(vectors[i])``; they share one outer product.  A point-mass
+    row divides by 1 in place of ``a0`` and ``a0 (a0 + 1)``, which is exact.
+    Each ``(i, support)`` of ``discrete`` then overwrites row ``i`` with the
+    moments of that :class:`DiscreteSupport`.
     """
-    n = len(rows)
-    vectors = np.zeros((n, k))
-    dirichlet = np.zeros(n, dtype=bool)
-    discrete = []
-    for i, dist in enumerate(rows):
-        if isinstance(dist, Dirichlet):
-            vectors[i] = dist.alpha
-            dirichlet[i] = True
-        elif isinstance(dist, PointMass):
-            vectors[i] = dist.p
-        else:
-            discrete.append(i)
+    n, k = vectors.shape
     a0 = np.where(dirichlet, vectors.sum(axis=1), 1.0)
     denom = np.where(dirichlet, a0 * (a0 + 1.0), 1.0)
     mean = vectors / a0[:, None]
@@ -250,8 +251,8 @@ def _row_moments(rows, k: int):
     second /= denom[:, None, None]
     diag = vectors * np.where(dirichlet[:, None], vectors + 1.0, vectors) / denom[:, None]
     second.reshape(n, k * k)[:, :: k + 1] = diag
-    for i in discrete:
-        pts, w = rows[i].points, rows[i].weights
+    for i, dist in discrete:
+        pts, w = dist.points, dist.weights
         mean[i] = w @ pts
         second[i] = pts.T @ (w[:, None] * pts)
     return mean, second
@@ -272,8 +273,12 @@ def moments_of(dist: UncertainDistribution) -> MomentSet:
     """
     if not isinstance(dist, _KINDS):
         raise BadDistribution(f"unsupported distribution type {type(dist).__name__}")
+    vectors = np.zeros((1, dist.dim))
+    if not isinstance(dist, DiscreteSupport):
+        vectors[0] = dist.alpha if isinstance(dist, Dirichlet) else dist.p
+    discrete = [(0, dist)] if isinstance(dist, DiscreteSupport) else []
     with np.errstate(over="ignore", invalid="ignore"):
-        mean, second = _row_moments((dist,), dist.dim)
+        mean, second = _stacked_moments(vectors, np.array([isinstance(dist, Dirichlet)]), discrete)
     return MomentSet(mean[0], second[0])
 
 
@@ -291,10 +296,123 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class NetworkSpec:
+    """A network's nodes as listed, in file order; :func:`validate_network`
+    checks them.
+
+    A spec from :func:`~treebelief.netfile.parse_network` holds the file as
+    :class:`_Columns` instead, and builds ``nodes`` when it is first read.
+    """
+
     nodes: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
+
+    @classmethod
+    def _of_columns(cls, columns: "_Columns") -> "NetworkSpec":
+        spec = object.__new__(cls)
+        object.__setattr__(spec, "_columns", columns)
+        return spec
+
+    def __getattr__(self, name: str):
+        # Python calls this only for an attribute that is not set: here the
+        # nodes of a spec of columns, until their first read.
+        columns = vars(self).get("_columns")
+        if name != "nodes" or columns is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        nodes = columns.node_specs()
+        object.__setattr__(self, "nodes", nodes)
+        return nodes
+
+
+#: Row kinds of :class:`_Columns`: an index into :data:`_KINDS`, or this for
+#: any other object.
+_UNSUPPORTED = -1
+_DIRICHLET, _DISCRETE, _POINT = range(3)
+
+
+class _Columns:
+    """A network as parallel columns, which :func:`validate_network` checks.
+
+    Per node, in file order: ``ids``, ``alternatives`` (tuples), ``parents``
+    and the arrays ``counts`` and ``starts``: node ``i`` owns rows
+    ``starts[i]`` up to ``starts[i] + counts[i]``.  Per row, in file order,
+    the arrays ``kinds`` (an index into :data:`_KINDS`, or
+    :data:`_UNSUPPORTED`) and ``dims``.  A Dirichlet or point row ``g`` is the
+    vector ``stacks[dims[g]][places[g]]`` of a read-only stack; a discrete
+    row is the object ``discrete[g]``.
+
+    :meth:`rows` builds row objects, views of the stacks, only when asked,
+    and :meth:`node_specs` the :class:`NodeSpec` tuple.  Each is published
+    with one ``dict.setdefault``, atomic under the interpreter lock, so
+    concurrent first reads may each build, but all get the first object
+    stored, and the columns never change.
+    """
+
+    __slots__ = ("ids", "alternatives", "parents", "counts", "starts", "kinds", "dims",
+                 "places", "stacks", "discrete", "_built")
+
+    def __init__(self, ids, alternatives, parents, counts, kinds, dims, places, stacks,
+                 discrete, built=None):
+        self.ids, self.alternatives, self.parents = ids, alternatives, parents
+        self.counts = np.asarray(counts, dtype=np.intp)
+        self.starts = np.cumsum(self.counts) - self.counts
+        self.kinds, self.dims, self.places = kinds, dims, places
+        self.stacks, self.discrete = stacks, discrete
+        self._built = {} if built is None else built  # node index -> rows; "nodes" -> nodes
+
+    @classmethod
+    def of_nodes(cls, nodes) -> "_Columns":
+        """The columns of :class:`NodeSpec` objects, one row at a time."""
+        built, info, vectors, discrete = {}, [], {}, {}
+        for i, ns in enumerate(nodes):
+            built[i] = ns.rows
+            for dist in ns.rows:
+                if isinstance(dist, (Dirichlet, PointMass)):
+                    vector = dist.alpha if isinstance(dist, Dirichlet) else dist.p
+                    stack = vectors.setdefault(vector.size, [])
+                    kind = _DIRICHLET if isinstance(dist, Dirichlet) else _POINT
+                    info.append((kind, vector.size, len(stack)))
+                    stack.append(vector)
+                elif isinstance(dist, DiscreteSupport):
+                    discrete[len(info)] = dist
+                    info.append((_DISCRETE, dist.dim, 0))
+                else:
+                    info.append((_UNSUPPORTED, -1, 0))
+        stacks = {size: np.array(rows) for size, rows in vectors.items()}
+        for stack in stacks.values():
+            stack.flags.writeable = False
+        kinds, dims, places = np.array(info, dtype=np.intp).reshape(-1, 3).T
+        return cls(
+            [ns.id for ns in nodes], [ns.alternatives for ns in nodes],
+            [ns.parent for ns in nodes], [len(ns.rows) for ns in nodes],
+            kinds, dims, places, stacks, discrete, built,
+        )
+
+    def _row(self, g: int) -> UncertainDistribution:
+        kind = self.kinds[g]
+        if kind == _DISCRETE:
+            return self.discrete[g]
+        vector = self.stacks[int(self.dims[g])][self.places[g]]
+        return (Dirichlet if kind == _DIRICHLET else PointMass)._checked(vector)
+
+    def rows(self, i: int) -> tuple:
+        """The row objects of node ``i``."""
+        rows = self._built.get(i)
+        if rows is None:
+            lo = int(self.starts[i])
+            rows = tuple(map(self._row, range(lo, lo + int(self.counts[i]))))
+            rows = self._built.setdefault(i, rows)
+        return rows
+
+    def node_specs(self) -> tuple:
+        """One :class:`NodeSpec` per node, in file order."""
+        nodes = self._built.get("nodes")
+        if nodes is None:
+            rows = map(self.rows, range(len(self.ids)))
+            nodes = tuple(map(NodeSpec, self.ids, self.alternatives, self.parents, rows))
+            nodes = self._built.setdefault("nodes", nodes)
+        return nodes
 
 
 class ValidatedNode:
@@ -302,21 +420,27 @@ class ValidatedNode:
 
     ``mean_rows`` (rows, k) and ``second_rows`` (rows, k, k) are read-only
     views into the moment arrays that :func:`validate_network` builds for all
-    nodes with ``k`` alternatives; they are the only stored copy.
+    nodes with ``k`` alternatives; they are the only stored copy.  ``rows``,
+    the node's distribution objects, are built when first read.
     """
 
-    __slots__ = ("id", "alternatives", "parent", "children", "rows", "mean_rows", "second_rows")
+    __slots__ = ("id", "alternatives", "parent", "children", "mean_rows", "second_rows",
+                 "_columns", "_index")
 
-    def __init__(self, spec: NodeSpec, children, mean_rows: np.ndarray, second_rows: np.ndarray):
-        self.id = spec.id
-        self.alternatives = spec.alternatives
-        self.parent = spec.parent
+    def __init__(self, node_id: str, alternatives: tuple, parent: Optional[str], children,
+                 mean_rows: np.ndarray, second_rows: np.ndarray, columns: _Columns, index: int):
+        self.id = node_id
+        self.alternatives = alternatives
+        self.parent = parent
         self.children = tuple(children)
-        self.rows = spec.rows
-        mean_rows.flags.writeable = False
-        second_rows.flags.writeable = False
         self.mean_rows = mean_rows
         self.second_rows = second_rows
+        self._columns = columns
+        self._index = index
+
+    @property
+    def rows(self) -> tuple:
+        return self._columns.rows(self._index)
 
     @property
     def dim(self) -> int:
@@ -374,19 +498,18 @@ def _runs(order: np.ndarray, *columns):
     return columns.tolist(), zip(bounds, bounds[1:])
 
 
-def _compile(order, above, depth, by_id, children):
+def _compile(order, above, depth, k, r, m):
     """``(slot, ids, row_start, sib_counts, levels)`` of a :class:`LevelPlan`.
 
     ``order`` is the depth-first walk of :func:`validate_network`, so each
     parent's children are consecutive; ``above`` and ``depth`` give each
-    node's parent's place in it (0 at the root) and depth.  Two stable sorts
-    give the slot and sibling orders; ties keep ``order``.
+    node's parent's place in it (0 at the root) and depth, and the arrays
+    ``k``, ``r`` and ``m`` its alternative and row counts and its parent's
+    number of children.  Two stable sorts give the slot and sibling orders;
+    ties keep ``order``.
     """
     n = len(order)
     above, depth = np.array(above), np.array(depth)
-    k = np.array([len(by_id[c].alternatives) for c in order])
-    r, m = k[above], np.array([len(children[c]) for c in order])[above]
-    r[0] = 1
     plan = np.lexsort((m, k, r, depth))
     sib = np.lexsort((m, r, depth))[1:]  # the root sorts first and has no siblings
     slot, pos, first_row = np.empty(n, np.intp), np.zeros(n, np.intp), np.empty(n, np.intp)
@@ -469,47 +592,54 @@ _CHECK_ROWS = 1024
 def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     """Check every structural invariant of ``spec`` and resolve adjacency.
 
-    Structure and dimensions are checked first; one depth-first walk from the
-    root orders the tree, in time linear in the node count whatever the order
-    of ``spec.nodes``, and a node it misses lies below a parent cycle.  Then
-    the row moments are computed per alternative count ``k``, in one
-    vectorized pass over all rows of that ``k`` in :class:`LevelPlan` order
-    (:func:`_row_moments`), and checked against the :func:`_check_moments`
-    invariants in blocks of :data:`_CHECK_ROWS` rows.  Each node keeps
-    read-only views of its rows.
+    One core checks the network's :class:`_Columns`: those of a parsed spec,
+    or of the rows of ``spec.nodes`` taken one by one.  Structure and
+    dimensions are checked first; one depth-first walk from the root orders
+    the tree, in time linear in the node count whatever the order of the
+    nodes, and a node it misses lies below a parent cycle.  Alternative, row
+    and dimension counts are each compared as one array, and on a fault a
+    per-node scan names the first bad node in file order.  Then the row
+    moments are computed per alternative count ``k``, from one gather of the
+    rows of that ``k`` in :class:`LevelPlan` order (:func:`_stacked_moments`),
+    and checked against the :func:`_check_moments` invariants in blocks of
+    :data:`_CHECK_ROWS` rows.  Each node keeps read-only views of its rows.
 
     Raises :class:`CycleDetected`, :class:`MultipleRoots`,
     :class:`DimensionMismatch` or :class:`BadDistribution`, always naming the
     offending node.  A structural fault is reported before any bad moments;
     among nodes with bad moments, the first in file order is named.
     """
-    if not spec.nodes:
+    columns = getattr(spec, "_columns", None)
+    if columns is None:
+        columns = _Columns.of_nodes(spec.nodes)
+    ids, parents = columns.ids, columns.parents
+    if not ids:
         raise InvalidNetwork("network has no nodes")
 
-    by_id = {}
-    for ns in spec.nodes:
-        if not isinstance(ns.id, str) or not ns.id:
-            raise InvalidNetwork(f"node id {ns.id!r} must be a non-empty string")
-        if ns.id in by_id:
-            raise InvalidNetwork(f"duplicate node id {ns.id!r}")
-        by_id[ns.id] = ns
+    index = {}
+    for i, node_id in enumerate(ids):
+        if not isinstance(node_id, str) or not node_id:
+            raise InvalidNetwork(f"node id {node_id!r} must be a non-empty string")
+        if node_id in index:
+            raise InvalidNetwork(f"duplicate node id {node_id!r}")
+        index[node_id] = i
 
-    roots = [ns.id for ns in spec.nodes if ns.parent is None]
+    roots = [node_id for node_id, parent in zip(ids, parents) if parent is None]
     if len(roots) > 1:
         raise MultipleRoots(f"nodes {roots[0]!r} and {roots[1]!r} both claim no parent")
     if not roots:
         raise CycleDetected("no root: every node names a parent")
     root = roots[0]
 
-    children = {ns.id: [] for ns in spec.nodes}
-    for ns in spec.nodes:
-        if ns.parent is None:
+    children = {node_id: [] for node_id in ids}
+    for node_id, parent in zip(ids, parents):
+        if parent is None:
             continue
-        if ns.parent not in by_id:
-            raise UnknownNode(f"node {ns.id!r}: parent {ns.parent!r} is not defined")
-        if ns.parent == ns.id:
-            raise CycleDetected(f"node {ns.id!r} is its own parent")
-        children[ns.parent].append(ns.id)
+        if parent not in index:
+            raise UnknownNode(f"node {node_id!r}: parent {parent!r} is not defined")
+        if parent == node_id:
+            raise CycleDetected(f"node {node_id!r} is its own parent")
+        children[parent].append(node_id)
 
     # Depth-first from the root, on parallel stacks: a tuple per node would
     # trigger cyclic garbage collections over the whole heap.
@@ -521,49 +651,47 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
         depth.append(depth[up] + 1 if order else 0)
         order.append(cur)
         above.append(up)
-    if len(order) < len(spec.nodes):
+    if len(order) < len(ids):
         # a missed node's parent chain meets no reached node, so it ends in a cycle
         seen = set(order)
-        cur = next(ns.id for ns in spec.nodes if ns.id not in seen)
+        cur = next(node_id for node_id in ids if node_id not in seen)
         while cur not in seen:
             seen.add(cur)
-            cur = by_id[cur].parent
+            cur = parents[index[cur]]
         raise CycleDetected(f"node {cur!r} is part of a parent cycle")
 
-    for ns in spec.nodes:
-        k = len(ns.alternatives)
-        if k < 2:
-            raise InvalidNetwork(f"node {ns.id!r}: at least two alternatives required")
-        if len(set(ns.alternatives)) != k:
-            raise InvalidNetwork(f"node {ns.id!r}: alternative labels must be unique")
-        expected_rows = 1 if ns.parent is None else len(by_id[ns.parent].alternatives)
-        if len(ns.rows) != expected_rows:
-            raise DimensionMismatch(
-                f"node {ns.id!r}: {len(ns.rows)} rows, expected {expected_rows}"
-            )
-        for j, dist in enumerate(ns.rows):
-            if not isinstance(dist, _KINDS):
-                raise BadDistribution(
-                    f"node {ns.id!r}, row {j}: unsupported distribution "
-                    f"{type(dist).__name__}"
-                )
-            if dist.dim != k:
-                raise DimensionMismatch(
-                    f"node {ns.id!r}, row {j}: distribution dimension {dist.dim} "
-                    f"!= {k} alternatives"
-                )
+    ks = np.array(list(map(len, columns.alternatives)))
+    at = np.array(list(map(index.__getitem__, order)))  # each node of order, in the file
+    k = ks[at]
+    r = k[above]
+    r[0] = 1
+    if not (
+        (ks >= 2).all()
+        and (columns.counts[at] == r).all()
+        and (columns.kinds != _UNSUPPORTED).all()
+        and (columns.dims == np.repeat(ks, columns.counts)).all()
+        and list(map(len, map(set, columns.alternatives))) == ks.tolist()
+    ):
+        _scan_dimensions(columns, index)
+    m = np.array(list(map(len, map(children.__getitem__, order))))[above]
+    slot, plan_ids, row_start, sib_counts, levels = _compile(order, above, depth, k, r, m)
 
-    slot, ids, row_start, sib_counts, levels = _compile(order, above, depth, by_id, children)
-
-    row_views, moments, failed = {}, {}, False
-    for k, members in ids.items():
-        members = [by_id[c] for c in members]
+    row_views, moments, failed = [None] * len(ids), {}, False
+    for kv, members in plan_ids.items():
+        at_k = np.array(list(map(index.__getitem__, members)))
+        counts, first = columns.counts[at_k], row_start[kv]
+        rows = np.repeat(columns.starts[at_k] - first, counts) + np.arange(first[-1] + counts[-1])
+        kinds = columns.kinds[rows]
+        found = np.flatnonzero(kinds == _DISCRETE)
+        discrete = [(i, columns.discrete[g]) for i, g in zip(found.tolist(), rows[found].tolist())]
+        stack = columns.stacks.get(kv)
+        vectors = np.zeros((len(rows), kv)) if stack is None else stack[columns.places[rows]]
         with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the check below
-            mean, second = _row_moments([d for ns in members for d in ns.rows], k)
+            mean, second = _stacked_moments(vectors, kinds == _DIRICHLET, discrete)
         mean.flags.writeable = second.flags.writeable = False
-        moments[k] = mean, second
-        for ns, lo in zip(members, row_start[k].tolist()):
-            row_views[ns.id] = mean[lo : lo + len(ns.rows)], second[lo : lo + len(ns.rows)]
+        moments[kv] = mean, second
+        for i, lo, hi in zip(at_k.tolist(), first.tolist(), (first + counts).tolist()):
+            row_views[i] = mean[lo:hi], second[lo:hi]
         for lo in range(0, len(mean), _CHECK_ROWS):
             try:
                 _check_moments(mean[lo : lo + _CHECK_ROWS], second[lo : lo + _CHECK_ROWS], "rows")
@@ -571,15 +699,47 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
                 failed = True
                 break
     if failed:  # invariants hold row by row, so some node fails its own check
-        for ns in spec.nodes:
-            _check_moments(*row_views[ns.id], f"node {ns.id!r}")
+        for node_id, views in zip(ids, row_views):
+            _check_moments(*views, f"node {node_id!r}")
 
     validated = {
-        ns.id: ValidatedNode(ns, children[ns.id], *row_views[ns.id]) for ns in spec.nodes
+        node_id: ValidatedNode(node_id, alts, parent, children[node_id], *views, columns, i)
+        for i, (node_id, alts, parent, views) in enumerate(
+            zip(ids, columns.alternatives, parents, row_views)
+        )
     }
 
-    plan = LevelPlan(slot, ids, sib_counts, levels, moments, row_start)
+    plan = LevelPlan(slot, plan_ids, sib_counts, levels, moments, row_start)
     return ValidatedNetwork(validated, order, root, plan)
+
+
+def _scan_dimensions(columns: _Columns, index: Dict[str, int]) -> None:
+    """Raise for the first node, in file order, whose alternatives, row count
+    or row dimensions are wrong."""
+    nodes = zip(columns.ids, columns.alternatives, columns.parents)
+    for i, (node_id, alts, parent) in enumerate(nodes):
+        k = len(alts)
+        if k < 2:
+            raise InvalidNetwork(f"node {node_id!r}: at least two alternatives required")
+        if len(set(alts)) != k:
+            raise InvalidNetwork(f"node {node_id!r}: alternative labels must be unique")
+        n_rows = int(columns.counts[i])
+        expected_rows = 1 if parent is None else len(columns.alternatives[index[parent]])
+        if n_rows != expected_rows:
+            raise DimensionMismatch(f"node {node_id!r}: {n_rows} rows, expected {expected_rows}")
+        lo = int(columns.starts[i])
+        for j, (kind, dim) in enumerate(zip(columns.kinds[lo : lo + n_rows].tolist(),
+                                            columns.dims[lo : lo + n_rows].tolist())):
+            if kind == _UNSUPPORTED:
+                raise BadDistribution(
+                    f"node {node_id!r}, row {j}: unsupported distribution "
+                    f"{type(columns.rows(i)[j]).__name__}"
+                )
+            if dim != k:
+                raise DimensionMismatch(
+                    f"node {node_id!r}, row {j}: distribution dimension {dim} "
+                    f"!= {k} alternatives"
+                )
 
 
 def check_evidence(net: ValidatedNetwork, evidence: Mapping[str, int]) -> None:

@@ -24,23 +24,27 @@ Conditional rows must appear in the parent's alternative order; their
 ``given`` labels are checked against it.  Report serialization keeps the full
 float precision (shortest round-trip repr, at least 15 significant digits).
 
-:func:`parse_network` checks a document in two steps.  A structural pass
-runs, in file order, every check on the objects, ids, alternatives, parents
-and ``given`` labels, and gathers each Dirichlet ``alpha`` and point ``p``
-list into one group per (type, length); discrete rows, which are rare, go
-through :func:`parse_distribution` on the spot.  Then each group becomes one
-stacked float array with one type check of all its numbers (JSON numbers
-only, so no bool or string), and one reduction for the Dirichlet (finite,
-> 0) or point (finite, >= 0, summing to 1) invariants.  Its rows are
-read-only row views of that array.  If any check fails, the document is
-parsed again row by row, which raises the first fault in file order, with
-the error type and message of :func:`parse_distribution`.
+:func:`parse_network` turns a document into columns, with no object per row
+(:func:`_columns`).  Each check runs as one C-level pass over all nodes or
+all rows: ``map(dict.get, ...)`` gathers the ids, alternatives, parents,
+``given`` labels, distribution types and number lists, ``set(map(type,
+...))`` checks their JSON types, and list equality the ``given`` labels.
+The number lists of each length become one float stack, with one type check
+of all its numbers (JSON numbers only, so no bool or string) and one
+reduction for the Dirichlet (finite, > 0) and one for the point (finite,
+>= 0, summing to 1) rows.  Discrete rows, which are rare, go through
+:func:`parse_distribution` on the spot.  :func:`validate_network` checks the
+columns, and row objects, read-only views of the stacks, are built only when
+``NetworkSpec.nodes`` or a node's ``rows`` is read.  If any check fails, the
+document is parsed again row by row (:func:`_walk`), which raises the first
+fault in file order, with the error type and message of
+:func:`parse_distribution`.
 """
 from __future__ import annotations
 
 import json
-from itertools import chain, islice
-from typing import Any, Callable, Dict, List, Optional
+from itertools import chain, repeat
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -52,6 +56,10 @@ from .model import (
     NodeSpec,
     PointMass,
     UncertainDistribution,
+    _Columns,
+    _DIRICHLET,
+    _DISCRETE,
+    _POINT,
     _alpha_ok,
     _prob_rows_ok,
 )
@@ -104,17 +112,9 @@ def parse_distribution(obj: Any, where: str) -> UncertainDistribution:
     raise ParseError(f"{where}: unknown distribution type {kind!r}")
 
 
-def _parse_row(obj: Any, node_id: str, j: int) -> UncertainDistribution:
-    return parse_distribution(obj, f"node {node_id!r}, row {j}")
-
-
-def _walk(doc: Any, parse_row: Callable[[Any, str, int], None]) -> List[tuple]:
-    """Run the structural checks of a network document in file order.
-
-    ``parse_row(dist, node_id, j)`` is called on the distribution object of
-    each node's cpt row ``j``.  Returns ``(id, alternatives, parent, row
-    count)`` per node.
-    """
+def _walk(doc: Any) -> NetworkSpec:
+    """Parse a network document row by row, running every check in file
+    order, so that the first fault is the one raised."""
     _expect(isinstance(doc, dict), "top level must be an object")
     nodes_doc = doc.get("nodes")
     _expect(isinstance(nodes_doc, list) and nodes_doc, "top-level 'nodes' list required")
@@ -147,6 +147,7 @@ def _walk(doc: Any, parse_row: Callable[[Any, str, int], None]) -> List[tuple]:
             expected_given = alternatives_of[parent]
         else:
             expected_given = [row.get("given") for row in cpt if isinstance(row, dict)]
+        rows = []
         for j, row in enumerate(cpt):
             _expect(isinstance(row, dict), f"node {node_id!r}: cpt row {j} must be an object")
             if j < len(expected_given) and row.get("given") != expected_given[j]:
@@ -154,54 +155,105 @@ def _walk(doc: Any, parse_row: Callable[[Any, str, int], None]) -> List[tuple]:
                     f"node {node_id!r}: cpt row {j} is for {row.get('given')!r}, "
                     f"expected {expected_given[j]!r}"
                 )
-            parse_row(row.get("dist"), node_id, j)
-        nodes.append((node_id, tuple(alternatives_of[node_id]), parent, len(cpt)))
-    return nodes
+            rows.append(parse_distribution(row.get("dist"), f"node {node_id!r}, row {j}"))
+        nodes.append(NodeSpec(node_id, alternatives_of[node_id], parent, rows))
+    return NetworkSpec(nodes)
 
 
-class _StackedRows:
-    """Rows gathered by the structural pass and checked one stack at a time.
+_KIND_CODES = {"dirichlet": _DIRICHLET, "discrete": _DISCRETE, "point": _POINT}
+_VALUE_KEYS = {_DIRICHLET: "alpha", _DISCRETE: "points", _POINT: "p"}
 
-    Dirichlet and point rows are grouped by kind and length; every other row
-    goes through :func:`parse_distribution` at once.  :meth:`build` returns
-    every row in file order, or ``None`` when some group fails its check.
+
+def _columns(doc: Any) -> Optional[_Columns]:
+    """The columns of a document that passes every check, else ``None``.
+
+    Each check of :func:`_walk` and :func:`parse_distribution` runs as one
+    C-level pass over all nodes or all rows (``map``, ``set``, list
+    equality), or as one array test per row length.  Some are stricter: a
+    duplicate id, an unknown parent, a row count that does not match the
+    parent, or a ``str`` or ``dict`` subclass also give ``None``, and the
+    row-by-row walk then decides.  Discrete rows, which are rare, go
+    through :func:`parse_distribution` one by one.
     """
+    if type(doc) is not dict:
+        return None
+    entries = doc.get("nodes")
+    if type(entries) is not list or not entries or set(map(type, entries)) != {dict}:
+        return None
+    ids, alternatives, parents, cpts = (
+        list(map(dict.get, entries, repeat(key))) for key in ("id", "alternatives", "parent", "cpt")
+    )
+    if (
+        set(map(type, ids)) != {str}
+        or len(set(ids)) < len(ids)
+        or set(map(type, alternatives)) != {list}
+        or not set(map(type, chain.from_iterable(alternatives))) <= {str}
+        or not set(map(type, parents)) <= {str, type(None)}
+        or set(map(type, cpts)) != {list}
+        or not all(cpts)
+    ):
+        return None
+    alternatives_of = dict(zip(ids, alternatives))
+    alternatives_of[None] = [None]  # the given of the root's one row
+    given = list(map(alternatives_of.get, parents))
+    counts = list(map(len, cpts))
+    if None in given or list(map(len, given)) != counts:
+        return None
+    rows = list(chain.from_iterable(cpts))
+    if set(map(type, rows)) != {dict}:
+        return None
+    if list(map(dict.get, rows, repeat("given"))) != list(chain.from_iterable(given)):
+        return None
+    dists = list(map(dict.get, rows, repeat("dist")))
+    if set(map(type, dists)) != {dict}:
+        return None
+    kinds = list(map(dict.get, dists, repeat("type")))
+    if set(map(type, kinds)) != {str} or not set(kinds) <= _KIND_CODES.keys():
+        return None
+    kinds = list(map(_KIND_CODES.__getitem__, kinds))
+    values = list(map(dict.get, dists, map(_VALUE_KEYS.__getitem__, kinds)))
+    kinds = np.array(kinds, dtype=np.intp)
+    dims, places = np.zeros(len(rows), np.intp), np.zeros(len(rows), np.intp)
 
-    def __init__(self):
-        self.rows: List[Optional[UncertainDistribution]] = []
-        self.groups: Dict[tuple, tuple] = {}  # (kind, length) -> (vectors, positions)
+    discrete = {}
+    vector_rows = np.flatnonzero(kinds != _DISCRETE)
+    if len(vector_rows) < len(rows):
+        for g in np.flatnonzero(kinds == _DISCRETE).tolist():
+            try:  # on a fault the walk raises it again, naming the row
+                discrete[g] = parse_distribution(dists[g], "row")
+            except (ParseError, BadDistribution):
+                return None
+            dims[g] = discrete[g].dim
+        values = list(map(values.__getitem__, vector_rows.tolist()))
+    if not (
+        set(map(type, values)) <= {list}
+        and set(map(type, chain.from_iterable(values))) <= _NUMBER_TYPES
+    ):
+        return None
+    lengths = np.array(list(map(len, values)), dtype=np.intp)
+    dims[vector_rows] = lengths
 
-    def add(self, obj: Any, node_id: str, j: int) -> None:
-        kind = obj.get("type") if type(obj) is dict else None
-        if kind == "dirichlet" or kind == "point":
-            values = obj.get("alpha" if kind == "dirichlet" else "p")
-            if type(values) is list:
-                vectors, positions = self.groups.setdefault((kind, len(values)), ([], []))
-                vectors.append(values)
-                positions.append(len(self.rows))
-                self.rows.append(None)
-                return
-        self.rows.append(_parse_row(obj, node_id, j))
-
-    def build(self) -> Optional[List[UncertainDistribution]]:
-        rows = self.rows
-        for (kind, length), (vectors, positions) in self.groups.items():
-            if length < 1 or not set(map(type, chain.from_iterable(vectors))) <= _NUMBER_TYPES:
-                return None
-            try:
-                stack = np.array(vectors, dtype=float)
-            except (TypeError, ValueError, OverflowError):
-                return None
-            if kind == "point":
-                ok, cls = _prob_rows_ok(stack), PointMass
-            else:
-                ok, cls = _alpha_ok(stack), Dirichlet
-            if not ok:
-                return None
-            stack.flags.writeable = False
-            for i, row in zip(positions, map(cls._checked, stack)):
-                rows[i] = row
-        return rows
+    stacks = {}
+    for size in set(lengths.tolist()):
+        if size < 1:
+            return None
+        group = np.flatnonzero(lengths == size)
+        vectors = values
+        if len(group) < len(values):
+            vectors = list(map(values.__getitem__, group.tolist()))
+        try:
+            stack = np.fromiter(chain.from_iterable(vectors), float, size * len(group))
+        except OverflowError:  # an int beyond the float range
+            return None
+        stack = stack.reshape(len(group), size)
+        dirichlet = kinds[vector_rows[group]] == _DIRICHLET
+        if not (_alpha_ok(stack[dirichlet]) and _prob_rows_ok(stack[~dirichlet])):
+            return None
+        stack.flags.writeable = False
+        stacks[size] = stack
+        places[vector_rows[group]] = np.arange(len(group))
+    return _Columns(ids, list(map(tuple, alternatives)), parents, counts, kinds, dims, places,
+                    stacks, discrete)
 
 
 def parse_network(doc: Any) -> NetworkSpec:
@@ -210,19 +262,10 @@ def parse_network(doc: Any) -> NetworkSpec:
     Raises :class:`ParseError` or :class:`BadDistribution` for the first
     fault in file order.
     """
-    stacked = _StackedRows()
-    try:
-        nodes = _walk(doc, stacked.add)
-        rows = stacked.build()
-    except (ParseError, BadDistribution):
-        rows = None
-    if rows is None:  # some row is bad: parsing row by row names the first fault
-        rows = []
-        nodes = _walk(doc, lambda obj, node_id, j: rows.append(_parse_row(obj, node_id, j)))
-    it = iter(rows)
-    return NetworkSpec(
-        tuple(NodeSpec(i, alts, parent, tuple(islice(it, n))) for i, alts, parent, n in nodes)
-    )
+    columns = _columns(doc)
+    if columns is None:  # some check failed: the row-by-row walk names the first fault
+        return _walk(doc)
+    return NetworkSpec._of_columns(columns)
 
 
 def load_network(path: str) -> NetworkSpec:
@@ -231,6 +274,8 @@ def load_network(path: str) -> NetworkSpec:
             doc = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     except RecursionError as exc:

@@ -4,7 +4,9 @@ import dataclasses
 import io
 import json
 import os
+import sys
 import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -29,6 +31,8 @@ from treebelief import (
     load_network,
     network_to_json,
     parse_network,
+    posterior_report,
+    propagate,
     save_network,
     validate_network,
 )
@@ -81,6 +85,14 @@ class TestNetworkFiles:
         doc["nodes"][0]["cpt"][0]["dist"] = {"type": "gaussian"}
         with pytest.raises(ParseError):
             parse_network(doc)
+
+    @pytest.mark.parametrize("command", ["query", "validate"])
+    def test_file_that_is_not_utf8_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"nodes": "\xff"}')
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("ParseError: ") and "not valid UTF-8" in err
 
     @given(mixed_trees())
     @settings(max_examples=60, deadline=None)
@@ -384,6 +396,81 @@ class TestStackedParse:
         got = _outcome(parse_network, doc)
         assert got == _outcome(_reference_parse, doc)
         assert f"node {doc['nodes'][first[0]]['id']!r}" in got[1]
+
+
+class TestLazyRows:
+    """A parsed network keeps its rows as stacked arrays: a query builds no
+    row object, and reading ``rows`` builds them once, shared by the spec
+    and the validated network."""
+
+    @pytest.fixture
+    def binary_file(self, tmp_path):
+        rng, labels = np.random.default_rng(16), ("s0", "s1", "s2")
+        nodes = [
+            NodeSpec(f"n{i}", labels, None if i == 0 else f"n{(i - 1) // 2}",
+                     tuple(Dirichlet(rng.uniform(0.5, 5.0, 3)) for _ in range(1 if i == 0 else 3)))
+            for i in range(1000)
+        ]
+        path = tmp_path / "binary-k3-n1000.json"
+        save_network(NetworkSpec(nodes), str(path))
+        return str(path)
+
+    def test_query_builds_no_row_objects(self, capsys, monkeypatch, binary_file):
+        built = []
+
+        def counting(original):
+            def wrapper(*args, **kwargs):
+                built.append(args[0])
+                return original(*args, **kwargs)
+            return wrapper
+
+        for cls in (Dirichlet, PointMass):
+            monkeypatch.setattr(cls, "_checked", classmethod(counting(cls.__dict__["_checked"].__func__)))
+            monkeypatch.setattr(cls, "__post_init__", counting(cls.__post_init__))
+        spec = load_network(binary_file)
+        net = validate_network(spec)
+        posterior_report(propagate(net, {"n999": 1}))
+        code, out, _ = run_cli(capsys, "query", binary_file, "--evidence", "n999=s1")
+        assert code == 0 and out
+        assert built == []
+
+        with open(binary_file, encoding="utf-8") as handle:
+            reference = _reference_parse(json.load(handle))
+        del built[:]
+        for i, ref in enumerate(reference.nodes):
+            rows = net.nodes[ref.id].rows
+            assert [type(row) for row in rows] == [type(row) for row in ref.rows]
+            for row, ref_row in zip(rows, ref.rows):
+                assert _row_arrays(row)[0].tobytes() == _row_arrays(ref_row)[0].tobytes()
+                assert not _row_arrays(row)[0].flags.writeable
+            assert spec.nodes[i].rows is rows
+        assert len(built) == sum(len(ref.rows) for ref in reference.nodes)  # each row once
+
+    def test_concurrent_first_reads_get_the_same_rows(self, binary_file):
+        spec = load_network(binary_file)
+        net = validate_network(spec)
+        results = [None] * 4
+
+        def read(t):
+            rows = [net.nodes[node_id].rows for node_id in net.order]
+            results[t] = rows, spec.nodes
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(t,)) for t in range(len(results))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        rows, nodes = results[0]
+        for other_rows, other_nodes in results[1:]:
+            assert other_nodes is nodes
+            assert all(a is b for a, b in zip(other_rows, rows))
+        assert all(node.rows is net.nodes[node.id].rows for node in nodes)
 
 
 class TestValidateCommand:

@@ -1,11 +1,13 @@
+import copy
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import mixed_trees, random_row
+from test_cli import _reference_parse, _row_arrays
 from treebelief import (
     Dirichlet,
     DiscreteSupport,
@@ -15,10 +17,13 @@ from treebelief import (
     PointMass,
     check_evidence,
     moments_of,
+    network_to_json,
+    parse_network,
     validate_network,
 )
 from treebelief.errors import (
     BadDistribution,
+    BeliefNetworkError,
     CycleDetected,
     DimensionMismatch,
     InvalidNetwork,
@@ -443,6 +448,106 @@ class TestBatchedRowMoments:
         first = nodes[min(bad)].id
         with pytest.raises(BadDistribution, match=f"node '{first}': moments must be finite"):
             validate_network(NetworkSpec(tuple(nodes)))
+
+
+def _assert_same(a, b):
+    """Equal values of equal types, arrays to the byte, dtype and flags."""
+    assert type(a) is type(b)
+    if isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, b.flags.writeable)
+        assert a.tobytes() == b.tobytes()
+    elif isinstance(a, dict):
+        assert list(a) == list(b)
+        for key in a:
+            _assert_same(a[key], b[key])
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same(x, y)
+    else:
+        assert a == b
+
+
+def _outcome(make_spec):
+    try:
+        validate_network(make_spec())
+    except BeliefNetworkError as exc:
+        return type(exc), str(exc)
+    return "ok", ""
+
+
+_FAULTS = (
+    "duplicate id", "two roots", "unknown parent", "self-parent", "detached cycle",
+    "k = 1", "repeated label", "row count", "row length", "overflowing alpha", "empty cpt",
+)
+
+
+def _put_fault(doc, fault, i, j):
+    """Put ``fault`` into the document at node ``i`` (not the root), with
+    ``j`` a second node where the fault needs one."""
+    nodes = doc["nodes"]
+    node = nodes[i]
+    if fault == "duplicate id":
+        node["id"] = nodes[j]["id"]
+    elif fault == "two roots":
+        node["parent"] = None
+        node["cpt"] = [{"given": None, "dist": node["cpt"][0]["dist"]}]
+    elif fault == "unknown parent":
+        node["parent"] = "zz"
+    elif fault == "self-parent":
+        node["parent"] = node["id"]
+    elif fault == "detached cycle":
+        node["parent"], nodes[j]["parent"] = nodes[j]["id"], node["id"]
+    elif fault == "k = 1":
+        node["alternatives"] = node["alternatives"][:1]
+    elif fault == "repeated label":
+        node["alternatives"][-1] = node["alternatives"][0]
+    elif fault == "row count":
+        node["cpt"].pop()
+    elif fault == "row length":
+        dist = node["cpt"][-1]["dist"]
+        for vector in [dist] if dist["type"] == "point" else dist.get("points", [dist]):
+            vector.get("alpha", vector.get("p")).pop()
+    elif fault == "overflowing alpha":
+        node["cpt"][-1]["dist"] = {"type": "dirichlet", "alpha": [1e200] * len(node["alternatives"])}
+    else:  # no rows, below a parent with no alternatives
+        next(p for p in nodes if p["id"] == node["parent"])["alternatives"] = []
+        node["cpt"] = []
+
+
+class TestParsedEqualsHandBuilt:
+    """A parsed network is validated from its columns, a hand-built one from
+    its row objects; both must give the same network, bit for bit, and the
+    same errors."""
+
+    @given(mixed_trees())
+    @settings(max_examples=150, deadline=None)
+    def test_same_plan_moments_and_nodes(self, spec):
+        want = validate_network(spec)
+        got = validate_network(parse_network(network_to_json(spec)))
+        assert (got.order, got.root) == (want.order, want.root)
+        _assert_same(got.plan, want.plan)
+        assert list(got.nodes) == list(want.nodes)
+        for node_id, node in got.nodes.items():
+            ref = want.nodes[node_id]
+            assert (node.alternatives, node.parent, node.children) == (ref.alternatives, ref.parent, ref.children)
+            _assert_same(node.mean_rows, ref.mean_rows)
+            _assert_same(node.second_rows, ref.second_rows)
+            assert [type(row) for row in node.rows] == [type(row) for row in ref.rows]
+            _assert_same([_row_arrays(row) for row in node.rows], [_row_arrays(row) for row in ref.rows])
+
+    @given(mixed_trees(max_nodes=8), st.sampled_from(_FAULTS), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_errors(self, spec, fault, data):
+        doc = network_to_json(spec)
+        nodes = doc["nodes"]
+        others = [i for i, node in enumerate(nodes) if node["parent"] is not None]
+        assume(len(others) >= 2)
+        i, j = data.draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True))
+        _put_fault(doc, fault, i, j)
+        got = _outcome(lambda: parse_network(copy.deepcopy(doc)))
+        assert got == _outcome(lambda: _reference_parse(copy.deepcopy(doc)))
+        assert got[0] != "ok"
 
 
 class TestEvidenceChecks:
