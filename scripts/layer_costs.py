@@ -114,7 +114,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[1000, 10000])
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--shapes", nargs="+", choices=SHAPES, default=list(SHAPES))
     parser.add_argument("--base", type=Path, help="src directory of a checkout to compare against")
     parser.add_argument("--gc-off", action="store_true", help="keep the collector off while timing")
     args = parser.parse_args(argv)
@@ -127,7 +126,7 @@ def main(argv=None) -> int:
     times = {v: {} for v in versions}  # version -> tree -> [per-round layer seconds]
     with tempfile.TemporaryDirectory() as tmp:
         trees = {}
-        for shape in args.shapes:
+        for shape in SHAPES:
             for n in args.sizes:
                 path = Path(tmp) / f"{shape}-k{K}-n{n}.json"
                 trees[f"{shape}-{n}"] = (str(path), write_tree(versions["this"], shape, n, path), n)

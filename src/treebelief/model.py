@@ -11,9 +11,10 @@ and second moments ``E(p_i p_j)``, packaged here as :class:`MomentSet`.
 columns (:class:`_Columns`): per node its id, alternatives, parent and row
 count, per row its kind and dimension, and the Dirichlet and point vectors as
 one read-only float stack per dimension.  A parsed spec arrives as columns;
-the rows of a spec built by hand are read into them one by one.  The core
-computes the moments once, for all rows with the same alternative count
-together, from one gather of the stacks in the level order of the
+the rows of a spec built by hand are read into them one by one, and as its
+validated nodes keep its own row objects, those columns are then dropped.
+The core computes the moments once, for all rows with the same alternative
+count together, from one gather of the stacks in the level order of the
 :class:`LevelPlan` that it compiles for propagation, and checks them in
 blocks of rows; each :class:`ValidatedNode` holds read-only views of its own
 rows.  The distribution objects of a parsed network, and its
@@ -421,26 +422,29 @@ class ValidatedNode:
     ``mean_rows`` (rows, k) and ``second_rows`` (rows, k, k) are read-only
     views into the moment arrays that :func:`validate_network` builds for all
     nodes with ``k`` alternatives; they are the only stored copy.  ``rows``,
-    the node's distribution objects, are built when first read.
+    the node's distribution objects, are those of a spec built by hand, or,
+    for a parsed file, built from its :class:`_Columns` when first read.
     """
 
     __slots__ = ("id", "alternatives", "parent", "children", "mean_rows", "second_rows",
-                 "_columns", "_index")
+                 "_rows", "_index")
 
     def __init__(self, node_id: str, alternatives: tuple, parent: Optional[str], children,
-                 mean_rows: np.ndarray, second_rows: np.ndarray, columns: _Columns, index: int):
+                 mean_rows: np.ndarray, second_rows: np.ndarray,
+                 rows: Union[tuple, _Columns], index: int):
         self.id = node_id
         self.alternatives = alternatives
         self.parent = parent
         self.children = tuple(children)
         self.mean_rows = mean_rows
         self.second_rows = second_rows
-        self._columns = columns
+        self._rows = rows  # the rows, or the columns that hold node ``index``'s
         self._index = index
 
     @property
     def rows(self) -> tuple:
-        return self._columns.rows(self._index)
+        rows = self._rows
+        return rows.rows(self._index) if isinstance(rows, _Columns) else rows
 
     @property
     def dim(self) -> int:
@@ -702,8 +706,12 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
         for node_id, views in zip(ids, row_views):
             _check_moments(*views, f"node {node_id!r}")
 
+    # a hand-built spec's nodes keep its rows; its columns, with copies of
+    # the vectors, are dropped
+    parsed = hasattr(spec, "_columns")
     validated = {
-        node_id: ValidatedNode(node_id, alts, parent, children[node_id], *views, columns, i)
+        node_id: ValidatedNode(node_id, alts, parent, children[node_id], *views,
+                               columns if parsed else columns.rows(i), i)
         for i, (node_id, alts, parent, views) in enumerate(
             zip(ids, columns.alternatives, parents, row_views)
         )

@@ -12,7 +12,8 @@ from treebelief import (
     PointMass,
     validate_network,
 )
-from treebelief.errors import InconsistentEvidence
+from treebelief.errors import InconsistentEvidence, ParseError
+from treebelief.netfile import parse_distribution
 
 
 def brute_force_joint(net, tables, evidence):
@@ -155,6 +156,57 @@ def mixed_trees(draw, max_nodes: int = 10) -> NetworkSpec:
         labels = tuple(f"s{j}" for j in range(ks[i]))
         nodes.append(NodeSpec(f"n{i}", labels, None if p is None else f"n{p}", rows))
     return NetworkSpec(tuple(draw(st.permutations(nodes))))
+
+
+def reference_parse(doc):
+    """``parse_network`` row by row: one :func:`parse_distribution` per row,
+    every check in file order.  The reference for the columnar parse."""
+    if not isinstance(doc, dict):
+        raise ParseError("top level must be an object")
+    nodes_doc = doc.get("nodes")
+    if not (isinstance(nodes_doc, list) and nodes_doc):
+        raise ParseError("top-level 'nodes' list required")
+    alternatives_of = {}
+    for entry in nodes_doc:
+        if not isinstance(entry, dict):
+            raise ParseError("each node must be an object")
+        if not isinstance(entry.get("id"), str):
+            raise ParseError("node 'id' must be a string")
+        alts = entry.get("alternatives")
+        if not (isinstance(alts, list) and all(isinstance(a, str) for a in alts)):
+            raise ParseError(f"node {entry.get('id')!r}: 'alternatives' must be a list of strings")
+        alternatives_of[entry["id"]] = alts
+    nodes = []
+    for entry in nodes_doc:
+        node_id, parent, cpt = entry["id"], entry.get("parent"), entry.get("cpt")
+        if not (parent is None or isinstance(parent, str)):
+            raise ParseError(f"node {node_id!r}: 'parent' must be a string or null")
+        if not (isinstance(cpt, list) and cpt):
+            raise ParseError(f"node {node_id!r}: 'cpt' rows required")
+        if parent is None:
+            expected_given = [None]
+        elif parent in alternatives_of:
+            expected_given = list(alternatives_of[parent])
+        else:
+            expected_given = [row.get("given") for row in cpt if isinstance(row, dict)]
+        rows = []
+        for j, row in enumerate(cpt):
+            if not isinstance(row, dict):
+                raise ParseError(f"node {node_id!r}: cpt row {j} must be an object")
+            if j < len(expected_given) and row.get("given") != expected_given[j]:
+                raise ParseError(
+                    f"node {node_id!r}: cpt row {j} is for {row.get('given')!r}, "
+                    f"expected {expected_given[j]!r}"
+                )
+            rows.append(parse_distribution(row.get("dist"), f"node {node_id!r}, row {j}"))
+        nodes.append(NodeSpec(node_id, tuple(alternatives_of[node_id]), parent, tuple(rows)))
+    return NetworkSpec(tuple(nodes))
+
+
+def row_arrays(dist):
+    if isinstance(dist, DiscreteSupport):
+        return dist.points, dist.weights
+    return (dist.alpha,) if isinstance(dist, Dirichlet) else (dist.p,)
 
 
 @pytest.fixture

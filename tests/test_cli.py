@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 from conftest import (
     impossible_evidence_spec,
     mixed_trees,
+    reference_parse,
+    row_arrays,
     tiny_evidence_chain_spec,
     two_node_mixed_spec,
     underflow_star_spec,
@@ -40,7 +42,6 @@ from treebelief import cli
 from treebelief.cli import main
 from treebelief.errors import BadDistribution, NonFiniteResult, ParseError
 from treebelief.generate import random_beta_tree
-from treebelief.netfile import parse_distribution
 from treebelief.oracle import MAX_SAMPLES
 
 
@@ -233,51 +234,6 @@ class TestMalformedDocuments:
             parse_network(doc)
 
 
-def _reference_parse(doc):
-    """``parse_network`` row by row: one :func:`parse_distribution` per row,
-    every check in file order.  The reference for the stacked parse."""
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object")
-    nodes_doc = doc.get("nodes")
-    if not (isinstance(nodes_doc, list) and nodes_doc):
-        raise ParseError("top-level 'nodes' list required")
-    alternatives_of = {}
-    for entry in nodes_doc:
-        if not isinstance(entry, dict):
-            raise ParseError("each node must be an object")
-        if not isinstance(entry.get("id"), str):
-            raise ParseError("node 'id' must be a string")
-        alts = entry.get("alternatives")
-        if not (isinstance(alts, list) and all(isinstance(a, str) for a in alts)):
-            raise ParseError(f"node {entry.get('id')!r}: 'alternatives' must be a list of strings")
-        alternatives_of[entry["id"]] = alts
-    nodes = []
-    for entry in nodes_doc:
-        node_id, parent, cpt = entry["id"], entry.get("parent"), entry.get("cpt")
-        if not (parent is None or isinstance(parent, str)):
-            raise ParseError(f"node {node_id!r}: 'parent' must be a string or null")
-        if not (isinstance(cpt, list) and cpt):
-            raise ParseError(f"node {node_id!r}: 'cpt' rows required")
-        if parent is None:
-            expected_given = [None]
-        elif parent in alternatives_of:
-            expected_given = list(alternatives_of[parent])
-        else:
-            expected_given = [row.get("given") for row in cpt if isinstance(row, dict)]
-        rows = []
-        for j, row in enumerate(cpt):
-            if not isinstance(row, dict):
-                raise ParseError(f"node {node_id!r}: cpt row {j} must be an object")
-            if j < len(expected_given) and row.get("given") != expected_given[j]:
-                raise ParseError(
-                    f"node {node_id!r}: cpt row {j} is for {row.get('given')!r}, "
-                    f"expected {expected_given[j]!r}"
-                )
-            rows.append(parse_distribution(row.get("dist"), f"node {node_id!r}, row {j}"))
-        nodes.append(NodeSpec(node_id, tuple(alternatives_of[node_id]), parent, tuple(rows)))
-    return NetworkSpec(tuple(nodes))
-
-
 def _outcome(parse, doc):
     """``("ok", spec)``, or ``(exception type, message)`` of a failed parse."""
     try:
@@ -286,14 +242,8 @@ def _outcome(parse, doc):
         return type(exc), str(exc)
 
 
-def _row_arrays(dist):
-    if isinstance(dist, DiscreteSupport):
-        return dist.points, dist.weights
-    return (dist.alpha,) if isinstance(dist, Dirichlet) else (dist.p,)
-
-
 def _assert_same_parse(doc):
-    got, want = _outcome(parse_network, doc), _outcome(_reference_parse, doc)
+    got, want = _outcome(parse_network, doc), _outcome(reference_parse, doc)
     if want[0] != "ok":
         assert got == want
         return
@@ -305,7 +255,7 @@ def _assert_same_parse(doc):
         assert len(node.rows) == len(ref.rows)
         for row, ref_row in zip(node.rows, ref.rows):
             assert type(row) is type(ref_row)
-            for arr, ref_arr in zip(_row_arrays(row), _row_arrays(ref_row)):
+            for arr, ref_arr in zip(row_arrays(row), row_arrays(ref_row)):
                 assert arr.dtype == ref_arr.dtype and arr.shape == ref_arr.shape
                 assert arr.tobytes() == ref_arr.tobytes()
                 assert not arr.flags.writeable
@@ -394,7 +344,7 @@ class TestStackedParse:
                 fault = data.draw(st.sampled_from(("row", "given", "type")))
                 _put_structural_fault(doc, slot, fault)
         got = _outcome(parse_network, doc)
-        assert got == _outcome(_reference_parse, doc)
+        assert got == _outcome(reference_parse, doc)
         assert f"node {doc['nodes'][first[0]]['id']!r}" in got[1]
 
 
@@ -435,14 +385,14 @@ class TestLazyRows:
         assert built == []
 
         with open(binary_file, encoding="utf-8") as handle:
-            reference = _reference_parse(json.load(handle))
+            reference = reference_parse(json.load(handle))
         del built[:]
         for i, ref in enumerate(reference.nodes):
             rows = net.nodes[ref.id].rows
             assert [type(row) for row in rows] == [type(row) for row in ref.rows]
             for row, ref_row in zip(rows, ref.rows):
-                assert _row_arrays(row)[0].tobytes() == _row_arrays(ref_row)[0].tobytes()
-                assert not _row_arrays(row)[0].flags.writeable
+                assert row_arrays(row)[0].tobytes() == row_arrays(ref_row)[0].tobytes()
+                assert not row_arrays(row)[0].flags.writeable
             assert spec.nodes[i].rows is rows
         assert len(built) == sum(len(ref.rows) for ref in reference.nodes)  # each row once
 

@@ -1,4 +1,5 @@
 import copy
+import gc
 import time
 
 import numpy as np
@@ -6,8 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import mixed_trees, random_row
-from test_cli import _reference_parse, _row_arrays
+from conftest import mixed_trees, random_row, reference_parse, row_arrays
 from treebelief import (
     Dirichlet,
     DiscreteSupport,
@@ -31,7 +31,7 @@ from treebelief.errors import (
     UnknownAlternative,
     UnknownNode,
 )
-from treebelief.model import _CHECK_ROWS
+from treebelief.model import _CHECK_ROWS, _Columns
 
 
 class TestMomentsOf:
@@ -534,7 +534,16 @@ class TestParsedEqualsHandBuilt:
             _assert_same(node.mean_rows, ref.mean_rows)
             _assert_same(node.second_rows, ref.second_rows)
             assert [type(row) for row in node.rows] == [type(row) for row in ref.rows]
-            _assert_same([_row_arrays(row) for row in node.rows], [_row_arrays(row) for row in ref.rows])
+            _assert_same([row_arrays(row) for row in node.rows], [row_arrays(row) for row in ref.rows])
+
+    @given(mixed_trees())
+    @settings(max_examples=30, deadline=None)
+    def test_hand_built_network_keeps_the_spec_rows_and_no_columns(self, spec):
+        net = validate_network(spec)
+        for ns in spec.nodes:
+            node = net.nodes[ns.id]
+            assert node.rows is ns.rows
+            assert not any(isinstance(obj, _Columns) for obj in gc.get_referents(node))
 
     @given(mixed_trees(max_nodes=8), st.sampled_from(_FAULTS), st.data())
     @settings(max_examples=200, deadline=None)
@@ -546,7 +555,7 @@ class TestParsedEqualsHandBuilt:
         i, j = data.draw(st.lists(st.sampled_from(others), min_size=2, max_size=2, unique=True))
         _put_fault(doc, fault, i, j)
         got = _outcome(lambda: parse_network(copy.deepcopy(doc)))
-        assert got == _outcome(lambda: _reference_parse(copy.deepcopy(doc)))
+        assert got == _outcome(lambda: reference_parse(copy.deepcopy(doc)))
         assert got[0] != "ok"
 
 
