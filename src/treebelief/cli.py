@@ -180,30 +180,23 @@ def cmd_query(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _compare_doc(net, reports, oracle: OracleReport, tol, sigmas):
+def _compare_doc(reports, oracle: OracleReport, tol, sigmas):
     per_node = {}
     worst = {"mean": 0.0, "second": 0.0, "variance": 0.0}
     ok = True
     for node_id, rep in reports.items():
         entry = oracle.entries[node_id]
-        diffs = {
-            "mean": float(np.max(np.abs(rep.mean - entry.mean))),
-            "second": float(np.max(np.abs(rep.second - entry.second))),
-            "variance": float(np.max(np.abs(rep.variance - entry.variance))),
-        }
-        if tol is not None:
-            allowed = {key: tol for key in diffs}
-        else:
-            allowed = {
-                "mean": float(sigmas * np.max(entry.se_mean) + 1e-12),
-                "second": float(sigmas * np.max(entry.se_second) + 1e-12),
-                "variance": float(sigmas * np.max(entry.se_variance) + 1e-12),
-            }
+        diffs, allowed = {}, {}
+        for key in worst:
+            diffs[key] = float(np.max(np.abs(getattr(rep, key) - getattr(entry, key))))
+            if tol is not None:
+                allowed[key] = tol
+            else:
+                allowed[key] = float(sigmas * np.max(getattr(entry, "se_" + key)) + 1e-12)
+            worst[key] = max(worst[key], diffs[key])
         node_ok = all(diffs[k] <= allowed[k] for k in diffs)
         ok = ok and node_ok
         per_node[node_id] = {"diff": diffs, "allowed": allowed, "pass": node_ok}
-        for key in worst:
-            worst[key] = max(worst[key], diffs[key])
     return per_node, worst, ok
 
 
@@ -226,7 +219,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             f"{oracle.effective_sample_size:.1f})",
             file=sys.stderr,
         )
-    per_node, worst, ok = _compare_doc(net, reports, oracle, tol, args.sigmas)
+    per_node, worst, ok = _compare_doc(reports, oracle, tol, args.sigmas)
     doc = {
         "meta": _meta(
             "compare",

@@ -11,21 +11,23 @@ and second moments ``E(p_i p_j)``, packaged here as :class:`MomentSet`.
 columns (:class:`_Columns`): per node its id, alternatives, parent and row
 count, per row its kind and dimension, and the Dirichlet and point vectors as
 one read-only float stack per dimension.  A parsed spec arrives as columns;
-the rows of a spec built by hand are read into them one by one, and as its
-validated nodes keep its own row objects, those columns are then dropped.
-The core computes the moments once, for all rows with the same alternative
-count together, from one gather of the stacks in the level order of the
-:class:`LevelPlan` that it compiles for propagation, and checks them in
-blocks of rows; each :class:`ValidatedNode` holds read-only views of its own
-rows.  The distribution objects of a parsed network, and its
-:class:`NodeSpec` objects, are built only when ``rows`` or
-``NetworkSpec.nodes`` is first read; a query reads neither.
+the rows of a spec built by hand are read into them one by one, and those
+columns are dropped after validation.  The core computes the moments once,
+for all rows with the same alternative count together, from one gather of
+the stacks in the level order of the :class:`LevelPlan` that it compiles for
+propagation, and checks them in blocks of rows; each :class:`ValidatedNode`
+holds read-only views of its own rows.  Row objects have one owner, the
+:class:`NetworkSpec`: a validated node reads its ``rows`` as
+``spec.nodes[index].rows``.  A parsed spec builds all of its
+:class:`NodeSpec` and distribution objects in one pass, the first time any
+``rows`` or ``NetworkSpec.nodes`` is read; a query reads neither.
 
 All types are immutable after construction and all operations are pure
-functions, so they are safe to share between threads.  A first read of lazy
-rows may run in two threads at once: each builds from columns that never
-change, and each result is published with one ``dict.setdefault``, so both
-threads get the same objects.
+functions, so they are safe to share between threads.  A parsed spec's first
+read of ``nodes`` may run in two threads at once: each builds from columns
+that never change, and the spec publishes the result with one
+``dict.setdefault``, its only publish point, so both threads get the same
+objects.
 """
 from __future__ import annotations
 
@@ -283,8 +285,10 @@ def moments_of(dist: UncertainDistribution) -> MomentSet:
     return MomentSet(mean[0], second[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeSpec:
+    """One node as listed; slotted, as a validated network keeps them all."""
+
     id: str
     alternatives: tuple
     parent: Optional[str]
@@ -301,7 +305,8 @@ class NetworkSpec:
     checks them.
 
     A spec from :func:`~treebelief.netfile.parse_network` holds the file as
-    :class:`_Columns` instead, and builds ``nodes`` when it is first read.
+    :class:`_Columns` instead, and builds ``nodes``, every row object
+    included, in one pass when it is first read.
     """
 
     nodes: tuple
@@ -317,13 +322,13 @@ class NetworkSpec:
 
     def __getattr__(self, name: str):
         # Python calls this only for an attribute that is not set: here the
-        # nodes of a spec of columns, until their first read.
+        # nodes of a spec of columns, until their first read.  Concurrent
+        # first reads may each build; ``setdefault``, atomic under the
+        # interpreter lock, gives all of them the first tuple stored.
         columns = vars(self).get("_columns")
         if name != "nodes" or columns is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        nodes = columns.node_specs()
-        object.__setattr__(self, "nodes", nodes)
-        return nodes
+        return vars(self).setdefault("nodes", columns.node_specs())
 
 
 #: Row kinds of :class:`_Columns`: an index into :data:`_KINDS`, or this for
@@ -343,31 +348,26 @@ class _Columns:
     vector ``stacks[dims[g]][places[g]]`` of a read-only stack; a discrete
     row is the object ``discrete[g]``.
 
-    :meth:`rows` builds row objects, views of the stacks, only when asked,
-    and :meth:`node_specs` the :class:`NodeSpec` tuple.  Each is published
-    with one ``dict.setdefault``, atomic under the interpreter lock, so
-    concurrent first reads may each build, but all get the first object
-    stored, and the columns never change.
+    The columns never change and own no row object: :meth:`node_specs`
+    builds new ones, views of the stacks, on each call, and the
+    :class:`NetworkSpec` that holds the columns keeps the first result.
     """
 
     __slots__ = ("ids", "alternatives", "parents", "counts", "starts", "kinds", "dims",
-                 "places", "stacks", "discrete", "_built")
+                 "places", "stacks", "discrete")
 
-    def __init__(self, ids, alternatives, parents, counts, kinds, dims, places, stacks,
-                 discrete, built=None):
+    def __init__(self, ids, alternatives, parents, counts, kinds, dims, places, stacks, discrete):
         self.ids, self.alternatives, self.parents = ids, alternatives, parents
         self.counts = np.asarray(counts, dtype=np.intp)
         self.starts = np.cumsum(self.counts) - self.counts
         self.kinds, self.dims, self.places = kinds, dims, places
         self.stacks, self.discrete = stacks, discrete
-        self._built = {} if built is None else built  # node index -> rows; "nodes" -> nodes
 
     @classmethod
     def of_nodes(cls, nodes) -> "_Columns":
         """The columns of :class:`NodeSpec` objects, one row at a time."""
-        built, info, vectors, discrete = {}, [], {}, {}
-        for i, ns in enumerate(nodes):
-            built[i] = ns.rows
+        info, vectors, discrete = [], {}, {}
+        for ns in nodes:
             for dist in ns.rows:
                 if isinstance(dist, (Dirichlet, PointMass)):
                     vector = dist.alpha if isinstance(dist, Dirichlet) else dist.p
@@ -387,7 +387,7 @@ class _Columns:
         return cls(
             [ns.id for ns in nodes], [ns.alternatives for ns in nodes],
             [ns.parent for ns in nodes], [len(ns.rows) for ns in nodes],
-            kinds, dims, places, stacks, discrete, built,
+            kinds, dims, places, stacks, discrete,
         )
 
     def _row(self, g: int) -> UncertainDistribution:
@@ -397,23 +397,12 @@ class _Columns:
         vector = self.stacks[int(self.dims[g])][self.places[g]]
         return (Dirichlet if kind == _DIRICHLET else PointMass)._checked(vector)
 
-    def rows(self, i: int) -> tuple:
-        """The row objects of node ``i``."""
-        rows = self._built.get(i)
-        if rows is None:
-            lo = int(self.starts[i])
-            rows = tuple(map(self._row, range(lo, lo + int(self.counts[i]))))
-            rows = self._built.setdefault(i, rows)
-        return rows
-
     def node_specs(self) -> tuple:
-        """One :class:`NodeSpec` per node, in file order."""
-        nodes = self._built.get("nodes")
-        if nodes is None:
-            rows = map(self.rows, range(len(self.ids)))
-            nodes = tuple(map(NodeSpec, self.ids, self.alternatives, self.parents, rows))
-            nodes = self._built.setdefault("nodes", nodes)
-        return nodes
+        """One :class:`NodeSpec` per node, in file order, with new row objects."""
+        rows = tuple(map(self._row, range(len(self.kinds))))
+        bounds = zip(self.starts.tolist(), (self.starts + self.counts).tolist())
+        rows = [rows[lo:hi] for lo, hi in bounds]
+        return tuple(map(NodeSpec, self.ids, self.alternatives, self.parents, rows))
 
 
 class ValidatedNode:
@@ -422,29 +411,27 @@ class ValidatedNode:
     ``mean_rows`` (rows, k) and ``second_rows`` (rows, k, k) are read-only
     views into the moment arrays that :func:`validate_network` builds for all
     nodes with ``k`` alternatives; they are the only stored copy.  ``rows``,
-    the node's distribution objects, are those of a spec built by hand, or,
-    for a parsed file, built from its :class:`_Columns` when first read.
+    the node's distribution objects, are owned by the :class:`NetworkSpec`
+    it was validated from: the node reads them as ``spec.nodes[index].rows``.
     """
 
     __slots__ = ("id", "alternatives", "parent", "children", "mean_rows", "second_rows",
-                 "_rows", "_index")
+                 "_spec", "_index")
 
     def __init__(self, node_id: str, alternatives: tuple, parent: Optional[str], children,
-                 mean_rows: np.ndarray, second_rows: np.ndarray,
-                 rows: Union[tuple, _Columns], index: int):
+                 mean_rows: np.ndarray, second_rows: np.ndarray, spec: NetworkSpec, index: int):
         self.id = node_id
         self.alternatives = alternatives
         self.parent = parent
         self.children = tuple(children)
         self.mean_rows = mean_rows
         self.second_rows = second_rows
-        self._rows = rows  # the rows, or the columns that hold node ``index``'s
-        self._index = index
+        self._spec = spec
+        self._index = index  # the node's place in ``spec.nodes``
 
     @property
     def rows(self) -> tuple:
-        rows = self._rows
-        return rows.rows(self._index) if isinstance(rows, _Columns) else rows
+        return self._spec.nodes[self._index].rows
 
     @property
     def dim(self) -> int:
@@ -676,7 +663,7 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
         and (columns.dims == np.repeat(ks, columns.counts)).all()
         and list(map(len, map(set, columns.alternatives))) == ks.tolist()
     ):
-        _scan_dimensions(columns, index)
+        _scan_dimensions(spec, columns, index)
     m = np.array(list(map(len, map(children.__getitem__, order))))[above]
     slot, plan_ids, row_start, sib_counts, levels = _compile(order, above, depth, k, r, m)
 
@@ -706,12 +693,8 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
         for node_id, views in zip(ids, row_views):
             _check_moments(*views, f"node {node_id!r}")
 
-    # a hand-built spec's nodes keep its rows; its columns, with copies of
-    # the vectors, are dropped
-    parsed = hasattr(spec, "_columns")
     validated = {
-        node_id: ValidatedNode(node_id, alts, parent, children[node_id], *views,
-                               columns if parsed else columns.rows(i), i)
+        node_id: ValidatedNode(node_id, alts, parent, children[node_id], *views, spec, i)
         for i, (node_id, alts, parent, views) in enumerate(
             zip(ids, columns.alternatives, parents, row_views)
         )
@@ -721,7 +704,7 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     return ValidatedNetwork(validated, order, root, plan)
 
 
-def _scan_dimensions(columns: _Columns, index: Dict[str, int]) -> None:
+def _scan_dimensions(spec: NetworkSpec, columns: _Columns, index: Dict[str, int]) -> None:
     """Raise for the first node, in file order, whose alternatives, row count
     or row dimensions are wrong."""
     nodes = zip(columns.ids, columns.alternatives, columns.parents)
@@ -741,7 +724,7 @@ def _scan_dimensions(columns: _Columns, index: Dict[str, int]) -> None:
             if kind == _UNSUPPORTED:
                 raise BadDistribution(
                     f"node {node_id!r}, row {j}: unsupported distribution "
-                    f"{type(columns.rows(i)[j]).__name__}"
+                    f"{type(spec.nodes[i].rows[j]).__name__}"
                 )
             if dim != k:
                 raise DimensionMismatch(

@@ -34,8 +34,9 @@ of all its numbers (JSON numbers only, so no bool or string) and one
 reduction for the Dirichlet (finite, > 0) and one for the point (finite,
 >= 0, summing to 1) rows.  Discrete rows, which are rare, go through
 :func:`parse_distribution` on the spot.  :func:`validate_network` checks the
-columns, and row objects, read-only views of the stacks, are built only when
-``NetworkSpec.nodes`` or a node's ``rows`` is read.  If any check fails, the
+columns.  The returned :class:`NetworkSpec` owns the row objects, read-only
+views of the stacks: it builds all of them in one pass the first time its
+``nodes`` or a validated node's ``rows`` is read.  If any check fails, the
 document is parsed again row by row (:func:`_walk`), which raises the first
 fault in file order, with the error type and message of
 :func:`parse_distribution`.

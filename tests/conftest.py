@@ -124,6 +124,17 @@ def impossible_evidence_spec() -> NetworkSpec:
     )
 
 
+def binary_dirichlet_spec(n: int = 1000, seed: int = 1) -> NetworkSpec:
+    """A balanced binary tree ``n0 .. n<n-1>`` (node ``i`` below ``(i - 1) // 2``)
+    with three alternatives ``s0 .. s2`` and a random Dirichlet per row."""
+    rng, labels = np.random.default_rng(seed), ("s0", "s1", "s2")
+    return NetworkSpec(tuple(
+        NodeSpec(f"n{i}", labels, None if i == 0 else f"n{(i - 1) // 2}",
+                 tuple(Dirichlet(rng.uniform(0.5, 5.0, 3)) for _ in range(1 if i == 0 else 3)))
+        for i in range(n)
+    ))
+
+
 ROW_KINDS = ("dirichlet", "discrete", "point")
 
 

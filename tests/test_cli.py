@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import threading
@@ -15,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    binary_dirichlet_spec,
     impossible_evidence_spec,
     mixed_trees,
     reference_parse,
@@ -422,6 +424,29 @@ class TestLazyRows:
             assert all(a is b for a, b in zip(other_rows, rows))
         assert all(node.rows is net.nodes[node.id].rows for node in nodes)
 
+    def test_first_read_builds_every_row_once(self, monkeypatch, binary_file):
+        spec = load_network(binary_file)
+        net = validate_network(spec)
+        built = []
+
+        def counting(original):
+            def wrapper(cls, vector):
+                built.append(vector)
+                return original(cls, vector)
+            return classmethod(wrapper)
+
+        for cls in (Dirichlet, PointMass):
+            monkeypatch.setattr(cls, "_checked", counting(cls.__dict__["_checked"].__func__))
+        assert len(net.nodes["n500"].rows) == 3
+        assert "nodes" in vars(spec)
+        assert len(built) == sum(len(node.mean_rows) for node in net.nodes.values())
+        first = list(built)
+        del built[:]
+        rows = [row for node_id in net.order for row in net.nodes[node_id].rows]
+        rows += [row for ns in spec.nodes for row in ns.rows]
+        assert built == []
+        assert {id(row.alpha) for row in rows} == {id(vector) for vector in first}
+
 
 class TestValidateCommand:
     def test_ok(self, capsys, two_node_file):
@@ -659,6 +684,8 @@ class TestQueryWriter:
             (uniform_chain_spec(), ["--evidence", "A=a2"]),
             (_odd_ids_spec(), []),
             (random_beta_tree(np.random.default_rng(12), max_depth=4), []),
+            (binary_dirichlet_spec(), []),
+            (binary_dirichlet_spec(), ["--evidence", "n999=s1"]),
         ],
     )
     def test_query_output_is_indented_json_dumps(self, capsys, tmp_path, spec, argv):
@@ -666,6 +693,14 @@ class TestQueryWriter:
         save_network(spec, str(path))
         code, out, _ = run_cli(capsys, "query", str(path), *argv)
         assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_module_entry_point_output_is_indented_json_dumps(self, tmp_path):
+        path = tmp_path / "binary-k3-n1000.json"
+        save_network(binary_dirichlet_spec(), str(path))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        argv = [sys.executable, "-m", "treebelief.cli", "query", str(path), "--evidence", "n999=s1"]
+        out = subprocess.run(argv, capture_output=True, text=True, check=True, env=env).stdout
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 

@@ -19,6 +19,7 @@ from treebelief import (
     moments_of,
     network_to_json,
     parse_network,
+    save_network,
     validate_network,
 )
 from treebelief.errors import (
@@ -208,6 +209,22 @@ def _chain(rows_b=None):
 
 
 class TestValidateNetwork:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda spec, path: validate_network(spec),
+             "node 'B', row 1: unsupported distribution str"),
+            (lambda spec, path: moments_of(object()), "unsupported distribution type object"),
+            (lambda spec, path: save_network(spec, path), "unsupported distribution type str"),
+        ],
+        ids=["validate_network", "moments_of", "save_network"],
+    )
+    def test_unsupported_row_is_named(self, tmp_path, call, message):
+        spec = _chain((PointMass(np.array([0.9, 0.1])), "oops"))
+        with pytest.raises(BadDistribution) as info:
+            call(spec, str(tmp_path / "net.json"))
+        assert str(info.value) == message
+
     def test_minimal_chain(self):
         net = validate_network(_chain())
         assert net.root == "A"
