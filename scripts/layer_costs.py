@@ -3,8 +3,10 @@
 Writes chain, star and balanced binary trees of k = 3 Dirichlet rows at the
 given sizes, then times each layer of a query with the deepest leaf
 observed: ``json.load``, ``parse_network``, ``validate_network``,
-``propagate``, ``posterior_report``, and the ``query`` document plus
-``cli._emit_query`` into a ``StringIO`` ("emit").  Each layer reads as the
+``propagate``, ``posterior_report``, and "emit": ``cli.cmd_query`` writing
+into a ``StringIO`` while its ``load_network``, ``validate_network``,
+``propagate`` and ``posterior_report`` return the results just timed, so
+everything ``query`` does after ``posterior_report``.  Each layer reads as the
 best of ``--rounds`` runs; the collector runs before each run, as in the
 benchmark worker, and during it unless ``--gc-off``.
 
@@ -35,6 +37,7 @@ import tempfile
 import time
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 
@@ -88,26 +91,14 @@ def time_query(tb, path: str, leaf: str) -> list:
     clock.append(time.perf_counter())
     reports = tb.posterior_report(state, list(net.order))
     clock.append(time.perf_counter())
-    # the document of cli.cmd_query
-    nodes = list(net.order)
-    query = {
-        "meta": cli._meta("query", SimpleNamespace(path=path), evidence={leaf: "s1"}, nodes=nodes),
-        "nodes": {
-            node_id: {
-                "alternatives": net.nodes[node_id].alternatives,
-                "mean": rep.mean.tolist(),
-                "second": rep.second.tolist(),
-                "variance": rep.variance.tolist(),
-                "clamped": rep.clamped,
-                "instantiated": node_id == leaf,
-            }
-            for node_id, rep in reports.items()
-        },
-    }
-    with contextlib.redirect_stdout(io.StringIO()):
-        cli._emit_query(query)
-    clock.append(time.perf_counter())
-    return [b - a for a, b in zip(clock, clock[1:])]
+    done = {"load_network": spec, "validate_network": net, "propagate": state,
+            "posterior_report": reports}
+    stubs = {name: mock.Mock(return_value=value) for name, value in done.items()}
+    with mock.patch.multiple(cli, **stubs), contextlib.redirect_stdout(io.StringIO()):
+        start = time.perf_counter()
+        cli.cmd_query(SimpleNamespace(path=path, evidence=[f"{leaf}=s1"], nodes="all"))
+        emit = time.perf_counter() - start
+    return [b - a for a, b in zip(clock, clock[1:])] + [emit]
 
 
 def main(argv=None) -> int:

@@ -3,7 +3,8 @@
 Reports go to standard output as JSON; diagnostics go to standard error.
 Exit codes: 0 success, 2 parse or validation failure, 3 inconsistent
 evidence, 4 tolerance or bound exceeded, 5 precondition or cap violated,
-6 a non-finite number in the report (nothing is written to standard output).
+6 a non-finite number in the report (nothing is written to standard output),
+141 standard output closed by its reader before the report was written.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import argparse
 import datetime
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional
@@ -34,7 +36,7 @@ from .generate import random_beta_tree
 from .model import ValidatedNetwork, validate_network
 from .netfile import load_network
 from .oracle import DEFAULT_CAP, MODES, OracleReport, enumerate_uncertainty, mc_uncertainty
-from .propagation import posterior_report, propagate
+from .propagation import NodeReport, posterior_report, propagate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -42,6 +44,7 @@ EXIT_INCONSISTENT = 3
 EXIT_TOLERANCE = 4
 EXIT_PRECONDITION = 5
 EXIT_NONFINITE = 6
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
 def _meta(command: str, args: argparse.Namespace, **extra) -> Dict:
@@ -99,55 +102,40 @@ def _emit(doc: Dict) -> None:
     sys.stdout.write("\n")
 
 
-# Compact, so the C encoder runs: json.dumps uses it only when indent is None.
-_COMPACT = json.JSONEncoder(allow_nan=False, separators=(",", ":"))
+def _emit_query(meta: Dict, reports: Dict[str, NodeReport], alternatives, evidence) -> None:
+    """Write a ``query`` report with the bytes of :func:`_emit` on its document.
 
-
-def _emit_query(doc: Dict) -> None:
-    """Write a ``query`` document with the bytes of :func:`_emit`.
-
-    ``_emit`` formats every float in CPython's pure-Python encoder; this
-    makes one C-encoder call over all the float lists instead.  ``doc``
-    holds ``meta`` and then ``nodes``, each node the fields that
-    :func:`cmd_query` builds, in its order: ``alternatives`` (at least one
-    string), three equally long float lists and two bools.  The encoder's
-    text is cut at ``"],["``, safe because the lists hold only numbers,
-    re-indented and spliced into the fixed node layout; ``meta`` goes
-    through ``json.dumps`` as in ``_emit``.  On the 36 ``cli_oneshot``
-    reports of seed 1 this takes 95 ms against 230 ms for ``json.dumps``
-    (best of 5, 2-vCPU Xeon VM).
+    ``alternatives`` maps each reported node id to its labels (a tuple); a
+    node is instantiated when its id is in ``evidence``.  Every float is checked
+    finite before anything is written, then placed as ``float.__repr__`` (the
+    text of either JSON encoder) in the node layout of ``json.dumps(doc, indent=2)``.
+    That layout needs at least one label and one float in each list.
     """
-    nodes = doc["nodes"]
-    try:
-        head = json.dumps({"meta": doc["meta"], "nodes": {}}, indent=2, allow_nan=False)
-        floats = _COMPACT.encode(
-            [e[key] for e in nodes.values() for key in ("mean", "second", "variance")]
-        )
-    except ValueError as exc:
-        raise NonFiniteResult(f"the report holds a non-finite number ({exc})") from None
-    text = head
-    if nodes:
-        lists = iter(floats[2:-2].split("],["))
-        del floats
-        pad, alt_blocks, parts = ",\n        ", {}, []
-        for node_id, e in nodes.items():
-            alts = tuple(e["alternatives"])
-            if alts not in alt_blocks:
-                alt_blocks[alts] = pad.join(map(encode_basestring_ascii, alts))
+    head = json.dumps({"meta": meta, "nodes": {}}, indent=2)
+    if reports:
+        arrays = [x for rep in reports.values() for x in (rep.mean, rep.second, rep.variance)]
+        values = np.concatenate(arrays)
+        if not np.isfinite(values).all():
+            raise NonFiniteResult("the report holds a non-finite number")
+        floats, pad = list(map(float.__repr__, values.tolist())), ",\n        "
+        ends = np.cumsum(list(map(len, arrays))).tolist()
+        lists = iter([pad.join(floats[i:j]) for i, j in zip([0, *ends], ends)])
+        parts = []
+        for node_id, rep in reports.items():
+            labels = pad.join(map(encode_basestring_ascii, alternatives[node_id]))
             parts.append(
                 f'    {encode_basestring_ascii(node_id)}: {{\n'
-                f'      "alternatives": [\n        {alt_blocks[alts]}\n      ],\n'
-                f'      "mean": [\n        {next(lists).replace(",", pad)}\n      ],\n'
-                f'      "second": [\n        {next(lists).replace(",", pad)}\n      ],\n'
-                f'      "variance": [\n        {next(lists).replace(",", pad)}\n      ],\n'
-                f'      "clamped": {"true" if e["clamped"] else "false"},\n'
-                f'      "instantiated": {"true" if e["instantiated"] else "false"}\n'
+                f'      "alternatives": [\n        {labels}\n      ],\n'
+                f'      "mean": [\n        {next(lists)}\n      ],\n'
+                f'      "second": [\n        {next(lists)}\n      ],\n'
+                f'      "variance": [\n        {next(lists)}\n      ],\n'
+                f'      "clamped": {"true" if rep.clamped else "false"},\n'
+                f'      "instantiated": {"true" if node_id in evidence else "false"}\n'
                 "    }"
             )
-        del lists
         # head ends '"nodes": {}\n}'; keep it up to the opening brace
-        text = "".join((head[:-3], "\n", ",\n".join(parts), "\n  }\n}"))
-    sys.stdout.write(text)
+        head = "".join((head[:-3], "\n", ",\n".join(parts), "\n  }\n}"))
+    sys.stdout.write(head)
     sys.stdout.write("\n")
 
 
@@ -162,21 +150,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     labels, evidence = _parse_evidence_args(net, args.evidence)
     nodes = _resolve_nodes(net, args.nodes)
     reports = posterior_report(propagate(net, evidence), nodes)
-    doc = {
-        "meta": _meta("query", args, evidence=labels, nodes=nodes),
-        "nodes": {
-            node_id: {
-                "alternatives": net.nodes[node_id].alternatives,
-                "mean": rep.mean.tolist(),
-                "second": rep.second.tolist(),
-                "variance": rep.variance.tolist(),
-                "clamped": rep.clamped,
-                "instantiated": node_id in evidence,
-            }
-            for node_id, rep in reports.items()
-        },
-    }
-    _emit_query(doc)
+    meta = _meta("query", args, evidence=labels, nodes=nodes)
+    _emit_query(meta, reports, {n: net.nodes[n].alternatives for n in reports}, evidence)
     return EXIT_OK
 
 
@@ -331,13 +306,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except BeliefNetworkError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         for types, code in _EXIT_CODES:
             if isinstance(exc, types):
                 return code
         return EXIT_VALIDATION
+    except BrokenPipeError:
+        # point closed standard output at devnull so the flush at exit cannot raise again
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

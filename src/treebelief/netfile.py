@@ -323,6 +323,8 @@ def network_to_json(spec: NetworkSpec) -> Dict[str, Any]:
 
 
 def save_network(spec: NetworkSpec, path: str) -> None:
+    """Write ``spec`` to ``path``; a row that cannot be written leaves the file as it was."""
+    doc = network_to_json(spec)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(network_to_json(spec), handle, indent=2)
+        json.dump(doc, handle, indent=2)
         handle.write("\n")

@@ -30,6 +30,7 @@ from treebelief import (
     Dirichlet,
     DiscreteSupport,
     NetworkSpec,
+    NodeReport,
     NodeSpec,
     PointMass,
     load_network,
@@ -88,6 +89,15 @@ class TestNetworkFiles:
         doc["nodes"][0]["cpt"][0]["dist"] = {"type": "gaussian"}
         with pytest.raises(ParseError):
             parse_network(doc)
+
+    def test_failed_save_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "net.json"
+        save_network(two_node_mixed_spec(), str(path))
+        before = path.read_bytes()
+        bad = NetworkSpec((NodeSpec("A", ("a1", "a2"), None, (object(),)),))
+        with pytest.raises(BadDistribution):
+            save_network(bad, str(path))
+        assert path.read_bytes() == before
 
     @pytest.mark.parametrize("command", ["query", "validate"])
     def test_file_that_is_not_utf8_exits_2(self, capsys, tmp_path, command):
@@ -614,9 +624,22 @@ def query_docs(draw):
     return {"meta": meta, "nodes": nodes}
 
 
+def _write(doc):
+    """Write ``doc``, a document in the ``query`` layout, from node reports."""
+    nodes = doc["nodes"]
+    reports = {
+        node_id: NodeReport(node_id, *(np.array(e[key], dtype=float) for key in
+                                       ("mean", "second", "variance")), e["clamped"])
+        for node_id, e in nodes.items()
+    }
+    alternatives = {node_id: tuple(e["alternatives"]) for node_id, e in nodes.items()}
+    evidence = {node_id for node_id, e in nodes.items() if e["instantiated"]}
+    cli._emit_query(doc["meta"], reports, alternatives, evidence)
+
+
 def _written(doc):
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        cli._emit_query(doc)
+        _write(doc)
     return out.getvalue()
 
 
@@ -635,8 +658,8 @@ def _odd_ids_spec():
 
 
 class TestQueryWriter:
-    """``query`` writes with one C-encoder pass; the bytes must stay those of
-    ``json.dumps(doc, indent=2)`` plus a newline."""
+    """``query`` writes straight from the node reports; the bytes must stay
+    those of ``json.dumps(doc, indent=2)`` plus a newline."""
 
     @given(query_docs())
     @settings(max_examples=300, deadline=None)
@@ -672,7 +695,7 @@ class TestQueryWriter:
         )
         with contextlib.redirect_stdout(io.StringIO()) as out:
             with pytest.raises(NonFiniteResult):
-                cli._emit_query(doc)
+                _write(doc)
         assert out.getvalue() == ""
 
     @pytest.mark.parametrize(
@@ -702,6 +725,21 @@ class TestQueryWriter:
         argv = [sys.executable, "-m", "treebelief.cli", "query", str(path), "--evidence", "n999=s1"]
         out = subprocess.run(argv, capture_output=True, text=True, check=True, env=env).stdout
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_closed_standard_output_exits_141_without_traceback(self, tmp_path):
+        # the report is far larger than a pipe's buffer, so the reader's
+        # close arrives while the writer is blocked in the pipe
+        path = tmp_path / "binary-k3-n1000.json"
+        save_network(binary_dirichlet_spec(), str(path))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        argv = [sys.executable, "-m", "treebelief.cli", "query", str(path)]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert err == b""
+        assert code == cli.EXIT_BROKEN_PIPE == 141
 
 
 class TestCompareCommand:
