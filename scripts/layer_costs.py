@@ -6,16 +6,20 @@ observed: ``json.load``, ``parse_network``, ``validate_network``,
 ``propagate``, ``posterior_report``, and "emit": ``cli.cmd_query`` writing
 into a ``StringIO`` while its ``load_network``, ``validate_network``,
 ``propagate`` and ``posterior_report`` return the results just timed, so
-everything ``query`` does after ``posterior_report``.  Each layer reads as the
-best of ``--rounds`` runs; the collector runs before each run, as in the
+everything ``query`` does after ``posterior_report``.  A seventh layer,
+"validate (hand-built)", runs ``validate_network`` on the ``NetworkSpec`` of
+row objects that the file was written from.  Each layer reads as the best of
+``--rounds`` runs; the collector runs before each run, as in the
 benchmark worker, and during it unless ``--gc-off``.
 
 With ``--base SRC`` a second source tree (the ``src`` directory of another
 checkout) is loaded into the same process and timed on the same files,
 interleaved with this checkout run by run, alternating which goes first.
-Then the median over rounds of the per-round ratio of parse plus validate
-(this checkout over the base) is printed per tree as well.  The last line
-is one JSON object with every number printed.
+Each version validates its own hand-built spec, built from the same seed,
+since one version's row classes are not valid input to the other's.  Then
+the median over rounds of the per-round ratio (this checkout over the base)
+of parse plus validate, and of hand-built validation, is printed per tree as
+well.  The last line is one JSON object with every number printed.
 
 Run from the repository root::
 
@@ -43,7 +47,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SHAPES = ("chain", "star", "binary")
-LAYERS = ("json.load", "parse_network", "validate_network", "propagate", "posterior_report", "emit")
+LAYERS = ("json.load", "parse_network", "validate_network", "propagate", "posterior_report", "emit",
+          "validate (hand-built)")
 K = 3
 
 
@@ -60,8 +65,8 @@ def load_package(src: Path, name: str):
     return module
 
 
-def write_tree(tb, shape: str, n: int, path: Path) -> str:
-    """Write a ``shape`` tree of ``n`` nodes; return its deepest leaf's id."""
+def build_tree(tb, shape: str, n: int):
+    """A ``shape`` tree of ``n`` nodes of ``tb``'s row classes, and its deepest leaf's id."""
     rng = np.random.default_rng(n)
     labels = tuple(f"s{j}" for j in range(K))
     parent = {"chain": lambda i: i - 1, "star": lambda i: 0, "binary": lambda i: (i - 1) // 2}[shape]
@@ -72,12 +77,12 @@ def write_tree(tb, shape: str, n: int, path: Path) -> str:
         )
         for i in range(n)
     ]
-    tb.save_network(tb.NetworkSpec(nodes), str(path))
-    return f"n{n - 1}"  # parents have smaller indices, so the last node is a deepest leaf
+    return tb.NetworkSpec(nodes), f"n{n - 1}"  # parents come first, so the last node is a deepest leaf
 
 
-def time_query(tb, path: str, leaf: str) -> list:
-    """Seconds spent in each of :data:`LAYERS` by one query."""
+def time_query(tb, path: str, leaf: str, built) -> list:
+    """Seconds spent in each of :data:`LAYERS` by one query, and by
+    validating the hand-built spec ``built``."""
     cli = sys.modules[f"{tb.__name__}.cli"]
     clock = [time.perf_counter()]
     with open(path, encoding="utf-8") as handle:
@@ -98,7 +103,10 @@ def time_query(tb, path: str, leaf: str) -> list:
         start = time.perf_counter()
         cli.cmd_query(SimpleNamespace(path=path, evidence=[f"{leaf}=s1"], nodes="all"))
         emit = time.perf_counter() - start
-    return [b - a for a, b in zip(clock, clock[1:])] + [emit]
+    start = time.perf_counter()
+    tb.validate_network(built)
+    hand_built = time.perf_counter() - start
+    return [b - a for a, b in zip(clock, clock[1:])] + [emit, hand_built]
 
 
 def main(argv=None) -> int:
@@ -116,11 +124,14 @@ def main(argv=None) -> int:
         versions["base"] = load_package(args.base.resolve(), "treebelief_base")
     times = {v: {} for v in versions}  # version -> tree -> [per-round layer seconds]
     with tempfile.TemporaryDirectory() as tmp:
-        trees = {}
+        trees, built = {}, {v: {} for v in versions}  # built: version -> tree -> spec
         for shape in SHAPES:
             for n in args.sizes:
-                path = Path(tmp) / f"{shape}-k{K}-n{n}.json"
-                trees[f"{shape}-{n}"] = (str(path), write_tree(versions["this"], shape, n, path), n)
+                tree, path = f"{shape}-{n}", Path(tmp) / f"{shape}-k{K}-n{n}.json"
+                for v, tb in versions.items():
+                    built[v][tree], leaf = build_tree(tb, shape, n)
+                versions["this"].save_network(built["this"][tree], str(path))
+                trees[tree] = (str(path), leaf, n)
         for r in range(args.rounds):
             for tree, (path, leaf, _) in trees.items():
                 names = list(versions) if r % 2 == 0 else list(versions)[::-1]
@@ -129,30 +140,32 @@ def main(argv=None) -> int:
                     if args.gc_off:
                         gc.disable()
                     try:
-                        seconds = time_query(versions[v], path, leaf)
+                        seconds = time_query(versions[v], path, leaf, built[v][tree])
                     finally:
                         gc.enable()
                     times[v].setdefault(tree, []).append(seconds)
 
     result = {"sizes": args.sizes, "rounds": args.rounds, "k": K, "gc_off": args.gc_off,
-              "us_per_node": {}, "parse_validate_ratio": {}}
+              "us_per_node": {}, "parse_validate_ratio": {}, "hand_built_validate_ratio": {}}
     for v in versions:
         print(f"{v}: µs per node, best of {args.rounds}")
-        print(f"  {'tree':<14}" + "".join(f"{layer:>18}" for layer in LAYERS))
+        print(f"  {'tree':<14}" + "".join(f"{layer:>22}" for layer in LAYERS))
         result["us_per_node"][v] = {}
         for tree, (_, _, n) in trees.items():
             best = np.min(times[v][tree], axis=0) / n * 1e6
             result["us_per_node"][v][tree] = dict(zip(LAYERS, np.round(best, 3).tolist()))
-            print(f"  {tree:<14}" + "".join(f"{x:>18.2f}" for x in best))
+            print(f"  {tree:<14}" + "".join(f"{x:>22.2f}" for x in best))
     if "base" in versions:
-        print("parse + validate, this / base: median of per-round ratios [min, max]")
-        for tree in trees:
-            ratios = [
-                (a[1] + a[2]) / (b[1] + b[2])
-                for a, b in zip(times["this"][tree], times["base"][tree])
-            ]
-            result["parse_validate_ratio"][tree] = round(statistics.median(ratios), 4)
-            print(f"  {tree:<14}{statistics.median(ratios):8.3f} [{min(ratios):.3f}, {max(ratios):.3f}]")
+        for title, key, layers in (("parse + validate", "parse_validate_ratio", [1, 2]),
+                                   ("validate (hand-built)", "hand_built_validate_ratio", [6])):
+            print(f"{title}, this / base: median of per-round ratios [min, max]")
+            for tree in trees:
+                ratios = [
+                    sum(a[i] for i in layers) / sum(b[i] for i in layers)
+                    for a, b in zip(times["this"][tree], times["base"][tree])
+                ]
+                result[key][tree] = round(statistics.median(ratios), 4)
+                print(f"  {tree:<14}{statistics.median(ratios):8.3f} [{min(ratios):.3f}, {max(ratios):.3f}]")
     print(json.dumps(result))
     return 0
 

@@ -11,16 +11,15 @@ and second moments ``E(p_i p_j)``, packaged here as :class:`MomentSet`.
 columns (:class:`_Columns`): per node its id, alternatives, parent and row
 count, per row its kind and dimension, and the Dirichlet and point vectors as
 one read-only float stack per dimension.  A parsed spec arrives as columns;
-the rows of a spec built by hand are read into them one by one, and those
-columns are dropped after validation.  The core computes the moments once,
-for all rows with the same alternative count together, from one gather of
-the stacks in the level order of the :class:`LevelPlan` that it compiles for
-propagation, and checks them in blocks of rows; each :class:`ValidatedNode`
-holds read-only views of its own rows.  Row objects have one owner, the
-:class:`NetworkSpec`: a validated node reads its ``rows`` as
-``spec.nodes[index].rows``.  A parsed spec builds all of its
-:class:`NodeSpec` and distribution objects in one pass, the first time any
-``rows`` or ``NetworkSpec.nodes`` is read; a query reads neither.
+a spec built by hand is read into them, and those columns are dropped after
+validation.  The core computes the moments once, for all rows with the same
+alternative count together, from one gather of the stacks in the level order
+of the :class:`LevelPlan` that it compiles for propagation, and checks them
+in blocks of rows; each :class:`ValidatedNode` holds read-only views of its
+own rows.  Row objects have one owner, the :class:`NetworkSpec`: a validated
+node reads its ``rows`` as ``spec.nodes[index].rows``.  A parsed spec builds
+all of its :class:`NodeSpec` and distribution objects in one pass, the first
+time any ``rows`` or ``NetworkSpec.nodes`` is read; a query reads neither.
 
 All types are immutable after construction and all operations are pure
 functions, so they are safe to share between threads.  A parsed spec's first
@@ -31,7 +30,8 @@ objects.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Dict, List, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
@@ -348,6 +348,13 @@ class _Columns:
     vector ``stacks[dims[g]][places[g]]`` of a read-only stack; a discrete
     row is the object ``discrete[g]``.
 
+    The constructor alone stacks and checks the numbers.  It takes each row's
+    kind and, in row order, the Dirichlet and point vectors and the discrete
+    rows; the vectors of each length become one ``np.fromiter`` stack, checked
+    by one reduction for its Dirichlet rows (finite, > 0) and one for its point
+    rows (finite, >= 0, summing to 1).  An empty or failing row raises
+    :class:`ValueError`, an int beyond the float range :class:`OverflowError`.
+
     The columns never change and own no row object: :meth:`node_specs`
     builds new ones, views of the stacks, on each call, and the
     :class:`NetworkSpec` that holds the columns keeps the first result.
@@ -356,39 +363,58 @@ class _Columns:
     __slots__ = ("ids", "alternatives", "parents", "counts", "starts", "kinds", "dims",
                  "places", "stacks", "discrete")
 
-    def __init__(self, ids, alternatives, parents, counts, kinds, dims, places, stacks, discrete):
+    def __init__(self, ids, alternatives, parents, counts, kinds, vectors, discrete):
         self.ids, self.alternatives, self.parents = ids, alternatives, parents
         self.counts = np.asarray(counts, dtype=np.intp)
         self.starts = np.cumsum(self.counts) - self.counts
-        self.kinds, self.dims, self.places = kinds, dims, places
-        self.stacks, self.discrete = stacks, discrete
+        self.kinds = kinds = np.asarray(kinds, dtype=np.intp)
+        self.dims, self.places = np.full(len(kinds), -1, np.intp), np.zeros(len(kinds), np.intp)
+        at = np.flatnonzero(kinds == _DISCRETE)
+        self.discrete = dict(zip(at.tolist(), discrete))
+        self.dims[at] = [row.dim for row in discrete]
+        at = np.flatnonzero((kinds == _DIRICHLET) | (kinds == _POINT))
+        self.dims[at] = lengths = np.array(list(map(len, vectors)), dtype=np.intp)
+        self.stacks = {}
+        for size in set(lengths.tolist()):
+            if size < 1:
+                raise ValueError("a row holds no numbers")
+            group = np.flatnonzero(lengths == size)
+            rows = vectors if len(group) == len(vectors) else list(map(vectors.__getitem__, group.tolist()))
+            stack = np.fromiter(chain.from_iterable(rows), float, size * len(group)).reshape(-1, size)
+            dirichlet = kinds[at[group]] == _DIRICHLET
+            if not (_alpha_ok(stack[dirichlet]) and _prob_rows_ok(stack[~dirichlet])):
+                raise ValueError(f"a row of {size} numbers fails its check")
+            stack.flags.writeable = False
+            self.stacks[size] = stack
+            self.places[at[group]] = np.arange(len(group))
 
     @classmethod
     def of_nodes(cls, nodes) -> "_Columns":
-        """The columns of :class:`NodeSpec` objects, one row at a time."""
-        info, vectors, discrete = [], {}, {}
-        for ns in nodes:
-            for dist in ns.rows:
-                if isinstance(dist, (Dirichlet, PointMass)):
-                    vector = dist.alpha if isinstance(dist, Dirichlet) else dist.p
-                    stack = vectors.setdefault(vector.size, [])
-                    kind = _DIRICHLET if isinstance(dist, Dirichlet) else _POINT
-                    info.append((kind, vector.size, len(stack)))
-                    stack.append(vector)
-                elif isinstance(dist, DiscreteSupport):
-                    discrete[len(info)] = dist
-                    info.append((_DISCRETE, dist.dim, 0))
-                else:
-                    info.append((_UNSUPPORTED, -1, 0))
-        stacks = {size: np.array(rows) for size, rows in vectors.items()}
-        for stack in stacks.values():
-            stack.flags.writeable = False
-        kinds, dims, places = np.array(info, dtype=np.intp).reshape(-1, 3).T
-        return cls(
-            [ns.id for ns in nodes], [ns.alternatives for ns in nodes],
-            [ns.parent for ns in nodes], [len(ns.rows) for ns in nodes],
-            kinds, dims, places, stacks, discrete,
-        )
+        """The columns of :class:`NodeSpec` objects, vectors as lists: ``np.fromiter`` reads them fastest."""
+        kinds, vectors, discrete = [], [], []
+        for dist in chain.from_iterable(ns.rows for ns in nodes):
+            if isinstance(dist, (Dirichlet, PointMass)):
+                dirichlet = isinstance(dist, Dirichlet)
+                kinds.append(_DIRICHLET if dirichlet else _POINT)
+                vectors.append((dist.alpha if dirichlet else dist.p).tolist())
+            elif isinstance(dist, DiscreteSupport):
+                kinds.append(_DISCRETE)
+                discrete.append(dist)
+            else:
+                kinds.append(_UNSUPPORTED)
+        try:
+            return cls([ns.id for ns in nodes], [ns.alternatives for ns in nodes],
+                       [ns.parent for ns in nodes], [len(ns.rows) for ns in nodes],
+                       kinds, vectors, discrete)
+        except ValueError as exc:  # a row's numbers changed after its own checks ran
+            for ns in nodes:  # running them again names it
+                for j, dist in enumerate(ns.rows):
+                    try:
+                        if isinstance(dist, (Dirichlet, PointMass)):
+                            replace(dist)
+                    except BadDistribution as fault:
+                        raise BadDistribution(f"node {ns.id!r}, row {j}: {fault}") from None
+            raise BadDistribution(f"rows fail their checks ({exc})") from exc
 
     def _row(self, g: int) -> UncertainDistribution:
         kind = self.kinds[g]
@@ -584,10 +610,11 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     """Check every structural invariant of ``spec`` and resolve adjacency.
 
     One core checks the network's :class:`_Columns`: those of a parsed spec,
-    or of the rows of ``spec.nodes`` taken one by one.  Structure and
-    dimensions are checked first; one depth-first walk from the root orders
-    the tree, in time linear in the node count whatever the order of the
-    nodes, and a node it misses lies below a parent cycle.  Alternative, row
+    or of the rows of ``spec.nodes``; labels must be strings and a parent a
+    string or ``None``, as in a file.  Structure and dimensions are checked
+    first; one depth-first walk from the root orders the tree, in time linear
+    in the node count whatever the order of the nodes, and a node it misses
+    lies below a parent cycle.  Alternative, row
     and dimension counts are each compared as one array, and on a fault a
     per-node scan names the first bad node in file order.  Then the row
     moments are computed per alternative count ``k``, from one gather of the
@@ -597,12 +624,11 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
 
     Raises :class:`CycleDetected`, :class:`MultipleRoots`,
     :class:`DimensionMismatch` or :class:`BadDistribution`, always naming the
-    offending node.  A structural fault is reported before any bad moments;
-    among nodes with bad moments, the first in file order is named.
+    offending node.  A structural fault is reported before any bad moments,
+    and after a row whose numbers changed since its own checks ran; among
+    nodes with bad moments, the first in file order is named.
     """
-    columns = getattr(spec, "_columns", None)
-    if columns is None:
-        columns = _Columns.of_nodes(spec.nodes)
+    columns = getattr(spec, "_columns", None) or _Columns.of_nodes(spec.nodes)
     ids, parents = columns.ids, columns.parents
     if not ids:
         raise InvalidNetwork("network has no nodes")
@@ -626,6 +652,8 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     for node_id, parent in zip(ids, parents):
         if parent is None:
             continue
+        if not isinstance(parent, str):
+            raise InvalidNetwork(f"node {node_id!r}: parent {parent!r} must be a string or None")
         if parent not in index:
             raise UnknownNode(f"node {node_id!r}: parent {parent!r} is not defined")
         if parent == node_id:
@@ -661,6 +689,7 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
         and (columns.counts[at] == r).all()
         and (columns.kinds != _UNSUPPORTED).all()
         and (columns.dims == np.repeat(ks, columns.counts)).all()
+        and set(map(type, chain.from_iterable(columns.alternatives))) <= {str}
         and list(map(len, map(set, columns.alternatives))) == ks.tolist()
     ):
         _scan_dimensions(spec, columns, index)
@@ -712,6 +741,8 @@ def _scan_dimensions(spec: NetworkSpec, columns: _Columns, index: Dict[str, int]
         k = len(alts)
         if k < 2:
             raise InvalidNetwork(f"node {node_id!r}: at least two alternatives required")
+        if not all(isinstance(label, str) for label in alts):
+            raise InvalidNetwork(f"node {node_id!r}: alternative labels must be strings")
         if len(set(alts)) != k:
             raise InvalidNetwork(f"node {node_id!r}: alternative labels must be unique")
         n_rows = int(columns.counts[i])

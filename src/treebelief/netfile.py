@@ -1,4 +1,4 @@
-"""JSON interchange formats for networks and reports.
+"""The JSON network file format.
 
 A network file is a JSON document::
 
@@ -21,25 +21,17 @@ Distribution objects are one of::
     {"type": "point", "p": [number, ...]}
 
 Conditional rows must appear in the parent's alternative order; their
-``given`` labels are checked against it.  Report serialization keeps the full
-float precision (shortest round-trip repr, at least 15 significant digits).
+``given`` labels are checked against it.  :func:`save_network` writes each
+number as its shortest round-trip repr, so a saved network loads back bit
+for bit.
 
 :func:`parse_network` turns a document into columns, with no object per row
-(:func:`_columns`).  Each check runs as one C-level pass over all nodes or
-all rows: ``map(dict.get, ...)`` gathers the ids, alternatives, parents,
-``given`` labels, distribution types and number lists, ``set(map(type,
-...))`` checks their JSON types, and list equality the ``given`` labels.
-The number lists of each length become one float stack, with one type check
-of all its numbers (JSON numbers only, so no bool or string) and one
-reduction for the Dirichlet (finite, > 0) and one for the point (finite,
->= 0, summing to 1) rows.  Discrete rows, which are rare, go through
-:func:`parse_distribution` on the spot.  :func:`validate_network` checks the
-columns.  The returned :class:`NetworkSpec` owns the row objects, read-only
-views of the stacks: it builds all of them in one pass the first time its
-``nodes`` or a validated node's ``rows`` is read.  If any check fails, the
-document is parsed again row by row (:func:`_walk`), which raises the first
-fault in file order, with the error type and message of
-:func:`parse_distribution`.
+(:func:`_columns`), and :func:`validate_network` checks the columns.  The
+returned :class:`NetworkSpec` builds its row objects, read-only views of the
+columns' stacks, in one pass the first time its ``nodes`` or a validated
+node's ``rows`` is read.  If any check fails, the document is parsed again
+row by row (:func:`_walk`), which raises the first fault in file order, with
+the error type and message of :func:`parse_distribution`.
 """
 from __future__ import annotations
 
@@ -61,8 +53,6 @@ from .model import (
     _DIRICHLET,
     _DISCRETE,
     _POINT,
-    _alpha_ok,
-    _prob_rows_ok,
 )
 
 
@@ -162,19 +152,20 @@ def _walk(doc: Any) -> NetworkSpec:
 
 
 _KIND_CODES = {"dirichlet": _DIRICHLET, "discrete": _DISCRETE, "point": _POINT}
-_VALUE_KEYS = {_DIRICHLET: "alpha", _DISCRETE: "points", _POINT: "p"}
+_VALUE_KEYS = {"dirichlet": "alpha", "discrete": "points", "point": "p"}
 
 
 def _columns(doc: Any) -> Optional[_Columns]:
     """The columns of a document that passes every check, else ``None``.
 
-    Each check of :func:`_walk` and :func:`parse_distribution` runs as one
-    C-level pass over all nodes or all rows (``map``, ``set``, list
-    equality), or as one array test per row length.  Some are stricter: a
-    duplicate id, an unknown parent, a row count that does not match the
-    parent, or a ``str`` or ``dict`` subclass also give ``None``, and the
-    row-by-row walk then decides.  Discrete rows, which are rare, go
-    through :func:`parse_distribution` one by one.
+    Each JSON-shape check of :func:`_walk` and :func:`parse_distribution`
+    runs as one C-level pass over all nodes or all rows (``map``, ``set``,
+    list equality); numbers must be int or float, so no bool or string.  The
+    :class:`_Columns` constructor stacks and checks them.  Some checks are
+    stricter: a duplicate id, an unknown parent, a row count that does not
+    match the parent, or a ``str`` or ``dict`` subclass also give ``None``,
+    and the walk then decides.  Discrete rows, which are rare, go through
+    :func:`parse_distribution` one by one.
     """
     if type(doc) is not dict:
         return None
@@ -211,50 +202,18 @@ def _columns(doc: Any) -> Optional[_Columns]:
     kinds = list(map(dict.get, dists, repeat("type")))
     if set(map(type, kinds)) != {str} or not set(kinds) <= _KIND_CODES.keys():
         return None
-    kinds = list(map(_KIND_CODES.__getitem__, kinds))
     values = list(map(dict.get, dists, map(_VALUE_KEYS.__getitem__, kinds)))
-    kinds = np.array(kinds, dtype=np.intp)
-    dims, places = np.zeros(len(rows), np.intp), np.zeros(len(rows), np.intp)
-
-    discrete = {}
-    vector_rows = np.flatnonzero(kinds != _DISCRETE)
-    if len(vector_rows) < len(rows):
-        for g in np.flatnonzero(kinds == _DISCRETE).tolist():
-            try:  # on a fault the walk raises it again, naming the row
-                discrete[g] = parse_distribution(dists[g], "row")
-            except (ParseError, BadDistribution):
-                return None
-            dims[g] = discrete[g].dim
-        values = list(map(values.__getitem__, vector_rows.tolist()))
-    if not (
-        set(map(type, values)) <= {list}
-        and set(map(type, chain.from_iterable(values))) <= _NUMBER_TYPES
-    ):
+    kinds = np.array(list(map(_KIND_CODES.__getitem__, kinds)), dtype=np.intp)
+    discrete = [dists[g] for g in np.flatnonzero(kinds == _DISCRETE).tolist()]
+    if discrete:
+        values = [value for value, kind in zip(values, kinds.tolist()) if kind != _DISCRETE]
+    if set(map(type, values)) - {list} or set(map(type, chain.from_iterable(values))) - _NUMBER_TYPES:
         return None
-    lengths = np.array(list(map(len, values)), dtype=np.intp)
-    dims[vector_rows] = lengths
-
-    stacks = {}
-    for size in set(lengths.tolist()):
-        if size < 1:
-            return None
-        group = np.flatnonzero(lengths == size)
-        vectors = values
-        if len(group) < len(values):
-            vectors = list(map(values.__getitem__, group.tolist()))
-        try:
-            stack = np.fromiter(chain.from_iterable(vectors), float, size * len(group))
-        except OverflowError:  # an int beyond the float range
-            return None
-        stack = stack.reshape(len(group), size)
-        dirichlet = kinds[vector_rows[group]] == _DIRICHLET
-        if not (_alpha_ok(stack[dirichlet]) and _prob_rows_ok(stack[~dirichlet])):
-            return None
-        stack.flags.writeable = False
-        stacks[size] = stack
-        places[vector_rows[group]] = np.arange(len(group))
-    return _Columns(ids, list(map(tuple, alternatives)), parents, counts, kinds, dims, places,
-                    stacks, discrete)
+    try:  # on a fault the walk raises it again, naming the row
+        discrete = list(map(parse_distribution, discrete, repeat("row")))
+        return _Columns(ids, list(map(tuple, alternatives)), parents, counts, kinds, values, discrete)
+    except (ParseError, BadDistribution, ValueError, OverflowError):  # OverflowError: an int too big
+        return None
 
 
 def parse_network(doc: Any) -> NetworkSpec:

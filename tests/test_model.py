@@ -16,6 +16,7 @@ from treebelief import (
     NodeSpec,
     PointMass,
     check_evidence,
+    load_network,
     moments_of,
     network_to_json,
     parse_network,
@@ -224,6 +225,40 @@ class TestValidateNetwork:
         with pytest.raises(BadDistribution) as info:
             call(spec, str(tmp_path / "net.json"))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "labels, parent, error, message",
+        [
+            ((1, 2), "A", InvalidNetwork, "node 'B': alternative labels must be strings"),
+            (({}, "b2"), "A", InvalidNetwork, "node 'B': alternative labels must be strings"),
+            (("b1", "b2"), ["A"], InvalidNetwork, "node 'B': parent ['A'] must be a string or None"),
+            (("b1", "b2"), 7, InvalidNetwork, "node 'B': parent 7 must be a string or None"),
+            (("b1", "b2"), "Z", UnknownNode, "node 'B': parent 'Z' is not defined"),
+            ((np.str_("b1"), "b2"), np.str_("A"), None, None),
+        ],
+        ids=["int-labels", "dict-label", "list-parent", "int-parent", "unknown-parent", "str-subclass"],
+    )
+    def test_hand_built_labels_and_parent_meet_the_file_rules(self, tmp_path, labels, parent, error,
+                                                              message):
+        spec = _chain()
+        spec = NetworkSpec((spec.nodes[0], NodeSpec("B", labels, parent, spec.nodes[1].rows)))
+        if error is None:  # what validates also saves and loads back
+            save_network(spec, str(tmp_path / "net.json"))
+            assert validate_network(load_network(str(tmp_path / "net.json"))).order == ("A", "B")
+            return
+        with pytest.raises(error) as info:
+            validate_network(spec)
+        assert str(info.value) == message
+
+    def test_row_changed_after_its_checks_is_named(self):
+        # The row checks a view; writing through the base array it views
+        # bypasses that check, and validation must still name the row.
+        base = np.array([1.0, 1.0, 1.0])
+        spec = _chain(rows_b=(PointMass(np.array([0.9, 0.1])), Dirichlet(base[:2])))
+        base[0] = 0.0
+        with pytest.raises(BadDistribution,
+                           match=r"^node 'B', row 1: dirichlet: every alpha entry must be > 0$"):
+            validate_network(spec)
 
     def test_minimal_chain(self):
         net = validate_network(_chain())
@@ -541,7 +576,17 @@ class TestParsedEqualsHandBuilt:
     @settings(max_examples=150, deadline=None)
     def test_same_plan_moments_and_nodes(self, spec):
         want = validate_network(spec)
-        got = validate_network(parse_network(network_to_json(spec)))
+        parsed = parse_network(network_to_json(spec))
+        columns, ref = parsed._columns, _Columns.of_nodes(spec.nodes)
+        for name in ("kinds", "dims", "places", "counts", "starts"):
+            _assert_same(getattr(columns, name), getattr(ref, name))
+        assert {size: stack.tobytes() for size, stack in columns.stacks.items()} == {
+            size: stack.tobytes() for size, stack in ref.stacks.items()
+        }
+        assert {g: row.dim for g, row in columns.discrete.items()} == {
+            g: row.dim for g, row in ref.discrete.items()
+        }
+        got = validate_network(parsed)
         assert (got.order, got.root) == (want.order, want.root)
         _assert_same(got.plan, want.plan)
         assert list(got.nodes) == list(want.nodes)

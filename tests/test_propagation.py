@@ -146,10 +146,10 @@ class TestChildToParent:
             k_child, k_parent = int(rng.integers(2, 4)), int(rng.integers(2, 4))
             spec = NetworkSpec(
                 (
-                    NodeSpec("f", tuple(range(k_parent)), None, (Dirichlet(np.ones(k_parent)),)),
+                    NodeSpec("f", tuple(map(str, range(k_parent))), None, (Dirichlet(np.ones(k_parent)),)),
                     NodeSpec(
                         "g",
-                        tuple(range(k_child)),
+                        tuple(map(str, range(k_child))),
                         "f",
                         tuple(
                             Dirichlet(rng.uniform(0.2, 8.0, size=k_child))
