@@ -21,16 +21,17 @@ node reads its ``rows`` as ``spec.nodes[index].rows``.  A parsed spec builds
 all of its :class:`NodeSpec` and distribution objects in one pass, the first
 time any ``rows`` or ``NetworkSpec.nodes`` is read; a query reads neither.
 
-All types are immutable after construction and all operations are pure
-functions, so they are safe to share between threads.  A parsed spec's first
-read of ``nodes`` may run in two threads at once: each builds from columns
-that never change, and the spec publishes the result with one
-``dict.setdefault``, its only publish point, so both threads get the same
-objects.
+All types are immutable after construction: every row and moment set owns
+a read-only copy of its numbers, and the caller's arrays stay writable.  All
+operations are pure functions, so they are safe to share between threads.
+A parsed spec's first read of ``nodes`` may run in two threads at once: each
+builds from columns that never change, and the spec publishes the result
+with one ``dict.setdefault``, its only publish point, so both threads get
+the same objects.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Mapping, NamedTuple, Optional, Union
 
@@ -51,7 +52,7 @@ PROB_TOL = 1e-9
 
 
 def _prob_vector(values, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
+    arr = np.array(values, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise BadDistribution(f"{what}: expected a non-empty 1-d probability vector")
     if not (np.isfinite(arr).all() and (arr >= 0.0).all()):
@@ -89,7 +90,7 @@ class Dirichlet:
     alpha: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.alpha, dtype=float)
+        arr = np.array(self.alpha, dtype=float)
         if arr.ndim != 1 or arr.size < 1:
             raise BadDistribution("dirichlet: alpha must be a non-empty vector")
         if not _alpha_ok(arr):
@@ -121,13 +122,12 @@ class DiscreteSupport:
     weights: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts, w = np.array(self.points, dtype=float), np.array(self.weights, dtype=float)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise BadDistribution("discrete support: points must be a (m, k) array")
         if not _prob_rows_ok(pts):  # the per-point check names the first bad point
             for row in range(pts.shape[0]):
                 _prob_vector(pts[row], f"discrete support point {row}")
-        w = np.asarray(self.weights, dtype=float)
         if w.shape != (pts.shape[0],):
             raise BadDistribution("discrete support: one weight per point required")
         if not (np.isfinite(w).all() and (w > 0.0).all()):
@@ -206,8 +206,8 @@ class MomentSet:
     second: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float)
-        second = np.asarray(self.second, dtype=float)
+        mean = np.array(self.mean, dtype=float)
+        second = np.array(self.second, dtype=float)
         if mean.ndim != 1:
             raise BadDistribution("moment set: mean (k,) and second (k, k) required")
         _check_moments(mean, second, "moment set")
@@ -331,9 +331,7 @@ class NetworkSpec:
         return vars(self).setdefault("nodes", columns.node_specs())
 
 
-#: Row kinds of :class:`_Columns`: an index into :data:`_KINDS`, or this for
-#: any other object.
-_UNSUPPORTED = -1
+#: Row kinds of :class:`_Columns`: an index into :data:`_KINDS`.
 _DIRICHLET, _DISCRETE, _POINT = range(3)
 
 
@@ -343,10 +341,10 @@ class _Columns:
     Per node, in file order: ``ids``, ``alternatives`` (tuples), ``parents``
     and the arrays ``counts`` and ``starts``: node ``i`` owns rows
     ``starts[i]`` up to ``starts[i] + counts[i]``.  Per row, in file order,
-    the arrays ``kinds`` (an index into :data:`_KINDS`, or
-    :data:`_UNSUPPORTED`) and ``dims``.  A Dirichlet or point row ``g`` is the
-    vector ``stacks[dims[g]][places[g]]`` of a read-only stack; a discrete
-    row is the object ``discrete[g]``.
+    the arrays ``kinds`` (an index into :data:`_KINDS`) and ``dims``.  A
+    Dirichlet or point row ``g`` is the vector ``stacks[dims[g]][places[g]]``
+    of a read-only stack, whose buffer is read-only too; a discrete row is
+    the object ``discrete[g]``.
 
     The constructor alone stacks and checks the numbers.  It takes each row's
     kind and, in row order, the Dirichlet and point vectors and the discrete
@@ -380,40 +378,38 @@ class _Columns:
                 raise ValueError("a row holds no numbers")
             group = np.flatnonzero(lengths == size)
             rows = vectors if len(group) == len(vectors) else list(map(vectors.__getitem__, group.tolist()))
-            stack = np.fromiter(chain.from_iterable(rows), float, size * len(group)).reshape(-1, size)
+            buffer = np.fromiter(chain.from_iterable(rows), float, size * len(group))
+            buffer.flags.writeable = False
+            stack = buffer.reshape(-1, size)
             dirichlet = kinds[at[group]] == _DIRICHLET
             if not (_alpha_ok(stack[dirichlet]) and _prob_rows_ok(stack[~dirichlet])):
                 raise ValueError(f"a row of {size} numbers fails its check")
-            stack.flags.writeable = False
             self.stacks[size] = stack
             self.places[at[group]] = np.arange(len(group))
 
     @classmethod
     def of_nodes(cls, nodes) -> "_Columns":
-        """The columns of :class:`NodeSpec` objects, vectors as lists: ``np.fromiter`` reads them fastest."""
+        """The columns of :class:`NodeSpec` objects, vectors as lists: ``np.fromiter`` reads them fastest.
+        The first row, in file order, that is no distribution object raises :class:`BadDistribution`."""
         kinds, vectors, discrete = [], [], []
-        for dist in chain.from_iterable(ns.rows for ns in nodes):
-            if isinstance(dist, (Dirichlet, PointMass)):
-                dirichlet = isinstance(dist, Dirichlet)
-                kinds.append(_DIRICHLET if dirichlet else _POINT)
-                vectors.append((dist.alpha if dirichlet else dist.p).tolist())
-            elif isinstance(dist, DiscreteSupport):
-                kinds.append(_DISCRETE)
-                discrete.append(dist)
-            else:
-                kinds.append(_UNSUPPORTED)
+        for ns in nodes:
+            for j, dist in enumerate(ns.rows):
+                if isinstance(dist, (Dirichlet, PointMass)):
+                    dirichlet = isinstance(dist, Dirichlet)
+                    kinds.append(_DIRICHLET if dirichlet else _POINT)
+                    vectors.append((dist.alpha if dirichlet else dist.p).tolist())
+                elif isinstance(dist, DiscreteSupport):
+                    kinds.append(_DISCRETE)
+                    discrete.append(dist)
+                else:
+                    raise BadDistribution(
+                        f"node {ns.id!r}, row {j}: unsupported distribution {type(dist).__name__}"
+                    )
         try:
             return cls([ns.id for ns in nodes], [ns.alternatives for ns in nodes],
                        [ns.parent for ns in nodes], [len(ns.rows) for ns in nodes],
                        kinds, vectors, discrete)
-        except ValueError as exc:  # a row's numbers changed after its own checks ran
-            for ns in nodes:  # running them again names it
-                for j, dist in enumerate(ns.rows):
-                    try:
-                        if isinstance(dist, (Dirichlet, PointMass)):
-                            replace(dist)
-                    except BadDistribution as fault:
-                        raise BadDistribution(f"node {ns.id!r}, row {j}: {fault}") from None
+        except ValueError as exc:  # only a row made without its constructor gets here
             raise BadDistribution(f"rows fail their checks ({exc})") from exc
 
     def _row(self, g: int) -> UncertainDistribution:
@@ -610,23 +606,24 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     """Check every structural invariant of ``spec`` and resolve adjacency.
 
     One core checks the network's :class:`_Columns`: those of a parsed spec,
-    or of the rows of ``spec.nodes``; labels must be strings and a parent a
-    string or ``None``, as in a file.  Structure and dimensions are checked
-    first; one depth-first walk from the root orders the tree, in time linear
-    in the node count whatever the order of the nodes, and a node it misses
-    lies below a parent cycle.  Alternative, row
-    and dimension counts are each compared as one array, and on a fault a
-    per-node scan names the first bad node in file order.  Then the row
-    moments are computed per alternative count ``k``, from one gather of the
-    rows of that ``k`` in :class:`LevelPlan` order (:func:`_stacked_moments`),
-    and checked against the :func:`_check_moments` invariants in blocks of
-    :data:`_CHECK_ROWS` rows.  Each node keeps read-only views of its rows.
+    or of the rows of ``spec.nodes``, where the first row that is no
+    distribution object is named before anything else is checked; labels
+    must be strings and a parent a string or ``None``, as in a file.
+    Structure and dimensions are checked first; one depth-first walk from
+    the root orders the tree, in time linear in the node count whatever the
+    order of the nodes, and a node it misses lies below a parent cycle.
+    Alternative, row and dimension counts are each compared as one array,
+    and on a fault a per-node scan names the first bad node in file order.
+    Then the row moments are computed per alternative count ``k``, from one
+    gather of the rows of that ``k`` in :class:`LevelPlan` order
+    (:func:`_stacked_moments`), and checked against the :func:`_check_moments`
+    invariants in blocks of :data:`_CHECK_ROWS` rows.  Each node keeps
+    read-only views of its rows.
 
     Raises :class:`CycleDetected`, :class:`MultipleRoots`,
     :class:`DimensionMismatch` or :class:`BadDistribution`, always naming the
-    offending node.  A structural fault is reported before any bad moments,
-    and after a row whose numbers changed since its own checks ran; among
-    nodes with bad moments, the first in file order is named.
+    offending node.  A structural fault is reported before any bad moments;
+    among nodes with bad moments, the first in file order is named.
     """
     columns = getattr(spec, "_columns", None) or _Columns.of_nodes(spec.nodes)
     ids, parents = columns.ids, columns.parents
@@ -687,12 +684,11 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     if not (
         (ks >= 2).all()
         and (columns.counts[at] == r).all()
-        and (columns.kinds != _UNSUPPORTED).all()
         and (columns.dims == np.repeat(ks, columns.counts)).all()
         and set(map(type, chain.from_iterable(columns.alternatives))) <= {str}
         and list(map(len, map(set, columns.alternatives))) == ks.tolist()
     ):
-        _scan_dimensions(spec, columns, index)
+        _scan_dimensions(columns, index)
     m = np.array(list(map(len, map(children.__getitem__, order))))[above]
     slot, plan_ids, row_start, sib_counts, levels = _compile(order, above, depth, k, r, m)
 
@@ -733,7 +729,7 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     return ValidatedNetwork(validated, order, root, plan)
 
 
-def _scan_dimensions(spec: NetworkSpec, columns: _Columns, index: Dict[str, int]) -> None:
+def _scan_dimensions(columns: _Columns, index: Dict[str, int]) -> None:
     """Raise for the first node, in file order, whose alternatives, row count
     or row dimensions are wrong."""
     nodes = zip(columns.ids, columns.alternatives, columns.parents)
@@ -750,13 +746,7 @@ def _scan_dimensions(spec: NetworkSpec, columns: _Columns, index: Dict[str, int]
         if n_rows != expected_rows:
             raise DimensionMismatch(f"node {node_id!r}: {n_rows} rows, expected {expected_rows}")
         lo = int(columns.starts[i])
-        for j, (kind, dim) in enumerate(zip(columns.kinds[lo : lo + n_rows].tolist(),
-                                            columns.dims[lo : lo + n_rows].tolist())):
-            if kind == _UNSUPPORTED:
-                raise BadDistribution(
-                    f"node {node_id!r}, row {j}: unsupported distribution "
-                    f"{type(spec.nodes[i].rows[j]).__name__}"
-                )
+        for j, dim in enumerate(columns.dims[lo : lo + n_rows].tolist()):
             if dim != k:
                 raise DimensionMismatch(
                     f"node {node_id!r}, row {j}: distribution dimension {dim} "

@@ -75,7 +75,7 @@ def parse_distribution(obj: Any, where: str) -> UncertainDistribution:
         if kind == "dirichlet":
             alpha = obj.get("alpha")
             _expect(_is_number_list(alpha), f"{where}: dirichlet needs an alpha list of numbers")
-            return Dirichlet(np.asarray(alpha, dtype=float))
+            return Dirichlet(alpha)
         if kind == "discrete":
             points = obj.get("points")
             _expect(isinstance(points, list) and points, f"{where}: discrete needs points")
@@ -91,11 +91,11 @@ def parse_distribution(obj: Any, where: str) -> UncertainDistribution:
                 all(map(_is_number_list, vectors)) and _is_number_list(weights),
                 f"{where}: discrete point 'p' must be a list of numbers and 'w' a number",
             )
-            return DiscreteSupport(np.asarray(vectors, dtype=float), np.asarray(weights, dtype=float))
+            return DiscreteSupport(vectors, weights)
         if kind == "point":
             p = obj.get("p")
             _expect(_is_number_list(p), f"{where}: point needs a p list of numbers")
-            return PointMass(np.asarray(p, dtype=float))
+            return PointMass(p)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: malformed numbers ({exc})") from exc
     except BadDistribution as exc:
@@ -263,10 +263,8 @@ def network_to_json(spec: NetworkSpec) -> Dict[str, Any]:
     by_id = {ns.id: ns for ns in spec.nodes}
     doc = []
     for ns in spec.nodes:
-        if ns.parent is None or ns.parent not in by_id:
-            given: List[Optional[str]] = [None] * len(ns.rows)
-        else:
-            given = list(by_id[ns.parent].alternatives)
+        # a row past the parent's alternatives is for none of them
+        alts = () if ns.parent is None or ns.parent not in by_id else by_id[ns.parent].alternatives
         doc.append(
             {
                 "id": ns.id,
@@ -274,7 +272,7 @@ def network_to_json(spec: NetworkSpec) -> Dict[str, Any]:
                 "parent": ns.parent,
                 "cpt": [
                     {"given": g, "dist": distribution_to_json(d)}
-                    for g, d in zip(given, ns.rows)
+                    for g, d in zip(chain(alts, repeat(None)), ns.rows)
                 ],
             }
         )

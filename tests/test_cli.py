@@ -43,7 +43,7 @@ from treebelief import (
 )
 from treebelief import cli
 from treebelief.cli import main
-from treebelief.errors import BadDistribution, NonFiniteResult, ParseError
+from treebelief.errors import BadDistribution, DimensionMismatch, NonFiniteResult, ParseError
 from treebelief.generate import random_beta_tree
 from treebelief.oracle import MAX_SAMPLES
 
@@ -99,13 +99,39 @@ class TestNetworkFiles:
             save_network(bad, str(path))
         assert path.read_bytes() == before
 
-    @pytest.mark.parametrize("command", ["query", "validate"])
-    def test_file_that_is_not_utf8_exits_2(self, capsys, tmp_path, command):
+    @pytest.mark.parametrize(
+        "command, content, message",
+        [
+            pytest.param("query", b'{"nodes": "\xff"}', "not valid UTF-8", id="query"),
+            pytest.param("validate", b'{"nodes": "\xff"}', "not valid UTF-8", id="validate"),
+            pytest.param("query", None, "cannot read", id="query-missing"),
+            pytest.param("validate", b'{"nodes": [', "not valid JSON", id="validate-not-json"),
+        ],
+    )
+    def test_file_that_is_not_utf8_exits_2(self, capsys, tmp_path, command, content, message):
         path = tmp_path / "bad.json"
-        path.write_bytes(b'{"nodes": "\xff"}')
+        if content is not None:
+            path.write_bytes(content)
         code, out, err = run_cli(capsys, command, str(path))
         assert code == 2 and out == ""
-        assert err.count("\n") == 1 and err.startswith("ParseError: ") and "not valid UTF-8" in err
+        assert err.count("\n") == 1 and err.startswith("ParseError: ") and message in err
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 3])
+    def test_saved_network_keeps_every_row(self, tmp_path, n_rows):
+        spec = two_node_mixed_spec()
+        a, b = spec.nodes
+        rows = (b.rows * 2)[:n_rows]
+        spec = NetworkSpec((a, NodeSpec(b.id, b.alternatives, b.parent, rows)))
+        path = str(tmp_path / "net.json")
+        save_network(spec, path)
+        loaded = load_network(path)
+        assert len(loaded.nodes[1].rows) == n_rows
+        if n_rows == 2:
+            validate_network(loaded)
+            return
+        for candidate in (spec, loaded):
+            with pytest.raises(DimensionMismatch, match=f"^node 'B': {n_rows} rows, expected 2$"):
+                validate_network(candidate)
 
     @given(mixed_trees())
     @settings(max_examples=60, deadline=None)

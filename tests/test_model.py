@@ -16,10 +16,13 @@ from treebelief import (
     NodeSpec,
     PointMass,
     check_evidence,
+    enumerate_uncertainty,
     load_network,
     moments_of,
     network_to_json,
     parse_network,
+    posterior_report,
+    propagate,
     save_network,
     validate_network,
 )
@@ -33,7 +36,7 @@ from treebelief.errors import (
     UnknownAlternative,
     UnknownNode,
 )
-from treebelief.model import _CHECK_ROWS, _Columns
+from treebelief.model import _CHECK_ROWS, _DIRICHLET, _Columns
 
 
 class TestMomentsOf:
@@ -139,8 +142,19 @@ class TestMomentSetInvariants:
             assert m.second[0, 1] == pytest.approx(e - s, abs=1e-12)
 
     def test_bad_moment_set_rejected(self):
-        with pytest.raises(BadDistribution):
-            MomentSet(np.array([0.5, 0.5]), np.array([[0.6, 0.1], [0.1, 0.3]]))
+        half, flat = [0.5, 0.5], [[0.25, 0.25], [0.25, 0.25]]
+        for mean, second, message in [
+            (half, [[0.6, 0.1], [0.1, 0.3]], "row sums of second moments must equal the mean"),
+            ([half], [flat], "mean (k,) and second (k, k) required"),
+            (half, half, "mean (k,) and second (k, k) required"),
+            ([0.5, 0.6], flat, "mean is not a probability vector"),
+            (half, [[0.6, -0.1], [-0.1, 0.6]], "second moments must be >= 0"),
+            (half, [[0.3, 0.2], [0.25, 0.3]], "second-moment matrix must be symmetric"),
+            (half, [[0.2, 0.3], [0.3, 0.2]], "diagonal must lie between mean**2 and mean"),
+        ]:
+            with pytest.raises(BadDistribution) as info:
+                MomentSet(np.array(mean), np.array(second))
+            assert str(info.value) == "moment set: " + message
 
     def test_non_finite_moments_rejected(self):
         # a0 * (a0 + 1) overflows, so every second moment is inf / inf = nan
@@ -195,6 +209,32 @@ class TestDistributionValidation:
         with pytest.raises(BadDistribution):
             PointMass(np.array([1.2, -0.2]))
 
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: DiscreteSupport(np.array([0.5, 0.5]), np.array([1.0])),
+             "discrete support: points must be a (m, k) array"),
+            (lambda: DiscreteSupport(np.array([[0.5, 0.5]]), np.array([0.5, 0.5])),
+             "discrete support: one weight per point required"),
+            (lambda: Dirichlet(np.array([])), "dirichlet: alpha must be a non-empty vector"),
+        ],
+        ids=["points-1d", "weight-count", "empty-alpha"],
+    )
+    def test_malformed_row_rejected(self, make, message):
+        with pytest.raises(BadDistribution) as info:
+            make()
+        assert str(info.value) == message
+
+    def test_empty_alpha_in_a_file_is_named(self):
+        # the columns refuse the empty row; the row-by-row walk names it
+        with pytest.raises(ValueError, match="^a row holds no numbers$"):
+            _Columns(["A"], [("a1", "a2")], [None], [1], [_DIRICHLET], [[]], [])
+        doc = {"nodes": [{"id": "A", "alternatives": ["a1", "a2"], "parent": None,
+                          "cpt": [{"given": None, "dist": {"type": "dirichlet", "alpha": []}}]}]}
+        with pytest.raises(BadDistribution) as info:
+            parse_network(doc)
+        assert str(info.value) == "node 'A', row 0: dirichlet: alpha must be a non-empty vector"
+
 
 def _chain(rows_b=None):
     rows_b = rows_b or (
@@ -215,10 +255,14 @@ class TestValidateNetwork:
         [
             (lambda spec, path: validate_network(spec),
              "node 'B', row 1: unsupported distribution str"),
+            # the row is named before the missing root
+            (lambda spec, path: validate_network(NetworkSpec(
+                (NodeSpec("A", ("a1", "a2"), "B", spec.nodes[0].rows),) + spec.nodes[1:])),
+             "node 'B', row 1: unsupported distribution str"),
             (lambda spec, path: moments_of(object()), "unsupported distribution type object"),
             (lambda spec, path: save_network(spec, path), "unsupported distribution type str"),
         ],
-        ids=["validate_network", "moments_of", "save_network"],
+        ids=["validate_network", "validate_network-no-root", "moments_of", "save_network"],
     )
     def test_unsupported_row_is_named(self, tmp_path, call, message):
         spec = _chain((PointMass(np.array([0.9, 0.1])), "oops"))
@@ -250,15 +294,52 @@ class TestValidateNetwork:
             validate_network(spec)
         assert str(info.value) == message
 
-    def test_row_changed_after_its_checks_is_named(self):
-        # The row checks a view; writing through the base array it views
-        # bypasses that check, and validation must still name the row.
+    def test_rows_own_their_numbers(self, tmp_path):
+        # every constructor copies: the caller's arrays stay writable
+        alpha, p, points, weights = np.ones(2), np.array([0.4, 0.6]), np.eye(2), np.full(2, 0.5)
+        mean, second = np.array([0.5, 0.5]), np.full((2, 2), 0.25)
+        Dirichlet(alpha), PointMass(p), DiscreteSupport(points, weights), MomentSet(mean, second)
+        assert all(a.flags.writeable for a in (alpha, p, points, weights, mean, second))
+
+        # a write through the array a row was made from reaches no row
         base = np.array([1.0, 1.0, 1.0])
         spec = _chain(rows_b=(PointMass(np.array([0.9, 0.1])), Dirichlet(base[:2])))
+        net = validate_network(spec)
         base[0] = 0.0
-        with pytest.raises(BadDistribution,
-                           match=r"^node 'B', row 1: dirichlet: every alpha entry must be > 0$"):
+        assert spec.nodes[1].rows[1].alpha.tolist() == [1.0, 1.0]
+        np.testing.assert_array_equal(net.nodes["B"].mean_rows[1], [0.5, 0.5])
+        save_network(spec, str(tmp_path / "net.json"))
+        loaded = validate_network(load_network(str(tmp_path / "net.json")))
+        assert loaded.nodes["B"].second_rows.tobytes() == net.nodes["B"].second_rows.tobytes()
+
+        # the engine and its oracle read the same stored numbers
+        points = np.array([[0.2, 0.8], [0.6, 0.4]])
+        net = validate_network(NetworkSpec((
+            NodeSpec("A", ("a1", "a2"), None, (DiscreteSupport(points, np.array([0.5, 0.5])),)),
+            _chain().nodes[1],
+        )))
+        points[1] = [0.4, 0.6]  # would make the root's variance 0.01
+        engine = posterior_report(propagate(net, {}))["A"].variance
+        oracle = enumerate_uncertainty(net, {}, "prior").entries["A"].variance
+        np.testing.assert_allclose([engine, oracle], 0.04, atol=1e-12)
+
+        # a parsed row views a stack whose buffer is read-only too
+        row = parse_network(network_to_json(_chain())).nodes[1].rows[0]
+        assert row.p.base is not None and not row.p.base.flags.writeable
+
+    @pytest.mark.parametrize(
+        "ids, message",
+        [((), "network has no nodes"),
+         (("",), "node id '' must be a non-empty string"),
+         ((7,), "node id 7 must be a non-empty string")],
+        ids=["no-nodes", "empty-id", "int-id"],
+    )
+    def test_ids_are_non_empty_strings(self, ids, message):
+        spec = NetworkSpec(tuple(NodeSpec(i, ("a1", "a2"), None, (PointMass(np.array([0.4, 0.6])),))
+                                 for i in ids))
+        with pytest.raises(InvalidNetwork) as info:
             validate_network(spec)
+        assert str(info.value) == message
 
     def test_minimal_chain(self):
         net = validate_network(_chain())

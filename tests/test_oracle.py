@@ -73,6 +73,10 @@ class TestExactInference:
         with pytest.raises(InconsistentEvidence):
             exact_inference(net, point_tables(net), {"B": 1})
 
+    def test_point_tables_need_point_rows(self, uniform_chain):
+        with pytest.raises(PreconditionViolated, match="^node 'A' is not a point-mass node$"):
+            point_tables(uniform_chain)
+
 
 class TestEnumerate:
     def test_worked_prior(self, two_node_mixed):
@@ -262,6 +266,8 @@ class TestMonteCarlo:
             mc_uncertainty(two_node_mixed, {}, "prior", n=100, seed=-1)
         with pytest.raises(PreconditionViolated):
             mc_uncertainty(two_node_mixed, {"B": 0}, "prior", n=100)
+        with pytest.raises(PreconditionViolated, match="^unknown oracle mode 'posterior'$"):
+            mc_uncertainty(two_node_mixed, {}, "posterior", n=100)
 
     def test_degenerate_weights_flagged(self):
         spec = NetworkSpec(

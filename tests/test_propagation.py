@@ -17,7 +17,7 @@ from treebelief import (
     query_node,
     validate_network,
 )
-from treebelief.errors import InconsistentEvidence
+from treebelief.errors import InconsistentEvidence, UnknownNode
 from treebelief.generate import random_evidence, random_tree_spec
 from treebelief.oracle import point_tables
 from treebelief.propagation import _segment_products
@@ -604,6 +604,10 @@ class TestQueryMatchesReport:
         net = validate_network(_tree_spec([None], [3], lambda i, j, k: Dirichlet(np.ones(k))))
         self._assert_query_is_report(net, {})
         self._assert_query_is_report(net, {"n0": 2})
+
+    def test_unknown_node_is_named(self, two_node_mixed):
+        with pytest.raises(UnknownNode, match="^node 'nope' is not part of the network$"):
+            posterior_report(propagate(two_node_mixed, {}), ["nope"])
 
 
 @pytest.mark.parametrize("shape, n", [("chain", 20_000), ("star", 10_001)])
