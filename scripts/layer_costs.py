@@ -1,16 +1,18 @@
 """Per-layer cost of a ``treebelief query``, in µs per node, on fixed tree shapes.
 
-Writes chain, star and balanced binary trees of k = 3 Dirichlet rows at the
-given sizes, then times each layer of a query with the deepest leaf
-observed: ``json.load``, ``parse_network``, ``validate_network``,
-``propagate``, ``posterior_report``, and "emit": ``cli.cmd_query`` writing
-into a ``StringIO`` while its ``load_network``, ``validate_network``,
-``propagate`` and ``posterior_report`` return the results just timed, so
-everything ``query`` does after ``posterior_report``.  A seventh layer,
+Writes chain, star and balanced binary trees of Dirichlet rows with ``--k``
+alternatives (default 3) at the given sizes, then times each layer of a
+query with the deepest leaf observed: ``json.load``, ``parse_network``,
+``validate_network``, ``propagate``, ``posterior_report``, and "emit":
+``cli.cmd_query`` writing into a ``StringIO`` while its ``load_network``,
+``validate_network``, ``propagate`` and ``posterior_report`` return the
+results just timed, so everything ``query`` does after
+``posterior_report``.  A seventh layer,
 "validate (hand-built)", runs ``validate_network`` on the ``NetworkSpec`` of
-row objects that the file was written from.  Each layer reads as the best of
-``--rounds`` runs; the collector runs before each run, as in the
-benchmark worker, and during it unless ``--gc-off``.
+row objects that the file was written from.  Each round times every layer
+as the best of ``--repeats`` runs, and each layer reads as the best of its
+rounds; the collector runs before each run, as in the benchmark worker, and
+during it unless ``--gc-off``.
 
 With ``--base SRC`` a second source tree (the ``src`` directory of another
 checkout) is loaded into the same process and timed on the same files,
@@ -18,13 +20,16 @@ interleaved with this checkout run by run, alternating which goes first.
 Each version validates its own hand-built spec, built from the same seed,
 since one version's row classes are not valid input to the other's.  Then
 the median over rounds of the per-round ratio (this checkout over the base)
-of parse plus validate, and of hand-built validation, is printed per tree as
-well.  The last line is one JSON object with every number printed.
+of parse plus validate, of ``propagate`` and of hand-built validation is
+printed per tree as well; the per-round minimum over repeats keeps one slow
+run on a shared host out of the ratio.  The last line is one JSON object
+with every number printed.
 
 Run from the repository root::
 
     python scripts/layer_costs.py --sizes 1000 10000 --rounds 5
     python scripts/layer_costs.py --sizes 1000 --rounds 7 --base ../parent/src
+    python scripts/layer_costs.py --k 8 --sizes 1250 --rounds 15 --base ../parent/src
 """
 from __future__ import annotations
 
@@ -49,7 +54,6 @@ ROOT = Path(__file__).resolve().parents[1]
 SHAPES = ("chain", "star", "binary")
 LAYERS = ("json.load", "parse_network", "validate_network", "propagate", "posterior_report", "emit",
           "validate (hand-built)")
-K = 3
 
 
 def load_package(src: Path, name: str):
@@ -65,15 +69,16 @@ def load_package(src: Path, name: str):
     return module
 
 
-def build_tree(tb, shape: str, n: int):
-    """A ``shape`` tree of ``n`` nodes of ``tb``'s row classes, and its deepest leaf's id."""
+def build_tree(tb, shape: str, n: int, k: int):
+    """A ``shape`` tree of ``n`` nodes of ``k`` alternatives and ``tb``'s row
+    classes, and its deepest leaf's id."""
     rng = np.random.default_rng(n)
-    labels = tuple(f"s{j}" for j in range(K))
+    labels = tuple(f"s{j}" for j in range(k))
     parent = {"chain": lambda i: i - 1, "star": lambda i: 0, "binary": lambda i: (i - 1) // 2}[shape]
     nodes = [
         tb.NodeSpec(
             f"n{i}", labels, None if i == 0 else f"n{parent(i)}",
-            tuple(tb.Dirichlet(rng.uniform(0.5, 5.0, K)) for _ in range(1 if i == 0 else K)),
+            tuple(tb.Dirichlet(rng.uniform(0.5, 5.0, k)) for _ in range(1 if i == 0 else k)),
         )
         for i in range(n)
     ]
@@ -113,11 +118,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[1000, 10000])
     parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--repeats", type=int, default=3, help="runs per layer in each round; the best counts")
+    parser.add_argument("--k", type=int, default=3, help="alternatives per node")
     parser.add_argument("--base", type=Path, help="src directory of a checkout to compare against")
     parser.add_argument("--gc-off", action="store_true", help="keep the collector off while timing")
     args = parser.parse_args(argv)
-    if args.rounds < 1 or min(args.sizes) < 2:
-        parser.error("--rounds must be at least 1 and every size at least 2")
+    if min(args.rounds, args.repeats) < 1 or min(args.sizes) < 2 or args.k < 2:
+        parser.error("--rounds and --repeats must be at least 1, every size and --k at least 2")
 
     versions = {"this": load_package(ROOT / "src", "treebelief")}
     if args.base is not None:
@@ -127,28 +134,33 @@ def main(argv=None) -> int:
         trees, built = {}, {v: {} for v in versions}  # built: version -> tree -> spec
         for shape in SHAPES:
             for n in args.sizes:
-                tree, path = f"{shape}-{n}", Path(tmp) / f"{shape}-k{K}-n{n}.json"
+                tree, path = f"{shape}-{n}", Path(tmp) / f"{shape}-k{args.k}-n{n}.json"
                 for v, tb in versions.items():
-                    built[v][tree], leaf = build_tree(tb, shape, n)
+                    built[v][tree], leaf = build_tree(tb, shape, n, args.k)
                 versions["this"].save_network(built["this"][tree], str(path))
                 trees[tree] = (str(path), leaf, n)
         for r in range(args.rounds):
             for tree, (path, leaf, _) in trees.items():
                 names = list(versions) if r % 2 == 0 else list(versions)[::-1]
+                best = {}
+                for _ in range(args.repeats):
+                    for v in names:
+                        gc.collect()
+                        if args.gc_off:
+                            gc.disable()
+                        try:
+                            seconds = time_query(versions[v], path, leaf, built[v][tree])
+                        finally:
+                            gc.enable()
+                        best[v] = np.minimum(best.get(v, seconds), seconds)
                 for v in names:
-                    gc.collect()
-                    if args.gc_off:
-                        gc.disable()
-                    try:
-                        seconds = time_query(versions[v], path, leaf, built[v][tree])
-                    finally:
-                        gc.enable()
-                    times[v].setdefault(tree, []).append(seconds)
+                    times[v].setdefault(tree, []).append(best[v].tolist())
 
-    result = {"sizes": args.sizes, "rounds": args.rounds, "k": K, "gc_off": args.gc_off,
-              "us_per_node": {}, "parse_validate_ratio": {}, "hand_built_validate_ratio": {}}
+    result = {"sizes": args.sizes, "rounds": args.rounds, "repeats": args.repeats, "k": args.k,
+              "gc_off": args.gc_off, "us_per_node": {}, "parse_validate_ratio": {},
+              "propagate_ratio": {}, "hand_built_validate_ratio": {}}
     for v in versions:
-        print(f"{v}: µs per node, best of {args.rounds}")
+        print(f"{v}: µs per node, best of {args.rounds} rounds of {args.repeats}")
         print(f"  {'tree':<14}" + "".join(f"{layer:>22}" for layer in LAYERS))
         result["us_per_node"][v] = {}
         for tree, (_, _, n) in trees.items():
@@ -157,6 +169,7 @@ def main(argv=None) -> int:
             print(f"  {tree:<14}" + "".join(f"{x:>22.2f}" for x in best))
     if "base" in versions:
         for title, key, layers in (("parse + validate", "parse_validate_ratio", [1, 2]),
+                                   ("propagate", "propagate_ratio", [3]),
                                    ("validate (hand-built)", "hand_built_validate_ratio", [6])):
             print(f"{title}, this / base: median of per-round ratios [min, max]")
             for tree in trees:

@@ -21,8 +21,9 @@ node reads its ``rows`` as ``spec.nodes[index].rows``.  A parsed spec builds
 all of its :class:`NodeSpec` and distribution objects in one pass, the first
 time any ``rows`` or ``NetworkSpec.nodes`` is read; a query reads neither.
 
-All types are immutable after construction: every row and moment set owns
-a read-only copy of its numbers, and the caller's arrays stay writable.  All
+All types are immutable after construction: every row and moment set holds
+a view of its own read-only copy of its numbers, so no field can be made
+writable again, and the caller's arrays stay writable.  All
 operations are pure functions, so they are safe to share between threads.
 A parsed spec's first read of ``nodes`` may run in two threads at once: each
 builds from columns that never change, and the spec publishes the result
@@ -59,8 +60,14 @@ def _prob_vector(values, what: str) -> np.ndarray:
         raise BadDistribution(f"{what}: entries must be finite and >= 0")
     if abs(float(arr.sum()) - 1.0) > PROB_TOL:
         raise BadDistribution(f"{what}: entries sum to {arr.sum()!r}, not 1")
+    return _frozen(arr)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """A view of ``arr`` after making ``arr`` read-only: a view of a read-only
+    array cannot be made writable again."""
     arr.flags.writeable = False
-    return arr
+    return arr.view()
 
 
 def _prob_rows_ok(arr: np.ndarray) -> bool:
@@ -95,8 +102,7 @@ class Dirichlet:
             raise BadDistribution("dirichlet: alpha must be a non-empty vector")
         if not _alpha_ok(arr):
             raise BadDistribution("dirichlet: every alpha entry must be > 0")
-        arr.flags.writeable = False
-        object.__setattr__(self, "alpha", arr)
+        object.__setattr__(self, "alpha", _frozen(arr))
 
     @classmethod
     def _checked(cls, alpha: np.ndarray) -> "Dirichlet":
@@ -134,10 +140,8 @@ class DiscreteSupport:
             raise BadDistribution("discrete support: weights must be finite and > 0")
         if abs(float(w.sum()) - 1.0) > PROB_TOL:
             raise BadDistribution(f"discrete support: weights sum to {w.sum()!r}, not 1")
-        pts.flags.writeable = False
-        w.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "points", _frozen(pts))
+        object.__setattr__(self, "weights", _frozen(w))
 
     @property
     def dim(self) -> int:
@@ -211,10 +215,8 @@ class MomentSet:
         if mean.ndim != 1:
             raise BadDistribution("moment set: mean (k,) and second (k, k) required")
         _check_moments(mean, second, "moment set")
-        mean.flags.writeable = False
-        second.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "second", second)
+        object.__setattr__(self, "mean", _frozen(mean))
+        object.__setattr__(self, "second", _frozen(second))
 
     @classmethod
     def _checked(cls, mean: np.ndarray, second: np.ndarray) -> "MomentSet":
@@ -466,29 +468,30 @@ class ValidatedNode:
 
 
 class LevelPlan(NamedTuple):
-    """The tree compiled once for a level-by-level sweep.
+    """The tree compiled once for a depth-by-depth sweep.
 
     Nodes with ``k`` alternatives own *slots* ``0..n_k-1``, sorted by depth,
     row count ``r`` (the parent's ``k``; 1 at the root) and the parent's
     number of children; ``ids[k]`` lists them.  ``moments[k]`` holds their row
-    moments in slot order, a node's first at ``row_start[k][slot]``.  Non-root
-    nodes with ``r`` rows own *positions* ``0..sib_counts[r]-1`` in which each
-    parent's children are consecutive.  ``slot[id]`` is ``(depth, k, slot, r,
-    position)``.  ``levels[d]`` is ``(groups, runs)``: a group ``(r, k, slots,
-    rows, positions, parents)`` holds the nodes of depth ``d`` with equal
-    ``(r, k)`` and its parents' slots; a run ``(r, m, kids, parents)`` the
-    ``P * m`` positions of the children of ``P`` parents of depth ``d`` with
-    ``r`` alternatives and ``m`` children.  Indices are slices where they
-    count up by one, else read-only arrays; the root's are unused.  On a level
-    of one node, the group's ``slots``, ``positions`` and ``parents`` and the
-    ``kids`` and ``parents`` of the run that feeds it are plain ints instead,
-    which marks the level for the sweep's 2-D step.
+    moments in slot order, ``(mean, second, flat)`` with ``flat`` a ``(rows,
+    k * k)`` view of ``second``, a node's first row at ``row_start[k][slot]``.
+    Non-root nodes with ``r`` rows own *positions* ``0..sib_counts[r]-1`` in
+    which each parent's children are consecutive.  ``slot[id]`` is ``(depth,
+    k, slot, r, position)``.  ``steps`` covers every depth below the root, in
+    depth order.  A depth of several nodes is a *level* ``(depth, groups,
+    runs)``: a group ``(r, k, slots, rows, positions, parents)`` holds its
+    nodes of equal ``(r, k)`` and their parents' slots, a run ``(r, m, kids,
+    parents)`` the ``P * m`` positions of its nodes whose ``P`` parents have
+    ``m`` children; indices are slices, or read-only arrays where they skip.
+    Each maximal run of one-node depths is a *chain segment*: a read-only
+    ``(7, n)`` int array, a column per node from the top, of depth, ``k``,
+    ``r``, slot, first row, position and the parent's slot.
     """
 
     slot: Dict[str, tuple]
     ids: Dict[int, List[str]]
     sib_counts: Dict[int, int]
-    levels: List[tuple]
+    steps: List[Union[tuple, np.ndarray]]
     moments: Dict[int, tuple]
     row_start: Dict[int, np.ndarray]
 
@@ -512,7 +515,7 @@ def _runs(order: np.ndarray, *columns):
 
 
 def _compile(order, above, depth, k, r, m):
-    """``(slot, ids, row_start, sib_counts, levels)`` of a :class:`LevelPlan`.
+    """``(slot, ids, row_start, sib_counts, steps)`` of a :class:`LevelPlan`.
 
     ``order`` is the depth-first walk of :func:`validate_network`, so each
     parent's children are consecutive; ``above`` and ``depth`` give each
@@ -538,26 +541,22 @@ def _compile(order, above, depth, k, r, m):
         pos[members] = np.arange(len(members))
         sib_counts[rv] = len(members)
 
-    levels = [([], []) for _ in range(int(depth.max()) + 1)]
-    alone = (np.bincount(depth) == 1).tolist()
-    (d, rr, kk, s, ro, p, ps), runs = _runs(plan, depth, r, k, slot, first_row, pos, slot[above])
+    alone, parents, steps = (np.bincount(depth) == 1)[depth], slot[above], {}
+    (d, rr, kk, s, ro, p, ps), runs = _runs(plan[~alone[plan]], depth, r, k, slot, first_row, pos, parents)
     for a, b in runs:
-        g = b - a
-        rows = slice(ro[a], ro[a] + rr[a] * g)
-        if alone[d[a]]:
-            levels[d[a]][0].append((rr[a], kk[a], s[a], rows, p[a], ps[a]))
-            continue
-        pos_ab, parents = _index(p[a:b]), _index(ps[a:b])
-        levels[d[a]][0].append((rr[a], kk[a], slice(s[a], s[a] + g), rows, pos_ab, parents))
-    (d, rr, mm, p, ps), runs = _runs(sib, depth, r, m, pos, slot[above])
+        rows = slice(ro[a], ro[a] + rr[a] * (b - a))
+        group = (rr[a], kk[a], slice(s[a], s[a] + b - a), rows, _index(p[a:b]), _index(ps[a:b]))
+        steps.setdefault(d[a], (d[a], [], []))[1].append(group)
+    (d, rr, mm, p, ps), runs = _runs(sib[~alone[sib]], depth, r, m, pos, parents)
     for a, b in runs:
-        if alone[d[a]]:
-            levels[d[a] - 1][1].append((rr[a], 1, p[a], ps[a]))
-            continue
-        kids, parents = slice(p[a], p[a] + b - a), _index(ps[a:b:mm[a]])
-        levels[d[a] - 1][1].append((rr[a], mm[a], kids, parents))
+        steps[d[a]][2].append((rr[a], mm[a], slice(p[a], p[a] + b - a), _index(ps[a:b:mm[a]])))
+    lone = plan[alone[plan]][1:]  # by depth, below the root
+    table = np.stack((depth, k, r, slot, first_row, pos, parents))[:, lone]
+    table.flags.writeable = False
+    for segment in filter(np.size, np.split(table, np.flatnonzero(np.diff(table[0]) > 1) + 1, axis=1)):
+        steps[int(segment[0, 0])] = segment
     slot = dict(zip(order, zip(depth.tolist(), k.tolist(), slot.tolist(), r.tolist(), pos.tolist())))
-    return slot, ids, row_start, sib_counts, levels
+    return slot, ids, row_start, sib_counts, [steps[d] for d in sorted(steps)]
 
 
 class ValidatedNetwork:
@@ -690,7 +689,7 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     ):
         _scan_dimensions(columns, index)
     m = np.array(list(map(len, map(children.__getitem__, order))))[above]
-    slot, plan_ids, row_start, sib_counts, levels = _compile(order, above, depth, k, r, m)
+    slot, plan_ids, row_start, sib_counts, steps = _compile(order, above, depth, k, r, m)
 
     row_views, moments, failed = [None] * len(ids), {}, False
     for kv, members in plan_ids.items():
@@ -705,7 +704,7 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
         with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the check below
             mean, second = _stacked_moments(vectors, kinds == _DIRICHLET, discrete)
         mean.flags.writeable = second.flags.writeable = False
-        moments[kv] = mean, second
+        moments[kv] = mean, second, second.reshape(len(second), kv * kv)
         for i, lo, hi in zip(at_k.tolist(), first.tolist(), (first + counts).tolist()):
             row_views[i] = mean[lo:hi], second[lo:hi]
         for lo in range(0, len(mean), _CHECK_ROWS):
@@ -725,7 +724,7 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
         )
     }
 
-    plan = LevelPlan(slot, plan_ids, sib_counts, levels, moments, row_start)
+    plan = LevelPlan(slot, plan_ids, sib_counts, steps, moments, row_start)
     return ValidatedNetwork(validated, order, root, plan)
 
 

@@ -18,18 +18,19 @@ Two structural facts make the recurrences exact products and sums:
   children combine by elementwise products of means and of second-moment
   matrices.
 
-Within one depth these products are independent, so the sweep runs level by
-level over the :class:`~treebelief.model.LevelPlan` compiled at validation,
-one batched ``matmul``/``einsum`` per level group.  Sibling products are
-segmented cumulative products (:func:`_segment_products`).  Evidence swaps
-rows in: an instantiated node's combined message is the indicator of its
-observed alternative, and its children receive the observed row's moments.
-Each product adds the same terms in the same order as a node-by-node sweep;
-only the order in which levels and nodes are visited changed.  A level of
-one node, as on a chain, skips the batching: it takes a plain 2-D step of
-``ndarray.dot`` and the same ``einsum`` sums, bit-identical to the batched
-one at about half its cost, and its parent's lone child message is copied,
-not multiplied.
+The sweep follows the :class:`~treebelief.model.LevelPlan` compiled at
+validation.  A depth of several nodes is a level: one batched ``matmul`` per
+group of nodes with equal row and alternative counts, and sibling products
+as segmented cumulative products (:func:`_segment_products`).  Each maximal
+run of one-node depths, as on a chain, is a chain segment, swept in one
+loop of 2-D ``dot`` steps; a lone child's message is its parent's product,
+copied.  Both paths add the same terms in the same order, so they agree bit
+for bit.  Evidence swaps rows in: an instantiated node's combined message is
+the indicator of its observed alternative, and its children receive the
+observed row's moments.  Every diagonal sum over row second moments is one
+``dot`` with them viewed flat, ``(rows, k * k)``.  Against the earlier
+``einsum`` sums, means keep their bits and second moments moved by at most
+1.5e-14 of a node's largest (chains, stars and binary trees, k = 2, 3, 8).
 
 Normalizing denominators are always sums of *mean* values; as a consequence
 posterior second moments are approximations (exact for means and for all
@@ -114,34 +115,26 @@ def _segment_products(x: np.ndarray, others: np.ndarray) -> np.ndarray:
     return prefix[:, -1]
 
 
-def _evidence_swaps(state: MessageState):
-    """Per depth and ``k``, ``(slot, alternative)`` of each instantiated node
-    and ``(slot, row)`` of each of their children, ``row`` in the moments."""
-    plan, seen, below = state.net.plan, {}, {}
-    for node_id, alt in state.evidence.items():
-        d, k, i, _, _ = plan.slot[node_id]
-        seen.setdefault(d, {}).setdefault(k, []).append((i, alt))
-        for c in state.net.nodes[node_id].children:
-            _, kc, ic, _, _ = plan.slot[c]
-            below.setdefault(d + 1, {}).setdefault(kc, []).append((ic, plan.row_start[kc][ic] + alt))
-    return seen, below
+def _indicators(combined, pairs_by_k) -> None:
+    """Swap in the indicator of each instantiated node's alternative."""
+    for k, pairs in pairs_by_k.items():
+        slots, alts = map(list, zip(*pairs))
+        e = np.eye(k)[alts]
+        combined[k][0][slots], combined[k][1][slots] = e, e[:, :, None] * e[:, None, :]
 
 
-def _zero_denominator(state: MessageState, node_id: str) -> float:
-    """The stand-in 1.0 for a zero downward denominator at ``node_id``; raises
-    :class:`InconsistentEvidence` unless evidence swaps its message out."""
-    parent = state.net.nodes[node_id].parent
-    if node_id not in state.evidence and parent not in state.evidence:
-        raise InconsistentEvidence(f"evidence reaching {node_id!r} through "
-                                   f"{parent!r} has zero mean probability")
-    return 1.0  # evidence swaps this message out, or nothing reads it
+def _observed_rows(down, moments, pairs_by_k) -> None:
+    """Send each child of an instantiated node the observed row's moments."""
+    for k, pairs in pairs_by_k.items():
+        slots, rows = map(list, zip(*pairs))
+        down[k][0][slots], down[k][1][slots] = moments[k][0][rows], moments[k][1][rows]
 
 
 def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageState:
     """Run a full collect/distribute sweep and return the resulting state.
 
-    Upward, from the deepest level to the root, a group with combined
-    messages ``(lam, Lam)`` and row means ``C[i, k] = E(p(g_k | f_i))`` sends::
+    Upward, from the deepest level to the root, a node with combined
+    message ``(lam, Lam)`` and row means ``C[i, k] = E(p(g_k | f_i))`` sends::
 
         mean[i]      = sum_k lam[k] C[i, k]
         second[i, j] = sum_{k, r} Lam[k, r] C[i, k] C[j, r]   (i != j)
@@ -155,84 +148,91 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
         mean[i]      = sum_j C[j, i] q'[j]
         second[i, l] = sum_{j != k} T'[j, k] C[j, i] C[k, l] + sum_j T'[j, j] M_j[i, l]
 
-    ``D == 0`` means the evidence is impossible on average and raises
-    :class:`InconsistentEvidence`.
+    ``T'`` with its diagonal zeroed gives the first sum; ``D == 0`` means the
+    evidence is impossible on average and raises :class:`InconsistentEvidence`.
     """
     check_evidence(net, evidence)
     state = MessageState(net, evidence)
-    plan = net.plan
+    plan, moments = net.plan, net.plan.moments
     combined, down, up, others = state._combined, state._parent, state._upward, state._others
-    seen, below_seen = _evidence_swaps(state)
+    seen, below = {}, {}  # per depth and k: observed (slot, alternative), their children's (slot, row)
+    for node_id, alt in evidence.items():
+        d, k, i, _, _ = plan.slot[node_id]
+        seen.setdefault(d, {}).setdefault(k, []).append((i, alt))
+        for c in net.nodes[node_id].children:
+            _, kc, ic, _, _ = plan.slot[c]
+            below.setdefault(d + 1, {}).setdefault(kc, []).append((ic, plan.row_start[kc][ic] + alt))
 
-    for depth in range(len(plan.levels) - 1, -1, -1):
-        groups, runs = plan.levels[depth]
+    for step in reversed(plan.steps):
+        if isinstance(step, np.ndarray):  # a chain segment, from its deepest node
+            for depth, k, r, i, row, pos, parent in zip(*map(reversed, step.tolist())):
+                if depth in seen:
+                    _indicators(combined, seen[depth])
+                (means, _, flat), lam, lam2 = moments[k], combined[k][0][i], combined[k][1][i]
+                c, mean, second = means[row : row + r], up[r][0][pos], up[r][1][pos]
+                np.dot(c, lam, out=mean)
+                np.dot(c.dot(lam2), c.T, out=second)
+                second.reshape(r * r)[:: r + 1] = flat[row : row + r].dot(lam2.reshape(k * k))
+                combined[r][0][parent], combined[r][1][parent] = mean, second  # the only child
+            continue
+        depth, groups, runs = step
+        _indicators(combined, seen.get(depth, {}))
+        for r, k, slots, rows, pos, _ in groups:
+            g = slots.stop - slots.start
+            c = moments[k][0][rows].reshape(g, r, k)
+            lam, lam2 = combined[k][0][slots], combined[k][1][slots]
+            second = c @ lam2 @ c.transpose(0, 2, 1)
+            diag = moments[k][2][rows].reshape(g, r, k * k) @ lam2.reshape(g, k * k, 1)
+            second.reshape(g, r * r)[:, :: r + 1] = diag[:, :, 0]
+            up[r][0][pos], up[r][1][pos] = (c @ lam[:, :, None])[:, :, 0], second
         for r, m, kids, parents in runs:
-            if type(kids) is int:  # one parent, one child: the product is that message
-                combined[r][0][parents], combined[r][1][parents] = up[r][0][kids], up[r][1][kids]
-                continue
             p = (kids.stop - kids.start) // m
             for j, shape in ((0, (p, m, r)), (1, (p, m, r, r))):
                 combined[r][j][parents] = _segment_products(
                     up[r][j][kids].reshape(shape), others[r][j][kids].reshape(shape)
                 )
-        for k, pairs in seen.get(depth, {}).items():
-            slots, alts = map(list, zip(*pairs))
-            indicators = np.eye(k)[alts]
-            combined[k][0][slots] = indicators
-            combined[k][1][slots] = indicators[:, :, None] * indicators[:, None, :]
-        for r, k, slots, rows, pos, _ in groups if depth else ():
-            if type(slots) is int:  # a one-node level: the same sums, unbatched
-                c, lam2 = plan.moments[k][0][rows], combined[k][1][slots]
-                second = up[r][1][pos]
-                np.dot(c.dot(lam2), c.T, out=second)
-                second.flat[:: r + 1] = np.einsum("kr,ikr->i", lam2, plan.moments[k][1][rows])
-                up[r][0][pos] = c.dot(combined[k][0][slots])
-                continue
-            g = slots.stop - slots.start
-            mean_rows = plan.moments[k][0][rows].reshape(g, r, k)
-            lam, lam2 = combined[k][0][slots], combined[k][1][slots]
-            second = mean_rows @ lam2 @ mean_rows.transpose(0, 2, 1)
-            second.reshape(g, r * r)[:, :: r + 1] = np.einsum(
-                "gkr,gikr->gi", lam2, plan.moments[k][1][rows].reshape(g, r, k, k)
-            )
-            up[r][0][pos] = (mean_rows @ lam[:, :, None])[:, :, 0]
-            up[r][1][pos] = second
+    _indicators(combined, seen.get(0, {}))
 
+    unit = {r: np.ones(r) for r in others}  # the sibling product of a lone child
+    off = {r: 1.0 - np.eye(r) for r in others}  # zeroes a diagonal exactly
     _, k, i, _, _ = plan.slot[net.root]
-    down[k][0][i], down[k][1][i] = plan.moments[k][0][0], plan.moments[k][1][0]
-    for depth in range(1, len(plan.levels)):
-        for r, k, slots, rows, pos, parents in plan.levels[depth][0]:
+    down[k][0][i], down[k][1][i] = moments[k][0][0], moments[k][1][0]
+    for step in plan.steps:
+        if isinstance(step, np.ndarray):  # a chain segment, from its top node
+            for depth, k, r, i, row, pos, parent in zip(*step.tolist()):
+                if depth in below:
+                    _observed_rows(down, moments, below[depth])
+                    continue
+                c, mean, second = moments[k][0][row : row + r], down[k][0][i], down[k][1][i]
+                q, t = down[r][0][parent], down[r][1][parent]
+                d = unit[r].dot(q)  # m is the unit message: D sums a distribution, never 0
+                dd = d * d
+                t2, diag = t * off[r] / dd, t.diagonal() / dd
+                np.dot(q / d, c, out=mean)
+                np.dot(c.T.dot(t2), c, out=second)
+                second += diag.dot(moments[k][2][row : row + r]).reshape(k, k)
+            continue
+        depth, groups, _ = step
+        for r, k, slots, rows, pos, parents in groups:
             q, t = down[r][0][parents], down[r][1][parents]
             m, s = others[r][0][pos], others[r][1][pos]
-            if type(slots) is int:  # a one-node level: the same sums, unbatched
-                d = m.dot(q)
-                if d == 0.0:
-                    d = _zero_denominator(state, plan.ids[k][slots])
-                q2, t2 = q / d, t / (d * d)  # m and s are ones: the parent has one child
-                c, diag, second = plan.moments[k][0][rows], t2.diagonal(), down[k][1][slots]
-                np.dot(q2, c, out=down[k][0][slots])
-                np.dot(c.T.dot(t2), c, out=second)
-                second += np.einsum("j,jab->ab", diag, plan.moments[k][1][rows])
-                second -= c.T.dot(diag[:, None] * c)
-                continue
             denom = (m[:, None, :] @ q[:, :, None])[:, 0, 0]
-            if not denom.all():
-                for j in np.flatnonzero(denom == 0.0):
-                    denom[j] = _zero_denominator(state, plan.ids[k][slots.start + j])
-            q2 = m * q / denom[:, None]
+            for j in np.flatnonzero(denom == 0.0):  # a stand-in, if evidence swaps it out
+                node_id = plan.ids[k][slots.start + j]
+                parent = net.nodes[node_id].parent
+                if node_id not in evidence and parent not in evidence:
+                    raise InconsistentEvidence(f"evidence reaching {node_id!r} through "
+                                               f"{parent!r} has zero mean probability")
+                denom[j] = 1.0
             t2 = s * t / (denom * denom)[:, None, None]
             g = slots.stop - slots.start
-            mean_rows = plan.moments[k][0][rows].reshape(g, r, k)
-            to_child, diag = mean_rows.transpose(0, 2, 1), t2.diagonal(0, 1, 2)
-            down[k][0][slots] = (q2[:, None, :] @ mean_rows)[:, 0]
-            down[k][1][slots] = (
-                to_child @ t2 @ mean_rows
-                + np.einsum("gj,gjab->gab", diag, plan.moments[k][1][rows].reshape(g, r, k, k))
-                - to_child @ (diag[:, :, None] * mean_rows)
-            )
-        for k, pairs in below_seen.get(depth, {}).items():
-            slots, rows = map(list, zip(*pairs))
-            down[k][0][slots], down[k][1][slots] = plan.moments[k][0][rows], plan.moments[k][1][rows]
+            diag = t2.diagonal(0, 1, 2)[:, None, :].copy()
+            t2.reshape(g, r * r)[:, :: r + 1] = 0.0
+            c = moments[k][0][rows].reshape(g, r, k)
+            down[k][0][slots] = ((m * q / denom[:, None])[:, None, :] @ c)[:, 0]
+            flat = moments[k][2][rows].reshape(g, r, k * k)
+            down[k][1][slots] = c.transpose(0, 2, 1) @ t2 @ c + (diag @ flat).reshape(g, k, k)
+        _observed_rows(down, moments, below.get(depth, {}))
     return state
 
 

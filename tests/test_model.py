@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import time
 
@@ -327,6 +328,24 @@ class TestValidateNetwork:
         row = parse_network(network_to_json(_chain())).nodes[1].rows[0]
         assert row.p.base is not None and not row.p.base.flags.writeable
 
+    def test_no_row_field_can_be_made_writable(self):
+        # each field views a read-only array, so reopening it raises
+        rows = [
+            Dirichlet(np.ones(2)),
+            PointMass(np.array([0.4, 0.6])),
+            DiscreteSupport(np.eye(2), np.full(2, 0.5)),
+            MomentSet(np.array([0.5, 0.5]), np.full((2, 2), 0.25)),
+            moments_of(Dirichlet(np.ones(2))),
+            *parse_network(network_to_json(_chain())).nodes[1].rows,
+            *validate_network(_chain()).nodes["B"].row_moments,
+        ]
+        for row in rows:
+            for field in dataclasses.fields(row):
+                array = getattr(row, field.name)
+                with pytest.raises(ValueError):
+                    array.flags.writeable = True
+                assert not array.flags.writeable
+
     @pytest.mark.parametrize(
         "ids, message",
         [((), "network has no nodes"),
@@ -448,6 +467,25 @@ class TestValidateNetwork:
         parents_first = best_of_3(NetworkSpec(nodes))
         leaf_first = best_of_3(NetworkSpec(nodes[::-1]))
         assert leaf_first <= 3 * parents_first
+
+    def test_a_chain_holds_no_more_tracked_objects_than_a_binary_tree(self):
+        # The collector's full passes rescan every object it tracks, so a
+        # plan holding a few containers per depth made a long chain validate
+        # at a higher cost per node than a bushy tree of the same size.
+        n, labels, row = 10_000, ("s0", "s1"), PointMass(np.array([0.9, 0.1]))
+        held = {}
+        for shape, parent in (("chain", lambda i: i - 1), ("binary", lambda i: (i - 1) // 2)):
+            spec = NetworkSpec(tuple(
+                NodeSpec(f"n{i}", labels, None if i == 0 else f"n{parent(i)}", (row,) * (1 if i == 0 else 2))
+                for i in range(n)
+            ))
+            gc.collect()
+            before = len(gc.get_objects())
+            net = validate_network(spec)
+            gc.collect()
+            held[shape] = len(gc.get_objects()) - before
+            del net
+        assert held["chain"] <= held["binary"] + n // 10
 
     def test_dangling_parent(self):
         spec = NetworkSpec(

@@ -625,10 +625,45 @@ def test_large_chain_and_star_match_exact_inference(shape, n):
         np.testing.assert_allclose(rep.mean, marginals[node_id], rtol=0, atol=1e-8)
 
 
-def _node_by_node(net, evidence):
+def _dot_diagonal(lam2, second_rows):
+    """The engine's diagonal of an upward second moment: one ``dot`` with the
+    rows' second moments viewed flat."""
+    return second_rows.reshape(len(second_rows), -1) @ lam2.reshape(-1)
+
+
+def _dot_second(t2, rows, second_rows):
+    """The engine's downward second moment: ``T'`` with its diagonal zeroed
+    through the row means, plus its diagonal, a contiguous copy as in the
+    engine, through the flat row second moments."""
+    off, diag, k = t2.copy(), t2.diagonal().copy(), rows.shape[1]
+    np.fill_diagonal(off, 0.0)
+    return rows.T @ off @ rows + (diag @ second_rows.reshape(len(rows), k * k)).reshape(k, k)
+
+
+def _einsum_diagonal(lam2, second_rows):
+    """The earlier diagonal of an upward second moment, an ``einsum``."""
+    return np.einsum("kr,ikr->i", lam2, second_rows)
+
+
+def _einsum_second(t2, rows, second_rows):
+    """The earlier downward second moment: all of ``T'`` through the row
+    means, plus its diagonal through the row second moments, minus that
+    diagonal through the row means again."""
+    diag = np.diag(t2)
+    return (
+        rows.T @ t2 @ rows
+        + np.einsum("j,jab->ab", diag, second_rows)
+        - rows.T @ (diag[:, None] * rows)
+    )
+
+
+def _messages(net, evidence, diagonal=_dot_diagonal, downward=_dot_second):
     """The recurrences evaluated one node at a time, in ``net.order``: the
-    reference whose every sum and product the batched sweep must reproduce.
-    Returns ``{id: (mean, second, variance)}`` before clamping."""
+    reference whose every sum and product the sweep must reproduce.
+    ``diagonal`` and ``downward`` give the two second-moment steps; the
+    defaults are the engine's.  Returns the ``(mean, second)`` messages by
+    node id: upward (below the root), parent (at uninstantiated nodes) and
+    combined (at uninstantiated nodes)."""
     nodes, up, down, combined, others = net.nodes, {}, {}, {}, {}
     for node_id in reversed(net.order):
         node = nodes[node_id]
@@ -648,7 +683,7 @@ def _node_by_node(net, evidence):
         if node.parent is not None:
             rows, second_rows = node.mean_rows, node.second_rows
             second = rows @ lam[1] @ rows.T
-            np.fill_diagonal(second, np.einsum("kr,ikr->i", lam[1], second_rows))
+            np.fill_diagonal(second, diagonal(lam[1], second_rows))
             up[node_id] = (rows @ lam[0], second)
     root = nodes[net.root]
     down[net.root] = (root.mean_rows[0], root.second_rows[0])
@@ -663,17 +698,18 @@ def _node_by_node(net, evidence):
             (m, s), (q, t) = others[node_id][i], down[node_id]
             d = float(m @ q)
             q2, t2 = m * q / d, s * t / (d * d)
-            diag = np.diag(t2)
-            down[c] = (
-                q2 @ rows,
-                rows.T @ t2 @ rows
-                + np.einsum("j,jab->ab", diag, second_rows)
-                - rows.T @ (diag[:, None] * rows),
-            )
+            down[c] = (q2 @ rows, downward(t2, rows, second_rows))
+    return up, down, combined
+
+
+def _node_by_node(net, evidence, **steps):
+    """Reports from :func:`_messages`: ``{id: (mean, second, variance)}``
+    before clamping."""
+    _, down, combined = _messages(net, evidence, **steps)
     reports = {}
     for node_id in net.order:
         if node_id in evidence:
-            mean = np.eye(nodes[node_id].dim)[evidence[node_id]]
+            mean = np.eye(net.nodes[node_id].dim)[evidence[node_id]]
             reports[node_id] = (mean, mean, np.zeros_like(mean))
             continue
         (m, s), (q, t) = combined[node_id], down[node_id]
@@ -683,37 +719,140 @@ def _node_by_node(net, evidence):
     return reports
 
 
+def _assert_bitwise(spec, evidence):
+    net = validate_network(spec)
+    reports = posterior_report(propagate(net, evidence))
+    for node_id, (mean, second, variance) in _node_by_node(net, evidence).items():
+        rep = reports[node_id]
+        assert rep.mean.tobytes() == mean.tobytes()
+        assert rep.second.tobytes() == second.tobytes()
+        assert rep.variance.tobytes() == np.maximum(variance, 0.0).tobytes()
+        assert rep.clamped == bool(variance.min() < 0.0)
+
+
+def _observed_subsets(spec, data, max_size):
+    observed = data.draw(st.lists(st.sampled_from(spec.nodes), max_size=max_size, unique_by=lambda ns: ns.id))
+    return {ns.id: data.draw(st.integers(0, len(ns.alternatives) - 1)) for ns in observed}
+
+
 class TestBatchedSweepIsNodeByNode:
     """Batching changes the order in which nodes are visited, not the terms
     or the order of any sum or product, so reports equal the node-by-node
     reference bit for bit, ``clamped`` flags included."""
 
-    @staticmethod
-    def _assert_bitwise(spec, evidence):
-        net = validate_network(spec)
-        reports = posterior_report(propagate(net, evidence))
-        for node_id, (mean, second, variance) in _node_by_node(net, evidence).items():
-            rep = reports[node_id]
-            assert rep.mean.tobytes() == mean.tobytes()
-            assert rep.second.tobytes() == second.tobytes()
-            assert rep.variance.tobytes() == np.maximum(variance, 0.0).tobytes()
-            assert rep.clamped == bool(variance.min() < 0.0)
-
     @given(mixed_trees(max_nodes=30), st.data())
     @settings(max_examples=60, deadline=None)
     def test_mixed_trees(self, spec, data):
-        observed = data.draw(st.lists(st.sampled_from(spec.nodes), max_size=4, unique_by=lambda ns: ns.id))
-        evidence = {ns.id: data.draw(st.integers(0, len(ns.alternatives) - 1)) for ns in observed}
-        self._assert_bitwise(spec, evidence)
+        _assert_bitwise(spec, _observed_subsets(spec, data, 4))
 
     @given(_large_trees())
     @settings(max_examples=8, deadline=None)
     def test_large_trees(self, tree):
-        self._assert_bitwise(*tree)
+        _assert_bitwise(*tree)
 
     @given(_caterpillars())
     @settings(max_examples=30, deadline=None)
     def test_caterpillars(self, tree):
-        """Chains with side branches: one-node levels take the 2-D step and
-        the others the batched one, and the two hand messages to each other."""
-        self._assert_bitwise(*tree)
+        """Chains with side branches: one-node levels are swept as chain
+        segments and the others batched, and the two hand messages to each
+        other."""
+        _assert_bitwise(*tree)
+
+
+class TestDriftFromEinsumRecurrences:
+    """Against the earlier recurrences (``einsum`` diagonals, and the
+    downward second moment as all of ``T'`` through the row means plus its
+    diagonal through the row second moments minus that diagonal through the
+    row means), means keep every bit and each node's second moments move by
+    at most 1e-13 of its largest one."""
+
+    @staticmethod
+    def _assert_drift(spec, evidence):
+        net = validate_network(spec)
+        reports = posterior_report(propagate(net, evidence))
+        earlier = _node_by_node(net, evidence, diagonal=_einsum_diagonal, downward=_einsum_second)
+        for node_id, (mean, second, _) in earlier.items():
+            rep = reports[node_id]
+            assert rep.mean.tobytes() == mean.tobytes()
+            np.testing.assert_allclose(rep.second, second, rtol=0, atol=1e-13 * np.abs(second).max())
+
+    @given(mixed_trees(max_nodes=30), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_trees(self, spec, data):
+        self._assert_drift(spec, _observed_subsets(spec, data, 4))
+
+    @given(_large_trees())
+    @settings(max_examples=8, deadline=None)
+    def test_large_trees(self, tree):
+        self._assert_drift(*tree)
+
+    @given(_caterpillars())
+    @settings(max_examples=30, deadline=None)
+    def test_caterpillars(self, tree):
+        self._assert_drift(*tree)
+
+
+def _segments_spec():
+    """``n0`` over ``n1`` and ``n2``; below ``n1`` the chain segment ``n3 ..
+    n5``, which feeds the level ``n6 .. n8``; below ``n6`` the segment ``n9,
+    n10``.  ``k`` changes along the chains."""
+    parents = [None, 0, 0, 1, 3, 4, 5, 5, 5, 6, 9]
+    ks = [2, 3, 2, 8, 3, 2, 3, 2, 8, 2, 3]
+    rng = np.random.default_rng(83)
+    return _tree_spec(parents, ks, lambda i, j, k: random_row(rng, ROW_KINDS[(i + j) % 3], k))
+
+
+class TestChainSegments:
+    """Segment edge cases against the node-by-node reference, bit for bit."""
+
+    def test_segments_are_where_the_spec_says(self):
+        steps = validate_network(_segments_spec()).plan.steps
+        segments = [step for step in steps if isinstance(step, np.ndarray)]
+        assert [segment.shape[1] for segment in segments] == [3, 2]
+        assert not any(segment.flags.writeable for segment in segments)
+
+    @pytest.mark.parametrize(
+        "observed",
+        [[], [3], [5], [3, 4, 5], [9, 10], [1, 3], [5, 6], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]],
+        ids=["none", "head", "tail", "whole segment", "lower segment", "above the head",
+             "tail and below", "every node"],
+    )
+    def test_reports_and_messages(self, observed):
+        spec = _segments_spec()
+        ks = [len(ns.alternatives) for ns in spec.nodes]
+        evidence = {f"n{i}": (i + 1) % ks[i] for i in observed}
+        _assert_bitwise(spec, evidence)
+        net = validate_network(spec)
+        state = propagate(net, evidence)
+        up, down, combined = _messages(net, evidence)
+        for i in (3, 4, 5, 9, 10):
+            node_id = f"n{i}"
+            for got, want in zip(state.upward(node_id), up[node_id]):
+                assert got.tobytes() == want.tobytes()
+            if node_id in evidence:
+                e = np.eye(ks[i])[evidence[node_id]]
+                want_combined = (e, np.outer(e, e))
+            else:
+                want_combined = combined[node_id]
+                for got, want in zip(state.parent(node_id), down[node_id]):
+                    assert got.tobytes() == want.tobytes()
+            for got, want in zip(state.combined(node_id), want_combined):
+                assert got.tobytes() == want.tobytes()
+
+    def test_zero_denominator_above_a_segment_is_named(self):
+        # A lone child divides by its parent message's sum, which is never
+        # zero, so a zero stops the pass above a segment.  B=b2 is
+        # impossible, so the sibling product at H is zero; below H hangs
+        # the segment X, Y.
+        a, b = impossible_evidence_spec().nodes
+        rows = (Dirichlet([1.0, 2.0]), PointMass([0.2, 0.8]))
+        chain = [NodeSpec(c, ("u", "v"), above, rows) for c, above in (("H", "A"), ("X", "H"), ("Y", "X"))]
+        net = validate_network(NetworkSpec((a, b, *chain)))
+        assert [step.shape[1] for step in net.plan.steps if isinstance(step, np.ndarray)] == [2]
+        with pytest.raises(InconsistentEvidence, match="^evidence reaching 'H' through 'A' has zero"):
+            propagate(net, {"B": 1})
+        # observed, H takes the stand-in and its child the observed row
+        state = propagate(net, {"B": 1, "H": 1})
+        assert not state.parent("H")[0].any()
+        assert state.parent("X")[0].tobytes() == net.nodes["X"].mean_rows[1].tobytes()
+        assert state.parent("X")[1].tobytes() == net.nodes["X"].second_rows[1].tobytes()
