@@ -10,7 +10,7 @@ results just timed, so everything ``query`` does after
 ``posterior_report``.  A seventh layer,
 "validate (hand-built)", runs ``validate_network`` on the ``NetworkSpec`` of
 row objects that the file was written from.  Each round times every layer
-as the best of ``--repeats`` runs, and each layer reads as the best of its
+as the best of :data:`REPEATS` runs, and each layer reads as the best of its
 rounds; the collector runs before each run, as in the benchmark worker, and
 during it unless ``--gc-off``.
 
@@ -54,6 +54,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SHAPES = ("chain", "star", "binary")
 LAYERS = ("json.load", "parse_network", "validate_network", "propagate", "posterior_report", "emit",
           "validate (hand-built)")
+REPEATS = 3  # runs of each layer per round; the fastest counts
 
 
 def load_package(src: Path, name: str):
@@ -118,13 +119,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[1000, 10000])
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--repeats", type=int, default=3, help="runs per layer in each round; the best counts")
     parser.add_argument("--k", type=int, default=3, help="alternatives per node")
     parser.add_argument("--base", type=Path, help="src directory of a checkout to compare against")
     parser.add_argument("--gc-off", action="store_true", help="keep the collector off while timing")
     args = parser.parse_args(argv)
-    if min(args.rounds, args.repeats) < 1 or min(args.sizes) < 2 or args.k < 2:
-        parser.error("--rounds and --repeats must be at least 1, every size and --k at least 2")
+    if args.rounds < 1 or min(args.sizes) < 2 or args.k < 2:
+        parser.error("--rounds must be at least 1, every size and --k at least 2")
 
     versions = {"this": load_package(ROOT / "src", "treebelief")}
     if args.base is not None:
@@ -143,7 +143,7 @@ def main(argv=None) -> int:
             for tree, (path, leaf, _) in trees.items():
                 names = list(versions) if r % 2 == 0 else list(versions)[::-1]
                 best = {}
-                for _ in range(args.repeats):
+                for _ in range(REPEATS):
                     for v in names:
                         gc.collect()
                         if args.gc_off:
@@ -156,11 +156,11 @@ def main(argv=None) -> int:
                 for v in names:
                     times[v].setdefault(tree, []).append(best[v].tolist())
 
-    result = {"sizes": args.sizes, "rounds": args.rounds, "repeats": args.repeats, "k": args.k,
+    result = {"sizes": args.sizes, "rounds": args.rounds, "repeats": REPEATS, "k": args.k,
               "gc_off": args.gc_off, "us_per_node": {}, "parse_validate_ratio": {},
               "propagate_ratio": {}, "hand_built_validate_ratio": {}}
     for v in versions:
-        print(f"{v}: µs per node, best of {args.rounds} rounds of {args.repeats}")
+        print(f"{v}: µs per node, best of {args.rounds} rounds of {REPEATS}")
         print(f"  {'tree':<14}" + "".join(f"{layer:>22}" for layer in LAYERS))
         result["us_per_node"][v] = {}
         for tree, (_, _, n) in trees.items():

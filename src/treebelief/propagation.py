@@ -28,9 +28,9 @@ copied.  Both paths add the same terms in the same order, so they agree bit
 for bit.  Evidence swaps rows in: an instantiated node's combined message is
 the indicator of its observed alternative, and its children receive the
 observed row's moments.  Every diagonal sum over row second moments is one
-``dot`` with them viewed flat, ``(rows, k * k)``.  Against the earlier
-``einsum`` sums, means keep their bits and second moments moved by at most
-1.5e-14 of a node's largest (chains, stars and binary trees, k = 2, 3, 8).
+``dot`` with them viewed flat, ``(rows, k * k)``.  The tests bound the move
+from the ``einsum`` form of these sums at 1e-13 of a node's largest second
+moment, with means bit for bit.
 
 Normalizing denominators are always sums of *mean* values; as a consequence
 posterior second moments are approximations (exact for means and for all

@@ -720,6 +720,12 @@ def _node_by_node(net, evidence, **steps):
 
 
 def _assert_bitwise(spec, evidence):
+    """Reports equal the node-by-node reference bit for bit.  Against the
+    ``einsum`` recurrences (``einsum`` diagonals, and the downward second
+    moment as all of ``T'`` through the row means plus its diagonal through
+    the row second moments minus that diagonal through the row means), means
+    keep every bit and each node's second moments move by at most 1e-13 of
+    its largest one."""
     net = validate_network(spec)
     reports = posterior_report(propagate(net, evidence))
     for node_id, (mean, second, variance) in _node_by_node(net, evidence).items():
@@ -728,6 +734,11 @@ def _assert_bitwise(spec, evidence):
         assert rep.second.tobytes() == second.tobytes()
         assert rep.variance.tobytes() == np.maximum(variance, 0.0).tobytes()
         assert rep.clamped == bool(variance.min() < 0.0)
+    einsum = _node_by_node(net, evidence, diagonal=_einsum_diagonal, downward=_einsum_second)
+    for node_id, (mean, second, _) in einsum.items():
+        rep = reports[node_id]
+        assert rep.mean.tobytes() == mean.tobytes()
+        np.testing.assert_allclose(rep.second, second, rtol=0, atol=1e-13 * np.abs(second).max())
 
 
 def _observed_subsets(spec, data, max_size):
@@ -738,7 +749,8 @@ def _observed_subsets(spec, data, max_size):
 class TestBatchedSweepIsNodeByNode:
     """Batching changes the order in which nodes are visited, not the terms
     or the order of any sum or product, so reports equal the node-by-node
-    reference bit for bit, ``clamped`` flags included."""
+    reference bit for bit, ``clamped`` flags included; second moments stay
+    within 1e-13 of the ``einsum`` recurrences (:func:`_assert_bitwise`)."""
 
     @given(mixed_trees(max_nodes=30), st.data())
     @settings(max_examples=60, deadline=None)
@@ -757,39 +769,6 @@ class TestBatchedSweepIsNodeByNode:
         segments and the others batched, and the two hand messages to each
         other."""
         _assert_bitwise(*tree)
-
-
-class TestDriftFromEinsumRecurrences:
-    """Against the earlier recurrences (``einsum`` diagonals, and the
-    downward second moment as all of ``T'`` through the row means plus its
-    diagonal through the row second moments minus that diagonal through the
-    row means), means keep every bit and each node's second moments move by
-    at most 1e-13 of its largest one."""
-
-    @staticmethod
-    def _assert_drift(spec, evidence):
-        net = validate_network(spec)
-        reports = posterior_report(propagate(net, evidence))
-        earlier = _node_by_node(net, evidence, diagonal=_einsum_diagonal, downward=_einsum_second)
-        for node_id, (mean, second, _) in earlier.items():
-            rep = reports[node_id]
-            assert rep.mean.tobytes() == mean.tobytes()
-            np.testing.assert_allclose(rep.second, second, rtol=0, atol=1e-13 * np.abs(second).max())
-
-    @given(mixed_trees(max_nodes=30), st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_mixed_trees(self, spec, data):
-        self._assert_drift(spec, _observed_subsets(spec, data, 4))
-
-    @given(_large_trees())
-    @settings(max_examples=8, deadline=None)
-    def test_large_trees(self, tree):
-        self._assert_drift(*tree)
-
-    @given(_caterpillars())
-    @settings(max_examples=30, deadline=None)
-    def test_caterpillars(self, tree):
-        self._assert_drift(*tree)
 
 
 def _segments_spec():
