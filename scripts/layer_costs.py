@@ -7,10 +7,11 @@ query with the deepest leaf observed: ``json.load``, ``parse_network``,
 ``cli.cmd_query`` writing into a ``StringIO`` while its ``load_network``,
 ``validate_network``, ``propagate`` and ``posterior_report`` return the
 results just timed, so everything ``query`` does after
-``posterior_report``.  A seventh layer,
-"validate (hand-built)", runs ``validate_network`` on the ``NetworkSpec`` of
-row objects that the file was written from.  Each round times every layer
-as the best of :data:`REPEATS` runs, and each layer reads as the best of its
+``posterior_report``.  A seventh layer, "validate (hand-built)", runs
+``validate_network`` on the ``NetworkSpec`` of row objects that the file was
+written from, and an eighth, "propagate (prior)", runs ``propagate`` with no
+evidence, which sweeps downward only.  Each round times every layer as the
+best of :data:`REPEATS` runs, and each layer reads as the best of its
 rounds; the collector runs before each run, as in the benchmark worker, and
 during it unless ``--gc-off``.
 
@@ -20,8 +21,9 @@ interleaved with this checkout run by run, alternating which goes first.
 Each version validates its own hand-built spec, built from the same seed,
 since one version's row classes are not valid input to the other's.  Then
 the median over rounds of the per-round ratio (this checkout over the base)
-of parse plus validate, of ``propagate`` and of hand-built validation is
-printed per tree as well; the per-round minimum over repeats keeps one slow
+of parse plus validate, of ``propagate``, of ``posterior_report``, of
+``propagate`` with no evidence and of hand-built validation is printed per
+tree as well; the per-round minimum over repeats keeps one slow
 run on a shared host out of the ratio.  The last line is one JSON object
 with every number printed.
 
@@ -53,7 +55,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SHAPES = ("chain", "star", "binary")
 LAYERS = ("json.load", "parse_network", "validate_network", "propagate", "posterior_report", "emit",
-          "validate (hand-built)")
+          "validate (hand-built)", "propagate (prior)")
 REPEATS = 3  # runs of each layer per round; the fastest counts
 
 
@@ -87,8 +89,8 @@ def build_tree(tb, shape: str, n: int, k: int):
 
 
 def time_query(tb, path: str, leaf: str, built) -> list:
-    """Seconds spent in each of :data:`LAYERS` by one query, and by
-    validating the hand-built spec ``built``."""
+    """Seconds spent in each of :data:`LAYERS` by one query, by validating
+    the hand-built spec ``built``, and by a query with no evidence."""
     cli = sys.modules[f"{tb.__name__}.cli"]
     clock = [time.perf_counter()]
     with open(path, encoding="utf-8") as handle:
@@ -112,7 +114,10 @@ def time_query(tb, path: str, leaf: str, built) -> list:
     start = time.perf_counter()
     tb.validate_network(built)
     hand_built = time.perf_counter() - start
-    return [b - a for a, b in zip(clock, clock[1:])] + [emit, hand_built]
+    start = time.perf_counter()
+    tb.propagate(net, {})
+    prior = time.perf_counter() - start
+    return [b - a for a, b in zip(clock, clock[1:])] + [emit, hand_built, prior]
 
 
 def main(argv=None) -> int:
@@ -158,7 +163,8 @@ def main(argv=None) -> int:
 
     result = {"sizes": args.sizes, "rounds": args.rounds, "repeats": REPEATS, "k": args.k,
               "gc_off": args.gc_off, "us_per_node": {}, "parse_validate_ratio": {},
-              "propagate_ratio": {}, "hand_built_validate_ratio": {}}
+              "propagate_ratio": {}, "report_ratio": {}, "prior_propagate_ratio": {},
+              "hand_built_validate_ratio": {}}
     for v in versions:
         print(f"{v}: µs per node, best of {args.rounds} rounds of {REPEATS}")
         print(f"  {'tree':<14}" + "".join(f"{layer:>22}" for layer in LAYERS))
@@ -170,6 +176,8 @@ def main(argv=None) -> int:
     if "base" in versions:
         for title, key, layers in (("parse + validate", "parse_validate_ratio", [1, 2]),
                                    ("propagate", "propagate_ratio", [3]),
+                                   ("posterior_report", "report_ratio", [4]),
+                                   ("propagate (prior)", "prior_propagate_ratio", [7]),
                                    ("validate (hand-built)", "hand_built_validate_ratio", [6])):
             print(f"{title}, this / base: median of per-round ratios [min, max]")
             for tree in trees:

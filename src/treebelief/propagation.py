@@ -32,6 +32,11 @@ observed row's moments.  Every diagonal sum over row second moments is one
 from the ``einsum`` form of these sums at 1e-13 of a node's largest second
 moment, with means bit for bit.
 
+A subtree without evidence sends its parent the unit message, exactly: from
+its leaves up, each combined message is all ones, so each message is its rows'
+sums ``sum_k p(g_k|f_i)``, one with certainty.  The upward sweep therefore
+starts at the deepest instantiated node, and a prior query is one downward sweep.
+
 Normalizing denominators are always sums of *mean* values; as a consequence
 posterior second moments are approximations (exact for means and for all
 prior queries) and a reported variance can fall a hair below zero, which the
@@ -39,8 +44,8 @@ report clamps and flags.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -51,8 +56,7 @@ from .model import ValidatedNetwork, check_evidence
 VARIANCE_FLOOR = -1e-9
 
 
-@dataclass(frozen=True)
-class NodeReport:
+class NodeReport(NamedTuple):
     """Inferred probabilities for one node with second moments and variances."""
 
     node: str
@@ -77,21 +81,26 @@ class MessageState:
         stack = lambda counts, fill: {k: (fill((n, k)), fill((n, k, k))) for k, n in counts.items()}
         counts, sib = {k: len(ids) for k, ids in net.plan.ids.items()}, net.plan.sib_counts
         self._combined, self._parent = stack(counts, np.ones), stack(counts, np.empty)
-        self._upward, self._others = stack(sib, np.empty), stack(sib, np.ones)
+        self._upward, self._others = stack(sib, np.ones), stack(sib, np.ones)
+
+    def _slot(self, node_id: str) -> tuple:
+        self.net.node(node_id)  # raises UnknownNode outside the network
+        return self.net.plan.slot[node_id]
 
     def combined(self, node_id: str) -> Tuple[np.ndarray, np.ndarray]:
         """The product of a node's child messages (if instantiated, its indicator)."""
-        _, k, i, _, _ = self.net.plan.slot[node_id]
+        _, k, i, _, _ = self._slot(node_id)
         return self._combined[k][0][i], self._combined[k][1][i]
 
     def upward(self, node_id: str) -> Tuple[np.ndarray, np.ndarray]:
-        """A non-root node's message to its parent (``KeyError`` at the root)."""
-        _, _, _, r, pos = self.net.plan.slot[node_id]
+        """A non-root node's message to its parent (``KeyError`` at the root);
+        the unit message below the deepest instantiated node, as rows sum to one."""
+        _, _, _, r, pos = self._slot(node_id)
         return self._upward[r][0][pos], self._upward[r][1][pos]
 
     def parent(self, node_id: str) -> Tuple[np.ndarray, np.ndarray]:
         """The message an uninstantiated node (or the root) receives from above."""
-        _, k, i, _, _ = self.net.plan.slot[node_id]
+        _, k, i, _, _ = self._slot(node_id)
         return self._parent[k][0][i], self._parent[k][1][i]
 
 
@@ -150,6 +159,8 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
 
     ``T'`` with its diagonal zeroed gives the first sum; ``D == 0`` means the
     evidence is impossible on average and raises :class:`InconsistentEvidence`.
+    Upward, nothing deeper than every instantiated node is computed: each such
+    message keeps its unit fill, exact as every row sums to one with certainty.
     """
     check_evidence(net, evidence)
     state = MessageState(net, evidence)
@@ -163,9 +174,10 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
             _, kc, ic, _, _ = plan.slot[c]
             below.setdefault(d + 1, {}).setdefault(kc, []).append((ic, plan.row_start[kc][ic] + alt))
 
+    deepest = max(seen, default=-1)  # below it every message is the unit message
     for step in reversed(plan.steps):
-        if isinstance(step, np.ndarray):  # a chain segment, from its deepest node
-            for depth, k, r, i, row, pos, parent in zip(*map(reversed, step.tolist())):
+        if isinstance(step, np.ndarray):  # a chain segment, up from depth ``deepest``
+            for depth, k, r, i, row, pos, parent in zip(*step[:, step[0] <= deepest][:, ::-1].tolist()):
                 if depth in seen:
                     _indicators(combined, seen[depth])
                 (means, _, flat), lam, lam2 = moments[k], combined[k][0][i], combined[k][1][i]
@@ -176,6 +188,8 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
                 combined[r][0][parent], combined[r][1][parent] = mean, second  # the only child
             continue
         depth, groups, runs = step
+        if depth > deepest:
+            continue
         _indicators(combined, seen.get(depth, {}))
         for r, k, slots, rows, pos, _ in groups:
             g = slots.stop - slots.start
@@ -242,42 +256,38 @@ def _reports(state: MessageState, ids: Sequence[str]) -> Dict[str, NodeReport]:
     ``mean = m q / D`` and ``second = diag(S) diag(T) / D**2``.  Of the nodes
     with a zero ``D`` or a variance below ``VARIANCE_FLOOR``, the first raises.
     """
-    plan, evidence = state.net.plan, state.evidence
-    picks, kinds = {}, []  # k -> (slots, positions in ids)
-    for n, node_id in enumerate(ids):
-        if node_id not in plan.slot:
-            state.net.node(node_id)  # raises UnknownNode
-        _, k, i, _, _ = plan.slot[node_id]
-        slots, where = picks.setdefault(k, ([], []))
-        slots.append(i)
-        where.append(n)
-        kinds.append(k)
-
-    rows, failures = {}, []
-    for k, (slots, where) in picks.items():
-        (m, s), (q, t) = state._combined[k], state._parent[k]
+    plan, n = state.net.plan, len(ids)
+    try:  # (depth, k, slot, r, position) per id, then the observed alternative or -1
+        found = np.fromiter(chain.from_iterable(map(plan.slot.__getitem__, ids)), np.intp, 5 * n)
+    except KeyError as missing:
+        state.net.node(missing.args[0])  # raises UnknownNode
+    found, alts = found.reshape(n, 5), np.fromiter(map(state.evidence.get, ids, repeat(-1)), np.intp, n)
+    names, reports, failures = np.array(ids, dtype=object), dict.fromkeys(ids), []
+    for k in np.flatnonzero(np.bincount(found[:, 1])).tolist():
+        where = np.flatnonzero(found[:, 1] == k)
+        (m, s), (q, t), alt = state._combined[k], state._parent[k], alts[where]
+        slots, hit = found[where, 2], alt >= 0
         m, q, s, t = m[slots], q[slots], s.diagonal(0, 1, 2)[slots], t.diagonal(0, 1, 2)[slots]
-        hit = [j for j, n in enumerate(where) if ids[n] in evidence]
         denom = (m[:, None, :] @ q[:, :, None])[:, 0, 0]
-        zero = denom == 0.0
-        zero[hit] = False
-        denom[zero] = denom[hit] = 1.0
+        zero = (denom == 0.0) & ~hit
+        denom[zero | hit] = 1.0
         mean = m * q / denom[:, None]
         second = s * t / (denom * denom)[:, None]
         variance = second - mean**2
-        mean[hit] = second[hit] = np.eye(k)[[evidence[ids[where[j]]] for j in hit]]
+        mean[hit] = second[hit] = np.eye(k)[alt[hit]]
         variance[hit] = 0.0
         low = variance.min(axis=1)
         bad = np.flatnonzero(zero | (low < VARIANCE_FLOOR))
         if bad.size:
-            failures.append((where[bad[0]], bool(zero[bad[0]]), float(low[bad[0]])))
-        rows[k] = iter(zip(mean, second, np.maximum(variance, 0.0), (low < 0.0).tolist()))
+            failures.append((int(where[bad[0]]), bool(zero[bad[0]]), float(low[bad[0]])))
+        variance, clamped = np.maximum(variance, 0.0), (low < 0.0).tolist()
+        reports.update(zip(names[where], map(NodeReport, names[where], mean, second, variance, clamped)))
     if failures:
         n, zero, low = min(failures)
         if zero:
             raise InconsistentEvidence(f"evidence at node {ids[n]!r} has zero mean probability")
         raise NegativeVariance(f"node {ids[n]!r}: variance {low} below {VARIANCE_FLOOR}")
-    return {node_id: NodeReport(node_id, *next(rows[k])) for node_id, k in zip(ids, kinds)}
+    return reports
 
 
 def query_node(node_id: str, state: MessageState) -> NodeReport:

@@ -606,7 +606,7 @@ class TestQueryCommand:
             reports = real(*args, **kwargs)
             bad = getattr(reports["B"], field).copy()
             bad[1] = value
-            reports["B"] = dataclasses.replace(reports["B"], **{field: bad})
+            reports["B"] = reports["B"]._replace(**{field: bad})
             return reports
 
         monkeypatch.setattr(cli, "posterior_report", poisoned)

@@ -32,10 +32,13 @@ class TestInitState:
         np.testing.assert_array_equal(second, root.second)
 
     def test_child_slots_are_unit(self, two_node_mixed):
+        # with no evidence every subtree sends the unit message, exactly
         state = propagate(two_node_mixed, {})
         for node_id in two_node_mixed.order:
-            if not two_node_mixed.nodes[node_id].children:
-                mean, second = state.combined(node_id)
+            mean, second = state.combined(node_id)
+            assert np.all(mean == 1.0) and np.all(second == 1.0)
+            if node_id != two_node_mixed.root:
+                mean, second = state.upward(node_id)
                 assert np.all(mean == 1.0) and np.all(second == 1.0)
 
     def test_single_node_flat_root(self):
@@ -140,27 +143,31 @@ class TestChildToParent:
         assert second == pytest.approx(np.array([[0.81, 0.18], [0.18, 0.04]]))
 
     def test_unit_message_through_any_rows(self):
-        # a subtree with no evidence must emit the unit message
-        rng = np.random.default_rng(3)
+        # A subtree with no evidence must emit the unit message.  Under a
+        # prior query the sweep skips it and the message is exactly one;
+        # with the sibling branch's leaf x observed, deeper than g, the
+        # recurrence computes g's message, which must come out as one.
+        rng, rounded = np.random.default_rng(3), 0
+        labels = lambda k: tuple(map(str, range(k)))
+        rows = lambda k, r: tuple(Dirichlet(rng.uniform(0.2, 8.0, size=k)) for _ in range(r))
         for _ in range(50):
             k_child, k_parent = int(rng.integers(2, 4)), int(rng.integers(2, 4))
             spec = NetworkSpec(
                 (
-                    NodeSpec("f", tuple(map(str, range(k_parent))), None, (Dirichlet(np.ones(k_parent)),)),
-                    NodeSpec(
-                        "g",
-                        tuple(map(str, range(k_child))),
-                        "f",
-                        tuple(
-                            Dirichlet(rng.uniform(0.2, 8.0, size=k_child))
-                            for _ in range(k_parent)
-                        ),
-                    ),
+                    NodeSpec("f", labels(k_parent), None, (Dirichlet(np.ones(k_parent)),)),
+                    NodeSpec("g", labels(k_child), "f", rows(k_child, k_parent)),
+                    NodeSpec("h", labels(2), "f", rows(2, k_parent)),
+                    NodeSpec("x", labels(2), "h", rows(2, 2)),
                 )
             )
-            mean, second = propagate(validate_network(spec), {}).upward("g")
+            net = validate_network(spec)
+            mean, second = propagate(net, {}).upward("g")
+            assert np.all(mean == 1.0) and np.all(second == 1.0)
+            mean, second = propagate(net, {"x": 1}).upward("g")
             assert mean == pytest.approx(np.ones(k_parent), abs=1e-12)
             assert second == pytest.approx(np.ones((k_parent, k_parent)), abs=1e-12)
+            rounded += not (np.all(mean == 1.0) and np.all(second == 1.0))
+        assert rounded  # computed, not skipped
 
 
 class TestParentToChild:
@@ -609,6 +616,14 @@ class TestQueryMatchesReport:
         with pytest.raises(UnknownNode, match="^node 'nope' is not part of the network$"):
             posterior_report(propagate(two_node_mixed, {}), ["nope"])
 
+    @pytest.mark.parametrize("message", ["parent", "combined", "upward"])
+    def test_unknown_node_message_is_named(self, two_node_mixed, message):
+        state = propagate(two_node_mixed, {})
+        with pytest.raises(UnknownNode, match="^node 'Z' is not part of the network$"):
+            getattr(state, message)("Z")
+        with pytest.raises(KeyError):  # the root sends no message
+            state.upward(two_node_mixed.root)
+
 
 @pytest.mark.parametrize("shape, n", [("chain", 20_000), ("star", 10_001)])
 def test_large_chain_and_star_match_exact_inference(shape, n):
@@ -661,10 +676,14 @@ def _messages(net, evidence, diagonal=_dot_diagonal, downward=_dot_second):
     """The recurrences evaluated one node at a time, in ``net.order``: the
     reference whose every sum and product the sweep must reproduce.
     ``diagonal`` and ``downward`` give the two second-moment steps; the
-    defaults are the engine's.  Returns the ``(mean, second)`` messages by
-    node id: upward (below the root), parent (at uninstantiated nodes) and
-    combined (at uninstantiated nodes)."""
+    defaults are the engine's.  A node deeper than every instantiated node
+    has no evidence below it and sends the unit message, exactly.  Returns
+    the ``(mean, second)`` messages by node id: upward (below the root),
+    parent (at uninstantiated nodes) and combined (at uninstantiated
+    nodes)."""
     nodes, up, down, combined, others = net.nodes, {}, {}, {}, {}
+    depth = {node_id: net.plan.slot[node_id][0] for node_id in net.order}
+    deepest = max((depth[node_id] for node_id in evidence), default=-1)
     for node_id in reversed(net.order):
         node = nodes[node_id]
         if node_id in evidence:
@@ -680,7 +699,10 @@ def _messages(net, evidence, diagonal=_dot_diagonal, downward=_dot_second):
                 others[node_id][i] = (prefix[i][0] * suffix[0], prefix[i][1] * suffix[1])
                 suffix = (msgs[i][0] * suffix[0], msgs[i][1] * suffix[1])
             lam = combined[node_id] = prefix[-1]
-        if node.parent is not None:
+        if node.parent is not None and depth[node_id] > deepest:
+            r = nodes[node.parent].dim
+            up[node_id] = (np.ones(r), np.ones((r, r)))
+        elif node.parent is not None:
             rows, second_rows = node.mean_rows, node.second_rows
             second = rows @ lam[1] @ rows.T
             np.fill_diagonal(second, diagonal(lam[1], second_rows))
@@ -804,6 +826,11 @@ class TestChainSegments:
         net = validate_network(spec)
         state = propagate(net, evidence)
         up, down, combined = _messages(net, evidence)
+        deepest = max((net.plan.slot[node_id][0] for node_id in evidence), default=-1)
+        for node_id in net.order[1:]:  # no evidence below: the unit message, exactly
+            if net.plan.slot[node_id][0] > deepest:
+                for got in (*state.upward(node_id), *state.combined(node_id)):
+                    assert np.all(got == 1.0)
         for i in (3, 4, 5, 9, 10):
             node_id = f"n{i}"
             for got, want in zip(state.upward(node_id), up[node_id]):
