@@ -4,21 +4,17 @@ The conditional probabilities stored in a network are treated as uncertain
 quantities (Dirichlet, finite-support, or known exactly).  This package
 propagates both the probabilities and the variance that the stored
 uncertainty induces in every inferred probability, ships brute-force oracles
-for validating the engine, and checks the prior-variance upper bound that
-holds on binary beta trees.
+for validating the engine, and checks the paper's prior-variance upper bound
+on binary beta trees.
 """
 
 __version__ = "0.1.0"
 
 from . import errors
 from .bounds import (
-    BetaParams,
     BoundEntry,
     BoundReport,
-    beta_mean_upper_bound,
-    beta_moments,
     chain_child_variance,
-    check_moment_condition,
     check_variance_bound,
 )
 from .model import (
@@ -54,13 +50,9 @@ from .propagation import (
 __all__ = [
     "__version__",
     "errors",
-    "BetaParams",
     "BoundEntry",
     "BoundReport",
-    "beta_mean_upper_bound",
-    "beta_moments",
     "chain_child_variance",
-    "check_moment_condition",
     "check_variance_bound",
     "Dirichlet",
     "DiscreteSupport",

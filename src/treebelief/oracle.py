@@ -590,11 +590,15 @@ def mc_uncertainty(
     mode the realizations are importance-weighted by the evidence
     probability, with the prior as proposal; an effective sample size below
     10 is flagged as degenerate, not fatal.  Raises
-    :class:`PreconditionViolated` before drawing anything when ``n`` is
-    below 2 or above :data:`MAX_SAMPLES`.
+    :class:`PreconditionViolated` before drawing anything when ``n`` or
+    ``seed`` is not an integer (``bool`` included), or ``n`` is below 2 or
+    above :data:`MAX_SAMPLES`.
     """
     if mode not in MODES:
         raise PreconditionViolated(f"unknown oracle mode {mode!r}")
+    for name, value in (("n", n), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise PreconditionViolated(f"{name} must be an integer, got {value!r}")
     if n < 2:
         raise PreconditionViolated("at least two samples required")
     if n > MAX_SAMPLES:

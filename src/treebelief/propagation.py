@@ -108,14 +108,13 @@ def _segment_products(x: np.ndarray, others: np.ndarray) -> np.ndarray:
     """Each segment's product of the ``m`` messages in ``x[p]``, ``x`` shaped
     ``(P, m, ...)``; ``others[p, i]`` gets the product of the other ``m - 1``.
 
-    The empty product is the unit message.  Forward and reversed cumulative
-    products end in the full product, and prefix times suffix leaves one out,
-    free of division, which a zero would break.
+    Forward and reversed cumulative products end in the full product, and
+    prefix times suffix leaves one out, free of division, which a zero would
+    break.
     """
-    m = x.shape[1]
-    if m < 2:
+    if x.shape[1] == 1:
         others[...] = 1.0
-        return x[:, 0] if m else np.ones(x.shape[:1] + x.shape[2:])
+        return x[:, 0]
     prefix = np.cumprod(x, axis=1)
     suffix = np.cumprod(x[:, ::-1], axis=1)[:, ::-1]
     others[:, 0] = suffix[:, 1]

@@ -10,10 +10,23 @@ from treebelief import (
     NetworkSpec,
     NodeSpec,
     PointMass,
+    moments_of,
     validate_network,
 )
 from treebelief.errors import InconsistentEvidence, ParseError
 from treebelief.netfile import parse_distribution
+
+
+def moments_of_beta(a: float, b: float):
+    """``moments_of`` for the beta density proportional to ``p**a * (1-p)**b``,
+    in the paper's exponents (Dirichlet parameters ``a + 1`` and ``b + 1``)."""
+    return moments_of(Dirichlet(np.array([a + 1.0, b + 1.0])))
+
+
+def beta_mean_cap(variance: float) -> float:
+    """The largest mean a beta variable can have at this variance: the root
+    ``(1 + sqrt(1 - 12 V)) / 2`` of ``E**2 - E + 3V <= 0``."""
+    return (1.0 + np.sqrt(max(0.0, 1.0 - 12.0 * variance))) / 2.0
 
 
 def brute_force_joint(net, tables, evidence):

@@ -9,21 +9,17 @@ for a minimal counterexample; everything else must pass.
 import numpy as np
 import pytest
 
-from conftest import impossible_evidence_spec, uniform_chain_spec
+from conftest import beta_mean_cap, impossible_evidence_spec, moments_of_beta, uniform_chain_spec
 from treebelief import (
-    BetaParams,
     Dirichlet,
     DiscreteSupport,
     NetworkSpec,
     NodeSpec,
-    beta_mean_upper_bound,
-    beta_moments,
     chain_child_variance,
     check_variance_bound,
     enumerate_uncertainty,
     exact_inference,
     mc_uncertainty,
-    moments_of,
     posterior_report,
     propagate,
     query_node,
@@ -90,21 +86,29 @@ def test_c2_prior_exactness():
 
 def test_c3_beta_identities():
     rng = np.random.default_rng(30_000)
-    worst_cross = worst_complement = 0.0
+    worst_closed = worst_cross = worst_complement = 0.0
     for _ in range(10_000):
         a, b = np.exp(rng.uniform(np.log(0.5), np.log(50.0), size=2)) - 1.0
-        params = BetaParams(float(a), float(b))
-        e, s, p = beta_moments(params)
+        m = moments_of_beta(float(a), float(b))
+        e, s, p = float(m.mean[0]), float(m.second[0, 0]), float(m.second[0, 1])
+        # the paper's closed forms E, E(p^2) and E(p(1-p))
+        closed_e = (a + 1.0) / (a + b + 2.0)
+        worst_closed = max(
+            worst_closed,
+            abs(e - closed_e),
+            abs(s - (a + 2.0) / (a + b + 3.0) * closed_e),
+            abs(p - (b + 1.0) / (a + b + 3.0) * closed_e),
+        )
         worst_cross = max(worst_cross, abs(p - (e - s)))
-        m = moments_of(params.to_dirichlet())
         worst_complement = max(
             worst_complement,
-            abs(float(m.second[1, 1]) - (1.0 - 2.0 * float(m.mean[0]) + float(m.second[0, 0]))),
+            abs(float(m.second[1, 1]) - (1.0 - 2.0 * e + s)),
         )
     _gate(
-        "criterion 3: beta cross/complement moment identities over 10^4 draws",
-        worst_cross <= 1e-14 and worst_complement <= 1e-14,
-        f"max |P-(E-S)| {worst_cross:.2e}, max complement gap {worst_complement:.2e}",
+        "criterion 3: beta closed forms and cross/complement moment identities over 10^4 draws",
+        worst_closed <= 1e-14 and worst_cross <= 1e-14 and worst_complement <= 1e-14,
+        f"max closed-form gap {worst_closed:.2e}, max |P-(E-S)| {worst_cross:.2e}, "
+        f"max complement gap {worst_complement:.2e}",
     )
 
 
@@ -178,10 +182,11 @@ def test_c6_inequality_suites():
         if a + b < 0.0:
             continue
         checked += 1
-        e, s, _ = beta_moments(BetaParams(float(a), float(b)))
+        m = moments_of_beta(float(a), float(b))
+        e, s = float(m.mean[0]), float(m.second[0, 0])
         v = s - e * e
         worst["second_cap"] = max(worst["second_cap"], s - (e + 2 * e * e) / 3)
-        worst["mean_cap"] = max(worst["mean_cap"], e - beta_mean_upper_bound(v))
+        worst["mean_cap"] = max(worst["mean_cap"], e - beta_mean_cap(v))
         if s <= (e + e * e) / 2:
             worst["variance_cap"] = max(worst["variance_cap"], v - (e - s))
     _gate(

@@ -1,18 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import uniform_chain_spec
+from conftest import beta_mean_cap, moments_of_beta, uniform_chain_spec
 from treebelief import (
-    BetaParams,
     Dirichlet,
     DiscreteSupport,
+    MomentSet,
     NetworkSpec,
     NodeSpec,
     PointMass,
-    beta_mean_upper_bound,
-    beta_moments,
     chain_child_variance,
-    check_moment_condition,
     check_variance_bound,
     moments_of,
     posterior_report,
@@ -32,59 +29,56 @@ class TestBetaMoments:
         ],
     )
     def test_worked_values(self, a, b, expected):
-        assert beta_moments(BetaParams(a, b)) == pytest.approx(expected, abs=1e-15)
+        # the mean, second moment and cross moment E(p (1-p))
+        m = moments_of_beta(a, b)
+        assert (m.mean[0], m.second[0, 0], m.second[0, 1]) == pytest.approx(expected, abs=1e-15)
 
     def test_cross_moment_identity(self):
         rng = np.random.default_rng(1)
         for _ in range(1000):
             a, b = np.exp(rng.uniform(np.log(0.5), np.log(50.0), size=2)) - 1.0
-            e, s, p = beta_moments(BetaParams(a, b))
-            assert p == pytest.approx(e - s, abs=1e-14)
+            m = moments_of_beta(a, b)
+            assert m.second[0, 1] == pytest.approx(m.mean[0] - m.second[0, 0], abs=1e-14)
 
     def test_matches_dirichlet_moments(self):
+        # the paper's closed forms, in the exponents a, b = alpha - 1
         rng = np.random.default_rng(2)
         for _ in range(500):
             alpha = np.exp(rng.uniform(np.log(0.5), np.log(50.0), size=2))
-            e, s, p = beta_moments(BetaParams(alpha[0] - 1.0, alpha[1] - 1.0))
+            a, b = alpha[0] - 1.0, alpha[1] - 1.0
+            e = (a + 1.0) / (a + b + 2.0)
             m = moments_of(Dirichlet(alpha))
             assert m.mean[0] == pytest.approx(e, abs=1e-12)
-            assert m.second[0, 0] == pytest.approx(s, abs=1e-12)
-            assert m.second[0, 1] == pytest.approx(p, abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            BetaParams(-1.0, 0.0)
+            assert m.second[0, 0] == pytest.approx((a + 2.0) / (a + b + 3.0) * e, abs=1e-12)
+            assert m.second[0, 1] == pytest.approx((b + 1.0) / (a + b + 3.0) * e, abs=1e-12)
 
 
 class TestMomentCondition:
     def test_examples(self):
-        from treebelief import MomentSet
-
-        # uniform beta: S = 1/3 <= 0.375
-        assert check_moment_condition(moments_of(Dirichlet(np.array([1.0, 1.0]))))
-        # E = 0.5 with S = 0.4 > 0.375
-        heavy = MomentSet(np.array([0.5, 0.5]), np.array([[0.4, 0.1], [0.1, 0.4]]))
-        assert not check_moment_condition(heavy)
-        # degenerate boundary: E = 0, S = 0
-        boundary = moments_of(PointMass(np.array([0.0, 1.0])))
-        assert check_moment_condition(boundary)
-
-    def test_requires_binary(self):
-        with pytest.raises(PreconditionViolated):
-            check_moment_condition(moments_of(Dirichlet(np.array([1.0, 1.0, 1.0]))))
+        # the condition E(p^2) <= (E + E^2) / 2 on a binary vector's first entry
+        cases = (
+            (moments_of(Dirichlet(np.array([1.0, 1.0]))), True),  # uniform: S = 1/3 <= 0.375
+            (MomentSet(np.array([0.5, 0.5]), np.array([[0.4, 0.1], [0.1, 0.4]])), False),
+            (moments_of(PointMass(np.array([0.0, 1.0]))), True),  # boundary: E = 0, S = 0
+        )
+        for m, holds in cases:
+            e, s = float(m.mean[0]), float(m.second[0, 0])
+            assert (s <= (e + e * e) / 2.0 + 1e-12) == holds
 
 
 class TestMeanUpperBound:
     def test_examples(self):
-        assert beta_mean_upper_bound(0.0) == pytest.approx(1.0)
-        assert beta_mean_upper_bound(1 / 12) == pytest.approx(0.5)
-        assert beta_mean_upper_bound(1 / 16) == pytest.approx(0.75)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            beta_mean_upper_bound(1 / 12 + 1e-6)
-        with pytest.raises(DomainError):
-            beta_mean_upper_bound(-0.1)
+        # a beta variable whose alphas sum to 2 sits on the cap, and so
+        # does its point-mass limit
+        for dist, variance, mean in (
+            (PointMass(np.array([1.0, 0.0])), 0.0, 1.0),
+            (Dirichlet(np.array([1.0, 1.0])), 1 / 12, 0.5),
+            (Dirichlet(np.array([1.5, 0.5])), 1 / 16, 0.75),
+        ):
+            m = moments_of(dist)
+            v = float(m.second[0, 0] - m.mean[0] ** 2)
+            assert v == pytest.approx(variance)
+            assert beta_mean_cap(v) == pytest.approx(mean)
 
 
 class TestChainChildVariance:
@@ -128,10 +122,57 @@ class TestChainChildVariance:
             assert rep.variance[0] == pytest.approx(closed, abs=1e-12)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            chain_child_variance(1.2, 0.0, 0.5, 0.0, 0.5, 0.0)
-        with pytest.raises(DomainError):
-            chain_child_variance(0.5, -0.1, 0.5, 0.0, 0.5, 0.0)
+        for args in (
+            (1.2, 0.0, 0.5, 0.0, 0.5, 0.0),
+            (0.5, -0.1, 0.5, 0.0, 0.5, 0.0),
+            (np.nan, 0.0, 0.5, 0.0, 0.5, 0.0),
+            (0.5, 0.0, 0.5, 0.0, np.inf, 0.0),
+            (0.5, np.nan, 0.5, 0.0, 0.5, 0.0),
+            (0.5, 0.0, 0.5, np.inf, 0.5, 0.0),
+            (0.5, 0.0, 0.5, 0.0, 0.5, -np.inf),
+        ):
+            with pytest.raises(DomainError):
+                chain_child_variance(*args)
+
+
+def _flat_root_k3():
+    """A flat Dirichlet(1, 1, 1) root whose child has rows Dirichlet(45, 2.5,
+    2.5) and its rotations, with the child's prior variances.
+
+    By the law of total variance over the root's ``p``, with ``E(p_i^2) = 1/6``
+    and ``Cov(p) = (1 + I)/12 - 1/9``, every alternative has the variance
+    ``sum_i v_i / 6 + e' Cov(p) e`` for row means ``e`` and variances ``v``.
+    """
+    labels = ("x1", "x2", "x3")
+    spec = NetworkSpec(
+        (
+            NodeSpec("r", labels, None, (Dirichlet(np.ones(3)),)),
+            NodeSpec(
+                "c",
+                labels,
+                "r",
+                tuple(Dirichlet(np.roll([45.0, 2.5, 2.5], i)) for i in range(3)),
+            ),
+        )
+    )
+    e = np.array([0.9, 0.05, 0.05])
+    variance = (e * (1 - e) / 51).sum() / 6 + e @ ((1 + np.eye(3)) / 12 - 1 / 9) @ e
+    return spec, {}, "c", np.full(3, variance)
+
+
+def _observed_chain():
+    """A -> B -> C from a flat beta root, each child with rows Beta(45, 5) and
+    Beta(5, 45), C observed, with the paper's approximate posterior variances
+    at B.  The first also exceeds mean (1 - mean) = 0.09."""
+    rows = lambda: (Dirichlet(np.array([45.0, 5.0])), Dirichlet(np.array([5.0, 45.0])))
+    spec = NetworkSpec(
+        (
+            NodeSpec("A", ("a1", "a2"), None, (Dirichlet(np.ones(2)),)),
+            NodeSpec("B", ("b1", "b2"), "A", rows()),
+            NodeSpec("C", ("c1", "c2"), "B", rows()),
+        )
+    )
+    return spec, {"C": 0}, "B", np.array([0.17876124567474028, 0.004329873125720871])
 
 
 class TestVarianceBoundChecker:
@@ -173,11 +214,31 @@ class TestVarianceBoundChecker:
         entry = report.entry("B")
         assert entry.slack < -0.05
         # law of total variance, computed from the stored moments directly
-        rows = validate_network(spec).nodes["B"].row_moments
-        v1 = rows[0].second[0, 0] - rows[0].mean[0] ** 2
-        v2 = rows[1].second[0, 0] - rows[1].mean[0] ** 2
-        expected = chain_child_variance(0.5, 1 / 12, rows[0].mean[0], v1, rows[1].mean[0], v2)
+        node = validate_network(spec).nodes["B"]
+        e1, e2 = node.mean_rows[:, 0]
+        v1, v2 = node.second_rows[:, 0, 0] - node.mean_rows[:, 0] ** 2
+        expected = chain_child_variance(0.5, 1 / 12, e1, v1, e2, v2)
         assert entry.variance == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec,evidence,node_id,variance",
+        [
+            pytest.param(*_flat_root_k3(), id="prior-k3"),
+            pytest.param(*_observed_chain(), id="posterior"),
+        ],
+    )
+    def test_bound_fails_beyond_its_domain(self, spec, evidence, node_id, variance):
+        # beyond check_variance_bound's domain (binary rows, no evidence) the
+        # same max-row bound fails, computed per alternative from the rows
+        net = validate_network(spec)
+        node = net.nodes[node_id]
+        alts = range(node.dim)
+        bound = np.max(node.second_rows[:, alts, alts] - node.mean_rows**2, axis=0)
+        # the largest row variance: mean 0.9 at Dirichlet strength 50
+        assert bound == pytest.approx(np.full(node.dim, 0.9 * 0.1 / 51), abs=1e-15)
+        rep = posterior_report(propagate(net, evidence))[node_id]
+        assert rep.variance == pytest.approx(variance, rel=1e-9)
+        assert np.all(rep.variance > bound)
 
     def test_preconditions(self):
         three_alt = NetworkSpec(
@@ -200,14 +261,16 @@ class TestInequalitySuites:
     def test_second_moment_cap(self):
         rng = np.random.default_rng(6)
         for a, b in self._sample_params(rng, 2000):
-            e, s, _ = beta_moments(BetaParams(a, b))
+            m = moments_of_beta(a, b)
+            e, s = m.mean[0], m.second[0, 0]
             assert s <= (e + 2 * e * e) / 3 + 1e-12
 
     def test_mean_cap(self):
         rng = np.random.default_rng(8)
         for a, b in self._sample_params(rng, 2000):
-            e, s, _ = beta_moments(BetaParams(a, b))
-            assert e <= beta_mean_upper_bound(s - e * e) + 1e-12
+            m = moments_of_beta(a, b)
+            e, s = m.mean[0], m.second[0, 0]
+            assert e <= beta_mean_cap(s - e * e) + 1e-12
 
     def test_condition_implies_variance_cap(self):
         # for any binary moments, not only beta ones
@@ -249,8 +312,9 @@ class TestInequalitySuites:
                 )
             )
             net = validate_network(spec)
-            parts = [net.nodes["A"].row_moments[0]] + list(net.nodes["B"].row_moments)
-            if not all(check_moment_condition(m) for m in parts):
+            e = np.concatenate([net.nodes[n].mean_rows[:, 0] for n in "AB"])
+            s = np.concatenate([net.nodes[n].second_rows[:, 0, 0] for n in "AB"])
+            if not np.all(s <= (e + e * e) / 2 + 1e-12):
                 continue
             rep = posterior_report(propagate(net, {}))["B"]
             e, s = float(rep.mean[0]), float(rep.second[0])

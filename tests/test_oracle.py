@@ -268,6 +268,12 @@ class TestMonteCarlo:
             mc_uncertainty(two_node_mixed, {"B": 0}, "prior", n=100)
         with pytest.raises(PreconditionViolated, match="^unknown oracle mode 'posterior'$"):
             mc_uncertainty(two_node_mixed, {}, "posterior", n=100)
+        for kwargs in ({"n": 2.5}, {"n": True}, {"seed": 1.5}, {"seed": False}, {"seed": "1"}):
+            name = next(iter(kwargs))
+            with pytest.raises(PreconditionViolated, match=f"^{name} must be an integer"):
+                mc_uncertainty(two_node_mixed, {}, "prior", **{"n": 100, **kwargs})
+        report = mc_uncertainty(two_node_mixed, {}, "prior", n=np.int64(100), seed=np.int32(1))
+        assert report.size == 100
 
     def test_degenerate_weights_flagged(self):
         spec = NetworkSpec(

