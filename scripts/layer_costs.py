@@ -11,7 +11,9 @@ results just timed, so everything ``query`` does after
 ``validate_network`` on the ``NetworkSpec`` of row objects that the file was
 written from, and an eighth, "propagate (prior)", runs ``propagate`` with no
 evidence, which sweeps downward only.  Each round times every layer as the
-best of :data:`REPEATS` runs, and each layer reads as the best of its
+best of at least :data:`REPEATS` runs, repeated until every layer of every
+version has spent :data:`BUDGET` seconds in the round, so a layer of a
+millisecond gets dozens of runs, and each layer reads as the best of its
 rounds; the collector runs before each run, as in the benchmark worker, and
 during it unless ``--gc-off``.
 
@@ -41,6 +43,7 @@ import gc
 import importlib
 import importlib.util
 import io
+import itertools
 import json
 import statistics
 import sys
@@ -56,7 +59,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SHAPES = ("chain", "star", "binary")
 LAYERS = ("json.load", "parse_network", "validate_network", "propagate", "posterior_report", "emit",
           "validate (hand-built)", "propagate (prior)")
-REPEATS = 3  # runs of each layer per round; the fastest counts
+REPEATS = 3  # fewest runs of each layer per round; the fastest counts
+BUDGET = 0.05  # seconds each layer of each version spends per round, at least
 
 
 def load_package(src: Path, name: str):
@@ -147,8 +151,10 @@ def main(argv=None) -> int:
         for r in range(args.rounds):
             for tree, (path, leaf, _) in trees.items():
                 names = list(versions) if r % 2 == 0 else list(versions)[::-1]
-                best = {}
-                for _ in range(REPEATS):
+                best, spent = {}, {v: np.zeros(len(LAYERS)) for v in names}
+                for run in itertools.count():
+                    if run >= REPEATS and min(x.min() for x in spent.values()) >= BUDGET:
+                        break
                     for v in names:
                         gc.collect()
                         if args.gc_off:
@@ -158,15 +164,16 @@ def main(argv=None) -> int:
                         finally:
                             gc.enable()
                         best[v] = np.minimum(best.get(v, seconds), seconds)
+                        spent[v] += seconds
                 for v in names:
                     times[v].setdefault(tree, []).append(best[v].tolist())
 
-    result = {"sizes": args.sizes, "rounds": args.rounds, "repeats": REPEATS, "k": args.k,
+    result = {"sizes": args.sizes, "rounds": args.rounds, "repeats": REPEATS, "budget_s": BUDGET, "k": args.k,
               "gc_off": args.gc_off, "us_per_node": {}, "parse_validate_ratio": {},
               "propagate_ratio": {}, "report_ratio": {}, "prior_propagate_ratio": {},
               "hand_built_validate_ratio": {}}
     for v in versions:
-        print(f"{v}: µs per node, best of {args.rounds} rounds of {REPEATS}")
+        print(f"{v}: µs per node, best of {args.rounds} rounds of at least {REPEATS} runs and {BUDGET} s a layer")
         print(f"  {'tree':<14}" + "".join(f"{layer:>22}" for layer in LAYERS))
         result["us_per_node"][v] = {}
         for tree, (_, _, n) in trees.items():

@@ -577,7 +577,7 @@ class ValidatedNetwork:
     def node(self, node_id: str) -> ValidatedNode:
         try:
             return self.nodes[node_id]
-        except KeyError:
+        except (KeyError, TypeError):  # TypeError: an unhashable id
             raise UnknownNode(f"node {node_id!r} is not part of the network") from None
 
     def alt_index(self, node_id: str, label: str) -> int:

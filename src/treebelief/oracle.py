@@ -561,12 +561,17 @@ def enumerate_uncertainty(
     node count.  Products are not rescaled, so the evidence probability can
     underflow to 0 on very large evidence sets.  See the module docstring
     for what each mode averages.  Raises
-    :class:`CapExceeded` when a support product exceeds ``cap`` and
+    :class:`CapExceeded` when a support product exceeds ``cap``,
     :class:`InconsistentEvidence` when every combination assigns the evidence
-    probability zero.
+    probability zero, and :class:`PreconditionViolated` when ``cap`` is not
+    an integer (``bool`` included) or is below 1.
     """
     if mode not in MODES:
         raise PreconditionViolated(f"unknown oracle mode {mode!r}")
+    if isinstance(cap, bool) or not isinstance(cap, (int, np.integer)):
+        raise PreconditionViolated(f"cap must be an integer, got {cap!r}")
+    if cap < 1:
+        raise PreconditionViolated(f"cap must be at least 1, got {cap}")
     check_evidence(net, evidence)
     if mode == "prior" and evidence:
         raise PreconditionViolated("prior mode requires empty evidence")

@@ -23,14 +23,14 @@ validation.  A depth of several nodes is a level: one batched ``matmul`` per
 group of nodes with equal row and alternative counts, and sibling products
 as segmented cumulative products (:func:`_segment_products`).  Each maximal
 run of one-node depths, as on a chain, is a chain segment, swept in one
-loop of 2-D ``dot`` steps; a lone child's message is its parent's product,
-copied.  Both paths add the same terms in the same order, so they agree bit
-for bit.  Evidence swaps rows in: an instantiated node's combined message is
-the indicator of its observed alternative, and its children receive the
-observed row's moments.  Every diagonal sum over row second moments is one
-``dot`` with them viewed flat, ``(rows, k * k)``.  The tests bound the move
-from the ``einsum`` form of these sums at 1e-13 of a node's largest second
-moment, with means bit for bit.
+loop of 2-D ``dot`` steps: upward with a level's terms in its order, bit for
+bit, and downward without the division by ``D`` (see :func:`propagate`), so
+reports move by rounding only.  Evidence swaps rows in: an instantiated
+node's combined message is the indicator of its observed alternative, and
+its children receive the observed row's moments.  Every diagonal sum over
+row second moments is one ``dot`` with them viewed flat, ``(rows, k * k)``.
+The tests bound the move from the ``einsum`` form of these sums at 1e-13 of
+a node's largest second moment, with means bit for bit.
 
 A subtree without evidence sends its parent the unit message, exactly: from
 its leaves up, each combined message is all ones, so each message is its rows'
@@ -99,7 +99,8 @@ class MessageState:
         return self._upward[r][0][pos], self._upward[r][1][pos]
 
     def parent(self, node_id: str) -> Tuple[np.ndarray, np.ndarray]:
-        """The message an uninstantiated node (or the root) receives from above."""
+        """The message an uninstantiated node (or the root) receives from above;
+        in a chain segment, a distribution up to a scale every report cancels."""
         _, k, i, _, _ = self._slot(node_id)
         return self._parent[k][0][i], self._parent[k][1][i]
 
@@ -158,6 +159,8 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
 
     ``T'`` with its diagonal zeroed gives the first sum; ``D == 0`` means the
     evidence is impossible on average and raises :class:`InconsistentEvidence`.
+    In a chain segment ``m`` and ``S`` are all ones, so ``D = sum_j q[j] > 0``;
+    it keeps ``q' = q``, ``T' = T``, a scale every later ``D`` divides out.
     Upward, nothing deeper than every instantiated node is computed: each such
     message keeps its unit fill, exact as every row sums to one with certainty.
     """
@@ -179,10 +182,10 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
             for depth, k, r, i, row, pos, parent in zip(*step[:, step[0] <= deepest][:, ::-1].tolist()):
                 if depth in seen:
                     _indicators(combined, seen[depth])
-                (means, _, flat), lam, lam2 = moments[k], combined[k][0][i], combined[k][1][i]
-                c, mean, second = means[row : row + r], up[r][0][pos], up[r][1][pos]
-                np.dot(c, lam, out=mean)
-                np.dot(c.dot(lam2), c.T, out=second)
+                (means, _, flat), (lam, lam2), (mean, second) = moments[k], combined[k], up[r]
+                c, lam2, mean, second = means[row : row + r], lam2[i], mean[pos], second[pos]
+                c.dot(lam[i], out=mean)
+                c.dot(lam2).dot(c.T, out=second)
                 second.reshape(r * r)[:: r + 1] = flat[row : row + r].dot(lam2.reshape(k * k))
                 combined[r][0][parent], combined[r][1][parent] = mean, second  # the only child
             continue
@@ -206,7 +209,6 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
                 )
     _indicators(combined, seen.get(0, {}))
 
-    unit = {r: np.ones(r) for r in others}  # the sibling product of a lone child
     off = {r: 1.0 - np.eye(r) for r in others}  # zeroes a diagonal exactly
     _, k, i, _, _ = plan.slot[net.root]
     down[k][0][i], down[k][1][i] = moments[k][0][0], moments[k][1][0]
@@ -216,14 +218,11 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
                 if depth in below:
                     _observed_rows(down, moments, below[depth])
                     continue
-                c, mean, second = moments[k][0][row : row + r], down[k][0][i], down[k][1][i]
-                q, t = down[r][0][parent], down[r][1][parent]
-                d = unit[r].dot(q)  # m is the unit message: D sums a distribution, never 0
-                dd = d * d
-                t2, diag = t * off[r] / dd, t.diagonal() / dd
-                np.dot(q / d, c, out=mean)
-                np.dot(c.T.dot(t2), c, out=second)
-                second += diag.dot(moments[k][2][row : row + r]).reshape(k, k)
+                (means, _, flat), (q, t), (mean, second) = moments[k], down[r], down[k]
+                c, t, second = means[row : row + r], t[parent], second[i]
+                q[parent].dot(c, out=mean[i])  # m is the unit message: D = sum(q) stays in
+                c.T.dot(t * off[r]).dot(c, out=second)
+                second += t.diagonal().copy().dot(flat[row : row + r]).reshape(k, k)
             continue
         depth, groups, _ = step
         for r, k, slots, rows, pos, parents in groups:
@@ -258,8 +257,9 @@ def _reports(state: MessageState, ids: Sequence[str]) -> Dict[str, NodeReport]:
     plan, n = state.net.plan, len(ids)
     try:  # (depth, k, slot, r, position) per id, then the observed alternative or -1
         found = np.fromiter(chain.from_iterable(map(plan.slot.__getitem__, ids)), np.intp, 5 * n)
-    except KeyError as missing:
-        state.net.node(missing.args[0])  # raises UnknownNode
+    except (KeyError, TypeError):  # TypeError: an unhashable id
+        for node_id in ids:
+            state.net.node(node_id)  # raises UnknownNode at the first unknown id
     found, alts = found.reshape(n, 5), np.fromiter(map(state.evidence.get, ids, repeat(-1)), np.intp, n)
     names, reports, failures = np.array(ids, dtype=object), dict.fromkeys(ids), []
     for k in np.flatnonzero(np.bincount(found[:, 1])).tolist():

@@ -895,6 +895,14 @@ class TestCompareCommand:
         assert code == 5
         assert "CapExceeded" in err
 
+    def test_cap_below_one_exit_5(self, capsys, two_node_file):
+        code, out, err = run_cli(
+            capsys, "compare", two_node_file, "--mode", "enum", "--cap", "0",
+            "--oracle-mode", "prior",
+        )
+        assert code == 5 and out == ""
+        assert err == "PreconditionViolated: cap must be at least 1, got 0\n"
+
     def test_tolerance_exceeded_exit_code(self, capsys, two_node_file):
         # comparing against the wrong oracle mode must trip the gate
         code, out, _ = run_cli(

@@ -104,8 +104,14 @@ class TestEnumerate:
             enumerate_uncertainty(uniform_chain, {}, "prior")
 
     def test_cap(self, two_node_mixed):
-        with pytest.raises(CapExceeded):
-            enumerate_uncertainty(two_node_mixed, {}, "prior", cap=1)
+        for cap in (1, np.int64(1), np.int32(1)):
+            with pytest.raises(CapExceeded):
+                enumerate_uncertainty(two_node_mixed, {}, "prior", cap=cap)
+
+    @pytest.mark.parametrize("cap", ["10", True, False, 2.5, 0, -1, None])
+    def test_cap_must_be_a_positive_integer(self, two_node_mixed, cap):
+        with pytest.raises(PreconditionViolated, match="^cap must be"):
+            enumerate_uncertainty(two_node_mixed, {}, "prior", cap=cap)
 
     def test_unknown_mode(self, two_node_mixed):
         with pytest.raises(PreconditionViolated):

@@ -1,3 +1,6 @@
+import re
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -610,14 +613,21 @@ class TestQueryMatchesReport:
         self._assert_query_is_report(net, {"n0": 2})
 
     def test_unknown_node_is_named(self, two_node_mixed):
-        with pytest.raises(UnknownNode, match="^node 'nope' is not part of the network$"):
-            posterior_report(propagate(two_node_mixed, {}), ["nope"])
+        state = propagate(two_node_mixed, {})
+        for node_id in ("nope", 3, None, ["A"]):  # unhashable ids too
+            message = f"^{re.escape(f'node {node_id!r} is not part of the network')}$"
+            with pytest.raises(UnknownNode, match=message):
+                posterior_report(state, ["A", node_id])
+            with pytest.raises(UnknownNode, match=message):
+                query_node(node_id, state)
 
     @pytest.mark.parametrize("message", ["parent", "combined", "upward"])
     def test_unknown_node_message_is_named(self, two_node_mixed, message):
         state = propagate(two_node_mixed, {})
         with pytest.raises(UnknownNode, match="^node 'Z' is not part of the network$"):
             getattr(state, message)("Z")
+        with pytest.raises(UnknownNode, match=r"^node \['A'\] is not part of the network$"):
+            getattr(state, message)(["A"])
         with pytest.raises(KeyError):  # the root sends no message
             state.upward(two_node_mixed.root)
 
@@ -669,17 +679,20 @@ def _einsum_second(t2, rows, second_rows):
     )
 
 
-def _messages(net, evidence, diagonal=_dot_diagonal, downward=_dot_second):
+def _messages(net, evidence, diagonal=_dot_diagonal, downward=_dot_second, keep_d=False):
     """The recurrences evaluated one node at a time, in ``net.order``: the
     reference whose every sum and product the sweep must reproduce.
     ``diagonal`` and ``downward`` give the two second-moment steps; the
     defaults are the engine's.  A node deeper than every instantiated node
-    has no evidence below it and sends the unit message, exactly.  Returns
+    has no evidence below it and sends the unit message, exactly.  A node
+    alone at its depth takes ``D = 1`` instead of the sum of its parent
+    message, as the engine's chain segments do, unless ``keep_d``.  Returns
     the ``(mean, second)`` messages by node id: upward (below the root),
     parent (at uninstantiated nodes) and combined (at uninstantiated
     nodes)."""
     nodes, up, down, combined, others = net.nodes, {}, {}, {}, {}
     depth = {node_id: net.plan.slot[node_id][0] for node_id in net.order}
+    width = Counter(depth.values())
     deepest = max((depth[node_id] for node_id in evidence), default=-1)
     for node_id in reversed(net.order):
         node = nodes[node_id]
@@ -715,7 +728,7 @@ def _messages(net, evidence, diagonal=_dot_diagonal, downward=_dot_second):
                 down[c] = (rows[evidence[node_id]], second_rows[evidence[node_id]])
                 continue
             (m, s), (q, t) = others[node_id][i], down[node_id]
-            d = float(m @ q)
+            d = 1.0 if width[depth[c]] == 1 and not keep_d else float(m @ q)
             q2, t2 = m * q / d, s * t / (d * d)
             down[c] = (q2 @ rows, downward(t2, rows, second_rows))
     return up, down, combined
@@ -800,6 +813,22 @@ def _segments_spec():
     return _tree_spec(parents, ks, lambda i, j, k: random_row(rng, ROW_KINDS[(i + j) % 3], k))
 
 
+@pytest.fixture(scope="module")
+def long_chain():
+    """A 2·10⁴-node chain, k = 3, whose nodes alternate between Dirichlet
+    rows and point-mass rows summing to ``1 + 0.9e-9``, inside ``PROB_TOL``."""
+    n, rng = 20_000, np.random.default_rng(97)
+
+    def row(i, j, k):
+        if i % 2 == 0:
+            return Dirichlet(rng.uniform(0.5, 50.0, size=k))
+        p = rng.dirichlet(np.ones(k))
+        p[0] += 0.9e-9
+        return PointMass(p)
+
+    return validate_network(_tree_spec(_parents_of("chain", n, rng), [3] * n, row))
+
+
 class TestChainSegments:
     """Segment edge cases against the node-by-node reference, bit for bit."""
 
@@ -842,9 +871,30 @@ class TestChainSegments:
             for got, want in zip(state.combined(node_id), want_combined):
                 assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("observed", [[], [19_999], [10_000]], ids=["none", "last", "middle"])
+    def test_long_chain_without_denominators(self, long_chain, observed):
+        """A segment divides by no ``D``, so its messages carry the product of
+        its rows' sums; point-mass rows summing to ``1 + 0.9e-9`` make that
+        drift measurable.  Reports still match the reference that divides at
+        every node, and every message stays finite."""
+        net, evidence = long_chain, {f"n{i}": i % 3 for i in observed}
+        state = propagate(net, evidence)
+        for stack in (state._combined, state._parent, state._upward):
+            for mean, second in stack.values():
+                assert np.isfinite(mean).all() and np.isfinite(second).all()
+        if not evidence:  # the parent messages are distributions only up to scale
+            assert abs(state.parent(net.order[-1])[0].sum() - 1.0) > 1e-6
+        reports = posterior_report(state)
+        ref = _node_by_node(net, evidence, keep_d=True)
+        got = np.array([reports[node_id][1:3] for node_id in net.order])  # (n, mean/second, k)
+        want = np.array([ref[node_id][:2] for node_id in net.order])
+        assert np.abs(got[:, 0] - want[:, 0]).max() <= 1e-15
+        scale = np.abs(want[:, 1]).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got[:, 1] - want[:, 1]) <= 1e-12 * scale)
+
     def test_zero_denominator_above_a_segment_is_named(self):
-        # A lone child divides by its parent message's sum, which is never
-        # zero, so a zero stops the pass above a segment.  B=b2 is
+        # A lone child's D is its parent message's sum, never zero (and not
+        # divided by), so a zero stops the pass above a segment.  B=b2 is
         # impossible, so the sibling product at H is zero; below H hangs
         # the segment X, Y.
         a, b = impossible_evidence_spec().nodes
