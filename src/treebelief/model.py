@@ -33,8 +33,8 @@ the same objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
-from typing import Dict, List, Mapping, NamedTuple, Optional, Union
+from itertools import chain, repeat
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -429,33 +429,32 @@ class _Columns:
         return tuple(map(NodeSpec, self.ids, self.alternatives, self.parents, rows))
 
 
-class ValidatedNode:
-    """One node with resolved adjacency and precomputed row moments.
+class ValidatedNode(NamedTuple):
+    """One validated node: a record of its adjacency and its row moments.
 
     ``mean_rows`` (rows, k) and ``second_rows`` (rows, k, k) are read-only
     views into the moment arrays that :func:`validate_network` builds for all
-    nodes with ``k`` alternatives; they are the only stored copy.  ``rows``,
-    the node's distribution objects, are owned by the :class:`NetworkSpec`
-    it was validated from: the node reads them as ``spec.nodes[index].rows``.
+    nodes with ``k`` alternatives; they are the only stored copy.  The node's
+    distribution objects are owned by ``spec``, the :class:`NetworkSpec` it
+    was validated from, at ``spec_index`` in ``spec.nodes``: :attr:`rows`
+    reads them there.  Records compare and hash by identity, so no two nodes
+    are ever compared array by array.
     """
 
-    __slots__ = ("id", "alternatives", "parent", "children", "mean_rows", "second_rows",
-                 "_spec", "_index")
+    id: str
+    alternatives: tuple
+    parent: Optional[str]
+    children: tuple
+    mean_rows: np.ndarray
+    second_rows: np.ndarray
+    spec: NetworkSpec
+    spec_index: int
 
-    def __init__(self, node_id: str, alternatives: tuple, parent: Optional[str], children,
-                 mean_rows: np.ndarray, second_rows: np.ndarray, spec: NetworkSpec, index: int):
-        self.id = node_id
-        self.alternatives = alternatives
-        self.parent = parent
-        self.children = tuple(children)
-        self.mean_rows = mean_rows
-        self.second_rows = second_rows
-        self._spec = spec
-        self._index = index  # the node's place in ``spec.nodes``
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__
 
     @property
     def rows(self) -> tuple:
-        return self._spec.nodes[self._index].rows
+        return self.spec.nodes[self.spec_index].rows
 
     @property
     def dim(self) -> int:
@@ -472,9 +471,9 @@ class LevelPlan(NamedTuple):
 
     Nodes with ``k`` alternatives own *slots* ``0..n_k-1``, sorted by depth,
     row count ``r`` (the parent's ``k``; 1 at the root) and the parent's
-    number of children; ``ids[k]`` lists them.  ``moments[k]`` holds their row
-    moments in slot order, ``(mean, second, flat)`` with ``flat`` a ``(rows,
-    k * k)`` view of ``second``, a node's first row at ``row_start[k][slot]``.
+    number of children.  ``moments[k]`` holds their row moments in slot
+    order, ``(mean, second, flat)`` with ``flat`` a ``(rows, k * k)`` view of
+    ``second``, a node's first row at ``row_start[k][slot]``.
     Non-root nodes with ``r`` rows own *positions* ``0..sib_counts[r]-1`` in
     which each parent's children are consecutive.  ``slot[id]`` is ``(depth,
     k, slot, r, position)``.  ``steps`` covers every depth below the root, in
@@ -489,9 +488,8 @@ class LevelPlan(NamedTuple):
     """
 
     slot: Dict[str, tuple]
-    ids: Dict[int, List[str]]
     sib_counts: Dict[int, int]
-    steps: List[Union[tuple, np.ndarray]]
+    steps: Tuple[Union[tuple, np.ndarray], ...]
     moments: Dict[int, tuple]
     row_start: Dict[int, np.ndarray]
 
@@ -515,7 +513,9 @@ def _runs(order: np.ndarray, *columns):
 
 
 def _compile(order, above, depth, k, r, m):
-    """``(slot, ids, row_start, sib_counts, steps)`` of a :class:`LevelPlan`.
+    """``(slot, members, row_start, sib_counts, steps)``: ``members[k]`` holds
+    the walk positions of the nodes with ``k`` alternatives in slot order, the
+    rest is a :class:`LevelPlan`'s.
 
     ``order`` is the depth-first walk of :func:`validate_network`, so each
     parent's children are consecutive; ``above`` and ``depth`` give each
@@ -529,11 +529,10 @@ def _compile(order, above, depth, k, r, m):
     plan = np.lexsort((m, k, r, depth))
     sib = np.lexsort((m, r, depth))[1:]  # the root sorts first and has no siblings
     slot, pos, first_row = np.empty(n, np.intp), np.zeros(n, np.intp), np.empty(n, np.intp)
-    ids, row_start, sib_counts = {}, {}, {}
+    by_k, row_start, sib_counts = {}, {}, {}
     for kv in sorted(set(k.tolist())):
-        members = plan[k[plan] == kv]
+        by_k[kv] = members = plan[k[plan] == kv]
         slot[members] = np.arange(len(members))
-        ids[kv] = [order[i] for i in members.tolist()]
         first_row[members] = row_start[kv] = np.cumsum(r[members]) - r[members]
         row_start[kv].flags.writeable = False
     for rv in sorted(set(r[sib].tolist())):
@@ -556,7 +555,7 @@ def _compile(order, above, depth, k, r, m):
     for segment in filter(np.size, np.split(table, np.flatnonzero(np.diff(table[0]) > 1) + 1, axis=1)):
         steps[int(segment[0, 0])] = segment
     slot = dict(zip(order, zip(depth.tolist(), k.tolist(), slot.tolist(), r.tolist(), pos.tolist())))
-    return slot, ids, row_start, sib_counts, [steps[d] for d in sorted(steps)]
+    return slot, by_k, row_start, sib_counts, tuple(steps[d] for d in sorted(steps))
 
 
 class ValidatedNetwork:
@@ -689,11 +688,11 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     ):
         _scan_dimensions(columns, index)
     m = np.array(list(map(len, map(children.__getitem__, order))))[above]
-    slot, plan_ids, row_start, sib_counts, steps = _compile(order, above, depth, k, r, m)
+    slot, by_k, row_start, sib_counts, steps = _compile(order, above, depth, k, r, m)
 
-    row_views, moments, failed = [None] * len(ids), {}, False
-    for kv, members in plan_ids.items():
-        at_k = np.array(list(map(index.__getitem__, members)))
+    means, seconds, moments, failed = [None] * len(ids), [None] * len(ids), {}, False
+    for kv, members in by_k.items():
+        at_k = at[members]
         counts, first = columns.counts[at_k], row_start[kv]
         rows = np.repeat(columns.starts[at_k] - first, counts) + np.arange(first[-1] + counts[-1])
         kinds = columns.kinds[rows]
@@ -706,7 +705,7 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
         mean.flags.writeable = second.flags.writeable = False
         moments[kv] = mean, second, second.reshape(len(second), kv * kv)
         for i, lo, hi in zip(at_k.tolist(), first.tolist(), (first + counts).tolist()):
-            row_views[i] = mean[lo:hi], second[lo:hi]
+            means[i], seconds[i] = mean[lo:hi], second[lo:hi]
         for lo in range(0, len(mean), _CHECK_ROWS):
             try:
                 _check_moments(mean[lo : lo + _CHECK_ROWS], second[lo : lo + _CHECK_ROWS], "rows")
@@ -714,18 +713,14 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
                 failed = True
                 break
     if failed:  # invariants hold row by row, so some node fails its own check
-        for node_id, views in zip(ids, row_views):
-            _check_moments(*views, f"node {node_id!r}")
+        for node_id, mean, second in zip(ids, means, seconds):
+            _check_moments(mean, second, f"node {node_id!r}")
 
-    validated = {
-        node_id: ValidatedNode(node_id, alts, parent, children[node_id], *views, spec, i)
-        for i, (node_id, alts, parent, views) in enumerate(
-            zip(ids, columns.alternatives, parents, row_views)
-        )
-    }
-
-    plan = LevelPlan(slot, plan_ids, sib_counts, steps, moments, row_start)
-    return ValidatedNetwork(validated, order, root, plan)
+    kids = map(tuple, map(children.__getitem__, ids))
+    nodes = map(ValidatedNode, ids, columns.alternatives, parents, kids, means, seconds,
+                repeat(spec), range(len(ids)))
+    plan = LevelPlan(slot, sib_counts, steps, moments, row_start)
+    return ValidatedNetwork(dict(zip(ids, nodes)), order, root, plan)
 
 
 def _scan_dimensions(columns: _Columns, index: Dict[str, int]) -> None:

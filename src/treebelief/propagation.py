@@ -79,7 +79,7 @@ class MessageState:
     def __init__(self, net: ValidatedNetwork, evidence: Mapping[str, int]):
         self.net, self.evidence = net, dict(evidence)
         stack = lambda counts, fill: {k: (fill((n, k)), fill((n, k, k))) for k, n in counts.items()}
-        counts, sib = {k: len(ids) for k, ids in net.plan.ids.items()}, net.plan.sib_counts
+        counts, sib = {k: len(starts) for k, starts in net.plan.row_start.items()}, net.plan.sib_counts
         self._combined, self._parent = stack(counts, np.ones), stack(counts, np.empty)
         self._upward, self._others = stack(sib, np.ones), stack(sib, np.ones)
 
@@ -230,7 +230,7 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
             m, s = others[r][0][pos], others[r][1][pos]
             denom = (m[:, None, :] @ q[:, :, None])[:, 0, 0]
             for j in np.flatnonzero(denom == 0.0):  # a stand-in, if evidence swaps it out
-                node_id = plan.ids[k][slots.start + j]
+                node_id = next(n for n, at in plan.slot.items() if at[1:3] == (k, slots.start + j))
                 parent = net.nodes[node_id].parent
                 if node_id not in evidence and parent not in evidence:
                     raise InconsistentEvidence(f"evidence reaching {node_id!r} through "
