@@ -1,10 +1,12 @@
 """Command-line interface: validate, query, compare and boundcheck.
 
 Reports go to standard output as JSON; diagnostics go to standard error.
-Exit codes: 0 success, 2 parse or validation failure, 3 inconsistent
-evidence, 4 tolerance or bound exceeded, 5 precondition or cap violated,
-6 a non-finite number in the report (nothing is written to standard output),
-141 standard output closed by its reader before the report was written.
+Exit codes: 0 success, 2 parse or validation failure (and any other error
+of the package), 3 inconsistent evidence, 4 tolerance or bound exceeded,
+5 precondition or cap violated, 6 a report that cannot be given: a
+non-finite number in it, or a variance below the engine's numerical floor
+(nothing is written to standard output), 141 standard output closed by its
+reader before the report was written.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from .errors import (
     BeliefNetworkError,
     CapExceeded,
     InconsistentEvidence,
+    NegativeVariance,
     NetworkValidationError,
     NonFiniteResult,
     ParseError,
@@ -296,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _EXIT_CODES = (
     (InconsistentEvidence, EXIT_INCONSISTENT),
-    (NonFiniteResult, EXIT_NONFINITE),
+    ((NonFiniteResult, NegativeVariance), EXIT_NONFINITE),
     ((CapExceeded, PreconditionViolated), EXIT_PRECONDITION),
     ((ParseError, NetworkValidationError, UnknownNode, UnknownAlternative), EXIT_VALIDATION),
 )

@@ -15,16 +15,20 @@ a spec built by hand is read into them, and those columns are dropped after
 validation.  The core computes the moments once, for all rows with the same
 alternative count together, from one gather of the stacks in the level order
 of the :class:`LevelPlan` that it compiles for propagation, and checks them
-in blocks of rows; each :class:`ValidatedNode` holds read-only views of its
-own rows.  Row objects have one owner, the :class:`NetworkSpec`: a validated
-node reads its ``rows`` as ``spec.nodes[index].rows``.  A parsed spec builds
-all of its :class:`NodeSpec` and distribution objects in one pass, the first
+in blocks of rows.  Each :class:`ValidatedNode` is a named-tuple record of
+one node: its id, alternatives, parent and children, read-only views of its
+row moments, and the spec and index that locate its row objects.  Row
+objects have one owner, the :class:`NetworkSpec`: a validated node reads
+its ``rows`` as ``spec.nodes[spec_index].rows``.  A parsed spec builds all
+of its :class:`NodeSpec` and distribution objects in one pass, the first
 time any ``rows`` or ``NetworkSpec.nodes`` is read; a query reads neither.
 
 All types are immutable after construction: every row and moment set holds
 a view of its own read-only copy of its numbers, so no field can be made
-writable again, and the caller's arrays stay writable.  All
-operations are pure functions, so they are safe to share between threads.
+writable again, and the caller's arrays stay writable.  No field of a
+validated node or network can be set, and a network's ``nodes`` is a
+read-only mapping.  All operations are pure functions, so they are safe to
+share between threads.
 A parsed spec's first read of ``nodes`` may run in two threads at once: each
 builds from columns that never change, and the spec publishes the result
 with one ``dict.setdefault``, its only publish point, so both threads get
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, repeat
+from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
@@ -558,20 +563,28 @@ def _compile(order, above, depth, k, r, m):
     return slot, by_k, row_start, sib_counts, tuple(steps[d] for d in sorted(steps))
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class ValidatedNetwork:
     """A structurally checked network with parent/child adjacency resolved.
 
+    ``nodes`` is a read-only mapping from id to :class:`ValidatedNode`;
     ``order`` lists node ids with every parent before its children; ``plan``
-    is the :class:`LevelPlan` that propagation sweeps.
+    is the :class:`LevelPlan` that propagation sweeps.  No attribute can be
+    set or deleted.  Pickling and copying validate the spec again, so the
+    copy's arrays are read-only and its nodes view its plan's moments.
     """
 
-    __slots__ = ("nodes", "order", "root", "plan")
+    nodes: Mapping[str, ValidatedNode]
+    order: tuple
+    root: str
+    plan: LevelPlan
 
-    def __init__(self, nodes: Mapping[str, ValidatedNode], order, root: str, plan: LevelPlan):
-        self.nodes = dict(nodes)
-        self.order = tuple(order)
-        self.root = root
-        self.plan = plan
+    def __post_init__(self):
+        object.__setattr__(self, "nodes", MappingProxyType(dict(self.nodes)))
+        object.__setattr__(self, "order", tuple(self.order))
+
+    def __reduce__(self):
+        return validate_network, (self.nodes[self.root].spec,)
 
     def node(self, node_id: str) -> ValidatedNode:
         try:
@@ -589,7 +602,10 @@ class ValidatedNetwork:
             ) from None
 
     def __contains__(self, node_id: str) -> bool:
-        return node_id in self.nodes
+        try:
+            return node_id in self.nodes
+        except TypeError:  # an unhashable id
+            return False
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -248,11 +248,38 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
     return state
 
 
+def _check_islands(state: MessageState) -> None:
+    """Raise :class:`InconsistentEvidence` if an evidence island has zero mean probability.
+
+    An island is a set of uninstantiated nodes joined without crossing an
+    instantiated one.  Its top, the root or a child of an instantiated node,
+    holds the island's mean evidence probability as its ``D = sum_j m[j] q[j]``,
+    zero exactly when every term is, since none is negative.  The first top
+    with ``D == 0``, the root before the others, is named.
+    """
+    net, evidence, slot = state.net, state.evidence, state.net.plan.slot
+    tops = [] if net.root in evidence else [net.root]
+    tops += [c for node_id in evidence for c in net.nodes[node_id].children if c not in evidence]
+    by_k, zero = {}, set()
+    for top in tops:
+        _, k, i, _, _ = slot[top]
+        by_k.setdefault(k, []).append(i)
+    for k, slots in by_k.items():
+        at = np.array(slots)
+        terms = state._combined[k][0].take(at, 0) * state._parent[k][0].take(at, 0)
+        zero.update((k, i) for i, any_term in zip(slots, terms.any(axis=1).tolist()) if not any_term)
+    if zero:
+        top = next(top for top in tops if slot[top][1:3] in zero)
+        raise InconsistentEvidence(f"evidence at node {top!r} has zero mean probability")
+
+
 def _reports(state: MessageState, ids: Sequence[str]) -> Dict[str, NodeReport]:
     """Condition each node's parent message ``(q, T)`` on its combined child
     message ``(m, S)``, per alternative count: ``D = sum_j m[j] q[j]``,
-    ``mean = m q / D`` and ``second = diag(S) diag(T) / D**2``.  Of the nodes
-    with a zero ``D`` or a variance below ``VARIANCE_FLOOR``, the first raises.
+    ``mean = m q / D`` and ``second = diag(S) diag(T) / D**2``.  An evidence
+    island with a zero ``D`` raises (:func:`_check_islands`), whichever nodes
+    are asked for; then, of the nodes with a zero ``D`` or a variance below
+    ``VARIANCE_FLOOR``, the first raises.
     """
     plan, n = state.net.plan, len(ids)
     try:  # (depth, k, slot, r, position) per id, then the observed alternative or -1
@@ -260,6 +287,7 @@ def _reports(state: MessageState, ids: Sequence[str]) -> Dict[str, NodeReport]:
     except (KeyError, TypeError):  # TypeError: an unhashable id
         for node_id in ids:
             state.net.node(node_id)  # raises UnknownNode at the first unknown id
+    _check_islands(state)
     found, alts = found.reshape(n, 5), np.fromiter(map(state.evidence.get, ids, repeat(-1)), np.intp, n)
     names, reports, failures = np.array(ids, dtype=object), dict.fromkeys(ids), []
     for k in np.flatnonzero(np.bincount(found[:, 1])).tolist():

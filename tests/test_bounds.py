@@ -184,6 +184,11 @@ class TestVarianceBoundChecker:
         assert entry.bound == pytest.approx(1 / 12, abs=1e-15)
         assert entry.slack == pytest.approx(1 / 36, abs=1e-13)
 
+    def test_entry_of_an_unknown_node_raises_key_error(self):
+        report = check_variance_bound(validate_network(uniform_chain_spec()))
+        with pytest.raises(KeyError, match="'Z'"):
+            report.entry("Z")
+
     def test_five_node_chain_with_shared_rows(self):
         # equal row means leave nothing for parent variance to amplify,
         # so the bound holds at every node of this chain

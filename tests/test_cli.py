@@ -41,9 +41,9 @@ from treebelief import (
     save_network,
     validate_network,
 )
-from treebelief import cli
+from treebelief import cli, propagation
 from treebelief.cli import main
-from treebelief.errors import BadDistribution, DimensionMismatch, NonFiniteResult, ParseError
+from treebelief.errors import BadDistribution, DimensionMismatch, DomainError, NonFiniteResult, ParseError
 from treebelief.generate import random_beta_tree
 from treebelief.oracle import MAX_SAMPLES
 
@@ -585,6 +585,28 @@ class TestQueryCommand:
         code, _, err = run_cli(capsys, "query", str(path), "--evidence", "B=b2")
         assert code == 3
         assert "InconsistentEvidence" in err
+
+    @pytest.mark.parametrize("nodes", ["A", "B"])
+    def test_inconsistent_evidence_exits_3_whatever_nodes_are_asked_for(self, capsys, tmp_path, nodes):
+        path = tmp_path / "impossible.json"
+        save_network(impossible_evidence_spec(), str(path))
+        code, out, err = run_cli(capsys, "query", str(path), "--evidence", "B=b2", "--nodes", nodes)
+        assert (code, out) == (3, "")
+        assert err == "InconsistentEvidence: evidence at node 'A' has zero mean probability\n"
+
+    def test_variance_below_the_floor_exits_6(self, capsys, monkeypatch, uniform_file):
+        monkeypatch.setattr(propagation, "VARIANCE_FLOOR", 1.0)  # every variance is below it
+        code, out, err = run_cli(capsys, "query", uniform_file)
+        assert (code, out) == (6, "")
+        assert len(err.splitlines()) == 1 and err.startswith("NegativeVariance: node 'A': variance ")
+
+    def test_any_other_package_error_exits_2(self, capsys, monkeypatch, uniform_file):
+        def fails(*args, **kwargs):
+            raise DomainError("out of its domain")
+
+        monkeypatch.setattr(cli, "propagate", fails)
+        code, out, err = run_cli(capsys, "query", uniform_file)
+        assert (code, out, err) == (2, "", "DomainError: out of its domain\n")
 
     def test_report_round_trip_and_determinism(self, capsys, two_node_file):
         _, out1, _ = run_cli(capsys, "query", two_node_file, "--evidence", "B=b1")

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import gc
+import pickle
 import time
 
 import numpy as np
@@ -762,3 +763,63 @@ class TestEvidenceChecks:
         assert net.alt_index("B", "b2") == 1
         with pytest.raises(UnknownAlternative):
             net.alt_index("B", "nope")
+
+
+class TestValidatedRecords:
+    """A validated network and its nodes stay as validated."""
+
+    def test_no_node_field_can_be_set(self):
+        node = validate_network(_chain()).nodes["B"]
+        for name in (*node._fields, "rows", "dim", "row_moments", "other"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+        assert node.parent == "A" and node.spec_index == 1 and node.rows is node.spec.nodes[1].rows
+
+    def test_nodes_compare_and_hash_by_identity(self):
+        spec = _chain()
+        a, b = validate_network(spec).nodes["B"], validate_network(spec).nodes["B"]
+        with pytest.raises(ValueError):  # as plain tuples, their row arrays would be compared
+            tuple(a) == tuple(b)
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert hash(a) == object.__hash__(a) and len({a, b, a}) == 2 and b not in [a]
+
+    def test_no_network_field_can_be_set(self):
+        net = validate_network(_chain())
+        with pytest.raises(TypeError):
+            net.nodes["Q"] = None
+        with pytest.raises(TypeError):
+            del net.nodes["A"]
+        for name in ("nodes", "order", "root", "plan", "other"):
+            with pytest.raises(AttributeError):
+                setattr(net, name, None)
+            with pytest.raises(AttributeError):
+                delattr(net, name)
+        assert net.root == "A" and list(net.nodes) == ["A", "B"]
+
+    @pytest.mark.parametrize("parsed", [False, True], ids=["hand-built", "parsed"])
+    def test_pickle_and_copy_round_trips(self, parsed):
+        spec = parse_network(network_to_json(_chain())) if parsed else _chain()
+        net = validate_network(spec)
+        want = posterior_report(propagate(net, {"B": 1}))
+        for again in (pickle.loads(pickle.dumps(net)), copy.copy(net), copy.deepcopy(net)):
+            assert (again.order, again.root, list(again.nodes)) == (net.order, net.root, list(net.nodes))
+            with pytest.raises(TypeError):
+                again.nodes["Q"] = None
+            got = posterior_report(propagate(again, {"B": 1}))
+            assert [r.second.tobytes() for r in got.values()] == [r.second.tobytes() for r in want.values()]
+            assert [type(row) for row in again.nodes["B"].rows] == [PointMass, PointMass]
+            node, (mean, second, _) = again.nodes["B"], again.plan.moments[2]
+            assert not node.mean_rows.flags.writeable and np.shares_memory(node.mean_rows, mean)
+            assert not node.second_rows.flags.writeable and np.shares_memory(node.second_rows, second)
+
+    def test_membership_of_any_id(self):
+        net = validate_network(_chain())
+        assert "A" in net and "Z" not in net and 3 not in net and None not in net
+        assert ["A"] not in net and {} not in net
+
+    def test_a_row_that_skipped_its_constructor_fails_the_stack_check(self):
+        row = object.__new__(PointMass)
+        object.__setattr__(row, "p", np.array([0.5, 0.6]))
+        with pytest.raises(BadDistribution, match=r"^rows fail their checks \(a row of 2 numbers fails its check\)$"):
+            validate_network(_chain((PointMass(np.array([0.9, 0.1])), row)))

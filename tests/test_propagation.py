@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import ROW_KINDS, impossible_evidence_spec, mixed_trees, random_row
@@ -20,7 +20,8 @@ from treebelief import (
     query_node,
     validate_network,
 )
-from treebelief.errors import InconsistentEvidence, UnknownNode
+from treebelief import propagation
+from treebelief.errors import InconsistentEvidence, NegativeVariance, UnknownNode
 from treebelief.generate import random_evidence, random_tree_spec
 from treebelief.oracle import point_tables
 from treebelief.propagation import _segment_products
@@ -246,6 +247,76 @@ class TestDegenerateNetworks:
         assert state.parent("Z")[0].tobytes() == net.nodes["Z"].mean_rows[0].tobytes()
         with pytest.raises(InconsistentEvidence):
             posterior_report(state)
+
+    @pytest.mark.parametrize("nodes", [None, ["A"], ["B"], []], ids=["all", "A", "B", "none"])
+    def test_impossible_evidence_fails_every_report(self, nodes):
+        # B=b2 has mean probability 0; B itself is observed, so only the
+        # island {A} above it carries the zero
+        state = propagate(validate_network(impossible_evidence_spec()), {"B": 1})
+        with pytest.raises(InconsistentEvidence, match="^evidence at node 'A' has zero mean probability$"):
+            posterior_report(state, nodes)
+        with pytest.raises(InconsistentEvidence):
+            query_node("B", state)
+
+    def test_island_below_an_observed_node_is_checked(self):
+        # X=x1 and Z=z3 are observed; the island {Y} between them has D = 0
+        rows = (PointMass([1.0, 0.0]), PointMass([0.5, 0.5]))
+        net = validate_network(NetworkSpec((
+            NodeSpec("X", ("x1", "x2"), None, (PointMass([0.5, 0.5]),)),
+            NodeSpec("Y", ("y1", "y2"), "X", rows),
+            NodeSpec("Z", ("z1", "z2", "z3"), "Y", (PointMass([1.0, 0.0, 0.0]), PointMass([0.2, 0.3, 0.5]))),
+            NodeSpec("W", ("w1", "w2"), "X", rows),
+        )))
+        state = propagate(net, {"X": 0, "Z": 2})
+        for nodes in (None, ["X"], ["Z"], ["W"]):
+            with pytest.raises(InconsistentEvidence, match="^evidence at node 'Y' has zero"):
+                posterior_report(state, nodes)
+        assert set(posterior_report(propagate(net, {"X": 1, "Z": 2}), ["W"])) == {"W"}
+
+    @given(st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_report_fails_if_and_only_if_every_report_fails(self, seed, data):
+        """On point-mass trees with zero entries, whether a report raises does
+        not depend on the nodes asked for."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        parents = [None] + [int(rng.integers(i)) for i in range(1, n)]
+        ks = rng.choice([2, 3], size=n).tolist()
+
+        def row(k):  # each entry 0 with probability 0.7 before normalizing, one entry 1
+            p = (rng.random(k) < 0.3).astype(float)
+            p[rng.integers(k)] = 1.0
+            return PointMass(p / p.sum())
+
+        net = validate_network(NetworkSpec(tuple(
+            NodeSpec(f"n{i}", tuple(f"s{j}" for j in range(ks[i])), None if p is None else f"n{p}",
+                     tuple(row(ks[i]) for _ in range(1 if p is None else ks[p])))
+            for i, p in enumerate(parents)
+        )))
+        observed = rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False).tolist()
+        evidence = {f"n{i}": int(rng.integers(ks[i])) for i in observed}
+        try:
+            state = propagate(net, evidence)
+        except InconsistentEvidence:
+            assume(False)
+
+        def fails(nodes):
+            try:
+                posterior_report(state, nodes)
+            except InconsistentEvidence:
+                return True
+            return False
+
+        every = fails(None)
+        for node_id in net.order:
+            assert fails([node_id]) == every
+        assert fails(data.draw(st.lists(st.sampled_from(net.order), unique=True))) == every
+
+    def test_variance_below_the_floor_raises(self, monkeypatch, two_node_mixed):
+        state = propagate(two_node_mixed, {})
+        monkeypatch.setattr(propagation, "VARIANCE_FLOOR", 1.0)  # every variance is below it
+        with pytest.raises(NegativeVariance, match=r"^node 'B': variance 0\.019\d* below 1\.0$"):
+            posterior_report(state, ["B", "A"])
 
     def test_impossible_evidence_stops_the_downward_pass(self):
         # C's parent message conditions A on B=b2, which has probability 0
