@@ -10,12 +10,18 @@ results just timed, so everything ``query`` does after
 ``posterior_report``.  A seventh layer, "validate (hand-built)", runs
 ``validate_network`` on the ``NetworkSpec`` of row objects that the file was
 written from, and an eighth, "propagate (prior)", runs ``propagate`` with no
-evidence, which sweeps downward only.  Each round times every layer as the
-best of at least :data:`REPEATS` runs, repeated until every layer of every
-version has spent :data:`BUDGET` seconds in the round, so a layer of a
-millisecond gets dozens of runs, and each layer reads as the best of its
-rounds; the collector runs before each run, as in the benchmark worker, and
-during it unless ``--gc-off``.
+evidence, which sweeps downward only.  ``posterior_report`` is called with
+no node list, as ``query --nodes all`` and the ``engine_sweep`` benchmark
+call it.  Each round times every layer as the best of at least
+:data:`REPEATS` runs, repeated until every layer of every version has spent
+:data:`BUDGET` seconds in the round, so a layer of a millisecond gets dozens
+of runs, and each layer reads as the best of its rounds.  The collector runs
+before each run, as in the benchmark worker.  Each run is made twice, with
+the collector on during it and with it off (only off with ``--gc-off``).
+With it on, a collection lands in whichever layer crosses the threshold, so
+a layer that allocates fewer tracked objects can move a collection, and its
+cost, into another layer; the collector-off figures show where the time of
+the code itself goes.
 
 With ``--base SRC`` a second source tree (the ``src`` directory of another
 checkout) is loaded into the same process and timed on the same files,
@@ -23,11 +29,13 @@ interleaved with this checkout run by run, alternating which goes first.
 Each version validates its own hand-built spec, built from the same seed,
 since one version's row classes are not valid input to the other's.  Then
 the median over rounds of the per-round ratio (this checkout over the base)
-of parse plus validate, of ``propagate``, of ``posterior_report``, of
-``propagate`` with no evidence and of hand-built validation is printed per
-tree as well; the per-round minimum over repeats keeps one slow
-run on a shared host out of the ratio.  The last line is one JSON object
-with every number printed.
+is printed per tree, collector on and off side by side, for: parse plus
+validate, ``propagate``, ``posterior_report``, the sum of the four layers
+from ``parse_network`` to ``posterior_report``, ``propagate`` with no
+evidence, and hand-built validation.  The per-round minimum over repeats
+keeps one slow run on a shared host out of the ratio.  The last line is one
+JSON object with every number printed, under ``collector_on`` and
+``collector_off``.
 
 Run from the repository root::
 
@@ -106,7 +114,7 @@ def time_query(tb, path: str, leaf: str, built) -> list:
     clock.append(time.perf_counter())
     state = tb.propagate(net, {leaf: 1})
     clock.append(time.perf_counter())
-    reports = tb.posterior_report(state, list(net.order))
+    reports = tb.posterior_report(state)
     clock.append(time.perf_counter())
     done = {"load_network": spec, "validate_network": net, "propagate": state,
             "posterior_report": reports}
@@ -124,13 +132,22 @@ def time_query(tb, path: str, leaf: str, built) -> list:
     return [b - a for a, b in zip(clock, clock[1:])] + [emit, hand_built, prior]
 
 
+#: (title, JSON key, indices into LAYERS summed) of each ratio printed with ``--base``
+RATIOS = (("parse + validate", "parse_validate_ratio", [1, 2]),
+          ("propagate", "propagate_ratio", [3]),
+          ("posterior_report", "report_ratio", [4]),
+          ("parse to report", "parse_to_report_ratio", [1, 2, 3, 4]),
+          ("propagate (prior)", "prior_propagate_ratio", [7]),
+          ("validate (hand-built)", "hand_built_validate_ratio", [6]))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[1000, 10000])
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--k", type=int, default=3, help="alternatives per node")
     parser.add_argument("--base", type=Path, help="src directory of a checkout to compare against")
-    parser.add_argument("--gc-off", action="store_true", help="keep the collector off while timing")
+    parser.add_argument("--gc-off", action="store_true", help="time only with the collector off")
     args = parser.parse_args(argv)
     if args.rounds < 1 or min(args.sizes) < 2 or args.k < 2:
         parser.error("--rounds must be at least 1, every size and --k at least 2")
@@ -138,7 +155,9 @@ def main(argv=None) -> int:
     versions = {"this": load_package(ROOT / "src", "treebelief")}
     if args.base is not None:
         versions["base"] = load_package(args.base.resolve(), "treebelief_base")
-    times = {v: {} for v in versions}  # version -> tree -> [per-round layer seconds]
+    collector = ("off",) if args.gc_off else ("on", "off")
+    runs = [(v, c) for c in collector for v in versions]
+    times = {run: {} for run in runs}  # (version, collector) -> tree -> [per-round layer seconds]
     with tempfile.TemporaryDirectory() as tmp:
         trees, built = {}, {v: {} for v in versions}  # built: version -> tree -> spec
         for shape in SHAPES:
@@ -150,50 +169,51 @@ def main(argv=None) -> int:
                 trees[tree] = (str(path), leaf, n)
         for r in range(args.rounds):
             for tree, (path, leaf, _) in trees.items():
-                names = list(versions) if r % 2 == 0 else list(versions)[::-1]
-                best, spent = {}, {v: np.zeros(len(LAYERS)) for v in names}
-                for run in itertools.count():
-                    if run >= REPEATS and min(x.min() for x in spent.values()) >= BUDGET:
+                order = runs if r % 2 == 0 else runs[::-1]
+                best, spent = {}, {run: np.zeros(len(LAYERS)) for run in order}
+                for repeat in itertools.count():
+                    if repeat >= REPEATS and min(x.min() for x in spent.values()) >= BUDGET:
                         break
-                    for v in names:
+                    for run in order:
+                        v, c = run
                         gc.collect()
-                        if args.gc_off:
+                        if c == "off":
                             gc.disable()
                         try:
                             seconds = time_query(versions[v], path, leaf, built[v][tree])
                         finally:
                             gc.enable()
-                        best[v] = np.minimum(best.get(v, seconds), seconds)
-                        spent[v] += seconds
-                for v in names:
-                    times[v].setdefault(tree, []).append(best[v].tolist())
+                        best[run] = np.minimum(best.get(run, seconds), seconds)
+                        spent[run] += seconds
+                for run in order:
+                    times[run].setdefault(tree, []).append(best[run].tolist())
 
-    result = {"sizes": args.sizes, "rounds": args.rounds, "repeats": REPEATS, "budget_s": BUDGET, "k": args.k,
-              "gc_off": args.gc_off, "us_per_node": {}, "parse_validate_ratio": {},
-              "propagate_ratio": {}, "report_ratio": {}, "prior_propagate_ratio": {},
-              "hand_built_validate_ratio": {}}
-    for v in versions:
-        print(f"{v}: µs per node, best of {args.rounds} rounds of at least {REPEATS} runs and {BUDGET} s a layer")
-        print(f"  {'tree':<14}" + "".join(f"{layer:>22}" for layer in LAYERS))
-        result["us_per_node"][v] = {}
-        for tree, (_, _, n) in trees.items():
-            best = np.min(times[v][tree], axis=0) / n * 1e6
-            result["us_per_node"][v][tree] = dict(zip(LAYERS, np.round(best, 3).tolist()))
-            print(f"  {tree:<14}" + "".join(f"{x:>22.2f}" for x in best))
+    result = {"sizes": args.sizes, "rounds": args.rounds, "repeats": REPEATS, "budget_s": BUDGET, "k": args.k}
+    for c in collector:
+        out = result[f"collector_{c}"] = {"us_per_node": {}}
+        for v in versions:
+            print(f"{v}, collector {c}: µs per node, best of {args.rounds} rounds of at least {REPEATS} runs "
+                  f"and {BUDGET} s a layer")
+            print(f"  {'tree':<14}" + "".join(f"{layer:>22}" for layer in LAYERS))
+            out["us_per_node"][v] = {}
+            for tree, (_, _, n) in trees.items():
+                best = np.min(times[v, c][tree], axis=0) / n * 1e6
+                out["us_per_node"][v][tree] = dict(zip(LAYERS, np.round(best, 3).tolist()))
+                print(f"  {tree:<14}" + "".join(f"{x:>22.2f}" for x in best))
     if "base" in versions:
-        for title, key, layers in (("parse + validate", "parse_validate_ratio", [1, 2]),
-                                   ("propagate", "propagate_ratio", [3]),
-                                   ("posterior_report", "report_ratio", [4]),
-                                   ("propagate (prior)", "prior_propagate_ratio", [7]),
-                                   ("validate (hand-built)", "hand_built_validate_ratio", [6])):
-            print(f"{title}, this / base: median of per-round ratios [min, max]")
+        for title, key, layers in RATIOS:
+            print(f"{title}, this / base: median of per-round ratios [min, max], collector "
+                  + " | ".join(collector))
             for tree in trees:
-                ratios = [
-                    sum(a[i] for i in layers) / sum(b[i] for i in layers)
-                    for a, b in zip(times["this"][tree], times["base"][tree])
-                ]
-                result[key][tree] = round(statistics.median(ratios), 4)
-                print(f"  {tree:<14}{statistics.median(ratios):8.3f} [{min(ratios):.3f}, {max(ratios):.3f}]")
+                cells = []
+                for c in collector:
+                    ratios = [
+                        sum(a[i] for i in layers) / sum(b[i] for i in layers)
+                        for a, b in zip(times["this", c][tree], times["base", c][tree])
+                    ]
+                    result[f"collector_{c}"].setdefault(key, {})[tree] = round(statistics.median(ratios), 4)
+                    cells.append(f"{statistics.median(ratios):8.3f} [{min(ratios):.3f}, {max(ratios):.3f}]")
+                print(f"  {tree:<14}" + " |".join(cells))
     print(json.dumps(result))
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
@@ -152,7 +153,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     net = validate_network(load_network(args.path))
     labels, evidence = _parse_evidence_args(net, args.evidence)
     nodes = _resolve_nodes(net, args.nodes)
-    reports = posterior_report(propagate(net, evidence), nodes)
+    reports = posterior_report(propagate(net, evidence), None if args.nodes == "all" else nodes)
     meta = _meta("query", args, evidence=labels, nodes=nodes)
     _emit_query(meta, reports, {n: net.nodes[n].alternatives for n in reports}, evidence)
     return EXIT_OK
@@ -305,9 +306,11 @@ _EXIT_CODES = (
 )
 
 
+_parser = functools.lru_cache(maxsize=1)(build_parser)  # one parser per process
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

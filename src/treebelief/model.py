@@ -47,6 +47,7 @@ from .errors import (
     BadDistribution,
     CycleDetected,
     DimensionMismatch,
+    InconsistentEvidence,
     InvalidNetwork,
     MultipleRoots,
     UnknownAlternative,
@@ -471,6 +472,24 @@ class ValidatedNode(NamedTuple):
         return tuple(map(MomentSet._checked, self.mean_rows, self.second_rows))
 
 
+class ChainSegment(NamedTuple):
+    """``n`` one-node depths from ``depth`` down, each node of ``k``
+    alternatives and ``r`` rows, so ``r == k`` unless ``n == 1``.  The nodes'
+    slots count up from ``slot``, their first rows from ``row`` by ``r`` and
+    their positions from ``position``; the top node's parent has slot
+    ``parent`` among the nodes of ``r`` alternatives, and each lower node's
+    parent is the node above it."""
+
+    depth: int
+    n: int
+    k: int
+    r: int
+    slot: int
+    row: int
+    position: int
+    parent: int
+
+
 class LevelPlan(NamedTuple):
     """The tree compiled once for a depth-by-depth sweep.
 
@@ -487,16 +506,18 @@ class LevelPlan(NamedTuple):
     nodes of equal ``(r, k)`` and their parents' slots, a run ``(r, m, kids,
     parents)`` the ``P * m`` positions of its nodes whose ``P`` parents have
     ``m`` children; indices are slices, or read-only arrays where they skip.
-    Each maximal run of one-node depths is a *chain segment*: a read-only
-    ``(7, n)`` int array, a column per node from the top, of depth, ``k``,
-    ``r``, slot, first row, position and the parent's slot.
+    Each maximal run of one-node depths of equal ``k`` and ``r`` is a
+    :class:`ChainSegment`.  ``places`` is a read-only ``(n, 5)`` int array of
+    the ``slot`` tuples in ``ValidatedNetwork.order``.  The dicts are
+    read-only mappings.
     """
 
-    slot: Dict[str, tuple]
-    sib_counts: Dict[int, int]
-    steps: Tuple[Union[tuple, np.ndarray], ...]
-    moments: Dict[int, tuple]
-    row_start: Dict[int, np.ndarray]
+    slot: Mapping[str, tuple]
+    sib_counts: Mapping[int, int]
+    steps: Tuple[Union[tuple, ChainSegment], ...]
+    moments: Mapping[int, tuple]
+    row_start: Mapping[int, np.ndarray]
+    places: np.ndarray
 
 
 def _index(values: List[int]):
@@ -518,7 +539,7 @@ def _runs(order: np.ndarray, *columns):
 
 
 def _compile(order, above, depth, k, r, m):
-    """``(slot, members, row_start, sib_counts, steps)``: ``members[k]`` holds
+    """``(slot, members, row_start, sib_counts, steps, places)``: ``members[k]`` holds
     the walk positions of the nodes with ``k`` alternatives in slot order, the
     rest is a :class:`LevelPlan`'s.
 
@@ -555,12 +576,19 @@ def _compile(order, above, depth, k, r, m):
     for a, b in runs:
         steps[d[a]][2].append((rr[a], mm[a], slice(p[a], p[a] + b - a), _index(ps[a:b:mm[a]])))
     lone = plan[alone[plan]][1:]  # by depth, below the root
-    table = np.stack((depth, k, r, slot, first_row, pos, parents))[:, lone]
-    table.flags.writeable = False
-    for segment in filter(np.size, np.split(table, np.flatnonzero(np.diff(table[0]) > 1) + 1, axis=1)):
-        steps[int(segment[0, 0])] = segment
-    slot = dict(zip(order, zip(depth.tolist(), k.tolist(), slot.tolist(), r.tolist(), pos.tolist())))
-    return slot, by_k, row_start, sib_counts, tuple(steps[d] for d in sorted(steps))
+    table = np.stack((depth, k, r))[:, lone]
+    cut = np.flatnonzero((np.diff(table[0]) > 1) | (np.diff(table[1:]) != 0).any(axis=0)) + 1
+    bounds = [0, *cut.tolist(), len(lone)] if len(lone) else []
+    for a, b in zip(bounds, bounds[1:]):
+        top = lone[a]
+        fields = depth[top], b - a, k[top], r[top], slot[top], first_row[top], pos[top], parents[top]
+        segment = ChainSegment(*map(int, fields))
+        steps[segment.depth] = segment
+    places = np.stack((depth, k, slot, r, pos), axis=1)
+    places.flags.writeable = False
+    slot = MappingProxyType(dict(zip(order, map(tuple, places.tolist()))))
+    steps = tuple(steps[d] for d in sorted(steps))
+    return slot, by_k, MappingProxyType(row_start), MappingProxyType(sib_counts), steps, places
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -704,7 +732,7 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     ):
         _scan_dimensions(columns, index)
     m = np.array(list(map(len, map(children.__getitem__, order))))[above]
-    slot, by_k, row_start, sib_counts, steps = _compile(order, above, depth, k, r, m)
+    slot, by_k, row_start, sib_counts, steps, places = _compile(order, above, depth, k, r, m)
 
     means, seconds, moments, failed = [None] * len(ids), [None] * len(ids), {}, False
     for kv, members in by_k.items():
@@ -735,7 +763,7 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     kids = map(tuple, map(children.__getitem__, ids))
     nodes = map(ValidatedNode, ids, columns.alternatives, parents, kids, means, seconds,
                 repeat(spec), range(len(ids)))
-    plan = LevelPlan(slot, sib_counts, steps, moments, row_start)
+    plan = LevelPlan(slot, sib_counts, steps, MappingProxyType(moments), row_start, places)
     return ValidatedNetwork(dict(zip(ids, nodes)), order, root, plan)
 
 
@@ -776,3 +804,23 @@ def check_evidence(net: ValidatedNetwork, evidence: Mapping[str, int]) -> None:
             raise UnknownAlternative(
                 f"node {node_id!r}: alternative index {idx!r} out of range"
             )
+
+
+def check_observed_entries(net: ValidatedNetwork, evidence: Mapping[str, int]) -> None:
+    """Raise :class:`InconsistentEvidence` if an instantiated node whose
+    parent is instantiated or absent observes an entry of mean zero.
+
+    Such a node contributes its observed row entry ``p(x | parent)`` to the
+    evidence probability as a factor of its own, outside every evidence
+    island; a zero mean makes the evidence impossible in every realization.
+    The entries are gathered in one array, and the first zero, in evidence
+    order, is named.
+    """
+    fixed = [(node_id, net.nodes[node_id].parent) for node_id in evidence]
+    fixed = [(node_id, 0 if above is None else evidence[above]) for node_id, above in fixed
+             if above is None or above in evidence]
+    entries = np.fromiter((net.nodes[node_id].mean_rows[row, evidence[node_id]] for node_id, row in fixed),
+                          float, len(fixed))
+    zero = np.flatnonzero(entries == 0.0)
+    if zero.size:
+        raise InconsistentEvidence(f"evidence at node {fixed[zero[0]][0]!r} has zero mean probability")

@@ -84,7 +84,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 import numpy as np
 
 from .errors import CapExceeded, InconsistentEvidence, NonFiniteResult, PreconditionViolated
-from .model import Dirichlet, DiscreteSupport, PointMass, ValidatedNetwork, check_evidence
+from .model import Dirichlet, DiscreteSupport, PointMass, ValidatedNetwork, check_evidence, check_observed_entries
 
 MODES = ("prior", "approx-posterior", "exact-posterior")
 
@@ -516,8 +516,11 @@ def _report(net: ValidatedNetwork, evidence: Mapping[str, int], mode: str, sourc
     A block is the whole tree in ``exact-posterior`` mode and each evidence
     island otherwise.  The Monte Carlo sample count ``n`` adds standard
     errors and is the report's size; without it the size sums the blocks'
-    realization counts.
+    realization counts.  An observed entry outside every island with mean
+    zero raises :class:`InconsistentEvidence` first, in every mode
+    (:func:`~treebelief.model.check_observed_entries`).
     """
+    check_observed_entries(net, evidence)
     entries = {}
     for node_id, observed in evidence.items():
         indicator = np.eye(net.nodes[node_id].dim)[observed]
@@ -563,7 +566,8 @@ def enumerate_uncertainty(
     for what each mode averages.  Raises
     :class:`CapExceeded` when a support product exceeds ``cap``,
     :class:`InconsistentEvidence` when every combination assigns the evidence
-    probability zero, and :class:`PreconditionViolated` when ``cap`` is not
+    probability zero (an observed entry of mean zero outside every island is
+    named), and :class:`PreconditionViolated` when ``cap`` is not
     an integer (``bool`` included) or is below 1.
     """
     if mode not in MODES:

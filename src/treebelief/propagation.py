@@ -22,10 +22,14 @@ The sweep follows the :class:`~treebelief.model.LevelPlan` compiled at
 validation.  A depth of several nodes is a level: one batched ``matmul`` per
 group of nodes with equal row and alternative counts, and sibling products
 as segmented cumulative products (:func:`_segment_products`).  Each maximal
-run of one-node depths, as on a chain, is a chain segment, swept in one
-loop of 2-D ``dot`` steps: upward with a level's terms in its order, bit for
-bit, and downward without the division by ``D`` (see :func:`propagate`), so
-reports move by rounding only.  Evidence swaps rows in: an instantiated
+run of one-node depths of equal alternative and row counts, as on a chain,
+is a chain segment, swept in one loop of 2-D ``dot`` steps over views of its
+rows and messages gathered once per segment, into preallocated temporaries:
+upward with a level's terms in its order, bit for bit, each message written
+straight into its parent's combined message, and downward without the
+division by ``D`` (see :func:`propagate`), so reports move by rounding
+only.  An observed node splits a segment's loop where its indicator or its
+row enters.  Evidence swaps rows in: an instantiated
 node's combined message is the indicator of its observed alternative, and
 its children receive the observed row's moments.  Every diagonal sum over
 row second moments is one ``dot`` with them viewed flat, ``(rows, k * k)``.
@@ -44,13 +48,14 @@ report clamps and flags.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain, repeat
 from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import InconsistentEvidence, NegativeVariance
-from .model import ValidatedNetwork, check_evidence
+from .model import ChainSegment, ValidatedNetwork, check_evidence, check_observed_entries
 
 #: Reported variances below this are a hard error instead of a clamp.
 VARIANCE_FLOOR = -1e-9
@@ -139,6 +144,66 @@ def _observed_rows(down, moments, pairs_by_k) -> None:
         down[k][0][slots], down[k][1][slots] = moments[k][0][rows], moments[k][1][rows]
 
 
+def _segment_up(seg: ChainSegment, deepest: int, seen, seen_at, moments, combined, up) -> None:
+    """From the bottom up, send each node of a chain segment at or above depth
+    ``deepest`` its message to its parent: straight into the parent's
+    combined message (the only child's), copied into ``up`` a run at a time.
+    An observed node's indicator is swapped in just before its own link."""
+    depth, n, k, r, slot, row, pos, top = seg
+    n = min(n, deepest - depth + 1)  # below the deepest observed node, every message is the unit message
+    if n <= 0:
+        return
+    (means, _, flat), (lam, lam2), (mean, second) = moments[k], combined[k], up[r]
+    c, lam, lam2 = means[row : row + n * r].reshape(n, r, k), lam[slot : slot + n], lam2[slot : slot + n]
+    tops = combined[r][0][top], combined[r][1][top]
+    views = c, c.transpose(0, 2, 1), flat[row : row + n * r].reshape(n, r, k * k), lam, lam2.reshape(n, k * k), lam2
+    diagonals = lam2.reshape(n, k * k)[:, :: k + 1], tops[1].reshape(r * r)[:: r + 1]
+    parents = (lam, tops[0]), (lam2, tops[1]), diagonals
+    tmp, diag = np.empty((r, k)), np.empty(r)
+    observed = seen_at[bisect_left(seen_at, depth) : bisect_left(seen_at, depth + n)]
+    cuts = sorted({0, n, *(d - depth + 1 for d in observed)}, reverse=True) if observed else (n, 0)
+    for hi, lo in zip(cuts, cuts[1:]):  # nodes ``hi - 1`` up to ``lo``
+        if depth + hi - 1 in seen:
+            _indicators(combined, seen[depth + hi - 1])
+        above = [reversed(x[lo - 1 : hi - 1]) if lo else chain(reversed(x[: hi - 1]), (x_top,))
+                 for x, x_top in parents]
+        for c, ct, flat, lm, lm2f, lm2, m, s, sd in zip(*(reversed(x[lo:hi]) for x in views), *above):
+            c.dot(lm, out=m)
+            c.dot(lm2, out=tmp).dot(ct, out=s)
+            sd[...] = flat.dot(lm2f, out=diag)
+        if hi > 1:
+            a = max(lo, 1)
+            mean[pos + a : pos + hi], second[pos + a : pos + hi] = lam[a - 1 : hi - 1], lam2[a - 1 : hi - 1]
+        if not lo:
+            mean[pos], second[pos] = tops
+
+
+def _segment_down(seg: ChainSegment, below, below_at, moments, down, off: np.ndarray) -> None:
+    """From the top down, send each node of a chain segment its parent
+    message, without the division by ``D`` (see :func:`propagate`); a child
+    of an observed node gets the observed row's moments instead."""
+    depth, n, k, r, slot, row, _, top = seg
+    (means, _, flat), (q, t) = moments[k], down[k]
+    c = means[row : row + n * r].reshape(n, r, k)
+    q, t, tops = q[slot : slot + n], t[slot : slot + n], (down[r][0][top], down[r][1][top])
+    views = c, c.transpose(0, 2, 1), flat[row : row + n * r].reshape(n, r, k * k), q, t
+    parents = (q, tops[0]), (t, tops[1]), (t.diagonal(0, 1, 2), tops[1].diagonal())
+    tmp, tmp2, diag, extra = np.empty((r, r)), np.empty((k, r)), np.empty(r), np.empty((k, k))
+    extra_flat = extra.reshape(k * k)
+    children = [d - depth for d in below_at[bisect_left(below_at, depth) : bisect_left(below_at, depth + n)]]
+    for lo, hi in zip([0, *(j + 1 for j in children)], [*children, n]):  # nodes ``lo .. hi - 1``
+        if lo:
+            _observed_rows(down, moments, below[depth + lo - 1])
+        above = [x[lo - 1 : hi - 1] if lo else chain((x_top,), x[: hi - 1]) for x, x_top in parents]
+        for c, ct, flat, m, s, pq, pt, ptd in zip(*(x[lo:hi] for x in views), *above):
+            pq.dot(c, out=m)  # the other children's message is the unit message: D = sum(q) stays in
+            np.multiply(pt, off, out=tmp)
+            ct.dot(tmp, out=tmp2).dot(c, out=s)
+            diag[...] = ptd
+            diag.dot(flat, out=extra_flat)
+            s += extra
+
+
 def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageState:
     """Run a full collect/distribute sweep and return the resulting state.
 
@@ -177,17 +242,10 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
             below.setdefault(d + 1, {}).setdefault(kc, []).append((ic, plan.row_start[kc][ic] + alt))
 
     deepest = max(seen, default=-1)  # below it every message is the unit message
+    seen_at, below_at = sorted(seen), sorted(below)
     for step in reversed(plan.steps):
-        if isinstance(step, np.ndarray):  # a chain segment, up from depth ``deepest``
-            for depth, k, r, i, row, pos, parent in zip(*step[:, step[0] <= deepest][:, ::-1].tolist()):
-                if depth in seen:
-                    _indicators(combined, seen[depth])
-                (means, _, flat), (lam, lam2), (mean, second) = moments[k], combined[k], up[r]
-                c, lam2, mean, second = means[row : row + r], lam2[i], mean[pos], second[pos]
-                c.dot(lam[i], out=mean)
-                c.dot(lam2).dot(c.T, out=second)
-                second.reshape(r * r)[:: r + 1] = flat[row : row + r].dot(lam2.reshape(k * k))
-                combined[r][0][parent], combined[r][1][parent] = mean, second  # the only child
+        if isinstance(step, ChainSegment):
+            _segment_up(step, deepest, seen, seen_at, moments, combined, up)
             continue
         depth, groups, runs = step
         if depth > deepest:
@@ -213,16 +271,8 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
     _, k, i, _, _ = plan.slot[net.root]
     down[k][0][i], down[k][1][i] = moments[k][0][0], moments[k][1][0]
     for step in plan.steps:
-        if isinstance(step, np.ndarray):  # a chain segment, from its top node
-            for depth, k, r, i, row, pos, parent in zip(*step.tolist()):
-                if depth in below:
-                    _observed_rows(down, moments, below[depth])
-                    continue
-                (means, _, flat), (q, t), (mean, second) = moments[k], down[r], down[k]
-                c, t, second = means[row : row + r], t[parent], second[i]
-                q[parent].dot(c, out=mean[i])  # m is the unit message: D = sum(q) stays in
-                c.T.dot(t * off[r]).dot(c, out=second)
-                second += t.diagonal().copy().dot(flat[row : row + r]).reshape(k, k)
+        if isinstance(step, ChainSegment):
+            _segment_down(step, below, below_at, moments, down, off[step.r])
             continue
         depth, groups, _ = step
         for r, k, slots, rows, pos, parents in groups:
@@ -249,8 +299,10 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
 
 
 def _check_islands(state: MessageState) -> None:
-    """Raise :class:`InconsistentEvidence` if an evidence island has zero mean probability.
+    """Raise :class:`InconsistentEvidence` if a factor of the mean evidence
+    probability is zero.
 
+    The factors of observed rows come first (:func:`check_observed_entries`).
     An island is a set of uninstantiated nodes joined without crossing an
     instantiated one.  Its top, the root or a child of an instantiated node,
     holds the island's mean evidence probability as its ``D = sum_j m[j] q[j]``,
@@ -258,6 +310,7 @@ def _check_islands(state: MessageState) -> None:
     with ``D == 0``, the root before the others, is named.
     """
     net, evidence, slot = state.net, state.evidence, state.net.plan.slot
+    check_observed_entries(net, evidence)
     tops = [] if net.root in evidence else [net.root]
     tops += [c for node_id in evidence for c in net.nodes[node_id].children if c not in evidence]
     by_k, zero = {}, set()
@@ -273,22 +326,28 @@ def _check_islands(state: MessageState) -> None:
         raise InconsistentEvidence(f"evidence at node {top!r} has zero mean probability")
 
 
-def _reports(state: MessageState, ids: Sequence[str]) -> Dict[str, NodeReport]:
+def _reports(state: MessageState, ids: Optional[Sequence[str]]) -> Dict[str, NodeReport]:
     """Condition each node's parent message ``(q, T)`` on its combined child
     message ``(m, S)``, per alternative count: ``D = sum_j m[j] q[j]``,
-    ``mean = m q / D`` and ``second = diag(S) diag(T) / D**2``.  An evidence
-    island with a zero ``D`` raises (:func:`_check_islands`), whichever nodes
-    are asked for; then, of the nodes with a zero ``D`` or a variance below
+    ``mean = m q / D`` and ``second = diag(S) diag(T) / D**2``.  ``ids`` of
+    ``None`` asks for every node, in ``net.order``.  An evidence island with
+    a zero ``D`` raises (:func:`_check_islands`), whichever nodes are asked
+    for; then, of the nodes with a zero ``D`` or a variance below
     ``VARIANCE_FLOOR``, the first raises.
     """
-    plan, n = state.net.plan, len(ids)
-    try:  # (depth, k, slot, r, position) per id, then the observed alternative or -1
-        found = np.fromiter(chain.from_iterable(map(plan.slot.__getitem__, ids)), np.intp, 5 * n)
-    except (KeyError, TypeError):  # TypeError: an unhashable id
-        for node_id in ids:
-            state.net.node(node_id)  # raises UnknownNode at the first unknown id
+    plan = state.net.plan
+    if ids is None:  # (depth, k, slot, r, position) per id, then the observed alternative or -1
+        ids, found = state.net.order, plan.places
+    else:
+        try:
+            found = np.fromiter(chain.from_iterable(map(plan.slot.__getitem__, ids)), np.intp, 5 * len(ids))
+        except (KeyError, TypeError):  # TypeError: an unhashable id
+            for node_id in ids:
+                state.net.node(node_id)  # raises UnknownNode at the first unknown id
+        found = found.reshape(len(ids), 5)
     _check_islands(state)
-    found, alts = found.reshape(n, 5), np.fromiter(map(state.evidence.get, ids, repeat(-1)), np.intp, n)
+    n = len(ids)
+    alts = np.fromiter(map(state.evidence.get, ids, repeat(-1)), np.intp, n)
     names, reports, failures = np.array(ids, dtype=object), dict.fromkeys(ids), []
     for k in np.flatnonzero(np.bincount(found[:, 1])).tolist():
         where = np.flatnonzero(found[:, 1] == k)
@@ -308,7 +367,9 @@ def _reports(state: MessageState, ids: Sequence[str]) -> Dict[str, NodeReport]:
         if bad.size:
             failures.append((int(where[bad[0]]), bool(zero[bad[0]]), float(low[bad[0]])))
         variance, clamped = np.maximum(variance, 0.0), (low < 0.0).tolist()
-        reports.update(zip(names[where], map(NodeReport, names[where], mean, second, variance, clamped)))
+        named = names[where]  # records made by tuple.__new__, past the named tuple's Python-level __new__
+        records = map(tuple.__new__, repeat(NodeReport), zip(named, mean, second, variance, clamped))
+        reports.update(zip(named, records))
     if failures:
         n, zero, low = min(failures)
         if zero:
@@ -334,4 +395,4 @@ def posterior_report(
     state: MessageState, nodes: Optional[Sequence[str]] = None
 ) -> Dict[str, NodeReport]:
     """Query several nodes (all by default), one pass per alternative count."""
-    return _reports(state, list(nodes) if nodes is not None else list(state.net.order))
+    return _reports(state, None if nodes is None else list(nodes))

@@ -594,6 +594,26 @@ class TestQueryCommand:
         assert (code, out) == (3, "")
         assert err == "InconsistentEvidence: evidence at node 'A' has zero mean probability\n"
 
+    @pytest.mark.parametrize(
+        "evidence, named",
+        [(["A=a2"], "A"), (["A=a1", "B=b2"], "B")],
+        ids=["root at a zero entry", "observed child of an observed parent"],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["query"], ["query", "--nodes", "B"], ["compare", "--mode", "enum"],
+         ["compare", "--mode", "enum", "--oracle-mode", "exact-posterior"],
+         ["compare", "--mode", "mc", "--samples", "100"]],
+        ids=["query", "query one node", "enum", "enum exact", "mc"],
+    )
+    def test_zero_entry_outside_every_island_exits_3(self, capsys, tmp_path, evidence, named, argv):
+        path = tmp_path / "impossible.json"
+        save_network(impossible_evidence_spec(), str(path))
+        pairs = [arg for e in evidence for arg in ("--evidence", e)]
+        code, out, err = run_cli(capsys, argv[0], str(path), *pairs, *argv[1:])
+        assert (code, out) == (3, "")
+        assert err == f"InconsistentEvidence: evidence at node '{named}' has zero mean probability\n"
+
     def test_variance_below_the_floor_exits_6(self, capsys, monkeypatch, uniform_file):
         monkeypatch.setattr(propagation, "VARIANCE_FLOOR", 1.0)  # every variance is below it
         code, out, err = run_cli(capsys, "query", uniform_file)

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import pickle
 import time
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -628,7 +629,7 @@ def _assert_same(a, b):
     if isinstance(a, np.ndarray):
         assert (a.dtype, a.shape, a.flags.writeable) == (b.dtype, b.shape, b.flags.writeable)
         assert a.tobytes() == b.tobytes()
-    elif isinstance(a, dict):
+    elif isinstance(a, (dict, MappingProxyType)):
         assert list(a) == list(b)
         for key in a:
             _assert_same(a[key], b[key])
@@ -796,6 +797,26 @@ class TestValidatedRecords:
             with pytest.raises(AttributeError):
                 delattr(net, name)
         assert net.root == "A" and list(net.nodes) == ["A", "B"]
+
+    @pytest.mark.parametrize("name", ["slot", "sib_counts", "moments", "row_start"])
+    def test_no_plan_mapping_can_be_changed(self, name):
+        net = validate_network(_chain())
+        mapping = getattr(net.plan, name)
+        key = next(iter(mapping))
+        before = dict(mapping)
+        with pytest.raises(TypeError):
+            mapping[key] = None
+        with pytest.raises(TypeError):
+            del mapping[key]
+        for method in ("clear", "pop", "popitem", "setdefault", "update"):
+            with pytest.raises(AttributeError):
+                getattr(mapping, method)
+        with pytest.raises(AttributeError):
+            setattr(net.plan, name, {})
+        assert dict(mapping) == before
+        with pytest.raises(ValueError):
+            net.plan.places[0, 0] = 1
+        assert posterior_report(propagate(net, {"B": 1}))["A"].mean.sum() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("parsed", [False, True], ids=["hand-built", "parsed"])
     def test_pickle_and_copy_round_trips(self, parsed):

@@ -122,6 +122,20 @@ class TestEnumerate:
         with pytest.raises(InconsistentEvidence):
             enumerate_uncertainty(net, {"B": 1}, "approx-posterior")
 
+    @pytest.mark.parametrize("mode", ["approx-posterior", "exact-posterior"])
+    @pytest.mark.parametrize(
+        "evidence, named", [({"A": 1}, "A"), ({"A": 0, "B": 1}, "B")],
+        ids=["root at a zero entry", "observed child of an observed parent"],
+    )
+    def test_zero_entry_outside_every_island(self, mode, evidence, named):
+        net = validate_network(impossible_evidence_spec())
+        message = f"^evidence at node '{named}' has zero mean probability$"
+        with pytest.raises(InconsistentEvidence, match=message):
+            enumerate_uncertainty(net, evidence, mode)
+        with pytest.raises(InconsistentEvidence, match=message):
+            mc_uncertainty(net, evidence, mode, n=100)
+        assert set(enumerate_uncertainty(net, {"A": 0, "B": 0}, mode).entries) == {"A", "B"}
+
     def test_instantiated_nodes_cut_the_tree(self):
         # evidence below an instantiated node must not change anything above
         row = DiscreteSupport(np.array([[0.7, 0.3], [0.35, 0.65]]), np.array([0.5, 0.5]))
@@ -458,6 +472,12 @@ def _reference(net, evidence, mode):
                     for power in (1, 2)
                 )
         return out
+    for node_id, value in evidence.items():  # an observed entry outside every island
+        parent = net.nodes[node_id].parent
+        if parent is None or parent in evidence:
+            row = 0 if parent is None else evidence[parent]
+            if sum(w * t[node_id][row, value] for w, t in realizations) == 0.0:
+                return None
     for top, members, rim in _islands_of(net, evidence):
         parent = net.nodes[top].parent
         top_row = 0 if parent is None else evidence[parent]

@@ -24,7 +24,8 @@ from treebelief import propagation
 from treebelief.errors import InconsistentEvidence, NegativeVariance, UnknownNode
 from treebelief.generate import random_evidence, random_tree_spec
 from treebelief.oracle import point_tables
-from treebelief.propagation import _segment_products
+from treebelief.model import ChainSegment
+from treebelief.propagation import NodeReport, _segment_products
 
 
 class TestInitState:
@@ -257,6 +258,23 @@ class TestDegenerateNetworks:
             posterior_report(state, nodes)
         with pytest.raises(InconsistentEvidence):
             query_node("B", state)
+
+    @pytest.mark.parametrize(
+        "evidence, named", [({"A": 1}, "A"), ({"A": 0, "B": 1}, "B"), ({"B": 1, "A": 0}, "B")],
+        ids=["root at a zero entry", "observed child of an observed parent", "child listed first"],
+    )
+    def test_zero_entry_outside_every_island_fails_every_report(self, evidence, named):
+        # no island is left to carry the zero: it sits in an observed row entry
+        net = validate_network(impossible_evidence_spec())
+        state = propagate(net, evidence)
+        message = f"^evidence at node '{named}' has zero mean probability$"
+        for nodes in (None, ["A"], ["B"], []):
+            with pytest.raises(InconsistentEvidence, match=message):
+                posterior_report(state, nodes)
+        for node_id in net.order:
+            with pytest.raises(InconsistentEvidence, match=message):
+                query_node(node_id, state)
+        assert set(posterior_report(propagate(net, {"A": 0, "B": 0}))) == {"A", "B"}
 
     def test_island_below_an_observed_node_is_checked(self):
         # X=x1 and Z=z3 are observed; the island {Y} between them has D = 0
@@ -900,14 +918,95 @@ def long_chain():
     return validate_network(_tree_spec(_parents_of("chain", n, rng), [3] * n, row))
 
 
+def _assert_segment_messages(spec, observed, checked):
+    """Reports, and the messages of nodes ``n<i>`` for ``i`` in ``checked``,
+    equal the node-by-node reference bit for bit with nodes ``n<i>`` for
+    ``i`` in ``observed`` instantiated; below the deepest of them every
+    message is the unit message."""
+    ks = [len(ns.alternatives) for ns in spec.nodes]
+    evidence = {f"n{i}": (i + 1) % ks[i] for i in observed}
+    _assert_bitwise(spec, evidence)
+    net = validate_network(spec)
+    state = propagate(net, evidence)
+    up, down, combined = _messages(net, evidence)
+    deepest = max((net.plan.slot[node_id][0] for node_id in evidence), default=-1)
+    for node_id in net.order[1:]:  # no evidence below: the unit message, exactly
+        if net.plan.slot[node_id][0] > deepest:
+            for got in (*state.upward(node_id), *state.combined(node_id)):
+                assert np.all(got == 1.0)
+    for i in checked:
+        node_id = f"n{i}"
+        for got, want in zip(state.upward(node_id), up[node_id]):
+            assert got.tobytes() == want.tobytes()
+        if node_id in evidence:
+            e = np.eye(ks[i])[evidence[node_id]]
+            want_combined = (e, np.outer(e, e))
+        else:
+            want_combined = combined[node_id]
+            for got, want in zip(state.parent(node_id), down[node_id]):
+                assert got.tobytes() == want.tobytes()
+        for got, want in zip(state.combined(node_id), want_combined):
+            assert got.tobytes() == want.tobytes()
+    return state
+
+
+def _chain_under_level_spec():
+    """``n0`` over the level ``n1, n2`` (k = 2); below ``n1`` a 60-node chain
+    ``n3 .. n62`` of k = 3, so its top link has r = 2 and the other 59 r = 3."""
+    parents, ks = [None, 0, 0, 1, *range(3, 62)], [2, 2, 2] + [3] * 60
+    rng = np.random.default_rng(61)
+    return _tree_spec(parents, ks, lambda i, j, k: random_row(rng, ROW_KINDS[(i + j) % 3], k))
+
+
+def _segments(net):
+    return [(s.depth, s.n, s.k, s.r) for s in net.plan.steps if isinstance(s, ChainSegment)]
+
+
 class TestChainSegments:
     """Segment edge cases against the node-by-node reference, bit for bit."""
 
     def test_segments_are_where_the_spec_says(self):
-        steps = validate_network(_segments_spec()).plan.steps
-        segments = [step for step in steps if isinstance(step, np.ndarray)]
-        assert [segment.shape[1] for segment in segments] == [3, 2]
-        assert not any(segment.flags.writeable for segment in segments)
+        # one-node depths 2-4 and 6-7, split again where k or r changes, here at every link
+        net = validate_network(_segments_spec())
+        assert _segments(net) == [(2, 1, 8, 3), (3, 1, 3, 8), (4, 1, 2, 3), (6, 1, 2, 3), (7, 1, 3, 2)]
+        assert _segments(validate_network(_chain_under_level_spec())) == [(2, 1, 3, 2), (3, 59, 3, 3)]
+
+    @given(_caterpillars())
+    @settings(max_examples=30, deadline=None)
+    def test_segment_fields_locate_every_node(self, tree):
+        """A segment's slots, first rows and positions count up from its
+        first node's, and each node below the top hangs on the one above."""
+        net = validate_network(tree[0])
+        by_depth = {net.plan.slot[node_id][0]: node_id for node_id in net.order}
+        for seg in (s for s in net.plan.steps if isinstance(s, ChainSegment)):
+            assert seg.r == seg.k or seg.n == 1
+            for j in range(seg.n):
+                node_id = by_depth[seg.depth + j]
+                row = net.plan.row_start[seg.k][seg.slot + j]
+                assert net.plan.slot[node_id] == (seg.depth + j, seg.k, seg.slot + j, seg.r, seg.position + j)
+                assert row == seg.row + j * seg.r
+                parent = net.plan.slot[net.nodes[node_id].parent]
+                assert parent[2] == (seg.parent if j == 0 else seg.slot + j - 1)
+
+    @pytest.mark.parametrize(
+        "observed",
+        [[], [3], [4], [30], [62], [20, 40], [4, 5], [1, 30]],
+        ids=["none", "top link", "head of the run", "middle", "bottom", "two in the run", "adjacent",
+             "above the top"],
+    )
+    def test_chain_under_a_level(self, observed):
+        """The top link has r != k, and observed nodes split the run."""
+        spec = _chain_under_level_spec()
+        state = _assert_segment_messages(spec, observed, (3, 4, 5, 19, 20, 21, 30, 31, 39, 40, 41, 61, 62))
+        by_default, in_order = posterior_report(state), posterior_report(state, list(state.net.order))
+        assert list(by_default) == list(in_order) == list(state.net.order)
+        for node_id, rep in by_default.items():
+            one = query_node(node_id, state)
+            for got in (in_order[node_id], one):
+                assert type(got) is type(rep) is NodeReport
+                assert (got.node, got.clamped) == (rep.node, rep.clamped)
+                for field in ("mean", "second", "variance"):
+                    assert getattr(got, field).tobytes() == getattr(rep, field).tobytes()
 
     @pytest.mark.parametrize(
         "observed",
@@ -916,31 +1015,7 @@ class TestChainSegments:
              "tail and below", "every node"],
     )
     def test_reports_and_messages(self, observed):
-        spec = _segments_spec()
-        ks = [len(ns.alternatives) for ns in spec.nodes]
-        evidence = {f"n{i}": (i + 1) % ks[i] for i in observed}
-        _assert_bitwise(spec, evidence)
-        net = validate_network(spec)
-        state = propagate(net, evidence)
-        up, down, combined = _messages(net, evidence)
-        deepest = max((net.plan.slot[node_id][0] for node_id in evidence), default=-1)
-        for node_id in net.order[1:]:  # no evidence below: the unit message, exactly
-            if net.plan.slot[node_id][0] > deepest:
-                for got in (*state.upward(node_id), *state.combined(node_id)):
-                    assert np.all(got == 1.0)
-        for i in (3, 4, 5, 9, 10):
-            node_id = f"n{i}"
-            for got, want in zip(state.upward(node_id), up[node_id]):
-                assert got.tobytes() == want.tobytes()
-            if node_id in evidence:
-                e = np.eye(ks[i])[evidence[node_id]]
-                want_combined = (e, np.outer(e, e))
-            else:
-                want_combined = combined[node_id]
-                for got, want in zip(state.parent(node_id), down[node_id]):
-                    assert got.tobytes() == want.tobytes()
-            for got, want in zip(state.combined(node_id), want_combined):
-                assert got.tobytes() == want.tobytes()
+        _assert_segment_messages(_segments_spec(), observed, (3, 4, 5, 9, 10))
 
     @pytest.mark.parametrize("observed", [[], [19_999], [10_000]], ids=["none", "last", "middle"])
     def test_long_chain_without_denominators(self, long_chain, observed):
@@ -972,7 +1047,7 @@ class TestChainSegments:
         rows = (Dirichlet([1.0, 2.0]), PointMass([0.2, 0.8]))
         chain = [NodeSpec(c, ("u", "v"), above, rows) for c, above in (("H", "A"), ("X", "H"), ("Y", "X"))]
         net = validate_network(NetworkSpec((a, b, *chain)))
-        assert [step.shape[1] for step in net.plan.steps if isinstance(step, np.ndarray)] == [2]
+        assert [(s.depth, s.n) for s in net.plan.steps if isinstance(s, ChainSegment)] == [(2, 2)]
         with pytest.raises(InconsistentEvidence, match="^evidence reaching 'H' through 'A' has zero"):
             propagate(net, {"B": 1})
         # observed, H takes the stand-in and its child the observed row
