@@ -26,9 +26,9 @@ time any ``rows`` or ``NetworkSpec.nodes`` is read; a query reads neither.
 All types are immutable after construction: every row and moment set holds
 a view of its own read-only copy of its numbers, so no field can be made
 writable again, and the caller's arrays stay writable.  No field of a
-validated node or network can be set, and a network's ``nodes`` is a
-read-only mapping.  All operations are pure functions, so they are safe to
-share between threads.
+validated node or network can be set, and a network's ``nodes`` and its
+plan's dicts are read-only mappings.  All operations are pure functions, so
+they are safe to share between threads.
 A parsed spec's first read of ``nodes`` may run in two threads at once: each
 builds from columns that never change, and the spec publishes the result
 with one ``dict.setdefault``, its only publish point, so both threads get
