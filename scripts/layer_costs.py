@@ -23,6 +23,15 @@ a layer that allocates fewer tracked objects can move a collection, and its
 cost, into another layer; the collector-off figures show where the time of
 the code itself goes.
 
+An end-to-end row then runs ``python -m treebelief.cli query FILE --evidence
+LEAF=s1`` once per round, per tree and version, each in a fresh child
+process with its report written to a file.  It records the wall time in µs
+per node, interpreter start included, and the child's own peak resident
+memory in kB per node: ``VmHWM`` from ``/proc/self/status``, read inside the
+child as the command returns (``ru_maxrss`` of a child would include this
+process's peak, which the spawn inherits; ``None`` where ``/proc`` is
+absent).  Each reads as the best of its rounds.
+
 With ``--base SRC`` a second source tree (the ``src`` directory of another
 checkout) is loaded into the same process and timed on the same files,
 interleaved with this checkout run by run, alternating which goes first.
@@ -32,10 +41,13 @@ the median over rounds of the per-round ratio (this checkout over the base)
 is printed per tree, collector on and off side by side, for: parse plus
 validate, ``propagate``, ``posterior_report``, the sum of the four layers
 from ``parse_network`` to ``posterior_report``, ``propagate`` with no
-evidence, and hand-built validation.  The per-round minimum over repeats
-keeps one slow run on a shared host out of the ratio.  The last line is one
-JSON object with every number printed, under ``collector_on`` and
-``collector_off``.
+evidence, and hand-built validation; then the end-to-end wall time and
+``VmHWM``.  The per-round minimum over repeats keeps one slow run on a
+shared host out of the ratio.  The two versions' ``query`` reports must be
+the same bytes apart from the ``generated_at`` line, or the script names the
+trees whose reports differ and exits 1.  The last line is one JSON object
+with every number printed, under ``collector_on``, ``collector_off`` and
+``end_to_end``.
 
 Run from the repository root::
 
@@ -53,7 +65,9 @@ import importlib.util
 import io
 import itertools
 import json
+import os
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -69,6 +83,19 @@ LAYERS = ("json.load", "parse_network", "validate_network", "propagate", "poster
           "validate (hand-built)", "propagate (prior)")
 REPEATS = 3  # fewest runs of each layer per round; the fastest counts
 BUDGET = 0.05  # seconds each layer of each version spends per round, at least
+#: run as ``python -c CHILD query ...``: ``python -m treebelief.cli``, then the peak resident
+#: memory of this process alone, as the last line of standard error
+CHILD = """
+import runpy, sys
+try:
+    runpy.run_module("treebelief.cli", run_name="__main__", alter_sys=True)
+finally:
+    try:
+        with open("/proc/self/status") as status:
+            sys.stderr.write(next(line for line in status if line.startswith("VmHWM:")))
+    except OSError:
+        pass
+"""
 
 
 def load_package(src: Path, name: str):
@@ -132,6 +159,33 @@ def time_query(tb, path: str, leaf: str, built) -> list:
     return [b - a for a, b in zip(clock, clock[1:])] + [emit, hand_built, prior]
 
 
+def time_cli(src: Path, path: str, leaf: str, out: str):
+    """Wall seconds and ``VmHWM`` in kB (``None`` without ``/proc``) of one
+    ``query`` of ``path`` in a child process running the package under
+    ``src``, with its report written to ``out``."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = [sys.executable, "-c", CHILD, "query", path, "--evidence", f"{leaf}=s1"]
+    with open(out, "wb") as handle:
+        start = time.perf_counter()
+        child = subprocess.run(argv, stdout=handle, stderr=subprocess.PIPE, env=env, text=True)
+        seconds = time.perf_counter() - start
+    lines = child.stderr.splitlines()
+    if child.returncode != 0:
+        raise RuntimeError(f"query of {path} exited {child.returncode}: {child.stderr.strip()}")
+    hwm = lines[-1].split()[1] if lines and lines[-1].startswith("VmHWM:") else None
+    return seconds, None if hwm is None else int(hwm)
+
+
+def same_report(a: str, b: str) -> bool:
+    """Whether two ``query`` report files hold the same bytes apart from the ``generated_at`` line."""
+    with open(a, "rb") as x, open(b, "rb") as y:
+        for p, q in itertools.zip_longest(x, y):
+            if p != q and not (p and q and p.lstrip().startswith(b'"generated_at"')
+                               and q.lstrip().startswith(b'"generated_at"')):
+                return False
+    return True
+
+
 #: (title, JSON key, indices into LAYERS summed) of each ratio printed with ``--base``
 RATIOS = (("parse + validate", "parse_validate_ratio", [1, 2]),
           ("propagate", "propagate_ratio", [3]),
@@ -152,12 +206,16 @@ def main(argv=None) -> int:
     if args.rounds < 1 or min(args.sizes) < 2 or args.k < 2:
         parser.error("--rounds must be at least 1, every size and --k at least 2")
 
-    versions = {"this": load_package(ROOT / "src", "treebelief")}
+    srcs = {"this": ROOT / "src"}
     if args.base is not None:
-        versions["base"] = load_package(args.base.resolve(), "treebelief_base")
+        srcs["base"] = args.base.resolve()
+    versions = {v: load_package(src, "treebelief" if v == "this" else "treebelief_base")
+                for v, src in srcs.items()}
     collector = ("off",) if args.gc_off else ("on", "off")
     runs = [(v, c) for c in collector for v in versions]
     times = {run: {} for run in runs}  # (version, collector) -> tree -> [per-round layer seconds]
+    cli_runs = {v: {} for v in versions}  # version -> tree -> [per-round (wall s, VmHWM kB)]
+    differ = []  # trees whose two reports differ
     with tempfile.TemporaryDirectory() as tmp:
         trees, built = {}, {v: {} for v in versions}  # built: version -> tree -> spec
         for shape in SHAPES:
@@ -187,6 +245,11 @@ def main(argv=None) -> int:
                         spent[run] += seconds
                 for run in order:
                     times[run].setdefault(tree, []).append(best[run].tolist())
+                outs = {v: str(Path(tmp) / f"query-{v}.json") for v in versions}
+                for v in (versions if r % 2 == 0 else list(versions)[::-1]):
+                    cli_runs[v].setdefault(tree, []).append(time_cli(srcs[v], path, leaf, outs[v]))
+                if r == 0 and "base" in versions and not same_report(outs["this"], outs["base"]):
+                    differ.append(tree)
 
     result = {"sizes": args.sizes, "rounds": args.rounds, "repeats": REPEATS, "budget_s": BUDGET, "k": args.k}
     for c in collector:
@@ -200,6 +263,19 @@ def main(argv=None) -> int:
                 best = np.min(times[v, c][tree], axis=0) / n * 1e6
                 out["us_per_node"][v][tree] = dict(zip(LAYERS, np.round(best, 3).tolist()))
                 print(f"  {tree:<14}" + "".join(f"{x:>22.2f}" for x in best))
+    out = result["end_to_end"] = {"us_per_node": {}, "vmhwm_kb_per_node": {}}
+    for v in versions:
+        print(f"{v}: `python -m treebelief.cli query FILE --evidence LEAF=s1` in a child process, "
+              f"best of {args.rounds} rounds")
+        print(f"  {'tree':<14}{'wall µs per node':>22}{'VmHWM kB per node':>22}")
+        for key in out:
+            out[key][v] = {}
+        for tree, (_, _, n) in trees.items():
+            wall = min(s for s, _ in cli_runs[v][tree]) / n * 1e6
+            hwm = None if cli_runs[v][tree][0][1] is None else min(h for _, h in cli_runs[v][tree]) / n
+            out["us_per_node"][v][tree] = round(wall, 3)
+            out["vmhwm_kb_per_node"][v][tree] = None if hwm is None else round(hwm, 3)
+            print(f"  {tree:<14}{wall:>22.2f}{'-' if hwm is None else f'{hwm:.3f}':>22}")
     if "base" in versions:
         for title, key, layers in RATIOS:
             print(f"{title}, this / base: median of per-round ratios [min, max], collector "
@@ -214,7 +290,21 @@ def main(argv=None) -> int:
                     result[f"collector_{c}"].setdefault(key, {})[tree] = round(statistics.median(ratios), 4)
                     cells.append(f"{statistics.median(ratios):8.3f} [{min(ratios):.3f}, {max(ratios):.3f}]")
                 print(f"  {tree:<14}" + " |".join(cells))
+        print("query in a child process, this / base: median of per-round ratios [min, max], wall | VmHWM")
+        for tree in trees:
+            cells = []
+            for i, key in enumerate(("wall_ratio", "vmhwm_ratio")):
+                pairs = zip(cli_runs["this"][tree], cli_runs["base"][tree])
+                ratios = [a[i] / b[i] for a, b in pairs if a[i] is not None and b[i] is not None]
+                out.setdefault(key, {})[tree] = round(statistics.median(ratios), 4) if ratios else None
+                cells.append(f"{statistics.median(ratios):8.3f} [{min(ratios):.3f}, {max(ratios):.3f}]"
+                             if ratios else f"{'-':>8}")
+            print(f"  {tree:<14}" + " |".join(cells))
+        out["reports_identical"] = not differ
     print(json.dumps(result))
+    if differ:
+        print("query reports differ apart from generated_at on: " + ", ".join(differ), file=sys.stderr)
+        return 1
     return 0
 
 

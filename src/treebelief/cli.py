@@ -5,14 +5,22 @@ Exit codes: 0 success, 2 parse or validation failure (and any other error
 of the package), 3 inconsistent evidence, 4 tolerance or bound exceeded,
 5 precondition or cap violated, 6 a report that cannot be given: a
 non-finite number in it, or a variance below the engine's numerical floor
-(nothing is written to standard output), 141 standard output closed by its
-reader before the report was written.
+(nothing is written to standard output), 74 standard output refused a
+write (a full disk, say), 141 standard output closed by its reader before
+the report was written.
+
+:func:`main` pauses the cyclic garbage collector while the command runs and
+then restores the caller's setting: a command builds no reference cycles,
+and full collections would otherwise rescan the decoded document and the
+report each time the command allocates.
 """
 from __future__ import annotations
 
 import argparse
 import datetime
 import functools
+import gc
+import itertools
 import json
 import math
 import os
@@ -48,7 +56,10 @@ EXIT_INCONSISTENT = 3
 EXIT_TOLERANCE = 4
 EXIT_PRECONDITION = 5
 EXIT_NONFINITE = 6
+EXIT_IO = 74  # EX_IOERR of sysexits.h
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
+
+QUERY_CHUNK = 4096  # nodes of a ``query`` report formatted and written at a time
 
 
 def _meta(command: str, args: argparse.Namespace, **extra) -> Dict:
@@ -111,21 +122,32 @@ def _emit_query(meta: Dict, reports: Dict[str, NodeReport], alternatives, eviden
 
     ``alternatives`` maps each reported node id to its labels (a tuple); a
     node is instantiated when its id is in ``evidence``.  Every float is checked
-    finite before anything is written, then placed as ``float.__repr__`` (the
-    text of either JSON encoder) in the node layout of ``json.dumps(doc, indent=2)``.
-    That layout needs at least one label and one float in each list.
+    finite before anything is written.  Then :data:`QUERY_CHUNK` nodes at a
+    time have their floats placed as ``float.__repr__`` (the text of either JSON
+    encoder) in the node layout of ``json.dumps(doc, indent=2)`` and written, so
+    the strings held at once do not grow with the report.  That layout needs at
+    least one label and one float in each list.
     """
     head = json.dumps({"meta": meta, "nodes": {}}, indent=2)
-    if reports:
-        arrays = [x for rep in reports.values() for x in (rep.mean, rep.second, rep.variance)]
-        values = np.concatenate(arrays)
-        if not np.isfinite(values).all():
-            raise NonFiniteResult("the report holds a non-finite number")
-        floats, pad = list(map(float.__repr__, values.tolist())), ",\n        "
-        ends = np.cumsum(list(map(len, arrays))).tolist()
-        lists = iter([pad.join(floats[i:j]) for i, j in zip([0, *ends], ends)])
+    if not reports:
+        sys.stdout.write(head + "\n")
+        return
+    arrays = [x for rep in reports.values() for x in (rep.mean, rep.second, rep.variance)]
+    values = np.concatenate(arrays)
+    if not np.isfinite(values).all():
+        raise NonFiniteResult("the report holds a non-finite number")
+    ends = np.cumsum([0, *map(len, arrays)])  # where each list starts in ``values``, then the end
+    del arrays
+    pad, items = ",\n        ", iter(reports.items())
+    # head ends '"nodes": {}\n}'; keep it up to the opening brace
+    sys.stdout.write(head[:-3])
+    for first in range(0, len(reports), QUERY_CHUNK):
+        cuts = ends[3 * first:3 * (first + QUERY_CHUNK) + 1]
+        floats = list(map(float.__repr__, values[cuts[0]:cuts[-1]].tolist()))
+        cuts = (cuts - cuts[0]).tolist()
+        lists = iter([pad.join(floats[i:j]) for i, j in zip(cuts, cuts[1:])])
         parts = []
-        for node_id, rep in reports.items():
+        for node_id, rep in itertools.islice(items, QUERY_CHUNK):
             labels = pad.join(map(encode_basestring_ascii, alternatives[node_id]))
             parts.append(
                 f'    {encode_basestring_ascii(node_id)}: {{\n'
@@ -137,10 +159,8 @@ def _emit_query(meta: Dict, reports: Dict[str, NodeReport], alternatives, eviden
                 f'      "instantiated": {"true" if node_id in evidence else "false"}\n'
                 "    }"
             )
-        # head ends '"nodes": {}\n}'; keep it up to the opening brace
-        head = "".join((head[:-3], "\n", ",\n".join(parts), "\n  }\n}"))
-    sys.stdout.write(head)
-    sys.stdout.write("\n")
+        sys.stdout.write(("\n" if first == 0 else ",\n") + ",\n".join(parts))
+    sys.stdout.write("\n  }\n}\n")
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -311,6 +331,16 @@ _parser = functools.lru_cache(maxsize=1)(build_parser)  # one parser per process
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
+    collector = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(args)
+    finally:
+        if collector:
+            gc.enable()
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         code = args.func(args)
         sys.stdout.flush()
@@ -322,10 +352,20 @@ def main(argv: Optional[List[str]] = None) -> int:
                 return code
         return EXIT_VALIDATION
     except BrokenPipeError:
-        # point closed standard output at devnull so the flush at exit cannot raise again
-        if sys.stdout is sys.__stdout__:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _detach_stdout()
         return EXIT_BROKEN_PIPE
+    except OSError as exc:  # the network file's own errors are ParseError; this is the report's write
+        _detach_stdout()
+        print(f"OSError: cannot write to standard output: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_IO
+
+
+def _detach_stdout() -> None:
+    """Point a failed standard output at devnull, so the flush at exit cannot raise again."""
+    if sys.stdout is sys.__stdout__:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 import contextlib
 import copy
 import dataclasses
+import errno
+import gc
 import io
 import json
 import os
@@ -9,6 +11,7 @@ import sys
 import tempfile
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -766,6 +769,47 @@ class TestQueryWriter:
                 _write(doc)
         assert out.getvalue() == ""
 
+    @given(query_docs(), st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_json_dumps_at_any_chunk_size(self, doc, chunk):
+        with mock.patch.object(cli, "QUERY_CHUNK", chunk):
+            assert _written(doc) == json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_in_the_last_chunk_writes_nothing(self, value):
+        doc = {"meta": {"nodes": []}, "nodes": {}}
+        for n in range(7):  # chunks of 3, 3 and 1 nodes
+            doc["nodes"][f"n{n}"] = {"alternatives": ["x", "y"], "mean": [0.5, 0.5], "second": [0.3, 0.3],
+                                     "variance": [0.05, 0.05], "clamped": False, "instantiated": False}
+        with mock.patch.object(cli, "QUERY_CHUNK", 3):
+            assert _written(doc) == json.dumps(doc, indent=2) + "\n"
+            doc["nodes"]["n6"]["variance"][1] = value
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                with pytest.raises(NonFiniteResult):
+                    _write(doc)
+        assert out.getvalue() == ""
+
+    def test_query_over_more_nodes_than_a_chunk(self, capsys, tmp_path):
+        n = cli.QUERY_CHUNK + 904
+        path = tmp_path / f"binary-k3-n{n}.json"
+        save_network(binary_dirichlet_spec(n), str(path))
+        code, out, _ = run_cli(capsys, "query", str(path), "--evidence", f"n{n - 1}=s1")
+        assert code == 0
+        doc = json.loads(out)
+        assert len(doc["nodes"]) == n
+        assert out == json.dumps(doc, indent=2) + "\n"
+
+    @given(mixed_trees(max_nodes=12), st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_mixed_k_query_at_any_chunk_size(self, spec, chunk):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "net.json")
+            save_network(spec, path)
+            with mock.patch.object(cli, "QUERY_CHUNK", chunk), \
+                    contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(["query", path]) == 0
+        assert out.getvalue() == json.dumps(json.loads(out.getvalue()), indent=2) + "\n"
+
     @pytest.mark.parametrize(
         "spec, argv",
         [
@@ -808,6 +852,90 @@ class TestQueryWriter:
             code = proc.wait(timeout=120)
         assert err == b""
         assert code == cli.EXIT_BROKEN_PIPE == 141
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize(
+        "command, spec",
+        [("validate", two_node_mixed_spec()), ("query", two_node_mixed_spec()),
+         ("query", binary_dirichlet_spec())],
+        ids=["validate", "query, one buffer", "query, many buffers"],
+    )
+    def test_full_standard_output_exits_74_with_one_line(self, tmp_path, command, spec):
+        path = tmp_path / "net.json"
+        save_network(spec, str(path))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        argv = [sys.executable, "-m", "treebelief.cli", command, str(path)]
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        assert proc.returncode == cli.EXIT_IO == 74
+        assert proc.stderr == "OSError: cannot write to standard output: No space left on device\n"
+
+
+class _FailingStdout(io.StringIO):
+    """A standard output whose every write raises ``exc``."""
+
+    def __init__(self, exc):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+
+class TestCollector:
+    """``main`` pauses the cyclic collector while the command runs and leaves
+    ``gc.isenabled()`` as it found it, whatever the exit."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        paths = {}
+        for name, spec in (("two", two_node_mixed_spec()), ("impossible", impossible_evidence_spec())):
+            paths[name] = str(tmp_path / f"{name}.json")
+            save_network(spec, paths[name])
+        return paths
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["caller's collector on", "caller's collector off"])
+    @pytest.mark.parametrize(
+        "code, argv, stdout",
+        [
+            (0, ["query", "{two}"], None),
+            (0, ["validate", "{two}"], None),
+            (2, ["query", "{two}", "--evidence", "Z=z1"], None),
+            (3, ["query", "{impossible}", "--evidence", "B=b2"], None),
+            (4, ["compare", "{two}", "--evidence", "B=b1", "--oracle-mode", "exact-posterior"], None),
+            (5, ["compare", "{two}", "--cap", "1", "--oracle-mode", "prior"], None),
+            (6, ["query", "{two}"], "floor"),
+            (74, ["query", "{two}"], OSError(errno.ENOSPC, "No space left on device")),
+            (141, ["query", "{two}"], BrokenPipeError(errno.EPIPE, "Broken pipe")),
+            (SystemExit, ["query"], None),
+        ],
+        ids=["query", "validate", "exit 2", "exit 3", "exit 4", "exit 5", "exit 6", "exit 74", "exit 141",
+             "argparse exit"],
+    )
+    def test_collector_is_restored(self, capsys, monkeypatch, files, code, argv, stdout, enabled):
+        argv = [arg.format(**files) for arg in argv]
+        if stdout == "floor":
+            monkeypatch.setattr(propagation, "VARIANCE_FLOOR", 1.0)  # every variance is below it
+        elif stdout is not None:
+            monkeypatch.setattr(sys, "stdout", _FailingStdout(stdout))
+        seen, real = [], cli.validate_network
+
+        def validate(spec):
+            seen.append(gc.isenabled())
+            return real(spec)
+
+        monkeypatch.setattr(cli, "validate_network", validate)
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if code is SystemExit:
+                with pytest.raises(SystemExit):
+                    main(argv)
+            else:
+                assert main(argv) == code
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()
+        assert seen == ([] if code is SystemExit else [False])  # paused while the command ran
 
 
 class TestCompareCommand:
