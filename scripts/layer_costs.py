@@ -9,13 +9,19 @@ query with the deepest leaf observed: ``json.load``, ``parse_network``,
 results just timed, so everything ``query`` does after
 ``posterior_report``.  A seventh layer, "validate (hand-built)", runs
 ``validate_network`` on the ``NetworkSpec`` of row objects that the file was
-written from, and an eighth, "propagate (prior)", runs ``propagate`` with no
-evidence, which sweeps downward only.  ``posterior_report`` is called with
+written from; "propagate (prior)" runs ``propagate`` with no evidence, which
+sweeps downward only, and "propagate (mid)" with a mid-tree node observed:
+the first node at half the tree's height (the hub of a star), as in the
+benchmark's mid-tree queries.  "upward sweep" is the part of a
+deepest-leaf ``propagate`` spent in ``propagation._sweep_up``, timed in a
+run of its own so that its timer stays out of the ``propagate`` layer (``-``
+for a version without that function).  ``posterior_report`` is called with
 no node list, as ``query --nodes all`` and the ``engine_sweep`` benchmark
 call it.  Each round times every layer as the best of at least
 :data:`REPEATS` runs, repeated until every layer of every version has spent
 :data:`BUDGET` seconds in the round, so a layer of a millisecond gets dozens
-of runs, and each layer reads as the best of its rounds.  The collector runs
+of runs, and each layer reads as the best of its rounds.  The upward sweep,
+a part of a ``propagate`` layer, counts toward no budget.  The collector runs
 before each run, as in the benchmark worker.  Each run is made twice, with
 the collector on during it and with it off (only off with ``--gc-off``).
 With it on, a collection lands in whichever layer crosses the threshold, so
@@ -41,13 +47,15 @@ the median over rounds of the per-round ratio (this checkout over the base)
 is printed per tree, collector on and off side by side, for: parse plus
 validate, ``propagate``, ``posterior_report``, the sum of the four layers
 from ``parse_network`` to ``posterior_report``, ``propagate`` with no
-evidence, and hand-built validation; then the end-to-end wall time and
-``VmHWM``.  The per-round minimum over repeats keeps one slow run on a
-shared host out of the ratio.  The two versions' ``query`` reports must be
-the same bytes apart from the ``generated_at`` line, or the script names the
-trees whose reports differ and exits 1.  The last line is one JSON object
-with every number printed, under ``collector_on``, ``collector_off`` and
-``end_to_end``.
+evidence and with the mid-tree node observed, and hand-built validation;
+then the end-to-end wall time and ``VmHWM``.  The per-round minimum over
+repeats keeps one slow run on a shared host out of the ratio.  The two
+versions' ``query`` reports must be the same bytes apart from the
+``generated_at`` line, or the script names the trees whose reports differ,
+prints each one's largest absolute difference over the reported means,
+second moments and variances, and exits 1.  The last line is one JSON
+object with every number printed, under ``collector_on``,
+``collector_off`` and ``end_to_end``.
 
 Run from the repository root::
 
@@ -80,7 +88,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 SHAPES = ("chain", "star", "binary")
 LAYERS = ("json.load", "parse_network", "validate_network", "propagate", "posterior_report", "emit",
-          "validate (hand-built)", "propagate (prior)")
+          "validate (hand-built)", "propagate (prior)", "propagate (mid)", "upward sweep")
 REPEATS = 3  # fewest runs of each layer per round; the fastest counts
 BUDGET = 0.05  # seconds each layer of each version spends per round, at least
 #: run as ``python -c CHILD query ...``: ``python -m treebelief.cli``, then the peak resident
@@ -113,7 +121,8 @@ def load_package(src: Path, name: str):
 
 def build_tree(tb, shape: str, n: int, k: int):
     """A ``shape`` tree of ``n`` nodes of ``k`` alternatives and ``tb``'s row
-    classes, and its deepest leaf's id."""
+    classes, its deepest leaf's id and its mid-tree node's: the first node
+    at half the height."""
     rng = np.random.default_rng(n)
     labels = tuple(f"s{j}" for j in range(k))
     parent = {"chain": lambda i: i - 1, "star": lambda i: 0, "binary": lambda i: (i - 1) // 2}[shape]
@@ -124,12 +133,17 @@ def build_tree(tb, shape: str, n: int, k: int):
         )
         for i in range(n)
     ]
-    return tb.NetworkSpec(nodes), f"n{n - 1}"  # parents come first, so the last node is a deepest leaf
+    depth = [0]
+    for i in range(1, n):
+        depth.append(depth[parent(i)] + 1)
+    # parents come first, so the last node is a deepest leaf
+    return tb.NetworkSpec(nodes), f"n{n - 1}", f"n{depth.index(depth[-1] // 2)}"
 
 
-def time_query(tb, path: str, leaf: str, built) -> list:
+def time_query(tb, path: str, leaf: str, mid: str, built) -> list:
     """Seconds spent in each of :data:`LAYERS` by one query, by validating
-    the hand-built spec ``built``, and by a query with no evidence."""
+    the hand-built spec ``built``, by queries with no evidence and with
+    ``mid`` observed, and by the upward sweep of another query."""
     cli = sys.modules[f"{tb.__name__}.cli"]
     clock = [time.perf_counter()]
     with open(path, encoding="utf-8") as handle:
@@ -156,7 +170,29 @@ def time_query(tb, path: str, leaf: str, built) -> list:
     start = time.perf_counter()
     tb.propagate(net, {})
     prior = time.perf_counter() - start
-    return [b - a for a, b in zip(clock, clock[1:])] + [emit, hand_built, prior]
+    start = time.perf_counter()
+    tb.propagate(net, {mid: 1})
+    mid_tree = time.perf_counter() - start
+    upward = time_sweep_up(tb, net, leaf)
+    return [b - a for a, b in zip(clock, clock[1:])] + [emit, hand_built, prior, mid_tree, upward]
+
+
+def time_sweep_up(tb, net, leaf: str) -> float:
+    """Seconds spent in ``propagation._sweep_up`` by a query with ``leaf``
+    observed; NaN if ``tb`` has no such function."""
+    propagation = sys.modules[f"{tb.__name__}.propagation"]
+    sweep_up, spent = getattr(propagation, "_sweep_up", None), []
+    if sweep_up is None:
+        return float("nan")
+
+    def timed(*args):
+        start = time.perf_counter()
+        sweep_up(*args)
+        spent.append(time.perf_counter() - start)
+
+    with mock.patch.object(propagation, "_sweep_up", timed):
+        tb.propagate(net, {leaf: 1})
+    return sum(spent)
 
 
 def time_cli(src: Path, path: str, leaf: str, out: str):
@@ -176,6 +212,23 @@ def time_cli(src: Path, path: str, leaf: str, out: str):
     return seconds, None if hwm is None else int(hwm)
 
 
+def largest_difference(a: str, b: str) -> float:
+    """The largest absolute difference between the means, second moments and
+    variances of two ``query`` reports; infinite if their nodes or lists differ."""
+    with open(a, encoding="utf-8") as x, open(b, encoding="utf-8") as y:
+        nodes_a, nodes_b = json.load(x)["nodes"], json.load(y)["nodes"]
+    if list(nodes_a) != list(nodes_b):
+        return float("inf")
+    largest = 0.0
+    for node_id, rep_a in nodes_a.items():
+        for field in ("mean", "second", "variance"):
+            u, v = rep_a[field], nodes_b[node_id][field]
+            if len(u) != len(v):
+                return float("inf")
+            largest = max(largest, float(np.abs(np.subtract(u, v)).max()))
+    return largest
+
+
 def same_report(a: str, b: str) -> bool:
     """Whether two ``query`` report files hold the same bytes apart from the ``generated_at`` line."""
     with open(a, "rb") as x, open(b, "rb") as y:
@@ -192,6 +245,7 @@ RATIOS = (("parse + validate", "parse_validate_ratio", [1, 2]),
           ("posterior_report", "report_ratio", [4]),
           ("parse to report", "parse_to_report_ratio", [1, 2, 3, 4]),
           ("propagate (prior)", "prior_propagate_ratio", [7]),
+          ("propagate (mid)", "mid_propagate_ratio", [8]),
           ("validate (hand-built)", "hand_built_validate_ratio", [6]))
 
 
@@ -215,20 +269,20 @@ def main(argv=None) -> int:
     runs = [(v, c) for c in collector for v in versions]
     times = {run: {} for run in runs}  # (version, collector) -> tree -> [per-round layer seconds]
     cli_runs = {v: {} for v in versions}  # version -> tree -> [per-round (wall s, VmHWM kB)]
-    differ = []  # trees whose two reports differ
+    differ = {}  # tree -> largest absolute difference between the two reports
     with tempfile.TemporaryDirectory() as tmp:
         trees, built = {}, {v: {} for v in versions}  # built: version -> tree -> spec
         for shape in SHAPES:
             for n in args.sizes:
                 tree, path = f"{shape}-{n}", Path(tmp) / f"{shape}-k{args.k}-n{n}.json"
                 for v, tb in versions.items():
-                    built[v][tree], leaf = build_tree(tb, shape, n, args.k)
+                    built[v][tree], leaf, mid = build_tree(tb, shape, n, args.k)
                 versions["this"].save_network(built["this"][tree], str(path))
-                trees[tree] = (str(path), leaf, n)
+                trees[tree] = (str(path), leaf, mid, n)
         for r in range(args.rounds):
-            for tree, (path, leaf, _) in trees.items():
+            for tree, (path, leaf, mid, _) in trees.items():
                 order = runs if r % 2 == 0 else runs[::-1]
-                best, spent = {}, {run: np.zeros(len(LAYERS)) for run in order}
+                best, spent = {}, {run: np.zeros(len(LAYERS) - 1) for run in order}  # all but the upward sweep
                 for repeat in itertools.count():
                     if repeat >= REPEATS and min(x.min() for x in spent.values()) >= BUDGET:
                         break
@@ -238,18 +292,18 @@ def main(argv=None) -> int:
                         if c == "off":
                             gc.disable()
                         try:
-                            seconds = time_query(versions[v], path, leaf, built[v][tree])
+                            seconds = time_query(versions[v], path, leaf, mid, built[v][tree])
                         finally:
                             gc.enable()
                         best[run] = np.minimum(best.get(run, seconds), seconds)
-                        spent[run] += seconds
+                        spent[run] += seconds[:-1]
                 for run in order:
                     times[run].setdefault(tree, []).append(best[run].tolist())
                 outs = {v: str(Path(tmp) / f"query-{v}.json") for v in versions}
                 for v in (versions if r % 2 == 0 else list(versions)[::-1]):
                     cli_runs[v].setdefault(tree, []).append(time_cli(srcs[v], path, leaf, outs[v]))
                 if r == 0 and "base" in versions and not same_report(outs["this"], outs["base"]):
-                    differ.append(tree)
+                    differ[tree] = largest_difference(outs["this"], outs["base"])
 
     result = {"sizes": args.sizes, "rounds": args.rounds, "repeats": REPEATS, "budget_s": BUDGET, "k": args.k}
     for c in collector:
@@ -259,10 +313,11 @@ def main(argv=None) -> int:
                   f"and {BUDGET} s a layer")
             print(f"  {'tree':<14}" + "".join(f"{layer:>22}" for layer in LAYERS))
             out["us_per_node"][v] = {}
-            for tree, (_, _, n) in trees.items():
+            for tree, (*_, n) in trees.items():
                 best = np.min(times[v, c][tree], axis=0) / n * 1e6
-                out["us_per_node"][v][tree] = dict(zip(LAYERS, np.round(best, 3).tolist()))
-                print(f"  {tree:<14}" + "".join(f"{x:>22.2f}" for x in best))
+                out["us_per_node"][v][tree] = {layer: None if np.isnan(x) else round(x, 3)
+                                               for layer, x in zip(LAYERS, best.tolist())}
+                print(f"  {tree:<14}" + "".join(f"{'-' if np.isnan(x) else f'{x:.2f}':>22}" for x in best))
     out = result["end_to_end"] = {"us_per_node": {}, "vmhwm_kb_per_node": {}}
     for v in versions:
         print(f"{v}: `python -m treebelief.cli query FILE --evidence LEAF=s1` in a child process, "
@@ -270,7 +325,7 @@ def main(argv=None) -> int:
         print(f"  {'tree':<14}{'wall µs per node':>22}{'VmHWM kB per node':>22}")
         for key in out:
             out[key][v] = {}
-        for tree, (_, _, n) in trees.items():
+        for tree, (*_, n) in trees.items():
             wall = min(s for s, _ in cli_runs[v][tree]) / n * 1e6
             hwm = None if cli_runs[v][tree][0][1] is None else min(h for _, h in cli_runs[v][tree]) / n
             out["us_per_node"][v][tree] = round(wall, 3)
@@ -301,9 +356,12 @@ def main(argv=None) -> int:
                              if ratios else f"{'-':>8}")
             print(f"  {tree:<14}" + " |".join(cells))
         out["reports_identical"] = not differ
+        out["report_largest_difference"] = differ
     print(json.dumps(result))
     if differ:
         print("query reports differ apart from generated_at on: " + ", ".join(differ), file=sys.stderr)
+        for tree, largest in differ.items():
+            print(f"  {tree}: largest absolute difference {largest:.3g}", file=sys.stderr)
         return 1
     return 0
 

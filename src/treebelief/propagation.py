@@ -38,8 +38,14 @@ a node's largest second moment, with means bit for bit.
 
 A subtree without evidence sends its parent the unit message, exactly: from
 its leaves up, each combined message is all ones, so each message is its rows'
-sums ``sum_k p(g_k|f_i)``, one with certainty.  The upward sweep therefore
-starts at the deepest instantiated node, and a prior query is one downward sweep.
+sums ``sum_k p(g_k|f_i)``, one with certainty.  The upward sweep
+(:func:`_sweep_up`) therefore computes messages only at *evidence-bearing*
+nodes, those instantiated or with an instantiated descendant, and sibling
+products only at their parents; every other message keeps its unit fill.  It
+marks these nodes as it goes, from each depth's instantiated nodes and the
+parents of the marked nodes below, so its work follows the nodes on paths from
+the evidence to the root.  A prior query is one downward sweep
+(:func:`_sweep_down`).
 
 Normalizing denominators are always sums of *mean* values; as a consequence
 posterior second moments are approximations (exact for means and for all
@@ -99,7 +105,8 @@ class MessageState:
 
     def upward(self, node_id: str) -> Tuple[np.ndarray, np.ndarray]:
         """A non-root node's message to its parent (``KeyError`` at the root);
-        the unit message below the deepest instantiated node, as rows sum to one."""
+        exactly the unit message, as rows sum to one, where no instantiated
+        node is at or below the node."""
         _, _, _, r, pos = self._slot(node_id)
         return self._upward[r][0][pos], self._upward[r][1][pos]
 
@@ -129,12 +136,14 @@ def _segment_products(x: np.ndarray, others: np.ndarray) -> np.ndarray:
     return prefix[:, -1]
 
 
-def _indicators(combined, pairs_by_k) -> None:
-    """Swap in the indicator of each instantiated node's alternative."""
+def _indicators(combined, pairs_by_k, marked) -> None:
+    """Swap in the indicator of each instantiated node's alternative, and
+    mark the node as bearing evidence."""
     for k, pairs in pairs_by_k.items():
         slots, alts = map(list, zip(*pairs))
         e = np.eye(k)[alts]
         combined[k][0][slots], combined[k][1][slots] = e, e[:, :, None] * e[:, None, :]
+        marked[k][slots] = True
 
 
 def _observed_rows(down, moments, pairs_by_k) -> None:
@@ -144,15 +153,19 @@ def _observed_rows(down, moments, pairs_by_k) -> None:
         down[k][0][slots], down[k][1][slots] = moments[k][0][rows], moments[k][1][rows]
 
 
-def _segment_up(seg: ChainSegment, deepest: int, seen, seen_at, moments, combined, up) -> None:
+def _segment_up(seg: ChainSegment, deepest: int, seen, seen_at, moments, combined, up, marked) -> None:
     """From the bottom up, send each node of a chain segment at or above depth
     ``deepest`` its message to its parent: straight into the parent's
-    combined message (the only child's), copied into ``up`` a run at a time.
-    An observed node's indicator is swapped in just before its own link."""
+    combined message (the only child's), copied into ``up`` a run at a time,
+    and mark the parent.  An observed node's indicator is swapped in just
+    before its own link."""
     depth, n, k, r, slot, row, pos, top = seg
-    n = min(n, deepest - depth + 1)  # below the deepest observed node, every message is the unit message
+    # A node alone at its depth is an ancestor of every deeper node, so the
+    # nodes bearing evidence are exactly those at or above the deepest observed one.
+    n = min(n, deepest - depth + 1)
     if n <= 0:
         return
+    marked[r][top] = True
     (means, _, flat), (lam, lam2), (mean, second) = moments[k], combined[k], up[r]
     c, lam, lam2 = means[row : row + n * r].reshape(n, r, k), lam[slot : slot + n], lam2[slot : slot + n]
     tops = combined[r][0][top], combined[r][1][top]
@@ -164,7 +177,7 @@ def _segment_up(seg: ChainSegment, deepest: int, seen, seen_at, moments, combine
     cuts = sorted({0, n, *(d - depth + 1 for d in observed)}, reverse=True) if observed else (n, 0)
     for hi, lo in zip(cuts, cuts[1:]):  # nodes ``hi - 1`` up to ``lo``
         if depth + hi - 1 in seen:
-            _indicators(combined, seen[depth + hi - 1])
+            _indicators(combined, seen[depth + hi - 1], marked)
         above = [reversed(x[lo - 1 : hi - 1]) if lo else chain(reversed(x[: hi - 1]), (x_top,))
                  for x, x_top in parents]
         for c, ct, flat, lm, lm2f, lm2, m, s, sd in zip(*(reversed(x[lo:hi]) for x in views), *above):
@@ -204,69 +217,81 @@ def _segment_down(seg: ChainSegment, below, below_at, moments, down, off: np.nda
             s += extra
 
 
-def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageState:
-    """Run a full collect/distribute sweep and return the resulting state.
+def _span(hit: np.ndarray):
+    """A sorted, non-empty index array as a slice if it counts up by one."""
+    lo, hi = int(hit[0]), int(hit[-1])
+    return slice(lo, hi + 1) if hi - lo < hit.size else hit
 
-    Upward, from the deepest level to the root, a node with combined
-    message ``(lam, Lam)`` and row means ``C[i, k] = E(p(g_k | f_i))`` sends::
 
-        mean[i]      = sum_k lam[k] C[i, k]
-        second[i, j] = sum_{k, r} Lam[k, r] C[i, k] C[j, r]   (i != j)
-        second[i, i] = sum_{k, r} Lam[k, r] E(p(g_k|f_i) p(g_r|f_i))
+def _pick(index, sel):
+    """Entries ``sel`` of a plan index, each a slice or an index array."""
+    if not isinstance(index, slice):
+        return index[sel]
+    if isinstance(sel, slice):
+        return slice(index.start + sel.start, index.start + sel.stop)
+    return sel + index.start
 
-    Downward, from the root's own row moments, each parent message ``(q, T)``
-    is conditioned on the product ``(m, S)`` of the other children's messages
-    and pushed through the child's rows, ``M_j`` row ``j``'s second moments::
 
-        D = sum_j m[j] q[j],   q' = m q / D,   T' = S T / D**2
-        mean[i]      = sum_j C[j, i] q'[j]
-        second[i, l] = sum_{j != k} T'[j, k] C[j, i] C[k, l] + sum_j T'[j, j] M_j[i, l]
+def _sweep_up(plan, seen, combined, up, others) -> None:
+    """Send each evidence-bearing node's message to its parent and form the
+    sibling products at each parent of such a node (see :func:`propagate`).
 
-    ``T'`` with its diagonal zeroed gives the first sum; ``D == 0`` means the
-    evidence is impossible on average and raises :class:`InconsistentEvidence`.
-    In a chain segment ``m`` and ``S`` are all ones, so ``D = sum_j q[j] > 0``;
-    it keeps ``q' = q``, ``T' = T``, a scale every later ``D`` divides out.
-    Upward, nothing deeper than every instantiated node is computed: each such
-    message keeps its unit fill, exact as every row sums to one with certainty.
+    ``marked[k]`` flags the slots found to bear evidence: at each depth, its
+    observed nodes, then the parents of that depth's marked nodes.  Every
+    other message keeps its unit fill.  A level gathers the messages and
+    rows of its marked nodes, a view where they are consecutive; a level
+    deeper than every observed node has none and is skipped whole.
     """
-    check_evidence(net, evidence)
-    state = MessageState(net, evidence)
-    plan, moments = net.plan, net.plan.moments
-    combined, down, up, others = state._combined, state._parent, state._upward, state._others
-    seen, below = {}, {}  # per depth and k: observed (slot, alternative), their children's (slot, row)
-    for node_id, alt in evidence.items():
-        d, k, i, _, _ = plan.slot[node_id]
-        seen.setdefault(d, {}).setdefault(k, []).append((i, alt))
-        for c in net.nodes[node_id].children:
-            _, kc, ic, _, _ = plan.slot[c]
-            below.setdefault(d + 1, {}).setdefault(kc, []).append((ic, plan.row_start[kc][ic] + alt))
-
-    deepest = max(seen, default=-1)  # below it every message is the unit message
-    seen_at, below_at = sorted(seen), sorted(below)
+    if not seen:
+        return
+    moments, deepest, seen_at = plan.moments, max(seen), sorted(seen)
+    marked = {k: np.zeros(len(starts), bool) for k, starts in plan.row_start.items()}
     for step in reversed(plan.steps):
         if isinstance(step, ChainSegment):
-            _segment_up(step, deepest, seen, seen_at, moments, combined, up)
+            _segment_up(step, deepest, seen, seen_at, moments, combined, up, marked)
             continue
         depth, groups, runs = step
         if depth > deepest:
             continue
-        _indicators(combined, seen.get(depth, {}))
-        for r, k, slots, rows, pos, _ in groups:
-            g = slots.stop - slots.start
-            c = moments[k][0][rows].reshape(g, r, k)
-            lam, lam2 = combined[k][0][slots], combined[k][1][slots]
+        if depth in seen:
+            _indicators(combined, seen[depth], marked)
+        for r, k, slots, rows, pos, parents in groups:
+            hit, g = marked[k][slots].nonzero()[0], slots.stop - slots.start
+            if not hit.size:
+                continue
+            sel, n = _span(hit), hit.size
+            c = moments[k][0][rows].reshape(g, r, k)[sel]
+            flat = moments[k][2][rows].reshape(g, r, k * k)[sel]
+            lam, lam2 = combined[k][0][slots][sel], combined[k][1][slots][sel]
             second = c @ lam2 @ c.transpose(0, 2, 1)
-            diag = moments[k][2][rows].reshape(g, r, k * k) @ lam2.reshape(g, k * k, 1)
-            second.reshape(g, r * r)[:, :: r + 1] = diag[:, :, 0]
+            diag = flat @ lam2.reshape(n, k * k, 1)
+            second.reshape(n, r * r)[:, :: r + 1] = diag[:, :, 0]
+            pos = _pick(pos, sel)
             up[r][0][pos], up[r][1][pos] = (c @ lam[:, :, None])[:, :, 0], second
+            marked[r][_pick(parents, sel)] = True
         for r, m, kids, parents in runs:
-            p = (kids.stop - kids.start) // m
+            hit, p = marked[r][parents].nonzero()[0], (kids.stop - kids.start) // m
+            if not hit.size:
+                continue
+            sel = _span(hit)
+            parents = _pick(parents, sel)
             for j, shape in ((0, (p, m, r)), (1, (p, m, r, r))):
-                combined[r][j][parents] = _segment_products(
-                    up[r][j][kids].reshape(shape), others[r][j][kids].reshape(shape)
-                )
-    _indicators(combined, seen.get(0, {}))
+                x, out = up[r][j][kids].reshape(shape)[sel], others[r][j][kids].reshape(shape)
+                if isinstance(sel, slice):
+                    combined[r][j][parents] = _segment_products(x, out[sel])
+                else:  # gathered: the leave-one-out products go through a copy
+                    part = np.empty(x.shape)
+                    combined[r][j][parents] = _segment_products(x, part)
+                    out[sel] = part
+    if 0 in seen:
+        _indicators(combined, seen[0], marked)
 
+
+def _sweep_down(net: ValidatedNetwork, evidence, below, down, others) -> None:
+    """Send each node its parent message, from the root's own row moments
+    down (see :func:`propagate`)."""
+    plan, moments = net.plan, net.plan.moments
+    below_at = sorted(below)
     off = {r: 1.0 - np.eye(r) for r in others}  # zeroes a diagonal exactly
     _, k, i, _, _ = plan.slot[net.root]
     down[k][0][i], down[k][1][i] = moments[k][0][0], moments[k][1][0]
@@ -295,6 +320,46 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
             flat = moments[k][2][rows].reshape(g, r, k * k)
             down[k][1][slots] = c.transpose(0, 2, 1) @ t2 @ c + (diag @ flat).reshape(g, k, k)
         _observed_rows(down, moments, below.get(depth, {}))
+
+
+def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageState:
+    """Run a full collect/distribute sweep and return the resulting state.
+
+    Upward, from the deepest level to the root, a node with combined
+    message ``(lam, Lam)`` and row means ``C[i, k] = E(p(g_k | f_i))`` sends::
+
+        mean[i]      = sum_k lam[k] C[i, k]
+        second[i, j] = sum_{k, r} Lam[k, r] C[i, k] C[j, r]   (i != j)
+        second[i, i] = sum_{k, r} Lam[k, r] E(p(g_k|f_i) p(g_r|f_i))
+
+    Downward, from the root's own row moments, each parent message ``(q, T)``
+    is conditioned on the product ``(m, S)`` of the other children's messages
+    and pushed through the child's rows, ``M_j`` row ``j``'s second moments::
+
+        D = sum_j m[j] q[j],   q' = m q / D,   T' = S T / D**2
+        mean[i]      = sum_j C[j, i] q'[j]
+        second[i, l] = sum_{j != k} T'[j, k] C[j, i] C[k, l] + sum_j T'[j, j] M_j[i, l]
+
+    ``T'`` with its diagonal zeroed gives the first sum; ``D == 0`` means the
+    evidence is impossible on average and raises :class:`InconsistentEvidence`.
+    In a chain segment ``m`` and ``S`` are all ones, so ``D = sum_j q[j] > 0``;
+    it keeps ``q' = q``, ``T' = T``, a scale every later ``D`` divides out.
+    Upward, only nodes with an instantiated node at or below them are
+    computed: every other message keeps its unit fill, exact as every row
+    sums to one with certainty.
+    """
+    check_evidence(net, evidence)
+    state = MessageState(net, evidence)
+    plan = net.plan
+    seen, below = {}, {}  # per depth and k: observed (slot, alternative), their children's (slot, row)
+    for node_id, alt in evidence.items():
+        d, k, i, _, _ = plan.slot[node_id]
+        seen.setdefault(d, {}).setdefault(k, []).append((i, alt))
+        for c in net.nodes[node_id].children:
+            _, kc, ic, _, _ = plan.slot[c]
+            below.setdefault(d + 1, {}).setdefault(kc, []).append((ic, plan.row_start[kc][ic] + alt))
+    _sweep_up(plan, seen, state._combined, state._upward, state._others)
+    _sweep_down(net, evidence, below, state._parent, state._others)
     return state
 
 

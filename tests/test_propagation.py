@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import ROW_KINDS, impossible_evidence_spec, mixed_trees, random_row
@@ -145,11 +145,10 @@ class TestChildToParent:
         assert second == pytest.approx(np.array([[0.81, 0.18], [0.18, 0.04]]))
 
     def test_unit_message_through_any_rows(self):
-        # A subtree with no evidence must emit the unit message.  Under a
-        # prior query the sweep skips it and the message is exactly one;
-        # with the sibling branch's leaf x observed, deeper than g, the
-        # recurrence computes g's message, which must come out as one.
-        rng, rounded = np.random.default_rng(3), 0
+        # A subtree with no evidence sends the unit message, exactly: under a
+        # prior query and with the sibling branch's leaf x observed, deeper
+        # than g, g bears no evidence and its message keeps the unit fill.
+        rng = np.random.default_rng(3)
         labels = lambda k: tuple(map(str, range(k)))
         rows = lambda k, r: tuple(Dirichlet(rng.uniform(0.2, 8.0, size=k)) for _ in range(r))
         for _ in range(50):
@@ -163,13 +162,9 @@ class TestChildToParent:
                 )
             )
             net = validate_network(spec)
-            mean, second = propagate(net, {}).upward("g")
-            assert np.all(mean == 1.0) and np.all(second == 1.0)
-            mean, second = propagate(net, {"x": 1}).upward("g")
-            assert mean == pytest.approx(np.ones(k_parent), abs=1e-12)
-            assert second == pytest.approx(np.ones((k_parent, k_parent)), abs=1e-12)
-            rounded += not (np.all(mean == 1.0) and np.all(second == 1.0))
-        assert rounded  # computed, not skipped
+            for evidence in ({}, {"x": 1}):
+                mean, second = propagate(net, evidence).upward("g")
+                assert np.all(mean == 1.0) and np.all(second == 1.0)
 
 
 class TestParentToChild:
@@ -772,17 +767,16 @@ def _messages(net, evidence, diagonal=_dot_diagonal, downward=_dot_second, keep_
     """The recurrences evaluated one node at a time, in ``net.order``: the
     reference whose every sum and product the sweep must reproduce.
     ``diagonal`` and ``downward`` give the two second-moment steps; the
-    defaults are the engine's.  A node deeper than every instantiated node
-    has no evidence below it and sends the unit message, exactly.  A node
-    alone at its depth takes ``D = 1`` instead of the sum of its parent
-    message, as the engine's chain segments do, unless ``keep_d``.  Returns
+    defaults are the engine's.  A node with no instantiated node at or below
+    it sends the unit message, exactly.  A node alone at its depth takes
+    ``D = 1`` instead of the sum of its parent message, as the engine's
+    chain segments do, unless ``keep_d``.  Returns
     the ``(mean, second)`` messages by node id: upward (below the root),
     parent (at uninstantiated nodes) and combined (at uninstantiated
     nodes)."""
     nodes, up, down, combined, others = net.nodes, {}, {}, {}, {}
     depth = {node_id: net.plan.slot[node_id][0] for node_id in net.order}
-    width = Counter(depth.values())
-    deepest = max((depth[node_id] for node_id in evidence), default=-1)
+    width, bearing = Counter(depth.values()), _bearing(net, evidence)
     for node_id in reversed(net.order):
         node = nodes[node_id]
         if node_id in evidence:
@@ -798,7 +792,7 @@ def _messages(net, evidence, diagonal=_dot_diagonal, downward=_dot_second, keep_
                 others[node_id][i] = (prefix[i][0] * suffix[0], prefix[i][1] * suffix[1])
                 suffix = (msgs[i][0] * suffix[0], msgs[i][1] * suffix[1])
             lam = combined[node_id] = prefix[-1]
-        if node.parent is not None and depth[node_id] > deepest:
+        if node.parent is not None and node_id not in bearing:
             r = nodes[node.parent].dim
             up[node_id] = (np.ones(r), np.ones((r, r)))
         elif node.parent is not None:
@@ -862,9 +856,24 @@ def _assert_bitwise(spec, evidence):
         np.testing.assert_allclose(rep.second, second, rtol=0, atol=1e-13 * np.abs(second).max())
 
 
-def _observed_subsets(spec, data, max_size):
-    observed = data.draw(st.lists(st.sampled_from(spec.nodes), max_size=max_size, unique_by=lambda ns: ns.id))
-    return {ns.id: data.draw(st.integers(0, len(ns.alternatives) - 1)) for ns in observed}
+def _observed_subsets(spec, draw, max_size):
+    observed = draw(st.lists(st.sampled_from(spec.nodes), max_size=max_size, unique_by=lambda ns: ns.id))
+    return {ns.id: draw(st.integers(0, len(ns.alternatives) - 1)) for ns in observed}
+
+
+@st.composite
+def _observed_trees(draw):
+    spec = draw(mixed_trees(max_nodes=30))
+    return spec, _observed_subsets(spec, draw, 4)
+
+
+def _bearing(net, evidence):
+    """The nodes with an instantiated node at or below them."""
+    bearing = set()
+    for node_id in reversed(net.order):
+        if node_id in evidence or any(c in bearing for c in net.nodes[node_id].children):
+            bearing.add(node_id)
+    return bearing
 
 
 class TestBatchedSweepIsNodeByNode:
@@ -876,7 +885,7 @@ class TestBatchedSweepIsNodeByNode:
     @given(mixed_trees(max_nodes=30), st.data())
     @settings(max_examples=60, deadline=None)
     def test_mixed_trees(self, spec, data):
-        _assert_bitwise(spec, _observed_subsets(spec, data, 4))
+        _assert_bitwise(spec, _observed_subsets(spec, data.draw, 4))
 
     @given(_large_trees())
     @settings(max_examples=8, deadline=None)
@@ -890,6 +899,30 @@ class TestBatchedSweepIsNodeByNode:
         segments and the others batched, and the two hand messages to each
         other."""
         _assert_bitwise(*tree)
+
+
+class TestEvidenceFreeSubtrees:
+    """A node with no instantiated node at or below it keeps the unit fill of
+    its upward and combined messages, exactly, wherever it sits: the sweep
+    computes neither, even at or above the deepest observed depth."""
+
+    # n2, n4 and n5 bear no evidence; n2 is above n3's depth, n4 and n5 at it
+    @given(_observed_trees())
+    @example((
+        _tree_spec([None, 0, 0, 1, 2, 2], [2, 3, 8, 3, 2, 2], lambda i, j, k: PointMass(np.ones(k) / k)),
+        {"n3": 1},
+    ))
+    @settings(max_examples=60, deadline=None)
+    def test_unit_messages_exactly(self, case):
+        spec, evidence = case
+        net = validate_network(spec)
+        state, bearing = propagate(net, evidence), _bearing(net, evidence)
+        for node_id in net.order:
+            if node_id in bearing:
+                continue
+            messages = state.combined(node_id) + (() if node_id == net.root else state.upward(node_id))
+            for got in messages:
+                assert np.all(got == 1.0), node_id
 
 
 def _segments_spec():
@@ -921,17 +954,17 @@ def long_chain():
 def _assert_segment_messages(spec, observed, checked):
     """Reports, and the messages of nodes ``n<i>`` for ``i`` in ``checked``,
     equal the node-by-node reference bit for bit with nodes ``n<i>`` for
-    ``i`` in ``observed`` instantiated; below the deepest of them every
-    message is the unit message."""
+    ``i`` in ``observed`` instantiated; at a node with none of them at or
+    below it, every message is the unit message."""
     ks = [len(ns.alternatives) for ns in spec.nodes]
     evidence = {f"n{i}": (i + 1) % ks[i] for i in observed}
     _assert_bitwise(spec, evidence)
     net = validate_network(spec)
     state = propagate(net, evidence)
     up, down, combined = _messages(net, evidence)
-    deepest = max((net.plan.slot[node_id][0] for node_id in evidence), default=-1)
-    for node_id in net.order[1:]:  # no evidence below: the unit message, exactly
-        if net.plan.slot[node_id][0] > deepest:
+    bearing = _bearing(net, evidence)
+    for node_id in net.order[1:]:  # no evidence at or below: the unit message, exactly
+        if node_id not in bearing:
             for got in (*state.upward(node_id), *state.combined(node_id)):
                 assert np.all(got == 1.0)
     for i in checked:
