@@ -28,7 +28,11 @@ a view of its own read-only copy of its numbers, so no field can be made
 writable again, and the caller's arrays stay writable.  No field of a
 validated node or network can be set, and a network's ``nodes`` and its
 plan's dicts are read-only mappings.  All operations are pure functions, so
-they are safe to share between threads.
+they are safe to share between threads.  The one part that changes is the
+plan's :class:`PriorPath`, the prior messages of the nodes that hang from the
+root one per depth, which queries fill on demand: its bytes are a pure
+function of the network, and a depth is published only after its bytes are
+written, so a query reads the same numbers whichever query filled them.
 A parsed spec's first read of ``nodes`` may run in two threads at once: each
 builds from columns that never change, and the spec publishes the result
 with one ``dict.setdefault``, its only publish point, so both threads get
@@ -36,8 +40,9 @@ the same objects.
 """
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, repeat, takewhile
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
@@ -490,6 +495,58 @@ class ChainSegment(NamedTuple):
     parent: int
 
 
+class PriorPath:
+    """The prior parent messages ``(q, T)`` of a plan's *leading path*: the
+    one-node depths that hang from the root, down to the first depth of
+    several nodes, swept as the :class:`ChainSegment` steps before the first
+    level.
+
+    Such a node is its parent's lone child, and a chain segment's downward
+    step divides by no ``D``, so its parent message depends on the stored
+    rows alone, as long as no node above it is instantiated.  ``messages``
+    holds one ``(q, T)`` pair of arrays per leading segment, shaped like the
+    segment's slice of a :class:`~treebelief.propagation.MessageState`;
+    their first ``known`` depths hold those messages (``known`` counts
+    depths below the root, 0 while empty).  Queries fill it on demand
+    (:func:`~treebelief.propagation.propagate`): each copies the known part
+    above its shallowest instantiated node into its own state, computes the
+    rest, writes it here and only then publishes the new depth.
+
+    This is the one part of a validated network that changes, and sharing
+    the network between threads stays safe.  The bytes written for a depth
+    are a pure function of the network, so two threads that fill the same
+    depths write the same bytes; :meth:`publish` only raises ``known``,
+    after the bytes are in place; a reader copies only the depths published
+    when it read ``known``.  Pickling and copying give an empty holder.
+    """
+
+    __slots__ = ("segments", "messages", "known", "_lock")
+
+    def __init__(self, steps):
+        self.segments = tuple(takewhile(lambda step: isinstance(step, ChainSegment), steps))
+        self.messages = tuple((np.empty((s.n, s.k)), np.empty((s.n, s.k, s.k))) for s in self.segments)
+        self.known, self._lock = 0, threading.Lock()
+
+    def publish(self, depth: int) -> None:
+        """Mark every depth down to ``depth`` as known."""
+        with self._lock:
+            self.known = max(self.known, depth)
+
+    def _published(self) -> tuple:
+        known = self.known
+        cut = [max(0, min(s.n, known - s.depth + 1)) for s in self.segments]
+        return known, [(q[:c].tobytes(), t[:c].tobytes()) for c, (q, t) in zip(cut, self.messages)]
+
+    def __eq__(self, other):
+        """Equal when over the same segments with the same published messages."""
+        if not isinstance(other, PriorPath):
+            return NotImplemented
+        return self.segments == other.segments and self._published() == other._published()
+
+    def __reduce__(self):
+        return PriorPath, (self.segments,)
+
+
 class LevelPlan(NamedTuple):
     """The tree compiled once for a depth-by-depth sweep.
 
@@ -509,7 +566,8 @@ class LevelPlan(NamedTuple):
     Each maximal run of one-node depths of equal ``k`` and ``r`` is a
     :class:`ChainSegment`.  ``places`` is a read-only ``(n, 5)`` int array of
     the ``slot`` tuples in ``ValidatedNetwork.order``.  The dicts are
-    read-only mappings.
+    read-only mappings.  ``prior`` holds the prior parent messages of the
+    leading path, filled by the queries (:class:`PriorPath`).
     """
 
     slot: Mapping[str, tuple]
@@ -518,6 +576,7 @@ class LevelPlan(NamedTuple):
     moments: Mapping[int, tuple]
     row_start: Mapping[int, np.ndarray]
     places: np.ndarray
+    prior: PriorPath
 
 
 def _index(values: List[int]):
@@ -763,7 +822,7 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     kids = map(tuple, map(children.__getitem__, ids))
     nodes = map(ValidatedNode, ids, columns.alternatives, parents, kids, means, seconds,
                 repeat(spec), range(len(ids)))
-    plan = LevelPlan(slot, sib_counts, steps, MappingProxyType(moments), row_start, places)
+    plan = LevelPlan(slot, sib_counts, steps, MappingProxyType(moments), row_start, places, PriorPath(steps))
     return ValidatedNetwork(dict(zip(ids, nodes)), order, root, plan)
 
 

@@ -47,6 +47,17 @@ parents of the marked nodes below, so its work follows the nodes on paths from
 the evidence to the root.  A prior query is one downward sweep
 (:func:`_sweep_down`).
 
+The chain segments that hang from the root, down to the first level, form
+the *leading path*.  Each of its nodes is a lone child, and a segment step
+does not divide by ``D``, so its parent message depends on the stored rows
+alone, down to the shallowest instantiated node.  The plan keeps these
+prior messages (:class:`~treebelief.model.PriorPath`), the one part of a
+validated network that changes: a query copies the known ones into its own
+state, computes the others, and writes them there before publishing their
+depth (:func:`_leading_down`).  Concurrent queries fill it safely: the
+bytes are a pure function of the network, published only once written, and
+each query copies only what was published when it looked.
+
 Normalizing denominators are always sums of *mean* values; as a consequence
 posterior second moments are approximations (exact for means and for all
 prior queries) and a reported variance can fall a hair below zero, which the
@@ -82,7 +93,9 @@ class MessageState:
     in :class:`~treebelief.model.LevelPlan` order; the methods read one node's.
 
     A state is confined to one query thread; distinct queries on the same
-    network may run concurrently with separate states.
+    network may run concurrently with separate states.  Its arrays are its
+    own and writable: the prior messages that the network keeps for its
+    leading path are copied in, never shared.
     """
 
     __slots__ = ("net", "evidence", "_combined", "_parent", "_upward", "_others")
@@ -146,11 +159,34 @@ def _indicators(combined, pairs_by_k, marked) -> None:
         marked[k][slots] = True
 
 
-def _observed_rows(down, moments, pairs_by_k) -> None:
-    """Send each child of an instantiated node the observed row's moments."""
-    for k, pairs in pairs_by_k.items():
-        slots, rows = map(list, zip(*pairs))
+def _observed_rows(down, moments, found) -> None:
+    """Send each child of an instantiated node the observed row's moments;
+    ``found`` lists ``(k, slots, rows)`` from :func:`_observed_children`."""
+    for k, slots, rows in found:
         down[k][0][slots], down[k][1][slots] = moments[k][0][rows], moments[k][1][rows]
+
+
+def _observed_children(net: ValidatedNetwork, node_id: str, alt: int) -> list:
+    """``(k, slots, rows)`` for the children of ``node_id``, observed as
+    ``alt``: their slots among the nodes of ``k`` alternatives and the
+    observed rows that they receive.
+
+    A node's children of equal ``k`` hold consecutive slots: they tie in the
+    plan's sort, ties keep the order of the depth-first walk, and the walk
+    puts only deeper nodes between two siblings.  So where the first and the
+    last child bound one run of slots, the children are a slice of slots and
+    a strided slice of rows, whatever their number; otherwise each child is
+    looked up alone.
+    """
+    slot, row_start, kids = net.plan.slot, net.plan.row_start, net.nodes[node_id].children
+    if not kids:
+        return []
+    _, k, first, r, _ = slot[kids[0]]
+    m = len(kids)
+    if slot[kids[-1]][1:3] == (k, first + m - 1):
+        row = int(row_start[k][first]) + alt
+        return [(k, slice(first, first + m), slice(row, row + m * r, r))]
+    return [(kc, i, int(row_start[kc][i]) + alt) for _, kc, i, _, _ in map(slot.__getitem__, kids)]
 
 
 def _segment_up(seg: ChainSegment, deepest: int, seen, seen_at, moments, combined, up, marked) -> None:
@@ -191,10 +227,11 @@ def _segment_up(seg: ChainSegment, deepest: int, seen, seen_at, moments, combine
             mean[pos], second[pos] = tops
 
 
-def _segment_down(seg: ChainSegment, below, below_at, moments, down, off: np.ndarray) -> None:
+def _segment_down(seg: ChainSegment, below, below_at, moments, down, off: np.ndarray, start: int = 0) -> None:
     """From the top down, send each node of a chain segment its parent
     message, without the division by ``D`` (see :func:`propagate`); a child
-    of an observed node gets the observed row's moments instead."""
+    of an observed node gets the observed row's moments instead.  The first
+    ``start`` nodes already hold theirs."""
     depth, n, k, r, slot, row, _, top = seg
     (means, _, flat), (q, t) = moments[k], down[k]
     c = means[row : row + n * r].reshape(n, r, k)
@@ -204,8 +241,8 @@ def _segment_down(seg: ChainSegment, below, below_at, moments, down, off: np.nda
     tmp, tmp2, diag, extra = np.empty((r, r)), np.empty((k, r)), np.empty(r), np.empty((k, k))
     extra_flat = extra.reshape(k * k)
     children = [d - depth for d in below_at[bisect_left(below_at, depth) : bisect_left(below_at, depth + n)]]
-    for lo, hi in zip([0, *(j + 1 for j in children)], [*children, n]):  # nodes ``lo .. hi - 1``
-        if lo:
+    for run, (lo, hi) in enumerate(zip([start, *(j + 1 for j in children)], [*children, n])):  # ``lo .. hi - 1``
+        if run:
             _observed_rows(down, moments, below[depth + lo - 1])
         above = [x[lo - 1 : hi - 1] if lo else chain((x_top,), x[: hi - 1]) for x, x_top in parents]
         for c, ct, flat, m, s, pq, pt, ptd in zip(*(x[lo:hi] for x in views), *above):
@@ -215,6 +252,28 @@ def _segment_down(seg: ChainSegment, below, below_at, moments, down, off: np.nda
             diag[...] = ptd
             diag.dot(flat, out=extra_flat)
             s += extra
+
+
+def _leading_down(seg: ChainSegment, held, prior, shallowest: int, below, below_at, moments, down, off) -> None:
+    """:func:`_segment_down` on a segment of the leading path, whose prior
+    messages ``held`` keeps in ``prior``, the plan's
+    :class:`~treebelief.model.PriorPath`.
+
+    Its nodes at or above depth ``shallowest``, the shallowest observed
+    node's, receive their prior parent messages.  Those ``prior`` knows are
+    copied from ``held``; the sweep computes the rest from the last of them,
+    and the prior ones it computed are written to ``held``, then published.
+    """
+    n, known = min(seg.n, shallowest - seg.depth + 1), 0
+    if n > 0:
+        (hq, ht), (q, t) = held, down[seg.k]
+        q, t = q[seg.slot : seg.slot + n], t[seg.slot : seg.slot + n]
+        known = min(max(prior.known - seg.depth + 1, 0), n)
+        q[:known], t[:known] = hq[:known], ht[:known]
+    _segment_down(seg, below, below_at, moments, down, off, known)
+    if n > known:
+        hq[known:n], ht[known:n] = q[known:n], t[known:n]
+        prior.publish(seg.depth + n - 1)
 
 
 def _span(hit: np.ndarray):
@@ -287,15 +346,18 @@ def _sweep_up(plan, seen, combined, up, others) -> None:
         _indicators(combined, seen[0], marked)
 
 
-def _sweep_down(net: ValidatedNetwork, evidence, below, down, others) -> None:
+def _sweep_down(net: ValidatedNetwork, evidence, below, down, others, shallowest: int) -> None:
     """Send each node its parent message, from the root's own row moments
-    down (see :func:`propagate`)."""
+    down (see :func:`propagate`); on the leading path, down to depth
+    ``shallowest``, through the plan's holder of prior messages."""
     plan, moments = net.plan, net.plan.moments
-    below_at = sorted(below)
+    below_at, prior = sorted(below), plan.prior
     off = {r: 1.0 - np.eye(r) for r in others}  # zeroes a diagonal exactly
     _, k, i, _, _ = plan.slot[net.root]
     down[k][0][i], down[k][1][i] = moments[k][0][0], moments[k][1][0]
-    for step in plan.steps:
+    for seg, held in zip(prior.segments, prior.messages):
+        _leading_down(seg, held, prior, shallowest, below, below_at, moments, down, off[seg.r])
+    for step in plan.steps[len(prior.segments) :]:
         if isinstance(step, ChainSegment):
             _segment_down(step, below, below_at, moments, down, off[step.r])
             continue
@@ -319,11 +381,11 @@ def _sweep_down(net: ValidatedNetwork, evidence, below, down, others) -> None:
             down[k][0][slots] = ((m * q / denom[:, None])[:, None, :] @ c)[:, 0]
             flat = moments[k][2][rows].reshape(g, r, k * k)
             down[k][1][slots] = c.transpose(0, 2, 1) @ t2 @ c + (diag @ flat).reshape(g, k, k)
-        _observed_rows(down, moments, below.get(depth, {}))
+        _observed_rows(down, moments, below.get(depth, ()))
 
 
 def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageState:
-    """Run a full collect/distribute sweep and return the resulting state.
+    """Run a collect/distribute sweep and return the resulting state.
 
     Upward, from the deepest level to the root, a node with combined
     message ``(lam, Lam)`` and row means ``C[i, k] = E(p(g_k | f_i))`` sends::
@@ -346,20 +408,24 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
     it keeps ``q' = q``, ``T' = T``, a scale every later ``D`` divides out.
     Upward, only nodes with an instantiated node at or below them are
     computed: every other message keeps its unit fill, exact as every row
-    sums to one with certainty.
+    sums to one with certainty.  Downward, the leading path's parent
+    messages down to the shallowest instantiated node are the prior ones:
+    copied from the network's :class:`~treebelief.model.PriorPath` as far as
+    earlier queries filled it, computed below that and written back.  So a
+    query changes the network only by filling that holder, with bytes that
+    every query computes the same.
     """
     check_evidence(net, evidence)
     state = MessageState(net, evidence)
-    plan = net.plan
-    seen, below = {}, {}  # per depth and k: observed (slot, alternative), their children's (slot, row)
+    plan, seen, below = net.plan, {}, {}  # per depth: observed (slot, alternative) per k, children's rows
     for node_id, alt in evidence.items():
         d, k, i, _, _ = plan.slot[node_id]
         seen.setdefault(d, {}).setdefault(k, []).append((i, alt))
-        for c in net.nodes[node_id].children:
-            _, kc, ic, _, _ = plan.slot[c]
-            below.setdefault(d + 1, {}).setdefault(kc, []).append((ic, plan.row_start[kc][ic] + alt))
+        found = _observed_children(net, node_id, alt)
+        if found:
+            below.setdefault(d + 1, []).extend(found)
     _sweep_up(plan, seen, state._combined, state._upward, state._others)
-    _sweep_down(net, evidence, below, state._parent, state._others)
+    _sweep_down(net, evidence, below, state._parent, state._others, min(seen, default=len(plan.places)))
     return state
 
 

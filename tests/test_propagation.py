@@ -1,4 +1,8 @@
+import copy
+import pickle
 import re
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -1088,3 +1092,124 @@ class TestChainSegments:
         assert not state.parent("H")[0].any()
         assert state.parent("X")[0].tobytes() == net.nodes["X"].mean_rows[1].tobytes()
         assert state.parent("X")[1].tobytes() == net.nodes["X"].second_rows[1].tobytes()
+
+
+def _report_bytes(reports):
+    return [(r.node, r.clamped, r.mean.tobytes(), r.second.tobytes(), r.variance.tobytes())
+            for r in reports.values()]
+
+
+def _path_depth(net):
+    """How many depths below the root the leading path covers."""
+    return sum(seg.n for seg in net.plan.prior.segments)
+
+
+@st.composite
+def _led_trees(draw):
+    """A leading path ``n0 .. n<lead>`` whose ``k`` changes along it with
+    probability 0.4 per link, so that it may be several chain segments, and
+    up to 20 nodes hung at or below its last node."""
+    lead, extra = draw(st.integers(0, 25)), draw(st.integers(0, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parents = [None, *range(lead)]
+    parents += [int(rng.integers(lead, lead + 1 + i)) for i in range(extra)]
+    ks = [int(rng.choice((2, 3, 8)))]
+    for _ in parents[1:]:
+        ks.append(ks[-1] if rng.random() < 0.6 else int(rng.choice((2, 3, 8))))
+    spec = _tree_spec(parents, ks, lambda i, j, k: random_row(rng, ROW_KINDS[int(rng.integers(3))], k))
+    return spec, ks
+
+
+class TestPriorPath:
+    """The plan keeps the prior parent messages of its leading path, the
+    nodes hanging one per depth from the root, filled by the queries
+    themselves; no query may read differently for it."""
+
+    @given(_led_trees(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_reports_do_not_depend_on_earlier_queries(self, tree, data):
+        """A sequence of queries on one network, in a drawn order, reports
+        what each query reports on a fresh copy, byte for byte.  It has no
+        evidence, the root observed, the top of the path observed, evidence
+        only below the path, and drawn evidence anywhere."""
+        spec, ks = tree
+        net = validate_network(spec)
+        depth = {node_id: net.plan.slot[node_id][0] for node_id in net.order}
+        lead = _path_depth(net)
+        alt = lambda node_id: data.draw(st.integers(0, ks[int(node_id[1:])] - 1))
+        queries = [{}, {net.root: alt(net.root)}]
+        queries += [{node_id: alt(node_id)} for node_id in net.order if depth[node_id] == 1 and lead]
+        deeper = [node_id for node_id in net.order if depth[node_id] > lead]
+        if deeper:
+            picked = data.draw(st.lists(st.sampled_from(deeper), min_size=1, max_size=3, unique=True))
+            queries.append({node_id: alt(node_id) for node_id in picked})
+        for _ in range(data.draw(st.integers(0, 3))):
+            picked = data.draw(st.lists(st.sampled_from(net.order), max_size=3, unique=True))
+            queries.append({node_id: alt(node_id) for node_id in picked})
+        known = 0
+        for evidence in data.draw(st.permutations(queries)):
+            got = _report_bytes(posterior_report(propagate(net, evidence)))
+            fresh = copy.copy(net)
+            assert fresh.plan.prior.known == 0
+            assert got == _report_bytes(posterior_report(propagate(fresh, evidence)))
+            assert known <= net.plan.prior.known <= lead  # published depths only grow
+            known = net.plan.prior.known
+        assert known == lead  # the query without evidence fills the whole path
+
+    def test_holder_is_per_network(self):
+        """Copies and pickles start empty, and equal the original once they
+        publish as far; a state's messages are its own writable arrays,
+        equal to the holder's."""
+        net = validate_network(_chain_under_level_spec())
+        assert _path_depth(net) == 0
+        net = validate_network(_tree_spec([None, *range(40)], [3] * 20 + [2] * 21,
+                                          lambda i, j, k: PointMass(np.arange(1, k + 1) / (k * (k + 1) / 2))))
+        assert [(s.depth, s.n, s.k, s.r) for s in net.plan.prior.segments] == [(1, 19, 3, 3), (20, 1, 2, 3),
+                                                                             (21, 20, 2, 2)]
+        state = propagate(net, {"n25": 1})
+        assert net.plan.prior.known == 25
+        for again in (copy.copy(net), copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+            assert again.plan.prior.known == 0
+            assert again.plan.prior.segments == net.plan.prior.segments
+            assert again.plan.prior != net.plan.prior  # equal holders publish the same messages
+            propagate(again, {"n25": 0})
+            assert again.plan.prior == net.plan.prior
+        for seg, (hq, ht) in zip(net.plan.prior.segments, net.plan.prior.messages):
+            q, t = state._parent[seg.k]
+            for held, own in ((hq, q), (ht, t)):
+                assert own.flags.writeable and not np.shares_memory(held, own)
+                part = own[seg.slot : seg.slot + seg.n][: 25 - seg.depth + 1]
+                assert part.tobytes() == held[: len(part)].tobytes()
+
+    def test_concurrent_first_queries(self):
+        """Threads that query one freshly validated 10³-node chain at once
+        report what the queries report one after another, and leave the
+        holder complete.  A racing fill is harmless: the bytes written for a
+        depth are a pure function of the network, so racing writers write
+        the same bytes; a depth is published only after its bytes are
+        written, and only ever raised; a reader copies only the depths
+        published when it looked."""
+        n, rng = 1000, np.random.default_rng(7)
+        spec = _tree_spec(_parents_of("chain", n, rng), [3] * n,
+                          lambda i, j, k: Dirichlet(rng.uniform(0.5, 5.0, size=k)))
+        queries = [{}, {"n999": 1}, {"n500": 2}, {"n0": 0}, {"n250": 1, "n750": 0}, {}, {"n999": 2}, {"n10": 1}]
+        want = [_report_bytes(posterior_report(propagate(validate_network(spec), ev))) for ev in queries]
+        net = validate_network(spec)
+        results = [None] * len(queries)
+
+        def query(t):
+            results[t] = _report_bytes(posterior_report(propagate(net, queries[t])))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=query, args=(t,)) for t in range(len(queries))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == want
+        assert net.plan.prior.known == _path_depth(net) == n - 1
