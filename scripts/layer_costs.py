@@ -35,6 +35,14 @@ a layer that allocates fewer tracked objects can move a collection, and its
 cost, into another layer; the collector-off figures show where the time of
 the code itself goes.
 
+An "enumerate" row times ``enumerate_uncertainty`` in ``approx-posterior``
+and ``exact-posterior`` mode on the trees of the benchmark's
+``oracle_check`` enumeration, whatever ``--sizes`` and ``--k`` say: 8 nodes
+of two alternatives as a chain, a star and a binary tree, a certain root
+row and every other row a two-point support (2^14 combinations), the
+deepest leaf observed.  It reads in ms per call, best of the rounds, with
+the same repeats, budget and collector runs as the layers.
+
 An end-to-end row then runs ``python -m treebelief.cli query FILE --evidence
 LEAF=s1`` once per round, per tree and version, each in a fresh child
 process with its report written to a file.  It records the wall time in µs
@@ -55,14 +63,17 @@ validate, ``propagate``, ``posterior_report``, the sum of the four layers
 from ``parse_network`` to ``posterior_report``, ``propagate`` with no
 evidence, with the mid-tree node observed and repeated, and hand-built
 validation;
-then the end-to-end wall time and ``VmHWM``.  The per-round minimum over
+then ``enumerate_uncertainty`` per tree and mode, and the end-to-end wall
+time and ``VmHWM``.  The per-round minimum over
 repeats keeps one slow run on a shared host out of the ratio.  The two
 versions' ``query`` reports must be the same bytes apart from the
 ``generated_at`` line, or the script names the trees whose reports differ,
 prints each one's largest absolute difference over the reported means,
-second moments and variances, and exits 1.  The last line is one JSON
-object with every number printed, under ``collector_on``,
-``collector_off`` and ``end_to_end``.
+second moments and variances, and exits 1; so it does, naming the tree and
+mode, if the two versions' ``enumerate_uncertainty`` entries differ in any
+bit.  The last line is one JSON object with every number printed, under
+``collector_on``, ``collector_off`` and ``end_to_end``; with ``--base``,
+``enumerate_identical`` says whether the enumerations matched.
 
 Run from the repository root::
 
@@ -94,6 +105,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SHAPES = ("chain", "star", "binary")
+PARENT = {"chain": lambda i: i - 1, "star": lambda i: 0, "binary": lambda i: (i - 1) // 2}
+ENUM_MODES = ("approx-posterior", "exact-posterior")
 LAYERS = ("json.load", "parse_network", "validate_network", "propagate", "posterior_report", "emit",
           "validate (hand-built)", "propagate (prior)", "propagate (mid)", "propagate (repeat)",
           "upward sweep")
@@ -133,7 +146,7 @@ def build_tree(tb, shape: str, n: int, k: int):
     at half the height."""
     rng = np.random.default_rng(n)
     labels = tuple(f"s{j}" for j in range(k))
-    parent = {"chain": lambda i: i - 1, "star": lambda i: 0, "binary": lambda i: (i - 1) // 2}[shape]
+    parent = PARENT[shape]
     nodes = [
         tb.NodeSpec(
             f"n{i}", labels, None if i == 0 else f"n{parent(i)}",
@@ -146,6 +159,62 @@ def build_tree(tb, shape: str, n: int, k: int):
         depth.append(depth[parent(i)] + 1)
     # parents come first, so the last node is a deepest leaf
     return tb.NetworkSpec(nodes), f"n{n - 1}", f"n{depth.index(depth[-1] // 2)}"
+
+
+def build_enum_tree(tb, shape: str):
+    """The ``oracle_check`` enumeration tree of ``shape``, validated by
+    ``tb``: 8 nodes of two alternatives, a certain root row and every other
+    row a two-point support; node ``n7`` is a deepest leaf."""
+    rng, labels = np.random.default_rng(8), ("s0", "s1")
+    nodes = [tb.NodeSpec("n0", labels, None, (tb.PointMass(rng.dirichlet([2.0, 2.0])),))]
+    nodes += [
+        tb.NodeSpec(f"n{i}", labels, f"n{PARENT[shape](i)}", tuple(
+            tb.DiscreteSupport(rng.dirichlet([2.0, 2.0], 2), rng.dirichlet([2.0, 2.0])) for _ in labels
+        ))
+        for i in range(1, 8)
+    ]
+    return tb.validate_network(tb.NetworkSpec(tuple(nodes)))
+
+
+def time_enumerate(tb, net) -> list:
+    """Seconds of one ``enumerate_uncertainty`` call in each of :data:`ENUM_MODES`, ``n7`` observed."""
+    spent = []
+    for mode in ENUM_MODES:
+        start = time.perf_counter()
+        tb.enumerate_uncertainty(net, {"n7": 1}, mode)
+        spent.append(time.perf_counter() - start)
+    return spent
+
+
+def same_entries(a, b) -> bool:
+    """Whether two oracle reports hold the same entries, bit for bit."""
+    return list(a.entries) == list(b.entries) and all(
+        getattr(x, f).tobytes() == getattr(b.entries[node_id], f).tobytes()
+        for node_id, x in a.entries.items() for f in ("mean", "second", "variance")
+    )
+
+
+def best_of(order, measure, counted: int) -> dict:
+    """Per run ``(version, collector)`` of ``order``, the element-wise best
+    of ``measure(version)``'s seconds over at least :data:`REPEATS` runs,
+    repeated until each of the first ``counted`` entries of every run has
+    spent :data:`BUDGET`; the collector runs before each run and is off
+    during it where the run says so."""
+    best, spent = {}, {run: np.zeros(counted) for run in order}
+    for repeat in itertools.count():
+        if repeat >= REPEATS and min(x.min() for x in spent.values()) >= BUDGET:
+            return best
+        for run in order:
+            v, c = run
+            gc.collect()
+            if c == "off":
+                gc.disable()
+            try:
+                seconds = np.asarray(measure(v))
+            finally:
+                gc.enable()
+            best[run] = np.minimum(best.get(run, seconds), seconds)
+            spent[run] += seconds[:counted]
 
 
 def time_query(tb, path: str, leaf: str, mid: str, built) -> list:
@@ -283,6 +352,8 @@ def main(argv=None) -> int:
     times = {run: {} for run in runs}  # (version, collector) -> tree -> [per-round layer seconds]
     cli_runs = {v: {} for v in versions}  # version -> tree -> [per-round (wall s, VmHWM kB)]
     differ = {}  # tree -> largest absolute difference between the two reports
+    enum_times = {run: {} for run in runs}  # (version, collector) -> shape -> [per-round seconds per mode]
+    enum_differ = []  # shape/mode whose enumerate_uncertainty entries differ between the versions
     with tempfile.TemporaryDirectory() as tmp:
         trees, built = {}, {v: {} for v in versions}  # built: version -> tree -> spec
         for shape in SHAPES:
@@ -292,24 +363,17 @@ def main(argv=None) -> int:
                     built[v][tree], leaf, mid = build_tree(tb, shape, n, args.k)
                 versions["this"].save_network(built["this"][tree], str(path))
                 trees[tree] = (str(path), leaf, mid, n)
+        enum_nets = {shape: {v: build_enum_tree(tb, shape) for v, tb in versions.items()} for shape in SHAPES}
+        for shape, nets in enum_nets.items():
+            for mode in ENUM_MODES if "base" in versions else ():
+                got, want = (versions[v].enumerate_uncertainty(nets[v], {"n7": 1}, mode) for v in ("this", "base"))
+                if not same_entries(got, want):
+                    enum_differ.append(f"{shape}/{mode}")
         for r in range(args.rounds):
+            order = runs if r % 2 == 0 else runs[::-1]
             for tree, (path, leaf, mid, _) in trees.items():
-                order = runs if r % 2 == 0 else runs[::-1]
-                best, spent = {}, {run: np.zeros(len(LAYERS) - 1) for run in order}  # all but the upward sweep
-                for repeat in itertools.count():
-                    if repeat >= REPEATS and min(x.min() for x in spent.values()) >= BUDGET:
-                        break
-                    for run in order:
-                        v, c = run
-                        gc.collect()
-                        if c == "off":
-                            gc.disable()
-                        try:
-                            seconds = time_query(versions[v], path, leaf, mid, built[v][tree])
-                        finally:
-                            gc.enable()
-                        best[run] = np.minimum(best.get(run, seconds), seconds)
-                        spent[run] += seconds[:-1]
+                query = lambda v: time_query(versions[v], path, leaf, mid, built[v][tree])
+                best = best_of(order, query, len(LAYERS) - 1)  # all but the upward sweep count
                 for run in order:
                     times[run].setdefault(tree, []).append(best[run].tolist())
                 outs = {v: str(Path(tmp) / f"query-{v}.json") for v in versions}
@@ -317,6 +381,10 @@ def main(argv=None) -> int:
                     cli_runs[v].setdefault(tree, []).append(time_cli(srcs[v], path, leaf, outs[v]))
                 if r == 0 and "base" in versions and not same_report(outs["this"], outs["base"]):
                     differ[tree] = largest_difference(outs["this"], outs["base"])
+            for shape, nets in enum_nets.items():
+                best = best_of(order, lambda v: time_enumerate(versions[v], nets[v]), len(ENUM_MODES))
+                for run in order:
+                    enum_times[run].setdefault(shape, []).append(best[run].tolist())
 
     result = {"sizes": args.sizes, "rounds": args.rounds, "repeats": REPEATS, "budget_s": BUDGET, "k": args.k}
     for c in collector:
@@ -331,6 +399,16 @@ def main(argv=None) -> int:
                 out["us_per_node"][v][tree] = {layer: None if np.isnan(x) else round(x, 3)
                                                for layer, x in zip(LAYERS, best.tolist())}
                 print(f"  {tree:<14}" + "".join(f"{'-' if np.isnan(x) else f'{x:.2f}':>22}" for x in best))
+        out["enumerate_ms"] = {}
+        for v in versions:
+            print(f"{v}, collector {c}: enumerate, ms per enumerate_uncertainty call on oracle_check's 8-node "
+                  f"two-point trees, best of {args.rounds} rounds")
+            print(f"  {'tree':<14}" + "".join(f"{mode:>22}" for mode in ENUM_MODES))
+            out["enumerate_ms"][v] = {}
+            for shape in SHAPES:
+                best = np.min(enum_times[v, c][shape], axis=0) * 1e3
+                out["enumerate_ms"][v][shape] = dict(zip(ENUM_MODES, np.round(best, 4).tolist()))
+                print(f"  {shape:<14}" + "".join(f"{x:>22.3f}" for x in best))
     out = result["end_to_end"] = {"us_per_node": {}, "vmhwm_kb_per_node": {}}
     for v in versions:
         print(f"{v}: `python -m treebelief.cli query FILE --evidence LEAF=s1` in a child process, "
@@ -358,6 +436,17 @@ def main(argv=None) -> int:
                     result[f"collector_{c}"].setdefault(key, {})[tree] = round(statistics.median(ratios), 4)
                     cells.append(f"{statistics.median(ratios):8.3f} [{min(ratios):.3f}, {max(ratios):.3f}]")
                 print(f"  {tree:<14}" + " |".join(cells))
+        print("enumerate, this / base: median of per-round ratios [min, max], collector " + " | ".join(collector))
+        for shape in SHAPES:
+            for i, mode in enumerate(ENUM_MODES):
+                cells = []
+                for c in collector:
+                    ratios = [a[i] / b[i] for a, b in zip(enum_times["this", c][shape], enum_times["base", c][shape])]
+                    result[f"collector_{c}"].setdefault("enumerate_ratio", {})[f"{shape}/{mode}"] = round(
+                        statistics.median(ratios), 4)
+                    cells.append(f"{statistics.median(ratios):8.3f} [{min(ratios):.3f}, {max(ratios):.3f}]")
+                print(f"  {f'{shape}/{mode}':<24}" + " |".join(cells))
+        result["enumerate_identical"] = not enum_differ
         print("query in a child process, this / base: median of per-round ratios [min, max], wall | VmHWM")
         for tree in trees:
             cells = []
@@ -375,8 +464,9 @@ def main(argv=None) -> int:
         print("query reports differ apart from generated_at on: " + ", ".join(differ), file=sys.stderr)
         for tree, largest in differ.items():
             print(f"  {tree}: largest absolute difference {largest:.3g}", file=sys.stderr)
-        return 1
-    return 0
+    if enum_differ:
+        print("enumerate_uncertainty entries differ from the base's on: " + ", ".join(enum_differ), file=sys.stderr)
+    return 1 if differ or enum_differ else 0
 
 
 if __name__ == "__main__":

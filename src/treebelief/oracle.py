@@ -20,6 +20,11 @@ chunk's temporaries (gamma draws, sum-product messages, value and co-moment
 matrices) take several times as much, a tracemalloc peak of 92 MB for Monte
 Carlo prior mode on a 1000-node binary tree at k = 2.  A smaller cell budget
 would cost time there, since each chunk pays Python overhead per node.
+Enumeration also holds, for as long as it runs, the values and weights of
+its fast-varying rows, those whose combinations repeat within a chunk,
+built once for under three chunks of realizations each and sliced by every
+chunk (:func:`_grid_chunks`); on the 8-node trees of 2^14 combinations that
+is 11 rows of 2 x 6144 values and 6144 weights, 1.6 MB.
 
 The accumulation runs once per *block*: each evidence island (below), or
 the whole tree in ``exact-posterior`` mode.  Per realization of weight
@@ -76,6 +81,7 @@ bit-reproducible for identical arguments.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -219,16 +225,19 @@ def _leave_one_out(factors: Sequence[np.ndarray], base: np.ndarray) -> List[np.n
     """For each factor, ``base`` times the product of all the others.
 
     Prefix products times suffix products: linear in the number of factors
-    and free of division, which a zero factor would break.
+    and free of division, which a zero factor would break.  No product
+    starts from ones, so one factor gives ``[base]`` and two give
+    ``[base * f1, base * f0]``, the bits a start from ones would give.
     """
     prefix = [base]
     for f in factors[:-1]:
         prefix.append(prefix[-1] * f)
-    out: List[np.ndarray] = [None] * len(factors)
-    suffix = np.ones_like(base)
-    for i in range(len(factors) - 1, -1, -1):
+    out: List[np.ndarray] = prefix[:]
+    suffix = factors[-1]
+    for i in range(len(factors) - 2, -1, -1):
         out[i] = prefix[i] * suffix
-        suffix = suffix * factors[i]
+        if i:
+            suffix = suffix * factors[i]
     return out
 
 
@@ -261,9 +270,10 @@ def _island_sums(
     lam: Dict[str, np.ndarray] = {}
     up: Dict[str, np.ndarray] = {}  # member -> its message to its parent
     for m in reversed(island.members):
-        out = rim[m] if m in rim else np.ones((net.nodes[m].dim, n_real))
-        for c in kids[m]:
-            out = out * up[c]
+        factors = ([rim[m]] if m in rim else []) + [up[c] for c in kids[m]]
+        out = factors[0] if factors else np.ones((net.nodes[m].dim, n_real))
+        for f in factors[1:]:
+            out = out * f
         lam[m] = out
         if m != island.top:
             up[m] = np.einsum("xyr,yr->xr", tabs[m], out)
@@ -273,7 +283,7 @@ def _island_sums(
     for m in island.members:
         values[m] = pi[m] * lam[m]
         if kids[m]:
-            others = _leave_one_out([up[c] for c in kids[m]], pi[m] * rim.get(m, 1.0))
+            others = _leave_one_out([up[c] for c in kids[m]], pi[m] * rim[m] if m in rim else pi[m])
             for c, above in zip(kids[m], others):
                 pi[c] = np.einsum("xr,xyr->yr", above, tabs[c])
     return values, values[island.top].sum(axis=0)
@@ -326,6 +336,13 @@ def _support_of(dist) -> Tuple[np.ndarray, np.ndarray]:
     )
 
 
+def _step(net: ValidatedNetwork, node_ids: Sequence[str]) -> int:
+    """Realizations per chunk: at most ``_CHUNK_REALIZATIONS``, and at most
+    ``_CHUNK_CELLS`` table cells of ``node_ids``."""
+    cells = sum(net.nodes[n].mean_rows.size for n in node_ids)
+    return min(_CHUNK_REALIZATIONS, max(1, _CHUNK_CELLS // cells))
+
+
 def _chunks(net: ValidatedNetwork, node_ids: Sequence[str], row_ids: _Rows, count: int,
             rows_of: Callable[[int, int], Tuple[Iterable[np.ndarray], np.ndarray]]) -> _Chunks:
     """Yield the tables of ``node_ids`` for realizations ``0..count-1``.
@@ -333,14 +350,13 @@ def _chunks(net: ValidatedNetwork, node_ids: Sequence[str], row_ids: _Rows, coun
     ``rows_of(lo, hi)`` gives the values of ``row_ids`` one at a time, each
     of shape (dim, hi - lo), and the weights of realizations ``lo..hi-1``.
     A chunk holds at most ``_CHUNK_REALIZATIONS`` realizations and
-    ``_CHUNK_CELLS`` table cells.  Rows not listed are
+    ``_CHUNK_CELLS`` table cells (:func:`_step`).  Rows not listed are
     frozen at their mean vector; such rows must be ones the downstream sum
     never reads, or genuinely certain.  Tables with no listed row are
     read-only views shared by the chunk.  Each listed row is one contiguous
     write.
     """
-    cells = sum(net.nodes[n].mean_rows.size for n in node_ids)
-    step = min(_CHUNK_REALIZATIONS, max(1, _CHUNK_CELLS // cells))
+    step = _step(net, node_ids)
     for lo in range(0, count, step):
         hi = min(count, lo + step)
         values, weights = rows_of(lo, hi)
@@ -359,9 +375,23 @@ def _grid_chunks(net: ValidatedNetwork, cap: int, node_ids: Sequence[str], row_i
     """Enumeration source: every combination of the supports of ``row_ids``.
 
     Combinations come in ``itertools.product`` order over the listed rows,
-    and each is weighted by the product of its support weights; rows with a
-    one-point support stay at their mean, that point.  Raises
-    :class:`CapExceeded` before any work when the count exceeds ``cap``.
+    and each is weighted by the product of its support weights, multiplied
+    in the rows' order; rows with a one-point support stay at their mean,
+    that point.  Raises :class:`CapExceeded` before any work when the count
+    exceeds ``cap``.
+
+    The rows are split once per enumeration.  The trailing rows, those
+    whose sub-grid (the product of their support sizes, ``P``) is shorter
+    than a chunk, take the same values and weights in every period of
+    ``P`` realizations.  Their values and weights are built once, for as
+    many whole periods as cover ``P - 1`` plus a chunk, so under three
+    chunks of realizations per row, and made read-only; a chunk of ``R``
+    realizations from ``lo`` takes them as the slices ``[lo % P : lo % P +
+    R]``.  The leading rows change only from one period to the next, so a
+    chunk builds each of them with one ``np.take`` over the few periods it
+    meets and one ``np.repeat`` over its runs.  The shared arrays are freed
+    with the enumeration; :func:`_chunks` copies each slice into the
+    chunk's tables.
     """
     listed = [(n, r) for n, r in row_ids if len(_support_of(net.nodes[n].rows[r])[1]) > 1]
     supports = [_support_of(net.nodes[n].rows[r]) for n, r in listed]
@@ -370,15 +400,39 @@ def _grid_chunks(net: ValidatedNetwork, cap: int, node_ids: Sequence[str], row_i
     if count > cap:
         raise CapExceeded(f"{count} uncertainty combinations exceed the cap {cap}")
 
+    step = _step(net, node_ids)
+    split, period = len(sizes), 1  # rows from ``split`` on repeat every ``period``, fewer than ``step``
+    while split and period * sizes[split - 1] < step:
+        split -= 1
+        period *= sizes[split]
     strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]  # C order, last fastest
+    leading = [(pts.T, w, stride // period, size)
+               for (pts, w), stride, size in zip(supports[:split], strides, sizes)]
+    span = period * -(-min(count, period - 1 + step) // period)  # whole periods
+    trailing = []
+    for (pts, w), stride, size in zip(supports[split:], strides[split:], sizes[split:]):
+        reps = span // (stride * size)
+        shared = np.tile(np.repeat(pts.T, stride, axis=1), reps), np.tile(np.repeat(w, stride), reps)
+        for array in shared:
+            array.flags.writeable = False
+        trailing.append(shared)
 
     def rows_of(lo: int, hi: int):
-        i = np.arange(lo, hi)
-        choices = [(i // stride) % size for stride, size in zip(strides, sizes)]
-        weights = np.ones(hi - lo)
-        for (_, w), choice in zip(supports, choices):
+        at, n, first, last = lo % period, hi - lo, lo // period, (hi - 1) // period
+        blocks = np.arange(first, last + 1)  # the periods the chunk meets, and its run in each
+        runs = np.diff(np.clip(np.arange(first, last + 2) * period, lo, hi))
+        choices = [(blocks // stride) % size for _, _, stride, size in leading]
+        weights = np.ones(len(blocks))
+        for (_, w, _, _), choice in zip(leading, choices):
             weights *= np.take(w, choice)
-        return (np.take(pts.T, c, axis=1) for (pts, _), c in zip(supports, choices)), weights
+        weights = np.repeat(weights, runs)
+        for _, w in trailing:
+            weights *= w[at:at + n]
+        values = itertools.chain(
+            (np.repeat(np.take(pts, c, axis=1), runs, axis=1) for (pts, _, _, _), c in zip(leading, choices)),
+            (pts[:, at:at + n] for pts, _ in trailing),
+        )
+        return values, weights
 
     return count, _chunks(net, node_ids, listed, count, rows_of)
 

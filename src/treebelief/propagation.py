@@ -95,10 +95,12 @@ class MessageState:
     A state is confined to one query thread; distinct queries on the same
     network may run concurrently with separate states.  Its arrays are its
     own and writable: the prior messages that the network keeps for its
-    leading path are copied in, never shared.
+    leading path are copied in, never shared.  ``_children`` lists the
+    children of instantiated nodes as :func:`_observed_children` gives them,
+    in evidence order.
     """
 
-    __slots__ = ("net", "evidence", "_combined", "_parent", "_upward", "_others")
+    __slots__ = ("net", "evidence", "_combined", "_parent", "_upward", "_others", "_children")
 
     def __init__(self, net: ValidatedNetwork, evidence: Mapping[str, int]):
         self.net, self.evidence = net, dict(evidence)
@@ -106,6 +108,7 @@ class MessageState:
         counts, sib = {k: len(starts) for k, starts in net.plan.row_start.items()}, net.plan.sib_counts
         self._combined, self._parent = stack(counts, np.ones), stack(counts, np.empty)
         self._upward, self._others = stack(sib, np.ones), stack(sib, np.ones)
+        self._children = []
 
     def _slot(self, node_id: str) -> tuple:
         self.net.node(node_id)  # raises UnknownNode outside the network
@@ -176,7 +179,7 @@ def _observed_children(net: ValidatedNetwork, node_id: str, alt: int) -> list:
     puts only deeper nodes between two siblings.  So where the first and the
     last child bound one run of slots, the children are a slice of slots and
     a strided slice of rows, whatever their number; otherwise each child is
-    looked up alone.
+    looked up alone, as slices of one.
     """
     slot, row_start, kids = net.plan.slot, net.plan.row_start, net.nodes[node_id].children
     if not kids:
@@ -186,7 +189,8 @@ def _observed_children(net: ValidatedNetwork, node_id: str, alt: int) -> list:
     if slot[kids[-1]][1:3] == (k, first + m - 1):
         row = int(row_start[k][first]) + alt
         return [(k, slice(first, first + m), slice(row, row + m * r, r))]
-    return [(kc, i, int(row_start[kc][i]) + alt) for _, kc, i, _, _ in map(slot.__getitem__, kids)]
+    alone = [(kc, i, int(row_start[kc][i]) + alt) for _, kc, i, _, _ in map(slot.__getitem__, kids)]
+    return [(kc, slice(i, i + 1), slice(row, row + 1)) for kc, i, row in alone]
 
 
 def _segment_up(seg: ChainSegment, deepest: int, seen, seen_at, moments, combined, up, marked) -> None:
@@ -424,6 +428,7 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
         found = _observed_children(net, node_id, alt)
         if found:
             below.setdefault(d + 1, []).extend(found)
+            state._children += found
     _sweep_up(plan, seen, state._combined, state._upward, state._others)
     _sweep_down(net, evidence, below, state._parent, state._others, min(seen, default=len(plan.places)))
     return state
@@ -437,22 +442,36 @@ def _check_islands(state: MessageState) -> None:
     An island is a set of uninstantiated nodes joined without crossing an
     instantiated one.  Its top, the root or a child of an instantiated node,
     holds the island's mean evidence probability as its ``D = sum_j m[j] q[j]``,
-    zero exactly when every term is, since none is negative.  The first top
-    with ``D == 0``, the root before the others, is named.
+    zero exactly when every term is, since none is negative.  The tops are
+    checked as the runs of slots that :func:`_observed_children` gave
+    :func:`propagate`, one gather per alternative count with no loop over
+    children; observed children are among them, harmlessly, since their
+    ``D`` is their observed row entry, which passed the first check.  The
+    first top with ``D == 0`` is named: the root, then the children of
+    instantiated nodes in evidence order and child order.
     """
     net, evidence, slot = state.net, state.evidence, state.net.plan.slot
     check_observed_entries(net, evidence)
-    tops = [] if net.root in evidence else [net.root]
-    tops += [c for node_id in evidence for c in net.nodes[node_id].children if c not in evidence]
-    by_k, zero = {}, set()
-    for top in tops:
-        _, k, i, _, _ = slot[top]
-        by_k.setdefault(k, []).append(i)
-    for k, slots in by_k.items():
-        at = np.array(slots)
-        terms = state._combined[k][0].take(at, 0) * state._parent[k][0].take(at, 0)
-        zero.update((k, i) for i, any_term in zip(slots, terms.any(axis=1).tolist()) if not any_term)
+    runs = {}  # k -> slot ranges of the tops, as slices
+    if net.root not in evidence:
+        _, k, i, _, _ = slot[net.root]
+        runs[k] = [slice(i, i + 1)]
+    for k, slots, _ in state._children:
+        runs.setdefault(k, []).append(slots)
+    zero = set()
+    for k, spans in runs.items():
+        m, q = state._combined[k][0], state._parent[k][0]
+        if len(spans) == 1:  # one run of slots, read as views
+            at, m, q = spans[0], m[spans[0]], q[spans[0]]
+        else:
+            at = np.fromiter(chain.from_iterable(range(s.start, s.stop) for s in spans), np.intp)
+            m, q = m.take(at, 0), q.take(at, 0)
+        live = (m * q).any(axis=1)
+        if not live.all():
+            zero.update((k, i) for i in np.r_[at][~live].tolist())
     if zero:
+        tops = [] if net.root in evidence else [net.root]
+        tops += [c for node_id in evidence for c in net.nodes[node_id].children]
         top = next(top for top in tops if slot[top][1:3] in zero)
         raise InconsistentEvidence(f"evidence at node {top!r} has zero mean probability")
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 from typing import List, Sequence
 
@@ -650,6 +651,43 @@ def _weighted_entry(values: np.ndarray, weights: np.ndarray) -> OracleEntry:
     return OracleEntry(mean, second, variance, se_mean, se_second, se_variance)
 
 
+def _index_grid_chunks(net, cap, node_ids, row_ids):
+    """The reference for :func:`oracle._grid_chunks`, plain index arithmetic:
+    each chunk recomputes every listed row's support index of each
+    realization ``i`` as ``(i // stride) % size``."""
+    listed = [(n, r) for n, r in row_ids if len(oracle._support_of(net.nodes[n].rows[r])[1]) > 1]
+    supports = [oracle._support_of(net.nodes[n].rows[r]) for n, r in listed]
+    sizes = [len(w) for _, w in supports]
+    count = math.prod(sizes)
+    if count > cap:
+        raise CapExceeded(f"{count} uncertainty combinations exceed the cap {cap}")
+    strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
+
+    def rows_of(lo, hi):
+        i = np.arange(lo, hi)
+        choices = [(i // stride) % size for stride, size in zip(strides, sizes)]
+        weights = np.ones(hi - lo)
+        for (_, w), choice in zip(supports, choices):
+            weights *= np.take(w, choice)
+        return (np.take(pts.T, c, axis=1) for (pts, _), c in zip(supports, choices)), weights
+
+    return count, oracle._chunks(net, node_ids, listed, count, rows_of)
+
+
+def _support_star(rng, sizes, ks):
+    """A root of one certain row and a child per support size: its row 0 a
+    support of that many points, its row 1 a one-point support."""
+    one = lambda k: DiscreteSupport(rng.dirichlet(np.ones(k), 1), np.array([1.0]))
+    return validate_network(NetworkSpec(
+        (NodeSpec("r", ("x", "y"), None, (one(2),)),)
+        + tuple(
+            NodeSpec(f"c{i}", tuple(f"a{j}" for j in range(k)), "r",
+                     (DiscreteSupport(rng.dirichlet(np.ones(k), size), rng.dirichlet(np.ones(size))), one(k)))
+            for i, (size, k) in enumerate(zip(sizes, ks))
+        )
+    ))
+
+
 MOMENTS = ("mean", "second", "variance")
 STANDARD_ERRORS = ("se_mean", "se_second", "se_variance")
 
@@ -808,6 +846,71 @@ class TestChunkedRealizations:
             assert np.array_equal(row_b, b.points[j])
             assert np.array_equal(row_one, one.points[0])
             assert weight == a.weights[i] * b.weights[j]
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 7),
+        st.lists(st.integers(1, 3), max_size=4),
+        st.integers(1, 7),
+        st.integers(3, 100),
+        st.one_of(st.integers(1, 400), st.just(10**9)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_grid_matches_the_index_arithmetic(self, seed, front, middle, back, realizations, cells):
+        # A large support in front of small ones and one behind them, under
+        # small chunk caps, so that chunks start at every offset of a period.
+        rng = np.random.default_rng(seed)
+        sizes = [front] + middle + [back]
+        net = _support_star(rng, sizes, rng.integers(2, 4, len(sizes)).tolist())
+        rows = [(z, r) for z in net.order for r in range(len(net.nodes[z].rows))]
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(oracle, "_CHUNK_REALIZATIONS", realizations)
+            m.setattr(oracle, "_CHUNK_CELLS", cells)
+            want_count, want = _index_grid_chunks(net, 10**6, net.order, rows)
+            want = list(want)
+            real, seen = oracle._chunks, []  # seen: the rows_of that _grid_chunks hands to _chunks
+            m.setattr(oracle, "_chunks", lambda *args: seen.append(args[-1]) or real(*args))
+            count, got = oracle._grid_chunks(net, 10**6, net.order, rows)
+            got = list(got)
+            step = oracle._step(net, net.order)
+            values = [list(seen[0](lo, min(count, lo + step))[0]) for lo in range(0, count, step)]
+        assert count == want_count == math.prod(sizes)
+        assert [len(w) for _, w in got] == [len(w) for _, w in want]
+        for (tabs, weights), (want_tabs, want_weights) in zip(got, want):
+            assert np.array_equal(weights, want_weights) and list(tabs) == list(want_tabs)
+            for node_id, table in want_tabs.items():
+                assert np.array_equal(tabs[node_id], table)
+        # the last rows, whose sub-grid repeats in fewer realizations than a chunk
+        # holds, are slices of arrays shared by every chunk, and read-only
+        listed = [s for s in sizes if s > 1]
+        shared = sum(math.prod(listed[i:]) < step for i in range(len(listed)))
+        for chunk in values:
+            assert [v.flags.writeable for v in chunk] == [True] * (len(listed) - shared) + [False] * shared
+
+    def test_grid_memory_stays_near_the_index_arithmetic(self, monkeypatch):
+        # one 1000-point row in front of ten two-point rows: 1000 periods of 1024
+        rng = np.random.default_rng(5)
+        big = DiscreteSupport(rng.dirichlet([1.0, 1.0], 1000), rng.dirichlet(np.ones(1000)))
+        two = DiscreteSupport(np.array([[0.2, 0.8], [0.7, 0.3]]), np.array([0.4, 0.6]))
+        one = DiscreteSupport(np.array([[0.45, 0.55]]), np.array([1.0]))
+        net = validate_network(NetworkSpec(
+            (NodeSpec("r", ("x", "y"), None, (big,)),)
+            + tuple(NodeSpec(f"c{i}", ("x", "y"), "r", (two, one)) for i in range(10))
+        ))
+        peaks, reports = {}, {}
+        for name, source in (("want", _index_grid_chunks), ("got", oracle._grid_chunks)):
+            monkeypatch.setattr(oracle, "_grid_chunks", source)
+            tracemalloc.start()
+            try:
+                reports[name] = enumerate_uncertainty(net, {}, "prior")
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert reports["got"].size == 1000 * 2**10
+        for node_id, entry in reports["want"].entries.items():
+            for attr in MOMENTS:
+                assert np.array_equal(getattr(reports["got"].entries[node_id], attr), getattr(entry, attr))
+        assert peaks["got"] < 1.25 * peaks["want"]
 
     def test_standard_errors_match_the_per_alternative_reference(self):
         rng = np.random.default_rng(63)

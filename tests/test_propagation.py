@@ -290,6 +290,30 @@ class TestDegenerateNetworks:
                 posterior_report(state, nodes)
         assert set(posterior_report(propagate(net, {"X": 1, "Z": 2}), ["W"])) == {"W"}
 
+    @pytest.mark.parametrize("mixed", [False, True], ids=["one run of slots", "mixed k"])
+    def test_hub_observed_star_names_the_first_dead_island(self, mixed):
+        # H=h1 is observed; c2 and c4 each carry an observed leaf that their row
+        # under h1 cannot produce, so the islands {c2} and {c4} both have D = 0;
+        # c1 is observed too.  The first in child order, c2, is named.
+        dead = (PointMass([1.0, 0.0]), PointMass([0.0, 1.0]))
+        leaf = (PointMass([1.0, 0.0]), PointMass([0.5, 0.5]))
+        kids = [NodeSpec(f"c{i}", ("x1", "x2"), "H", (PointMass([0.3, 0.7]), PointMass([0.6, 0.4])))
+                for i in range(8)]
+        if mixed:
+            kids[5] = NodeSpec("c5", ("y1", "y2", "y3"), "H", (PointMass([0.2, 0.3, 0.5]),) * 2)
+        for i in (2, 4):
+            kids[i] = NodeSpec(f"c{i}", ("x1", "x2"), "H", dead)
+        net = validate_network(NetworkSpec(
+            (NodeSpec("H", ("h1", "h2"), None, (PointMass([0.5, 0.5]),)),) + tuple(kids)
+            + tuple(NodeSpec(f"g{i}", ("z1", "z2"), f"c{i}", leaf) for i in (2, 4))
+        ))
+        evidence = {"H": 0, "c1": 1, "g4": 1, "g2": 1}
+        state = propagate(net, evidence)
+        for nodes in (None, ["H"], ["c0"], ["g2"]):
+            with pytest.raises(InconsistentEvidence, match="^evidence at node 'c2' has zero mean probability$"):
+                posterior_report(state, nodes)
+        assert set(posterior_report(propagate(net, {**evidence, "g2": 0, "g4": 0}), ["c4"])) == {"c4"}
+
     @given(st.integers(0, 2**32 - 1), st.data())
     @settings(max_examples=150, deadline=None)
     def test_a_report_fails_if_and_only_if_every_report_fails(self, seed, data):
