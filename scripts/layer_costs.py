@@ -40,8 +40,12 @@ and ``exact-posterior`` mode on the trees of the benchmark's
 ``oracle_check`` enumeration, whatever ``--sizes`` and ``--k`` say: 8 nodes
 of two alternatives as a chain, a star and a binary tree, a certain root
 row and every other row a two-point support (2^14 combinations), the
-deepest leaf observed.  It reads in ms per call, best of the rounds, with
-the same repeats, budget and collector runs as the layers.
+deepest leaf observed.  An "mc" row times ``mc_uncertainty`` in all three
+modes on the trees of the benchmark's Monte Carlo compares: 10 nodes of two
+alternatives as a chain, a star and a binary tree, every row a Dirichlet,
+n = 2000 samples at a fixed seed, the deepest leaf observed in the posterior
+modes.  Each reads in ms per call, best of the rounds, with the same
+repeats, budget and collector runs as the layers.
 
 An end-to-end row then runs ``python -m treebelief.cli query FILE --evidence
 LEAF=s1`` once per round, per tree and version, each in a fresh child
@@ -63,17 +67,19 @@ validate, ``propagate``, ``posterior_report``, the sum of the four layers
 from ``parse_network`` to ``posterior_report``, ``propagate`` with no
 evidence, with the mid-tree node observed and repeated, and hand-built
 validation;
-then ``enumerate_uncertainty`` per tree and mode, and the end-to-end wall
+then ``enumerate_uncertainty`` and ``mc_uncertainty`` per tree and mode, and the end-to-end wall
 time and ``VmHWM``.  The per-round minimum over
 repeats keeps one slow run on a shared host out of the ratio.  The two
 versions' ``query`` reports must be the same bytes apart from the
 ``generated_at`` line, or the script names the trees whose reports differ,
 prints each one's largest absolute difference over the reported means,
 second moments and variances, and exits 1; so it does, naming the tree and
-mode, if the two versions' ``enumerate_uncertainty`` entries differ in any
-bit.  The last line is one JSON object with every number printed, under
-``collector_on``, ``collector_off`` and ``end_to_end``; with ``--base``,
-``enumerate_identical`` says whether the enumerations matched.
+mode, if the two versions' ``enumerate_uncertainty`` or ``mc_uncertainty``
+reports differ in any bit of an entry, a standard error or the effective
+sample size.  The last line is one JSON object with every number printed,
+under ``collector_on``, ``collector_off`` and ``end_to_end``; with
+``--base``, ``enumerate_identical`` and ``mc_identical`` say whether the
+oracles' reports matched.
 
 Run from the repository root::
 
@@ -107,6 +113,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SHAPES = ("chain", "star", "binary")
 PARENT = {"chain": lambda i: i - 1, "star": lambda i: 0, "binary": lambda i: (i - 1) // 2}
 ENUM_MODES = ("approx-posterior", "exact-posterior")
+MC_MODES, MC_SAMPLES, MC_SEED = ("prior", "approx-posterior", "exact-posterior"), 2000, 31
 LAYERS = ("json.load", "parse_network", "validate_network", "propagate", "posterior_report", "emit",
           "validate (hand-built)", "propagate (prior)", "propagate (mid)", "propagate (repeat)",
           "upward sweep")
@@ -176,22 +183,54 @@ def build_enum_tree(tb, shape: str):
     return tb.validate_network(tb.NetworkSpec(tuple(nodes)))
 
 
-def time_enumerate(tb, net) -> list:
-    """Seconds of one ``enumerate_uncertainty`` call in each of :data:`ENUM_MODES`, ``n7`` observed."""
+def build_mc_tree(tb, shape: str):
+    """The ``oracle_check`` Monte Carlo tree of ``shape``, validated by
+    ``tb``: 10 nodes of two alternatives, every row a Dirichlet; node ``n9``
+    is a deepest leaf."""
+    rng, labels = np.random.default_rng(10), ("s0", "s1")
+    return tb.validate_network(tb.NetworkSpec(tuple(
+        tb.NodeSpec(f"n{i}", labels, None if i == 0 else f"n{PARENT[shape](i)}", tuple(
+            tb.Dirichlet(rng.uniform(0.5, 5.0, 2)) for _ in range(1 if i == 0 else 2)
+        ))
+        for i in range(10)
+    )))
+
+
+def run_enumerate(tb, net, mode: str):
+    return tb.enumerate_uncertainty(net, {"n7": 1}, mode)
+
+
+def run_mc(tb, net, mode: str):
+    return tb.mc_uncertainty(net, {} if mode == "prior" else {"n9": 1}, mode, n=MC_SAMPLES, seed=MC_SEED)
+
+
+#: per oracle row: its tree builder, its modes, one call, and what the call is
+ORACLES = {
+    "enumerate": (build_enum_tree, ENUM_MODES, run_enumerate,
+                  "enumerate_uncertainty call on oracle_check's 8-node two-point trees"),
+    "mc": (build_mc_tree, MC_MODES, run_mc,
+           f"mc_uncertainty call (n = {MC_SAMPLES}) on oracle_check's 10-node Dirichlet trees"),
+}
+
+
+def time_oracle(tb, net, modes, call) -> list:
+    """Seconds of one ``call`` of the oracle on ``net`` in each of ``modes``."""
     spent = []
-    for mode in ENUM_MODES:
+    for mode in modes:
         start = time.perf_counter()
-        tb.enumerate_uncertainty(net, {"n7": 1}, mode)
+        call(tb, net, mode)
         spent.append(time.perf_counter() - start)
     return spent
 
 
 def same_entries(a, b) -> bool:
-    """Whether two oracle reports hold the same entries, bit for bit."""
-    return list(a.entries) == list(b.entries) and all(
-        getattr(x, f).tobytes() == getattr(b.entries[node_id], f).tobytes()
-        for node_id, x in a.entries.items() for f in ("mean", "second", "variance")
-    )
+    """Whether two oracle reports hold the same entries, standard errors and
+    effective sample size, bit for bit."""
+    fields = ("mean", "second", "variance", "se_mean", "se_second", "se_variance")
+    return (list(a.entries) == list(b.entries) and a.effective_sample_size == b.effective_sample_size
+            and all((u is None) == (v is None) and (u is None or u.tobytes() == v.tobytes())
+                    for node_id, x in a.entries.items() for f in fields
+                    for u, v in [(getattr(x, f), getattr(b.entries[node_id], f))]))
 
 
 def best_of(order, measure, counted: int) -> dict:
@@ -352,8 +391,9 @@ def main(argv=None) -> int:
     times = {run: {} for run in runs}  # (version, collector) -> tree -> [per-round layer seconds]
     cli_runs = {v: {} for v in versions}  # version -> tree -> [per-round (wall s, VmHWM kB)]
     differ = {}  # tree -> largest absolute difference between the two reports
-    enum_times = {run: {} for run in runs}  # (version, collector) -> shape -> [per-round seconds per mode]
-    enum_differ = []  # shape/mode whose enumerate_uncertainty entries differ between the versions
+    # oracle -> (version, collector) -> shape -> [per-round seconds per mode]
+    oracle_times = {name: {run: {} for run in runs} for name in ORACLES}
+    oracle_differ = {name: [] for name in ORACLES}  # oracle -> shape/mode whose reports differ
     with tempfile.TemporaryDirectory() as tmp:
         trees, built = {}, {v: {} for v in versions}  # built: version -> tree -> spec
         for shape in SHAPES:
@@ -363,12 +403,14 @@ def main(argv=None) -> int:
                     built[v][tree], leaf, mid = build_tree(tb, shape, n, args.k)
                 versions["this"].save_network(built["this"][tree], str(path))
                 trees[tree] = (str(path), leaf, mid, n)
-        enum_nets = {shape: {v: build_enum_tree(tb, shape) for v, tb in versions.items()} for shape in SHAPES}
-        for shape, nets in enum_nets.items():
-            for mode in ENUM_MODES if "base" in versions else ():
-                got, want = (versions[v].enumerate_uncertainty(nets[v], {"n7": 1}, mode) for v in ("this", "base"))
-                if not same_entries(got, want):
-                    enum_differ.append(f"{shape}/{mode}")
+        oracle_nets = {name: {shape: {v: build(tb, shape) for v, tb in versions.items()} for shape in SHAPES}
+                       for name, (build, *_) in ORACLES.items()}
+        for name, (_, modes, call, _) in ORACLES.items():
+            for shape, nets in oracle_nets[name].items():
+                for mode in modes if "base" in versions else ():
+                    got, want = (call(versions[v], nets[v], mode) for v in ("this", "base"))
+                    if not same_entries(got, want):
+                        oracle_differ[name].append(f"{shape}/{mode}")
         for r in range(args.rounds):
             order = runs if r % 2 == 0 else runs[::-1]
             for tree, (path, leaf, mid, _) in trees.items():
@@ -381,10 +423,11 @@ def main(argv=None) -> int:
                     cli_runs[v].setdefault(tree, []).append(time_cli(srcs[v], path, leaf, outs[v]))
                 if r == 0 and "base" in versions and not same_report(outs["this"], outs["base"]):
                     differ[tree] = largest_difference(outs["this"], outs["base"])
-            for shape, nets in enum_nets.items():
-                best = best_of(order, lambda v: time_enumerate(versions[v], nets[v]), len(ENUM_MODES))
-                for run in order:
-                    enum_times[run].setdefault(shape, []).append(best[run].tolist())
+            for name, (_, modes, call, _) in ORACLES.items():
+                for shape, nets in oracle_nets[name].items():
+                    best = best_of(order, lambda v: time_oracle(versions[v], nets[v], modes, call), len(modes))
+                    for run in order:
+                        oracle_times[name][run].setdefault(shape, []).append(best[run].tolist())
 
     result = {"sizes": args.sizes, "rounds": args.rounds, "repeats": REPEATS, "budget_s": BUDGET, "k": args.k}
     for c in collector:
@@ -399,16 +442,16 @@ def main(argv=None) -> int:
                 out["us_per_node"][v][tree] = {layer: None if np.isnan(x) else round(x, 3)
                                                for layer, x in zip(LAYERS, best.tolist())}
                 print(f"  {tree:<14}" + "".join(f"{'-' if np.isnan(x) else f'{x:.2f}':>22}" for x in best))
-        out["enumerate_ms"] = {}
-        for v in versions:
-            print(f"{v}, collector {c}: enumerate, ms per enumerate_uncertainty call on oracle_check's 8-node "
-                  f"two-point trees, best of {args.rounds} rounds")
-            print(f"  {'tree':<14}" + "".join(f"{mode:>22}" for mode in ENUM_MODES))
-            out["enumerate_ms"][v] = {}
-            for shape in SHAPES:
-                best = np.min(enum_times[v, c][shape], axis=0) * 1e3
-                out["enumerate_ms"][v][shape] = dict(zip(ENUM_MODES, np.round(best, 4).tolist()))
-                print(f"  {shape:<14}" + "".join(f"{x:>22.3f}" for x in best))
+        for name, (_, modes, _, what) in ORACLES.items():
+            out[f"{name}_ms"] = {}
+            for v in versions:
+                print(f"{v}, collector {c}: {name}, ms per {what}, best of {args.rounds} rounds")
+                print(f"  {'tree':<14}" + "".join(f"{mode:>22}" for mode in modes))
+                out[f"{name}_ms"][v] = {}
+                for shape in SHAPES:
+                    best = np.min(oracle_times[name][v, c][shape], axis=0) * 1e3
+                    out[f"{name}_ms"][v][shape] = dict(zip(modes, np.round(best, 4).tolist()))
+                    print(f"  {shape:<14}" + "".join(f"{x:>22.3f}" for x in best))
     out = result["end_to_end"] = {"us_per_node": {}, "vmhwm_kb_per_node": {}}
     for v in versions:
         print(f"{v}: `python -m treebelief.cli query FILE --evidence LEAF=s1` in a child process, "
@@ -436,17 +479,19 @@ def main(argv=None) -> int:
                     result[f"collector_{c}"].setdefault(key, {})[tree] = round(statistics.median(ratios), 4)
                     cells.append(f"{statistics.median(ratios):8.3f} [{min(ratios):.3f}, {max(ratios):.3f}]")
                 print(f"  {tree:<14}" + " |".join(cells))
-        print("enumerate, this / base: median of per-round ratios [min, max], collector " + " | ".join(collector))
-        for shape in SHAPES:
-            for i, mode in enumerate(ENUM_MODES):
-                cells = []
-                for c in collector:
-                    ratios = [a[i] / b[i] for a, b in zip(enum_times["this", c][shape], enum_times["base", c][shape])]
-                    result[f"collector_{c}"].setdefault("enumerate_ratio", {})[f"{shape}/{mode}"] = round(
-                        statistics.median(ratios), 4)
-                    cells.append(f"{statistics.median(ratios):8.3f} [{min(ratios):.3f}, {max(ratios):.3f}]")
-                print(f"  {f'{shape}/{mode}':<24}" + " |".join(cells))
-        result["enumerate_identical"] = not enum_differ
+        for name, (_, modes, _, _) in ORACLES.items():
+            print(f"{name}, this / base: median of per-round ratios [min, max], collector " + " | ".join(collector))
+            spent = oracle_times[name]
+            for shape in SHAPES:
+                for i, mode in enumerate(modes):
+                    cells = []
+                    for c in collector:
+                        ratios = [a[i] / b[i] for a, b in zip(spent["this", c][shape], spent["base", c][shape])]
+                        result[f"collector_{c}"].setdefault(f"{name}_ratio", {})[f"{shape}/{mode}"] = round(
+                            statistics.median(ratios), 4)
+                        cells.append(f"{statistics.median(ratios):8.3f} [{min(ratios):.3f}, {max(ratios):.3f}]")
+                    print(f"  {f'{shape}/{mode}':<24}" + " |".join(cells))
+            result[f"{name}_identical"] = not oracle_differ[name]
         print("query in a child process, this / base: median of per-round ratios [min, max], wall | VmHWM")
         for tree in trees:
             cells = []
@@ -464,9 +509,10 @@ def main(argv=None) -> int:
         print("query reports differ apart from generated_at on: " + ", ".join(differ), file=sys.stderr)
         for tree, largest in differ.items():
             print(f"  {tree}: largest absolute difference {largest:.3g}", file=sys.stderr)
-    if enum_differ:
-        print("enumerate_uncertainty entries differ from the base's on: " + ", ".join(enum_differ), file=sys.stderr)
-    return 1 if differ or enum_differ else 0
+    for name, shapes in oracle_differ.items():
+        if shapes:
+            print(f"{name} reports differ from the base's on: " + ", ".join(shapes), file=sys.stderr)
+    return 1 if differ or any(oracle_differ.values()) else 0
 
 
 if __name__ == "__main__":

@@ -8,16 +8,19 @@ floating-point rounding.  :func:`mc_uncertainty` draws n realizations of
 every row that is not a point mass, Dirichlet rows included, each weighted
 1/n, and adds delta-method standard errors.  Realizations arrive in chunks,
 so Monte Carlo memory does not grow with n, and only the rows a block reads
-are drawn.  A chunk holds at most ``_CHUNK_REALIZATIONS`` (4096)
+are drawn.  Each cell of a chunk's tables is written once: a table with a
+realized row starts empty, its other rows take their mean vector, and
+Dirichlet draws are normalized straight into their rows
+(:func:`_chunks`).  A chunk holds at most ``_CHUNK_REALIZATIONS`` (4096)
 realizations and at most ``_CHUNK_CELLS`` (2e6) table cells.  The first
 limit binds on small trees.  It keeps each (2, R) message at 64 KB, so a
 chunk's working set stays near a core's L2 cache; one chunk of all 2^14
 combinations of an 8-node tree takes about twice as long.  Monte Carlo
-prior mode on a two-node network then peaks at 1.6 MB by tracemalloc, at
+prior mode on a two-node network then peaks at 1.4 MB by tracemalloc, at
 n = 2e5 and 2e6 alike.  The second limit binds on trees of more than 488
 cells per realization and bounds their tables (16 MB), not peak memory: a
 chunk's temporaries (gamma draws, sum-product messages, value and co-moment
-matrices) take several times as much, a tracemalloc peak of 92 MB for Monte
+matrices) take several times as much, a tracemalloc peak of 88 MB for Monte
 Carlo prior mode on a 1000-node binary tree at k = 2.  A smaller cell budget
 would cost time there, since each chunk pays Python overhead per node.
 Enumeration also holds, for as long as it runs, the values and weights of
@@ -84,7 +87,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -344,30 +347,38 @@ def _step(net: ValidatedNetwork, node_ids: Sequence[str]) -> int:
 
 
 def _chunks(net: ValidatedNetwork, node_ids: Sequence[str], row_ids: _Rows, count: int,
-            rows_of: Callable[[int, int], Tuple[Iterable[np.ndarray], np.ndarray]]) -> _Chunks:
+            rows_of: Callable[[int, int], Tuple[Iterable, np.ndarray]]) -> _Chunks:
     """Yield the tables of ``node_ids`` for realizations ``0..count-1``.
 
-    ``rows_of(lo, hi)`` gives the values of ``row_ids`` one at a time, each
-    of shape (dim, hi - lo), and the weights of realizations ``lo..hi-1``.
+    ``rows_of(lo, hi)`` gives the values of ``row_ids`` one at a time, and
+    the weights of realizations ``lo..hi-1``.  Each value is an array of
+    shape (dim, hi - lo), copied into its row, or a function that writes
+    the row into the view of it that it is passed.
     A chunk holds at most ``_CHUNK_REALIZATIONS`` realizations and
     ``_CHUNK_CELLS`` table cells (:func:`_step`).  Rows not listed are
     frozen at their mean vector; such rows must be ones the downstream sum
     never reads, or genuinely certain.  Tables with no listed row are
-    read-only views shared by the chunk.  Each listed row is one contiguous
-    write.
+    read-only views shared by the chunk.  A table with a listed row starts
+    empty: its unlisted rows are written from the mean rows, then each
+    listed row once, so every cell is written once.
     """
     step = _step(net, node_ids)
+    means = {z: net.nodes[z].mean_rows[..., None] for z in node_ids}
+    listed = set(row_ids)
+    unlisted = {z: [r for r in range(len(means[z])) if (z, r) not in listed] for z, _ in row_ids}
     for lo in range(0, count, step):
         hi = min(count, lo + step)
         values, weights = rows_of(lo, hi)
-        tabs: Dict[str, np.ndarray] = {}
-        for node_id in node_ids:
-            rows = net.nodes[node_id].mean_rows
-            tabs[node_id] = np.broadcast_to(rows[..., None], rows.shape + (hi - lo,))
-        for node_id in {n for n, _ in row_ids}:
-            tabs[node_id] = tabs[node_id].copy()
+        tabs = {z: np.broadcast_to(m, m.shape[:2] + (hi - lo,)) for z, m in means.items()}
+        for node_id, rows in unlisted.items():
+            tabs[node_id] = table = np.empty(tabs[node_id].shape)
+            if rows:
+                table[rows] = means[node_id][rows]
         for (node_id, row), value in zip(row_ids, values):
-            tabs[node_id][row] = value
+            if callable(value):
+                value(tabs[node_id][row])
+            else:
+                tabs[node_id][row] = value
         yield tabs, weights
 
 
@@ -437,8 +448,10 @@ def _grid_chunks(net: ValidatedNetwork, cap: int, node_ids: Sequence[str], row_i
     return count, _chunks(net, node_ids, listed, count, rows_of)
 
 
-def _dirichlet_draws(rng: np.random.Generator, alpha: np.ndarray, n: int) -> np.ndarray:
-    """n Dirichlet draws as normalized gamma variates.
+def _dirichlet_draws(rng: np.random.Generator, alpha: np.ndarray, n: int,
+                     out: Optional[np.ndarray] = None) -> np.ndarray:
+    """n Dirichlet draws as normalized gamma variates, of shape (n, k), or
+    written transposed into ``out`` of shape (k, n) with no other copy.
 
     With tiny alphas every gamma of a draw can underflow to 0.  Only those
     draws are redrawn, from the same stream after the main draw, in log
@@ -447,18 +460,25 @@ def _dirichlet_draws(rng: np.random.Generator, alpha: np.ndarray, n: int) -> np.
     depend on the gamma sum, so the redraw keeps its distribution.  Monte
     Carlo calls this once per chunk, so the redraws follow each chunk's main
     draw: a row with a redraw is the one stream whose later draws depend on
-    the chunk size.
+    the chunk size.  Each draw's sum has the bits of ``sum(axis=1)``: numpy
+    adds fewer than eight numbers left to right, as the column adds used
+    there do in a fraction of the time, and eight or more pairwise.
     """
+    def row_sums(gammas: np.ndarray) -> np.ndarray:
+        return gammas.sum(axis=1) if len(alpha) >= 8 else reduce(np.add, gammas.T)
+
     gammas = rng.standard_gamma(alpha, size=(n, len(alpha)))
-    sums = gammas.sum(axis=1, keepdims=True)
+    sums = row_sums(gammas)
     if not sums.all():
-        lost = sums[:, 0] == 0.0
+        lost = sums == 0.0
         size = (int(lost.sum()), len(alpha))
         logs = np.log(rng.standard_gamma(alpha + 1.0, size=size))
         logs += np.log(1.0 - rng.random(size)) / alpha
         gammas[lost] = np.exp(logs - logs.max(axis=1, keepdims=True))
-        sums = gammas.sum(axis=1, keepdims=True)
-    return gammas / sums
+        sums = row_sums(gammas)
+    if out is None:
+        return gammas / sums[:, None]
+    return np.divide(gammas.T, sums, out=out)
 
 
 def _sample_chunks(net: ValidatedNetwork, n: int, seed: int, index: Mapping[str, int],
@@ -476,13 +496,13 @@ def _sample_chunks(net: ValidatedNetwork, n: int, seed: int, index: Mapping[str,
     rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(seed, index[z], r)))
             for z, r in listed]
 
-    def draw(dist, rng: np.random.Generator, size: int) -> np.ndarray:
+    def draw(dist, rng: np.random.Generator, size: int):
         if isinstance(dist, Dirichlet):
-            return _dirichlet_draws(rng, dist.alpha, size)
-        return dist.points[rng.choice(len(dist.weights), size, p=dist.weights)]
+            return partial(_dirichlet_draws, rng, dist.alpha, size)
+        return dist.points[rng.choice(len(dist.weights), size, p=dist.weights)].T
 
     def rows_of(lo: int, hi: int):
-        draws = (draw(net.nodes[z].rows[r], rng, hi - lo).T for (z, r), rng in zip(listed, rngs))
+        draws = (draw(net.nodes[z].rows[r], rng, hi - lo) for (z, r), rng in zip(listed, rngs))
         return draws, np.full(hi - lo, 1.0 / n)
 
     return n, _chunks(net, node_ids, listed, n, rows_of)
@@ -529,7 +549,10 @@ def _moments(net: ValidatedNetwork, members: Sequence[str], terms: Callable, pow
             sum_z2 += float(((wz / scale) ** 2).sum())
         if n is not None:  # co-moments of (a, b, z) per value, about the first chunk's means
             a = x * z if power == 1 else x
-            d = np.stack([a, a * x, np.broadcast_to(z, a.shape)], axis=1)
+            d = np.empty((len(x), 3, len(z)))  # (a, b = a x, z) per value, filled in place
+            d[:, 0] = a
+            np.multiply(a, x, out=d[:, 1])
+            d[:, 2] = z
             if shift is None:
                 shift, co, d_sum = d.mean(axis=2, keepdims=True), 0.0, 0.0
             d -= shift

@@ -242,27 +242,23 @@ class TestMonteCarlo:
                 assert np.all(np.isfinite(got)) and np.all(np.isfinite(se))
                 assert np.all(np.abs(got - getattr(rep, attr)) <= 4 * se)
 
-    @pytest.mark.parametrize("alpha", [[0.001, 0.003], [1e-4, 2e-4, 1e-3], [300.0, 1000.0]])
+    @pytest.mark.parametrize("alpha", [
+        [0.001, 0.003], [1e-4, 2e-4, 1e-3], [300.0, 1000.0],
+        # seven and eight alternatives: numpy sums eight or more numbers pairwise
+        [0.3, 0.7, 1.1, 2.0, 3.5, 5.0, 9.0], [0.3, 0.7, 1.1, 2.0, 3.5, 5.0, 9.0, 0.002],
+    ])
     def test_draws_and_stream_match_numpy_gamma(self, alpha):
-        # _dirichlet_draws as written with rng.gamma(shape=...), the reference:
-        # standard_gamma must give the same draws and leave the stream where it was.
-        def reference(rng, alpha, n):
-            gammas = rng.gamma(shape=alpha, size=(n, len(alpha)))
-            sums = gammas.sum(axis=1, keepdims=True)
-            if not sums.all():
-                lost = sums[:, 0] == 0.0
-                size = (int(lost.sum()), len(alpha))
-                logs = np.log(rng.gamma(shape=alpha + 1.0, size=size))
-                logs += np.log(1.0 - rng.random(size)) / alpha
-                gammas[lost] = np.exp(logs - logs.max(axis=1, keepdims=True))
-                sums = gammas.sum(axis=1, keepdims=True)
-            return gammas / sums
-
+        # standard_gamma and the draws' own row sums must give the draws of the
+        # reference and leave the stream where it was, written in place or returned.
         alpha = np.array(alpha)
-        ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
+        ours, theirs, inplace = (np.random.default_rng(8) for _ in range(3))
         for n in (1, 777, 5000):
-            np.testing.assert_array_equal(_dirichlet_draws(ours, alpha, n), reference(theirs, alpha, n))
-            assert ours.random() == theirs.random()
+            draws = _dirichlet_draws(ours, alpha, n)
+            np.testing.assert_array_equal(draws, _numpy_dirichlet(theirs, alpha, n))
+            out = np.empty((len(alpha), n))
+            assert _dirichlet_draws(inplace, alpha, n, out=out) is out
+            assert out.tobytes() == draws.T.tobytes()
+            assert ours.random() == theirs.random() == inplace.random()
 
     def test_tiny_alpha_redraw_keeps_other_draws(self):
         alpha = np.array([0.001, 0.003])
@@ -651,10 +647,64 @@ def _weighted_entry(values: np.ndarray, weights: np.ndarray) -> OracleEntry:
     return OracleEntry(mean, second, variance, se_mean, se_second, se_variance)
 
 
-def _index_grid_chunks(net, cap, node_ids, row_ids):
+def _numpy_dirichlet(rng, alpha, n):
+    """:func:`oracle._dirichlet_draws` as written with ``rng.gamma(shape=...)``
+    and numpy's own row sums, returning the (n, k) quotient: the reference."""
+    gammas = rng.gamma(shape=alpha, size=(n, len(alpha)))
+    sums = gammas.sum(axis=1, keepdims=True)
+    if not sums.all():
+        lost = sums[:, 0] == 0.0
+        size = (int(lost.sum()), len(alpha))
+        logs = np.log(rng.gamma(shape=alpha + 1.0, size=size))
+        logs += np.log(1.0 - rng.random(size)) / alpha
+        gammas[lost] = np.exp(logs - logs.max(axis=1, keepdims=True))
+        sums = gammas.sum(axis=1, keepdims=True)
+    return gammas / sums
+
+
+def _copied_chunks(net, node_ids, row_ids, count, rows_of):
+    """The reference for :func:`oracle._chunks`' tables: the mean rows
+    broadcast, every table with a listed row a copy of them, and then each
+    listed row written over its copy."""
+    step = oracle._step(net, node_ids)
+    for lo in range(0, count, step):
+        hi = min(count, lo + step)
+        values, weights = rows_of(lo, hi)
+        tabs = {}
+        for node_id in node_ids:
+            rows = net.nodes[node_id].mean_rows
+            tabs[node_id] = np.broadcast_to(rows[..., None], rows.shape + (hi - lo,))
+        for node_id in {z for z, _ in row_ids}:
+            tabs[node_id] = tabs[node_id].copy()
+        for (node_id, row), value in zip(row_ids, values):
+            tabs[node_id][row] = value
+        yield tabs, weights
+
+
+def _reference_sample_chunks(net, n, seed, index, node_ids, row_ids):
+    """The reference for :func:`oracle._sample_chunks`: each row's own stream,
+    Dirichlet rows drawn by :func:`_numpy_dirichlet`, and copied tables."""
+    listed = [(z, r) for z, r in row_ids if not isinstance(net.nodes[z].rows[r], PointMass)]
+    rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(seed, index[z], r))) for z, r in listed]
+
+    def rows_of(lo, hi):
+        values = []
+        for (z, r), rng in zip(listed, rngs):
+            dist = net.nodes[z].rows[r]
+            if isinstance(dist, Dirichlet):
+                values.append(_numpy_dirichlet(rng, dist.alpha, hi - lo).T)
+            else:
+                values.append(dist.points[rng.choice(len(dist.weights), hi - lo, p=dist.weights)].T)
+        return values, np.full(hi - lo, 1.0 / n)
+
+    return n, _copied_chunks(net, node_ids, listed, n, rows_of)
+
+
+def _index_grid_chunks(net, cap, node_ids, row_ids, chunks=None):
     """The reference for :func:`oracle._grid_chunks`, plain index arithmetic:
     each chunk recomputes every listed row's support index of each
-    realization ``i`` as ``(i // stride) % size``."""
+    realization ``i`` as ``(i // stride) % size``.  ``chunks`` builds the
+    tables, :func:`oracle._chunks` by default."""
     listed = [(n, r) for n, r in row_ids if len(oracle._support_of(net.nodes[n].rows[r])[1]) > 1]
     supports = [oracle._support_of(net.nodes[n].rows[r]) for n, r in listed]
     sizes = [len(w) for _, w in supports]
@@ -671,7 +721,7 @@ def _index_grid_chunks(net, cap, node_ids, row_ids):
             weights *= np.take(w, choice)
         return (np.take(pts.T, c, axis=1) for (pts, _), c in zip(supports, choices)), weights
 
-    return count, oracle._chunks(net, node_ids, listed, count, rows_of)
+    return count, (chunks or oracle._chunks)(net, node_ids, listed, count, rows_of)
 
 
 def _support_star(rng, sizes, ks):
@@ -886,6 +936,57 @@ class TestChunkedRealizations:
         shared = sum(math.prod(listed[i:]) < step for i in range(len(listed)))
         for chunk in values:
             assert [v.flags.writeable for v in chunk] == [True] * (len(listed) - shared) + [False] * shared
+
+    @pytest.mark.parametrize("cells", [40, 10**9])
+    def test_tables_match_the_copied_construction(self, monkeypatch, cells):
+        # Every table of every chunk either oracle builds, bit for bit against
+        # the mean rows copied and the listed rows written over them.  Small
+        # cell budgets split the chunks inside the grid's periods.
+        rng = np.random.default_rng(64)
+        cases = [(validate_network(random_tree_spec(rng)), ("enum", "mc")) for _ in range(8)]
+        cases += [(validate_network(random_beta_tree(rng, max_depth=3)), ("mc",)) for _ in range(3)]
+        cases = [(net, _cases(net, rng), oracles) for net, oracles in cases]
+        # Islands whose top hangs on row 2 of three, so its rows 0 and 1 are
+        # unlisted; under Monte Carlo a tiny-alpha row takes the redraw path.
+        two = DiscreteSupport(np.array([[0.2, 0.8], [0.7, 0.3]]), np.array([0.4, 0.6]))
+        three = DiscreteSupport(rng.dirichlet(np.ones(3), 2), np.array([0.5, 0.5]))
+        beta, tiny, flat = (Dirichlet(np.array(a)) for a in ([2.0, 3.0], [0.001, 0.003], [1.0, 1.0, 1.0]))
+        labels = {"A": ("a0", "a1"), "B": ("b0", "b1", "b2"), "C": ("c0", "c1"), "D": ("d0", "d1")}
+        parents = {"A": None, "B": "A", "C": "B", "D": "C"}
+        for which, rows in (("enum", [(two,), (three,) * 2, (two,) * 3, (two,) * 2]),
+                            ("mc", [(beta,), (flat,) * 2, (beta, tiny, tiny), (tiny, beta)])):
+            net = validate_network(NetworkSpec(tuple(
+                NodeSpec(z, labels[z], parents[z], r) for z, r in zip(labels, rows))))
+            assert [island.top_row for island in oracle._islands(net, {"B": 2})] == [0, 2]
+            cases.append((net, [(mode, {"B": 2}) for mode in oracle.MODES[1:]], (which,)))
+        monkeypatch.setattr(oracle, "_CHUNK_CELLS", cells)
+        sources = {"enum": ("_grid_chunks", lambda *args: _index_grid_chunks(*args, chunks=_copied_chunks)),
+                   "mc": ("_sample_chunks", _reference_sample_chunks)}
+        mixed = 0  # tables with both listed and unlisted rows
+        for net, pairs, oracles in cases:
+            for (mode, evidence), which in itertools.product(pairs, oracles):
+                name, reference = sources[which]
+                real, calls = getattr(oracle, name), []  # calls: the arguments of each block's source
+                with monkeypatch.context() as m:
+                    m.setattr(oracle, name, lambda *args: calls.append(args) or real(*args))
+                    if which == "enum":
+                        enumerate_uncertainty(net, evidence, mode)
+                    else:
+                        mc_uncertainty(net, evidence, mode, n=100, seed=5)
+                for args in calls:
+                    (count, got), (want_count, want) = real(*args), reference(*args)
+                    got, want = list(got), list(want)
+                    assert count == want_count and len(got) == len(want)
+                    node_ids, row_ids = args[-2:]
+                    for (tabs, weights), (want_tabs, want_weights) in zip(got, want):
+                        assert weights.tobytes() == want_weights.tobytes() and list(tabs) == list(want_tabs)
+                        for node_id, table in want_tabs.items():
+                            assert tabs[node_id].shape == table.shape
+                            assert tabs[node_id].tobytes() == table.tobytes(), (which, mode, node_id)
+                            assert tabs[node_id].flags.writeable == table.flags.writeable
+                        mixed += sum(0 < sum(z == node_id for z, _ in row_ids) < len(net.nodes[node_id].rows)
+                                     for node_id in node_ids)
+        assert mixed > 0
 
     def test_grid_memory_stays_near_the_index_arithmetic(self, monkeypatch):
         # one 1000-point row in front of ten two-point rows: 1000 periods of 1024
