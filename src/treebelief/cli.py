@@ -180,26 +180,23 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def _compare_doc(reports, oracle: OracleReport, tol, sigmas):
-    entries = [oracle.entries[node_id] for node_id in reports]
-    starts = np.cumsum([0] + [len(e.mean) for e in entries[:-1]])  # each node's first value
-    diffs, allowed = {}, {}  # per quantity, a list of per-node maxima: exact, in one pass
-    for key in ("mean", "second", "variance"):
-        gaps = np.abs(np.concatenate([getattr(rep, key) for rep in reports.values()])
-                      - np.concatenate([getattr(e, key) for e in entries]))
-        diffs[key] = np.maximum.reduceat(gaps, starts).tolist()
-        if tol is not None:
-            allowed[key] = [tol] * len(entries)
-        else:
-            se = np.maximum.reduceat(np.concatenate([getattr(e, "se_" + key) for e in entries]), starts)
-            allowed[key] = (sigmas * se + 1e-12).tolist()
     per_node = {}
-    for i, node_id in enumerate(reports):
-        node_diffs = {key: d[i] for key, d in diffs.items()}
-        node_allowed = {key: a[i] for key, a in allowed.items()}
-        node_ok = all(node_diffs[k] <= node_allowed[k] for k in node_diffs)
-        per_node[node_id] = {"diff": node_diffs, "allowed": node_allowed, "pass": node_ok}
-    worst = {key: max([0.0] + d) for key, d in diffs.items()}
-    return per_node, worst, all(node["pass"] for node in per_node.values())
+    worst = {"mean": 0.0, "second": 0.0, "variance": 0.0}
+    ok = True
+    for node_id, rep in reports.items():
+        entry = oracle.entries[node_id]
+        diffs, allowed = {}, {}
+        for key in worst:
+            diffs[key] = float(np.max(np.abs(getattr(rep, key) - getattr(entry, key))))
+            if tol is not None:
+                allowed[key] = tol
+            else:
+                allowed[key] = float(sigmas * np.max(getattr(entry, "se_" + key)) + 1e-12)
+            worst[key] = max(worst[key], diffs[key])
+        node_ok = all(diffs[k] <= allowed[k] for k in diffs)
+        ok = ok and node_ok
+        per_node[node_id] = {"diff": diffs, "allowed": allowed, "pass": node_ok}
+    return per_node, worst, ok
 
 
 def cmd_compare(args: argparse.Namespace) -> int:

@@ -84,11 +84,10 @@ bit-reproducible for identical arguments.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import partial, reduce
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -347,13 +346,12 @@ def _step(net: ValidatedNetwork, node_ids: Sequence[str]) -> int:
 
 
 def _chunks(net: ValidatedNetwork, node_ids: Sequence[str], row_ids: _Rows, count: int,
-            rows_of: Callable[[int, int], Tuple[Iterable, np.ndarray]]) -> _Chunks:
+            fill: Callable[[int, int, List[np.ndarray]], np.ndarray]) -> _Chunks:
     """Yield the tables of ``node_ids`` for realizations ``0..count-1``.
 
-    ``rows_of(lo, hi)`` gives the values of ``row_ids`` one at a time, and
-    the weights of realizations ``lo..hi-1``.  Each value is an array of
-    shape (dim, hi - lo), copied into its row, or a function that writes
-    the row into the view of it that it is passed.
+    ``fill(lo, hi, rows)`` writes the values of realizations ``lo..hi-1``
+    into ``rows``, the views of ``row_ids`` in the chunk's tables, each of
+    shape (dim, hi - lo), and returns those realizations' weights.
     A chunk holds at most ``_CHUNK_REALIZATIONS`` realizations and
     ``_CHUNK_CELLS`` table cells (:func:`_step`).  Rows not listed are
     frozen at their mean vector; such rows must be ones the downstream sum
@@ -368,17 +366,12 @@ def _chunks(net: ValidatedNetwork, node_ids: Sequence[str], row_ids: _Rows, coun
     unlisted = {z: [r for r in range(len(means[z])) if (z, r) not in listed] for z, _ in row_ids}
     for lo in range(0, count, step):
         hi = min(count, lo + step)
-        values, weights = rows_of(lo, hi)
         tabs = {z: np.broadcast_to(m, m.shape[:2] + (hi - lo,)) for z, m in means.items()}
         for node_id, rows in unlisted.items():
             tabs[node_id] = table = np.empty(tabs[node_id].shape)
             if rows:
                 table[rows] = means[node_id][rows]
-        for (node_id, row), value in zip(row_ids, values):
-            if callable(value):
-                value(tabs[node_id][row])
-            else:
-                tabs[node_id][row] = value
+        weights = fill(lo, hi, [tabs[z][r] for z, r in row_ids])
         yield tabs, weights
 
 
@@ -401,8 +394,7 @@ def _grid_chunks(net: ValidatedNetwork, cap: int, node_ids: Sequence[str], row_i
     R]``.  The leading rows change only from one period to the next, so a
     chunk builds each of them with one ``np.take`` over the few periods it
     meets and one ``np.repeat`` over its runs.  The shared arrays are freed
-    with the enumeration; :func:`_chunks` copies each slice into the
-    chunk's tables.
+    with the enumeration; each chunk copies its slices into its table rows.
     """
     listed = [(n, r) for n, r in row_ids if len(_support_of(net.nodes[n].rows[r])[1]) > 1]
     supports = [_support_of(net.nodes[n].rows[r]) for n, r in listed]
@@ -428,7 +420,7 @@ def _grid_chunks(net: ValidatedNetwork, cap: int, node_ids: Sequence[str], row_i
             array.flags.writeable = False
         trailing.append(shared)
 
-    def rows_of(lo: int, hi: int):
+    def fill(lo: int, hi: int, rows: List[np.ndarray]) -> np.ndarray:
         at, n, first, last = lo % period, hi - lo, lo // period, (hi - 1) // period
         blocks = np.arange(first, last + 1)  # the periods the chunk meets, and its run in each
         runs = np.diff(np.clip(np.arange(first, last + 2) * period, lo, hi))
@@ -439,19 +431,18 @@ def _grid_chunks(net: ValidatedNetwork, cap: int, node_ids: Sequence[str], row_i
         weights = np.repeat(weights, runs)
         for _, w in trailing:
             weights *= w[at:at + n]
-        values = itertools.chain(
-            (np.repeat(np.take(pts, c, axis=1), runs, axis=1) for (pts, _, _, _), c in zip(leading, choices)),
-            (pts[:, at:at + n] for pts, _ in trailing),
-        )
-        return values, weights
+        for row, (pts, _, _, _), c in zip(rows, leading, choices):
+            row[...] = np.repeat(np.take(pts, c, axis=1), runs, axis=1)
+        for row, (pts, _) in zip(rows[len(leading):], trailing):
+            row[...] = pts[:, at:at + n]
+        return weights
 
-    return count, _chunks(net, node_ids, listed, count, rows_of)
+    return count, _chunks(net, node_ids, listed, count, fill)
 
 
-def _dirichlet_draws(rng: np.random.Generator, alpha: np.ndarray, n: int,
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
-    """n Dirichlet draws as normalized gamma variates, of shape (n, k), or
-    written transposed into ``out`` of shape (k, n) with no other copy.
+def _dirichlet_draws(rng: np.random.Generator, alpha: np.ndarray, n: int, out: np.ndarray) -> None:
+    """Write n Dirichlet draws, normalized gamma variates, into the columns
+    of ``out``, of shape (k, n), with no other copy.
 
     With tiny alphas every gamma of a draw can underflow to 0.  Only those
     draws are redrawn, from the same stream after the main draw, in log
@@ -476,9 +467,7 @@ def _dirichlet_draws(rng: np.random.Generator, alpha: np.ndarray, n: int,
         logs += np.log(1.0 - rng.random(size)) / alpha
         gammas[lost] = np.exp(logs - logs.max(axis=1, keepdims=True))
         sums = row_sums(gammas)
-    if out is None:
-        return gammas / sums[:, None]
-    return np.divide(gammas.T, sums, out=out)
+    np.divide(gammas.T, sums, out=out)
 
 
 def _sample_chunks(net: ValidatedNetwork, n: int, seed: int, index: Mapping[str, int],
@@ -490,22 +479,23 @@ def _sample_chunks(net: ValidatedNetwork, n: int, seed: int, index: Mapping[str,
     results are bit-reproducible for a fixed ``(n, seed)`` and independent
     of traversal order.  Dirichlet rows are normalized gamma variates
     (:func:`_dirichlet_draws`); discrete supports sample their points by
-    weight.  Every realization has weight 1/n.
+    weight.  Each draw is written straight into its table row.  Every
+    realization has weight 1/n.
     """
     listed = [(z, r) for z, r in row_ids if not isinstance(net.nodes[z].rows[r], PointMass)]
     rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(seed, index[z], r)))
             for z, r in listed]
 
-    def draw(dist, rng: np.random.Generator, size: int):
-        if isinstance(dist, Dirichlet):
-            return partial(_dirichlet_draws, rng, dist.alpha, size)
-        return dist.points[rng.choice(len(dist.weights), size, p=dist.weights)].T
+    def fill(lo: int, hi: int, rows: List[np.ndarray]) -> np.ndarray:
+        for row, (z, r), rng in zip(rows, listed, rngs):
+            dist = net.nodes[z].rows[r]
+            if isinstance(dist, Dirichlet):
+                _dirichlet_draws(rng, dist.alpha, hi - lo, row)
+            else:
+                np.take(dist.points.T, rng.choice(len(dist.weights), hi - lo, p=dist.weights), axis=1, out=row)
+        return np.full(hi - lo, 1.0 / n)
 
-    def rows_of(lo: int, hi: int):
-        draws = (draw(net.nodes[z].rows[r], rng, hi - lo) for (z, r), rng in zip(listed, rngs))
-        return draws, np.full(hi - lo, 1.0 / n)
-
-    return n, _chunks(net, node_ids, listed, n, rows_of)
+    return n, _chunks(net, node_ids, listed, n, fill)
 
 
 # ---------------------------------------------------------------------------

@@ -248,21 +248,21 @@ class TestMonteCarlo:
         [0.3, 0.7, 1.1, 2.0, 3.5, 5.0, 9.0], [0.3, 0.7, 1.1, 2.0, 3.5, 5.0, 9.0, 0.002],
     ])
     def test_draws_and_stream_match_numpy_gamma(self, alpha):
-        # standard_gamma and the draws' own row sums must give the draws of the
-        # reference and leave the stream where it was, written in place or returned.
+        # standard_gamma and the draws' own row sums, written in place, must give
+        # the draws of the reference and leave the stream where it was.
         alpha = np.array(alpha)
-        ours, theirs, inplace = (np.random.default_rng(8) for _ in range(3))
+        ours, theirs = np.random.default_rng(8), np.random.default_rng(8)
         for n in (1, 777, 5000):
-            draws = _dirichlet_draws(ours, alpha, n)
-            np.testing.assert_array_equal(draws, _numpy_dirichlet(theirs, alpha, n))
             out = np.empty((len(alpha), n))
-            assert _dirichlet_draws(inplace, alpha, n, out=out) is out
-            assert out.tobytes() == draws.T.tobytes()
-            assert ours.random() == theirs.random() == inplace.random()
+            _dirichlet_draws(ours, alpha, n, out)
+            np.testing.assert_array_equal(out.T, _numpy_dirichlet(theirs, alpha, n))
+            assert ours.random() == theirs.random()
 
     def test_tiny_alpha_redraw_keeps_other_draws(self):
         alpha = np.array([0.001, 0.003])
-        draws = _dirichlet_draws(np.random.default_rng(5), alpha, 20_000)
+        out = np.empty((2, 20_000))
+        _dirichlet_draws(np.random.default_rng(5), alpha, 20_000, out)
+        draws = out.T
         gammas = np.random.default_rng(5).gamma(alpha, size=(20_000, 2))
         sums = gammas.sum(axis=1)
         kept = sums > 0.0
@@ -662,22 +662,20 @@ def _numpy_dirichlet(rng, alpha, n):
     return gammas / sums
 
 
-def _copied_chunks(net, node_ids, row_ids, count, rows_of):
+def _copied_chunks(net, node_ids, row_ids, count, fill):
     """The reference for :func:`oracle._chunks`' tables: the mean rows
     broadcast, every table with a listed row a copy of them, and then each
     listed row written over its copy."""
     step = oracle._step(net, node_ids)
     for lo in range(0, count, step):
         hi = min(count, lo + step)
-        values, weights = rows_of(lo, hi)
         tabs = {}
         for node_id in node_ids:
             rows = net.nodes[node_id].mean_rows
             tabs[node_id] = np.broadcast_to(rows[..., None], rows.shape + (hi - lo,))
         for node_id in {z for z, _ in row_ids}:
             tabs[node_id] = tabs[node_id].copy()
-        for (node_id, row), value in zip(row_ids, values):
-            tabs[node_id][row] = value
+        weights = fill(lo, hi, [tabs[z][r] for z, r in row_ids])
         yield tabs, weights
 
 
@@ -687,17 +685,16 @@ def _reference_sample_chunks(net, n, seed, index, node_ids, row_ids):
     listed = [(z, r) for z, r in row_ids if not isinstance(net.nodes[z].rows[r], PointMass)]
     rngs = [np.random.default_rng(np.random.SeedSequence(entropy=(seed, index[z], r))) for z, r in listed]
 
-    def rows_of(lo, hi):
-        values = []
-        for (z, r), rng in zip(listed, rngs):
+    def fill(lo, hi, rows):
+        for row, (z, r), rng in zip(rows, listed, rngs):
             dist = net.nodes[z].rows[r]
             if isinstance(dist, Dirichlet):
-                values.append(_numpy_dirichlet(rng, dist.alpha, hi - lo).T)
+                row[...] = _numpy_dirichlet(rng, dist.alpha, hi - lo).T
             else:
-                values.append(dist.points[rng.choice(len(dist.weights), hi - lo, p=dist.weights)].T)
-        return values, np.full(hi - lo, 1.0 / n)
+                row[...] = dist.points[rng.choice(len(dist.weights), hi - lo, p=dist.weights)].T
+        return np.full(hi - lo, 1.0 / n)
 
-    return n, _copied_chunks(net, node_ids, listed, n, rows_of)
+    return n, _copied_chunks(net, node_ids, listed, n, fill)
 
 
 def _index_grid_chunks(net, cap, node_ids, row_ids, chunks=None):
@@ -713,15 +710,24 @@ def _index_grid_chunks(net, cap, node_ids, row_ids, chunks=None):
         raise CapExceeded(f"{count} uncertainty combinations exceed the cap {cap}")
     strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
 
-    def rows_of(lo, hi):
+    def fill(lo, hi, rows):
         i = np.arange(lo, hi)
         choices = [(i // stride) % size for stride, size in zip(strides, sizes)]
         weights = np.ones(hi - lo)
         for (_, w), choice in zip(supports, choices):
             weights *= np.take(w, choice)
-        return (np.take(pts.T, c, axis=1) for (pts, _), c in zip(supports, choices)), weights
+        for row, (pts, _), c in zip(rows, supports, choices):
+            row[...] = np.take(pts.T, c, axis=1)
+        return weights
 
-    return count, (chunks or oracle._chunks)(net, node_ids, listed, count, rows_of)
+    return count, (chunks or oracle._chunks)(net, node_ids, listed, count, fill)
+
+
+class _Written:
+    """Stands in for a table row and keeps the array a source assigns to it."""
+
+    def __setitem__(self, key, value):
+        self.value = value
 
 
 def _support_star(rng, sizes, ks):
@@ -918,12 +924,16 @@ class TestChunkedRealizations:
             m.setattr(oracle, "_CHUNK_CELLS", cells)
             want_count, want = _index_grid_chunks(net, 10**6, net.order, rows)
             want = list(want)
-            real, seen = oracle._chunks, []  # seen: the rows_of that _grid_chunks hands to _chunks
-            m.setattr(oracle, "_chunks", lambda *args: seen.append(args[-1]) or real(*args))
+            real, seen = oracle._chunks, []  # seen: the arguments _grid_chunks hands to _chunks
+            m.setattr(oracle, "_chunks", lambda *args: seen.append(args) or real(*args))
             count, got = oracle._grid_chunks(net, 10**6, net.order, rows)
             got = list(got)
             step = oracle._step(net, net.order)
-            values = [list(seen[0](lo, min(count, lo + step))[0]) for lo in range(0, count, step)]
+            values = []  # what the source assigns to each listed row of each chunk
+            for lo in range(0, count, step):
+                written = [_Written() for _ in seen[0][2]]
+                seen[0][-1](lo, min(count, lo + step), written)
+                values.append([w.value for w in written])
         assert count == want_count == math.prod(sizes)
         assert [len(w) for _, w in got] == [len(w) for _, w in want]
         for (tabs, weights), (want_tabs, want_weights) in zip(got, want):
