@@ -18,10 +18,13 @@ just validated, the other two on networks validated outside the timer, so
 none of them finds the prior messages of the nodes hanging one per depth
 from the root already kept on the network (``LevelPlan.prior``).
 "propagate (repeat)" runs the deepest-leaf query again on the first
-network, as a library user's repeated queries do.  "upward sweep" is the
-part of a deepest-leaf ``propagate`` spent in ``propagation._sweep_up``,
-timed in a run of its own so that its timer stays out of the ``propagate``
-layer (``-`` for a version without that function).  ``posterior_report``
+network, as a library user's repeated queries do.  "report (mid)" runs
+``posterior_report`` on the state of the mid-tree query, where the check
+of every evidence island's top costs most: on a star, the hub's children
+are all tops.  "upward sweep" is the part of a deepest-leaf ``propagate``
+spent in ``propagation._sweep_up``, timed in a run of its own so that its
+timer stays out of the ``propagate`` layer (``-`` for a version without
+that function).  ``posterior_report``
 is called with no node list, as ``query --nodes all`` and the
 ``engine_sweep`` benchmark call it.  Each round times every layer as the best of at least
 :data:`REPEATS` runs, repeated until every layer of every version has spent
@@ -65,8 +68,8 @@ the median over rounds of the per-round ratio (this checkout over the base)
 is printed per tree, collector on and off side by side, for: parse plus
 validate, ``propagate``, ``posterior_report``, the sum of the four layers
 from ``parse_network`` to ``posterior_report``, ``propagate`` with no
-evidence, with the mid-tree node observed and repeated, and hand-built
-validation;
+evidence, with the mid-tree node observed and repeated, ``posterior_report``
+after the mid-tree query, and hand-built validation;
 then ``enumerate_uncertainty`` and ``mc_uncertainty`` per tree and mode, and the end-to-end wall
 time and ``VmHWM``.  The per-round minimum over
 repeats keeps one slow run on a shared host out of the ratio.  The two
@@ -116,7 +119,7 @@ ENUM_MODES = ("approx-posterior", "exact-posterior")
 MC_MODES, MC_SAMPLES, MC_SEED = ("prior", "approx-posterior", "exact-posterior"), 2000, 31
 LAYERS = ("json.load", "parse_network", "validate_network", "propagate", "posterior_report", "emit",
           "validate (hand-built)", "propagate (prior)", "propagate (mid)", "propagate (repeat)",
-          "upward sweep")
+          "report (mid)", "upward sweep")
 REPEATS = 3  # fewest runs of each layer per round; the fastest counts
 BUDGET = 0.05  # seconds each layer of each version spends per round, at least
 #: run as ``python -c CHILD query ...``: ``python -m treebelief.cli``, then the peak resident
@@ -259,8 +262,8 @@ def best_of(order, measure, counted: int) -> dict:
 def time_query(tb, path: str, leaf: str, mid: str, built) -> list:
     """Seconds spent in each of :data:`LAYERS` by one query, by validating
     the hand-built spec ``built``, by first queries with no evidence and
-    with ``mid`` observed, by the query repeated and by the upward sweep of
-    another query."""
+    with ``mid`` observed, by the query repeated, by ``posterior_report`` on
+    the state of the ``mid`` query and by the upward sweep of another query."""
     cli = sys.modules[f"{tb.__name__}.cli"]
     clock = [time.perf_counter()]
     with open(path, encoding="utf-8") as handle:
@@ -288,13 +291,16 @@ def time_query(tb, path: str, leaf: str, mid: str, built) -> list:
     for evidence in ({}, {mid: 1}):
         fresh = tb.validate_network(spec)
         start = time.perf_counter()
-        tb.propagate(fresh, evidence)
+        mid_state = tb.propagate(fresh, evidence)
         first.append(time.perf_counter() - start)
     start = time.perf_counter()
     tb.propagate(net, {leaf: 1})
     repeat = time.perf_counter() - start
+    start = time.perf_counter()
+    tb.posterior_report(mid_state)
+    mid_report = time.perf_counter() - start
     upward = time_sweep_up(tb, net, leaf)
-    return [b - a for a, b in zip(clock, clock[1:])] + [emit, hand_built, *first, repeat, upward]
+    return [b - a for a, b in zip(clock, clock[1:])] + [emit, hand_built, *first, repeat, mid_report, upward]
 
 
 def time_sweep_up(tb, net, leaf: str) -> float:
@@ -367,6 +373,7 @@ RATIOS = (("parse + validate", "parse_validate_ratio", [1, 2]),
           ("propagate (prior)", "prior_propagate_ratio", [7]),
           ("propagate (mid)", "mid_propagate_ratio", [8]),
           ("propagate (repeat)", "repeat_propagate_ratio", [9]),
+          ("report (mid)", "mid_report_ratio", [10]),
           ("validate (hand-built)", "hand_built_validate_ratio", [6]))
 
 

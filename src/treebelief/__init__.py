@@ -35,9 +35,7 @@ from .oracle import (
     OracleEntry,
     OracleReport,
     enumerate_uncertainty,
-    exact_inference,
     mc_uncertainty,
-    point_tables,
 )
 from .propagation import (
     MessageState,
@@ -72,9 +70,7 @@ __all__ = [
     "OracleEntry",
     "OracleReport",
     "enumerate_uncertainty",
-    "exact_inference",
     "mc_uncertainty",
-    "point_tables",
     "MessageState",
     "NodeReport",
     "posterior_report",

@@ -147,50 +147,6 @@ class OracleReport:
 
 
 # ---------------------------------------------------------------------------
-# Fixed-table exact inference
-# ---------------------------------------------------------------------------
-
-def exact_inference(
-    net: ValidatedNetwork,
-    tables: Mapping[str, np.ndarray],
-    evidence: Mapping[str, int],
-) -> Tuple[Dict[str, np.ndarray], float]:
-    """Posterior marginals under one concrete realization of every table.
-
-    ``tables[node]`` has shape (n_rows, dim).  The configurations are summed
-    by sum-product, in time linear in the node count, as a batch of one
-    realization.  Returns per-node marginals (indicators on instantiated
-    nodes) and the evidence probability; raises :class:`InconsistentEvidence`
-    when the latter is 0.  Products are not rescaled, so the evidence
-    probability can underflow to 0 on very large evidence sets.
-    """
-    check_evidence(net, evidence)
-    tabs = {n: np.asarray(tables[n], dtype=float)[..., None] for n in net.order}
-    conditionals, p_evidence = _posterior_sums(net, tabs, evidence)
-    total = float(p_evidence[0])
-    if total == 0.0:
-        raise InconsistentEvidence("the evidence has probability zero under these tables")
-    marginals = {}
-    for node_id in net.order:
-        if node_id in evidence:
-            marginals[node_id] = np.eye(net.nodes[node_id].dim)[evidence[node_id]]
-        else:
-            marginals[node_id] = conditionals[node_id][:, 0]
-    return marginals, total
-
-
-def point_tables(net: ValidatedNetwork) -> Dict[str, np.ndarray]:
-    """Extract concrete tables from a network whose rows are all point masses."""
-    tables = {}
-    for node_id in net.order:
-        node = net.nodes[node_id]
-        if not all(isinstance(d, PointMass) for d in node.rows):
-            raise PreconditionViolated(f"node {node_id!r} is not a point-mass node")
-        tables[node_id] = np.stack([d.p for d in node.rows])
-    return tables
-
-
-# ---------------------------------------------------------------------------
 # Evidence islands and sum-product
 # ---------------------------------------------------------------------------
 

@@ -357,6 +357,7 @@ def _sweep_down(net: ValidatedNetwork, evidence, below, down, others, shallowest
     plan, moments = net.plan, net.plan.moments
     below_at, prior = sorted(below), plan.prior
     off = {r: 1.0 - np.eye(r) for r in others}  # zeroes a diagonal exactly
+    names = None  # (k, slot) -> node id, built at the first zero denominator
     _, k, i, _, _ = plan.slot[net.root]
     down[k][0][i], down[k][1][i] = moments[k][0][0], moments[k][1][0]
     for seg, held in zip(prior.segments, prior.messages):
@@ -370,13 +371,17 @@ def _sweep_down(net: ValidatedNetwork, evidence, below, down, others, shallowest
             q, t = down[r][0][parents], down[r][1][parents]
             m, s = others[r][0][pos], others[r][1][pos]
             denom = (m[:, None, :] @ q[:, :, None])[:, 0, 0]
-            for j in np.flatnonzero(denom == 0.0):  # a stand-in, if evidence swaps it out
-                node_id = next(n for n, at in plan.slot.items() if at[1:3] == (k, slots.start + j))
-                parent = net.nodes[node_id].parent
-                if node_id not in evidence and parent not in evidence:
-                    raise InconsistentEvidence(f"evidence reaching {node_id!r} through "
-                                               f"{parent!r} has zero mean probability")
-                denom[j] = 1.0
+            zero = np.flatnonzero(denom == 0.0)
+            if zero.size:  # stand-ins, if evidence swaps them out
+                if names is None:
+                    names = dict(zip(map(tuple, plan.places[:, 1:3].tolist()), net.order))
+                for j in zero.tolist():
+                    node_id = names[k, slots.start + j]
+                    parent = net.nodes[node_id].parent
+                    if node_id not in evidence and parent not in evidence:
+                        raise InconsistentEvidence(f"evidence reaching {node_id!r} through "
+                                                   f"{parent!r} has zero mean probability")
+                denom[zero] = 1.0
             t2 = s * t / (denom * denom)[:, None, None]
             g = slots.stop - slots.start
             diag = t2.diagonal(0, 1, 2)[:, None, :].copy()
@@ -460,15 +465,10 @@ def _check_islands(state: MessageState) -> None:
         runs.setdefault(k, []).append(slots)
     zero = set()
     for k, spans in runs.items():
-        m, q = state._combined[k][0], state._parent[k][0]
-        if len(spans) == 1:  # one run of slots, read as views
-            at, m, q = spans[0], m[spans[0]], q[spans[0]]
-        else:
-            at = np.fromiter(chain.from_iterable(range(s.start, s.stop) for s in spans), np.intp)
-            m, q = m.take(at, 0), q.take(at, 0)
-        live = (m * q).any(axis=1)
+        at = np.concatenate([np.arange(s.start, s.stop) for s in spans])
+        live = (state._combined[k][0].take(at, 0) * state._parent[k][0].take(at, 0)).any(axis=1)
         if not live.all():
-            zero.update((k, i) for i in np.r_[at][~live].tolist())
+            zero.update((k, i) for i in at[~live].tolist())
     if zero:
         tops = [] if net.root in evidence else [net.root]
         tops += [c for node_id in evidence for c in net.nodes[node_id].children]

@@ -10,6 +10,7 @@ from treebelief import (
     NetworkSpec,
     NodeSpec,
     PointMass,
+    enumerate_uncertainty,
     moments_of,
     validate_network,
 )
@@ -57,6 +58,66 @@ def brute_force_joint(net, tables, evidence):
     if total == 0.0:
         raise InconsistentEvidence("the evidence has probability zero under these tables")
     return {n: acc[n] / total for n in order}, total
+
+
+def exact_means(net, evidence, tables=None):
+    """Exact posterior means under one realization of every table.
+
+    ``tables[node]`` has shape (n_rows, dim), by default the node's
+    ``mean_rows``.  Enumeration's ``exact-posterior`` mode runs on the
+    point-mass twin of the tables, which has one combination; instantiated
+    nodes report their indicator.  Raises :class:`InconsistentEvidence`
+    when the evidence has probability 0.
+    """
+    tables = {n: net.nodes[n].mean_rows for n in net.order} if tables is None else tables
+    twin = validate_network(NetworkSpec(tuple(
+        NodeSpec(n, net.nodes[n].alternatives, net.nodes[n].parent, tuple(map(PointMass, tables[n])))
+        for n in net.order
+    )))
+    return {n: e.mean for n, e in enumerate_uncertainty(twin, evidence, "exact-posterior").entries.items()}
+
+
+def random_tree_spec(rng, max_nodes: int = 6, max_alternatives: int = 3, max_combinations: int = 300):
+    """Random tree with discrete-support / point-mass rows.
+
+    ``max_combinations`` bounds the product of support sizes so exhaustive
+    enumeration of the result stays cheap; a row has at most three support
+    points.  Support vectors are strictly positive, which keeps every
+    evidence assignment possible.
+    """
+    n_nodes = int(rng.integers(2, max_nodes + 1))
+    parents = [None] + [int(rng.integers(0, i)) for i in range(1, n_nodes)]
+    dims = [int(rng.integers(2, max_alternatives + 1)) for _ in range(n_nodes)]
+
+    budget = max_combinations
+    nodes = []
+    for i in range(n_nodes):
+        k = dims[i]
+        n_rows = 1 if parents[i] is None else dims[parents[i]]
+        rows = []
+        for _ in range(n_rows):
+            n_points = int(rng.integers(1, 4))
+            if n_points > 1 and budget // n_points >= 1:
+                budget //= n_points
+                points = rng.dirichlet(np.ones(k) * 2.0, size=n_points)
+                weights = rng.dirichlet(np.ones(n_points) * 2.0)
+                rows.append(DiscreteSupport(points, weights))
+            else:
+                rows.append(PointMass(rng.dirichlet(np.ones(k) * 2.0)))
+        parent = None if parents[i] is None else f"n{parents[i]}"
+        nodes.append(NodeSpec(f"n{i}", tuple(f"s{j + 1}" for j in range(k)), parent, tuple(rows)))
+    return NetworkSpec(tuple(nodes))
+
+
+def random_evidence(rng, net, max_instantiated: int = 2):
+    """Instantiate up to ``max_instantiated`` random nodes at random values."""
+    count = int(rng.integers(0, min(max_instantiated, len(net)) + 1))
+    chosen = rng.choice(len(net.order), size=count, replace=False)
+    evidence = {}
+    for i in chosen:
+        node_id = net.order[int(i)]
+        evidence[node_id] = int(rng.integers(net.nodes[node_id].dim))
+    return evidence
 
 
 def two_node_mixed_spec() -> NetworkSpec:

@@ -9,7 +9,15 @@ for a minimal counterexample; everything else must pass.
 import numpy as np
 import pytest
 
-from conftest import beta_mean_cap, impossible_evidence_spec, moments_of_beta, uniform_chain_spec
+from conftest import (
+    beta_mean_cap,
+    exact_means,
+    impossible_evidence_spec,
+    moments_of_beta,
+    random_evidence,
+    random_tree_spec,
+    uniform_chain_spec,
+)
 from treebelief import (
     Dirichlet,
     DiscreteSupport,
@@ -18,7 +26,6 @@ from treebelief import (
     chain_child_variance,
     check_variance_bound,
     enumerate_uncertainty,
-    exact_inference,
     mc_uncertainty,
     posterior_report,
     propagate,
@@ -26,8 +33,7 @@ from treebelief import (
     validate_network,
 )
 from treebelief.errors import InconsistentEvidence
-from treebelief.generate import random_beta_tree, random_evidence, random_tree_spec
-from treebelief.oracle import point_tables
+from treebelief.generate import random_beta_tree
 
 
 def _gate(name: str, ok: bool, detail: str = "") -> None:
@@ -306,7 +312,7 @@ def test_c9_degeneracy_suite():
         evidence = random_evidence(rng, net)
         try:
             reports = posterior_report(propagate(net, evidence))
-            marginals, _ = exact_inference(net, point_tables(net), evidence)
+            marginals = exact_means(net, evidence)
         except InconsistentEvidence:
             continue
         checked += 1
@@ -324,7 +330,7 @@ def test_c9_degeneracy_suite():
     for call in (
         lambda: query_node("A", propagate(impossible, {"B": 1})),
         lambda: enumerate_uncertainty(impossible, {"B": 1}, "approx-posterior"),
-        lambda: exact_inference(impossible, point_tables(impossible), {"B": 1}),
+        lambda: enumerate_uncertainty(impossible, {"B": 1}, "exact-posterior"),
     ):
         with pytest.raises(InconsistentEvidence):
             call()

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 
 from conftest import (
     brute_force_joint,
+    exact_means,
     impossible_evidence_spec,
+    random_evidence,
+    random_tree_spec,
     tiny_evidence_chain_spec,
     underflow_star_spec,
 )
@@ -21,7 +24,6 @@ from treebelief import (
     NodeSpec,
     PointMass,
     enumerate_uncertainty,
-    exact_inference,
     mc_uncertainty,
     posterior_report,
     propagate,
@@ -34,8 +36,8 @@ from treebelief.errors import (
     NonFiniteResult,
     PreconditionViolated,
 )
-from treebelief.generate import random_beta_tree, random_evidence, random_tree_spec
-from treebelief.oracle import OracleEntry, _dirichlet_draws, point_tables
+from treebelief.generate import random_beta_tree
+from treebelief.oracle import OracleEntry, _dirichlet_draws
 
 
 class TestExactInference:
@@ -44,24 +46,22 @@ class TestExactInference:
             "A": np.array([[0.4, 0.6]]),
             "B": np.array([[0.9, 0.1], [0.2, 0.8]]),
         }
-        marginals, p_evidence = exact_inference(two_node_mixed, tables, {})
+        marginals = exact_means(two_node_mixed, {}, tables)
         assert marginals["B"][0] == pytest.approx(0.48)
-        assert p_evidence == pytest.approx(1.0)
 
     def test_bayes_update(self, two_node_mixed):
         tables = {
             "A": np.array([[0.4, 0.6]]),
             "B": np.array([[0.9, 0.1], [0.2, 0.8]]),
         }
-        marginals, p_evidence = exact_inference(two_node_mixed, tables, {"B": 0})
+        marginals = exact_means(two_node_mixed, {"B": 0}, tables)
         assert marginals["A"][0] == pytest.approx(0.36 / 0.48)
-        assert p_evidence == pytest.approx(0.48)
 
     def test_point_networks_match_propagation(self):
         rng = np.random.default_rng(101)
         for _ in range(10):
             net = validate_network(random_tree_spec(rng, max_combinations=1))
-            marginals, _ = exact_inference(net, point_tables(net), {})
+            marginals = exact_means(net, {})
             reports = posterior_report(propagate(net, {}))
             for node_id in net.order:
                 assert marginals[node_id].sum() == pytest.approx(1.0, abs=1e-12)
@@ -72,11 +72,7 @@ class TestExactInference:
     def test_zero_probability_evidence(self):
         net = validate_network(impossible_evidence_spec())
         with pytest.raises(InconsistentEvidence):
-            exact_inference(net, point_tables(net), {"B": 1})
-
-    def test_point_tables_need_point_rows(self, uniform_chain):
-        with pytest.raises(PreconditionViolated, match="^node 'A' is not a point-mass node$"):
-            point_tables(uniform_chain)
+            exact_means(net, {"B": 1})
 
 
 class TestEnumerate:
@@ -506,10 +502,9 @@ class TestSumProductAgainstBruteForce:
             marginals, total = _joint_or_zero(net, tables, evidence)
             if total == 0.0:
                 with pytest.raises(InconsistentEvidence):
-                    exact_inference(net, tables, evidence)
+                    exact_means(net, evidence, tables)
                 continue
-            got, got_total = exact_inference(net, tables, evidence)
-            assert got_total == pytest.approx(total, rel=1e-12, abs=1e-12)
+            got = exact_means(net, evidence, tables)
             for node_id in net.order:
                 np.testing.assert_allclose(got[node_id], marginals[node_id], rtol=1e-12, atol=1e-12)
 

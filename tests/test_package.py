@@ -30,9 +30,7 @@ PUBLIC = {
     "OracleEntry",
     "OracleReport",
     "enumerate_uncertainty",
-    "exact_inference",
     "mc_uncertainty",
-    "point_tables",
     "MessageState",
     "NodeReport",
     "posterior_report",

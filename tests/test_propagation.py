@@ -3,6 +3,7 @@ import pickle
 import re
 import sys
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import ROW_KINDS, impossible_evidence_spec, mixed_trees, random_row
+from conftest import (
+    ROW_KINDS,
+    exact_means,
+    impossible_evidence_spec,
+    mixed_trees,
+    random_evidence,
+    random_row,
+    random_tree_spec,
+)
 from treebelief import (
     Dirichlet,
     DiscreteSupport,
@@ -18,7 +27,6 @@ from treebelief import (
     NodeSpec,
     PointMass,
     enumerate_uncertainty,
-    exact_inference,
     posterior_report,
     propagate,
     query_node,
@@ -26,8 +34,6 @@ from treebelief import (
 )
 from treebelief import propagation
 from treebelief.errors import InconsistentEvidence, NegativeVariance, UnknownNode
-from treebelief.generate import random_evidence, random_tree_spec
-from treebelief.oracle import point_tables
 from treebelief.model import ChainSegment
 from treebelief.propagation import NodeReport, _segment_products
 
@@ -220,7 +226,7 @@ class TestDegenerateNetworks:
             evidence = random_evidence(rng, net)
             try:
                 reports = posterior_report(propagate(net, evidence))
-                marginals, _ = exact_inference(net, point_tables(net), evidence)
+                marginals = exact_means(net, evidence)
             except InconsistentEvidence:
                 continue
             checked += 1
@@ -365,6 +371,22 @@ class TestDegenerateNetworks:
         net = validate_network(NetworkSpec((a, b, NodeSpec("C", ("c1", "c2"), "A", b.rows))))
         with pytest.raises(InconsistentEvidence, match="reaching 'C' through 'A'"):
             propagate(net, {"B": 1})
+
+    def test_impossible_star_takes_its_stand_ins_in_linear_time(self):
+        # c0=b2 is impossible under both values of the observed hub, so each
+        # of the 7999 siblings has D = 0 and takes a stand-in, whose lookup
+        # must not scan every node
+        b = ("b1", "b2")
+        net = validate_network(NetworkSpec(
+            (NodeSpec("r", ("a1", "a2"), None, (PointMass([0.5, 0.5]),)),
+             NodeSpec("c0", b, "r", (PointMass([1.0, 0.0]),) * 2))
+            + tuple(NodeSpec(f"c{i}", b, "r", (Dirichlet([2.0, 3.0]), Dirichlet([1.0, 1.0])))
+                    for i in range(1, 8000))
+        ))
+        start = time.perf_counter()
+        with pytest.raises(InconsistentEvidence, match="^evidence at node 'c0' has zero mean probability$"):
+            posterior_report(propagate(net, {"r": 0, "c0": 1}))
+        assert time.perf_counter() - start < 2.0
 
 
 class TestStructuralInvariants:
@@ -753,8 +775,7 @@ def test_large_chain_and_star_match_exact_inference(shape, n):
     )
     evidence = {f"n{n - 1}": 1, f"n{n // 2}": 0, "n1": 2}
     reports = posterior_report(propagate(net, evidence))
-    tables = {node_id: node.mean_rows for node_id, node in net.nodes.items()}
-    marginals, _ = exact_inference(net, tables, evidence)
+    marginals = exact_means(net, evidence)
     for node_id, rep in reports.items():
         np.testing.assert_allclose(rep.mean, marginals[node_id], rtol=0, atol=1e-8)
 
