@@ -42,7 +42,6 @@ from .propagation import (
     NodeReport,
     posterior_report,
     propagate,
-    query_node,
 )
 
 __all__ = [
@@ -75,5 +74,4 @@ __all__ = [
     "NodeReport",
     "posterior_report",
     "propagate",
-    "query_node",
 ]

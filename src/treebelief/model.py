@@ -30,17 +30,16 @@ validated node or network can be set, and a network's ``nodes`` and its
 plan's dicts are read-only mappings.  All operations are pure functions, so
 they are safe to share between threads.  The one part that changes is the
 plan's :class:`PriorPath`, the prior messages of the nodes that hang from the
-root one per depth, which queries fill on demand: its bytes are a pure
-function of the network, and a depth is published only after its bytes are
-written, so a query reads the same numbers whichever query filled them.
-A parsed spec's first read of ``nodes`` may run in two threads at once: each
-builds from columns that never change, and the spec publishes the result
-with one ``dict.setdefault``, its only publish point, so both threads get
-the same objects.
+root one per depth: empty until a query stores all of them at once, read-only
+from then on, and a pure function of the network, so a query reads the same
+numbers whichever query stored them.  A parsed spec's first read of
+``nodes`` may run in two threads at once: each builds from columns that
+never change, and the spec publishes the result with one
+``dict.setdefault``, its only publish point, so both threads get the same
+objects.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import chain, repeat, takewhile
 from types import MappingProxyType
@@ -503,45 +502,33 @@ class PriorPath:
 
     Such a node is its parent's lone child, and a chain segment's downward
     step divides by no ``D``, so its parent message depends on the stored
-    rows alone, as long as no node above it is instantiated.  ``messages``
-    holds one ``(q, T)`` pair of arrays per leading segment, shaped like the
-    segment's slice of a :class:`~treebelief.propagation.MessageState`;
-    their first ``known`` depths hold those messages (``known`` counts
-    depths below the root, 0 while empty).  Queries fill it on demand
-    (:func:`~treebelief.propagation.propagate`): each copies the known part
-    above its shallowest instantiated node into its own state, computes the
-    rest, writes it here and only then publishes the new depth.
+    rows alone, as long as no node above it is instantiated.  ``held`` is
+    ``None`` until a query whose own sweep computed the whole path stores
+    it (:func:`~treebelief.propagation.propagate`): one read-only ``(q, T)``
+    pair of arrays per leading segment, shaped like the segment's slice of
+    a :class:`~treebelief.propagation.MessageState`.  Later queries copy
+    it down to their shallowest instantiated node; nothing writes to those
+    arrays again.
 
-    This is the one part of a validated network that changes, and sharing
-    the network between threads stays safe.  The bytes written for a depth
-    are a pure function of the network, so two threads that fill the same
-    depths write the same bytes; :meth:`publish` only raises ``known``,
-    after the bytes are in place; a reader copies only the depths published
-    when it read ``known``.  Pickling and copying give an empty holder.
+    This is the one part of a validated network that changes, by one
+    assignment of bytes that are a pure function of the network, so
+    queries racing to store it store the same messages.  Pickling and
+    copying give an empty holder.
     """
 
-    __slots__ = ("segments", "messages", "known", "_lock")
+    __slots__ = ("segments", "held")
 
     def __init__(self, steps):
         self.segments = tuple(takewhile(lambda step: isinstance(step, ChainSegment), steps))
-        self.messages = tuple((np.empty((s.n, s.k)), np.empty((s.n, s.k, s.k))) for s in self.segments)
-        self.known, self._lock = 0, threading.Lock()
-
-    def publish(self, depth: int) -> None:
-        """Mark every depth down to ``depth`` as known."""
-        with self._lock:
-            self.known = max(self.known, depth)
-
-    def _published(self) -> tuple:
-        known = self.known
-        cut = [max(0, min(s.n, known - s.depth + 1)) for s in self.segments]
-        return known, [(q[:c].tobytes(), t[:c].tobytes()) for c, (q, t) in zip(cut, self.messages)]
+        self.held = None
 
     def __eq__(self, other):
-        """Equal when over the same segments with the same published messages."""
+        """Equal when over the same segments and holding the same messages."""
         if not isinstance(other, PriorPath):
             return NotImplemented
-        return self.segments == other.segments and self._published() == other._published()
+        held = [None if p.held is None else [x.tobytes() for x in chain.from_iterable(p.held)]
+                for p in (self, other)]
+        return self.segments == other.segments and held[0] == held[1]
 
     def __reduce__(self):
         return PriorPath, (self.segments,)
@@ -567,7 +554,8 @@ class LevelPlan(NamedTuple):
     :class:`ChainSegment`.  ``places`` is a read-only ``(n, 5)`` int array of
     the ``slot`` tuples in ``ValidatedNetwork.order``.  The dicts are
     read-only mappings.  ``prior`` holds the prior parent messages of the
-    leading path, filled by the queries (:class:`PriorPath`).
+    leading path, stored by the first query that computes all of them
+    (:class:`PriorPath`).
     """
 
     slot: Mapping[str, tuple]

@@ -52,11 +52,12 @@ the *leading path*.  Each of its nodes is a lone child, and a segment step
 does not divide by ``D``, so its parent message depends on the stored rows
 alone, down to the shallowest instantiated node.  The plan keeps these
 prior messages (:class:`~treebelief.model.PriorPath`), the one part of a
-validated network that changes: a query copies the known ones into its own
-state, computes the others, and writes them there before publishing their
-depth (:func:`_leading_down`).  Concurrent queries fill it safely: the
-bytes are a pure function of the network, published only once written, and
-each query copies only what was published when it looked.
+validated network that changes: the first query whose sweep computes all
+of them stores read-only copies in one assignment, and every later query
+copies them down to its shallowest instantiated node into its own state
+(:func:`_sweep_down`).  Concurrent queries share it safely: the bytes are a
+pure function of the network, and a query reads the holder once, empty or
+whole.
 
 Normalizing denominators are always sums of *mean* values; as a consequence
 posterior second moments are approximations (exact for means and for all
@@ -72,7 +73,7 @@ from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InconsistentEvidence, NegativeVariance
-from .model import ChainSegment, ValidatedNetwork, check_evidence, check_observed_entries
+from .model import ChainSegment, ValidatedNetwork, _frozen, check_evidence, check_observed_entries
 
 #: Reported variances below this are a hard error instead of a clamp.
 VARIANCE_FLOOR = -1e-9
@@ -95,9 +96,9 @@ class MessageState:
     A state is confined to one query thread; distinct queries on the same
     network may run concurrently with separate states.  Its arrays are its
     own and writable: the prior messages that the network keeps for its
-    leading path are copied in, never shared.  ``_children`` lists the
-    children of instantiated nodes as :func:`_observed_children` gives them,
-    in evidence order.
+    leading path are copied in, and stored as read-only copies, never
+    shared.  ``_children`` lists the children of instantiated nodes as
+    :func:`_observed_children` gives them, in evidence order.
     """
 
     __slots__ = ("net", "evidence", "_combined", "_parent", "_upward", "_others", "_children")
@@ -258,28 +259,6 @@ def _segment_down(seg: ChainSegment, below, below_at, moments, down, off: np.nda
             s += extra
 
 
-def _leading_down(seg: ChainSegment, held, prior, shallowest: int, below, below_at, moments, down, off) -> None:
-    """:func:`_segment_down` on a segment of the leading path, whose prior
-    messages ``held`` keeps in ``prior``, the plan's
-    :class:`~treebelief.model.PriorPath`.
-
-    Its nodes at or above depth ``shallowest``, the shallowest observed
-    node's, receive their prior parent messages.  Those ``prior`` knows are
-    copied from ``held``; the sweep computes the rest from the last of them,
-    and the prior ones it computed are written to ``held``, then published.
-    """
-    n, known = min(seg.n, shallowest - seg.depth + 1), 0
-    if n > 0:
-        (hq, ht), (q, t) = held, down[seg.k]
-        q, t = q[seg.slot : seg.slot + n], t[seg.slot : seg.slot + n]
-        known = min(max(prior.known - seg.depth + 1, 0), n)
-        q[:known], t[:known] = hq[:known], ht[:known]
-    _segment_down(seg, below, below_at, moments, down, off, known)
-    if n > known:
-        hq[known:n], ht[known:n] = q[known:n], t[known:n]
-        prior.publish(seg.depth + n - 1)
-
-
 def _span(hit: np.ndarray):
     """A sorted, non-empty index array as a slice if it counts up by one."""
     lo, hi = int(hit[0]), int(hit[-1])
@@ -352,17 +331,26 @@ def _sweep_up(plan, seen, combined, up, others) -> None:
 
 def _sweep_down(net: ValidatedNetwork, evidence, below, down, others, shallowest: int) -> None:
     """Send each node its parent message, from the root's own row moments
-    down (see :func:`propagate`); on the leading path, down to depth
-    ``shallowest``, through the plan's holder of prior messages."""
+    down (see :func:`propagate`).  On the leading path, the prior messages
+    down to depth ``shallowest`` are copied from the plan's
+    :class:`~treebelief.model.PriorPath` once it holds them; a sweep that
+    computed all of them stores read-only copies there."""
     plan, moments = net.plan, net.plan.moments
-    below_at, prior = sorted(below), plan.prior
+    below_at, lead, held = sorted(below), plan.prior.segments, plan.prior.held
     off = {r: 1.0 - np.eye(r) for r in others}  # zeroes a diagonal exactly
     names = None  # (k, slot) -> node id, built at the first zero denominator
     _, k, i, _, _ = plan.slot[net.root]
     down[k][0][i], down[k][1][i] = moments[k][0][0], moments[k][1][0]
-    for seg, held in zip(prior.segments, prior.messages):
-        _leading_down(seg, held, prior, shallowest, below, below_at, moments, down, off[seg.r])
-    for step in plan.steps[len(prior.segments) :]:
+    for j, seg in enumerate(lead):
+        start = 0 if held is None else min(seg.n, max(shallowest - seg.depth + 1, 0))
+        if start:
+            for x, kept in zip(down[seg.k], held[j]):
+                x[seg.slot : seg.slot + start] = kept[:start]
+        _segment_down(seg, below, below_at, moments, down, off[seg.r], start)
+    if held is None and shallowest >= sum(seg.n for seg in lead):
+        plan.prior.held = tuple(tuple(_frozen(x[seg.slot : seg.slot + seg.n].copy()) for x in down[seg.k])
+                                for seg in lead)
+    for step in plan.steps[len(lead) :]:
         if isinstance(step, ChainSegment):
             _segment_down(step, below, below_at, moments, down, off[step.r])
             continue
@@ -418,11 +406,12 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
     Upward, only nodes with an instantiated node at or below them are
     computed: every other message keeps its unit fill, exact as every row
     sums to one with certainty.  Downward, the leading path's parent
-    messages down to the shallowest instantiated node are the prior ones:
-    copied from the network's :class:`~treebelief.model.PriorPath` as far as
-    earlier queries filled it, computed below that and written back.  So a
-    query changes the network only by filling that holder, with bytes that
-    every query computes the same.
+    messages down to the shallowest instantiated node are the prior ones,
+    copied from the network's :class:`~treebelief.model.PriorPath` once it
+    holds them.  A query with no instantiated node above the path's last
+    depth computes them all and, if the holder is empty, stores them.  So a
+    query changes the network only by that one store, with bytes that every
+    query computes the same.
     """
     check_evidence(net, evidence)
     state = MessageState(net, evidence)
@@ -528,21 +517,17 @@ def _reports(state: MessageState, ids: Optional[Sequence[str]]) -> Dict[str, Nod
     return reports
 
 
-def query_node(node_id: str, state: MessageState) -> NodeReport:
-    """Read one node's inferred probabilities, second moments and variances.
-
-    The parent message conditioned on the combined child message, by the
-    code of :func:`posterior_report`.  Means are exact; second moments inherit
-    the mean-denominator approximation.  Variances are clamped at zero (and
-    the report flagged) when rounding pushes them slightly negative; anything
-    below ``VARIANCE_FLOOR`` raises :class:`NegativeVariance`.  An
-    instantiated node reports its observed alternative with zero variance.
-    """
-    return _reports(state, [node_id])[node_id]
-
-
 def posterior_report(
     state: MessageState, nodes: Optional[Sequence[str]] = None
 ) -> Dict[str, NodeReport]:
-    """Query several nodes (all by default), one pass per alternative count."""
+    """Read the inferred probabilities, second moments and variances of
+    several nodes (all by default), one pass per alternative count.
+
+    Each node's parent message is conditioned on its combined child message
+    (:func:`_reports`).  Means are exact; second moments inherit the
+    mean-denominator approximation.  Variances are clamped at zero (and the
+    report flagged) when rounding pushes them slightly negative; anything
+    below ``VARIANCE_FLOOR`` raises :class:`NegativeVariance`.  An
+    instantiated node reports its observed alternative with zero variance.
+    """
     return _reports(state, None if nodes is None else list(nodes))

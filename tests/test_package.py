@@ -35,7 +35,6 @@ PUBLIC = {
     "NodeReport",
     "posterior_report",
     "propagate",
-    "query_node",
 }
 
 

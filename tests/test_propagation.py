@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from treebelief import (
     enumerate_uncertainty,
     posterior_report,
     propagate,
-    query_node,
     validate_network,
 )
 from treebelief import propagation
@@ -60,7 +60,7 @@ class TestInitState:
         spec = NetworkSpec(
             (NodeSpec("R", ("x", "y"), None, (Dirichlet(np.array([1.0, 1.0])),)),)
         )
-        rep = query_node("R", propagate(validate_network(spec), {}))
+        rep = posterior_report(propagate(validate_network(spec), {}), ["R"])["R"]
         assert rep.mean == pytest.approx([0.5, 0.5])
         assert rep.second == pytest.approx([1 / 3, 1 / 3])
         assert rep.variance == pytest.approx([1 / 12, 1 / 12])
@@ -198,19 +198,19 @@ class TestWorkedExample:
         assert rep.variance == pytest.approx([0.0196, 0.0196])
 
     def test_posterior_root_mean_is_exact(self, two_node_mixed):
-        rep = query_node("A", propagate(two_node_mixed, {"B": 0}))
+        rep = posterior_report(propagate(two_node_mixed, {"B": 0}), ["A"])["A"]
         # ratio of mean joints: 0.36 / 0.48
         assert rep.mean == pytest.approx([0.75, 0.25])
 
 
 class TestInstantiatedNodes:
     def test_indicator_report(self, two_node_mixed):
-        rep = query_node("B", propagate(two_node_mixed, {"B": 1}))
+        rep = posterior_report(propagate(two_node_mixed, {"B": 1}), ["B"])["B"]
         assert rep.mean == pytest.approx([0.0, 1.0])
         assert rep.variance == pytest.approx([0.0, 0.0])
 
     def test_evidence_on_root_reaches_children_via_rows(self, two_node_mixed):
-        rep = query_node("B", propagate(two_node_mixed, {"A": 0}))
+        rep = posterior_report(propagate(two_node_mixed, {"A": 0}), ["B"])["B"]
         node = two_node_mixed.nodes["B"]
         np.testing.assert_allclose(rep.mean, node.mean_rows[0])
         np.testing.assert_allclose(rep.second, np.diag(node.second_rows[0]))
@@ -238,7 +238,7 @@ class TestDegenerateNetworks:
     def test_impossible_evidence(self):
         net = validate_network(impossible_evidence_spec())
         with pytest.raises(InconsistentEvidence):
-            query_node("A", propagate(net, {"B": 1}))
+            posterior_report(propagate(net, {"B": 1}), ["A"])
 
     def test_zero_message_above_a_chain_is_swapped_out(self):
         # Y=y2 is impossible, so observed X gets a zero parent message; X's
@@ -262,7 +262,7 @@ class TestDegenerateNetworks:
         with pytest.raises(InconsistentEvidence, match="^evidence at node 'A' has zero mean probability$"):
             posterior_report(state, nodes)
         with pytest.raises(InconsistentEvidence):
-            query_node("B", state)
+            posterior_report(state, ["B"])
 
     @pytest.mark.parametrize(
         "evidence, named", [({"A": 1}, "A"), ({"A": 0, "B": 1}, "B"), ({"B": 1, "A": 0}, "B")],
@@ -278,7 +278,7 @@ class TestDegenerateNetworks:
                 posterior_report(state, nodes)
         for node_id in net.order:
             with pytest.raises(InconsistentEvidence, match=message):
-                query_node(node_id, state)
+                posterior_report(state, [node_id])
         assert set(posterior_report(propagate(net, {"A": 0, "B": 0}))) == {"A", "B"}
 
     def test_island_below_an_observed_node_is_checked(self):
@@ -434,8 +434,8 @@ class TestStructuralInvariants:
                 assert np.all(np.diag(t) >= q**2 - 1e-9)
 
     def test_propagate_is_deterministic(self, two_node_mixed):
-        a = query_node("A", propagate(two_node_mixed, {"B": 0}))
-        b = query_node("A", propagate(two_node_mixed, {"B": 0}))
+        a = posterior_report(propagate(two_node_mixed, {"B": 0}), ["A"])["A"]
+        b = posterior_report(propagate(two_node_mixed, {"B": 0}), ["A"])["A"]
         np.testing.assert_array_equal(a.second, b.second)
 
 
@@ -706,13 +706,13 @@ class TestLargeTrees:
 
 
 class TestQueryMatchesReport:
-    """``query_node`` runs the report's code on one node: equal bit for bit."""
+    """A one-node report equals that node's entry in the full report, bit for bit."""
 
     @staticmethod
     def _assert_query_is_report(net, evidence):
         state = propagate(net, evidence)
         for node_id, rep in posterior_report(state).items():
-            one = query_node(node_id, state)
+            one = posterior_report(state, [node_id])[node_id]
             for field in ("mean", "second", "variance"):
                 assert getattr(one, field).tobytes() == getattr(rep, field).tobytes()
             assert one.clamped == rep.clamped
@@ -753,7 +753,7 @@ class TestQueryMatchesReport:
             with pytest.raises(UnknownNode, match=message):
                 posterior_report(state, ["A", node_id])
             with pytest.raises(UnknownNode, match=message):
-                query_node(node_id, state)
+                posterior_report(state, [node_id])
 
     @pytest.mark.parametrize("message", ["parent", "combined", "upward"])
     def test_unknown_node_message_is_named(self, two_node_mixed, message):
@@ -1083,7 +1083,7 @@ class TestChainSegments:
         by_default, in_order = posterior_report(state), posterior_report(state, list(state.net.order))
         assert list(by_default) == list(in_order) == list(state.net.order)
         for node_id, rep in by_default.items():
-            one = query_node(node_id, state)
+            one = posterior_report(state, [node_id])[node_id]
             for got in (in_order[node_id], one):
                 assert type(got) is type(rep) is NodeReport
                 assert (got.node, got.clamped) == (rep.node, rep.clamped)
@@ -1167,8 +1167,8 @@ def _led_trees(draw):
 
 class TestPriorPath:
     """The plan keeps the prior parent messages of its leading path, the
-    nodes hanging one per depth from the root, filled by the queries
-    themselves; no query may read differently for it."""
+    nodes hanging one per depth from the root, stored whole by the first
+    query that computes them all; no query may read differently for it."""
 
     @given(_led_trees(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -1176,7 +1176,8 @@ class TestPriorPath:
         """A sequence of queries on one network, in a drawn order, reports
         what each query reports on a fresh copy, byte for byte.  It has no
         evidence, the root observed, the top of the path observed, evidence
-        only below the path, and drawn evidence anywhere."""
+        only below the path, and drawn evidence anywhere.  The path is
+        stored once a query has no instantiated node above its last depth."""
         spec, ks = tree
         net = validate_network(spec)
         depth = {node_id: net.plan.slot[node_id][0] for node_id in net.order}
@@ -1191,49 +1192,86 @@ class TestPriorPath:
         for _ in range(data.draw(st.integers(0, 3))):
             picked = data.draw(st.lists(st.sampled_from(net.order), max_size=3, unique=True))
             queries.append({node_id: alt(node_id) for node_id in picked})
-        known = 0
+        stored = False
         for evidence in data.draw(st.permutations(queries)):
             got = _report_bytes(posterior_report(propagate(net, evidence)))
             fresh = copy.copy(net)
-            assert fresh.plan.prior.known == 0
+            assert fresh.plan.prior.held is None
             assert got == _report_bytes(posterior_report(propagate(fresh, evidence)))
-            assert known <= net.plan.prior.known <= lead  # published depths only grow
-            known = net.plan.prior.known
-        assert known == lead  # the query without evidence fills the whole path
+            stored = stored or min(map(depth.__getitem__, evidence), default=lead) >= lead
+            assert (net.plan.prior.held is not None) == stored
+        assert stored  # the query without evidence stores the whole path
 
     def test_holder_is_per_network(self):
-        """Copies and pickles start empty, and equal the original once they
-        publish as far; a state's messages are its own writable arrays,
-        equal to the holder's."""
+        """A query that observes a path node stores nothing, and one that
+        computes the whole path stores all of it.  Copies and pickles start
+        empty, and equal the original once they store; a state's messages
+        are its own writable arrays, equal to the holder's."""
         net = validate_network(_chain_under_level_spec())
         assert _path_depth(net) == 0
         net = validate_network(_tree_spec([None, *range(40)], [3] * 20 + [2] * 21,
                                           lambda i, j, k: PointMass(np.arange(1, k + 1) / (k * (k + 1) / 2))))
         assert [(s.depth, s.n, s.k, s.r) for s in net.plan.prior.segments] == [(1, 19, 3, 3), (20, 1, 2, 3),
                                                                              (21, 20, 2, 2)]
+        propagate(net, {"n25": 1})
+        assert net.plan.prior.held is None
+        propagate(net, {"n40": 1})
+        assert [x.shape for x in chain.from_iterable(net.plan.prior.held)] == [
+            (19, 3), (19, 3, 3), (1, 2), (1, 2, 2), (20, 2), (20, 2, 2)]
         state = propagate(net, {"n25": 1})
-        assert net.plan.prior.known == 25
         for again in (copy.copy(net), copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
-            assert again.plan.prior.known == 0
+            assert again.plan.prior.held is None
             assert again.plan.prior.segments == net.plan.prior.segments
-            assert again.plan.prior != net.plan.prior  # equal holders publish the same messages
+            assert again.plan.prior != net.plan.prior  # equal holders hold the same messages
             propagate(again, {"n25": 0})
+            assert again.plan.prior != net.plan.prior
+            propagate(again, {})
             assert again.plan.prior == net.plan.prior
-        for seg, (hq, ht) in zip(net.plan.prior.segments, net.plan.prior.messages):
+        for seg, (hq, ht) in zip(net.plan.prior.segments, net.plan.prior.held):
             q, t = state._parent[seg.k]
             for held, own in ((hq, q), (ht, t)):
                 assert own.flags.writeable and not np.shares_memory(held, own)
                 part = own[seg.slot : seg.slot + seg.n][: 25 - seg.depth + 1]
                 assert part.tobytes() == held[: len(part)].tobytes()
 
+    def test_snapshot_is_read_only_and_written_once(self):
+        """Queries that observe a path node store nothing and report what a
+        fresh copy reports.  A query with evidence below the path stores it
+        as read-only arrays that no state shares, and later queries, with the
+        root, a path node or a node below the path observed, leave the same
+        object with the same bytes."""
+        rng = np.random.default_rng(11)
+        parents, ks = [None, *range(20), 20, 20, 21, 22], [3] * 10 + [2] * 15
+        net = validate_network(_tree_spec(parents, ks, lambda i, j, k: Dirichlet(rng.uniform(0.5, 5.0, size=k))))
+        assert _path_depth(net) == 20
+        for evidence in ({"n0": 1}, {"n7": 2}, {"n19": 0, "n23": 1}):
+            got = _report_bytes(posterior_report(propagate(net, evidence)))
+            assert got == _report_bytes(posterior_report(propagate(copy.copy(net), evidence)))
+            assert net.plan.prior.held is None
+        states = [propagate(net, {"n24": 1})]
+        held = net.plan.prior.held
+        arrays = list(chain.from_iterable(held))
+        saved = [x.tobytes() for x in arrays]
+        for x in arrays:
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x.flags.writeable = True
+        for evidence in ({"n0": 0}, {"n7": 1}, {"n23": 0}, {}):
+            states.append(propagate(net, evidence))
+            assert net.plan.prior.held is held
+            assert [x.tobytes() for x in chain.from_iterable(held)] == saved
+        for state in states:
+            for messages in (state._combined, state._parent, state._upward, state._others):
+                for own in chain.from_iterable(messages.values()):
+                    assert not any(np.shares_memory(x, own) for x in arrays)
+
     def test_concurrent_first_queries(self):
         """Threads that query one freshly validated 10³-node chain at once
         report what the queries report one after another, and leave the
-        holder complete.  A racing fill is harmless: the bytes written for a
-        depth are a pure function of the network, so racing writers write
-        the same bytes; a depth is published only after its bytes are
-        written, and only ever raised; a reader copies only the depths
-        published when it looked."""
+        holder complete.  A racing store is harmless: the stored bytes are a
+        pure function of the network, so racing stores store the same bytes;
+        the holder is set in one assignment, empty before and whole after,
+        and each query reads it once."""
         n, rng = 1000, np.random.default_rng(7)
         spec = _tree_spec(_parents_of("chain", n, rng), [3] * n,
                           lambda i, j, k: Dirichlet(rng.uniform(0.5, 5.0, size=k)))
@@ -1257,4 +1295,4 @@ class TestPriorPath:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert results == want
-        assert net.plan.prior.known == _path_depth(net) == n - 1
+        assert sum(len(q) for q, _ in net.plan.prior.held) == _path_depth(net) == n - 1
