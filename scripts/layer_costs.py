@@ -14,9 +14,11 @@ sweeps downward only, and "propagate (mid)" with a mid-tree node observed:
 the first node at half the tree's height (the hub of a star), as in the
 benchmark's mid-tree queries.  Each of the three is the first query on its
 network, as in one ``treebelief query``: "propagate" runs on the network
-just validated, the other two on networks validated outside the timer, so
-none of them finds the prior messages of the nodes hanging one per depth
-from the root already kept on the network (``LevelPlan.prior``).
+just validated, the other two on networks validated outside the timer.
+Validation sweeps the prior messages of the nodes hanging one per depth
+from the root and keeps them on the network (``LevelPlan.prior``), so
+"validate" carries that sweep, and all three read the kept copy, as every
+query on a validated network does.
 "propagate (repeat)" runs the deepest-leaf query again on the first
 network, as a library user's repeated queries do.  "report (mid)" runs
 ``posterior_report`` on the state of the mid-tree query, where the check

@@ -27,12 +27,11 @@ All types are immutable after construction: every row and moment set holds
 a view of its own read-only copy of its numbers, so no field can be made
 writable again, and the caller's arrays stay writable.  No field of a
 validated node or network can be set, and a network's ``nodes`` and its
-plan's dicts are read-only mappings.  All operations are pure functions, so
-they are safe to share between threads.  The one part that changes is the
-plan's :class:`PriorPath`, the prior messages of the nodes that hang from the
-root one per depth: empty until a query stores all of them at once, read-only
-from then on, and a pure function of the network, so a query reads the same
-numbers whichever query stored them.  A parsed spec's first read of
+plan's dicts are read-only mappings.  Nothing writes to a validated network
+after :func:`validate_network` returns, not even the prior messages of the
+nodes that hang from the root one per depth, which it computes and keeps as
+read-only arrays (``LevelPlan.prior``).  All operations are pure functions,
+so they are safe to share between threads.  A parsed spec's first read of
 ``nodes`` may run in two threads at once: each builds from columns that
 never change, and the spec publishes the result with one
 ``dict.setdefault``, its only publish point, so both threads get the same
@@ -41,7 +40,7 @@ objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat, takewhile
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
@@ -494,46 +493,6 @@ class ChainSegment(NamedTuple):
     parent: int
 
 
-class PriorPath:
-    """The prior parent messages ``(q, T)`` of a plan's *leading path*: the
-    one-node depths that hang from the root, down to the first depth of
-    several nodes, swept as the :class:`ChainSegment` steps before the first
-    level.
-
-    Such a node is its parent's lone child, and a chain segment's downward
-    step divides by no ``D``, so its parent message depends on the stored
-    rows alone, as long as no node above it is instantiated.  ``held`` is
-    ``None`` until a query whose own sweep computed the whole path stores
-    it (:func:`~treebelief.propagation.propagate`): one read-only ``(q, T)``
-    pair of arrays per leading segment, shaped like the segment's slice of
-    a :class:`~treebelief.propagation.MessageState`.  Later queries copy
-    it down to their shallowest instantiated node; nothing writes to those
-    arrays again.
-
-    This is the one part of a validated network that changes, by one
-    assignment of bytes that are a pure function of the network, so
-    queries racing to store it store the same messages.  Pickling and
-    copying give an empty holder.
-    """
-
-    __slots__ = ("segments", "held")
-
-    def __init__(self, steps):
-        self.segments = tuple(takewhile(lambda step: isinstance(step, ChainSegment), steps))
-        self.held = None
-
-    def __eq__(self, other):
-        """Equal when over the same segments and holding the same messages."""
-        if not isinstance(other, PriorPath):
-            return NotImplemented
-        held = [None if p.held is None else [x.tobytes() for x in chain.from_iterable(p.held)]
-                for p in (self, other)]
-        return self.segments == other.segments and held[0] == held[1]
-
-    def __reduce__(self):
-        return PriorPath, (self.segments,)
-
-
 class LevelPlan(NamedTuple):
     """The tree compiled once for a depth-by-depth sweep.
 
@@ -553,9 +512,15 @@ class LevelPlan(NamedTuple):
     Each maximal run of one-node depths of equal ``k`` and ``r`` is a
     :class:`ChainSegment`.  ``places`` is a read-only ``(n, 5)`` int array of
     the ``slot`` tuples in ``ValidatedNetwork.order``.  The dicts are
-    read-only mappings.  ``prior`` holds the prior parent messages of the
-    leading path, stored by the first query that computes all of them
-    (:class:`PriorPath`).
+    read-only mappings.  ``prior`` holds the prior parent messages ``(q, T)``
+    of the *leading path*, the chain segments that open ``steps``: one pair
+    of read-only arrays per segment, shaped like its slice of a
+    :class:`~treebelief.propagation.MessageState`'s parent messages, so the
+    leading segments are ``steps[:len(prior)]``.  Each such node is a lone
+    child, and a segment's downward step divides by no ``D``, so these
+    messages depend on the stored rows alone, down to a query's shallowest
+    instantiated node; :func:`~treebelief.propagation._prior_path` computes
+    them at validation.
     """
 
     slot: Mapping[str, tuple]
@@ -564,7 +529,7 @@ class LevelPlan(NamedTuple):
     moments: Mapping[int, tuple]
     row_start: Mapping[int, np.ndarray]
     places: np.ndarray
-    prior: PriorPath
+    prior: Tuple[Tuple[np.ndarray, np.ndarray], ...]
 
 
 def _index(values: List[int]):
@@ -707,7 +672,8 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     gather of the rows of that ``k`` in :class:`LevelPlan` order
     (:func:`_stacked_moments`), and checked against the :func:`_check_moments`
     invariants in blocks of :data:`_CHECK_ROWS` rows.  Each node keeps
-    read-only views of its rows.
+    read-only views of its rows.  Last, the leading path's prior messages
+    are swept once and kept (``LevelPlan.prior``).
 
     Raises :class:`CycleDetected`, :class:`MultipleRoots`,
     :class:`DimensionMismatch` or :class:`BadDistribution`, always naming the
@@ -810,7 +776,10 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     kids = map(tuple, map(children.__getitem__, ids))
     nodes = map(ValidatedNode, ids, columns.alternatives, parents, kids, means, seconds,
                 repeat(spec), range(len(ids)))
-    plan = LevelPlan(slot, sib_counts, steps, MappingProxyType(moments), row_start, places, PriorPath(steps))
+    from .propagation import _prior_path  # propagation imports this module
+
+    moments = MappingProxyType(moments)
+    plan = LevelPlan(slot, sib_counts, steps, moments, row_start, places, _prior_path(steps, moments))
     return ValidatedNetwork(dict(zip(ids, nodes)), order, root, plan)
 
 

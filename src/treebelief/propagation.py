@@ -50,14 +50,12 @@ the evidence to the root.  A prior query is one downward sweep
 The chain segments that hang from the root, down to the first level, form
 the *leading path*.  Each of its nodes is a lone child, and a segment step
 does not divide by ``D``, so its parent message depends on the stored rows
-alone, down to the shallowest instantiated node.  The plan keeps these
-prior messages (:class:`~treebelief.model.PriorPath`), the one part of a
-validated network that changes: the first query whose sweep computes all
-of them stores read-only copies in one assignment, and every later query
-copies them down to its shallowest instantiated node into its own state
-(:func:`_sweep_down`).  Concurrent queries share it safely: the bytes are a
-pure function of the network, and a query reads the holder once, empty or
-whole.
+alone, down to the shallowest instantiated node.  Validation sweeps these
+prior messages once, with :func:`_segment_down` (:func:`_prior_path`), and
+the plan keeps them read-only (``LevelPlan.prior``); every query copies
+them down to its shallowest instantiated node into its own state
+(:func:`_sweep_down`).  A query writes only to its own state, so
+concurrent queries share a network safely.
 
 Normalizing denominators are always sums of *mean* values; as a consequence
 posterior second moments are approximations (exact for means and for all
@@ -67,7 +65,7 @@ report clamps and flags.
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import chain, repeat
+from itertools import chain, repeat, takewhile
 from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -96,9 +94,9 @@ class MessageState:
     A state is confined to one query thread; distinct queries on the same
     network may run concurrently with separate states.  Its arrays are its
     own and writable: the prior messages that the network keeps for its
-    leading path are copied in, and stored as read-only copies, never
-    shared.  ``_children`` lists the children of instantiated nodes as
-    :func:`_observed_children` gives them, in evidence order.
+    leading path are copied in, never shared.  ``_children`` lists the
+    children of instantiated nodes as :func:`_observed_children` gives
+    them, in evidence order.
     """
 
     __slots__ = ("net", "evidence", "_combined", "_parent", "_upward", "_others", "_children")
@@ -259,6 +257,25 @@ def _segment_down(seg: ChainSegment, below, below_at, moments, down, off: np.nda
             s += extra
 
 
+def _prior_path(steps, moments) -> tuple:
+    """The prior parent messages of the leading path, the chain segments
+    that open ``steps``: one read-only ``(q, T)`` pair per segment, shaped
+    like its slice of a :class:`MessageState`'s, swept by
+    :func:`_segment_down` from the root's own row moments.
+    :func:`~treebelief.model.validate_network` keeps them as
+    ``LevelPlan.prior``."""
+    lead = tuple(takewhile(lambda step: isinstance(step, ChainSegment), steps))
+    if not lead:
+        return ()
+    n = 1 + sum(seg.n for seg in lead)  # a path node's slot is at most its depth
+    down = {k: (np.empty((n, k)), np.empty((n, k, k))) for k in {lead[0].r, *(seg.k for seg in lead)}}
+    k, i = lead[0].r, lead[0].parent
+    down[k][0][i], down[k][1][i] = moments[k][0][0], moments[k][1][0]
+    for seg in lead:
+        _segment_down(seg, {}, [], moments, down, 1.0 - np.eye(seg.r))
+    return tuple(tuple(_frozen(x[seg.slot : seg.slot + seg.n].copy()) for x in down[seg.k]) for seg in lead)
+
+
 def _span(hit: np.ndarray):
     """A sorted, non-empty index array as a slice if it counts up by one."""
     lo, hi = int(hit[0]), int(hit[-1])
@@ -332,25 +349,19 @@ def _sweep_up(plan, seen, combined, up, others) -> None:
 def _sweep_down(net: ValidatedNetwork, evidence, below, down, others, shallowest: int) -> None:
     """Send each node its parent message, from the root's own row moments
     down (see :func:`propagate`).  On the leading path, the prior messages
-    down to depth ``shallowest`` are copied from the plan's
-    :class:`~treebelief.model.PriorPath` once it holds them; a sweep that
-    computed all of them stores read-only copies there."""
-    plan, moments = net.plan, net.plan.moments
-    below_at, lead, held = sorted(below), plan.prior.segments, plan.prior.held
+    down to depth ``shallowest`` are copied from ``plan.prior``."""
+    plan, moments, below_at = net.plan, net.plan.moments, sorted(below)
     off = {r: 1.0 - np.eye(r) for r in others}  # zeroes a diagonal exactly
     names = None  # (k, slot) -> node id, built at the first zero denominator
     _, k, i, _, _ = plan.slot[net.root]
     down[k][0][i], down[k][1][i] = moments[k][0][0], moments[k][1][0]
-    for j, seg in enumerate(lead):
-        start = 0 if held is None else min(seg.n, max(shallowest - seg.depth + 1, 0))
+    for seg, kept in zip(plan.steps, plan.prior):
+        start = min(seg.n, max(shallowest - seg.depth + 1, 0))
         if start:
-            for x, kept in zip(down[seg.k], held[j]):
-                x[seg.slot : seg.slot + start] = kept[:start]
+            for x, part in zip(down[seg.k], kept):
+                x[seg.slot : seg.slot + start] = part[:start]
         _segment_down(seg, below, below_at, moments, down, off[seg.r], start)
-    if held is None and shallowest >= sum(seg.n for seg in lead):
-        plan.prior.held = tuple(tuple(_frozen(x[seg.slot : seg.slot + seg.n].copy()) for x in down[seg.k])
-                                for seg in lead)
-    for step in plan.steps[len(lead) :]:
+    for step in plan.steps[len(plan.prior) :]:
         if isinstance(step, ChainSegment):
             _segment_down(step, below, below_at, moments, down, off[step.r])
             continue
@@ -406,12 +417,9 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
     Upward, only nodes with an instantiated node at or below them are
     computed: every other message keeps its unit fill, exact as every row
     sums to one with certainty.  Downward, the leading path's parent
-    messages down to the shallowest instantiated node are the prior ones,
-    copied from the network's :class:`~treebelief.model.PriorPath` once it
-    holds them.  A query with no instantiated node above the path's last
-    depth computes them all and, if the holder is empty, stores them.  So a
-    query changes the network only by that one store, with bytes that every
-    query computes the same.
+    messages down to the shallowest instantiated node are the prior ones
+    that validation kept (``LevelPlan.prior``), copied.  A query writes
+    only to the state it returns, never to the network.
     """
     check_evidence(net, evidence)
     state = MessageState(net, evidence)

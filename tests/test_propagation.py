@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from collections.abc import Mapping
 from itertools import chain
 
 import numpy as np
@@ -34,7 +35,7 @@ from treebelief import (
 )
 from treebelief import propagation
 from treebelief.errors import InconsistentEvidence, NegativeVariance, UnknownNode
-from treebelief.model import ChainSegment
+from treebelief.model import ChainSegment, ValidatedNetwork
 from treebelief.propagation import NodeReport, _segment_products
 
 
@@ -1146,7 +1147,49 @@ def _report_bytes(reports):
 
 def _path_depth(net):
     """How many depths below the root the leading path covers."""
-    return sum(seg.n for seg in net.plan.prior.segments)
+    return sum(len(q) for q, _ in net.plan.prior)
+
+
+def _swept_afresh(net):
+    """``net`` without its kept leading path, so every query sweeps the path."""
+    return ValidatedNetwork(net.nodes, net.order, net.root, net.plan._replace(prior=()))
+
+
+def _snapshot(x, seen=None):
+    """Everything reachable from ``x`` through containers and object fields:
+    arrays as their dtype, shape, flags and bytes, numbers, strings and
+    slices as they are, containers by their contents, and each other
+    object, once, by identity with its fields."""
+    if isinstance(x, np.ndarray):
+        return np.ndarray, x.dtype.str, x.shape, x.flags.writeable, x.tobytes()
+    if x is None or isinstance(x, (int, float, str, slice, type)):
+        return x
+    seen = set() if seen is None else seen
+    if id(x) in seen:
+        return "seen", id(x)
+    seen.add(id(x))
+    if isinstance(x, Mapping):
+        return type(x), [(key, _snapshot(value, seen)) for key, value in x.items()]
+    if isinstance(x, (tuple, list)):
+        return type(x), [_snapshot(value, seen) for value in x]
+    fields = {name: getattr(x, name) for name in getattr(type(x), "__slots__", ()) if hasattr(x, name)}
+    fields.update(getattr(x, "__dict__", {}))
+    return type(x), id(x), [(name, _snapshot(value, seen)) for name, value in fields.items()]
+
+
+def _run_threads(target, n):
+    """Run ``target(t)`` for ``t`` in ``range(n)``, one thread each, switching often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=target, args=(t,)) for t in range(n)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
 
 
 @st.composite
@@ -1166,20 +1209,21 @@ def _led_trees(draw):
 
 
 class TestPriorPath:
-    """The plan keeps the prior parent messages of its leading path, the
-    nodes hanging one per depth from the root, stored whole by the first
-    query that computes them all; no query may read differently for it."""
+    """Validation keeps the prior parent messages of the leading path, the
+    nodes hanging one per depth from the root; no query may read
+    differently for them, and no query changes them."""
 
     @given(_led_trees(), st.data())
     @settings(max_examples=60, deadline=None)
     def test_reports_do_not_depend_on_earlier_queries(self, tree, data):
         """A sequence of queries on one network, in a drawn order, reports
-        what each query reports on a fresh copy, byte for byte.  It has no
-        evidence, the root observed, the top of the path observed, evidence
-        only below the path, and drawn evidence anywhere.  The path is
-        stored once a query has no instantiated node above its last depth."""
+        what each query reports on the same network without its kept path,
+        which sweeps the path afresh, byte for byte.  It has no evidence, the
+        root observed, the top of the path observed, evidence only below the
+        path, and drawn evidence anywhere."""
         spec, ks = tree
         net = validate_network(spec)
+        fresh = _swept_afresh(net)
         depth = {node_id: net.plan.slot[node_id][0] for node_id in net.order}
         lead = _path_depth(net)
         alt = lambda node_id: data.draw(st.integers(0, ks[int(node_id[1:])] - 1))
@@ -1192,74 +1236,55 @@ class TestPriorPath:
         for _ in range(data.draw(st.integers(0, 3))):
             picked = data.draw(st.lists(st.sampled_from(net.order), max_size=3, unique=True))
             queries.append({node_id: alt(node_id) for node_id in picked})
-        stored = False
         for evidence in data.draw(st.permutations(queries)):
             got = _report_bytes(posterior_report(propagate(net, evidence)))
-            fresh = copy.copy(net)
-            assert fresh.plan.prior.held is None
             assert got == _report_bytes(posterior_report(propagate(fresh, evidence)))
-            stored = stored or min(map(depth.__getitem__, evidence), default=lead) >= lead
-            assert (net.plan.prior.held is not None) == stored
-        assert stored  # the query without evidence stores the whole path
 
-    def test_holder_is_per_network(self):
-        """A query that observes a path node stores nothing, and one that
-        computes the whole path stores all of it.  Copies and pickles start
-        empty, and equal the original once they store; a state's messages
-        are its own writable arrays, equal to the holder's."""
+    def test_kept_path_has_a_pair_per_segment(self):
+        """The kept path has one ``(q, T)`` pair per leading chain segment,
+        shaped like the segment's messages, and none where the root has
+        several children.  A state's messages are its own writable arrays,
+        equal to the kept ones above its evidence."""
         net = validate_network(_chain_under_level_spec())
-        assert _path_depth(net) == 0
+        assert net.plan.prior == () and _path_depth(net) == 0
         net = validate_network(_tree_spec([None, *range(40)], [3] * 20 + [2] * 21,
                                           lambda i, j, k: PointMass(np.arange(1, k + 1) / (k * (k + 1) / 2))))
-        assert [(s.depth, s.n, s.k, s.r) for s in net.plan.prior.segments] == [(1, 19, 3, 3), (20, 1, 2, 3),
-                                                                             (21, 20, 2, 2)]
-        propagate(net, {"n25": 1})
-        assert net.plan.prior.held is None
-        propagate(net, {"n40": 1})
-        assert [x.shape for x in chain.from_iterable(net.plan.prior.held)] == [
+        lead = net.plan.steps[: len(net.plan.prior)]
+        assert [(s.depth, s.n, s.k, s.r) for s in lead] == [(1, 19, 3, 3), (20, 1, 2, 3), (21, 20, 2, 2)]
+        assert [x.shape for x in chain.from_iterable(net.plan.prior)] == [
             (19, 3), (19, 3, 3), (1, 2), (1, 2, 2), (20, 2), (20, 2, 2)]
         state = propagate(net, {"n25": 1})
-        for again in (copy.copy(net), copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
-            assert again.plan.prior.held is None
-            assert again.plan.prior.segments == net.plan.prior.segments
-            assert again.plan.prior != net.plan.prior  # equal holders hold the same messages
-            propagate(again, {"n25": 0})
-            assert again.plan.prior != net.plan.prior
-            propagate(again, {})
-            assert again.plan.prior == net.plan.prior
-        for seg, (hq, ht) in zip(net.plan.prior.segments, net.plan.prior.held):
+        for seg, (hq, ht) in zip(lead, net.plan.prior):
             q, t = state._parent[seg.k]
-            for held, own in ((hq, q), (ht, t)):
-                assert own.flags.writeable and not np.shares_memory(held, own)
+            for kept, own in ((hq, q), (ht, t)):
+                assert own.flags.writeable and not np.shares_memory(kept, own)
                 part = own[seg.slot : seg.slot + seg.n][: 25 - seg.depth + 1]
-                assert part.tobytes() == held[: len(part)].tobytes()
+                assert part.tobytes() == kept[: len(part)].tobytes()
 
     def test_snapshot_is_read_only_and_written_once(self):
-        """Queries that observe a path node store nothing and report what a
-        fresh copy reports.  A query with evidence below the path stores it
-        as read-only arrays that no state shares, and later queries, with the
-        root, a path node or a node below the path observed, leave the same
-        object with the same bytes."""
+        """Validation writes the kept path as read-only arrays that cannot be
+        made writable.  Queries with the root, a path node, a path node and a
+        node below, or a node below the path observed, or none, report what
+        the network without its kept path reports, leave the same arrays
+        with the same bytes, and share no memory with them."""
         rng = np.random.default_rng(11)
         parents, ks = [None, *range(20), 20, 20, 21, 22], [3] * 10 + [2] * 15
         net = validate_network(_tree_spec(parents, ks, lambda i, j, k: Dirichlet(rng.uniform(0.5, 5.0, size=k))))
         assert _path_depth(net) == 20
-        for evidence in ({"n0": 1}, {"n7": 2}, {"n19": 0, "n23": 1}):
-            got = _report_bytes(posterior_report(propagate(net, evidence)))
-            assert got == _report_bytes(posterior_report(propagate(copy.copy(net), evidence)))
-            assert net.plan.prior.held is None
-        states = [propagate(net, {"n24": 1})]
-        held = net.plan.prior.held
-        arrays = list(chain.from_iterable(held))
+        kept = net.plan.prior
+        arrays = list(chain.from_iterable(kept))
         saved = [x.tobytes() for x in arrays]
         for x in arrays:
             assert not x.flags.writeable
             with pytest.raises(ValueError):
                 x.flags.writeable = True
-        for evidence in ({"n0": 0}, {"n7": 1}, {"n23": 0}, {}):
+        states = []
+        for evidence in ({"n0": 1}, {"n7": 2}, {"n19": 0, "n23": 1}, {"n24": 1}, {}):
             states.append(propagate(net, evidence))
-            assert net.plan.prior.held is held
-            assert [x.tobytes() for x in chain.from_iterable(held)] == saved
+            got = _report_bytes(posterior_report(states[-1]))
+            assert got == _report_bytes(posterior_report(propagate(_swept_afresh(net), evidence)))
+            assert net.plan.prior is kept
+            assert [x.tobytes() for x in arrays] == saved
         for state in states:
             for messages in (state._combined, state._parent, state._upward, state._others):
                 for own in chain.from_iterable(messages.values()):
@@ -1267,11 +1292,8 @@ class TestPriorPath:
 
     def test_concurrent_first_queries(self):
         """Threads that query one freshly validated 10³-node chain at once
-        report what the queries report one after another, and leave the
-        holder complete.  A racing store is harmless: the stored bytes are a
-        pure function of the network, so racing stores store the same bytes;
-        the holder is set in one assignment, empty before and whole after,
-        and each query reads it once."""
+        report what the queries report one after another: each reads the
+        kept path and writes only its own state."""
         n, rng = 1000, np.random.default_rng(7)
         spec = _tree_spec(_parents_of("chain", n, rng), [3] * n,
                           lambda i, j, k: Dirichlet(rng.uniform(0.5, 5.0, size=k)))
@@ -1283,16 +1305,28 @@ class TestPriorPath:
         def query(t):
             results[t] = _report_bytes(posterior_report(propagate(net, queries[t])))
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=query, args=(t,)) for t in range(len(queries))]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
+        _run_threads(query, len(queries))
         assert results == want
-        assert sum(len(q) for q, _ in net.plan.prior.held) == _path_depth(net) == n - 1
+        assert _path_depth(net) == n - 1
+
+    def test_validated_network_is_a_pure_value(self):
+        """No query writes to a validated network: every array, mapping,
+        tuple and list reachable from its fields keeps its bytes and flags
+        through queries with no evidence, the root, a path node, a node below
+        the path or several nodes observed, and through concurrent ones.
+        Copies and pickles validate again and keep an equal path in arrays
+        of their own."""
+        rng = np.random.default_rng(17)
+        parents, ks = [None, *range(12), 12, 12, 13, 13, 14, 15], [3] * 6 + [2] * 7 + [8] * 6
+        net = validate_network(_tree_spec(parents, ks, lambda i, j, k: random_row(rng, ROW_KINDS[(i + j) % 3], k)))
+        assert _path_depth(net) == 12 and len(net.plan.steps) > len(net.plan.prior)
+        before = _snapshot(vars(net))
+        queries = [{}, {"n0": 2}, {"n5": 1}, {"n17": 7}, {"n3": 0, "n12": 1, "n16": 4}, {"n8": 1, "n18": 0}]
+        for evidence in queries:
+            posterior_report(propagate(net, evidence))
+        _run_threads(lambda t: posterior_report(propagate(net, queries[t % len(queries)])), 2 * len(queries))
+        assert _snapshot(vars(net)) == before
+        for again in (copy.copy(net), copy.deepcopy(net), pickle.loads(pickle.dumps(net))):
+            assert _snapshot(again.plan.prior) == _snapshot(net.plan.prior)
+            mine, theirs = (list(chain.from_iterable(x.plan.prior)) for x in (again, net))
+            assert not any(np.shares_memory(x, y) for x in mine for y in theirs)
