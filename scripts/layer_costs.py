@@ -59,7 +59,10 @@ per node, interpreter start included, and the child's own peak resident
 memory in kB per node: ``VmHWM`` from ``/proc/self/status``, read inside the
 child as the command returns (``ru_maxrss`` of a child would include this
 process's peak, which the spawn inherits; ``None`` where ``/proc`` is
-absent).  Each reads as the best of its rounds.
+absent).  Each reads as the best of its rounds.  Beside them, per tree
+and round, another child runs ``validate_network(load_network(FILE))``,
+keeps the network, runs the collector and reads its own ``VmRSS``: the
+memory a library user pays to hold a loaded network, in kB per node.
 
 With ``--base SRC`` a second source tree (the ``src`` directory of another
 checkout) is loaded into the same process and timed on the same files,
@@ -73,7 +76,7 @@ from ``parse_network`` to ``posterior_report``, ``propagate`` with no
 evidence, with the mid-tree node observed and repeated, ``posterior_report``
 after the mid-tree query, and hand-built validation;
 then ``enumerate_uncertainty`` and ``mc_uncertainty`` per tree and mode, and the end-to-end wall
-time and ``VmHWM``.  The per-round minimum over
+time, ``VmHWM`` and held ``VmRSS``.  The per-round minimum over
 repeats keeps one slow run on a shared host out of the ratio.  The two
 versions' ``query`` reports must be the same bytes apart from the
 ``generated_at`` line, or the script names the trees whose reports differ,
@@ -136,6 +139,19 @@ finally:
             sys.stderr.write(next(line for line in status if line.startswith("VmHWM:")))
     except OSError:
         pass
+"""
+#: run as ``python -c HELD FILE``: hold the validated network of ``FILE``, run the collector,
+#: then write the resident memory of this process as the last line of standard output
+HELD = """
+import gc, sys
+from treebelief import load_network, validate_network
+net = validate_network(load_network(sys.argv[1]))
+gc.collect()
+try:
+    with open("/proc/self/status") as status:
+        sys.stdout.write(next(line for line in status if line.startswith("VmRSS:")))
+except OSError:
+    pass
 """
 
 
@@ -324,9 +340,11 @@ def time_sweep_up(tb, net, leaf: str) -> float:
 
 
 def time_cli(src: Path, path: str, leaf: str, out: str):
-    """Wall seconds and ``VmHWM`` in kB (``None`` without ``/proc``) of one
-    ``query`` of ``path`` in a child process running the package under
-    ``src``, with its report written to ``out``."""
+    """Wall seconds and ``VmHWM`` in kB of one ``query`` of ``path`` in a
+    child process running the package under ``src``, with its report
+    written to ``out``, then the ``VmRSS`` in kB of another child that holds
+    the validated network of ``path`` (:data:`HELD`); each ``None`` without
+    ``/proc``."""
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, "-c", CHILD, "query", path, "--evidence", f"{leaf}=s1"]
     with open(out, "wb") as handle:
@@ -337,7 +355,9 @@ def time_cli(src: Path, path: str, leaf: str, out: str):
     if child.returncode != 0:
         raise RuntimeError(f"query of {path} exited {child.returncode}: {child.stderr.strip()}")
     hwm = lines[-1].split()[1] if lines and lines[-1].startswith("VmHWM:") else None
-    return seconds, None if hwm is None else int(hwm)
+    held = subprocess.run([sys.executable, "-c", HELD, path], capture_output=True, env=env, text=True,
+                          check=True).stdout.split()
+    return seconds, None if hwm is None else int(hwm), int(held[1]) if held else None
 
 
 def largest_difference(a: str, b: str) -> float:
@@ -398,7 +418,7 @@ def main(argv=None) -> int:
     collector = ("off",) if args.gc_off else ("on", "off")
     runs = [(v, c) for c in collector for v in versions]
     times = {run: {} for run in runs}  # (version, collector) -> tree -> [per-round layer seconds]
-    cli_runs = {v: {} for v in versions}  # version -> tree -> [per-round (wall s, VmHWM kB)]
+    cli_runs = {v: {} for v in versions}  # version -> tree -> [per-round (wall s, VmHWM kB, held VmRSS kB)]
     differ = {}  # tree -> largest absolute difference between the two reports
     # oracle -> (version, collector) -> shape -> [per-round seconds per mode]
     oracle_times = {name: {run: {} for run in runs} for name in ORACLES}
@@ -461,19 +481,20 @@ def main(argv=None) -> int:
                     best = np.min(oracle_times[name][v, c][shape], axis=0) * 1e3
                     out[f"{name}_ms"][v][shape] = dict(zip(modes, np.round(best, 4).tolist()))
                     print(f"  {shape:<14}" + "".join(f"{x:>22.3f}" for x in best))
-    out = result["end_to_end"] = {"us_per_node": {}, "vmhwm_kb_per_node": {}}
+    out = result["end_to_end"] = {"us_per_node": {}, "vmhwm_kb_per_node": {}, "held_vmrss_kb_per_node": {}}
     for v in versions:
         print(f"{v}: `python -m treebelief.cli query FILE --evidence LEAF=s1` in a child process, "
-              f"best of {args.rounds} rounds")
-        print(f"  {'tree':<14}{'wall µs per node':>22}{'VmHWM kB per node':>22}")
+              f"and a held validated network's VmRSS in another, best of {args.rounds} rounds")
+        print(f"  {'tree':<14}{'wall µs per node':>22}{'VmHWM kB per node':>22}{'held VmRSS kB per node':>24}")
         for key in out:
             out[key][v] = {}
         for tree, (*_, n) in trees.items():
-            wall = min(s for s, _ in cli_runs[v][tree]) / n * 1e6
-            hwm = None if cli_runs[v][tree][0][1] is None else min(h for _, h in cli_runs[v][tree]) / n
-            out["us_per_node"][v][tree] = round(wall, 3)
+            wall, hwm, held = (None if runs[0] is None else min(runs) / n for runs in zip(*cli_runs[v][tree]))
+            out["us_per_node"][v][tree] = round(wall * 1e6, 3)
             out["vmhwm_kb_per_node"][v][tree] = None if hwm is None else round(hwm, 3)
-            print(f"  {tree:<14}{wall:>22.2f}{'-' if hwm is None else f'{hwm:.3f}':>22}")
+            out["held_vmrss_kb_per_node"][v][tree] = None if held is None else round(held, 3)
+            print(f"  {tree:<14}{wall * 1e6:>22.2f}{'-' if hwm is None else f'{hwm:.3f}':>22}"
+                  f"{'-' if held is None else f'{held:.3f}':>24}")
     if "base" in versions:
         for title, key, layers in RATIOS:
             print(f"{title}, this / base: median of per-round ratios [min, max], collector "
@@ -501,10 +522,11 @@ def main(argv=None) -> int:
                         cells.append(f"{statistics.median(ratios):8.3f} [{min(ratios):.3f}, {max(ratios):.3f}]")
                     print(f"  {f'{shape}/{mode}':<24}" + " |".join(cells))
             result[f"{name}_identical"] = not oracle_differ[name]
-        print("query in a child process, this / base: median of per-round ratios [min, max], wall | VmHWM")
+        print("query and held network in child processes, this / base: median of per-round ratios "
+              "[min, max], wall | VmHWM | held VmRSS")
         for tree in trees:
             cells = []
-            for i, key in enumerate(("wall_ratio", "vmhwm_ratio")):
+            for i, key in enumerate(("wall_ratio", "vmhwm_ratio", "held_vmrss_ratio")):
                 pairs = zip(cli_runs["this"][tree], cli_runs["base"][tree])
                 ratios = [a[i] / b[i] for a, b in pairs if a[i] is not None and b[i] is not None]
                 out.setdefault(key, {})[tree] = round(statistics.median(ratios), 4) if ratios else None

@@ -48,6 +48,7 @@ import numpy as np
 
 from .errors import (
     BadDistribution,
+    CapExceeded,
     CycleDetected,
     DimensionMismatch,
     InconsistentEvidence,
@@ -651,6 +652,13 @@ class ValidatedNetwork:
         return len(self.nodes)
 
 
+#: Most float cells that :func:`validate_network` admits for a network's row
+#: moments and one query's messages: a node of ``k`` alternatives and ``r``
+#: rows holds ``r (k + k**2)`` of row moments, and a query's state holds
+#: four ``k + k**2`` messages per node.  1.6 GB of float64; a 10**6-node
+#: tree of ``k = 3`` needs 8.4e7, and two nodes of ``k = 1000`` 1.0e9.
+_CELL_CAP = 2e8
+
 #: Rows per :func:`_check_moments` call in :func:`validate_network`; bounds
 #: the check's temporaries to a few copies of one block of second moments.
 _CHECK_ROWS = 1024
@@ -668,16 +676,20 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     order of the nodes, and a node it misses lies below a parent cycle.
     Alternative, row and dimension counts are each compared as one array,
     and on a fault a per-node scan names the first bad node in file order.
-    Then the row moments are computed per alternative count ``k``, from one
-    gather of the rows of that ``k`` in :class:`LevelPlan` order
-    (:func:`_stacked_moments`), and checked against the :func:`_check_moments`
-    invariants in blocks of :data:`_CHECK_ROWS` rows.  Each node keeps
-    read-only views of its rows.  Last, the leading path's prior messages
-    are swept once and kept (``LevelPlan.prior``).
+    Then a network whose row moments and one query's messages would need
+    more than :data:`_CELL_CAP` cells raises :class:`CapExceeded`, naming
+    its largest node, so no large allocation is tried.  The row moments are
+    computed per alternative count ``k``, from one gather of the rows of
+    that ``k`` in :class:`LevelPlan` order (:func:`_stacked_moments`), and
+    checked against the :func:`_check_moments` invariants in blocks of
+    :data:`_CHECK_ROWS` rows.  Each node keeps read-only views of its rows.
+    Last, the leading path's prior messages are swept once and kept
+    (``LevelPlan.prior``).
 
     Raises :class:`CycleDetected`, :class:`MultipleRoots`,
     :class:`DimensionMismatch` or :class:`BadDistribution`, always naming the
-    offending node.  A structural fault is reported before any bad moments;
+    offending node, or :class:`CapExceeded`.  A structural fault is reported
+    before the cap, and the cap before any bad moments;
     among nodes with bad moments, the first in file order is named.
     """
     columns = getattr(spec, "_columns", None) or _Columns.of_nodes(spec.nodes)
@@ -744,6 +756,12 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
         and list(map(len, map(set, columns.alternatives))) == ks.tolist()
     ):
         _scan_dimensions(columns, index)
+    cells = (r + 4.0) * k * (k + 1.0)  # float: k**3 may pass the int64 range
+    if cells.sum() > _CELL_CAP:
+        i = int(cells.argmax())
+        raise CapExceeded(f"row moments and one query's messages would need {cells.sum():.3g} cells, "
+                          f"above the cap of {_CELL_CAP:.3g}; node {order[i]!r} ({k[i]} alternatives, "
+                          f"{r[i]} rows) alone needs {cells[i]:.3g}")
     m = np.array(list(map(len, map(children.__getitem__, order))))[above]
     slot, by_k, row_start, sib_counts, steps, places = _compile(order, above, depth, k, r, m)
 

@@ -27,6 +27,12 @@ for bit.
 
 :func:`parse_network` turns a document into columns, with no object per row
 (:func:`_columns`), and :func:`validate_network` checks the columns.  The
+columns keep no object of the document: each distinct id and label is a new
+string, made once, each parent is its node's new id, and nodes with equal
+label lists share one tuple.  CPython's small-object allocator returns an
+arena to the system only when every object in it is freed, and the
+decoder's strings lie in every arena of a document, so a network that kept
+them would keep the whole decoded document resident.  The
 returned :class:`NetworkSpec` builds its row objects, read-only views of the
 columns' stacks, in one pass the first time its ``nodes`` or a validated
 node's ``rows`` is read.  If any check fails, the document is parsed again
@@ -151,6 +157,28 @@ def _walk(doc: Any) -> NetworkSpec:
     return NetworkSpec(nodes)
 
 
+def _new_str(s: str) -> str:
+    """A new string equal to ``s``: ``str()``, slicing and ``+ ""`` return
+    ``s`` itself.  ``surrogatepass`` keeps a lone surrogate, which a JSON
+    string may hold.  A string of one Latin-1 character is a cached
+    singleton whatever makes it, and no document owns it."""
+    return s.encode("utf-8", "surrogatepass").decode("utf-8", "surrogatepass")
+
+
+class _Copies(dict):
+    """Maps each key to ``make(key)``, made at its first lookup and kept."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make, items=()):
+        super().__init__(items)
+        self.make = make
+
+    def __missing__(self, key):
+        self[key] = value = self.make(key)
+        return value
+
+
 _KIND_CODES = {"dirichlet": _DIRICHLET, "discrete": _DISCRETE, "point": _POINT}
 _VALUE_KEYS = {"dirichlet": "alpha", "discrete": "points", "point": "p"}
 
@@ -165,7 +193,9 @@ def _columns(doc: Any) -> Optional[_Columns]:
     stricter: a duplicate id, an unknown parent, a row count that does not
     match the parent, or a ``str`` or ``dict`` subclass also give ``None``,
     and the walk then decides.  Discrete rows, which are rare, go through
-    :func:`parse_distribution` one by one.
+    :func:`parse_distribution` one by one.  Ids and labels are copied
+    (:func:`_new_str`), each distinct string once, for one dict lookup per
+    string and one tuple per node, so the columns hold no object of ``doc``.
     """
     if type(doc) is not dict:
         return None
@@ -209,9 +239,15 @@ def _columns(doc: Any) -> Optional[_Columns]:
         values = [value for value, kind in zip(values, kinds.tolist()) if kind != _DISCRETE]
     if set(map(type, values)) - {list} or set(map(type, chain.from_iterable(values))) - _NUMBER_TYPES:
         return None
+    new_ids = list(map(_new_str, ids))
+    strings = _Copies(_new_str, zip(ids, new_ids))  # so each parent is its node's new id
+    strings[None] = None
+    labels = _Copies(lambda alts: tuple(map(strings.__getitem__, alts)))
+    parents = list(map(strings.__getitem__, parents))
+    alternatives = list(map(labels.__getitem__, map(tuple, alternatives)))
     try:  # on a fault the walk raises it again, naming the row
         discrete = list(map(parse_distribution, discrete, repeat("row")))
-        return _Columns(ids, list(map(tuple, alternatives)), parents, counts, kinds, values, discrete)
+        return _Columns(new_ids, alternatives, parents, counts, kinds, values, discrete)
     except (ParseError, BadDistribution, ValueError, OverflowError):  # OverflowError: an int too big
         return None
 

@@ -360,7 +360,8 @@ def _sweep_down(net: ValidatedNetwork, evidence, below, down, others, shallowest
         if start:
             for x, part in zip(down[seg.k], kept):
                 x[seg.slot : seg.slot + start] = part[:start]
-        _segment_down(seg, below, below_at, moments, down, off[seg.r], start)
+        if start < seg.n:  # a segment copied whole holds no child of an observed node
+            _segment_down(seg, below, below_at, moments, down, off[seg.r], start)
     for step in plan.steps[len(plan.prior) :]:
         if isinstance(step, ChainSegment):
             _segment_down(step, below, below_at, moments, down, off[step.r])

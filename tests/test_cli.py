@@ -487,6 +487,81 @@ class TestLazyRows:
         assert {id(row.alpha) for row in rows} == {id(vector) for vector in first}
 
 
+def _objects(doc) -> set:
+    """The ``id`` of every dict, list, key and value of a decoded document."""
+    found, stack = set(), [doc]
+    while stack:
+        obj = stack.pop()
+        found.add(id(obj))
+        if isinstance(obj, dict):
+            found.update(map(id, obj))
+            stack += obj.values()
+        elif isinstance(obj, list):
+            stack += obj
+    return found
+
+
+class TestDocumentNotKept:
+    """A parsed network holds no object of its document: ids, parents,
+    children and labels are new strings, so the decoded document can be
+    freed whole once the network is built."""
+
+    @staticmethod
+    def _spec():
+        rng = np.random.default_rng(36)
+        yes_no, levels, odd = ("yes", "no"), ("low", "mid", "high"), ("\ud800", "yes")
+        shape = [("root", levels, None), ("left", yes_no, "root"), ("right", yes_no, "root"),
+                 ("\ud800", odd, "left"), ("deep", levels, "\ud800"), ("leaf", yes_no, "deep"),
+                 ("other", levels, "right")]
+        k = {node_id: len(labels) for node_id, labels, _ in shape}
+        return NetworkSpec(tuple(
+            NodeSpec(node_id, labels, parent, tuple(
+                Dirichlet(rng.uniform(0.5, 5.0, len(labels))) for _ in range(k.get(parent, 1))))
+            for node_id, labels, parent in shape
+        ))
+
+    def test_no_string_of_the_document_is_kept(self):
+        doc = json.loads(json.dumps(network_to_json(self._spec())))
+        spec = parse_network(doc)
+        net = validate_network(spec)
+        kept = [net.root, *net.order, *net.plan.slot]
+        for node_id, node in net.nodes.items():
+            kept += [node_id, node.id, node.alternatives, *node.alternatives, *node.children]
+            kept += [] if node.parent is None else [node.parent]
+            assert node.parent is None or node.parent is net.nodes[node.parent].id
+            assert all(child is net.nodes[child].id for child in node.children)
+        for ns in spec.nodes:
+            kept += [ns.id, ns.alternatives, *ns.alternatives] + ([] if ns.parent is None else [ns.parent])
+        assert len(kept) > 60
+        in_doc = _objects(doc)
+        assert [x for x in kept if id(x) in in_doc] == []
+        assert all(node_id is net.nodes[node_id].id for node_id in net.order)
+        assert net.root is net.nodes["root"].id
+
+    def test_equal_label_lists_share_one_tuple(self):
+        net = validate_network(parse_network(json.loads(json.dumps(network_to_json(self._spec())))))
+        by_labels = {}
+        for node in net.nodes.values():
+            by_labels.setdefault(node.alternatives, set()).add(id(node.alternatives))
+        assert sorted(map(len, by_labels)) == [2, 2, 3]
+        assert all(len(tuples) == 1 for tuples in by_labels.values())
+        assert net.nodes["\ud800"].alternatives[1] is net.nodes["left"].alternatives[0]  # "yes"
+        assert net.nodes["\ud800"].alternatives[0] is net.nodes["\ud800"].id
+
+    def test_lone_surrogates_round_trip(self, tmp_path):
+        spec = self._spec()
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_network(spec, str(first))
+        loaded = load_network(str(first))
+        save_network(loaded, str(second))
+        assert first.read_bytes() == second.read_bytes()
+        net = validate_network(load_network(str(second)))
+        assert net.nodes["\ud800"].alternatives == ("\ud800", "yes")
+        assert net.nodes["deep"].parent == "\ud800" and net.nodes["left"].children == ("\ud800",)
+        assert [(ns.id, ns.alternatives, ns.parent) for ns in loaded.nodes] == [
+            (ns.id, ns.alternatives, ns.parent) for ns in spec.nodes]
+
+
 class TestValidateCommand:
     def test_ok(self, capsys, two_node_file):
         code, out, _ = run_cli(capsys, "validate", two_node_file)
@@ -659,6 +734,30 @@ class TestQueryCommand:
         assert code == 6
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("NonFiniteResult")
+
+    def test_network_beyond_the_cell_cap_exits_5_before_allocating(self, tmp_path):
+        # Two nodes of 1000 alternatives would stack 7.5 GiB of row second
+        # moments.  The child runs under a 3 GiB address-space cap, so a
+        # guard that failed could not take the memory.
+        resource = pytest.importorskip("resource")
+        labels = [f"a{i}" for i in range(1000)]
+        row = {"type": "dirichlet", "alpha": [1.0] * 1000}
+        doc = {"nodes": [
+            {"id": "root", "alternatives": labels, "parent": None, "cpt": [{"given": None, "dist": row}]},
+            {"id": "child", "alternatives": labels, "parent": "root",
+             "cpt": [{"given": label, "dist": row} for label in labels]},
+        ]}
+        path = tmp_path / "k1000.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        cap = 3 << 30
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        argv = [sys.executable, "-m", "treebelief.cli", "query", str(path)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == cli.EXIT_PRECONDITION == 5
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("CapExceeded: ") and "node 'child' (1000 alternatives" in proc.stderr
 
 
 _ODD_TEXT = ('"', '"],["', "a,b", "[x]", "{}", "\\", "\x00\x1f\n\t\x7f", "\u00e9", "\u65e5\u672c",

@@ -32,6 +32,7 @@ from treebelief import (
 from treebelief.errors import (
     BadDistribution,
     BeliefNetworkError,
+    CapExceeded,
     CycleDetected,
     DimensionMismatch,
     InvalidNetwork,
@@ -39,6 +40,7 @@ from treebelief.errors import (
     UnknownAlternative,
     UnknownNode,
 )
+from treebelief import model
 from treebelief.model import _CHECK_ROWS, _DIRICHLET, _Columns
 
 
@@ -296,6 +298,28 @@ class TestValidateNetwork:
         with pytest.raises(error) as info:
             validate_network(spec)
         assert str(info.value) == message
+
+    def test_cell_cap_names_the_largest_node(self, monkeypatch):
+        # cells per node, (rows + 4) k (k + 1): root 5 * 6, "wide" 6 * 30, "narrow" 6 * 12
+        rows = lambda k, n: tuple(Dirichlet(np.ones(k)) for _ in range(n))
+        spec = NetworkSpec((NodeSpec("root", ("r0", "r1"), None, rows(2, 1)),
+                            NodeSpec("wide", tuple("abcde"), "root", rows(5, 2)),
+                            NodeSpec("narrow", ("x", "y", "z"), "root", rows(3, 2))))
+        monkeypatch.setattr(model, "_CELL_CAP", 30 + 180 + 72)
+        assert validate_network(spec).order == ("root", "wide", "narrow")
+        monkeypatch.setattr(model, "_CELL_CAP", 30 + 180 + 72 - 1)
+        with pytest.raises(CapExceeded) as info:
+            validate_network(spec)
+        assert str(info.value) == (
+            "row moments and one query's messages would need 282 cells, above the cap of 281; "
+            "node 'wide' (5 alternatives, 2 rows) alone needs 180")
+        # the cap checks counts that validation has just checked: a bad row count fails first
+        bad = NetworkSpec(spec.nodes[:2] + (NodeSpec("narrow", ("x", "y", "z"), "root", rows(3, 1)),))
+        with pytest.raises(DimensionMismatch):
+            validate_network(bad)
+        monkeypatch.undo()
+        # a tree of 10**6 nodes of three alternatives, the root's one row and three rows each below
+        assert (1 + 4) * 12 + (10**6 - 1) * (3 + 4) * 12 <= model._CELL_CAP
 
     def test_rows_own_their_numbers(self, tmp_path):
         # every constructor copies: the caller's arrays stay writable
