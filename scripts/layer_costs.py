@@ -31,8 +31,11 @@ is called with no node list, as ``query --nodes all`` and the
 ``engine_sweep`` benchmark call it.  Each round times every layer as the best of at least
 :data:`REPEATS` runs, repeated until every layer of every version has spent
 :data:`BUDGET` seconds in the round, so a layer of a millisecond gets dozens
-of runs, and each layer reads as the best of its rounds.  The upward sweep,
-a part of a ``propagate`` layer, counts toward no budget.  The collector runs
+of runs, and each layer reads as the best of its rounds.  The layers of a
+tree (or the modes of an oracle) run together, so once one of them takes
+more than :data:`LONG` seconds in a run, as at 10^5 nodes, they all run
+once per round.  The upward sweep, a part of a ``propagate`` layer, counts
+toward no budget.  The collector runs
 before each run, as in the benchmark worker.  Each run is made twice, with
 the collector on during it and with it off (only off with ``--gc-off``).
 With it on, a collection lands in whichever layer crosses the threshold, so
@@ -127,6 +130,7 @@ LAYERS = ("json.load", "parse_network", "validate_network", "propagate", "poster
           "report (mid)", "upward sweep")
 REPEATS = 3  # fewest runs of each layer per round; the fastest counts
 BUDGET = 0.05  # seconds each layer of each version spends per round, at least
+LONG = 1.0  # seconds of one layer's run past which its tree or oracle runs once per round
 #: run as ``python -c CHILD query ...``: ``python -m treebelief.cli``, then the peak resident
 #: memory of this process alone, as the last line of standard error
 CHILD = """
@@ -258,11 +262,14 @@ def best_of(order, measure, counted: int) -> dict:
     """Per run ``(version, collector)`` of ``order``, the element-wise best
     of ``measure(version)``'s seconds over at least :data:`REPEATS` runs,
     repeated until each of the first ``counted`` entries of every run has
-    spent :data:`BUDGET`; the collector runs before each run and is off
-    during it where the run says so."""
+    spent :data:`BUDGET`, or over one run if one such entry took more than
+    :data:`LONG`; the collector runs before each run and is off during it
+    where the run says so."""
     best, spent = {}, {run: np.zeros(counted) for run in order}
     for repeat in itertools.count():
         if repeat >= REPEATS and min(x.min() for x in spent.values()) >= BUDGET:
+            return best
+        if repeat == 1 and max(x.max() for x in spent.values()) > LONG:  # spent in one run
             return best
         for run in order:
             v, c = run

@@ -3,7 +3,8 @@
 Reports go to standard output as JSON; diagnostics go to standard error.
 Exit codes: 0 success, 2 parse or validation failure (and any other error
 of the package), 3 inconsistent evidence, 4 tolerance or bound exceeded,
-5 precondition or cap violated, 6 a report that cannot be given: a
+5 precondition or cap violated, or memory refused to a network under the
+cap (one line names the allocation), 6 a report that cannot be given: a
 non-finite number in it, or a variance below the engine's numerical floor
 (nothing is written to standard output), 74 standard output refused a
 write (a full disk, say), 141 standard output closed by its reader before
@@ -351,6 +352,9 @@ def _run(args: argparse.Namespace) -> int:
             if isinstance(exc, types):
                 return code
         return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"MemoryError: {exc or 'out of memory'}", file=sys.stderr)
+        return EXIT_PRECONDITION
     except BrokenPipeError:
         _detach_stdout()
         return EXIT_BROKEN_PIPE

@@ -659,9 +659,10 @@ class ValidatedNetwork:
 #: tree of ``k = 3`` needs 8.4e7, and two nodes of ``k = 1000`` 1.0e9.
 _CELL_CAP = 2e8
 
-#: Rows per :func:`_check_moments` call in :func:`validate_network`; bounds
-#: the check's temporaries to a few copies of one block of second moments.
-_CHECK_ROWS = 1024
+#: Second-moment cells per :func:`_check_moments` call in :func:`validate_network`,
+#: or one row where a row holds more; bounds the check's temporaries to a few
+#: copies of one block of second moments, whatever the alternative count.
+_CHECK_CELLS = 1 << 16
 
 
 def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
@@ -682,7 +683,7 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     computed per alternative count ``k``, from one gather of the rows of
     that ``k`` in :class:`LevelPlan` order (:func:`_stacked_moments`), and
     checked against the :func:`_check_moments` invariants in blocks of
-    :data:`_CHECK_ROWS` rows.  Each node keeps read-only views of its rows.
+    :data:`_CHECK_CELLS` cells.  Each node keeps read-only views of its rows.
     Last, the leading path's prior messages are swept once and kept
     (``LevelPlan.prior``).
 
@@ -781,9 +782,10 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
         moments[kv] = mean, second, second.reshape(len(second), kv * kv)
         for i, lo, hi in zip(at_k.tolist(), first.tolist(), (first + counts).tolist()):
             means[i], seconds[i] = mean[lo:hi], second[lo:hi]
-        for lo in range(0, len(mean), _CHECK_ROWS):
+        step = max(1, _CHECK_CELLS // (kv * kv))
+        for lo in range(0, len(mean), step):
             try:
-                _check_moments(mean[lo : lo + _CHECK_ROWS], second[lo : lo + _CHECK_ROWS], "rows")
+                _check_moments(mean[lo : lo + step], second[lo : lo + step], "rows")
             except BadDistribution:
                 failed = True
                 break

@@ -24,7 +24,8 @@ group of nodes with equal row and alternative counts, and sibling products
 as segmented cumulative products (:func:`_segment_products`).  Each maximal
 run of one-node depths of equal alternative and row counts, as on a chain,
 is a chain segment, swept in one loop of 2-D ``dot`` steps over views of its
-rows and messages gathered once per segment, into preallocated temporaries:
+rows and messages, each link's outputs the next one's inputs, into
+preallocated temporaries:
 upward with a level's terms in its order, bit for bit, each message written
 straight into its parent's combined message, and downward without the
 division by ``D`` (see :func:`propagate`), so reports move by rounding
@@ -197,7 +198,8 @@ def _segment_up(seg: ChainSegment, deepest: int, seen, seen_at, moments, combine
     ``deepest`` its message to its parent: straight into the parent's
     combined message (the only child's), copied into ``up`` a run at a time,
     and mark the parent.  An observed node's indicator is swapped in just
-    before its own link."""
+    before its own link.  A link views its rows and its outputs (the parent's
+    message, flat and with its diagonal), the next link's inputs."""
     depth, n, k, r, slot, row, pos, top = seg
     # A node alone at its depth is an ancestor of every deeper node, so the
     # nodes bearing evidence are exactly those at or above the deepest observed one.
@@ -208,21 +210,24 @@ def _segment_up(seg: ChainSegment, deepest: int, seen, seen_at, moments, combine
     (means, _, flat), (lam, lam2), (mean, second) = moments[k], combined[k], up[r]
     c, lam, lam2 = means[row : row + n * r].reshape(n, r, k), lam[slot : slot + n], lam2[slot : slot + n]
     tops = combined[r][0][top], combined[r][1][top]
-    views = c, c.transpose(0, 2, 1), flat[row : row + n * r].reshape(n, r, k * k), lam, lam2.reshape(n, k * k), lam2
-    diagonals = lam2.reshape(n, k * k)[:, :: k + 1], tops[1].reshape(r * r)[:: r + 1]
-    parents = (lam, tops[0]), (lam2, tops[1]), diagonals
+    rows = c, c.transpose(0, 2, 1), flat[row : row + n * r].reshape(n, r, k * k)
+    lam2f = lam2.reshape(n, k * k)  # a link writes the parent's message, flat and its diagonal too
+    outs = lam, lam2, lam2f, lam2f[:, :: k + 1]
+    top_outs = *tops, None, tops[1].reshape(r * r)[:: r + 1]
     tmp, diag = np.empty((r, k)), np.empty(r)
     observed = seen_at[bisect_left(seen_at, depth) : bisect_left(seen_at, depth + n)]
     cuts = sorted({0, n, *(d - depth + 1 for d in observed)}, reverse=True) if observed else (n, 0)
     for hi, lo in zip(cuts, cuts[1:]):  # nodes ``hi - 1`` up to ``lo``
         if depth + hi - 1 in seen:
             _indicators(combined, seen[depth + hi - 1], marked)
+        lm, lm2, lm2f = lam[hi - 1], lam2[hi - 1], lam2f[hi - 1]  # then the last link's outputs
         above = [reversed(x[lo - 1 : hi - 1]) if lo else chain(reversed(x[: hi - 1]), (x_top,))
-                 for x, x_top in parents]
-        for c, ct, flat, lm, lm2f, lm2, m, s, sd in zip(*(reversed(x[lo:hi]) for x in views), *above):
-            c.dot(lm, out=m)
-            c.dot(lm2, out=tmp).dot(ct, out=s)
-            sd[...] = flat.dot(lm2f, out=diag)
+                 for x, x_top in zip(outs, top_outs)]
+        for c, ct, flat, m, s, sf, sd in zip(*(reversed(x[lo:hi]) for x in rows), *above):
+            c.dot(lm, m)
+            c.dot(lm2, tmp).dot(ct, s)
+            sd[...] = flat.dot(lm2f, diag)
+            lm, lm2, lm2f = m, s, sf
         if hi > 1:
             a = max(lo, 1)
             mean[pos + a : pos + hi], second[pos + a : pos + hi] = lam[a - 1 : hi - 1], lam2[a - 1 : hi - 1]
@@ -234,27 +239,29 @@ def _segment_down(seg: ChainSegment, below, below_at, moments, down, off: np.nda
     """From the top down, send each node of a chain segment its parent
     message, without the division by ``D`` (see :func:`propagate`); a child
     of an observed node gets the observed row's moments instead.  The first
-    ``start`` nodes already hold theirs."""
+    ``start`` nodes already hold theirs.  A link views its rows and its
+    outputs (its message, with its diagonal), the next link's inputs."""
     depth, n, k, r, slot, row, _, top = seg
     (means, _, flat), (q, t) = moments[k], down[k]
     c = means[row : row + n * r].reshape(n, r, k)
     q, t, tops = q[slot : slot + n], t[slot : slot + n], (down[r][0][top], down[r][1][top])
-    views = c, c.transpose(0, 2, 1), flat[row : row + n * r].reshape(n, r, k * k), q, t
-    parents = (q, tops[0]), (t, tops[1]), (t.diagonal(0, 1, 2), tops[1].diagonal())
+    rows = c, c.transpose(0, 2, 1), flat[row : row + n * r].reshape(n, r, k * k)
+    outs, top_outs = (q, t, t.diagonal(0, 1, 2)), (*tops, tops[1].diagonal())
     tmp, tmp2, diag, extra = np.empty((r, r)), np.empty((k, r)), np.empty(r), np.empty((k, k))
     extra_flat = extra.reshape(k * k)
     children = [d - depth for d in below_at[bisect_left(below_at, depth) : bisect_left(below_at, depth + n)]]
     for run, (lo, hi) in enumerate(zip([start, *(j + 1 for j in children)], [*children, n])):  # ``lo .. hi - 1``
         if run:
             _observed_rows(down, moments, below[depth + lo - 1])
-        above = [x[lo - 1 : hi - 1] if lo else chain((x_top,), x[: hi - 1]) for x, x_top in parents]
-        for c, ct, flat, m, s, pq, pt, ptd in zip(*(x[lo:hi] for x in views), *above):
-            pq.dot(c, out=m)  # the other children's message is the unit message: D = sum(q) stays in
-            np.multiply(pt, off, out=tmp)
-            ct.dot(tmp, out=tmp2).dot(c, out=s)
+        pq, pt, ptd = (x[lo - 1] for x in outs) if lo else top_outs  # then the last link's outputs
+        for c, ct, flat, m, s, sd in zip(*(x[lo:hi] for x in rows), *(x[lo:hi] for x in outs)):
+            pq.dot(c, m)  # the other children's message is the unit message: D = sum(q) stays in
+            np.multiply(pt, off, tmp)
+            ct.dot(tmp, tmp2).dot(c, s)
             diag[...] = ptd
-            diag.dot(flat, out=extra_flat)
+            diag.dot(flat, extra_flat)
             s += extra
+            pq, pt, ptd = m, s, sd
 
 
 def _prior_path(steps, moments) -> tuple:
@@ -448,7 +455,8 @@ def _check_islands(state: MessageState) -> None:
     zero exactly when every term is, since none is negative.  The tops are
     checked as the runs of slots that :func:`_observed_children` gave
     :func:`propagate`, one gather per alternative count with no loop over
-    children; observed children are among them, harmlessly, since their
+    children, a term that ``any`` reads as nonzero (NaN too) keeping a top
+    live; observed children are among them, harmlessly, since their
     ``D`` is their observed row entry, which passed the first check.  The
     first top with ``D == 0`` is named: the root, then the children of
     instantiated nodes in evidence order and child order.
@@ -464,7 +472,8 @@ def _check_islands(state: MessageState) -> None:
     zero = set()
     for k, spans in runs.items():
         at = np.concatenate([np.arange(s.start, s.stop) for s in spans])
-        live = (state._combined[k][0].take(at, 0) * state._parent[k][0].take(at, 0)).any(axis=1)
+        terms = state._combined[k][0].take(at, 0) * state._parent[k][0].take(at, 0)
+        live = (terms != 0.0) @ np.ones(k, bool)  # a row-wise ``any``, faster on many short rows
         if not live.all():
             zero.update((k, i) for i in at[~live].tolist())
     if zero:
@@ -478,7 +487,8 @@ def _reports(state: MessageState, ids: Optional[Sequence[str]]) -> Dict[str, Nod
     """Condition each node's parent message ``(q, T)`` on its combined child
     message ``(m, S)``, per alternative count: ``D = sum_j m[j] q[j]``,
     ``mean = m q / D`` and ``second = diag(S) diag(T) / D**2``.  ``ids`` of
-    ``None`` asks for every node, in ``net.order``.  An evidence island with
+    ``None`` asks for every node, in ``net.order``; a count whose slots run
+    up by one reads its messages as views.  An evidence island with
     a zero ``D`` raises (:func:`_check_islands`), whichever nodes are asked
     for; then, of the nodes with a zero ``D`` or a variance below
     ``VARIANCE_FLOOR``, the first raises.
@@ -496,11 +506,15 @@ def _reports(state: MessageState, ids: Optional[Sequence[str]]) -> Dict[str, Nod
     _check_islands(state)
     n = len(ids)
     alts = np.fromiter(map(state.evidence.get, ids, repeat(-1)), np.intp, n)
-    names, reports, failures = np.array(ids, dtype=object), dict.fromkeys(ids), []
-    for k in np.flatnonzero(np.bincount(found[:, 1])).tolist():
-        where = np.flatnonzero(found[:, 1] == k)
+    ks, failures = np.flatnonzero(np.bincount(found[:, 1])).tolist(), []
+    one = len(ks) == 1  # one pass builds the dict, in ``ids`` order; else the keys come first
+    names, reports = (ids, {}) if one else (np.array(ids, dtype=object), dict.fromkeys(ids))
+    for k in ks:
+        where = slice(None) if one else np.flatnonzero(found[:, 1] == k)
         (m, s), (q, t), alt = state._combined[k], state._parent[k], alts[where]
         slots, hit = found[where, 2], alt >= 0
+        if (np.diff(slots) == 1).all():
+            slots = slice(slots[0], slots[-1] + 1)  # messages as views, not copies
         m, q, s, t = m[slots], q[slots], s.diagonal(0, 1, 2)[slots], t.diagonal(0, 1, 2)[slots]
         denom = (m[:, None, :] @ q[:, :, None])[:, 0, 0]
         zero = (denom == 0.0) & ~hit
@@ -513,9 +527,9 @@ def _reports(state: MessageState, ids: Optional[Sequence[str]]) -> Dict[str, Nod
         low = variance.min(axis=1)
         bad = np.flatnonzero(zero | (low < VARIANCE_FLOOR))
         if bad.size:
-            failures.append((int(where[bad[0]]), bool(zero[bad[0]]), float(low[bad[0]])))
+            failures.append((int(bad[0] if one else where[bad[0]]), bool(zero[bad[0]]), float(low[bad[0]])))
         variance, clamped = np.maximum(variance, 0.0), (low < 0.0).tolist()
-        named = names[where]  # records made by tuple.__new__, past the named tuple's Python-level __new__
+        named = names if one else names[where]  # records made by tuple.__new__, past NodeReport.__new__
         records = map(tuple.__new__, repeat(NodeReport), zip(named, mean, second, variance, clamped))
         reports.update(zip(named, records))
     if failures:

@@ -759,6 +759,30 @@ class TestQueryCommand:
         assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
         assert proc.stderr.startswith("CapExceeded: ") and "node 'child' (1000 alternatives" in proc.stderr
 
+    def test_memory_refused_under_the_cap_exits_5_in_one_line(self, tmp_path):
+        # Two nodes of 500 alternatives pass the cell cap, but the child's
+        # row second moments take 956 MiB, more than the child's 1 GiB
+        # address-space cap leaves after the interpreter and numpy.
+        resource = pytest.importorskip("resource")
+        labels = [f"a{i}" for i in range(500)]
+        row = {"type": "dirichlet", "alpha": [1.0] * 500}
+        doc = {"nodes": [
+            {"id": "root", "alternatives": labels, "parent": None, "cpt": [{"given": None, "dist": row}]},
+            {"id": "child", "alternatives": labels, "parent": "root",
+             "cpt": [{"given": label, "dist": row} for label in labels]},
+        ]}
+        path = tmp_path / "k500.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        cap = 1 << 30
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        argv = [sys.executable, "-m", "treebelief.cli", "query", str(path)]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+        assert proc.returncode == cli.EXIT_PRECONDITION == 5
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("MemoryError: ")
+
 
 _ODD_TEXT = ('"', '"],["', "a,b", "[x]", "{}", "\\", "\x00\x1f\n\t\x7f", "\u00e9", "\u65e5\u672c",
              "\U0001f600", "\u2028")

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import pickle
 import time
+import tracemalloc
 from types import MappingProxyType
 
 import numpy as np
@@ -41,7 +42,7 @@ from treebelief.errors import (
     UnknownNode,
 )
 from treebelief import model
-from treebelief.model import _CHECK_ROWS, _DIRICHLET, _Columns
+from treebelief.model import _DIRICHLET, _Columns
 
 
 class TestMomentsOf:
@@ -596,6 +597,12 @@ def _assert_rows_are_reference_moments(spec):
                 assert got.tobytes() == second.tobytes()
 
 
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Check blocks of 4096 cells: 1024 rows at k = 2 and 64 at k = 8."""
+    monkeypatch.setattr(model, "_CHECK_CELLS", 4096)
+
+
 class TestBatchedRowMoments:
     """``validate_network`` computes every row's moments per alternative
     count in one batch; each must equal the single-row formula bit for bit."""
@@ -605,25 +612,49 @@ class TestBatchedRowMoments:
     def test_rows_equal_moments_of(self, spec):
         _assert_rows_are_reference_moments(spec)
 
-    def test_groups_larger_than_one_check_block(self):
+    def test_groups_larger_than_one_check_block(self, small_blocks):
         spec = _star(8, [8] * 200 + [2] * 130)
-        assert 200 * 8 > _CHECK_ROWS and 130 * 8 > _CHECK_ROWS
+        assert 200 * 8 > model._CHECK_CELLS // 8**2 and 130 * 8 > model._CHECK_CELLS // 2**2
         _assert_rows_are_reference_moments(spec)
 
-    def test_bad_row_in_a_later_block_of_a_second_group(self):
+    def test_blocks_of_one_row_name_the_first_bad_node(self, monkeypatch):
+        # a row of k = 8 holds 64 cells, more than a block's 10
+        monkeypatch.setattr(model, "_CHECK_CELLS", 10)
+        _assert_rows_are_reference_moments(_star(8, [8] * 3 + [2] * 3))
+        with pytest.raises(BadDistribution, match="node 'c4': moments must be finite"):
+            validate_network(_star(8, [8] * 3 + [2] * 3, bad=[(4, 7), (5, 0)]))
+
+    def test_check_blocks_are_bounded_in_cells(self):
+        """Two nodes of k = 128: the child's 128 rows of second moments take
+        16 MiB, and the check's temporaries stay far below that."""
+        k = 128
+        rows = (Dirichlet(np.linspace(0.5, 5.0, k)),)
+        labels = tuple(f"s{j}" for j in range(k))
+        spec = NetworkSpec((NodeSpec("root", labels, None, rows), NodeSpec("child", labels, "root", rows * k)))
+        tracemalloc.start()
+        try:
+            net = validate_network(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = sum(x.nbytes for x in net.plan.moments[k][:2])
+        assert stored == (k + 1) * k * (k + 1) * 8
+        assert peak < stored + (4 << 20)
+
+    def test_bad_row_in_a_later_block_of_a_second_group(self, small_blocks):
         # the k=8 group (hub and c0..c199) comes first; c329's rows are the
         # last 8 of the k=2 group, in its second block
         spec = _star(8, [8] * 200 + [2] * 130, bad=[(329, 5)])
         with pytest.raises(BadDistribution, match="node 'c329': moments must be finite"):
             validate_network(spec)
 
-    def test_bad_node_spanning_two_blocks(self):
+    def test_bad_node_spanning_two_blocks(self, small_blocks):
         # 3 rows per child: c341 holds rows 1023-1025, its bad row is in block 2
         spec = _star(3, [2] * 400, bad=[(341, 2)])
         with pytest.raises(BadDistribution, match="node 'c341': moments must be finite"):
             validate_network(spec)
 
-    def test_first_bad_node_in_file_order_is_named(self):
+    def test_first_bad_node_in_file_order_is_named(self, small_blocks):
         # c5 (k=8, first group) and c330 (k=2, second group, second block) fail;
         # then c0 (k=2, first block) fails too and comes first in the file
         spec = _star(8, [2] + [8] * 200 + [2] * 130, bad=[(201 + 129, 0), (5, 0)])

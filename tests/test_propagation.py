@@ -1019,7 +1019,7 @@ def _assert_segment_messages(spec, observed, checked):
                 assert np.all(got == 1.0)
     for i in checked:
         node_id = f"n{i}"
-        for got, want in zip(state.upward(node_id), up[node_id]):
+        for got, want in zip(state.upward(node_id), up[node_id]) if node_id != net.root else ():
             assert got.tobytes() == want.tobytes()
         if node_id in evidence:
             e = np.eye(ks[i])[evidence[node_id]]
@@ -1038,6 +1038,13 @@ def _chain_under_level_spec():
     ``n3 .. n62`` of k = 3, so its top link has r = 2 and the other 59 r = 3."""
     parents, ks = [None, 0, 0, 1, *range(3, 62)], [2, 2, 2] + [3] * 60
     rng = np.random.default_rng(61)
+    return _tree_spec(parents, ks, lambda i, j, k: random_row(rng, ROW_KINDS[(i + j) % 3], k))
+
+
+def _plain_chain_spec():
+    """A 40-node chain ``n0 .. n39`` of k = 3: the root and one segment below it."""
+    parents, ks = [None, *range(39)], [3] * 40
+    rng = np.random.default_rng(40)
     return _tree_spec(parents, ks, lambda i, j, k: random_row(rng, ROW_KINDS[(i + j) % 3], k))
 
 
@@ -1099,6 +1106,19 @@ class TestChainSegments:
     )
     def test_reports_and_messages(self, observed):
         _assert_segment_messages(_segments_spec(), observed, (3, 4, 5, 9, 10))
+
+    @pytest.mark.parametrize(
+        "observed",
+        [[], [0], [1], [39], [20, 21], [0, 1, 39]],
+        ids=["none", "first", "second", "last", "adjacent", "first, second and last"],
+    )
+    def test_plain_chain_every_message(self, observed):
+        """Every message of every node of a plain chain, bit for bit.  The
+        message of the link into an observed node is overwritten by its
+        indicator, so only ``upward`` of the node below keeps it."""
+        spec = _plain_chain_spec()
+        assert _segments(validate_network(spec)) == [(1, 39, 3, 3)]
+        _assert_segment_messages(spec, observed, range(40))
 
     @pytest.mark.parametrize("observed", [[], [19_999], [10_000]], ids=["none", "last", "middle"])
     def test_long_chain_without_denominators(self, long_chain, observed):
