@@ -52,8 +52,15 @@ deepest leaf observed.  An "mc" row times ``mc_uncertainty`` in all three
 modes on the trees of the benchmark's Monte Carlo compares: 10 nodes of two
 alternatives as a chain, a star and a binary tree, every row a Dirichlet,
 n = 2000 samples at a fixed seed, the deepest leaf observed in the posterior
-modes.  Each reads in ms per call, best of the rounds, with the same
-repeats, budget and collector runs as the layers.
+modes.  An "islands" row times ``enumerate_uncertainty`` in
+``exact-posterior`` mode on a 24-node chain of two alternatives whose every
+row, the root's included, is a two-point support (2^47 combinations over the
+whole tree), with every sixth node observed: four evidence islands of 2^11
+combinations each.  Each reads in ms per call, best of the rounds, with the
+same repeats, budget and collector runs as the layers; a version that raises
+``CapExceeded`` on a call, as one that enumerates the whole tree in
+``exact-posterior`` mode does on the chain, reads ``-``, and its runs count
+as having spent their budget.
 
 An end-to-end row then runs ``python -m treebelief.cli query FILE --evidence
 LEAF=s1`` once per round, per tree and version, each in a fresh child
@@ -71,15 +78,17 @@ With ``--base SRC`` a second source tree (the ``src`` directory of another
 checkout) is loaded into the same process and timed on the same files,
 interleaved with this checkout run by run, alternating which goes first.
 Each version validates its own hand-built spec, built from the same seed,
-since one version's row classes are not valid input to the other's.  Then
+since one version's row classes are not valid input to the other's; the
+specs are built again for each tree in each round, so that only the tree
+being timed holds them.  Then
 the median over rounds of the per-round ratio (this checkout over the base)
 is printed per tree, collector on and off side by side, for: parse plus
 validate, ``propagate``, ``posterior_report``, the sum of the four layers
 from ``parse_network`` to ``posterior_report``, ``propagate`` with no
 evidence, with the mid-tree node observed and repeated, ``posterior_report``
 after the mid-tree query, and hand-built validation;
-then ``enumerate_uncertainty`` and ``mc_uncertainty`` per tree and mode, and the end-to-end wall
-time, ``VmHWM`` and held ``VmRSS``.  The per-round minimum over
+then ``enumerate_uncertainty`` and ``mc_uncertainty`` per tree and mode, the islands chain, and
+the end-to-end wall time, ``VmHWM`` and held ``VmRSS``.  The per-round minimum over
 repeats keeps one slow run on a shared host out of the ratio.  The two
 versions' ``query`` reports must be the same bytes apart from the
 ``generated_at`` line, or the script names the trees whose reports differ,
@@ -87,10 +96,12 @@ prints each one's largest absolute difference over the reported means,
 second moments and variances, and exits 1; so it does, naming the tree and
 mode, if the two versions' ``enumerate_uncertainty`` or ``mc_uncertainty``
 reports differ in any bit of an entry, a standard error or the effective
-sample size.  The last line is one JSON object with every number printed,
-under ``collector_on``, ``collector_off`` and ``end_to_end``; with
-``--base``, ``enumerate_identical`` and ``mc_identical`` say whether the
-oracles' reports matched.
+sample size, or if this checkout raises ``CapExceeded`` where the base does
+not (a base that raises it is not compared).  The last line is one JSON
+object with every number printed (``null`` for ``-``), under
+``collector_on``, ``collector_off`` and ``end_to_end``; with ``--base``,
+``enumerate_identical``, ``mc_identical`` and ``islands_identical`` say
+whether the oracles' reports matched.
 
 Run from the repository root::
 
@@ -221,30 +232,58 @@ def build_mc_tree(tb, shape: str):
     )))
 
 
+def build_island_chain(tb, shape: str):
+    """The 24-node chain ``n0 .. n23`` of two alternatives whose every row,
+    the root's included, is a two-point support, validated by ``tb``;
+    ``shape`` is ``"chain"``."""
+    rng, labels = np.random.default_rng(24), ("a", "b")
+    two_point = lambda: tb.DiscreteSupport(rng.dirichlet([2.0, 2.0], 2), rng.dirichlet([2.0, 2.0]))
+    return tb.validate_network(tb.NetworkSpec(tuple(
+        tb.NodeSpec(f"n{i}", labels, None if i == 0 else f"n{i - 1}",
+                    tuple(two_point() for _ in range(1 if i == 0 else 2)))
+        for i in range(24)
+    )))
+
+
 def run_enumerate(tb, net, mode: str):
     return tb.enumerate_uncertainty(net, {"n7": 1}, mode)
+
+
+def run_islands(tb, net, mode: str):
+    return tb.enumerate_uncertainty(net, {"n5": 0, "n11": 1, "n17": 0, "n23": 1}, mode)
 
 
 def run_mc(tb, net, mode: str):
     return tb.mc_uncertainty(net, {} if mode == "prior" else {"n9": 1}, mode, n=MC_SAMPLES, seed=MC_SEED)
 
 
-#: per oracle row: its tree builder, its modes, one call, and what the call is
+#: per oracle row: its tree builder, its shapes, its modes, one call, and what the call is
 ORACLES = {
-    "enumerate": (build_enum_tree, ENUM_MODES, run_enumerate,
+    "enumerate": (build_enum_tree, SHAPES, ENUM_MODES, run_enumerate,
                   "enumerate_uncertainty call on oracle_check's 8-node two-point trees"),
-    "mc": (build_mc_tree, MC_MODES, run_mc,
+    "mc": (build_mc_tree, SHAPES, MC_MODES, run_mc,
            f"mc_uncertainty call (n = {MC_SAMPLES}) on oracle_check's 10-node Dirichlet trees"),
+    "islands": (build_island_chain, ("chain",), ("exact-posterior",), run_islands,
+                "enumerate_uncertainty call on a 24-node two-point chain with four observed nodes"),
 }
 
 
+def capped(tb, call, net, mode: str):
+    """``call``'s report, or ``None`` where ``tb`` raises ``CapExceeded``."""
+    try:
+        return call(tb, net, mode)
+    except sys.modules[f"{tb.__name__}.errors"].CapExceeded:
+        return None
+
+
 def time_oracle(tb, net, modes, call) -> list:
-    """Seconds of one ``call`` of the oracle on ``net`` in each of ``modes``."""
+    """Seconds of one ``call`` of the oracle on ``net`` in each of ``modes``,
+    NaN where it raises ``CapExceeded``."""
     spent = []
     for mode in modes:
         start = time.perf_counter()
-        call(tb, net, mode)
-        spent.append(time.perf_counter() - start)
+        done = capped(tb, call, net, mode) is not None
+        spent.append(time.perf_counter() - start if done else float("nan"))
     return spent
 
 
@@ -264,7 +303,8 @@ def best_of(order, measure, counted: int) -> dict:
     repeated until each of the first ``counted`` entries of every run has
     spent :data:`BUDGET`, or over one run if one such entry took more than
     :data:`LONG`; the collector runs before each run and is off during it
-    where the run says so."""
+    where the run says so.  A NaN entry, a call that could not run, counts
+    as having spent the budget."""
     best, spent = {}, {run: np.zeros(counted) for run in order}
     for repeat in itertools.count():
         if repeat >= REPEATS and min(x.min() for x in spent.values()) >= BUDGET:
@@ -281,7 +321,7 @@ def best_of(order, measure, counted: int) -> dict:
             finally:
                 gc.enable()
             best[run] = np.minimum(best.get(run, seconds), seconds)
-            spent[run] += seconds[:counted]
+            spent[run] += np.nan_to_num(seconds[:counted], nan=BUDGET)
 
 
 def time_query(tb, path: str, leaf: str, mid: str, built) -> list:
@@ -431,27 +471,29 @@ def main(argv=None) -> int:
     oracle_times = {name: {run: {} for run in runs} for name in ORACLES}
     oracle_differ = {name: [] for name in ORACLES}  # oracle -> shape/mode whose reports differ
     with tempfile.TemporaryDirectory() as tmp:
-        trees, built = {}, {v: {} for v in versions}  # built: version -> tree -> spec
+        trees = {}  # tree -> (file, deepest leaf, mid-tree node, shape, n)
         for shape in SHAPES:
             for n in args.sizes:
                 tree, path = f"{shape}-{n}", Path(tmp) / f"{shape}-k{args.k}-n{n}.json"
-                for v, tb in versions.items():
-                    built[v][tree], leaf, mid = build_tree(tb, shape, n, args.k)
-                versions["this"].save_network(built["this"][tree], str(path))
-                trees[tree] = (str(path), leaf, mid, n)
-        oracle_nets = {name: {shape: {v: build(tb, shape) for v, tb in versions.items()} for shape in SHAPES}
-                       for name, (build, *_) in ORACLES.items()}
-        for name, (_, modes, call, _) in ORACLES.items():
+                spec, leaf, mid = build_tree(versions["this"], shape, n, args.k)
+                versions["this"].save_network(spec, str(path))
+                trees[tree] = (str(path), leaf, mid, shape, n)
+                del spec
+        oracle_nets = {name: {shape: {v: build(tb, shape) for v, tb in versions.items()} for shape in shapes}
+                       for name, (build, shapes, *_) in ORACLES.items()}
+        for name, (_, _, modes, call, _) in ORACLES.items():
             for shape, nets in oracle_nets[name].items():
                 for mode in modes if "base" in versions else ():
-                    got, want = (call(versions[v], nets[v], mode) for v in ("this", "base"))
-                    if not same_entries(got, want):
+                    got, want = (capped(versions[v], call, nets[v], mode) for v in ("this", "base"))
+                    if want is not None and (got is None or not same_entries(got, want)):
                         oracle_differ[name].append(f"{shape}/{mode}")
         for r in range(args.rounds):
             order = runs if r % 2 == 0 else runs[::-1]
-            for tree, (path, leaf, mid, _) in trees.items():
-                query = lambda v: time_query(versions[v], path, leaf, mid, built[v][tree])
+            for tree, (path, leaf, mid, shape, n) in trees.items():
+                built = {v: build_tree(tb, shape, n, args.k)[0] for v, tb in versions.items()}
+                query = lambda v: time_query(versions[v], path, leaf, mid, built[v])
                 best = best_of(order, query, len(LAYERS) - 1)  # all but the upward sweep count
+                del built
                 for run in order:
                     times[run].setdefault(tree, []).append(best[run].tolist())
                 outs = {v: str(Path(tmp) / f"query-{v}.json") for v in versions}
@@ -459,7 +501,7 @@ def main(argv=None) -> int:
                     cli_runs[v].setdefault(tree, []).append(time_cli(srcs[v], path, leaf, outs[v]))
                 if r == 0 and "base" in versions and not same_report(outs["this"], outs["base"]):
                     differ[tree] = largest_difference(outs["this"], outs["base"])
-            for name, (_, modes, call, _) in ORACLES.items():
+            for name, (_, _, modes, call, _) in ORACLES.items():
                 for shape, nets in oracle_nets[name].items():
                     best = best_of(order, lambda v: time_oracle(versions[v], nets[v], modes, call), len(modes))
                     for run in order:
@@ -478,16 +520,17 @@ def main(argv=None) -> int:
                 out["us_per_node"][v][tree] = {layer: None if np.isnan(x) else round(x, 3)
                                                for layer, x in zip(LAYERS, best.tolist())}
                 print(f"  {tree:<14}" + "".join(f"{'-' if np.isnan(x) else f'{x:.2f}':>22}" for x in best))
-        for name, (_, modes, _, what) in ORACLES.items():
+        for name, (_, shapes, modes, _, what) in ORACLES.items():
             out[f"{name}_ms"] = {}
             for v in versions:
                 print(f"{v}, collector {c}: {name}, ms per {what}, best of {args.rounds} rounds")
                 print(f"  {'tree':<14}" + "".join(f"{mode:>22}" for mode in modes))
                 out[f"{name}_ms"][v] = {}
-                for shape in SHAPES:
+                for shape in shapes:
                     best = np.min(oracle_times[name][v, c][shape], axis=0) * 1e3
-                    out[f"{name}_ms"][v][shape] = dict(zip(modes, np.round(best, 4).tolist()))
-                    print(f"  {shape:<14}" + "".join(f"{x:>22.3f}" for x in best))
+                    out[f"{name}_ms"][v][shape] = {mode: None if np.isnan(x) else round(x, 4)
+                                                   for mode, x in zip(modes, best.tolist())}
+                    print(f"  {shape:<14}" + "".join(f"{'-' if np.isnan(x) else f'{x:.3f}':>22}" for x in best))
     out = result["end_to_end"] = {"us_per_node": {}, "vmhwm_kb_per_node": {}, "held_vmrss_kb_per_node": {}}
     for v in versions:
         print(f"{v}: `python -m treebelief.cli query FILE --evidence LEAF=s1` in a child process, "
@@ -516,17 +559,19 @@ def main(argv=None) -> int:
                     result[f"collector_{c}"].setdefault(key, {})[tree] = round(statistics.median(ratios), 4)
                     cells.append(f"{statistics.median(ratios):8.3f} [{min(ratios):.3f}, {max(ratios):.3f}]")
                 print(f"  {tree:<14}" + " |".join(cells))
-        for name, (_, modes, _, _) in ORACLES.items():
+        for name, (_, shapes, modes, _, _) in ORACLES.items():
             print(f"{name}, this / base: median of per-round ratios [min, max], collector " + " | ".join(collector))
             spent = oracle_times[name]
-            for shape in SHAPES:
+            for shape in shapes:
                 for i, mode in enumerate(modes):
                     cells = []
                     for c in collector:
                         ratios = [a[i] / b[i] for a, b in zip(spent["this", c][shape], spent["base", c][shape])]
-                        result[f"collector_{c}"].setdefault(f"{name}_ratio", {})[f"{shape}/{mode}"] = round(
-                            statistics.median(ratios), 4)
-                        cells.append(f"{statistics.median(ratios):8.3f} [{min(ratios):.3f}, {max(ratios):.3f}]")
+                        median = statistics.median(ratios)
+                        result[f"collector_{c}"].setdefault(f"{name}_ratio", {})[f"{shape}/{mode}"] = (
+                            None if np.isnan(median) else round(median, 4))
+                        cells.append(f"{'-':>8}" if np.isnan(median) else
+                                     f"{median:8.3f} [{min(ratios):.3f}, {max(ratios):.3f}]")
                     print(f"  {f'{shape}/{mode}':<24}" + " |".join(cells))
             result[f"{name}_identical"] = not oracle_differ[name]
         print("query and held network in child processes, this / base: median of per-round ratios "

@@ -25,11 +25,10 @@ from .model import (
     NodeSpec,
     PointMass,
     ValidatedNetwork,
-    check_evidence,
     moments_of,
     validate_network,
 )
-from .netfile import load_network, network_to_json, parse_network, save_network
+from .netfile import load_network, parse_network, save_network
 from .oracle import (
     MODES,
     OracleEntry,
@@ -58,11 +57,9 @@ __all__ = [
     "NodeSpec",
     "PointMass",
     "ValidatedNetwork",
-    "check_evidence",
     "moments_of",
     "validate_network",
     "load_network",
-    "network_to_json",
     "parse_network",
     "save_network",
     "MODES",

@@ -255,8 +255,12 @@ def _stacked_moments(vectors: np.ndarray, dirichlet: np.ndarray, discrete=()):
     Row ``i`` is ``Dirichlet(vectors[i])`` where ``dirichlet[i]``, else
     ``PointMass(vectors[i])``; they share one outer product.  A point-mass
     row divides by 1 in place of ``a0`` and ``a0 (a0 + 1)``, which is exact.
-    Each ``(i, support)`` of ``discrete`` then overwrites row ``i`` with the
-    moments of that :class:`DiscreteSupport`.
+    A Dirichlet row whose ``a0 (a0 + 1)`` overflows but ``a0`` does not
+    (``a0`` above about 1.3e154) takes ``mean_i alpha_j / (a0 + 1)`` and
+    ``mean_i (alpha_i + 1) / (a0 + 1)`` instead, which cannot overflow; one
+    whose ``a0`` overflows keeps its NaN.  Each ``(i, support)`` of
+    ``discrete`` then overwrites row ``i`` with the moments of that
+    :class:`DiscreteSupport`.
     """
     n, k = vectors.shape
     a0 = np.where(dirichlet, vectors.sum(axis=1), 1.0)
@@ -266,6 +270,11 @@ def _stacked_moments(vectors: np.ndarray, dirichlet: np.ndarray, discrete=()):
     second /= denom[:, None, None]
     diag = vectors * np.where(dirichlet[:, None], vectors + 1.0, vectors) / denom[:, None]
     second.reshape(n, k * k)[:, :: k + 1] = diag
+    big = np.flatnonzero(np.isinf(denom) & np.isfinite(a0))
+    if big.size:
+        share = vectors[big] / (a0[big, None] + 1.0)
+        second[big] = mean[big, :, None] * share[:, None, :]
+        second.reshape(n, k * k)[big, :: k + 1] = mean[big] * (vectors[big] + 1.0) / (a0[big, None] + 1.0)
     for i, dist in discrete:
         pts, w = dist.points, dist.weights
         mean[i] = w @ pts

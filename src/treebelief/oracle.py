@@ -29,24 +29,24 @@ built once for under three chunks of realizations each and sliced by every
 chunk (:func:`_grid_chunks`); on the 8-node trees of 2^14 combinations that
 is 11 rows of 2 x 6144 values and 6144 weights, 1.6 MB.
 
-The accumulation runs once per *block*: each evidence island (below), or
-the whole tree in ``exact-posterior`` mode.  Per realization of weight
-``w``, each member value contributes ``a`` and ``b`` and the block a
-normalizer ``z``: in ``exact-posterior`` mode ``a = P(e) x``,
-``b = P(e) x^2`` and ``z = P(e)``, with ``x`` the exact conditional;
-otherwise ``a`` is the island joint, ``b = a^2`` and ``z`` the island
-total.  Then ``mean = sum w a / sum w z`` and ``second = sum w b /
-(sum w z)^p``, with ``p = 1`` in ``exact-posterior`` mode and 2 otherwise;
-the effective sample size is ``(sum w z)^2 / sum (w z)^2``.  Monte Carlo
-accumulates the covariance of ``(a, b, z)`` about the first chunk's means
-(Chan, Golub & LeVeque 1983), so its standard errors stream too.
+The accumulation runs once per evidence island (below), in every mode, and
+reads only the rows the island reads.  Per realization of weight ``w``,
+each member value contributes ``a`` and ``b`` and the island a normalizer
+``z``, the island total: in ``exact-posterior`` mode ``a = z x`` and
+``b = z x^2``, with ``x`` the exact conditional, the island joint over
+``z``; otherwise ``a`` is the island joint and ``b = a^2``.  Then
+``mean = sum w a / sum w z`` and ``second = sum w b / (sum w z)^p``, with
+``p = 1`` in ``exact-posterior`` mode and 2 otherwise; the effective sample
+size is ``(sum w z)^2 / sum (w z)^2``.  Monte Carlo accumulates the
+covariance of ``(a, b, z)`` about the first chunk's means (Chan, Golub &
+LeVeque 1983), so its standard errors stream too.
 
 Under each realization of the tables, the node configurations are summed
 by exact scalar sum-product (Pearl's lambda/pi message passing), batched
 over realizations and linear in the node count.  That is a different algorithm
 from the engine's moment recurrences, and this module imports nothing from
-:mod:`treebelief.propagation`.  Products are not rescaled, so an evidence
-probability can underflow to zero on very large evidence sets; a moment
+:mod:`treebelief.propagation`.  Products are not rescaled, so an island's
+evidence probability can underflow to zero on a very large island; a moment
 that is then not finite raises :class:`NonFiniteResult`.
 
 The realization axis comes last everywhere: a node's tables are
@@ -74,9 +74,15 @@ Three modes fix what is being averaged over:
     mirroring the engine's treatment of instantiated nodes as dead ends.
 
 ``exact-posterior``
-    True posterior moments: realizations are reweighted by the full-network
-    evidence probability and the averaged value is the exact conditional
-    probability under each fixed realization.  The gap between this mode and
+    True posterior moments: the averaged value is the exact conditional
+    probability under each fixed realization, and realizations are
+    reweighted by the evidence probability.  Under a fixed realization the
+    instantiated nodes separate the tree, so a node's conditional is its
+    island's joint over the island's total, and the evidence probability is
+    the product of the island totals and of table entries that no island
+    reads.  Rows are independent under the prior, so every factor but the
+    node's own island total cancels from the ratio: each island is
+    reweighted by its own total.  The gap between this mode and
     ``approx-posterior`` measures the quality of the engine's approximation.
 
 Evaluation is single-threaded with a fixed accumulation order, so results are
@@ -130,13 +136,13 @@ class OracleEntry:
 class OracleReport:
     """An oracle's per-node moments.
 
-    ``size`` counts the oracle's work units, and its meaning depends on the
-    oracle and the mode.  Monte Carlo: the sample count ``n``.  Enumeration
-    in ``prior`` and ``approx-posterior`` modes: the sum over evidence
-    islands of each island's count of uncertainty-support combinations, so
-    an island with no uncertain row adds 1.  Enumeration in
-    ``exact-posterior`` mode: the count of combinations over every row of
-    the tree.
+    ``size`` counts the oracle's work units.  Monte Carlo: the sample count
+    ``n``.  Enumeration, in every mode: the sum over evidence islands of
+    each island's count of uncertainty-support combinations, so an island
+    with no uncertain row adds 1.  ``effective_sample_size`` is set in
+    ``exact-posterior`` mode only, where realizations are weighted by each
+    island's evidence probability: it is the smallest island's, and
+    ``degenerate_weights`` says whether that is below 10.
     """
 
     mode: str
@@ -202,6 +208,7 @@ def _leave_one_out(factors: Sequence[np.ndarray], base: np.ndarray) -> List[np.n
 def _island_sums(
     net: ValidatedNetwork,
     island: _Island,
+    conditional: bool,
     tabs: Mapping[str, np.ndarray],
 ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
     """Per-realization island joints, summed out per node value.
@@ -209,6 +216,10 @@ def _island_sums(
     ``tabs[node]`` has shape (n_rows, dim, R): R realizations of that node's
     table.  Returns ``values[node]`` of shape (dim, R) -- the probability of
     the island's rim evidence *and* node == value -- plus the (R,) total.
+    With ``conditional``, each value is divided by the total instead, so it
+    is the node's exact conditional given the island's rim evidence (0 where
+    the total is 0): under a fixed realization the instantiated nodes
+    separate the tree, so that is its conditional given all the evidence.
 
     Scalar sum-product over ``island.members``: the upward pass gives each
     member ``lam``, the probability of the rim evidence below it per value;
@@ -229,12 +240,9 @@ def _island_sums(
     up: Dict[str, np.ndarray] = {}  # member -> its message to its parent
     for m in reversed(island.members):
         factors = ([rim[m]] if m in rim else []) + [up[c] for c in kids[m]]
-        out = factors[0] if factors else np.ones((net.nodes[m].dim, n_real))
-        for f in factors[1:]:
-            out = out * f
-        lam[m] = out
+        lam[m] = reduce(np.multiply, factors) if factors else np.ones((net.nodes[m].dim, n_real))
         if m != island.top:
-            up[m] = np.einsum("xyr,yr->xr", tabs[m], out)
+            up[m] = np.einsum("xyr,yr->xr", tabs[m], lam[m])
 
     pi = {island.top: tabs[island.top][island.top_row]}
     values: Dict[str, np.ndarray] = {}
@@ -244,36 +252,11 @@ def _island_sums(
             others = _leave_one_out([up[c] for c in kids[m]], pi[m] * rim[m] if m in rim else pi[m])
             for c, above in zip(kids[m], others):
                 pi[c] = np.einsum("xr,xyr->yr", above, tabs[c])
-    return values, values[island.top].sum(axis=0)
-
-
-def _posterior_sums(
-    net: ValidatedNetwork,
-    tabs: Mapping[str, np.ndarray],
-    evidence: Mapping[str, int],
-) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
-    """Per-realization conditionals of every uninstantiated node, and P(evidence).
-
-    Under a fixed realization the instantiated nodes separate the tree, so a
-    node's conditional is its island's joint over the island's total, and
-    P(evidence) is the product of the island totals and of the table entries
-    of instantiated nodes whose parent is instantiated or absent.
-    Conditionals are 0 where their island's total is 0.
-    """
-    p_evidence = np.ones(tabs[net.root].shape[-1])
-    for node_id, observed in evidence.items():
-        parent = net.nodes[node_id].parent
-        if parent is None or parent in evidence:
-            row = 0 if parent is None else evidence[parent]
-            p_evidence = p_evidence * tabs[node_id][row, observed]
-    conditionals = {}
-    for island in _islands(net, evidence):
-        values, total = _island_sums(net, island, tabs)
-        p_evidence = p_evidence * total
+    total = values[island.top].sum(axis=0)
+    if conditional:
         safe = np.where(total > 0.0, total, 1.0)
-        for m in island.members:
-            conditionals[m] = values[m] / safe
-    return conditionals, p_evidence
+        values = {m: v / safe for m, v in values.items()}
+    return values, total
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +443,10 @@ def _sample_chunks(net: ValidatedNetwork, n: int, seed: int, index: Mapping[str,
 
 def _moments(net: ValidatedNetwork, members: Sequence[str], terms: Callable, power: int,
              chunks: _Chunks, n: Optional[int]) -> Tuple[Dict[str, OracleEntry], float]:
-    """One block's moments over weighted realizations, as the module docstring gives them.
+    """One island's moments over weighted realizations, as the module docstring gives them.
 
     ``terms(tables)`` gives each member's values ``x``, of shape (dim, R),
-    and the block's ``z``, of shape (R,): with ``power`` 1, ``x`` is a
+    and the island's ``z``, of shape (R,): with ``power`` 1, ``x`` is a
     conditional and ``a = z x``; with ``power`` 2, a joint and ``a = x``;
     always ``b = a x``.  Raises :class:`NonFiniteResult` when a mean or
     second moment is not finite, as a second moment is once ``z**2``
@@ -534,13 +517,13 @@ def _moments(net: ValidatedNetwork, members: Sequence[str], terms: Callable, pow
 
 def _report(net: ValidatedNetwork, evidence: Mapping[str, int], mode: str, source: Callable,
             n: Optional[int] = None) -> OracleReport:
-    """Run :func:`_moments` once per block, on the chunks ``source`` gives it.
+    """Run :func:`_moments` once per evidence island, on the chunks ``source`` gives it.
 
-    A block is the whole tree in ``exact-posterior`` mode and each evidence
-    island otherwise.  The Monte Carlo sample count ``n`` adds standard
-    errors and is the report's size; without it the size sums the blocks'
-    realization counts.  An observed entry outside every island with mean
-    zero raises :class:`InconsistentEvidence` first, in every mode
+    The Monte Carlo sample count ``n`` adds standard errors and is the
+    report's size; without it the size sums the islands' realization counts.
+    In ``exact-posterior`` mode the effective sample size is the smallest
+    island's.  An observed entry outside every island with mean zero raises
+    :class:`InconsistentEvidence` first, in every mode
     (:func:`~treebelief.model.check_observed_entries`).
     """
     check_observed_entries(net, evidence)
@@ -550,26 +533,19 @@ def _report(net: ValidatedNetwork, evidence: Mapping[str, int], mode: str, sourc
         zeros = np.zeros_like(indicator)
         se = None if n is None else zeros.copy()
         entries[node_id] = OracleEntry(indicator, indicator.copy(), zeros, se, se, se)
-    if mode == "exact-posterior":
-        free = [node_id for node_id in net.order if node_id not in evidence]
-        rows = [(z, r) for z in net.order for r in range(len(net.nodes[z].rows))]
-        blocks = [(free, net.order, rows, partial(_posterior_sums, net, evidence=evidence))]
-    else:
-        blocks = []
-        for island in _islands(net, evidence):
-            read = island.members + [z for z, _ in island.boundary]
-            rows = [(island.top, island.top_row)]
-            rows += [(z, r) for z in read[1:] for r in range(len(net.nodes[z].rows))]
-            blocks.append((island.members, read, rows, partial(_island_sums, net, island)))
     power = 1 if mode == "exact-posterior" else 2
     size, ess = 0, None
-    for members, node_ids, row_ids, terms in blocks:
-        count, chunks = source(node_ids, row_ids)
-        block, block_ess = _moments(net, members, terms, power, chunks, n)
+    for island in _islands(net, evidence):
+        read = island.members + [z for z, _ in island.boundary]
+        rows = [(island.top, island.top_row)]
+        rows += [(z, r) for z in read[1:] for r in range(len(net.nodes[z].rows))]
+        count, chunks = source(read, rows)
+        terms = partial(_island_sums, net, island, power == 1)
+        block, block_ess = _moments(net, island.members, terms, power, chunks, n)
         entries.update(block)
         size += count
         if power == 1:
-            ess = block_ess
+            ess = block_ess if ess is None else min(ess, block_ess)
     return OracleReport(mode, entries, n or size, ess, ess is not None and ess < 10.0)
 
 
@@ -581,17 +557,17 @@ def enumerate_uncertainty(
 ) -> OracleReport:
     """Exact moments by iterating every combination of uncertainty supports.
 
-    Requires every row to be a discrete support or point mass.  Only the
-    supports of uncertain rows are enumerated; under each combination the
-    node configurations are summed by sum-product, in time linear in the
-    node count.  Products are not rescaled, so the evidence probability can
-    underflow to 0 on very large evidence sets.  See the module docstring
-    for what each mode averages.  Raises
-    :class:`CapExceeded` when a support product exceeds ``cap``,
-    :class:`InconsistentEvidence` when every combination assigns the evidence
-    probability zero (an observed entry of mean zero outside every island is
-    named), and :class:`PreconditionViolated` when ``cap`` is not
-    an integer (``bool`` included) or is below 1.
+    Requires every row to be a discrete support or point mass.  Each
+    evidence island enumerates the supports of the uncertain rows it reads;
+    under each combination the node configurations are summed by
+    sum-product, in time linear in the node count.  Products are not
+    rescaled, so an island's evidence probability can underflow to 0 on a
+    very large island.  See the module docstring for what each mode
+    averages.  Raises :class:`CapExceeded` when an island's support product
+    exceeds ``cap``, :class:`InconsistentEvidence` when every combination
+    gives an island the evidence probability zero (an observed entry of mean
+    zero outside every island is named), and :class:`PreconditionViolated`
+    when ``cap`` is not an integer (``bool`` included) or is below 1.
     """
     if mode not in MODES:
         raise PreconditionViolated(f"unknown oracle mode {mode!r}")
@@ -619,9 +595,9 @@ def mc_uncertainty(
 
     Handles Dirichlet rows as well; the report carries delta-method standard
     errors for every mean, second moment and variance.  In exact-posterior
-    mode the realizations are importance-weighted by the evidence
+    mode the realizations are importance-weighted by each island's evidence
     probability, with the prior as proposal; an effective sample size below
-    10 is flagged as degenerate, not fatal.  Raises
+    10 in any island is flagged as degenerate, not fatal.  Raises
     :class:`PreconditionViolated` before drawing anything when ``n`` or
     ``seed`` is not an integer (``bool`` included), or ``n`` is below 2 or
     above :data:`MAX_SAMPLES`.

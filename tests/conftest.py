@@ -14,7 +14,9 @@ from treebelief import (
     moments_of,
     validate_network,
 )
+from treebelief import oracle
 from treebelief.errors import InconsistentEvidence, ParseError
+from treebelief.model import check_observed_entries
 from treebelief.netfile import parse_distribution
 
 
@@ -75,6 +77,59 @@ def exact_means(net, evidence, tables=None):
         for n in net.order
     )))
     return {n: e.mean for n, e in enumerate_uncertainty(twin, evidence, "exact-posterior").entries.items()}
+
+
+def whole_tree_posterior(net, evidence):
+    """Exact-posterior enumeration as one block over every row of the tree.
+
+    The reference for the oracle's per-island form.  Every row is
+    enumerated, and each realization is weighted by the evidence probability
+    of the whole tree: the product of the island totals and of the table
+    entries of observed nodes whose parent is observed or absent.  A node's
+    value is its island's joint over the island's total, 0 where that total
+    is 0.  Returns the uninstantiated nodes' entries and the combination
+    count.
+    """
+    check_observed_entries(net, evidence)
+    islands = oracle._islands(net, evidence)
+
+    def terms(tabs):
+        p_evidence = np.ones(tabs[net.root].shape[-1])
+        for node_id, observed in evidence.items():
+            parent = net.nodes[node_id].parent
+            if parent is None or parent in evidence:
+                p_evidence = p_evidence * tabs[node_id][0 if parent is None else evidence[parent], observed]
+        conditionals = {}
+        for island in islands:
+            values, total = oracle._island_sums(net, island, False, tabs)
+            p_evidence = p_evidence * total
+            safe = np.where(total > 0.0, total, 1.0)
+            conditionals.update({m: v / safe for m, v in values.items()})
+        return conditionals, p_evidence
+
+    free = [node_id for node_id in net.order if node_id not in evidence]
+    rows = [(z, r) for z in net.order for r in range(len(net.nodes[z].rows))]
+    count, chunks = oracle._grid_chunks(net, oracle.DEFAULT_CAP, net.order, rows)
+    entries, _ = oracle._moments(net, free, terms, 1, chunks, None)
+    return entries, count
+
+
+def two_point_chain_spec(n: int = 24, seed: int = 24) -> NetworkSpec:
+    """A chain ``n0 .. n<n-1>`` of two alternatives in which every row, the
+    root's included, is a random two-point support: 2 ** (2 n - 1)
+    combinations over the whole tree."""
+    rng, labels = np.random.default_rng(seed), ("a", "b")
+    two_point = lambda: DiscreteSupport(rng.dirichlet([2.0, 2.0], 2), rng.dirichlet([2.0, 2.0]))
+    return NetworkSpec(tuple(
+        NodeSpec(f"n{i}", labels, None if i == 0 else f"n{i - 1}",
+                 tuple(two_point() for _ in range(1 if i == 0 else 2)))
+        for i in range(n)
+    ))
+
+
+#: Every sixth node of the 24-node :func:`two_point_chain_spec` observed:
+#: four islands of five nodes, each with 2 ** 11 combinations.
+TWO_POINT_CHAIN_EVIDENCE = {"n5": 0, "n11": 1, "n17": 0, "n23": 1}
 
 
 def random_tree_spec(rng, max_nodes: int = 6, max_alternatives: int = 3, max_combinations: int = 300):

@@ -37,7 +37,6 @@ from treebelief import (
     NodeSpec,
     PointMass,
     load_network,
-    network_to_json,
     parse_network,
     posterior_report,
     propagate,
@@ -48,6 +47,7 @@ from treebelief import cli, propagation
 from treebelief.cli import main
 from treebelief.errors import BadDistribution, DimensionMismatch, DomainError, NonFiniteResult, ParseError
 from treebelief.generate import random_beta_tree
+from treebelief.netfile import network_to_json
 from treebelief.oracle import MAX_SAMPLES
 
 
@@ -221,7 +221,9 @@ def malformed_queries(draw):
         _at(doc, path[:-1])[path[-1]] = copy.deepcopy(value)
     elif fault == "bad number":
         path = draw(st.sampled_from([p for p in paths if p and _json_type(_at(doc, p)) is float]))
-        _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(_BAD_NUMBERS))
+        # a huge alpha is a valid, very confident row; 1e200 is bad everywhere else
+        bad = [x for x in _BAD_NUMBERS if not (x == 1e200 and path[-2] == "alpha")]
+        _at(doc, path[:-1])[path[-1]] = draw(st.sampled_from(bad))
     elif fault == "missing key":
         keys = [p for p in paths if p and isinstance(p[-1], str) and _at(doc, p) is not None]
         path = draw(st.sampled_from(keys))
@@ -647,15 +649,23 @@ class TestQueryCommand:
         assert doc["meta"]["nodes"] == ["B", "A"] and list(doc["nodes"]) == ["B", "A"]
 
     def test_overflowing_alpha(self, capsys, tmp_path):
+        # An alpha sum that overflows has no moments: exit 2 in one line.
         path = tmp_path / "huge.json"
         doc = network_to_json(uniform_chain_spec())
-        doc["nodes"][1]["cpt"][0]["dist"]["alpha"] = [1e200, 1e200]
+        doc["nodes"][1]["cpt"][0]["dist"]["alpha"] = [1e308, 1e308]
         path.write_text(json.dumps(doc))
         code, out, err = run_cli(capsys, "query", str(path))
         assert code == 2
         assert out == ""
         assert "BadDistribution" in err and "finite" in err
         assert "Traceback" not in err
+        # A finite sum whose a0 (a0 + 1) overflows is a very confident row.
+        doc["nodes"][1]["cpt"][0]["dist"]["alpha"] = [1e200, 1e200]
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "query", str(path), "--evidence", "A=a1")
+        assert (code, err) == (0, "")
+        b = json.loads(out)["nodes"]["B"]
+        assert (b["mean"], b["second"], b["variance"]) == ([0.5, 0.5], [0.25, 0.25], [0.0, 0.0])
 
     def test_inconsistent_evidence_exit_code(self, capsys, tmp_path):
         path = tmp_path / "impossible.json"
@@ -1133,18 +1143,30 @@ class TestCompareCommand:
         assert len(err.splitlines()) == 1 and err.startswith("NonFiniteResult")
 
     def test_tiny_evidence_probability_exits_6(self, capsys, tmp_path):
-        # P(e) = 1e-177 underflows the squares behind the effective sample
-        # size and the z**3 of the standard errors, not P(e) itself
-        path = tmp_path / "tiny.json"
-        save_network(tiny_evidence_chain_spec(Dirichlet([2.0, 2.0]), 60), str(path))
-        evidence = [arg for i in range(1, 60) for arg in ("--evidence", f"n{i}=a")]
-        code, out, err = run_cli(
-            capsys, "compare", str(path), "--mode", "mc", "--oracle-mode", "exact-posterior",
-            "--samples", "2000", "--seed", "1", *evidence,
-        )
+        # One island of P(e) = 6e-163 underflows the squares behind the
+        # effective sample size and the z**3 of the standard errors, not P(e)
+        # itself.  The engine's D^2 underflows too (a RuntimeWarning, ignored
+        # here), and the oracle's message shows which one stopped it.
+        path = tmp_path / "star60.json"
+        save_network(underflow_star_spec(60), str(path))
+        evidence = [arg for i in range(60) for arg in ("--evidence", f"c{i}=a")]
+        mc = ("--mode", "mc", "--oracle-mode", "exact-posterior", "--samples", "2000", "--seed", "1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, out, err = run_cli(capsys, "compare", str(path), *mc, *evidence)
         assert code == 6
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("NonFiniteResult")
+        assert "standard errors overflow at evidence probability" in err
+        # The chain's P(e) = 1e-177 is a product of factors outside n0's
+        # island, which cancel: its island's total is 1e-3.
+        path = tmp_path / "tiny.json"
+        save_network(tiny_evidence_chain_spec(Dirichlet([2.0, 2.0]), 60), str(path))
+        evidence = [arg for i in range(1, 60) for arg in ("--evidence", f"n{i}=a")]
+        code, out, err = run_cli(capsys, "compare", str(path), *mc, *evidence)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["pass"] and doc["oracle"]["effective_sample_size"] == pytest.approx(2000.0, rel=1e-12)
 
     def test_underflowing_oracle_second_moment_exits_6(self, capsys, tmp_path):
         # The enumeration's (sum w z)^2 underflows at P(e) = 6e-163, so its

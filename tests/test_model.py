@@ -19,11 +19,9 @@ from treebelief import (
     NetworkSpec,
     NodeSpec,
     PointMass,
-    check_evidence,
     enumerate_uncertainty,
     load_network,
     moments_of,
-    network_to_json,
     parse_network,
     posterior_report,
     propagate,
@@ -42,7 +40,8 @@ from treebelief.errors import (
     UnknownNode,
 )
 from treebelief import model
-from treebelief.model import _DIRICHLET, _Columns
+from treebelief.model import _DIRICHLET, _Columns, check_evidence
+from treebelief.netfile import network_to_json
 
 
 class TestMomentsOf:
@@ -163,12 +162,38 @@ class TestMomentSetInvariants:
             assert str(info.value) == "moment set: " + message
 
     def test_non_finite_moments_rejected(self):
-        # a0 * (a0 + 1) overflows, so every second moment is inf / inf = nan
+        # a0 overflows, so every second moment is inf / inf = nan
         with pytest.raises(BadDistribution, match="finite"):
-            moments_of(Dirichlet(np.array([1e200, 1e200])))
-        spec = _chain(rows_b=(Dirichlet(np.array([1e200, 1e200])), PointMass(np.array([0.2, 0.8]))))
+            moments_of(Dirichlet(np.array([1e308, 1e308])))
+        spec = _chain(rows_b=(Dirichlet(np.array([1e308, 1e308])), PointMass(np.array([0.2, 0.8]))))
         with pytest.raises(BadDistribution, match="'B'.*finite"):
             validate_network(spec)
+
+    @pytest.mark.parametrize("alpha", [[1e200, 1e200], [1e154, 3e154], [1e300, 2.0, 1e300]])
+    def test_very_confident_rows_have_moments(self, alpha):
+        # a0 (a0 + 1) overflows while a0 does not: mean_i alpha_j / (a0 + 1)
+        # gives the moments, within rounding of the limit, mean outer mean
+        got = moments_of(Dirichlet(np.array(alpha)))
+        mean = np.array(alpha) / sum(alpha)
+        np.testing.assert_array_equal(got.mean, mean)
+        np.testing.assert_allclose(got.second, np.outer(mean, mean), rtol=1e-15, atol=0)
+
+    def test_very_confident_row_validates(self):
+        spec = _chain(rows_b=(Dirichlet(np.array([1e200, 1e200])), PointMass(np.array([0.2, 0.8]))))
+        row = validate_network(spec).nodes["B"].row_moments[0]
+        np.testing.assert_array_equal(row.mean, [0.5, 0.5])
+        np.testing.assert_array_equal(row.second, [[0.25, 0.25], [0.25, 0.25]])
+
+    def test_moments_below_the_overflow_keep_their_bits(self):
+        # the largest a0 whose a0 (a0 + 1) is finite takes the outer-product form
+        a0 = np.nextafter(np.sqrt(np.finfo(float).max), 0.0)
+        alpha = np.array([0.25, 0.75]) * a0
+        got = moments_of(Dirichlet(alpha))
+        denom = alpha.sum() * (alpha.sum() + 1.0)
+        assert np.isfinite(denom)
+        want = np.outer(alpha, alpha) / denom
+        want[np.diag_indices(2)] = alpha * (alpha + 1.0) / denom
+        assert got.second.tobytes() == want.tobytes()
 
     def test_stored_rows_are_the_row_moments(self):
         node = validate_network(_chain()).nodes["B"]
@@ -550,8 +575,8 @@ class TestValidateNetwork:
 
 
 def _overflowing(k):
-    """A valid Dirichlet whose second moments overflow to NaN."""
-    return Dirichlet(np.full(k, 1e200))
+    """A valid Dirichlet whose alpha sum, and so its second moments, overflow to NaN."""
+    return Dirichlet(np.full(k, 1e308))
 
 
 def _reference_moments(dist):
@@ -737,7 +762,7 @@ def _put_fault(doc, fault, i, j):
         for vector in [dist] if dist["type"] == "point" else dist.get("points", [dist]):
             vector.get("alpha", vector.get("p")).pop()
     elif fault == "overflowing alpha":
-        node["cpt"][-1]["dist"] = {"type": "dirichlet", "alpha": [1e200] * len(node["alternatives"])}
+        node["cpt"][-1]["dist"] = {"type": "dirichlet", "alpha": [1e308] * len(node["alternatives"])}
     else:  # no rows, below a parent with no alternatives
         next(p for p in nodes if p["id"] == node["parent"])["alternatives"] = []
         node["cpt"] = []

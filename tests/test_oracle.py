@@ -5,17 +5,20 @@ from typing import List, Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    TWO_POINT_CHAIN_EVIDENCE,
     brute_force_joint,
     exact_means,
     impossible_evidence_spec,
     random_evidence,
     random_tree_spec,
     tiny_evidence_chain_spec,
+    two_point_chain_spec,
     underflow_star_spec,
+    whole_tree_posterior,
 )
 from treebelief import (
     Dirichlet,
@@ -306,12 +309,25 @@ class TestMonteCarlo:
         assert report.effective_sample_size < 10
 
     def test_tiny_evidence_probability(self):
-        # P(e) = 1e-177: each (w z)^2 underflows to 0 while w z does not
+        # The chain's P(e) = 1e-177 is a product of factors outside n0's island,
+        # which cancel: the island's total is 1e-3 under every draw, and n0's
+        # posterior is its Dirichlet(2, 2) prior.
         evidence = {f"n{i}": 0 for i in range(1, 60)}
         net = validate_network(tiny_evidence_chain_spec(PointMass([0.5, 0.5]), 60))
         assert enumerate_uncertainty(net, evidence, "exact-posterior").effective_sample_size == 1.0
         net = validate_network(tiny_evidence_chain_spec(Dirichlet([2.0, 2.0]), 60))
-        with pytest.raises(NonFiniteResult, match="standard errors"):  # z**3 underflows
+        report = mc_uncertainty(net, evidence, "exact-posterior", n=2000, seed=1)
+        assert report.effective_sample_size == pytest.approx(2000.0, rel=1e-12)
+        entry = report.entries["n0"]
+        for attr, truth in (("mean", 0.5), ("second", 0.3), ("variance", 0.05)):
+            assert np.all(np.abs(getattr(entry, attr) - truth) <= 4 * getattr(entry, "se_" + attr))
+        # One island of P(e) = 6e-163: each (w z)^2 underflows to 0 while w z
+        # does not, and so does the z**3 of the standard errors.
+        evidence = {f"c{i}": 0 for i in range(60)}
+        net = validate_network(underflow_star_spec(60))
+        ess = enumerate_uncertainty(net, evidence, "exact-posterior").effective_sample_size
+        assert ess == pytest.approx((0.7 + 0.4) ** 2 / (0.7**2 + 0.4**2), rel=1e-12)
+        with pytest.raises(NonFiniteResult, match="standard errors overflow"):
             mc_uncertainty(net, evidence, "exact-posterior", n=2000, seed=1)
 
     def test_convergence_toward_enumeration(self, two_node_mixed):
@@ -554,7 +570,8 @@ class TestLargeTrees:
         reports = posterior_report(propagate(net, evidence))
         approx = enumerate_uncertainty(net, evidence, "approx-posterior")
         exact = enumerate_uncertainty(net, evidence, "exact-posterior")
-        assert exact.size == 2
+        # one two-point row, in n1's island; the other islands add 1 each
+        assert exact.size == approx.size == (3 if shape == "chain" else 999)
         for node_id, rep in reports.items():
             for entry in (approx.entries[node_id], exact.entries[node_id]):
                 np.testing.assert_allclose(entry.mean, rep.mean, rtol=0, atol=1e-8)
@@ -581,6 +598,70 @@ class TestLargeTrees:
             assert np.all(np.abs(entry.mean - rep.mean) <= 4 * entry.se_mean)
             assert np.all(np.abs(entry.second - rep.second) <= 4 * entry.se_second)
             assert np.all(np.abs(entry.variance - rep.variance) <= 4 * entry.se_variance)
+
+
+class TestExactPosteriorIslands:
+    """``exact-posterior`` mode runs one block per evidence island: a node's
+    exact conditional reads only its island's rows, so every factor of the
+    evidence probability outside the island cancels."""
+
+    @given(seed=st.integers(0, 2**32 - 1), observed=st.integers(2, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_islands_match_the_whole_tree(self, seed, observed):
+        rng = np.random.default_rng(seed)
+        net = validate_network(random_tree_spec(rng, max_nodes=8))
+        assume(len(net.order) > observed)
+        picks = rng.choice(len(net.order), size=observed, replace=False)
+        evidence = {net.order[i]: int(rng.integers(net.nodes[net.order[i]].dim)) for i in picks}
+        assume(len(oracle._islands(net, evidence)) >= 2)
+        got = enumerate_uncertainty(net, evidence, "exact-posterior")
+        want, _ = whole_tree_posterior(net, evidence)
+        for node_id, entry in want.items():
+            for attr in MOMENTS:
+                np.testing.assert_allclose(
+                    getattr(got.entries[node_id], attr), getattr(entry, attr), rtol=0, atol=1e-14
+                )
+
+    def test_24_node_chain_enumerates_under_the_default_cap(self):
+        net = validate_network(two_point_chain_spec(24))
+        with pytest.raises(CapExceeded, match="^140737488355328 uncertainty combinations"):
+            whole_tree_posterior(net, TWO_POINT_CHAIN_EVIDENCE)  # 2**47
+        exact = enumerate_uncertainty(net, TWO_POINT_CHAIN_EVIDENCE, "exact-posterior")
+        approx = enumerate_uncertainty(net, TWO_POINT_CHAIN_EVIDENCE, "approx-posterior")
+        assert exact.size == approx.size == 4 * 2**11
+        reports = posterior_report(propagate(net, TWO_POINT_CHAIN_EVIDENCE))
+        for node_id, rep in reports.items():
+            np.testing.assert_allclose(exact.entries[node_id].mean, rep.mean, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(approx.entries[node_id].second, rep.second, rtol=0, atol=1e-12)
+        # The first island, n0 .. n4 under n5, is the whole of the 6-node chain
+        # drawn from the same seed, which the whole-tree form can enumerate.
+        prefix = validate_network(two_point_chain_spec(6))
+        want, count = whole_tree_posterior(prefix, {"n5": TWO_POINT_CHAIN_EVIDENCE["n5"]})
+        assert count == 2**11
+        for node_id, entry in want.items():
+            for attr in MOMENTS:
+                np.testing.assert_allclose(
+                    getattr(exact.entries[node_id], attr), getattr(entry, attr), rtol=0, atol=1e-14
+                )
+
+    @pytest.mark.parametrize("n", [2000, 5])
+    def test_monte_carlo_effective_sample_size_is_the_smaller_islands(self, n):
+        # A's island weighs each draw by A's chance of a0 (B's rows are certain
+        # and opposite); C's island by 0.5 under every draw, so its effective
+        # sample size is n and A's, about 2n/3, is the smaller.
+        a = NodeSpec("A", ("a0", "a1"), None, (Dirichlet([0.5, 0.5]),))
+        b = NodeSpec("B", ("b0", "b1"), "A", (PointMass([1.0, 0.0]), PointMass([0.0, 1.0])))
+        c = NodeSpec("C", ("c0", "c1"), "B", (Dirichlet([2.0, 3.0]), Dirichlet([1.0, 1.0])))
+        d = NodeSpec("D", ("d0", "d1"), "C", (PointMass([0.5, 0.5]), PointMass([0.5, 0.5])))
+        net = validate_network(NetworkSpec((a, b, c, d)))
+        evidence = {"B": 0, "D": 1}
+        assert [island.members for island in oracle._islands(net, evidence)] == [["A"], ["C"]]
+        report = mc_uncertainty(net, evidence, "exact-posterior", n=n, seed=3)
+        # A's island alone, drawn from the same stream
+        alone = mc_uncertainty(validate_network(NetworkSpec((a, b))), {"B": 0}, "exact-posterior", n=n, seed=3)
+        assert report.effective_sample_size == pytest.approx(alone.effective_sample_size, rel=1e-12)
+        assert report.effective_sample_size < n
+        assert report.degenerate_weights == (report.effective_sample_size < 10.0) == (n == 5)
 
 
 # Per-alternative delta-method standard errors, one sample covariance each: the
@@ -1029,14 +1110,12 @@ class TestChunkedRealizations:
             (tabs, _), = list(chunks)  # one chunk: the whole sample
             for mode, evidence in _cases(net, rng):
                 report = mc_uncertainty(net, evidence, mode, n=n, seed=seed)
-                if mode == "exact-posterior":
-                    conditionals, p_evidence = oracle._posterior_sums(net, tabs, evidence)
-                    want = {m: _weighted_entry(c.T, p_evidence) for m, c in conditionals.items()}
-                else:
-                    want = {}
-                    for island in oracle._islands(net, evidence):
-                        values, total = oracle._island_sums(net, island, tabs)
-                        want.update({m: _ratio_entry(values[m].T, total) for m in island.members})
+                exact = mode == "exact-posterior"
+                want = {}
+                for island in oracle._islands(net, evidence):
+                    values, total = oracle._island_sums(net, island, exact, tabs)
+                    entry = _weighted_entry if exact else _ratio_entry
+                    want.update({m: entry(values[m].T, total) for m in island.members})
                 for node_id, entry in want.items():
                     got = report.entries[node_id]
                     for attr in MOMENTS:

@@ -19,11 +19,9 @@ PUBLIC = {
     "NodeSpec",
     "PointMass",
     "ValidatedNetwork",
-    "check_evidence",
     "moments_of",
     "validate_network",
     "load_network",
-    "network_to_json",
     "parse_network",
     "save_network",
     "MODES",
