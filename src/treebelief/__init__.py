@@ -20,12 +20,10 @@ from .bounds import (
 from .model import (
     Dirichlet,
     DiscreteSupport,
-    MomentSet,
     NetworkSpec,
     NodeSpec,
     PointMass,
     ValidatedNetwork,
-    moments_of,
     validate_network,
 )
 from .netfile import load_network, parse_network, save_network
@@ -52,12 +50,10 @@ __all__ = [
     "check_variance_bound",
     "Dirichlet",
     "DiscreteSupport",
-    "MomentSet",
     "NetworkSpec",
     "NodeSpec",
     "PointMass",
     "ValidatedNetwork",
-    "moments_of",
     "validate_network",
     "load_network",
     "parse_network",

@@ -5,7 +5,8 @@ probability row per parent alternative (a single row for the root), and each
 row is *uncertain*: instead of a fixed probability vector it carries a
 distribution over probability vectors.  The propagation engine never looks at
 those distributions directly; it consumes only their first moments ``E(p_i)``
-and second moments ``E(p_i p_j)``, packaged here as :class:`MomentSet`.
+and second moments ``E(p_i p_j)``, which :func:`validate_network` computes
+for every row with one formula (:func:`_stacked_moments`).
 
 :func:`validate_network` has one core, which checks a network held as
 columns (:class:`_Columns`): per node its id, alternatives, parent and row
@@ -23,19 +24,19 @@ its ``rows`` as ``spec.nodes[spec_index].rows``.  A parsed spec builds all
 of its :class:`NodeSpec` and distribution objects in one pass, the first
 time any ``rows`` or ``NetworkSpec.nodes`` is read; a query reads neither.
 
-All types are immutable after construction: every row and moment set holds
-a view of its own read-only copy of its numbers, so no field can be made
-writable again, and the caller's arrays stay writable.  No field of a
-validated node or network can be set, and a network's ``nodes`` and its
-plan's dicts are read-only mappings.  Nothing writes to a validated network
-after :func:`validate_network` returns, not even the prior messages of the
-nodes that hang from the root one per depth, which it computes and keeps as
-read-only arrays (``LevelPlan.prior``).  All operations are pure functions,
-so they are safe to share between threads.  A parsed spec's first read of
-``nodes`` may run in two threads at once: each builds from columns that
-never change, and the spec publishes the result with one
-``dict.setdefault``, its only publish point, so both threads get the same
-objects.
+All types are immutable after construction: every row holds a view of its
+own read-only copy of its numbers, and every stored moment is a view of a
+read-only array, so no field can be made writable again, and the caller's
+arrays stay writable.  No field of a validated node or network can be set,
+and a network's ``nodes`` and its plan's dicts are read-only mappings.
+Nothing writes to a validated network after :func:`validate_network`
+returns, not even the prior messages of the nodes that hang from the root
+one per depth, which it computes and keeps as read-only arrays
+(``LevelPlan.prior``).  All operations are pure functions, so they are safe
+to share between threads.  A parsed spec's first read of ``nodes`` may run
+in two threads at once: each builds from columns that never change, and the
+spec publishes the result with one ``dict.setdefault``, its only publish
+point, so both threads get the same objects.
 """
 from __future__ import annotations
 
@@ -185,14 +186,13 @@ UncertainDistribution = Union[Dirichlet, DiscreteSupport, PointMass]
 def _check_moments(mean: np.ndarray, second: np.ndarray, what: str) -> None:
     """Raise :class:`BadDistribution` unless every row holds valid moments.
 
-    ``mean`` is ``(..., k)`` and ``second`` is ``(..., k, k)``; every leading
-    row is checked at once.  Because each underlying random vector sums to 1,
-    every row of a second-moment matrix must sum back to its mean, and the
-    diagonal is squeezed between ``mean**2`` and ``mean``.  Non-finite values
-    are rejected first, since every comparison with NaN is false.
+    ``mean`` is ``(..., k)`` and ``second`` is ``(..., k, k)``, as
+    :func:`_stacked_moments` builds them; every leading row is checked at
+    once.  Because each underlying random vector sums to 1, every row of a
+    second-moment matrix must sum back to its mean, and the diagonal is
+    squeezed between ``mean**2`` and ``mean``.  Non-finite values are
+    rejected first, since every comparison with NaN is false.
     """
-    if mean.ndim < 1 or second.shape != mean.shape + mean.shape[-1:]:
-        raise BadDistribution(f"{what}: mean (k,) and second (k, k) required")
     if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(second))):
         raise BadDistribution(f"{what}: moments must be finite")
     if np.any(mean < -PROB_TOL) or np.max(np.abs(mean.sum(axis=-1) - 1.0)) > PROB_TOL:
@@ -208,59 +208,29 @@ def _check_moments(mean: np.ndarray, second: np.ndarray, what: str) -> None:
         raise BadDistribution(f"{what}: diagonal must lie between mean**2 and mean")
 
 
-@dataclass(frozen=True, eq=False)
-class MomentSet:
-    """First and second moments of one uncertain probability vector.
-
-    ``mean[i] = E(p_i)`` and ``second[i, j] = E(p_i p_j)``, subject to the
-    invariants of :func:`_check_moments`.
-    """
-
-    mean: np.ndarray
-    second: np.ndarray
-
-    def __post_init__(self):
-        mean = np.array(self.mean, dtype=float)
-        second = np.array(self.second, dtype=float)
-        if mean.ndim != 1:
-            raise BadDistribution("moment set: mean (k,) and second (k, k) required")
-        _check_moments(mean, second, "moment set")
-        object.__setattr__(self, "mean", _frozen(mean))
-        object.__setattr__(self, "second", _frozen(second))
-
-    @classmethod
-    def _checked(cls, mean: np.ndarray, second: np.ndarray) -> "MomentSet":
-        """Wrap read-only arrays that already passed :func:`_check_moments`."""
-        view = object.__new__(cls)
-        object.__setattr__(view, "mean", mean)
-        object.__setattr__(view, "second", second)
-        return view
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    def variance(self) -> np.ndarray:
-        return np.diag(self.second) - self.mean**2
-
-
-_KINDS = (Dirichlet, DiscreteSupport, PointMass)
-
-
 def _stacked_moments(vectors: np.ndarray, dirichlet: np.ndarray, discrete=()):
     """``(mean, second)`` of shapes (R, k) and (R, k, k) for the ``R`` rows of
-    ``vectors``; unchecked.  This is the only moment formula: :func:`moments_of`
-    documents it.
+    ``vectors``, ``mean[r, i] = E(p_i)`` and ``second[r, i, j] = E(p_i p_j)``;
+    unchecked (:func:`_check_moments` checks them).  This is the only moment
+    formula.
 
     Row ``i`` is ``Dirichlet(vectors[i])`` where ``dirichlet[i]``, else
-    ``PointMass(vectors[i])``; they share one outer product.  A point-mass
-    row divides by 1 in place of ``a0`` and ``a0 (a0 + 1)``, which is exact.
-    A Dirichlet row whose ``a0 (a0 + 1)`` overflows but ``a0`` does not
-    (``a0`` above about 1.3e154) takes ``mean_i alpha_j / (a0 + 1)`` and
-    ``mean_i (alpha_i + 1) / (a0 + 1)`` instead, which cannot overflow; one
-    whose ``a0`` overflows keeps its NaN.  Each ``(i, support)`` of
-    ``discrete`` then overwrites row ``i`` with the moments of that
-    :class:`DiscreteSupport`.
+    ``PointMass(vectors[i])``.  For ``Dirichlet(alpha)`` with ``a0 =
+    sum(alpha)``::
+
+        E(p_i)     = alpha_i / a0
+        E(p_i^2)   = alpha_i (alpha_i + 1) / (a0 (a0 + 1))
+        E(p_i p_j) = alpha_i alpha_j / (a0 (a0 + 1))        (i != j)
+
+    and a point mass ``p`` has ``second = outer(p, p)`` and zero variance;
+    the two share one outer product.  A point-mass row divides by 1 in place
+    of ``a0`` and ``a0 (a0 + 1)``, which is exact.  A Dirichlet row whose
+    ``a0 (a0 + 1)`` overflows but ``a0`` does not (``a0`` above about
+    1.3e154) takes ``mean_i alpha_j / (a0 + 1)`` and ``mean_i (alpha_i + 1) /
+    (a0 + 1)`` instead, which cannot overflow; one whose ``a0`` overflows
+    keeps its NaN.  Each ``(i, support)`` of ``discrete`` then overwrites row
+    ``i`` with the moments of that :class:`DiscreteSupport`, weighted sums
+    over its points.
     """
     n, k = vectors.shape
     a0 = np.where(dirichlet, vectors.sum(axis=1), 1.0)
@@ -280,30 +250,6 @@ def _stacked_moments(vectors: np.ndarray, dirichlet: np.ndarray, discrete=()):
         mean[i] = w @ pts
         second[i] = pts.T @ (w[:, None] * pts)
     return mean, second
-
-
-def moments_of(dist: UncertainDistribution) -> MomentSet:
-    """Extract the moments the propagation engine needs from a distribution.
-
-    For ``Dirichlet(alpha)`` with ``a0 = sum(alpha)``::
-
-        E(p_i)     = alpha_i / a0
-        E(p_i^2)   = alpha_i (alpha_i + 1) / (a0 (a0 + 1))
-        E(p_i p_j) = alpha_i alpha_j / (a0 (a0 + 1))        (i != j)
-
-    Discrete supports take weighted sums over their points; a point mass has
-    ``second = outer(p, p)`` and zero variance.  Moments that overflow to a
-    non-finite value raise :class:`BadDistribution`.
-    """
-    if not isinstance(dist, _KINDS):
-        raise BadDistribution(f"unsupported distribution type {type(dist).__name__}")
-    vectors = np.zeros((1, dist.dim))
-    if not isinstance(dist, DiscreteSupport):
-        vectors[0] = dist.alpha if isinstance(dist, Dirichlet) else dist.p
-    discrete = [(0, dist)] if isinstance(dist, DiscreteSupport) else []
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean, second = _stacked_moments(vectors, np.array([isinstance(dist, Dirichlet)]), discrete)
-    return MomentSet(mean[0], second[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -352,7 +298,7 @@ class NetworkSpec:
         return vars(self).setdefault("nodes", columns.node_specs())
 
 
-#: Row kinds of :class:`_Columns`: an index into :data:`_KINDS`.
+#: Row kinds of :class:`_Columns`: Dirichlet, discrete support, point mass.
 _DIRICHLET, _DISCRETE, _POINT = range(3)
 
 
@@ -362,10 +308,10 @@ class _Columns:
     Per node, in file order: ``ids``, ``alternatives`` (tuples), ``parents``
     and the arrays ``counts`` and ``starts``: node ``i`` owns rows
     ``starts[i]`` up to ``starts[i] + counts[i]``.  Per row, in file order,
-    the arrays ``kinds`` (an index into :data:`_KINDS`) and ``dims``.  A
-    Dirichlet or point row ``g`` is the vector ``stacks[dims[g]][places[g]]``
-    of a read-only stack, whose buffer is read-only too; a discrete row is
-    the object ``discrete[g]``.
+    the arrays ``kinds`` (:data:`_DIRICHLET`, :data:`_DISCRETE` or
+    :data:`_POINT`) and ``dims``.  A Dirichlet or point row ``g`` is the
+    vector ``stacks[dims[g]][places[g]]`` of a read-only stack, whose buffer
+    is read-only too; a discrete row is the object ``discrete[g]``.
 
     The constructor alone stacks and checks the numbers.  It takes each row's
     kind and, in row order, the Dirichlet and point vectors and the discrete
@@ -481,8 +427,8 @@ class ValidatedNode(NamedTuple):
 
     @property
     def row_moments(self) -> tuple:
-        """One :class:`MomentSet` view per row of the stored moments."""
-        return tuple(map(MomentSet._checked, self.mean_rows, self.second_rows))
+        """One ``(mean, second)`` pair of read-only views per row of the stored moments."""
+        return tuple(zip(self.mean_rows, self.second_rows))
 
 
 class ChainSegment(NamedTuple):

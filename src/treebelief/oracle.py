@@ -102,7 +102,8 @@ from .model import Dirichlet, DiscreteSupport, PointMass, ValidatedNetwork, chec
 
 MODES = ("prior", "approx-posterior", "exact-posterior")
 
-#: Default ceiling on exhaustively enumerated uncertainty combinations.
+#: Default ceiling on exhaustively enumerated uncertainty combinations, summed
+#: over the evidence islands.
 DEFAULT_CAP = 10_000_000
 
 #: Ceiling on Monte Carlo samples.  Time is linear in the sample count (10**8
@@ -314,14 +315,13 @@ def _chunks(net: ValidatedNetwork, node_ids: Sequence[str], row_ids: _Rows, coun
         yield tabs, weights
 
 
-def _grid_chunks(net: ValidatedNetwork, cap: int, node_ids: Sequence[str], row_ids: _Rows):
+def _grid_chunks(net: ValidatedNetwork, node_ids: Sequence[str], row_ids: _Rows):
     """Enumeration source: every combination of the supports of ``row_ids``.
 
     Combinations come in ``itertools.product`` order over the listed rows,
     and each is weighted by the product of its support weights, multiplied
     in the rows' order; rows with a one-point support stay at their mean,
-    that point.  Raises :class:`CapExceeded` before any work when the count
-    exceeds ``cap``.
+    that point.
 
     The rows are split once per enumeration.  The trailing rows, those
     whose sub-grid (the product of their support sizes, ``P``) is shorter
@@ -339,9 +339,6 @@ def _grid_chunks(net: ValidatedNetwork, cap: int, node_ids: Sequence[str], row_i
     supports = [_support_of(net.nodes[n].rows[r]) for n, r in listed]
     sizes = [len(w) for _, w in supports]
     count = math.prod(sizes)
-    if count > cap:
-        raise CapExceeded(f"{count} uncertainty combinations exceed the cap {cap}")
-
     step = _step(net, node_ids)
     split, period = len(sizes), 1  # rows from ``split`` on repeat every ``period``, fewer than ``step``
     while split and period * sizes[split - 1] < step:
@@ -516,11 +513,14 @@ def _moments(net: ValidatedNetwork, members: Sequence[str], terms: Callable, pow
 
 
 def _report(net: ValidatedNetwork, evidence: Mapping[str, int], mode: str, source: Callable,
-            n: Optional[int] = None) -> OracleReport:
+            n: Optional[int] = None, cap: float = math.inf) -> OracleReport:
     """Run :func:`_moments` once per evidence island, on the chunks ``source`` gives it.
 
     The Monte Carlo sample count ``n`` adds standard errors and is the
     report's size; without it the size sums the islands' realization counts.
+    Each island's count joins that sum before its chunks are read, and
+    :class:`CapExceeded` is raised once the sum passes ``cap``, so at most
+    ``cap`` realizations are ever read.
     In ``exact-posterior`` mode the effective sample size is the smallest
     island's.  An observed entry outside every island with mean zero raises
     :class:`InconsistentEvidence` first, in every mode
@@ -540,10 +540,12 @@ def _report(net: ValidatedNetwork, evidence: Mapping[str, int], mode: str, sourc
         rows = [(island.top, island.top_row)]
         rows += [(z, r) for z in read[1:] for r in range(len(net.nodes[z].rows))]
         count, chunks = source(read, rows)
+        size += count
+        if size > cap:
+            raise CapExceeded(f"{size} uncertainty combinations exceed the cap {cap}")
         terms = partial(_island_sums, net, island, power == 1)
         block, block_ess = _moments(net, island.members, terms, power, chunks, n)
         entries.update(block)
-        size += count
         if power == 1:
             ess = block_ess if ess is None else min(ess, block_ess)
     return OracleReport(mode, entries, n or size, ess, ess is not None and ess < 10.0)
@@ -563,8 +565,9 @@ def enumerate_uncertainty(
     sum-product, in time linear in the node count.  Products are not
     rescaled, so an island's evidence probability can underflow to 0 on a
     very large island.  See the module docstring for what each mode
-    averages.  Raises :class:`CapExceeded` when an island's support product
-    exceeds ``cap``, :class:`InconsistentEvidence` when every combination
+    averages.  Raises :class:`CapExceeded` when the islands' support
+    products sum to more than ``cap``, before the island that passes it is
+    enumerated, :class:`InconsistentEvidence` when every combination
     gives an island the evidence probability zero (an observed entry of mean
     zero outside every island is named), and :class:`PreconditionViolated`
     when ``cap`` is not an integer (``bool`` included) or is below 1.
@@ -581,7 +584,7 @@ def enumerate_uncertainty(
     for node_id in net.order:
         for dist in net.nodes[node_id].rows:
             _support_of(dist)
-    return _report(net, evidence, mode, partial(_grid_chunks, net, cap))
+    return _report(net, evidence, mode, partial(_grid_chunks, net), cap=cap)
 
 
 def mc_uncertainty(

@@ -1,4 +1,5 @@
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,13 +12,34 @@ from treebelief import (
     NodeSpec,
     PointMass,
     enumerate_uncertainty,
-    moments_of,
     validate_network,
 )
-from treebelief import oracle
-from treebelief.errors import InconsistentEvidence, ParseError
+from treebelief import model, oracle
+from treebelief.errors import CapExceeded, InconsistentEvidence, ParseError
 from treebelief.model import check_observed_entries
 from treebelief.netfile import parse_distribution
+
+
+class Moments(NamedTuple):
+    """``mean[i] = E(p_i)`` and ``second[i, j] = E(p_i p_j)`` of one row."""
+
+    mean: np.ndarray
+    second: np.ndarray
+
+
+def moments_of(dist) -> Moments:
+    """The moments of one row object, by the formula and the checks that
+    :func:`~treebelief.validate_network` runs on every row
+    (``model._stacked_moments`` and ``model._check_moments``).  Moments that
+    overflow to a non-finite value raise :class:`BadDistribution`."""
+    discrete = [(0, dist)] if isinstance(dist, DiscreteSupport) else []
+    vectors = np.zeros((1, dist.dim))
+    if not discrete:
+        vectors[0] = dist.alpha if isinstance(dist, Dirichlet) else dist.p
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, second = model._stacked_moments(vectors, np.array([isinstance(dist, Dirichlet)]), discrete)
+    model._check_moments(mean, second, "moment set")
+    return Moments(mean[0], second[0])
 
 
 def moments_of_beta(a: float, b: float):
@@ -88,7 +110,8 @@ def whole_tree_posterior(net, evidence):
     entries of observed nodes whose parent is observed or absent.  A node's
     value is its island's joint over the island's total, 0 where that total
     is 0.  Returns the uninstantiated nodes' entries and the combination
-    count.
+    count; raises :class:`CapExceeded` above ``oracle.DEFAULT_CAP``
+    combinations.
     """
     check_observed_entries(net, evidence)
     islands = oracle._islands(net, evidence)
@@ -109,7 +132,9 @@ def whole_tree_posterior(net, evidence):
 
     free = [node_id for node_id in net.order if node_id not in evidence]
     rows = [(z, r) for z in net.order for r in range(len(net.nodes[z].rows))]
-    count, chunks = oracle._grid_chunks(net, oracle.DEFAULT_CAP, net.order, rows)
+    count, chunks = oracle._grid_chunks(net, net.order, rows)
+    if count > oracle.DEFAULT_CAP:
+        raise CapExceeded(f"{count} uncertainty combinations exceed the cap {oracle.DEFAULT_CAP}")
     entries, _ = oracle._moments(net, free, terms, 1, chunks, None)
     return entries, count
 
@@ -130,6 +155,21 @@ def two_point_chain_spec(n: int = 24, seed: int = 24) -> NetworkSpec:
 #: Every sixth node of the 24-node :func:`two_point_chain_spec` observed:
 #: four islands of five nodes, each with 2 ** 11 combinations.
 TWO_POINT_CHAIN_EVIDENCE = {"n5": 0, "n11": 1, "n17": 0, "n23": 1}
+
+
+def three_island_spec() -> NetworkSpec:
+    """A point-mass root ``r`` above three chains ``c<i> -> d<i>`` of two
+    alternatives whose rows are two-point supports.  With ``r`` observed,
+    each chain is an evidence island that reads ``c<i>``'s row under the
+    observed alternative and both rows of ``d<i>``: 8 combinations each, 24
+    in all."""
+    two_point = DiscreteSupport(np.array([[0.2, 0.8], [0.7, 0.3]]), np.array([0.4, 0.6]))
+    labels = ("a", "b")
+    nodes = [NodeSpec("r", labels, None, (PointMass(np.array([0.5, 0.5])),))]
+    for i in range(3):
+        nodes += [NodeSpec(f"c{i}", labels, "r", (two_point, two_point)),
+                  NodeSpec(f"d{i}", labels, f"c{i}", (two_point, two_point))]
+    return NetworkSpec(tuple(nodes))
 
 
 def random_tree_spec(rng, max_nodes: int = 6, max_alternatives: int = 3, max_combinations: int = 300):

@@ -1,22 +1,21 @@
 import numpy as np
 import pytest
 
-from conftest import beta_mean_cap, moments_of_beta, uniform_chain_spec
+from conftest import beta_mean_cap, moments_of, moments_of_beta, uniform_chain_spec
 from treebelief import (
     Dirichlet,
     DiscreteSupport,
-    MomentSet,
     NetworkSpec,
     NodeSpec,
     PointMass,
     chain_child_variance,
     check_variance_bound,
-    moments_of,
     posterior_report,
     propagate,
     validate_network,
 )
 from treebelief.errors import DomainError, PreconditionViolated
+from treebelief.model import _check_moments
 
 
 class TestBetaMoments:
@@ -58,11 +57,12 @@ class TestMomentCondition:
         # the condition E(p^2) <= (E + E^2) / 2 on a binary vector's first entry
         cases = (
             (moments_of(Dirichlet(np.array([1.0, 1.0]))), True),  # uniform: S = 1/3 <= 0.375
-            (MomentSet(np.array([0.5, 0.5]), np.array([[0.4, 0.1], [0.1, 0.4]])), False),
+            ((np.array([0.5, 0.5]), np.array([[0.4, 0.1], [0.1, 0.4]])), False),
             (moments_of(PointMass(np.array([0.0, 1.0]))), True),  # boundary: E = 0, S = 0
         )
-        for m, holds in cases:
-            e, s = float(m.mean[0]), float(m.second[0, 0])
+        for (mean, second), holds in cases:
+            _check_moments(mean, second, "case")  # each case is a valid moment pair
+            e, s = float(mean[0]), float(second[0, 0])
             assert (s <= (e + e * e) / 2.0 + 1e-12) == holds
 
 

@@ -24,6 +24,7 @@ from conftest import (
     mixed_trees,
     reference_parse,
     row_arrays,
+    three_island_spec,
     tiny_evidence_chain_spec,
     two_node_mixed_spec,
     underflow_star_spec,
@@ -1209,6 +1210,17 @@ class TestCompareCommand:
         )
         assert code == 5
         assert "CapExceeded" in err
+
+    def test_cap_bounds_the_sum_over_islands(self, capsys, tmp_path):
+        # three islands of 8 combinations each pass a cap of 8 together
+        path = str(tmp_path / "islands.json")
+        save_network(three_island_spec(), path)
+        code, out, err = run_cli(
+            capsys, "compare", path, "--evidence", "r=a", "--mode", "enum", "--cap", "8",
+            "--oracle-mode", "exact-posterior",
+        )
+        assert code == 5 and out == ""
+        assert err == "CapExceeded: 16 uncertainty combinations exceed the cap 8\n"
 
     def test_cap_below_one_exit_5(self, capsys, two_node_file):
         code, out, err = run_cli(

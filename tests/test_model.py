@@ -11,17 +11,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import mixed_trees, random_row, reference_parse, row_arrays
+from conftest import mixed_trees, moments_of, random_row, reference_parse, row_arrays
 from treebelief import (
     Dirichlet,
     DiscreteSupport,
-    MomentSet,
     NetworkSpec,
     NodeSpec,
     PointMass,
     enumerate_uncertainty,
     load_network,
-    moments_of,
     parse_network,
     posterior_report,
     propagate,
@@ -89,7 +87,7 @@ class TestMomentsOf:
     def test_point_mass(self):
         m = moments_of(PointMass(np.array([0.3, 0.7])))
         assert m.second == pytest.approx(np.array([[0.09, 0.21], [0.21, 0.49]]))
-        assert m.variance() == pytest.approx([0.0, 0.0], abs=1e-15)
+        assert np.diag(m.second) - m.mean**2 == pytest.approx([0.0, 0.0], abs=1e-15)
 
 
 def _random_distribution(rng):
@@ -150,15 +148,13 @@ class TestMomentSetInvariants:
         half, flat = [0.5, 0.5], [[0.25, 0.25], [0.25, 0.25]]
         for mean, second, message in [
             (half, [[0.6, 0.1], [0.1, 0.3]], "row sums of second moments must equal the mean"),
-            ([half], [flat], "mean (k,) and second (k, k) required"),
-            (half, half, "mean (k,) and second (k, k) required"),
             ([0.5, 0.6], flat, "mean is not a probability vector"),
             (half, [[0.6, -0.1], [-0.1, 0.6]], "second moments must be >= 0"),
             (half, [[0.3, 0.2], [0.25, 0.3]], "second-moment matrix must be symmetric"),
             (half, [[0.2, 0.3], [0.3, 0.2]], "diagonal must lie between mean**2 and mean"),
         ]:
             with pytest.raises(BadDistribution) as info:
-                MomentSet(np.array(mean), np.array(second))
+                model._check_moments(np.array(mean), np.array(second), "moment set")
             assert str(info.value) == "moment set: " + message
 
     def test_non_finite_moments_rejected(self):
@@ -180,9 +176,9 @@ class TestMomentSetInvariants:
 
     def test_very_confident_row_validates(self):
         spec = _chain(rows_b=(Dirichlet(np.array([1e200, 1e200])), PointMass(np.array([0.2, 0.8]))))
-        row = validate_network(spec).nodes["B"].row_moments[0]
-        np.testing.assert_array_equal(row.mean, [0.5, 0.5])
-        np.testing.assert_array_equal(row.second, [[0.25, 0.25], [0.25, 0.25]])
+        mean, second = validate_network(spec).nodes["B"].row_moments[0]
+        np.testing.assert_array_equal(mean, [0.5, 0.5])
+        np.testing.assert_array_equal(second, [[0.25, 0.25], [0.25, 0.25]])
 
     def test_moments_below_the_overflow_keep_their_bits(self):
         # the largest a0 whose a0 (a0 + 1) is finite takes the outer-product form
@@ -199,11 +195,11 @@ class TestMomentSetInvariants:
         node = validate_network(_chain()).nodes["B"]
         assert node.mean_rows.shape == (2, 2) and node.second_rows.shape == (2, 2, 2)
         assert not node.mean_rows.flags.writeable and not node.second_rows.flags.writeable
-        for j, (dist, m) in enumerate(zip(node.rows, node.row_moments)):
+        for j, (dist, (mean, second)) in enumerate(zip(node.rows, node.row_moments)):
             expected = moments_of(dist)
-            np.testing.assert_array_equal(m.mean, expected.mean)
-            np.testing.assert_array_equal(m.second, expected.second)
-            assert np.shares_memory(m.mean, node.mean_rows)
+            np.testing.assert_array_equal(mean, expected.mean)
+            np.testing.assert_array_equal(second, expected.second)
+            assert np.shares_memory(mean, node.mean_rows) and np.shares_memory(second, node.second_rows)
 
 
 class TestDistributionValidation:
@@ -290,10 +286,9 @@ class TestValidateNetwork:
             (lambda spec, path: validate_network(NetworkSpec(
                 (NodeSpec("A", ("a1", "a2"), "B", spec.nodes[0].rows),) + spec.nodes[1:])),
              "node 'B', row 1: unsupported distribution str"),
-            (lambda spec, path: moments_of(object()), "unsupported distribution type object"),
             (lambda spec, path: save_network(spec, path), "unsupported distribution type str"),
         ],
-        ids=["validate_network", "validate_network-no-root", "moments_of", "save_network"],
+        ids=["validate_network", "validate_network-no-root", "save_network"],
     )
     def test_unsupported_row_is_named(self, tmp_path, call, message):
         spec = _chain((PointMass(np.array([0.9, 0.1])), "oops"))
@@ -350,9 +345,8 @@ class TestValidateNetwork:
     def test_rows_own_their_numbers(self, tmp_path):
         # every constructor copies: the caller's arrays stay writable
         alpha, p, points, weights = np.ones(2), np.array([0.4, 0.6]), np.eye(2), np.full(2, 0.5)
-        mean, second = np.array([0.5, 0.5]), np.full((2, 2), 0.25)
-        Dirichlet(alpha), PointMass(p), DiscreteSupport(points, weights), MomentSet(mean, second)
-        assert all(a.flags.writeable for a in (alpha, p, points, weights, mean, second))
+        Dirichlet(alpha), PointMass(p), DiscreteSupport(points, weights)
+        assert all(a.flags.writeable for a in (alpha, p, points, weights))
 
         # a write through the array a row was made from reaches no row
         base = np.array([1.0, 1.0, 1.0])
@@ -386,17 +380,14 @@ class TestValidateNetwork:
             Dirichlet(np.ones(2)),
             PointMass(np.array([0.4, 0.6])),
             DiscreteSupport(np.eye(2), np.full(2, 0.5)),
-            MomentSet(np.array([0.5, 0.5]), np.full((2, 2), 0.25)),
-            moments_of(Dirichlet(np.ones(2))),
             *parse_network(network_to_json(_chain())).nodes[1].rows,
-            *validate_network(_chain()).nodes["B"].row_moments,
         ]
-        for row in rows:
-            for field in dataclasses.fields(row):
-                array = getattr(row, field.name)
-                with pytest.raises(ValueError):
-                    array.flags.writeable = True
-                assert not array.flags.writeable
+        arrays = [getattr(row, field.name) for row in rows for field in dataclasses.fields(row)]
+        arrays += [array for pair in validate_network(_chain()).nodes["B"].row_moments for array in pair]
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+            assert not array.flags.writeable
 
     @pytest.mark.parametrize(
         "ids, message",

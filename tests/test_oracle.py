@@ -15,6 +15,7 @@ from conftest import (
     impossible_evidence_spec,
     random_evidence,
     random_tree_spec,
+    three_island_spec,
     tiny_evidence_chain_spec,
     two_point_chain_spec,
     underflow_star_spec,
@@ -107,6 +108,16 @@ class TestEnumerate:
         for cap in (1, np.int64(1), np.int32(1)):
             with pytest.raises(CapExceeded):
                 enumerate_uncertainty(two_node_mixed, {}, "prior", cap=cap)
+
+    @pytest.mark.parametrize("mode", oracle.MODES[1:])
+    def test_cap_bounds_the_sum_over_islands(self, mode):
+        net = validate_network(three_island_spec())
+        assert [len(island.members) for island in oracle._islands(net, {"r": 0})] == [2, 2, 2]
+        for cap, total in ((8, 16), (23, 24)):  # raised once the running sum passes the cap
+            with pytest.raises(CapExceeded) as info:
+                enumerate_uncertainty(net, {"r": 0}, mode, cap=cap)
+            assert str(info.value) == f"{total} uncertainty combinations exceed the cap {cap}"
+        assert enumerate_uncertainty(net, {"r": 0}, mode, cap=24).size == 24
 
     @pytest.mark.parametrize("cap", ["10", True, False, 2.5, 0, -1, None])
     def test_cap_must_be_a_positive_integer(self, two_node_mixed, cap):
@@ -773,7 +784,7 @@ def _reference_sample_chunks(net, n, seed, index, node_ids, row_ids):
     return n, _copied_chunks(net, node_ids, listed, n, fill)
 
 
-def _index_grid_chunks(net, cap, node_ids, row_ids, chunks=None):
+def _index_grid_chunks(net, node_ids, row_ids, chunks=None):
     """The reference for :func:`oracle._grid_chunks`, plain index arithmetic:
     each chunk recomputes every listed row's support index of each
     realization ``i`` as ``(i // stride) % size``.  ``chunks`` builds the
@@ -782,8 +793,6 @@ def _index_grid_chunks(net, cap, node_ids, row_ids, chunks=None):
     supports = [oracle._support_of(net.nodes[n].rows[r]) for n, r in listed]
     sizes = [len(w) for _, w in supports]
     count = math.prod(sizes)
-    if count > cap:
-        raise CapExceeded(f"{count} uncertainty combinations exceed the cap {cap}")
     strides = [math.prod(sizes[i + 1:]) for i in range(len(sizes))]
 
     def fill(lo, hi, rows):
@@ -864,7 +873,7 @@ class TestChunkedRealizations:
         ))
         cap = oracle._CHUNK_REALIZATIONS
         rows = [(z, r) for z in net.order for r in range(len(net.nodes[z].rows))]
-        count, chunks = oracle._grid_chunks(net, 3**9, net.order, rows)
+        count, chunks = oracle._grid_chunks(net, net.order, rows)
         lengths = [len(w) for _, w in chunks]
         assert count == 3**9 > cap
         assert len(lengths) == -(-count // cap) and max(lengths) == cap and sum(lengths) == count
@@ -964,7 +973,7 @@ class TestChunkedRealizations:
         if cells is not None:  # 34 table cells: chunks of 2, some splitting A's runs of 3
             monkeypatch.setattr(oracle, "_CHUNK_CELLS", cells)
         rows = [("A", 0), ("B", 0), ("B", 1)]
-        count, chunks = oracle._grid_chunks(net, 10, net.order, rows)
+        count, chunks = oracle._grid_chunks(net, net.order, rows)
         chunks = list(chunks)
         assert count == 6 and len(chunks) == (1 if cells is None else 3)
         got = [
@@ -998,11 +1007,11 @@ class TestChunkedRealizations:
         with pytest.MonkeyPatch.context() as m:
             m.setattr(oracle, "_CHUNK_REALIZATIONS", realizations)
             m.setattr(oracle, "_CHUNK_CELLS", cells)
-            want_count, want = _index_grid_chunks(net, 10**6, net.order, rows)
+            want_count, want = _index_grid_chunks(net, net.order, rows)
             want = list(want)
             real, seen = oracle._chunks, []  # seen: the arguments _grid_chunks hands to _chunks
             m.setattr(oracle, "_chunks", lambda *args: seen.append(args) or real(*args))
-            count, got = oracle._grid_chunks(net, 10**6, net.order, rows)
+            count, got = oracle._grid_chunks(net, net.order, rows)
             got = list(got)
             step = oracle._step(net, net.order)
             values = []  # what the source assigns to each listed row of each chunk
