@@ -72,7 +72,16 @@ process's peak, which the spawn inherits; ``None`` where ``/proc`` is
 absent).  Each reads as the best of its rounds.  Beside them, per tree
 and round, another child runs ``validate_network(load_network(FILE))``,
 keeps the network, runs the collector and reads its own ``VmRSS``: the
-memory a library user pays to hold a loaded network, in kB per node.
+memory a library user pays to hold a loaded network, in kB per node.  The
+memory columns can show a change of a percent; the wall column cannot tell
+one of a tenth from noise, since a child's wall time varies from one child
+to the next by that much and more, and more repeats do not mend it.  On a
+2-vCPU Xeon VM shared with other tenants, this checkout against itself
+(``--sizes 1000 --rounds 1 --base src``) read wall ratios of 1.096, 1.008
+and 0.930 on the chain, star and binary trees; the best of three
+interleaved children per side and round still read 0.70-1.52 over six
+rounds per tree, while ``VmHWM`` and held ``VmRSS`` read 0.996-1.003 in the
+same runs.  Read time from the in-process layers.
 
 With ``--base SRC`` a second source tree (the ``src`` directory of another
 checkout) is loaded into the same process and timed on the same files,

@@ -14,7 +14,6 @@ from . import errors
 from .bounds import (
     BoundEntry,
     BoundReport,
-    chain_child_variance,
     check_variance_bound,
 )
 from .model import (
@@ -46,7 +45,6 @@ __all__ = [
     "errors",
     "BoundEntry",
     "BoundReport",
-    "chain_child_variance",
     "check_variance_bound",
     "Dirichlet",
     "DiscreteSupport",

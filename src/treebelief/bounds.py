@@ -2,17 +2,18 @@
 
 The candidate bound checked here: a node's prior variance should not exceed
 the largest variance among its own stored conditional entries.  This module
-holds the closed-form two-node variance (:func:`chain_child_variance`) and a
-whole-network checker that compares propagated prior variances against the
-bound (:func:`check_variance_bound`).
+holds a whole-network checker that compares propagated prior variances
+against the bound (:func:`check_variance_bound`) and the random binary beta
+trees that ``treebelief boundcheck --gen`` draws from its domain
+(:func:`random_beta_tree`).
 
-The bound does not always hold.  A parent's variance reaches its child scaled
-by the squared separation of the child's row means (see
-:func:`chain_child_variance`), so a high-variance parent feeding a child
-whose rows are confident but far apart produces child variances well above
-every row variance (``tests/test_bounds.py`` pins such cases, inside the
-checker's domain and beyond it); :func:`check_variance_bound` reports
-honestly either way.
+The bound does not always hold.  By the law of total variance, a parent's
+variance reaches its child scaled by the squared separation of the child's
+row means, so a high-variance parent feeding a child whose rows are
+confident but far apart produces child variances well above every row
+variance (``tests/test_bounds.py`` pins such cases, inside the checker's
+domain and beyond it); :func:`check_variance_bound` reports honestly either
+way.
 """
 from __future__ import annotations
 
@@ -21,30 +22,12 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .errors import DomainError, PreconditionViolated
-from .model import Dirichlet, ValidatedNetwork
+from .errors import PreconditionViolated
+from .model import Dirichlet, NetworkSpec, NodeSpec, ValidatedNetwork
 from .propagation import posterior_report, propagate
 
 #: Numerical slack for the bound check.
 BOUND_TOL = 1e-12
-
-
-def chain_child_variance(
-    e: float, v: float, e1: float, v1: float, e2: float, v2: float
-) -> float:
-    """Closed-form prior variance of a binary child's first alternative.
-
-    ``e, v`` are the mean and variance of the binary parent's first
-    alternative; ``e1, v1`` and ``e2, v2`` are means and variances of the
-    child's first alternative conditional on each parent alternative.  This
-    must match the propagation engine's prior variance on the corresponding
-    two-node network.
-    """
-    if not (0.0 <= e <= 1.0 and 0.0 <= e1 <= 1.0 and 0.0 <= e2 <= 1.0):
-        raise DomainError("means must lie in [0, 1]")
-    if not all(0.0 <= x < np.inf for x in (v, v1, v2)):
-        raise DomainError("variances must be finite and >= 0")
-    return v * (v1 + v2 + (e1 - e2) ** 2) + v2 * (1.0 - e) ** 2 + v1 * e**2
 
 
 @dataclass(frozen=True)
@@ -103,3 +86,43 @@ def check_variance_bound(net: ValidatedNetwork) -> BoundReport:
         slack = bound - variance
         entries.append(BoundEntry(node_id, variance, bound, slack, slack >= -BOUND_TOL))
     return BoundReport(tuple(entries), all(e.passed for e in entries))
+
+
+# Children per random_beta_tree node.
+_MAX_CHILDREN = 2
+_ALPHA_RANGE, _MIN_ALPHA_SUM = (0.5, 50.0), 2.0
+
+
+def random_beta_tree(
+    rng: np.random.Generator,
+    max_depth: int = 5,
+) -> NetworkSpec:
+    """Random binary tree whose rows are beta (two-dimensional Dirichlet).
+
+    Alphas are log-uniform in ``_ALPHA_RANGE``, resampled until the row's
+    alpha sum reaches ``_MIN_ALPHA_SUM``.
+    """
+
+    def beta_row() -> Dirichlet:
+        while True:
+            alpha = np.exp(rng.uniform(*np.log(_ALPHA_RANGE), size=2))
+            if alpha.sum() >= _MIN_ALPHA_SUM:
+                return Dirichlet(alpha)
+
+    labels = ("s1", "s2")
+    nodes = [NodeSpec("n0", labels, None, (beta_row(),))]
+    frontier = [("n0", 0)]
+    counter = 1
+    while frontier:
+        parent, depth = frontier.pop(0)
+        if depth >= max_depth:
+            continue
+        n_children = int(rng.integers(0, _MAX_CHILDREN + 1))
+        if parent == "n0" and n_children == 0:
+            n_children = 1  # at least one non-root node
+        for _ in range(n_children):
+            node_id = f"n{counter}"
+            counter += 1
+            nodes.append(NodeSpec(node_id, labels, parent, (beta_row(), beta_row())))
+            frontier.append((node_id, depth + 1))
+    return NetworkSpec(tuple(nodes))

@@ -32,20 +32,16 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from . import __version__
-from .bounds import check_variance_bound
+from .bounds import check_variance_bound, random_beta_tree
 from .errors import (
     BeliefNetworkError,
     CapExceeded,
     InconsistentEvidence,
     NegativeVariance,
-    NetworkValidationError,
     NonFiniteResult,
     ParseError,
     PreconditionViolated,
-    UnknownAlternative,
-    UnknownNode,
 )
-from .generate import random_beta_tree
 from .model import ValidatedNetwork, validate_network
 from .netfile import load_network
 from .oracle import DEFAULT_CAP, MODES, OracleReport, enumerate_uncertainty, mc_uncertainty
@@ -323,7 +319,6 @@ _EXIT_CODES = (
     (InconsistentEvidence, EXIT_INCONSISTENT),
     ((NonFiniteResult, NegativeVariance), EXIT_NONFINITE),
     ((CapExceeded, PreconditionViolated), EXIT_PRECONDITION),
-    ((ParseError, NetworkValidationError, UnknownNode, UnknownAlternative), EXIT_VALIDATION),
 )
 
 

@@ -57,9 +57,5 @@ class PreconditionViolated(BeliefNetworkError):
     pass
 
 
-class DomainError(BeliefNetworkError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
 class ParseError(BeliefNetworkError):
     pass

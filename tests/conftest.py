@@ -54,6 +54,18 @@ def beta_mean_cap(variance: float) -> float:
     return (1.0 + np.sqrt(max(0.0, 1.0 - 12.0 * variance))) / 2.0
 
 
+def chain_child_variance(e, v, e1, v1, e2, v2):
+    """Closed-form prior variance of a binary child's first alternative.
+
+    ``e, v`` are the mean and variance of the binary parent's first
+    alternative; ``e1, v1`` and ``e2, v2`` are means and variances of the
+    child's first alternative conditional on each parent alternative.  The
+    reference for the engine's prior variance on the corresponding two-node
+    network, by the law of total variance.
+    """
+    return v * (v1 + v2 + (e1 - e2) ** 2) + v2 * (1.0 - e) ** 2 + v1 * e**2
+
+
 def brute_force_joint(net, tables, evidence):
     """Posterior marginals and P(evidence) by summing the full joint.
 

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import (
     beta_mean_cap,
+    chain_child_variance,
     exact_means,
     impossible_evidence_spec,
     moments_of_beta,
@@ -23,7 +24,6 @@ from treebelief import (
     DiscreteSupport,
     NetworkSpec,
     NodeSpec,
-    chain_child_variance,
     check_variance_bound,
     enumerate_uncertainty,
     mc_uncertainty,
@@ -31,8 +31,8 @@ from treebelief import (
     propagate,
     validate_network,
 )
+from treebelief.bounds import random_beta_tree
 from treebelief.errors import InconsistentEvidence
-from treebelief.generate import random_beta_tree
 
 
 def _gate(name: str, ok: bool, detail: str = "") -> None:

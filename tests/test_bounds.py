@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import beta_mean_cap, moments_of, moments_of_beta, uniform_chain_spec
+from conftest import beta_mean_cap, chain_child_variance, moments_of, moments_of_beta, uniform_chain_spec
 from treebelief import (
     Dirichlet,
     DiscreteSupport,
     NetworkSpec,
     NodeSpec,
     PointMass,
-    chain_child_variance,
     check_variance_bound,
     posterior_report,
     propagate,
     validate_network,
 )
-from treebelief.errors import DomainError, PreconditionViolated
+from treebelief.errors import PreconditionViolated
 from treebelief.model import _check_moments
 
 
@@ -120,19 +119,6 @@ class TestChainChildVariance:
                 e, deltas[0] ** 2, e1, deltas[1] ** 2, e2, deltas[2] ** 2
             )
             assert rep.variance[0] == pytest.approx(closed, abs=1e-12)
-
-    def test_domain(self):
-        for args in (
-            (1.2, 0.0, 0.5, 0.0, 0.5, 0.0),
-            (0.5, -0.1, 0.5, 0.0, 0.5, 0.0),
-            (np.nan, 0.0, 0.5, 0.0, 0.5, 0.0),
-            (0.5, 0.0, 0.5, 0.0, np.inf, 0.0),
-            (0.5, np.nan, 0.5, 0.0, 0.5, 0.0),
-            (0.5, 0.0, 0.5, np.inf, 0.5, 0.0),
-            (0.5, 0.0, 0.5, 0.0, 0.5, -np.inf),
-        ):
-            with pytest.raises(DomainError):
-                chain_child_variance(*args)
 
 
 def _flat_root_k3():

@@ -45,9 +45,9 @@ from treebelief import (
     validate_network,
 )
 from treebelief import cli, propagation
+from treebelief.bounds import random_beta_tree
 from treebelief.cli import main
-from treebelief.errors import BadDistribution, DimensionMismatch, DomainError, NonFiniteResult, ParseError
-from treebelief.generate import random_beta_tree
+from treebelief.errors import BadDistribution, BeliefNetworkError, DimensionMismatch, NonFiniteResult, ParseError
 from treebelief.netfile import network_to_json
 from treebelief.oracle import MAX_SAMPLES
 
@@ -711,11 +711,11 @@ class TestQueryCommand:
 
     def test_any_other_package_error_exits_2(self, capsys, monkeypatch, uniform_file):
         def fails(*args, **kwargs):
-            raise DomainError("out of its domain")
+            raise BeliefNetworkError("out of its domain")
 
         monkeypatch.setattr(cli, "propagate", fails)
         code, out, err = run_cli(capsys, "query", uniform_file)
-        assert (code, out, err) == (2, "", "DomainError: out of its domain\n")
+        assert (code, out, err) == (2, "", "BeliefNetworkError: out of its domain\n")
 
     def test_report_round_trip_and_determinism(self, capsys, two_node_file):
         _, out1, _ = run_cli(capsys, "query", two_node_file, "--evidence", "B=b1")

@@ -34,13 +34,13 @@ from treebelief import (
     validate_network,
 )
 from treebelief import oracle
+from treebelief.bounds import random_beta_tree
 from treebelief.errors import (
     CapExceeded,
     InconsistentEvidence,
     NonFiniteResult,
     PreconditionViolated,
 )
-from treebelief.generate import random_beta_tree
 from treebelief.oracle import OracleEntry, _dirichlet_draws
 
 

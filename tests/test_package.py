@@ -1,3 +1,4 @@
+import ast
 import json
 import re
 from pathlib import Path
@@ -10,7 +11,6 @@ PUBLIC = {
     "errors",
     "BoundEntry",
     "BoundReport",
-    "chain_child_variance",
     "check_variance_bound",
     "Dirichlet",
     "DiscreteSupport",
@@ -35,10 +35,25 @@ PUBLIC = {
 
 
 def test_public_names_are_pinned_and_resolve():
-    assert len(treebelief.__all__) == len(set(treebelief.__all__)) == len(PUBLIC) == 25
+    assert len(treebelief.__all__) == len(set(treebelief.__all__)) == len(PUBLIC) == 24
     assert set(treebelief.__all__) == PUBLIC
     for name in treebelief.__all__:
         assert getattr(treebelief, name) is not None
+
+
+def test_package_modules_use_every_name_they_import():
+    for path in sorted(Path(treebelief.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if path.name == "__init__.py":
+            read |= set(treebelief.__all__)  # a name exported through __all__ is read by the package's users
+        assert imported <= read, f"{path.name} imports {sorted(imported - read)} and never reads them"
 
 
 def _readme_block(heading, language):
