@@ -64,24 +64,19 @@ as having spent their budget.
 
 An end-to-end row then runs ``python -m treebelief.cli query FILE --evidence
 LEAF=s1`` once per round, per tree and version, each in a fresh child
-process with its report written to a file.  It records the wall time in µs
-per node, interpreter start included, and the child's own peak resident
-memory in kB per node: ``VmHWM`` from ``/proc/self/status``, read inside the
-child as the command returns (``ru_maxrss`` of a child would include this
-process's peak, which the spawn inherits; ``None`` where ``/proc`` is
-absent).  Each reads as the best of its rounds.  Beside them, per tree
-and round, another child runs ``validate_network(load_network(FILE))``,
-keeps the network, runs the collector and reads its own ``VmRSS``: the
-memory a library user pays to hold a loaded network, in kB per node.  The
-memory columns can show a change of a percent; the wall column cannot tell
-one of a tenth from noise, since a child's wall time varies from one child
-to the next by that much and more, and more repeats do not mend it.  On a
-2-vCPU Xeon VM shared with other tenants, this checkout against itself
-(``--sizes 1000 --rounds 1 --base src``) read wall ratios of 1.096, 1.008
-and 0.930 on the chain, star and binary trees; the best of three
-interleaved children per side and round still read 0.70-1.52 over six
-rounds per tree, while ``VmHWM`` and held ``VmRSS`` read 0.996-1.003 in the
-same runs.  Read time from the in-process layers.
+process with its report written to a file, and records the child's own
+peak resident memory in kB per node: ``VmHWM`` from ``/proc/self/status``,
+read inside the child as the command returns (``ru_maxrss`` of a child
+would include this process's peak, which the spawn inherits; ``None`` where
+``/proc`` is absent).  Beside it, per tree and round, another child runs
+``validate_network(load_network(FILE))``, keeps the network, runs the
+collector and reads its own ``VmRSS``: the memory a library user pays to
+hold a loaded network, in kB per node.  Each reads as the best of its
+rounds, and can show a change of a percent.  The children's wall time is
+not recorded: it varies from one child to the next by a tenth and more
+(on a 2-vCPU Xeon VM shared with other tenants, this checkout against
+itself read ratios of 0.70-1.52), so time is read from the in-process
+layers.
 
 With ``--base SRC`` a second source tree (the ``src`` directory of another
 checkout) is loaded into the same process and timed on the same files,
@@ -97,7 +92,7 @@ from ``parse_network`` to ``posterior_report``, ``propagate`` with no
 evidence, with the mid-tree node observed and repeated, ``posterior_report``
 after the mid-tree query, and hand-built validation;
 then ``enumerate_uncertainty`` and ``mc_uncertainty`` per tree and mode, the islands chain, and
-the end-to-end wall time, ``VmHWM`` and held ``VmRSS``.  The per-round minimum over
+the end-to-end ``VmHWM`` and held ``VmRSS``.  The per-round minimum over
 repeats keeps one slow run on a shared host out of the ratio.  The two
 versions' ``query`` reports must be the same bytes apart from the
 ``generated_at`` line, or the script names the trees whose reports differ,
@@ -395,25 +390,22 @@ def time_sweep_up(tb, net, leaf: str) -> float:
     return sum(spent)
 
 
-def time_cli(src: Path, path: str, leaf: str, out: str):
-    """Wall seconds and ``VmHWM`` in kB of one ``query`` of ``path`` in a
-    child process running the package under ``src``, with its report
-    written to ``out``, then the ``VmRSS`` in kB of another child that holds
-    the validated network of ``path`` (:data:`HELD`); each ``None`` without
-    ``/proc``."""
+def cli_memory(src: Path, path: str, leaf: str, out: str):
+    """``VmHWM`` in kB of one ``query`` of ``path`` in a child process
+    running the package under ``src``, with its report written to ``out``,
+    then the ``VmRSS`` in kB of another child that holds the validated
+    network of ``path`` (:data:`HELD`); each ``None`` without ``/proc``."""
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = [sys.executable, "-c", CHILD, "query", path, "--evidence", f"{leaf}=s1"]
     with open(out, "wb") as handle:
-        start = time.perf_counter()
         child = subprocess.run(argv, stdout=handle, stderr=subprocess.PIPE, env=env, text=True)
-        seconds = time.perf_counter() - start
     lines = child.stderr.splitlines()
     if child.returncode != 0:
         raise RuntimeError(f"query of {path} exited {child.returncode}: {child.stderr.strip()}")
     hwm = lines[-1].split()[1] if lines and lines[-1].startswith("VmHWM:") else None
     held = subprocess.run([sys.executable, "-c", HELD, path], capture_output=True, env=env, text=True,
                           check=True).stdout.split()
-    return seconds, None if hwm is None else int(hwm), int(held[1]) if held else None
+    return None if hwm is None else int(hwm), int(held[1]) if held else None
 
 
 def largest_difference(a: str, b: str) -> float:
@@ -474,7 +466,7 @@ def main(argv=None) -> int:
     collector = ("off",) if args.gc_off else ("on", "off")
     runs = [(v, c) for c in collector for v in versions]
     times = {run: {} for run in runs}  # (version, collector) -> tree -> [per-round layer seconds]
-    cli_runs = {v: {} for v in versions}  # version -> tree -> [per-round (wall s, VmHWM kB, held VmRSS kB)]
+    cli_runs = {v: {} for v in versions}  # version -> tree -> [per-round (VmHWM kB, held VmRSS kB)]
     differ = {}  # tree -> largest absolute difference between the two reports
     # oracle -> (version, collector) -> shape -> [per-round seconds per mode]
     oracle_times = {name: {run: {} for run in runs} for name in ORACLES}
@@ -507,7 +499,7 @@ def main(argv=None) -> int:
                     times[run].setdefault(tree, []).append(best[run].tolist())
                 outs = {v: str(Path(tmp) / f"query-{v}.json") for v in versions}
                 for v in (versions if r % 2 == 0 else list(versions)[::-1]):
-                    cli_runs[v].setdefault(tree, []).append(time_cli(srcs[v], path, leaf, outs[v]))
+                    cli_runs[v].setdefault(tree, []).append(cli_memory(srcs[v], path, leaf, outs[v]))
                 if r == 0 and "base" in versions and not same_report(outs["this"], outs["base"]):
                     differ[tree] = largest_difference(outs["this"], outs["base"])
             for name, (_, _, modes, call, _) in ORACLES.items():
@@ -540,19 +532,18 @@ def main(argv=None) -> int:
                     out[f"{name}_ms"][v][shape] = {mode: None if np.isnan(x) else round(x, 4)
                                                    for mode, x in zip(modes, best.tolist())}
                     print(f"  {shape:<14}" + "".join(f"{'-' if np.isnan(x) else f'{x:.3f}':>22}" for x in best))
-    out = result["end_to_end"] = {"us_per_node": {}, "vmhwm_kb_per_node": {}, "held_vmrss_kb_per_node": {}}
+    out = result["end_to_end"] = {"vmhwm_kb_per_node": {}, "held_vmrss_kb_per_node": {}}
     for v in versions:
         print(f"{v}: `python -m treebelief.cli query FILE --evidence LEAF=s1` in a child process, "
               f"and a held validated network's VmRSS in another, best of {args.rounds} rounds")
-        print(f"  {'tree':<14}{'wall µs per node':>22}{'VmHWM kB per node':>22}{'held VmRSS kB per node':>24}")
+        print(f"  {'tree':<14}{'VmHWM kB per node':>22}{'held VmRSS kB per node':>24}")
         for key in out:
             out[key][v] = {}
         for tree, (*_, n) in trees.items():
-            wall, hwm, held = (None if runs[0] is None else min(runs) / n for runs in zip(*cli_runs[v][tree]))
-            out["us_per_node"][v][tree] = round(wall * 1e6, 3)
+            hwm, held = (None if runs[0] is None else min(runs) / n for runs in zip(*cli_runs[v][tree]))
             out["vmhwm_kb_per_node"][v][tree] = None if hwm is None else round(hwm, 3)
             out["held_vmrss_kb_per_node"][v][tree] = None if held is None else round(held, 3)
-            print(f"  {tree:<14}{wall * 1e6:>22.2f}{'-' if hwm is None else f'{hwm:.3f}':>22}"
+            print(f"  {tree:<14}{'-' if hwm is None else f'{hwm:.3f}':>22}"
                   f"{'-' if held is None else f'{held:.3f}':>24}")
     if "base" in versions:
         for title, key, layers in RATIOS:
@@ -584,10 +575,10 @@ def main(argv=None) -> int:
                     print(f"  {f'{shape}/{mode}':<24}" + " |".join(cells))
             result[f"{name}_identical"] = not oracle_differ[name]
         print("query and held network in child processes, this / base: median of per-round ratios "
-              "[min, max], wall | VmHWM | held VmRSS")
+              "[min, max], VmHWM | held VmRSS")
         for tree in trees:
             cells = []
-            for i, key in enumerate(("wall_ratio", "vmhwm_ratio", "held_vmrss_ratio")):
+            for i, key in enumerate(("vmhwm_ratio", "held_vmrss_ratio")):
                 pairs = zip(cli_runs["this"][tree], cli_runs["base"][tree])
                 ratios = [a[i] / b[i] for a, b in pairs if a[i] is not None and b[i] is not None]
                 out.setdefault(key, {})[tree] = round(statistics.median(ratios), 4) if ratios else None

@@ -434,10 +434,9 @@ class ValidatedNode(NamedTuple):
 class ChainSegment(NamedTuple):
     """``n`` one-node depths from ``depth`` down, each node of ``k``
     alternatives and ``r`` rows, so ``r == k`` unless ``n == 1``.  The nodes'
-    slots count up from ``slot``, their first rows from ``row`` by ``r`` and
-    their positions from ``position``; the top node's parent has slot
-    ``parent`` among the nodes of ``r`` alternatives, and each lower node's
-    parent is the node above it."""
+    slots count up from ``slot`` and their first rows from ``row`` by ``r``;
+    the top node's parent has slot ``parent`` among the nodes of ``r``
+    alternatives, and each lower node's parent is the node above it."""
 
     depth: int
     n: int
@@ -445,7 +444,6 @@ class ChainSegment(NamedTuple):
     r: int
     slot: int
     row: int
-    position: int
     parent: int
 
 
@@ -456,17 +454,17 @@ class LevelPlan(NamedTuple):
     row count ``r`` (the parent's ``k``; 1 at the root) and the parent's
     number of children.  ``moments[k]`` holds their row moments in slot
     order, ``(mean, second, flat)`` with ``flat`` a ``(rows, k * k)`` view of
-    ``second``, a node's first row at ``row_start[k][slot]``.
-    Non-root nodes with ``r`` rows own *positions* ``0..sib_counts[r]-1`` in
-    which each parent's children are consecutive.  ``slot[id]`` is ``(depth,
-    k, slot, r, position)``.  ``steps`` covers every depth below the root, in
-    depth order.  A depth of several nodes is a *level* ``(depth, groups,
-    runs)``: a group ``(r, k, slots, rows, positions, parents)`` holds its
-    nodes of equal ``(r, k)`` and their parents' slots, a run ``(r, m, kids,
+    ``second``, a node's first row at ``row_start[k][slot]``.  ``slot[id]``
+    is a node's place ``(depth, k, slot)``.  ``steps`` covers every depth
+    below the root, in depth order.  A depth of several nodes is a *level*
+    ``(depth, groups, runs)``; its nodes with ``r`` rows own *positions*
+    among ``0..sib_counts[r]-1``, each parent's children consecutive.  A
+    group ``(r, k, slots, rows, positions, parents)`` holds a level's nodes
+    of equal ``(r, k)`` and their parents' slots, a run ``(r, m, kids,
     parents)`` the ``P * m`` positions of its nodes whose ``P`` parents have
     ``m`` children; indices are slices, or read-only arrays where they skip.
     Each maximal run of one-node depths of equal ``k`` and ``r`` is a
-    :class:`ChainSegment`.  ``places`` is a read-only ``(n, 5)`` int array of
+    :class:`ChainSegment`.  ``places`` is a read-only ``(n, 3)`` int array of
     the ``slot`` tuples in ``ValidatedNetwork.order``.  The dicts are
     read-only mappings.  ``prior`` holds the prior parent messages ``(q, T)``
     of the *leading path*, the chain segments that open ``steps``: one pair
@@ -515,14 +513,16 @@ def _compile(order, above, depth, k, r, m):
     parent's children are consecutive; ``above`` and ``depth`` give each
     node's parent's place in it (0 at the root) and depth, and the arrays
     ``k``, ``r`` and ``m`` its alternative and row counts and its parent's
-    number of children.  Two stable sorts give the slot and sibling orders;
-    ties keep ``order``.
+    number of children.  Two stable sorts give the slot and sibling orders,
+    the latter of the levels' nodes only; ties keep ``order``.
     """
     n = len(order)
     above, depth = np.array(above), np.array(depth)
+    alone = (np.bincount(depth) == 1)[depth]
     plan = np.lexsort((m, k, r, depth))
-    sib = np.lexsort((m, r, depth))[1:]  # the root sorts first and has no siblings
-    slot, pos, first_row = np.empty(n, np.intp), np.zeros(n, np.intp), np.empty(n, np.intp)
+    sib = np.lexsort((m, r, depth))
+    sib = sib[~alone[sib]]  # a node alone at its depth, the root too, has no siblings
+    slot, pos, first_row = np.empty(n, np.intp), np.empty(n, np.intp), np.empty(n, np.intp)
     by_k, row_start, sib_counts = {}, {}, {}
     for kv in sorted(set(k.tolist())):
         by_k[kv] = members = plan[k[plan] == kv]
@@ -534,13 +534,13 @@ def _compile(order, above, depth, k, r, m):
         pos[members] = np.arange(len(members))
         sib_counts[rv] = len(members)
 
-    alone, parents, steps = (np.bincount(depth) == 1)[depth], slot[above], {}
+    parents, steps = slot[above], {}
     (d, rr, kk, s, ro, p, ps), runs = _runs(plan[~alone[plan]], depth, r, k, slot, first_row, pos, parents)
     for a, b in runs:
         rows = slice(ro[a], ro[a] + rr[a] * (b - a))
         group = (rr[a], kk[a], slice(s[a], s[a] + b - a), rows, _index(p[a:b]), _index(ps[a:b]))
         steps.setdefault(d[a], (d[a], [], []))[1].append(group)
-    (d, rr, mm, p, ps), runs = _runs(sib[~alone[sib]], depth, r, m, pos, parents)
+    (d, rr, mm, p, ps), runs = _runs(sib, depth, r, m, pos, parents)
     for a, b in runs:
         steps[d[a]][2].append((rr[a], mm[a], slice(p[a], p[a] + b - a), _index(ps[a:b:mm[a]])))
     lone = plan[alone[plan]][1:]  # by depth, below the root
@@ -549,10 +549,10 @@ def _compile(order, above, depth, k, r, m):
     bounds = [0, *cut.tolist(), len(lone)] if len(lone) else []
     for a, b in zip(bounds, bounds[1:]):
         top = lone[a]
-        fields = depth[top], b - a, k[top], r[top], slot[top], first_row[top], pos[top], parents[top]
+        fields = depth[top], b - a, k[top], r[top], slot[top], first_row[top], parents[top]
         segment = ChainSegment(*map(int, fields))
         steps[segment.depth] = segment
-    places = np.stack((depth, k, slot, r, pos), axis=1)
+    places = np.stack((depth, k, slot), axis=1)
     places.flags.writeable = False
     slot = MappingProxyType(dict(zip(order, map(tuple, places.tolist()))))
     steps = tuple(steps[d] for d in sorted(steps))
@@ -609,9 +609,9 @@ class ValidatedNetwork:
 
 #: Most float cells that :func:`validate_network` admits for a network's row
 #: moments and one query's messages: a node of ``k`` alternatives and ``r``
-#: rows holds ``r (k + k**2)`` of row moments, and a query's state holds
-#: four ``k + k**2`` messages per node.  1.6 GB of float64; a 10**6-node
-#: tree of ``k = 3`` needs 8.4e7, and two nodes of ``k = 1000`` 1.0e9.
+#: rows holds ``r (k + k**2)`` of row moments, and a query's state at most
+#: three ``k + k**2`` messages per node, counted as four.  1.6 GB of float64;
+#: a 10**6-node tree of ``k = 3`` needs 8.4e7, and two nodes of ``k = 1000`` 1.0e9.
 _CELL_CAP = 2e8
 
 #: Second-moment cells per :func:`_check_moments` call in :func:`validate_network`,

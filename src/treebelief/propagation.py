@@ -92,23 +92,26 @@ class MessageState:
     """All messages of one propagation run, ``(mean, second)`` arrays stacked
     in :class:`~treebelief.model.LevelPlan` order; the methods read one node's.
 
-    A state is confined to one query thread; distinct queries on the same
-    network may run concurrently with separate states.  Its arrays are its
+    Three stacks: ``_combined`` and ``_parent`` by slot, and ``_others`` by
+    sibling position, which only the nodes at levels own: the upward sweep
+    writes their messages there, then their siblings' products in place.  A
+    lone child's message is its parent's combined message.  A state is
+    confined to one query thread; distinct queries on the same network may
+    run concurrently with separate states.  Its arrays are its
     own and writable: the prior messages that the network keeps for its
     leading path are copied in, never shared.  ``_children`` lists the
     children of instantiated nodes as :func:`_observed_children` gives
     them, in evidence order.
     """
 
-    __slots__ = ("net", "evidence", "_combined", "_parent", "_upward", "_others", "_children")
+    __slots__ = ("net", "evidence", "_combined", "_parent", "_others", "_children")
 
     def __init__(self, net: ValidatedNetwork, evidence: Mapping[str, int]):
         self.net, self.evidence = net, dict(evidence)
         stack = lambda counts, fill: {k: (fill((n, k)), fill((n, k, k))) for k, n in counts.items()}
-        counts, sib = {k: len(starts) for k, starts in net.plan.row_start.items()}, net.plan.sib_counts
+        counts = {k: len(starts) for k, starts in net.plan.row_start.items()}
         self._combined, self._parent = stack(counts, np.ones), stack(counts, np.empty)
-        self._upward, self._others = stack(sib, np.ones), stack(sib, np.ones)
-        self._children = []
+        self._others, self._children = stack(net.plan.sib_counts, np.ones), []
 
     def _slot(self, node_id: str) -> tuple:
         self.net.node(node_id)  # raises UnknownNode outside the network
@@ -116,39 +119,32 @@ class MessageState:
 
     def combined(self, node_id: str) -> Tuple[np.ndarray, np.ndarray]:
         """The product of a node's child messages (if instantiated, its indicator)."""
-        _, k, i, _, _ = self._slot(node_id)
+        _, k, i = self._slot(node_id)
         return self._combined[k][0][i], self._combined[k][1][i]
-
-    def upward(self, node_id: str) -> Tuple[np.ndarray, np.ndarray]:
-        """A non-root node's message to its parent (``KeyError`` at the root);
-        exactly the unit message, as rows sum to one, where no instantiated
-        node is at or below the node."""
-        _, _, _, r, pos = self._slot(node_id)
-        return self._upward[r][0][pos], self._upward[r][1][pos]
 
     def parent(self, node_id: str) -> Tuple[np.ndarray, np.ndarray]:
         """The message an uninstantiated node (or the root) receives from above;
         in a chain segment, a distribution up to a scale every report cancels."""
-        _, k, i, _, _ = self._slot(node_id)
+        _, k, i = self._slot(node_id)
         return self._parent[k][0][i], self._parent[k][1][i]
 
 
-def _segment_products(x: np.ndarray, others: np.ndarray) -> np.ndarray:
+def _segment_products(x: np.ndarray) -> np.ndarray:
     """Each segment's product of the ``m`` messages in ``x[p]``, ``x`` shaped
-    ``(P, m, ...)``; ``others[p, i]`` gets the product of the other ``m - 1``.
+    ``(P, m, ...)``, and in place each ``x[p, i]`` that of the other ``m - 1``.
 
     Forward and reversed cumulative products end in the full product, and
     prefix times suffix leaves one out, free of division, which a zero would
     break.
     """
     if x.shape[1] == 1:
-        others[...] = 1.0
-        return x[:, 0]
+        full, x[...] = x[:, 0].copy(), 1.0
+        return full
     prefix = np.cumprod(x, axis=1)
     suffix = np.cumprod(x[:, ::-1], axis=1)[:, ::-1]
-    others[:, 0] = suffix[:, 1]
-    others[:, -1] = prefix[:, -2]
-    np.multiply(prefix[:, :-2], suffix[:, 2:], out=others[:, 1:-1])
+    x[:, 0] = suffix[:, 1]
+    x[:, -1] = prefix[:, -2]
+    np.multiply(prefix[:, :-2], suffix[:, 2:], out=x[:, 1:-1])
     return prefix[:, -1]
 
 
@@ -184,30 +180,29 @@ def _observed_children(net: ValidatedNetwork, node_id: str, alt: int) -> list:
     slot, row_start, kids = net.plan.slot, net.plan.row_start, net.nodes[node_id].children
     if not kids:
         return []
-    _, k, first, r, _ = slot[kids[0]]
-    m = len(kids)
-    if slot[kids[-1]][1:3] == (k, first + m - 1):
+    (_, r, _), (_, k, first), m = slot[node_id], slot[kids[0]], len(kids)
+    if slot[kids[-1]][1:] == (k, first + m - 1):
         row = int(row_start[k][first]) + alt
         return [(k, slice(first, first + m), slice(row, row + m * r, r))]
-    alone = [(kc, i, int(row_start[kc][i]) + alt) for _, kc, i, _, _ in map(slot.__getitem__, kids)]
+    alone = [(kc, i, int(row_start[kc][i]) + alt) for _, kc, i in map(slot.__getitem__, kids)]
     return [(kc, slice(i, i + 1), slice(row, row + 1)) for kc, i, row in alone]
 
 
-def _segment_up(seg: ChainSegment, deepest: int, seen, seen_at, moments, combined, up, marked) -> None:
+def _segment_up(seg: ChainSegment, deepest: int, seen, seen_at, moments, combined, marked) -> None:
     """From the bottom up, send each node of a chain segment at or above depth
-    ``deepest`` its message to its parent: straight into the parent's
-    combined message (the only child's), copied into ``up`` a run at a time,
-    and mark the parent.  An observed node's indicator is swapped in just
-    before its own link.  A link views its rows and its outputs (the parent's
-    message, flat and with its diagonal), the next link's inputs."""
-    depth, n, k, r, slot, row, pos, top = seg
+    ``deepest`` its message to its parent, straight into the parent's
+    combined message (the only child's), and mark the parent.  An observed
+    node's indicator is swapped in just before its own link, over the
+    message that its child sent.  A link views its rows and its outputs (the
+    parent's message, flat and with its diagonal), the next link's inputs."""
+    depth, n, k, r, slot, row, top = seg
     # A node alone at its depth is an ancestor of every deeper node, so the
     # nodes bearing evidence are exactly those at or above the deepest observed one.
     n = min(n, deepest - depth + 1)
     if n <= 0:
         return
     marked[r][top] = True
-    (means, _, flat), (lam, lam2), (mean, second) = moments[k], combined[k], up[r]
+    (means, _, flat), (lam, lam2) = moments[k], combined[k]
     c, lam, lam2 = means[row : row + n * r].reshape(n, r, k), lam[slot : slot + n], lam2[slot : slot + n]
     tops = combined[r][0][top], combined[r][1][top]
     rows = c, c.transpose(0, 2, 1), flat[row : row + n * r].reshape(n, r, k * k)
@@ -228,11 +223,6 @@ def _segment_up(seg: ChainSegment, deepest: int, seen, seen_at, moments, combine
             c.dot(lm2, tmp).dot(ct, s)
             sd[...] = flat.dot(lm2f, diag)
             lm, lm2, lm2f = m, s, sf
-        if hi > 1:
-            a = max(lo, 1)
-            mean[pos + a : pos + hi], second[pos + a : pos + hi] = lam[a - 1 : hi - 1], lam2[a - 1 : hi - 1]
-        if not lo:
-            mean[pos], second[pos] = tops
 
 
 def _segment_down(seg: ChainSegment, below, below_at, moments, down, off: np.ndarray, start: int = 0) -> None:
@@ -241,7 +231,7 @@ def _segment_down(seg: ChainSegment, below, below_at, moments, down, off: np.nda
     of an observed node gets the observed row's moments instead.  The first
     ``start`` nodes already hold theirs.  A link views its rows and its
     outputs (its message, with its diagonal), the next link's inputs."""
-    depth, n, k, r, slot, row, _, top = seg
+    depth, n, k, r, slot, row, top = seg
     (means, _, flat), (q, t) = moments[k], down[k]
     c = means[row : row + n * r].reshape(n, r, k)
     q, t, tops = q[slot : slot + n], t[slot : slot + n], (down[r][0][top], down[r][1][top])
@@ -298,15 +288,18 @@ def _pick(index, sel):
     return sel + index.start
 
 
-def _sweep_up(plan, seen, combined, up, others) -> None:
+def _sweep_up(plan, seen, combined, others) -> None:
     """Send each evidence-bearing node's message to its parent and form the
     sibling products at each parent of such a node (see :func:`propagate`).
 
     ``marked[k]`` flags the slots found to bear evidence: at each depth, its
     observed nodes, then the parents of that depth's marked nodes.  Every
     other message keeps its unit fill.  A level gathers the messages and
-    rows of its marked nodes, a view where they are consecutive; a level
-    deeper than every observed node has none and is skipped whole.
+    rows of its marked nodes, a view where they are consecutive, and writes
+    their messages into ``others`` at their positions; each run of siblings
+    with a marked parent then gives its parent their product and turns them
+    into leave-one-out products in place.  A level deeper than every
+    observed node has no marked node and is skipped whole.
     """
     if not seen:
         return
@@ -314,7 +307,7 @@ def _sweep_up(plan, seen, combined, up, others) -> None:
     marked = {k: np.zeros(len(starts), bool) for k, starts in plan.row_start.items()}
     for step in reversed(plan.steps):
         if isinstance(step, ChainSegment):
-            _segment_up(step, deepest, seen, seen_at, moments, combined, up, marked)
+            _segment_up(step, deepest, seen, seen_at, moments, combined, marked)
             continue
         depth, groups, runs = step
         if depth > deepest:
@@ -333,7 +326,7 @@ def _sweep_up(plan, seen, combined, up, others) -> None:
             diag = flat @ lam2.reshape(n, k * k, 1)
             second.reshape(n, r * r)[:, :: r + 1] = diag[:, :, 0]
             pos = _pick(pos, sel)
-            up[r][0][pos], up[r][1][pos] = (c @ lam[:, :, None])[:, :, 0], second
+            others[r][0][pos], others[r][1][pos] = (c @ lam[:, :, None])[:, :, 0], second
             marked[r][_pick(parents, sel)] = True
         for r, m, kids, parents in runs:
             hit, p = marked[r][parents].nonzero()[0], (kids.stop - kids.start) // m
@@ -342,13 +335,13 @@ def _sweep_up(plan, seen, combined, up, others) -> None:
             sel = _span(hit)
             parents = _pick(parents, sel)
             for j, shape in ((0, (p, m, r)), (1, (p, m, r, r))):
-                x, out = up[r][j][kids].reshape(shape)[sel], others[r][j][kids].reshape(shape)
+                x = others[r][j][kids].reshape(shape)
                 if isinstance(sel, slice):
-                    combined[r][j][parents] = _segment_products(x, out[sel])
-                else:  # gathered: the leave-one-out products go through a copy
-                    part = np.empty(x.shape)
-                    combined[r][j][parents] = _segment_products(x, part)
-                    out[sel] = part
+                    combined[r][j][parents] = _segment_products(x[sel])
+                else:  # gathered: the leave-one-out products go back from a copy
+                    part = x[sel]
+                    combined[r][j][parents] = _segment_products(part)
+                    x[sel] = part
     if 0 in seen:
         _indicators(combined, seen[0], marked)
 
@@ -358,9 +351,9 @@ def _sweep_down(net: ValidatedNetwork, evidence, below, down, others, shallowest
     down (see :func:`propagate`).  On the leading path, the prior messages
     down to depth ``shallowest`` are copied from ``plan.prior``."""
     plan, moments, below_at = net.plan, net.plan.moments, sorted(below)
-    off = {r: 1.0 - np.eye(r) for r in others}  # zeroes a diagonal exactly
+    off = {r: 1.0 - np.eye(r) for r in down}  # zeroes a diagonal exactly
     names = None  # (k, slot) -> node id, built at the first zero denominator
-    _, k, i, _, _ = plan.slot[net.root]
+    _, k, i = plan.slot[net.root]
     down[k][0][i], down[k][1][i] = moments[k][0][0], moments[k][1][0]
     for seg, kept in zip(plan.steps, plan.prior):
         start = min(seg.n, max(shallowest - seg.depth + 1, 0))
@@ -381,7 +374,7 @@ def _sweep_down(net: ValidatedNetwork, evidence, below, down, others, shallowest
             zero = np.flatnonzero(denom == 0.0)
             if zero.size:  # stand-ins, if evidence swaps them out
                 if names is None:
-                    names = dict(zip(map(tuple, plan.places[:, 1:3].tolist()), net.order))
+                    names = dict(zip(map(tuple, plan.places[:, 1:].tolist()), net.order))
                 for j in zero.tolist():
                     node_id = names[k, slots.start + j]
                     parent = net.nodes[node_id].parent
@@ -433,13 +426,13 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
     state = MessageState(net, evidence)
     plan, seen, below = net.plan, {}, {}  # per depth: observed (slot, alternative) per k, children's rows
     for node_id, alt in evidence.items():
-        d, k, i, _, _ = plan.slot[node_id]
+        d, k, i = plan.slot[node_id]
         seen.setdefault(d, {}).setdefault(k, []).append((i, alt))
         found = _observed_children(net, node_id, alt)
         if found:
             below.setdefault(d + 1, []).extend(found)
             state._children += found
-    _sweep_up(plan, seen, state._combined, state._upward, state._others)
+    _sweep_up(plan, seen, state._combined, state._others)
     _sweep_down(net, evidence, below, state._parent, state._others, min(seen, default=len(plan.places)))
     return state
 
@@ -465,7 +458,7 @@ def _check_islands(state: MessageState) -> None:
     check_observed_entries(net, evidence)
     runs = {}  # k -> slot ranges of the tops, as slices
     if net.root not in evidence:
-        _, k, i, _, _ = slot[net.root]
+        _, k, i = slot[net.root]
         runs[k] = [slice(i, i + 1)]
     for k, slots, _ in state._children:
         runs.setdefault(k, []).append(slots)
@@ -479,7 +472,7 @@ def _check_islands(state: MessageState) -> None:
     if zero:
         tops = [] if net.root in evidence else [net.root]
         tops += [c for node_id in evidence for c in net.nodes[node_id].children]
-        top = next(top for top in tops if slot[top][1:3] in zero)
+        top = next(top for top in tops if slot[top][1:] in zero)
         raise InconsistentEvidence(f"evidence at node {top!r} has zero mean probability")
 
 
@@ -494,15 +487,15 @@ def _reports(state: MessageState, ids: Optional[Sequence[str]]) -> Dict[str, Nod
     ``VARIANCE_FLOOR``, the first raises.
     """
     plan = state.net.plan
-    if ids is None:  # (depth, k, slot, r, position) per id, then the observed alternative or -1
+    if ids is None:  # (depth, k, slot) per id, then the observed alternative or -1
         ids, found = state.net.order, plan.places
     else:
         try:
-            found = np.fromiter(chain.from_iterable(map(plan.slot.__getitem__, ids)), np.intp, 5 * len(ids))
+            found = np.fromiter(chain.from_iterable(map(plan.slot.__getitem__, ids)), np.intp, 3 * len(ids))
         except (KeyError, TypeError):  # TypeError: an unhashable id
             for node_id in ids:
                 state.net.node(node_id)  # raises UnknownNode at the first unknown id
-        found = found.reshape(len(ids), 5)
+        found = found.reshape(len(ids), 3)
     _check_islands(state)
     n = len(ids)
     alts = np.fromiter(map(state.evidence.get, ids, repeat(-1)), np.intp, n)

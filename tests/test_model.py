@@ -871,7 +871,8 @@ class TestValidatedRecords:
 
     @pytest.mark.parametrize("name", ["slot", "sib_counts", "moments", "row_start"])
     def test_no_plan_mapping_can_be_changed(self, name):
-        net = validate_network(_chain())
+        a, b = _chain().nodes  # B and C form a level, which owns sibling positions
+        net = validate_network(NetworkSpec((a, b, NodeSpec("C", ("c1", "c2"), "A", b.rows))))
         mapping = getattr(net.plan, name)
         key = next(iter(mapping))
         before = dict(mapping)

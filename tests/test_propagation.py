@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from collections.abc import Mapping
 from itertools import chain
@@ -48,14 +49,13 @@ class TestInitState:
         np.testing.assert_array_equal(second, root.second_rows[0])
 
     def test_child_slots_are_unit(self, two_node_mixed):
-        # with no evidence every subtree sends the unit message, exactly
+        # with no evidence every subtree sends the unit message, exactly; B's
+        # is A's combined message, and a chain has no sibling products
         state = propagate(two_node_mixed, {})
         for node_id in two_node_mixed.order:
             mean, second = state.combined(node_id)
             assert np.all(mean == 1.0) and np.all(second == 1.0)
-            if node_id != two_node_mixed.root:
-                mean, second = state.upward(node_id)
-                assert np.all(mean == 1.0) and np.all(second == 1.0)
+        assert state._others == {}
 
     def test_single_node_flat_root(self):
         spec = NetworkSpec(
@@ -85,19 +85,20 @@ def _siblings(messages, dim):
     out = []
     for j, shape in ((0, (dim,)), (1, (dim, dim))):
         x = np.array([msg[j] for msg in messages]).reshape((1, len(messages)) + shape)
-        others = np.empty_like(x)
-        out.append((_segment_products(x, others)[0], others[0]))
+        out.append((_segment_products(x)[0], x[0]))
     (mean, rest_mean), (second, rest_second) = out
     return (mean, second), list(zip(rest_mean, rest_second))
 
 
 class TestCombineChildren:
     def test_single_is_identity(self, two_node_mixed):
+        # a lone child's message is its parent's combined message, bit for bit
         state = propagate(two_node_mixed, {"B": 0})
-        for got, sent in zip(state.combined("A"), state.upward("B")):
-            np.testing.assert_array_equal(got, sent)
-        (mean, second), [(rest_mean, rest_second)] = _siblings([state.upward("B")], 2)
-        np.testing.assert_array_equal(mean, state.upward("B")[0])
+        up, _, _ = _messages(two_node_mixed, {"B": 0})
+        for got, sent in zip(state.combined("A"), up["B"]):
+            assert got.tobytes() == sent.tobytes()
+        (mean, second), [(rest_mean, rest_second)] = _siblings([up["B"]], 2)
+        assert mean.tobytes() == up["B"][0].tobytes() and second.tobytes() == up["B"][1].tobytes()
         assert np.all(rest_mean == 1.0) and np.all(rest_second == 1.0)
 
     def test_elementwise_product(self):
@@ -108,9 +109,10 @@ class TestCombineChildren:
         assert second == pytest.approx(a[1] * b[1])
         np.testing.assert_array_equal(not_a[0], b[0])
         np.testing.assert_array_equal(not_b[1], a[1])
-        state = propagate(validate_network(_two_leaf_spec()), {"B": 0, "C": 1})
-        (b_mean, b_second), (c_mean, c_second) = state.upward("B"), state.upward("C")
-        mean, second = state.combined("A")
+        net, evidence = validate_network(_two_leaf_spec()), {"B": 0, "C": 1}
+        up, _, _ = _messages(net, evidence)
+        (b_mean, b_second), (c_mean, c_second) = up["B"], up["C"]
+        mean, second = propagate(net, evidence).combined("A")
         np.testing.assert_array_equal(mean, b_mean * c_mean)
         np.testing.assert_array_equal(second, b_second * c_second)
 
@@ -140,8 +142,8 @@ class TestCombineChildren:
         # several parents with m children each, in one batch
         rng = np.random.default_rng(4)
         x = rng.choice([0.0, 0.5, 0.9, 1.0], size=(5, 4, 3))
-        others = np.empty_like(x)
-        product = _segment_products(x, others)
+        others = x.copy()
+        product = _segment_products(others)  # in place
         for p in range(5):
             np.testing.assert_array_equal(product[p], x[p, 0] * x[p, 1] * x[p, 2] * x[p, 3])
             for i in range(4):
@@ -151,7 +153,8 @@ class TestCombineChildren:
 
 class TestChildToParent:
     def test_instantiated_point_columns(self, two_node_mixed):
-        mean, second = propagate(two_node_mixed, {"B": 0}).upward("B")
+        # B's message is its lone parent's combined message
+        mean, second = propagate(two_node_mixed, {"B": 0}).combined("A")
         assert mean == pytest.approx([0.9, 0.2])
         assert second == pytest.approx(np.array([[0.81, 0.18], [0.18, 0.04]]))
 
@@ -159,6 +162,9 @@ class TestChildToParent:
         # A subtree with no evidence sends the unit message, exactly: under a
         # prior query and with the sibling branch's leaf x observed, deeper
         # than g, g bears no evidence and its message keeps the unit fill.
+        # g and h own sibling positions 0 and 1, so h's sibling product, at
+        # position 1 of ``_others``, is g's message, and f's combined message
+        # is h's, bit for bit.
         rng = np.random.default_rng(3)
         labels = lambda k: tuple(map(str, range(k)))
         rows = lambda k, r: tuple(Dirichlet(rng.uniform(0.2, 8.0, size=k)) for _ in range(r))
@@ -174,8 +180,10 @@ class TestChildToParent:
             )
             net = validate_network(spec)
             for evidence in ({}, {"x": 1}):
-                mean, second = propagate(net, evidence).upward("g")
-                assert np.all(mean == 1.0) and np.all(second == 1.0)
+                state, (up, _, _) = propagate(net, evidence), _messages(net, evidence)
+                for j in (0, 1):
+                    assert np.all(state._others[k_parent][j][1] == 1.0)
+                    assert state.combined("f")[j].tobytes() == up["h"][j].tobytes()
 
 
 class TestParentToChild:
@@ -413,9 +421,11 @@ class TestStructuralInvariants:
             net = validate_network(random_tree_spec(rng))
             evidence = random_evidence(rng, net)
             state = propagate(net, evidence)
-            upward = [state.upward(n) for n in net.order if net.nodes[n].parent is not None]
+            # a lone child's message is its parent's combined message; a
+            # level's are read as its leave-one-out products
             combined = [state.combined(n) for n in net.order if n not in evidence]
-            for m, s in upward + combined:
+            products = [(m, s) for means, seconds in state._others.values() for m, s in zip(means, seconds)]
+            for m, s in combined + products:
                 assert np.all(m >= -1e-9) and np.all(m <= 1 + 1e-9)
                 assert np.all(np.diag(s) <= m + 1e-9)
                 assert np.all(np.diag(s) >= m**2 - 1e-9)
@@ -756,15 +766,13 @@ class TestQueryMatchesReport:
             with pytest.raises(UnknownNode, match=message):
                 posterior_report(state, [node_id])
 
-    @pytest.mark.parametrize("message", ["parent", "combined", "upward"])
+    @pytest.mark.parametrize("message", ["parent", "combined"])
     def test_unknown_node_message_is_named(self, two_node_mixed, message):
         state = propagate(two_node_mixed, {})
         with pytest.raises(UnknownNode, match="^node 'Z' is not part of the network$"):
             getattr(state, message)("Z")
         with pytest.raises(UnknownNode, match=r"^node \['A'\] is not part of the network$"):
             getattr(state, message)(["A"])
-        with pytest.raises(KeyError):  # the root sends no message
-            state.upward(two_node_mixed.root)
 
 
 @pytest.mark.parametrize("shape, n", [("chain", 20_000), ("star", 10_001)])
@@ -779,6 +787,27 @@ def test_large_chain_and_star_match_exact_inference(shape, n):
     marginals = exact_means(net, evidence)
     for node_id, rep in reports.items():
         np.testing.assert_allclose(rep.mean, marginals[node_id], rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("shape, bound", [("chain", 1.25), ("binary", 2.8)])
+def test_query_peak_memory(shape, bound):
+    """A query's peak allocation on a 10³-node tree of k = 8, its deepest
+    leaf observed, in units of its combined and parent stacks, ``2 n (k +
+    k**2)`` floats.  A chain has no sibling stack, and a level writes its
+    children's messages where their leave-one-out products go, so a chain
+    peaks near one unit; one more stack of messages would double that."""
+    n, k, rng = 1000, 8, np.random.default_rng(13)
+    net = validate_network(_tree_spec(_parents_of(shape, n, rng), [k] * n,
+                                      lambda i, j, k: Dirichlet(rng.uniform(0.5, 5.0, size=k))))
+    evidence = {f"n{n - 1}": 1}
+    propagate(net, evidence)
+    tracemalloc.start()
+    try:
+        propagate(net, evidence)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * 2 * n * (k + k * k) * 8
 
 
 def _dot_diagonal(lam2, second_rows):
@@ -953,8 +982,9 @@ class TestBatchedSweepIsNodeByNode:
 
 class TestEvidenceFreeSubtrees:
     """A node with no instantiated node at or below it keeps the unit fill of
-    its upward and combined messages, exactly, wherever it sits: the sweep
-    computes neither, even at or above the deepest observed depth."""
+    its combined message, exactly, wherever it sits, and sends the unit
+    message: the sweep computes neither, even at or above the deepest
+    observed depth.  Its message is read through its parent's product."""
 
     # n2, n4 and n5 bear no evidence; n2 is above n3's depth, n4 and n5 at it
     @given(_observed_trees())
@@ -966,13 +996,7 @@ class TestEvidenceFreeSubtrees:
     def test_unit_messages_exactly(self, case):
         spec, evidence = case
         net = validate_network(spec)
-        state, bearing = propagate(net, evidence), _bearing(net, evidence)
-        for node_id in net.order:
-            if node_id in bearing:
-                continue
-            messages = state.combined(node_id) + (() if node_id == net.root else state.upward(node_id))
-            for got in messages:
-                assert np.all(got == 1.0), node_id
+        _assert_unit_messages(net, evidence, propagate(net, evidence))
 
 
 def _segments_spec():
@@ -1001,26 +1025,43 @@ def long_chain():
     return validate_network(_tree_spec(_parents_of("chain", n, rng), [3] * n, row))
 
 
+def _assert_unit_messages(net, evidence, state):
+    """A node with no instantiated node at or below it has the unit combined
+    message, exactly, and sends the unit message: an uninstantiated parent's
+    product of its children's messages is that of the evidence-bearing ones'
+    reference messages alone, bit for bit."""
+    (up, _, _), bearing = _messages(net, evidence), _bearing(net, evidence)
+    for node_id in net.order:
+        if node_id not in bearing:
+            for got in state.combined(node_id):
+                assert np.all(got == 1.0), node_id
+        elif node_id not in evidence:
+            sent = [up[c] for c in net.nodes[node_id].children if c in bearing]
+            for j, got in enumerate(state.combined(node_id)):
+                assert got.tobytes() == np.prod([m[j] for m in sent], axis=0).tobytes(), node_id
+
+
 def _assert_segment_messages(spec, observed, checked):
     """Reports, and the messages of nodes ``n<i>`` for ``i`` in ``checked``,
     equal the node-by-node reference bit for bit with nodes ``n<i>`` for
     ``i`` in ``observed`` instantiated; at a node with none of them at or
-    below it, every message is the unit message."""
+    below it, every message is the unit message.  A node's message to its
+    parent is checked through the parent's product (a lone child's is its
+    parent's combined message), except into an observed parent, whose
+    indicator replaces it."""
     ks = [len(ns.alternatives) for ns in spec.nodes]
     evidence = {f"n{i}": (i + 1) % ks[i] for i in observed}
     _assert_bitwise(spec, evidence)
     net = validate_network(spec)
     state = propagate(net, evidence)
     up, down, combined = _messages(net, evidence)
-    bearing = _bearing(net, evidence)
-    for node_id in net.order[1:]:  # no evidence at or below: the unit message, exactly
-        if node_id not in bearing:
-            for got in (*state.upward(node_id), *state.combined(node_id)):
-                assert np.all(got == 1.0)
+    _assert_unit_messages(net, evidence, state)
     for i in checked:
         node_id = f"n{i}"
-        for got, want in zip(state.upward(node_id), up[node_id]) if node_id != net.root else ():
-            assert got.tobytes() == want.tobytes()
+        parent = net.nodes[node_id].parent
+        if parent is not None and parent not in evidence:
+            for got, want in zip(state.combined(parent), combined[parent]):
+                assert got.tobytes() == want.tobytes()
         if node_id in evidence:
             e = np.eye(ks[i])[evidence[node_id]]
             want_combined = (e, np.outer(e, e))
@@ -1064,8 +1105,8 @@ class TestChainSegments:
     @given(_caterpillars())
     @settings(max_examples=30, deadline=None)
     def test_segment_fields_locate_every_node(self, tree):
-        """A segment's slots, first rows and positions count up from its
-        first node's, and each node below the top hangs on the one above."""
+        """A segment's slots and first rows count up from its first node's,
+        and each node below the top hangs on the one above."""
         net = validate_network(tree[0])
         by_depth = {net.plan.slot[node_id][0]: node_id for node_id in net.order}
         for seg in (s for s in net.plan.steps if isinstance(s, ChainSegment)):
@@ -1073,7 +1114,7 @@ class TestChainSegments:
             for j in range(seg.n):
                 node_id = by_depth[seg.depth + j]
                 row = net.plan.row_start[seg.k][seg.slot + j]
-                assert net.plan.slot[node_id] == (seg.depth + j, seg.k, seg.slot + j, seg.r, seg.position + j)
+                assert net.plan.slot[node_id] == (seg.depth + j, seg.k, seg.slot + j)
                 assert row == seg.row + j * seg.r
                 parent = net.plan.slot[net.nodes[node_id].parent]
                 assert parent[2] == (seg.parent if j == 0 else seg.slot + j - 1)
@@ -1113,11 +1154,12 @@ class TestChainSegments:
         ids=["none", "first", "second", "last", "adjacent", "first, second and last"],
     )
     def test_plain_chain_every_message(self, observed):
-        """Every message of every node of a plain chain, bit for bit.  The
-        message of the link into an observed node is overwritten by its
-        indicator, so only ``upward`` of the node below keeps it."""
+        """Every message of every node of a plain chain, bit for bit, but
+        that of the link into an observed node, which its indicator
+        overwrites.  A chain owns no sibling positions."""
         spec = _plain_chain_spec()
-        assert _segments(validate_network(spec)) == [(1, 39, 3, 3)]
+        net = validate_network(spec)
+        assert _segments(net) == [(1, 39, 3, 3)] and net.plan.sib_counts == {}
         _assert_segment_messages(spec, observed, range(40))
 
     @pytest.mark.parametrize("observed", [[], [19_999], [10_000]], ids=["none", "last", "middle"])
@@ -1128,7 +1170,7 @@ class TestChainSegments:
         every node, and every message stays finite."""
         net, evidence = long_chain, {f"n{i}": i % 3 for i in observed}
         state = propagate(net, evidence)
-        for stack in (state._combined, state._parent, state._upward):
+        for stack in (state._combined, state._parent):
             for mean, second in stack.values():
                 assert np.isfinite(mean).all() and np.isfinite(second).all()
         if not evidence:  # the parent messages are distributions only up to scale
@@ -1306,7 +1348,7 @@ class TestPriorPath:
             assert net.plan.prior is kept
             assert [x.tobytes() for x in arrays] == saved
         for state in states:
-            for messages in (state._combined, state._parent, state._upward, state._others):
+            for messages in (state._combined, state._parent, state._others):
                 for own in chain.from_iterable(messages.values()):
                     assert not any(np.shares_memory(x, own) for x in arrays)
 
