@@ -609,9 +609,10 @@ class ValidatedNetwork:
 
 #: Most float cells that :func:`validate_network` admits for a network's row
 #: moments and one query's messages: a node of ``k`` alternatives and ``r``
-#: rows holds ``r (k + k**2)`` of row moments, and a query's state at most
-#: three ``k + k**2`` messages per node, counted as four.  1.6 GB of float64;
-#: a 10**6-node tree of ``k = 3`` needs 8.4e7, and two nodes of ``k = 1000`` 1.0e9.
+#: rows holds ``r (k + k**2)`` of row moments, a query's state its combined
+#: and parent messages, ``k + k**2`` each, and, at a level, a sibling product
+#: of ``r + r**2``, counted for every node.  1.6 GB of float64; a 10**6-node
+#: tree of ``k = 3`` needs 7.2e7, and two nodes of ``k = 1000`` 1.0e9.
 _CELL_CAP = 2e8
 
 #: Second-moment cells per :func:`_check_moments` call in :func:`validate_network`,
@@ -633,8 +634,9 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
     Alternative, row and dimension counts are each compared as one array,
     and on a fault a per-node scan names the first bad node in file order.
     Then a network whose row moments and one query's messages would need
-    more than :data:`_CELL_CAP` cells raises :class:`CapExceeded`, naming
-    its largest node, so no large allocation is tried.  The row moments are
+    more than :data:`_CELL_CAP` cells, a count exact at levels and an upper
+    bound elsewhere, raises :class:`CapExceeded`, naming its largest node,
+    so no large allocation is tried.  The row moments are
     computed per alternative count ``k``, from one gather of the rows of
     that ``k`` in :class:`LevelPlan` order (:func:`_stacked_moments`), and
     checked against the :func:`_check_moments` invariants in blocks of
@@ -712,7 +714,7 @@ def validate_network(spec: NetworkSpec) -> ValidatedNetwork:
         and list(map(len, map(set, columns.alternatives))) == ks.tolist()
     ):
         _scan_dimensions(columns, index)
-    cells = (r + 4.0) * k * (k + 1.0)  # float: k**3 may pass the int64 range
+    cells = (r + 2.0) * k * (k + 1.0) + r * (r + 1.0)  # float: k**3 may pass the int64 range
     if cells.sum() > _CELL_CAP:
         i = int(cells.argmax())
         raise CapExceeded(f"row moments and one query's messages would need {cells.sum():.3g} cells, "

@@ -346,13 +346,15 @@ def _sweep_up(plan, seen, combined, others) -> None:
         _indicators(combined, seen[0], marked)
 
 
-def _sweep_down(net: ValidatedNetwork, evidence, below, down, others, shallowest: int) -> None:
+def _sweep_down(net: ValidatedNetwork, below, down, others, shallowest: int) -> None:
     """Send each node its parent message, from the root's own row moments
     down (see :func:`propagate`).  On the leading path, the prior messages
-    down to depth ``shallowest`` are copied from ``plan.prior``."""
+    down to depth ``shallowest`` are copied from ``plan.prior``.  A level
+    child whose ``D`` is zero takes the stand-in ``D = 1`` and never raises:
+    its island's top then has ``D == 0`` too, which every report rejects
+    (:func:`_check_islands`)."""
     plan, moments, below_at = net.plan, net.plan.moments, sorted(below)
     off = {r: 1.0 - np.eye(r) for r in down}  # zeroes a diagonal exactly
-    names = None  # (k, slot) -> node id, built at the first zero denominator
     _, k, i = plan.slot[net.root]
     down[k][0][i], down[k][1][i] = moments[k][0][0], moments[k][1][0]
     for seg, kept in zip(plan.steps, plan.prior):
@@ -371,17 +373,7 @@ def _sweep_down(net: ValidatedNetwork, evidence, below, down, others, shallowest
             q, t = down[r][0][parents], down[r][1][parents]
             m, s = others[r][0][pos], others[r][1][pos]
             denom = (m[:, None, :] @ q[:, :, None])[:, 0, 0]
-            zero = np.flatnonzero(denom == 0.0)
-            if zero.size:  # stand-ins, if evidence swaps them out
-                if names is None:
-                    names = dict(zip(map(tuple, plan.places[:, 1:].tolist()), net.order))
-                for j in zero.tolist():
-                    node_id = names[k, slots.start + j]
-                    parent = net.nodes[node_id].parent
-                    if node_id not in evidence and parent not in evidence:
-                        raise InconsistentEvidence(f"evidence reaching {node_id!r} through "
-                                                   f"{parent!r} has zero mean probability")
-                denom[zero] = 1.0
+            denom[denom == 0.0] = 1.0  # stand-ins
             t2 = s * t / (denom * denom)[:, None, None]
             g = slots.stop - slots.start
             diag = t2.diagonal(0, 1, 2)[:, None, :].copy()
@@ -412,7 +404,9 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
         second[i, l] = sum_{j != k} T'[j, k] C[j, i] C[k, l] + sum_j T'[j, j] M_j[i, l]
 
     ``T'`` with its diagonal zeroed gives the first sum; ``D == 0`` means the
-    evidence is impossible on average and raises :class:`InconsistentEvidence`.
+    evidence is impossible on average and takes the stand-in ``D = 1``; the
+    report's island check raises :class:`InconsistentEvidence`
+    (:func:`_check_islands`), so ``propagate`` itself never does.
     In a chain segment ``m`` and ``S`` are all ones, so ``D = sum_j q[j] > 0``;
     it keeps ``q' = q``, ``T' = T``, a scale every later ``D`` divides out.
     Upward, only nodes with an instantiated node at or below them are
@@ -433,7 +427,7 @@ def propagate(net: ValidatedNetwork, evidence: Mapping[str, int]) -> MessageStat
             below.setdefault(d + 1, []).extend(found)
             state._children += found
     _sweep_up(plan, seen, state._combined, state._others)
-    _sweep_down(net, evidence, below, state._parent, state._others, min(seen, default=len(plan.places)))
+    _sweep_down(net, below, state._parent, state._others, min(seen, default=len(plan.places)))
     return state
 
 
@@ -476,20 +470,28 @@ def _check_islands(state: MessageState) -> None:
         raise InconsistentEvidence(f"evidence at node {top!r} has zero mean probability")
 
 
-def _reports(state: MessageState, ids: Optional[Sequence[str]]) -> Dict[str, NodeReport]:
-    """Condition each node's parent message ``(q, T)`` on its combined child
-    message ``(m, S)``, per alternative count: ``D = sum_j m[j] q[j]``,
-    ``mean = m q / D`` and ``second = diag(S) diag(T) / D**2``.  ``ids`` of
-    ``None`` asks for every node, in ``net.order``; a count whose slots run
-    up by one reads its messages as views.  An evidence island with
-    a zero ``D`` raises (:func:`_check_islands`), whichever nodes are asked
-    for; then, of the nodes with a zero ``D`` or a variance below
-    ``VARIANCE_FLOOR``, the first raises.
+def posterior_report(
+    state: MessageState, nodes: Optional[Sequence[str]] = None
+) -> Dict[str, NodeReport]:
+    """Read the inferred probabilities, second moments and variances of
+    several nodes (all by default, in ``net.order``), one pass per
+    alternative count: ``D = sum_j m[j] q[j]``, ``mean = m q / D`` and
+    ``second = diag(S) diag(T) / D**2`` condition each node's parent message
+    ``(q, T)`` on its combined child message ``(m, S)``, read as views where
+    a count's slots run up by one.  Means are exact; second moments inherit
+    the mean-denominator approximation.  Variances are clamped at zero (and
+    the report flagged) when rounding pushes them slightly negative.  An
+    instantiated node reports its observed alternative with zero variance.
+    An evidence island with a zero ``D`` raises :class:`InconsistentEvidence`
+    (:func:`_check_islands`), whichever nodes are asked for; then, of the
+    nodes with a zero ``D`` or a variance below ``VARIANCE_FLOOR``, the first
+    raises :class:`InconsistentEvidence` or :class:`NegativeVariance`.
     """
     plan = state.net.plan
-    if ids is None:  # (depth, k, slot) per id, then the observed alternative or -1
+    if nodes is None:  # (depth, k, slot) per id, then the observed alternative or -1
         ids, found = state.net.order, plan.places
     else:
+        ids = list(nodes)
         try:
             found = np.fromiter(chain.from_iterable(map(plan.slot.__getitem__, ids)), np.intp, 3 * len(ids))
         except (KeyError, TypeError):  # TypeError: an unhashable id
@@ -532,18 +534,3 @@ def _reports(state: MessageState, ids: Optional[Sequence[str]]) -> Dict[str, Nod
         raise NegativeVariance(f"node {ids[n]!r}: variance {low} below {VARIANCE_FLOOR}")
     return reports
 
-
-def posterior_report(
-    state: MessageState, nodes: Optional[Sequence[str]] = None
-) -> Dict[str, NodeReport]:
-    """Read the inferred probabilities, second moments and variances of
-    several nodes (all by default), one pass per alternative count.
-
-    Each node's parent message is conditioned on its combined child message
-    (:func:`_reports`).  Means are exact; second moments inherit the
-    mean-denominator approximation.  Variances are clamped at zero (and the
-    report flagged) when rounding pushes them slightly negative; anything
-    below ``VARIANCE_FLOOR`` raises :class:`NegativeVariance`.  An
-    instantiated node reports its observed alternative with zero variance.
-    """
-    return _reports(state, None if nodes is None else list(nodes))

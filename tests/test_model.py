@@ -321,26 +321,27 @@ class TestValidateNetwork:
         assert str(info.value) == message
 
     def test_cell_cap_names_the_largest_node(self, monkeypatch):
-        # cells per node, (rows + 4) k (k + 1): root 5 * 6, "wide" 6 * 30, "narrow" 6 * 12
+        # cells per node, (rows + 2) k (k + 1) + rows (rows + 1): root 3 * 6 + 2,
+        # "wide" 4 * 30 + 6, "narrow" 4 * 12 + 6
         rows = lambda k, n: tuple(Dirichlet(np.ones(k)) for _ in range(n))
         spec = NetworkSpec((NodeSpec("root", ("r0", "r1"), None, rows(2, 1)),
                             NodeSpec("wide", tuple("abcde"), "root", rows(5, 2)),
                             NodeSpec("narrow", ("x", "y", "z"), "root", rows(3, 2))))
-        monkeypatch.setattr(model, "_CELL_CAP", 30 + 180 + 72)
+        monkeypatch.setattr(model, "_CELL_CAP", 20 + 126 + 54)
         assert validate_network(spec).order == ("root", "wide", "narrow")
-        monkeypatch.setattr(model, "_CELL_CAP", 30 + 180 + 72 - 1)
+        monkeypatch.setattr(model, "_CELL_CAP", 20 + 126 + 54 - 1)
         with pytest.raises(CapExceeded) as info:
             validate_network(spec)
         assert str(info.value) == (
-            "row moments and one query's messages would need 282 cells, above the cap of 281; "
-            "node 'wide' (5 alternatives, 2 rows) alone needs 180")
+            "row moments and one query's messages would need 200 cells, above the cap of 199; "
+            "node 'wide' (5 alternatives, 2 rows) alone needs 126")
         # the cap checks counts that validation has just checked: a bad row count fails first
         bad = NetworkSpec(spec.nodes[:2] + (NodeSpec("narrow", ("x", "y", "z"), "root", rows(3, 1)),))
         with pytest.raises(DimensionMismatch):
             validate_network(bad)
         monkeypatch.undo()
         # a tree of 10**6 nodes of three alternatives, the root's one row and three rows each below
-        assert (1 + 4) * 12 + (10**6 - 1) * (3 + 4) * 12 <= model._CELL_CAP
+        assert (1 + 2) * 12 + 1 * 2 + (10**6 - 1) * ((3 + 2) * 12 + 3 * 4) <= model._CELL_CAP
 
     def test_rows_own_their_numbers(self, tmp_path):
         # every constructor copies: the caller's arrays stay writable

@@ -11,11 +11,12 @@ from itertools import chain
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     ROW_KINDS,
+    brute_force_joint,
     exact_means,
     impossible_evidence_spec,
     mixed_trees,
@@ -333,7 +334,8 @@ class TestDegenerateNetworks:
     @settings(max_examples=150, deadline=None)
     def test_a_report_fails_if_and_only_if_every_report_fails(self, seed, data):
         """On point-mass trees with zero entries, whether a report raises does
-        not depend on the nodes asked for."""
+        not depend on the nodes asked for, and it raises exactly when the
+        mean evidence probability, summed over the whole joint, is 0."""
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         parents = [None] + [int(rng.integers(i)) for i in range(1, n)]
@@ -351,10 +353,7 @@ class TestDegenerateNetworks:
         )))
         observed = rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)), replace=False).tolist()
         evidence = {f"n{i}": int(rng.integers(ks[i])) for i in observed}
-        try:
-            state = propagate(net, evidence)
-        except InconsistentEvidence:
-            assume(False)
+        state = propagate(net, evidence)
 
         def fails(nodes):
             try:
@@ -364,6 +363,13 @@ class TestDegenerateNetworks:
             return False
 
         every = fails(None)
+        tables = {node_id: net.nodes[node_id].mean_rows for node_id in net.order}
+        try:
+            brute_force_joint(net, tables, evidence)
+        except InconsistentEvidence:
+            assert every
+        else:
+            assert not every
         for node_id in net.order:
             assert fails([node_id]) == every
         assert fails(data.draw(st.lists(st.sampled_from(net.order), unique=True))) == every
@@ -374,17 +380,20 @@ class TestDegenerateNetworks:
         with pytest.raises(NegativeVariance, match=r"^node 'B': variance 0\.019\d* below 1\.0$"):
             posterior_report(state, ["B", "A"])
 
-    def test_impossible_evidence_stops_the_downward_pass(self):
-        # C's parent message conditions A on B=b2, which has probability 0
+    def test_impossible_evidence_fails_every_report_of_the_state(self):
+        # C's parent message conditions A on B=b2, which has probability 0:
+        # the downward pass takes a stand-in there, and the island's top A
+        # has D = 0, whichever nodes are asked for
         a, b = impossible_evidence_spec().nodes
         net = validate_network(NetworkSpec((a, b, NodeSpec("C", ("c1", "c2"), "A", b.rows))))
-        with pytest.raises(InconsistentEvidence, match="reaching 'C' through 'A'"):
-            propagate(net, {"B": 1})
+        state = propagate(net, {"B": 1})
+        for nodes in (None, ["A"], ["B"], ["C"], []):
+            with pytest.raises(InconsistentEvidence, match="^evidence at node 'A' has zero mean probability$"):
+                posterior_report(state, nodes)
 
     def test_impossible_star_takes_its_stand_ins_in_linear_time(self):
         # c0=b2 is impossible under both values of the observed hub, so each
-        # of the 7999 siblings has D = 0 and takes a stand-in, whose lookup
-        # must not scan every node
+        # of the 7999 siblings has D = 0 and takes a stand-in
         b = ("b1", "b2")
         net = validate_network(NetworkSpec(
             (NodeSpec("r", ("a1", "a2"), None, (PointMass([0.5, 0.5]),)),
@@ -1183,18 +1192,21 @@ class TestChainSegments:
         scale = np.abs(want[:, 1]).max(axis=1, keepdims=True)
         assert np.all(np.abs(got[:, 1] - want[:, 1]) <= 1e-12 * scale)
 
-    def test_zero_denominator_above_a_segment_is_named(self):
+    def test_zero_denominator_above_a_segment_fails_every_report(self):
         # A lone child's D is its parent message's sum, never zero (and not
-        # divided by), so a zero stops the pass above a segment.  B=b2 is
-        # impossible, so the sibling product at H is zero; below H hangs
-        # the segment X, Y.
+        # divided by), so a zero shows only above a segment.  B=b2 is
+        # impossible, so the sibling product at H is zero and H takes a
+        # stand-in; below H hangs the segment X, Y.  The island's top A
+        # has D = 0, whichever nodes are asked for.
         a, b = impossible_evidence_spec().nodes
         rows = (Dirichlet([1.0, 2.0]), PointMass([0.2, 0.8]))
         chain = [NodeSpec(c, ("u", "v"), above, rows) for c, above in (("H", "A"), ("X", "H"), ("Y", "X"))]
         net = validate_network(NetworkSpec((a, b, *chain)))
         assert [(s.depth, s.n) for s in net.plan.steps if isinstance(s, ChainSegment)] == [(2, 2)]
-        with pytest.raises(InconsistentEvidence, match="^evidence reaching 'H' through 'A' has zero"):
-            propagate(net, {"B": 1})
+        state = propagate(net, {"B": 1})
+        for nodes in (None, ["H"], ["Y"], []):
+            with pytest.raises(InconsistentEvidence, match="^evidence at node 'A' has zero mean probability$"):
+                posterior_report(state, nodes)
         # observed, H takes the stand-in and its child the observed row
         state = propagate(net, {"B": 1, "H": 1})
         assert not state.parent("H")[0].any()
